@@ -10,10 +10,9 @@
 //   gram:      ARD squared-exponential Gram construction over an
 //              n x kDim dataset (batched squared distances + the shared
 //              polynomial exp) — the DAGP fit inner loop;
-//   fit:       one end-to-end EI-MCMC surrogate fit (fast path).
+//   fit:       one end-to-end EI-MCMC surrogate fit (cold chain).
 // Wall times are minima over reps of an adaptively iterated loop
-// (hand-rolled steady_clock timing, same idiom as micro_bo_hotpath;
-// "cold" is the single first call and is reported as-is), written to
+// (hand-rolled steady_clock timing; "cold" is the single first call and is reported as-is), written to
 // BENCH_linalg.json.
 //
 // The two backends must agree bit-for-bit (checked on the Gram matrix
@@ -60,7 +59,7 @@ int Iters(double approx_flops) {
   return std::max(1, static_cast<int>(5e7 / std::max(1.0, approx_flops)));
 }
 
-/// Synthetic tuning-shaped dataset, same generator as micro_bo_hotpath.
+/// Synthetic tuning-shaped dataset.
 void MakeDataset(int n, math::Matrix* x, math::Vector* y) {
   Rng rng(1234);
   *x = math::Matrix(static_cast<size_t>(n), kDim);
@@ -173,13 +172,11 @@ OpTimes RunBackend(int n, math::Matrix* gram_out) {
     }
     out.gram_s = best;
   }
-  // End-to-end EI-MCMC surrogate fit (fast path, as the tuner runs it).
+  // End-to-end EI-MCMC surrogate fit (cold chain, as a tune's first refit).
   {
     double best = std::numeric_limits<double>::infinity();
     for (int rep = 0; rep < kReps; ++rep) {
-      ml::EiMcmc::Options opts;
-      opts.fast_path = true;
-      ml::EiMcmc model(opts);
+      ml::EiMcmc model;
       Rng rng(7);
       const auto t0 = Clock::now();
       if (!model.Fit(x, y, &rng).ok()) std::abort();
@@ -309,9 +306,7 @@ IncTimes RunIncBackend(int n, int m, const math::Matrix& x,
     }
     double best = std::numeric_limits<double>::infinity();
     for (int rep = 0; rep < kReps; ++rep) {
-      ml::EiMcmc::Options opts;
-      opts.fast_path = true;
-      ml::EiMcmc model(opts);
+      ml::EiMcmc model;
       Rng rng(7);
       const auto t0 = Clock::now();
       const std::vector<size_t> idx =

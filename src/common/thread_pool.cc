@@ -23,6 +23,14 @@ std::unique_ptr<ThreadPool>& GlobalSlot() {
   return slot;
 }
 
+/// Guards GlobalSlot(): the first Global() call may come from several
+/// threads at once (e.g. ExperimentRunner::RunAll workers), and two lazy
+/// constructions racing would destroy a pool another thread is using.
+std::mutex& GlobalSlotMutex() {
+  static std::mutex& mu = *new std::mutex();
+  return mu;
+}
+
 }  // namespace
 
 ThreadPool::ThreadPool(int num_threads)
@@ -143,12 +151,14 @@ void ThreadPool::Submit(std::function<void()> task) {
 }
 
 ThreadPool* ThreadPool::Global() {
+  std::lock_guard<std::mutex> lock(GlobalSlotMutex());
   auto& slot = GlobalSlot();
   if (slot == nullptr) slot = std::make_unique<ThreadPool>(DefaultThreads());
   return slot.get();
 }
 
 void ThreadPool::SetGlobalThreads(int num_threads) {
+  std::lock_guard<std::mutex> lock(GlobalSlotMutex());
   auto& slot = GlobalSlot();
   slot = std::make_unique<ThreadPool>(
       num_threads <= 0 ? DefaultThreads() : num_threads);

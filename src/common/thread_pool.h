@@ -61,10 +61,10 @@ class ThreadPool {
   void Submit(std::function<void()> task);
 
   /// The process-wide pool used by the BO hot path. Defaults to
-  /// `std::thread::hardware_concurrency()` threads; `SetGlobalThreads`
-  /// rebuilds it (not thread-safe against concurrent ParallelFor — call it
-  /// from the main thread between tuning passes, e.g. when parsing
-  /// `--threads`).
+  /// `std::thread::hardware_concurrency()` threads and is created on first
+  /// use (safe from several threads at once); `SetGlobalThreads` rebuilds
+  /// it (not thread-safe against concurrent ParallelFor — call it from the
+  /// main thread between tuning passes, e.g. when parsing `--threads`).
   static ThreadPool* Global();
   static void SetGlobalThreads(int num_threads);
 

@@ -70,7 +70,8 @@ Status Dagp::FullRefit(const std::vector<size_t>* idx, Rng* rng) {
     x.SetRow(i, x_[r]);
     y[i] = y_[r];
   }
-  model_ = ml::EiMcmc(options_.ei);
+  // model_ persists across refits so its EI-MCMC chain continues; Clear()
+  // (a new encoding) resets it to a cold start.
   const Status status = model_.Fit(x, y, rng);
   if (status.ok()) {
     const ml::EiMcmc::FitStats& stats = model_.last_fit_stats();
@@ -79,6 +80,8 @@ Status Dagp::FullRefit(const std::vector<size_t>* idx, Rng* rng) {
     span.Arg("ensemble", stats.ensemble_size);
     span.Arg("density_evals",
              static_cast<double>(stats.sampler.density_evals));
+    span.Arg("sweeps", stats.sweeps);
+    span.Arg("continued", stats.continued ? 1.0 : 0.0);
     if (refits_counter_ != nullptr) refits_counter_->Increment();
     if (mcmc_evals_counter_ != nullptr) {
       mcmc_evals_counter_->Increment(

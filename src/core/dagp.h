@@ -63,15 +63,17 @@ class Dagp {
     kSparse = 3,  // full EI-MCMC refit on a greedy max-min subset
   };
 
-  explicit Dagp(Options options = Options()) : options_(options) {}
+  explicit Dagp(Options options = Options())
+      : options_(options), model_(options_.ei) {}
 
   /// Adds one observation (encoded conf, data size, measured seconds).
   /// All observations must share the encoding dimension.
   void AddObservation(const math::Vector& encoded_conf, double datasize_gb,
                       double seconds);
 
-  /// Discards all observations (used when the encoding changes after
-  /// IICP; callers re-add re-encoded history).
+  /// Discards all observations and the EI-MCMC chain (used when the
+  /// encoding changes after IICP; callers re-add re-encoded history, and
+  /// the next refit is a cold start).
   void Clear();
 
   /// Refits the surrogate on the current observations (>= 2). The path
@@ -81,7 +83,8 @@ class Dagp {
   /// switch threshold; sparse refits on a greedy max-min subset once the
   /// history exceeds the threshold. At or below the threshold every mode
   /// runs the identical full refit (same RNG draws), so recommendations
-  /// are bit-exact across modes there.
+  /// are bit-exact across modes there. Full and sparse refits continue the
+  /// EI-MCMC chain of the previous one (see ml::EiMcmc::Fit).
   Status Refit(Rng* rng);
 
   /// Expected improvement of a candidate at a data size (log-space EI,
@@ -158,7 +161,7 @@ class Dagp {
   Options options_;
   std::vector<math::Vector> x_;  // encoded conf + normalized ds
   std::vector<double> y_;        // log(seconds)
-  ml::EiMcmc model_{};
+  ml::EiMcmc model_;
   size_t fitted_n_ = 0;       // history size the model has incorporated
   size_t last_full_fit_n_ = 0;  // history size at the last full MCMC fit
   RefitKind last_refit_kind_ = RefitKind::kNone;

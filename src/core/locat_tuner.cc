@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 
+#include "math/kern/kern.h"
 #include "ml/lhs.h"
 
 namespace locat::core {
@@ -24,9 +25,19 @@ void LocatTuner::SetObservability(const obs::ObsContext& obs) {
   dagp_.SetObservability(obs.tracer, obs.metrics);
 }
 
+Status LocatTuner::RefitDagp() {
+  const Status status = dagp_.Refit(&rng_);
+  if (status.ok() && dagp_.last_refit_kind() != Dagp::RefitKind::kAppend) {
+    fit_unreported_ = true;
+  }
+  return status;
+}
+
 void LocatTuner::EmitIteration(double datasize_gb, double eval_seconds,
                                double objective, bool full_app) {
   const int iteration = iter_in_pass_++;
+  const bool report_fit = fit_unreported_;
+  fit_unreported_ = false;
   if (observer() == nullptr) return;
   obs::BoIterationEvent ev;
   ev.tuner = name();
@@ -39,12 +50,16 @@ void LocatTuner::EmitIteration(double datasize_gb, double eval_seconds,
   ev.relative_ei = pending_relative_ei_;
   ev.candidate_pool = pending_candidate_pool_;
   ev.full_app = full_app;
-  const ml::EiMcmc::FitStats& fit = dagp_.last_fit_stats();
-  ev.dagp_fit_seconds = fit.wall_seconds;
   ev.acq_seconds = pending_acq_seconds_;
-  ev.mcmc_ensemble = fit.ensemble_size;
-  ev.mcmc_density_evals = fit.sampler.density_evals;
-  ev.mcmc_acceptance = fit.sampler.acceptance_rate();
+  if (report_fit) {
+    // Only the first event after an MCMC refit carries its cost, so sums
+    // over events count each refit once.
+    const ml::EiMcmc::FitStats& fit = dagp_.last_fit_stats();
+    ev.dagp_fit_seconds = fit.wall_seconds;
+    ev.mcmc_ensemble = fit.ensemble_size;
+    ev.mcmc_density_evals = fit.sampler.density_evals;
+    ev.mcmc_acceptance = fit.sampler.acceptance_rate();
+  }
   ev.rqa_share = rqa_share_;
   ev.rqa_queries = static_cast<int>(rqa_.size());
   ev.failed_evals = failed_evals_;
@@ -294,7 +309,9 @@ LocatTuner::Proposal LocatTuner::ProposeNext(TuningSession* session,
     bool duplicate = false;
     for (const auto& obs : observations_) {
       if (obs.datasize_gb == datasize_gb &&
-          (obs.unit - valid_unit).Norm() < 0.05) {
+          std::sqrt(math::kern::SquaredDistance(
+              obs.unit.data().data(), valid_unit.data().data(),
+              valid_unit.size())) < 0.05) {
         duplicate = true;
         break;
       }
@@ -727,7 +744,7 @@ TuningResult LocatTuner::Tune(TuningSession* session, double datasize_gb) {
           pending_relative_ei_ = 0.0;
           pending_candidate_pool_ = 0;
           pending_acq_seconds_ = 0.0;
-          if (dagp_.Refit(&rng_).ok()) {
+          if (RefitDagp().ok()) {
             const Proposal prop = ProposeNext(session, datasize_gb);
             conf = space.Repair(space.FromUnit(prop.unit));
           }
@@ -774,7 +791,7 @@ TuningResult LocatTuner::Tune(TuningSession* session, double datasize_gb) {
     int iterations = 0;
     while (iterations < options_.max_iterations) {
       exploit_only_ = iterations >= (options_.max_iterations * 3) / 5;
-      if (!dagp_.Refit(&rng_).ok()) break;
+      if (!RefitDagp().ok()) break;
       const Proposal prop = ProposeNext(session, datasize_gb);
       if (iterations >= options_.min_iterations &&
           prop.relative_ei < options_.ei_stop) {
@@ -791,7 +808,7 @@ TuningResult LocatTuner::Tune(TuningSession* session, double datasize_gb) {
     phase_label_ = "warm";
     int iterations = 0;
     while (iterations < options_.warm_iterations) {
-      if (!dagp_.Refit(&rng_).ok()) break;
+      if (!RefitDagp().ok()) break;
       const Proposal prop = ProposeNext(session, datasize_gb);
       if (iterations >= 3 && prop.relative_ei < options_.ei_stop) break;
       const sparksim::SparkConf conf =
@@ -821,7 +838,7 @@ TuningResult LocatTuner::Tune(TuningSession* session, double datasize_gb) {
   pending_relative_ei_ = 0.0;
   pending_candidate_pool_ = 0;
   pending_acq_seconds_ = 0.0;
-  const bool have_model = dagp_.fitted() || dagp_.Refit(&rng_).ok();
+  const bool have_model = dagp_.fitted() || RefitDagp().ok();
   std::vector<std::pair<double, size_t>> ranked;
   if (have_model) {
     // One batched posterior-mean pass over this data size's history.

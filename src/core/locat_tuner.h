@@ -214,6 +214,10 @@ class LocatTuner : public Tuner {
 
   void RunQcsaAndIicp(TuningSession* session);
 
+  /// Refits the DAGP and, when the refit ran EI-MCMC (not appends), marks
+  /// its FitStats for the next emitted iteration event.
+  Status RefitDagp();
+
   /// Sends one BoIterationEvent for a just-charged evaluation; no-op
   /// without an observer (the event is not even built).
   void EmitIteration(double datasize_gb, double eval_seconds,
@@ -264,6 +268,8 @@ class LocatTuner : public Tuner {
   int pending_candidate_pool_ = 0;
   double pending_acq_seconds_ = 0.0;
   int iter_in_pass_ = 0;
+  /// Set by an MCMC refit, cleared by the next EmitIteration.
+  bool fit_unreported_ = false;
 };
 
 }  // namespace locat::core

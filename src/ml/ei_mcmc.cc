@@ -35,78 +35,81 @@ Status EiMcmc::Fit(const math::Matrix& x, const math::Vector& y, Rng* rng) {
   best_observed_ = math::Min(y.data());
 
   const size_t dim = x.cols();
+  const size_t rows = x.rows();
   SliceSampler::Options sopts;
   sopts.width = 0.8;
-  const math::Vector initial = GpHyperparams::Default(dim).Flatten();
 
+  // The previous ensemble is not needed while sampling; free it first.
   ensemble_.clear();
-  if (options_.fast_path) {
-    // Kernel-cached density: pair squared-distances precomputed once, one
-    // exp per pair per proposal, and the factorization of every density
-    // evaluation memoized. The sampler's last evaluation of each sweep is
-    // at exactly the retained state, so the callback harvests that
-    // factorization and the ensemble member adopts it instead of
-    // refactoring.
-    GpKernelCache cache(x, y);
-    auto log_posterior = [&](const math::Vector& flat) {
-      const GpHyperparams hp = GpHyperparams::Unflatten(flat);
-      const double lml = cache.LogMarginalLikelihood(hp);
-      if (!std::isfinite(lml)) {
-        return -std::numeric_limits<double>::infinity();
-      }
-      return lml + LogPrior(hp);
-    };
-    SliceSampler sampler(log_posterior, sopts);
 
-    std::vector<std::optional<GpKernelCache::Factorization>> harvested;
-    auto on_sample = [&](int /*index*/, const math::Vector& state) {
-      harvested.push_back(cache.TakeMemoized(state));
-    };
-    const std::vector<math::Vector> samples = sampler.Sample(
-        initial, options_.num_hyper_samples, options_.burn_in, options_.thin,
-        rng, &last_fit_stats_.sampler, on_sample);
-
-    // Fit the members concurrently, one slot per sample, then assemble in
-    // sample order — results are independent of the thread count. Workers
-    // only read `cache` and write their own slot; no RNG is touched.
-    std::vector<std::optional<GaussianProcess>> slots(samples.size());
-    common::ThreadPool::Global()->ParallelForEach(
-        samples.size(), [&](size_t i) {
-          const GpHyperparams hp = GpHyperparams::Unflatten(samples[i]);
-          GaussianProcess gp;
-          const Status s =
-              harvested[i].has_value()
-                  ? gp.AdoptFit(cache, hp, std::move(*harvested[i]))
-                  : gp.Fit(cache, hp);
-          if (s.ok()) slots[i].emplace(std::move(gp));
-        });
-    ensemble_.reserve(samples.size());
-    for (auto& slot : slots) {
-      if (slot.has_value()) ensemble_.push_back(std::move(*slot));
+  // Kernel-cached density: pair squared-distances precomputed once, one
+  // exp per pair per proposal, and the factorization of every density
+  // evaluation memoized. The sampler's last evaluation of each sweep is
+  // at exactly the retained state, so the callback harvests that
+  // factorization and the ensemble member adopts it instead of
+  // refactoring.
+  GpKernelCache cache(x, y);
+  auto log_posterior = [&](const math::Vector& flat) {
+    const GpHyperparams hp = GpHyperparams::Unflatten(flat);
+    const double lml = cache.LogMarginalLikelihood(hp);
+    if (!std::isfinite(lml)) {
+      return -std::numeric_limits<double>::infinity();
     }
+    return lml + LogPrior(hp);
+  };
+
+  // Continue the chain when its state fits this input dimension and has
+  // a finite density on the new data (the check is a memo hit for the
+  // first sweep's evaluation, so it costs no factorization). Re-burn one
+  // sweep per row added since the chain's last fit, at most burn_in.
+  const int burn_in = std::max(0, options_.burn_in);
+  const bool continued =
+      chain_state_.size() == dim + 2 &&
+      std::isfinite(log_posterior(chain_state_));
+  math::Vector initial;
+  int burn = burn_in;
+  if (continued) {
+    initial = chain_state_;
+    const size_t added = rows > chain_rows_ ? rows - chain_rows_ : 1;
+    burn = static_cast<int>(
+        std::min<size_t>(added, static_cast<size_t>(burn_in)));
   } else {
-    // Sequential baseline: every density evaluation rebuilds the kernel
-    // from raw hyperparameters and every ensemble member refits from
-    // scratch.
-    auto log_posterior = [&](const math::Vector& flat) {
-      const GpHyperparams hp = GpHyperparams::Unflatten(flat);
-      const double lml =
-          GaussianProcess::ComputeLogMarginalLikelihood(x, y, hp);
-      if (!std::isfinite(lml)) {
-        return -std::numeric_limits<double>::infinity();
-      }
-      return lml + LogPrior(hp);
-    };
-    SliceSampler sampler(log_posterior, sopts);
-    const std::vector<math::Vector> samples = sampler.Sample(
-        initial, options_.num_hyper_samples, options_.burn_in, options_.thin,
-        rng, &last_fit_stats_.sampler);
-    ensemble_.reserve(samples.size());
-    for (const auto& flat : samples) {
-      GaussianProcess gp;
-      Status s = gp.Fit(x, y, GpHyperparams::Unflatten(flat));
-      if (s.ok()) ensemble_.push_back(std::move(gp));
-    }
+    initial = GpHyperparams::Default(dim).Flatten();
+  }
+  last_fit_stats_.continued = continued;
+  last_fit_stats_.sweeps =
+      burn + options_.num_hyper_samples * std::max(1, options_.thin);
+
+  SliceSampler sampler(log_posterior, sopts);
+  std::vector<std::optional<GpKernelCache::Factorization>> harvested;
+  auto on_sample = [&](int /*index*/, const math::Vector& state) {
+    harvested.push_back(cache.TakeMemoized(state));
+  };
+  const std::vector<math::Vector> samples = sampler.Sample(
+      initial, options_.num_hyper_samples, burn, options_.thin, rng,
+      &last_fit_stats_.sampler, on_sample);
+  if (!samples.empty()) {
+    chain_state_ = samples.back();
+    chain_rows_ = rows;
+  }
+
+  // Fit the members concurrently, one slot per sample, then assemble in
+  // sample order — results are independent of the thread count. Workers
+  // only read `cache` and write their own slot; no RNG is touched.
+  std::vector<std::optional<GaussianProcess>> slots(samples.size());
+  common::ThreadPool::Global()->ParallelForEach(
+      samples.size(), [&](size_t i) {
+        const GpHyperparams hp = GpHyperparams::Unflatten(samples[i]);
+        GaussianProcess gp;
+        const Status s =
+            harvested[i].has_value()
+                ? gp.AdoptFit(cache, hp, std::move(*harvested[i]))
+                : gp.Fit(cache, hp);
+        if (s.ok()) slots[i].emplace(std::move(gp));
+      });
+  ensemble_.reserve(samples.size());
+  for (auto& slot : slots) {
+    if (slot.has_value()) ensemble_.push_back(std::move(*slot));
   }
   if (ensemble_.empty()) {
     // Fall back to the default hyperparameters so callers always get a

@@ -24,12 +24,17 @@ enum class AcquisitionKind { kExpectedImprovement, kProbabilityOfImprovement, kU
 /// candidate is the EI for minimization averaged over those GPs, which
 /// integrates out hyperparameter uncertainty and removes the need for any
 /// external hyperparameter tuning.
+///
+/// The sampler's chain persists across fits, as in Snoek et al.: a refit
+/// on a grown history continues from the previous fit's last state with
+/// one re-burn sweep per added row instead of re-burning from the prior.
 class EiMcmc {
  public:
   struct Options {
     /// Number of posterior hyperparameter samples (fitted GPs).
     int num_hyper_samples = 8;
-    /// Slice-sampler burn-in sweeps before the first sample.
+    /// Slice-sampler burn-in sweeps before the first sample of a cold
+    /// chain; a continued chain re-burns at most this many (see Fit).
     int burn_in = 16;
     /// Sweeps between retained samples.
     int thin = 2;
@@ -43,15 +48,6 @@ class EiMcmc {
     AcquisitionKind acquisition = AcquisitionKind::kExpectedImprovement;
     /// Exploration weight for the UCB rule.
     double ucb_beta = 2.0;
-    /// When true (the default), Fit evaluates the MCMC density through a
-    /// GpKernelCache (pair distances precomputed once, factorization of
-    /// each retained sample reused for its ensemble member) and fits
-    /// ensemble members on the shared thread pool. When false, Fit runs
-    /// the straightforward sequential path (full kernel rebuild per
-    /// density evaluation, full refit per ensemble member) — kept as the
-    /// benchmark baseline. Both paths draw the same random numbers and
-    /// sample the same posterior.
-    bool fast_path = true;
 
     Options() {}
   };
@@ -67,13 +63,25 @@ class EiMcmc {
     /// True when every posterior sample failed to produce a usable GP and
     /// the default-hyperparameter fallback was used.
     bool used_fallback = false;
+    /// True when the fit continued the previous fit's chain; false for a
+    /// cold start from GpHyperparams::Default.
+    bool continued = false;
+    /// Slice-sampler sweeps run: burn-in (or re-burn) plus retained.
+    int sweeps = 0;
     SliceSampler::Stats sampler;
   };
 
   explicit EiMcmc(Options options = Options()) : options_(options) {}
 
   /// Fits the hyperparameter-marginalized model to (x, y). `x` is n x d
-  /// with n >= 2. Deterministic given `rng`'s state.
+  /// with n >= 2. Deterministic given `rng`'s state and the chain.
+  ///
+  /// Cold start (no chain yet, the input dimension changed, or the stored
+  /// state has no finite density on the new data): the chain starts at
+  /// GpHyperparams::Default and runs `burn_in` sweeps. Otherwise the chain
+  /// continues from the previous fit's last state with
+  /// clamp(n - previous n, 1, burn_in) re-burn sweeps. Either way
+  /// `num_hyper_samples` x `thin` retained sweeps follow.
   Status Fit(const math::Matrix& x, const math::Vector& y, Rng* rng);
 
   /// Extends a fitted model by one observation in O(n^2) per ensemble
@@ -122,6 +130,10 @@ class EiMcmc {
   double LogPrior(const GpHyperparams& hp) const;
 
   Options options_;
+  /// The chain: the sampler's last state (flattened hyperparameters,
+  /// empty before the first fit) and the row count that fit used.
+  math::Vector chain_state_;
+  size_t chain_rows_ = 0;
   std::vector<GaussianProcess> ensemble_;
   double best_observed_ = 0.0;
   FitStats last_fit_stats_;

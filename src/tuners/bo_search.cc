@@ -76,6 +76,8 @@ void BoSearch::Run(core::TuningSession* session, double datasize_gb,
   }
   if (xs.size() < 2) return;
 
+  // One model for the whole run, so each refit continues the EI-MCMC
+  // chain of the previous one (see EiMcmc::Fit).
   ml::EiMcmc model(options_.ei);
   int since_refit = options_.refit_period;  // force initial fit
   const int remaining =

@@ -310,9 +310,11 @@ TEST(EiMcmcBatchTest, BatchAcquisitionMatchesPerCandidate) {
 }
 
 TEST(EiMcmcBatchTest, FastPathInvariantToThreadCount) {
-  Matrix x;
-  Vector y;
-  MakeDataset(25, 6, &x, &y);
+  // A cold fit on 25 rows, then a fit that continues its chain on 28.
+  Matrix x0, x;
+  Vector y0, y;
+  MakeDataset(25, 6, &x0, &y0);
+  MakeDataset(28, 6, &x, &y);
   Matrix xs(50, 6);
   Rng crng(33);
   for (size_t i = 0; i < 50; ++i) {
@@ -325,7 +327,9 @@ TEST(EiMcmcBatchTest, FastPathInvariantToThreadCount) {
     opts.burn_in = 4;
     ml::EiMcmc model(opts);
     Rng rng(34);
+    EXPECT_TRUE(model.Fit(x0, y0, &rng).ok());
     EXPECT_TRUE(model.Fit(x, y, &rng).ok());
+    EXPECT_TRUE(model.last_fit_stats().continued);
     return model.AcquisitionValueBatch(xs);
   };
   const Vector one = run(1);
@@ -338,23 +342,6 @@ TEST(EiMcmcBatchTest, FastPathInvariantToThreadCount) {
     EXPECT_EQ(one[i], four[i]) << "candidate " << i;
     EXPECT_EQ(one[i], eight[i]) << "candidate " << i;
   }
-}
-
-TEST(EiMcmcBatchTest, LegacyPathStillWorks) {
-  Matrix x;
-  Vector y;
-  MakeDataset(20, 4, &x, &y);
-  ml::EiMcmc::Options opts;
-  opts.num_hyper_samples = 3;
-  opts.burn_in = 3;
-  opts.fast_path = false;
-  ml::EiMcmc legacy(opts);
-  Rng rng(35);
-  ASSERT_TRUE(legacy.Fit(x, y, &rng).ok());
-  EXPECT_TRUE(legacy.fitted());
-  EXPECT_GT(static_cast<int>(legacy.ensemble().size()), 0);
-  Vector q(4, 0.4);
-  EXPECT_GE(legacy.AcquisitionValue(q), 0.0);
 }
 
 // ------------------------------------------ incremental surrogate layer
@@ -605,7 +592,8 @@ void FeedObservations(core::Dagp* dagp, size_t count, size_t dim,
 TEST(AppendFitTest, DagpIncrementalBitIdenticalToExactBelowThreshold) {
   // Below the switch threshold the incremental mode must run the exact
   // full-refit path, consuming identical RNG draws — recommendations are
-  // bit-exact, not merely close.
+  // bit-exact, not merely close. The second refit continues the first
+  // one's EI-MCMC chain.
   auto run = [&](ml::GpMode mode) {
     core::Dagp::Options opts;
     opts.gp_mode = mode;
@@ -616,6 +604,9 @@ TEST(AppendFitTest, DagpIncrementalBitIdenticalToExactBelowThreshold) {
     FeedObservations(&dagp, 30, 4, 1234);
     Rng rng(55);
     EXPECT_TRUE(dagp.Refit(&rng).ok());
+    FeedObservations(&dagp, 3, 4, 4321);
+    EXPECT_TRUE(dagp.Refit(&rng).ok());
+    EXPECT_TRUE(dagp.last_fit_stats().continued);
     EXPECT_EQ(dagp.last_refit_kind(), core::Dagp::RefitKind::kFull);
     Vector probe(4, 0.3);
     return std::pair<double, double>(dagp.ExpectedImprovement(probe, 100.0),

@@ -3,6 +3,9 @@
 // exactly reproducible.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
 #include "core/tuning.h"
 #include "harness/experiments.h"
 #include "sparksim/simulator.h"
@@ -36,8 +39,10 @@ INSTANTIATE_TEST_SUITE_P(AllTuners, TunerDeterminismTest,
                                            "GBO-RL", "QTune", "LOCAT",
                                            "DAC+QIT"));
 
+// std::string, not const char*: inside a tuple gtest prints a char pointer's
+// address, which would make the generated test names vary from run to run.
 class SimulatorClusterDsTest
-    : public ::testing::TestWithParam<std::tuple<const char*, double>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, double>> {};
 
 TEST_P(SimulatorClusterDsTest, AppRunInvariantsHold) {
   const auto [cluster_name, ds] = GetParam();

@@ -1,0 +1,292 @@
+// Tests of the persistent EI-MCMC chain: the sweep schedule of cold and
+// continued fits, the events that force a cold restart, truthful
+// per-refit telemetry, and a tune-quality regression check. Thread-count
+// and GP-mode bit-identity of a continued chain are checked in
+// bo_hotpath_test.cc.
+#include <chrono>
+#include <cmath>
+#include <regex>
+#include <string>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "common/rng.h"
+#include "core/dagp.h"
+#include "core/locat_tuner.h"
+#include "core/tuning.h"
+#include "math/matrix.h"
+#include "ml/ei_mcmc.h"
+#include "ml/gp_mode.h"
+#include "obs/telemetry.h"
+#include "obs/trace.h"
+#include "sparksim/simulator.h"
+#include "workloads/workloads.h"
+
+namespace locat {
+namespace {
+
+using math::Matrix;
+using math::Vector;
+
+/// Rows [0, n) of a deterministic smooth regression set in d dimensions;
+/// prefixes of one stream, so a larger n extends a smaller one.
+void MakeRows(size_t n, size_t d, Matrix* x, Vector* y) {
+  Rng rng(903);
+  *x = Matrix(n, d);
+  *y = Vector(n);
+  for (size_t i = 0; i < n; ++i) {
+    double s = 0.0;
+    for (size_t j = 0; j < d; ++j) {
+      const double v = rng.NextDouble();
+      (*x)(i, j) = v;
+      s += std::sin(3.0 * v + static_cast<double>(j));
+    }
+    (*y)[i] = s + 0.05 * rng.NextGaussian();
+  }
+}
+
+ml::EiMcmc::Options SmallOptions() {
+  ml::EiMcmc::Options opts;
+  opts.num_hyper_samples = 3;
+  opts.burn_in = 5;
+  opts.thin = 2;
+  return opts;
+}
+
+/// Fits `model` on the first n rows (d dims) and returns its stats.
+ml::EiMcmc::FitStats FitRows(ml::EiMcmc* model, size_t n, size_t d,
+                             Rng* rng) {
+  Matrix x;
+  Vector y;
+  MakeRows(n, d, &x, &y);
+  EXPECT_TRUE(model->Fit(x, y, rng).ok());
+  return model->last_fit_stats();
+}
+
+TEST(EiMcmcChainTest, ColdFitRunsFullBurnIn) {
+  const ml::EiMcmc::Options opts = SmallOptions();
+  ml::EiMcmc model(opts);
+  Rng rng(1);
+  const auto stats = FitRows(&model, 20, 4, &rng);
+  EXPECT_FALSE(stats.continued);
+  EXPECT_EQ(stats.sweeps, opts.burn_in + opts.num_hyper_samples * opts.thin);
+  EXPECT_EQ(stats.ensemble_size, opts.num_hyper_samples);
+}
+
+TEST(EiMcmcChainTest, ContinuedFitReburnsOneSweepPerAddedRow) {
+  const ml::EiMcmc::Options opts = SmallOptions();
+  const int retained = opts.num_hyper_samples * opts.thin;
+  ml::EiMcmc model(opts);
+  Rng rng(2);
+  const auto cold = FitRows(&model, 20, 4, &rng);
+  ASSERT_FALSE(cold.continued);
+
+  // +1 row: one re-burn sweep, so less sampler work than the cold fit.
+  auto stats = FitRows(&model, 21, 4, &rng);
+  EXPECT_TRUE(stats.continued);
+  EXPECT_EQ(stats.sweeps, 1 + retained);
+  EXPECT_LT(stats.sampler.density_evals, cold.sampler.density_evals);
+  // +3 rows: three.
+  stats = FitRows(&model, 24, 4, &rng);
+  EXPECT_TRUE(stats.continued);
+  EXPECT_EQ(stats.sweeps, 3 + retained);
+  // +16 rows: clamped to burn_in.
+  stats = FitRows(&model, 40, 4, &rng);
+  EXPECT_TRUE(stats.continued);
+  EXPECT_EQ(stats.sweeps, opts.burn_in + retained);
+  // Same or fewer rows (a sliding window): clamped up to one sweep.
+  stats = FitRows(&model, 40, 4, &rng);
+  EXPECT_EQ(stats.sweeps, 1 + retained);
+  stats = FitRows(&model, 30, 4, &rng);
+  EXPECT_TRUE(stats.continued);
+  EXPECT_EQ(stats.sweeps, 1 + retained);
+}
+
+TEST(EiMcmcChainTest, DimensionChangeRestartsCold) {
+  const ml::EiMcmc::Options opts = SmallOptions();
+  ml::EiMcmc model(opts);
+  Rng rng(4);
+  ASSERT_FALSE(FitRows(&model, 20, 4, &rng).continued);
+  ASSERT_TRUE(FitRows(&model, 21, 4, &rng).continued);
+  const auto stats = FitRows(&model, 22, 5, &rng);
+  EXPECT_FALSE(stats.continued);
+  EXPECT_EQ(stats.sweeps, opts.burn_in + opts.num_hyper_samples * opts.thin);
+}
+
+/// Adds `count` synthetic observations (dim-dimensional confs).
+void Feed(core::Dagp* dagp, size_t count, size_t dim, Rng* rng) {
+  for (size_t i = 0; i < count; ++i) {
+    Vector conf(dim);
+    double s = 0.0;
+    for (size_t j = 0; j < dim; ++j) {
+      conf[j] = rng->NextDouble();
+      s += std::sin(2.5 * conf[j] + static_cast<double>(j));
+    }
+    dagp->AddObservation(conf, 100.0 + 20.0 * rng->NextDouble(),
+                         60.0 + 25.0 * s * s);
+  }
+}
+
+TEST(EiMcmcChainTest, DagpContinuesChainAndClearRestartsCold) {
+  core::Dagp::Options opts;
+  opts.gp_mode = ml::GpMode::kExact;
+  opts.ei = SmallOptions();
+  core::Dagp dagp(opts);
+  Rng data(7), rng(8);
+  Feed(&dagp, 12, 3, &data);
+  ASSERT_TRUE(dagp.Refit(&rng).ok());
+  EXPECT_FALSE(dagp.last_fit_stats().continued);
+  Feed(&dagp, 1, 3, &data);
+  ASSERT_TRUE(dagp.Refit(&rng).ok());
+  EXPECT_TRUE(dagp.last_fit_stats().continued);
+  EXPECT_EQ(dagp.last_fit_stats().sweeps, 1 + 3 * 2);
+
+  // A new encoding: same dimension, but the chain must not carry over.
+  dagp.Clear();
+  Feed(&dagp, 13, 3, &data);
+  ASSERT_TRUE(dagp.Refit(&rng).ok());
+  EXPECT_FALSE(dagp.last_fit_stats().continued);
+  EXPECT_EQ(dagp.last_fit_stats().sweeps, 5 + 3 * 2);
+}
+
+core::LocatTuner::Options SmallTuneOptions(uint64_t seed) {
+  core::LocatTuner::Options opts;
+  opts.n_qcsa = 8;
+  opts.n_iicp = 6;
+  opts.lhs_init = 2;
+  opts.min_iterations = 3;
+  opts.max_iterations = 6;
+  opts.candidates = 60;
+  opts.seed = seed;
+  return opts;
+}
+
+TEST(EiMcmcChainTest, IicpRebuildRestartsChainCold) {
+  const auto app = workloads::HiBenchAggregation();
+  sparksim::ClusterSimulator sim(sparksim::X86Cluster(), 90);
+  core::TuningSession session(&sim, app);
+  core::LocatTuner tuner(SmallTuneOptions(9));
+  obs::Tracer tracer;
+  obs::ObsContext ctx;
+  ctx.tracer = &tracer;
+  tuner.SetObservability(ctx);
+  tuner.Tune(&session, 200.0);
+  ASSERT_NE(tuner.iicp_result(), nullptr);
+
+  // Spans are recorded at close, so refits and the analyze phase appear
+  // in execution order.
+  const std::regex continued_re("\"continued\":([01])");
+  const std::regex sweeps_re("\"sweeps\":([0-9]+)");
+  bool after_analyze = false;
+  int refits_before = 0, refits_after = 0;
+  for (const obs::TraceEvent& ev : tracer.snapshot()) {
+    if (ev.name == "tune/analyze") {
+      after_analyze = true;
+      continue;
+    }
+    if (ev.name != "dagp/refit") continue;
+    std::smatch c, s;
+    ASSERT_TRUE(std::regex_search(ev.args, c, continued_re)) << ev.args;
+    ASSERT_TRUE(std::regex_search(ev.args, s, sweeps_re)) << ev.args;
+    const bool continued = c[1] == "1";
+    const int sweeps = std::stoi(s[1]);
+    int& count = after_analyze ? refits_after : refits_before;
+    // The first refit of each phase starts cold: phase A (10 burn-in + 6
+    // samples, thin 1) and the reduced phase after the IICP rebuild (16
+    // burn-in + 10 samples).
+    if (count == 0) {
+      EXPECT_FALSE(continued) << (after_analyze ? "reduced" : "phase A");
+      EXPECT_EQ(sweeps, after_analyze ? 16 + 10 : 10 + 6);
+    } else {
+      EXPECT_TRUE(continued);
+      EXPECT_LT(sweeps, after_analyze ? 16 + 10 : 10 + 6);
+    }
+    ++count;
+  }
+  EXPECT_GT(refits_before, 0);
+  EXPECT_GT(refits_after, 1);
+}
+
+/// Sums the per-event refit cost of a tune.
+class FitCostObserver : public obs::TunerObserver {
+ public:
+  void OnIteration(const obs::BoIterationEvent& ev) override {
+    fit_seconds += ev.dagp_fit_seconds;
+    density_evals += ev.mcmc_density_evals;
+    if (ev.dagp_fit_seconds > 0.0) ++stamped;
+    ++events;
+  }
+  void OnPhase(const obs::PhaseEvent&) override {}
+
+  double fit_seconds = 0.0;
+  int64_t density_evals = 0;
+  int stamped = 0;
+  int events = 0;
+};
+
+TEST(EiMcmcChainTest, TelemetryCountsEachRefitOnce) {
+  const auto app = workloads::HiBenchAggregation();
+  sparksim::ClusterSimulator sim(sparksim::X86Cluster(), 91);
+  core::TuningSession session(&sim, app);
+  core::LocatTuner tuner(SmallTuneOptions(11));
+  FitCostObserver observer;
+  obs::Tracer tracer;
+  obs::ObsContext ctx;
+  ctx.observer = &observer;
+  ctx.tracer = &tracer;
+  tuner.SetObservability(ctx);
+  const auto start = std::chrono::steady_clock::now();
+  tuner.Tune(&session, 200.0);
+  const double wall =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+
+  int refits = 0;
+  for (const obs::TraceEvent& ev : tracer.snapshot()) {
+    if (ev.name == "dagp/refit") ++refits;
+  }
+  ASSERT_GT(refits, 0);
+  EXPECT_GT(observer.events, refits);  // batched evaluations share refits
+  EXPECT_EQ(observer.stamped, refits);
+  EXPECT_GT(observer.fit_seconds, 0.0);
+  EXPECT_LE(observer.fit_seconds, wall);
+}
+
+TEST(EiMcmcChainTest, TuneQualityHoldsAcrossSeeds) {
+  // Geometric mean over seeds 1-5 of the tuned / default noise-free cost
+  // of an Aggregation @150 GB tune on x86. The bound is the value the
+  // per-refit cold-chain schedule measured (0.2704) times its seed-to-seed
+  // spread (exp of the standard deviation of the per-seed log ratios,
+  // 0.0382), so the persistent chain must not find worse configurations.
+  const auto app = workloads::HiBenchAggregation();
+  const auto cluster = sparksim::X86Cluster();
+  constexpr double kDatasizeGb = 150.0;
+  sparksim::SimParams noise_free;
+  noise_free.noise_sigma = 0.0;
+  sparksim::ClusterSimulator judge(cluster, 1, noise_free);
+  const sparksim::ConfigSpace space(judge.cluster());
+  const double default_s =
+      judge.RunApp(app, space.Repair(space.DefaultConf()), kDatasizeGb)
+          .total_seconds;
+  ASSERT_GT(default_s, 0.0);
+
+  double log_sum = 0.0;
+  const int kSeeds = 5;
+  for (int seed = 1; seed <= kSeeds; ++seed) {
+    sparksim::ClusterSimulator sim(cluster, static_cast<uint64_t>(seed));
+    core::TuningSession session(&sim, app);
+    core::LocatTuner::Options opts;
+    opts.seed = static_cast<uint64_t>(seed);
+    core::LocatTuner tuner(opts);
+    const core::TuningResult result = tuner.Tune(&session, kDatasizeGb);
+    const double tuned_s =
+        judge.RunApp(app, result.best_conf, kDatasizeGb).total_seconds;
+    log_sum += std::log(tuned_s / default_s);
+  }
+  const double geo_mean = std::exp(log_sum / kSeeds);
+  EXPECT_LE(geo_mean, 0.2704 * std::exp(0.0382)) << "geo mean " << geo_mean;
+}
+
+}  // namespace
+}  // namespace locat
