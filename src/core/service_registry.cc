@@ -565,10 +565,13 @@ uint64_t ServiceRegistry::AdvanceTick() {
       const uint64_t last =
           l.entry->last_used_tick.load(std::memory_order_relaxed);
       if (tick - last <= static_cast<uint64_t>(options_.ttl_ticks)) continue;
-      std::unique_lock<std::mutex> el(l.entry->mu, std::try_to_lock);
-      if (!el.owns_lock() || l.entry->tuning_in_flight) continue;
+      // `entry` is declared before the lock on its mutex, so it outlives
+      // the unlock even once `l.entry` (maybe the last reference) is reset.
+      const std::shared_ptr<Entry> entry = l.entry;
+      std::unique_lock<std::mutex> el(entry->mu, std::try_to_lock);
+      if (!el.owns_lock() || entry->tuning_in_flight) continue;
       std::lock_guard<std::mutex> slock(l.shard->mu);
-      EvictLocked(*l.shard, l.entry);
+      EvictLocked(*l.shard, entry);
       evictions_ttl_.fetch_add(1, std::memory_order_relaxed);
       if (m_evict_ttl_ != nullptr) m_evict_ttl_->Increment();
       l.entry = nullptr;  // gone; skip in the capacity pass
@@ -595,10 +598,11 @@ uint64_t ServiceRegistry::AdvanceTick() {
       size_t excess = remaining.size() - options_.capacity;
       for (Live* l : remaining) {
         if (excess == 0) break;
-        std::unique_lock<std::mutex> el(l->entry->mu, std::try_to_lock);
-        if (!el.owns_lock() || l->entry->tuning_in_flight) continue;
+        const std::shared_ptr<Entry> entry = l->entry;  // outlives `el`
+        std::unique_lock<std::mutex> el(entry->mu, std::try_to_lock);
+        if (!el.owns_lock() || entry->tuning_in_flight) continue;
         std::lock_guard<std::mutex> slock(l->shard->mu);
-        EvictLocked(*l->shard, l->entry);
+        EvictLocked(*l->shard, entry);
         evictions_capacity_.fetch_add(1, std::memory_order_relaxed);
         if (m_evict_cap_ != nullptr) m_evict_cap_->Increment();
         l->entry = nullptr;

@@ -4,6 +4,7 @@
 #include <sys/file.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -110,9 +111,6 @@ ExperimentRunner::ExperimentRunner(std::string cache_path)
     cache_path_ = std::string(dir != nullptr ? dir : ".locat_cache") +
                   "/results.csv";
   }
-  const char* sim_cache = std::getenv("LOCAT_SIM_CACHE");
-  sim_cache_enabled_ =
-      (sim_cache == nullptr || std::string(sim_cache) != "off");
   Load();
 }
 
@@ -214,7 +212,6 @@ std::vector<int> ExperimentRunner::CanonicalCsq(const std::string& app_name,
   const sparksim::SparkSqlApp app = MakeApp(app_name);
   sparksim::ClusterSimulator sim(MakeCluster(cluster),
                                  StableHash("csq|" + key));
-  if (sim_cache_enabled_) sim.set_eval_cache(&sim_cache_);
   sparksim::ConfigSpace space(sim.cluster());
   Rng rng(StableHash("csq-rng|" + key));
   std::vector<std::vector<double>> times(
@@ -254,10 +251,6 @@ CellResult ExperimentRunner::Compute(const CellSpec& spec) {
   const sparksim::SparkSqlApp app = MakeApp(spec.app);
   sparksim::ClusterSimulator sim(MakeCluster(spec.cluster),
                                  StableHash(spec.Key()));
-  // Share one eval cache across the whole grid: the noise-free memoized
-  // layer means cells with different seeds still hit on repeated
-  // (conf, query, datasize) points. Results stay bit-identical.
-  if (sim_cache_enabled_) sim.set_eval_cache(&sim_cache_);
   core::TuningSession session(&sim, app);
   std::unique_ptr<core::Tuner> tuner = MakeTuner(spec.tuner, spec.seed);
 
@@ -358,13 +351,18 @@ std::vector<CellResult> ExperimentRunner::RunAll(
   obs::Log::Global()->Info("harness", "experiment grid",
                            {{"cells", static_cast<double>(specs.size())},
                             {"threads", threads}});
-  // Dedicated pool sized to the request; Run() serializes cache access
-  // internally and each cell writes only its own slot, so results are in
-  // input order regardless of scheduling.
+  // Cells differ in cost by orders of magnitude, so workers claim them one
+  // at a time from a shared cursor instead of in contiguous blocks. Each
+  // cell writes only its own slot, so results keep input order and bits.
   common::ThreadPool pool(threads);
   std::vector<CellResult> results(specs.size());
-  pool.ParallelForEach(specs.size(),
-                       [&](size_t i) { results[i] = Run(specs[i]); });
+  std::atomic<size_t> next{0};
+  pool.ParallelFor(static_cast<size_t>(threads), [&](size_t, size_t) {
+    for (size_t i = next.fetch_add(1); i < specs.size();
+         i = next.fetch_add(1)) {
+      results[i] = Run(specs[i]);
+    }
+  });
   Save();
   return results;
 }

@@ -69,8 +69,9 @@ class ExperimentRunner {
   CellResult Run(const CellSpec& spec);
 
   /// Computes many cells, using up to `threads` worker threads (0 = one
-  /// per hardware core, capped at the number of cells). Results are
-  /// returned in input order.
+  /// per hardware core, capped at the number of cells). Workers claim
+  /// cells one at a time, so a few slow cells don't idle the others.
+  /// Results are returned in input order.
   std::vector<CellResult> RunAll(const std::vector<CellSpec>& specs,
                                  int threads = 0);
 
@@ -81,12 +82,10 @@ class ExperimentRunner {
   /// Inserts (or overwrites) a cell result, marking the cache dirty.
   void InsertResult(const CellSpec& spec, const CellResult& result);
 
-  /// Counters of the process-wide simulator eval cache shared by every
-  /// cell this runner computes (set LOCAT_SIM_CACHE=off to disable it).
-  sparksim::EvalCacheStats sim_cache_stats() const {
-    return sim_cache_.stats();
-  }
-  bool sim_cache_enabled() const { return sim_cache_enabled_; }
+  /// Always zero: the runner no longer memoizes simulator evaluations
+  /// (on the grid the eval cache cost more than it saved). The accessor
+  /// stays until perfbench's grid-sim workload stops reading it.
+  sparksim::EvalCacheStats sim_cache_stats() const { return {}; }
 
   /// The canonical CSQ index set for an (app, cluster) pair, computed by
   /// a fixed-seed 30-sample QCSA (cached in memory for the process).
@@ -105,12 +104,6 @@ class ExperimentRunner {
   std::map<std::string, CellResult> cache_;
   std::map<std::string, std::vector<int>> csq_cache_;
   bool dirty_ = false;
-  /// One eval cache shared by all cells: identical (conf, query, env)
-  /// evaluations recur across tuner columns, seeds and the CSQ probe, so
-  /// the grid re-simulates each distinct point once. Thread-safe; results
-  /// are bit-identical with the cache on or off.
-  sparksim::EvalCache sim_cache_;
-  bool sim_cache_enabled_ = true;
 };
 
 /// Result of tuning one application across a sequence of data sizes with

@@ -1,6 +1,8 @@
 #include <cstdio>
 #include <filesystem>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -185,18 +187,48 @@ TEST(ExperimentRunnerTest, ConcurrentSavesMergeWithoutLosingRows) {
   std::remove((path + ".lock").c_str());
 }
 
-TEST(ExperimentRunnerTest, SimCacheServesRepeatedEvaluations) {
-  const std::string path = TempCachePath("simcache");
-  std::remove(path.c_str());
-  ExperimentRunner runner(path);
-  ASSERT_TRUE(runner.sim_cache_enabled());
-  // Even one cell re-measures its tuned/default configurations three
-  // times each; the repeats hit the shared noise-free eval cache.
-  (void)runner.Run({"Random", "Scan", "x86", 100.0, 0});
-  const sparksim::EvalCacheStats stats = runner.sim_cache_stats();
-  EXPECT_GT(stats.hits, 0u);
-  std::remove(path.c_str());
-  std::remove((path + ".lock").c_str());
+TEST(ExperimentRunnerTest, RunAllMatchesSerialRunAcrossThreadCounts) {
+  // Deliberately imbalanced: the few slow QTune TPC-DS cells come first,
+  // then many fast Random Scan cells. Whichever worker claims each cell,
+  // every slot must hold exactly what a serial Run computes for it.
+  std::vector<CellSpec> specs;
+  for (uint64_t seed = 0; seed < 3; ++seed) {
+    specs.push_back({"QTune", "TPC-DS", "x86", 100.0, seed});
+  }
+  for (uint64_t seed = 0; seed < 16; ++seed) {
+    specs.push_back({"Random", "Scan", seed % 2 ? "arm" : "x86",
+                     100.0 + 100.0 * static_cast<double>(seed % 3), seed});
+  }
+
+  std::vector<std::string> expected;
+  {
+    const std::string path = TempCachePath("serial");
+    std::remove(path.c_str());
+    ExperimentRunner runner(path);
+    for (const auto& spec : specs) {
+      expected.push_back(runner.Run(spec).Serialize());
+    }
+    std::remove(path.c_str());
+  }
+
+  for (int threads : {1, 2, 4, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const std::string path = TempCachePath("threads" + std::to_string(threads));
+    std::remove(path.c_str());
+    {
+      ExperimentRunner runner(path);
+      const std::vector<CellResult> results = runner.RunAll(specs, threads);
+      ASSERT_EQ(results.size(), specs.size());
+      for (size_t i = 0; i < specs.size(); ++i) {
+        EXPECT_EQ(results[i].Serialize(), expected[i]) << specs[i].Key();
+        CellResult found;
+        ASSERT_TRUE(runner.Find(specs[i], &found)) << specs[i].Key();
+        EXPECT_EQ(found.Serialize(), expected[i]) << specs[i].Key();
+      }
+    }
+    std::remove(path.c_str());
+    std::remove((path + ".lock").c_str());
+  }
 }
 
 TEST(WarmSequenceTest, AdaptsAcrossDataSizes) {

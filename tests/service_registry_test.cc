@@ -320,6 +320,35 @@ TEST(ServiceRegistryTest, TtlEvictsIdleApps) {
   EXPECT_TRUE(registry.GetAppRow("Scan").has_value());
 }
 
+TEST(ServiceRegistryTest, TtlAndCapacityEvictInOneTick) {
+  // The registry's scan list holds an evicted entry's last reference, so
+  // dropping it must not free the entry's mutex while it is still locked
+  // (the tsan leg runs this; both eviction loops fire on the last tick).
+  ServiceRegistry::Options ropts;
+  ropts.ttl_ticks = 2;
+  ropts.capacity = 2;
+  ServiceRegistry registry(Factory(TinyOptions()), ropts);
+  ASSERT_TRUE(registry.Lookup("TPC-H", 100.0).ok());  // tick 0
+  registry.AdvanceTick();
+  ASSERT_TRUE(registry.Lookup("Scan", 100.0).ok());  // tick 1
+  registry.AdvanceTick();
+  ASSERT_TRUE(registry.Lookup("Join", 100.0).ok());  // tick 2
+  ASSERT_TRUE(registry.Lookup("Aggregation", 100.0).ok());
+  EXPECT_EQ(registry.GetStats().live_apps, 4u);
+
+  // Tick 3: TPC-H has idled past the TTL; of the three left, Scan is the
+  // least recently used and goes to bring the registry down to capacity.
+  registry.AdvanceTick();
+  const auto stats = registry.GetStats();
+  EXPECT_EQ(stats.evictions_ttl, 1u);
+  EXPECT_EQ(stats.evictions_capacity, 1u);
+  EXPECT_EQ(stats.live_apps, 2u);
+  EXPECT_FALSE(registry.GetAppRow("TPC-H").has_value());
+  EXPECT_FALSE(registry.GetAppRow("Scan").has_value());
+  EXPECT_TRUE(registry.GetAppRow("Join").has_value());
+  EXPECT_TRUE(registry.GetAppRow("Aggregation").has_value());
+}
+
 TEST(ServiceRegistryTest, FingerprintDistanceSeparatesWorkloads) {
   const AppFingerprint tpch = AppFingerprint::FromProfile(workloads::TpcH());
   const AppFingerprint tpch2 = AppFingerprint::FromProfile(workloads::TpcH());
