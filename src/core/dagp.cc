@@ -7,6 +7,17 @@
 
 namespace locat::core {
 
+namespace {
+
+// At or below the gp switch threshold, a single-size history gets a full
+// EI-MCMC refit only once it has grown by this many percent since the
+// last one; the rows in between are absorbed by rank-1 appends. Each BO
+// step adds one row, so at paper-sized histories (30-90 rows) this runs
+// the sampler every 3-9 steps instead of every step.
+constexpr size_t kFullRefitGrowthPercent = 10;
+
+}  // namespace
+
 math::Vector Dagp::Assemble(const math::Vector& encoded_conf,
                             double datasize_gb) const {
   math::Vector x(encoded_conf.size() + 1);
@@ -20,6 +31,8 @@ void Dagp::AddObservation(const math::Vector& encoded_conf,
   assert(seconds > 0.0);
   x_.push_back(Assemble(encoded_conf, datasize_gb));
   y_.push_back(std::log(seconds));
+  const size_t ds = encoded_conf.size();  // the data-size column
+  if (x_.back()[ds] != x_.front()[ds]) mixed_datasizes_ = true;
 }
 
 void Dagp::Clear() {
@@ -28,6 +41,7 @@ void Dagp::Clear() {
   model_ = ml::EiMcmc(options_.ei);
   fitted_n_ = 0;
   last_full_fit_n_ = 0;
+  mixed_datasizes_ = false;
   last_refit_kind_ = RefitKind::kNone;
 }
 
@@ -94,6 +108,24 @@ Status Dagp::FullRefit(const std::vector<size_t>* idx, Rng* rng) {
   return status;
 }
 
+bool Dagp::AppendRows() {
+  // O(n^2) per row, hyperparameters frozen, no RNG consumed.
+  obs::ScopedSpan span(tracer_, "dagp/append", "model");
+  const size_t n = y_.size();
+  const size_t appended = n - fitted_n_;
+  for (size_t i = fitted_n_; i < n; ++i) {
+    if (!model_.AppendObservation(x_[i], y_[i]).ok()) return false;
+  }
+  fitted_n_ = n;
+  last_refit_kind_ = RefitKind::kAppend;
+  span.Arg("n", static_cast<double>(n));
+  span.Arg("appended", static_cast<double>(appended));
+  if (appends_counter_ != nullptr && appended > 0) {
+    appends_counter_->Increment(static_cast<double>(appended));
+  }
+  return true;
+}
+
 Status Dagp::Refit(Rng* rng) {
   const size_t n = y_.size();
   if (n < 2) {
@@ -104,41 +136,25 @@ Status Dagp::Refit(Rng* rng) {
                                ? options_.gp_switch_threshold
                                : ml::GpSwitchThreshold();
 
-  if (mode == ml::GpMode::kIncremental && model_.fitted() &&
-      fitted_n_ >= threshold && fitted_n_ <= n) {
-    const bool refresh_due =
-        options_.incremental_refresh_factor > 1.0 &&
-        static_cast<double>(n) >= options_.incremental_refresh_factor *
-                                      static_cast<double>(last_full_fit_n_);
-    if (!refresh_due) {
-      // Absorb the new observations by rank-1 ensemble appends: O(n^2)
-      // per observation, hyperparameters frozen, no RNG consumed. A
-      // failed append (near-singular extension in every member) falls
-      // back to the full path below.
-      obs::ScopedSpan span(tracer_, "dagp/append", "model");
-      bool ok = true;
-      size_t appended = 0;
-      for (size_t i = fitted_n_; i < n; ++i) {
-        if (!model_.AppendObservation(x_[i], y_[i]).ok()) {
-          ok = false;
-          break;
-        }
-        ++appended;
-      }
-      if (ok) {
-        fitted_n_ = n;
-        last_refit_kind_ = RefitKind::kAppend;
-        span.Arg("n", static_cast<double>(n));
-        span.Arg("appended", static_cast<double>(appended));
-        if (appends_counter_ != nullptr && appended > 0) {
-          appends_counter_->Increment(static_cast<double>(appended));
-        }
-        return Status::OK();
-      }
-      // Partial appends are fine to keep: the full refit below rebuilds
-      // the model from the authoritative history anyway.
+  // Whether to absorb the new rows into the fitted ensemble instead of
+  // re-sampling the hyperparameters. At or below the threshold this is
+  // the growth schedule every mode shares; above it, incremental mode
+  // appends onto the ensemble fitted at the threshold.
+  bool append = false;
+  if (model_.fitted() && fitted_n_ <= n) {
+    if (n <= threshold) {
+      append = !mixed_datasizes_ &&
+               100 * n < (100 + kFullRefitGrowthPercent) * last_full_fit_n_;
+    } else if (mode == ml::GpMode::kIncremental && fitted_n_ >= threshold) {
+      append = !(options_.incremental_refresh_factor > 1.0 &&
+                 static_cast<double>(n) >=
+                     options_.incremental_refresh_factor *
+                         static_cast<double>(last_full_fit_n_));
     }
   }
+  // A failed append (a near-singular extension in every member) falls
+  // through to a full refit, which rebuilds the model from the history.
+  if (append && AppendRows()) return Status::OK();
 
   if (mode == ml::GpMode::kSparse && n > threshold) {
     // Refit on a greedy max-min subset seeded at the incumbent, so the

@@ -35,7 +35,8 @@ class Dagp {
     ml::EiMcmc::Options ei;
     /// Surrogate scaling mode. Unset (the default) follows the
     /// process-wide dispatch (`--gp-mode` / `LOCAT_GP_MODE`). All modes
-    /// are bit-identical full refits at or below the switch threshold.
+    /// share one refit schedule at or below the switch threshold, so they
+    /// are bit-identical there (see Refit).
     std::optional<ml::GpMode> gp_mode;
     /// Observation count above which incremental/sparse modes engage.
     /// 0 (the default) follows the process-wide threshold
@@ -45,10 +46,10 @@ class Dagp {
     /// switch threshold, so a sparse refit stays comfortably cheaper than
     /// the largest exact refit ever performed.
     size_t sparse_inducing = 0;
-    /// Incremental mode: once the history grows past this factor of the
-    /// last full fit's size, run one full MCMC refit to unfreeze the
-    /// hyperparameters (e.g. 2.0 = refresh each time n doubles). 0 (the
-    /// default) never refreshes.
+    /// Incremental mode above the switch threshold: once the history
+    /// grows past this factor of the last full fit's size, run one full
+    /// MCMC refit to unfreeze the hyperparameters (e.g. 2.0 = refresh each
+    /// time n doubles). 0 (the default) never refreshes.
     double incremental_refresh_factor = 0.0;
 
     Options() {}
@@ -76,15 +77,23 @@ class Dagp {
   /// the next refit is a cold start).
   void Clear();
 
-  /// Refits the surrogate on the current observations (>= 2). The path
-  /// taken depends on the effective gp mode (see Options::gp_mode):
-  /// exact always refits the full history; incremental switches to O(n^2)
-  /// rank-1 appends (no RNG consumed) once the fitted history exceeds the
-  /// switch threshold; sparse refits on a greedy max-min subset once the
-  /// history exceeds the threshold. At or below the threshold every mode
-  /// runs the identical full refit (same RNG draws), so recommendations
-  /// are bit-exact across modes there. Full and sparse refits continue the
-  /// EI-MCMC chain of the previous one (see ml::EiMcmc::Fit).
+  /// Refits the surrogate on the current observations (>= 2).
+  ///
+  /// At or below the switch threshold every gp mode follows one schedule
+  /// (same RNG draws, so recommendations are bit-exact across modes
+  /// there): while all observations share one data size, a full EI-MCMC
+  /// refit runs only once the history has grown by 10% since the last
+  /// full fit, and the rows in between are absorbed by O(n^2) rank-1
+  /// appends onto the frozen ensemble (no RNG consumed). A history that
+  /// spans several data sizes gets a full refit every call, since it is
+  /// still learning the data-size lengthscale.
+  ///
+  /// Above the threshold the path depends on the effective gp mode (see
+  /// Options::gp_mode): exact keeps refitting the full history;
+  /// incremental appends onto the ensemble fitted at the threshold;
+  /// sparse refits on a greedy max-min subset. Full and sparse refits
+  /// continue the EI-MCMC chain of the previous one (see
+  /// ml::EiMcmc::Fit).
   Status Refit(Rng* rng);
 
   /// Expected improvement of a candidate at a data size (log-space EI,
@@ -158,12 +167,18 @@ class Dagp {
   /// `idx` is null).
   Status FullRefit(const std::vector<size_t>* idx, Rng* rng);
 
+  /// Absorbs rows [fitted_n_, n) by rank-1 appends. False (the model
+  /// possibly partly extended) when every member failed an append; the
+  /// caller then refits from the history.
+  bool AppendRows();
+
   Options options_;
   std::vector<math::Vector> x_;  // encoded conf + normalized ds
   std::vector<double> y_;        // log(seconds)
   ml::EiMcmc model_;
   size_t fitted_n_ = 0;       // history size the model has incorporated
   size_t last_full_fit_n_ = 0;  // history size at the last full MCMC fit
+  bool mixed_datasizes_ = false;  // some row's data size differs from row 0's
   RefitKind last_refit_kind_ = RefitKind::kNone;
   obs::Tracer* tracer_ = nullptr;
   obs::Counter* refits_counter_ = nullptr;

@@ -23,7 +23,16 @@
 namespace locat::harness {
 namespace {
 
-constexpr const char* kCacheVersion = "v3";
+// Leads every cell key, and each cell's simulator is seeded with
+// StableHash(Key()), so it is part of every cell's noise stream: changing
+// it re-rolls every experiment (and moves the pinned baseline-grid
+// digest). Results caching is versioned separately, by kCacheVersion.
+constexpr const char* kKeySalt = "v3";
+
+// Versions the rows of the results cache (results.csv). Bump it whenever
+// any tuner's output changes, so an existing cache stops serving the old
+// results to the figures.
+constexpr const char* kCacheVersion = "v4";
 
 uint64_t StableHash(const std::string& s) {
   uint64_t h = 1469598103934665603ULL;
@@ -34,11 +43,15 @@ uint64_t StableHash(const std::string& s) {
   return h;
 }
 
+std::string CacheKey(const CellSpec& spec) {
+  return std::string(kCacheVersion) + "|" + spec.Key();
+}
+
 }  // namespace
 
 std::string CellSpec::Key() const {
   std::ostringstream os;
-  os << kCacheVersion << "|" << tuner << "|" << app << "|" << cluster << "|"
+  os << kKeySalt << "|" << tuner << "|" << app << "|" << cluster << "|"
      << datasize_gb << "|" << seed;
   return os.str();
 }
@@ -303,7 +316,7 @@ CellResult ExperimentRunner::Compute(const CellSpec& spec) {
 
 bool ExperimentRunner::Find(const CellSpec& spec, CellResult* out) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = cache_.find(spec.Key());
+  auto it = cache_.find(CacheKey(spec));
   if (it == cache_.end()) return false;
   if (out != nullptr) *out = it->second;
   return true;
@@ -312,7 +325,7 @@ bool ExperimentRunner::Find(const CellSpec& spec, CellResult* out) const {
 void ExperimentRunner::InsertResult(const CellSpec& spec,
                                     const CellResult& result) {
   std::lock_guard<std::mutex> lock(mu_);
-  cache_[spec.Key()] = result;
+  cache_[CacheKey(spec)] = result;
   dirty_ = true;
 }
 

@@ -22,6 +22,8 @@ struct CellSpec {
   double datasize_gb = 100.0;
   uint64_t seed = 0;    // repetition salt
 
+  /// The cell's identity. Its hash also seeds the cell's simulator, so
+  /// the string must stay stable for results to stay reproducible.
   std::string Key() const;
 };
 

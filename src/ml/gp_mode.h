@@ -9,9 +9,12 @@
 namespace locat::ml {
 
 /// Process-wide surrogate scaling mode for the DAGP refit loop
-/// (`--gp-mode` / `LOCAT_GP_MODE`). All modes are exact full refits while
-/// the observation count stays at or below the switch threshold — below
-/// it, tuner output is bit-identical across modes. Above it:
+/// (`--gp-mode` / `LOCAT_GP_MODE`). While the observation count stays at
+/// or below the switch threshold, all modes share one refit schedule
+/// (core::Dagp::Refit: full EI-MCMC refits on every 10% of growth of a
+/// single-data-size history, rank-1 appends in between, and a full refit
+/// every time once the history spans several data sizes), so tuner
+/// output is bit-identical across modes there. Above it:
 ///
 ///   kExact       keeps refitting the full-history EI-MCMC surrogate every
 ///                iteration (O(n^3) per hyperparameter evaluation).

@@ -590,10 +590,11 @@ void FeedObservations(core::Dagp* dagp, size_t count, size_t dim,
 }
 
 TEST(AppendFitTest, DagpIncrementalBitIdenticalToExactBelowThreshold) {
-  // Below the switch threshold the incremental mode must run the exact
-  // full-refit path, consuming identical RNG draws — recommendations are
-  // bit-exact, not merely close. The second refit continues the first
-  // one's EI-MCMC chain.
+  // Below the switch threshold the incremental mode must run the same
+  // refit schedule as exact (for this mixed-data-size history, a full
+  // refit every time), consuming identical RNG draws — recommendations
+  // are bit-exact, not merely close. The second refit continues the
+  // first one's EI-MCMC chain.
   auto run = [&](ml::GpMode mode) {
     core::Dagp::Options opts;
     opts.gp_mode = mode;
@@ -784,8 +785,9 @@ TEST(BoHotPathTest, TunerOutputBitIdenticalAcrossThreadCounts) {
 
 TEST(BoHotPathTest, TunerOutputBitIdenticalAcrossGpModesAtSmallN) {
   // A short tune never crosses the gp switch threshold (default 240), so
-  // every --gp-mode must take the identical exact full-refit path and
-  // reproduce the recommendation bit-for-bit — at every thread count.
+  // every --gp-mode must follow the identical refit schedule (full
+  // refits and appends) and reproduce the recommendation bit-for-bit —
+  // at every thread count.
   const auto cluster = sparksim::X86Cluster();
   const auto app = workloads::HiBenchAggregation();
   auto run = [&](ml::GpMode mode, int threads) {

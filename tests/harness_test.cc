@@ -153,6 +153,31 @@ TEST(ExperimentRunnerTest, FindAndInsertResult) {
   std::remove((path + ".lock").c_str());
 }
 
+TEST(ExperimentRunnerTest, StaleCacheRowsAreNotServed) {
+  // Before the results cache was versioned apart from the cell key, a
+  // row's key was the bare spec.Key(). Such a row holds a previous
+  // tuner version's result and must be recomputed, not served.
+  const std::string path = TempCachePath("stale");
+  std::remove(path.c_str());
+  CellSpec spec{"Random", "Scan", "x86", 100.0, 5};
+  CellResult stale;
+  stale.best_app_seconds = 1.0;
+  {
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fprintf(f, "%s\t%s\n", spec.Key().c_str(),
+                 stale.Serialize().c_str());
+    std::fclose(f);
+  }
+  {
+    ExperimentRunner runner(path);
+    EXPECT_FALSE(runner.Find(spec, nullptr));
+    EXPECT_NE(runner.Run(spec).best_app_seconds, 1.0);
+  }
+  std::remove(path.c_str());
+  std::remove((path + ".lock").c_str());
+}
+
 TEST(ExperimentRunnerTest, ConcurrentSavesMergeWithoutLosingRows) {
   // Two runners share one results.csv: each computes a different cell and
   // saves concurrently. The advisory lock + merge + atomic rename must
