@@ -59,8 +59,8 @@ void Dagp::SetObservability(obs::Tracer* tracer,
         {0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0});
     appends_counter_ = metrics->GetCounter(
         "locat_dagp_appends_total",
-        "Observations absorbed by rank-1 ensemble appends (incremental "
-        "mode) instead of full refits");
+        "Observations absorbed by rank-1 ensemble appends (growth "
+        "schedule or incremental mode) instead of full refits");
     sparse_refits_counter_ = metrics->GetCounter(
         "locat_dagp_sparse_refits_total",
         "Refits performed on a greedy max-min subset (sparse mode)");

@@ -771,7 +771,7 @@ TuningResult LocatTuner::Tune(TuningSession* session, double datasize_gb) {
     obs::ScopedSpan span(tracer(), "tune/reduced", "tuner");
     phase_label_ = "reduced";
     // Transfer probes: real RQA runs of the donors' claimed-best
-    // configurations (one batched fan-out). A good transfer takes over
+    // configurations (one batched evaluation). A good transfer takes over
     // the incumbent here and the candidate families below refine it; a
     // bad one costs an evaluation and the observation steers the
     // surrogate away. Never runs without priors, keeping the prior-free

@@ -191,7 +191,7 @@ class LocatTuner : public Tuner {
                           StatusOr<EvalRecord> rec_or,
                           double* eval_seconds);
 
-  /// Batched EvaluateAndRecord: one RunAppBatch fan-out for all
+  /// Batched EvaluateAndRecord: one RunAppBatch call for all
   /// configurations, then the identical per-run bookkeeping in order —
   /// observations, DAGP, incumbent, trajectory and telemetry all match
   /// the sequential loop bit-for-bit.

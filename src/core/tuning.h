@@ -57,9 +57,9 @@ class TuningSession {
                                       const std::vector<int>& query_indices);
 
   /// Batched equivalents of calling Evaluate/EvaluateSubset once per
-  /// configuration, in order: the whole (conf x query) grid fans out
-  /// through the simulator's thread pool in one RunAppBatch. History,
-  /// meter, counters and the returned records are bit-identical to the
+  /// configuration, in order: one RunAppBatch (an in-order loop of
+  /// RunAppSubset calls) serves every configuration. History, meter,
+  /// counters and the returned records are bit-identical to the
   /// sequential loop; records are returned by value because history_ may
   /// reallocate. Per-run "session/evaluate" spans collapse into one
   /// "session/evaluate_batch" span (observational only).

@@ -229,9 +229,9 @@ std::vector<int> ExperimentRunner::CanonicalCsq(const std::string& app_name,
   Rng rng(StableHash("csq-rng|" + key));
   std::vector<std::vector<double>> times(
       static_cast<size_t>(app.num_queries()));
-  // One RunAppBatch instead of 30 sequential RunApp calls: the probe grid
-  // fans through the batch engine (bit-identical results, same RNG
-  // stream — the confs are drawn up front in the same rng order).
+  // One RunAppBatch instead of 30 sequential RunApp calls (bit-identical
+  // results, same RNG stream — the confs are drawn up front in the same
+  // rng order).
   std::vector<sparksim::SparkConf> probe_confs;
   probe_confs.reserve(30);
   for (int i = 0; i < 30; ++i) probe_confs.push_back(space.RandomValid(&rng));

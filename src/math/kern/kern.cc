@@ -177,32 +177,8 @@ void SubSquare(const double* a, const double* b, double* out, size_t n) {
   Ops().sub_square(a, b, out, n);
 }
 
-void Mul(const double* a, const double* b, double* out, size_t n) {
-  Ops().mul(a, b, out, n);
-}
-
-void Add(const double* a, const double* b, double* out, size_t n) {
-  Ops().add(a, b, out, n);
-}
-
 void Min(const double* a, const double* b, double* out, size_t n) {
   Ops().vmin(a, b, out, n);
-}
-
-void Max(const double* a, const double* b, double* out, size_t n) {
-  Ops().vmax(a, b, out, n);
-}
-
-void MulScalar(double s, const double* x, double* out, size_t n) {
-  Ops().mul_scalar(s, x, out, n);
-}
-
-void MinScalar(double s, const double* x, double* out, size_t n) {
-  Ops().min_scalar(s, x, out, n);
-}
-
-void MaxScalar(double s, const double* x, double* out, size_t n) {
-  Ops().max_scalar(s, x, out, n);
 }
 
 void SubtractShift(const double* a, const double* b, double shift,

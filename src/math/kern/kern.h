@@ -105,28 +105,10 @@ void AddSquares(const double* x, double* acc, size_t n);
 /// out[i] = (a[i] - b[i])^2 — the pair-sqdiff precompute.
 void SubSquare(const double* a, const double* b, double* out, size_t n);
 
-/// out[i] = a[i] * b[i]. `out` may alias either input.
-void Mul(const double* a, const double* b, double* out, size_t n);
-
-/// out[i] = a[i] + b[i]. `out` may alias either input.
-void Add(const double* a, const double* b, double* out, size_t n);
-
 /// out[i] = std::min(a[i], b[i]) — the exact std::min selection rule
 /// (b < a ? b : a), not an ISA min instruction, so bits match scalar
 /// <algorithm> code on every backend.
 void Min(const double* a, const double* b, double* out, size_t n);
-
-/// out[i] = std::max(a[i], b[i]) (a < b ? b : a); see Min.
-void Max(const double* a, const double* b, double* out, size_t n);
-
-/// out[i] = s * x[i] (Scale with a separate destination).
-void MulScalar(double s, const double* x, double* out, size_t n);
-
-/// out[i] = std::min(s, x[i]) — broadcast clamp from above.
-void MinScalar(double s, const double* x, double* out, size_t n);
-
-/// out[i] = std::max(s, x[i]) — broadcast clamp from below.
-void MaxScalar(double s, const double* x, double* out, size_t n);
 
 /// out[i] = a[i] - b[i] - shift — KPCA feature-space centering rows.
 void SubtractShift(const double* a, const double* b, double shift,

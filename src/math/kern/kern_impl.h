@@ -259,28 +259,10 @@ void SubSquareImpl(const double* a, const double* b, double* out, size_t n) {
   }
 }
 
-template <class V>
-void MulImpl(const double* a, const double* b, double* out, size_t n) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4)
-    V::Mul(V::Load(a + i), V::Load(b + i)).Store(out + i);
-  for (; i < n; ++i) out[i] = a[i] * b[i];
-}
-
-template <class V>
-void AddImpl(const double* a, const double* b, double* out, size_t n) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4)
-    V::Add(V::Load(a + i), V::Load(b + i)).Store(out + i);
-  for (; i < n; ++i) out[i] = a[i] + b[i];
-}
-
-// Min/Max follow the std::min/std::max selection rule exactly —
-// min(a, b) = b < a ? b : a, max(a, b) = a < b ? b : a — built on IfLess
-// rather than native min/max instructions, whose +-0/NaN conventions
-// differ between ISAs. This keeps them bit-compatible with scalar code
-// written against <algorithm>.
-
+// Min follows the std::min selection rule exactly — min(a, b) =
+// b < a ? b : a — built on IfLess rather than native min instructions,
+// whose +-0/NaN conventions differ between ISAs. This keeps it
+// bit-compatible with scalar code written against <algorithm>.
 template <class V>
 void MinImpl(const double* a, const double* b, double* out, size_t n) {
   size_t i = 0;
@@ -290,47 +272,6 @@ void MinImpl(const double* a, const double* b, double* out, size_t n) {
     V::IfLess(bv, av, bv, av).Store(out + i);
   }
   for (; i < n; ++i) out[i] = std::min(a[i], b[i]);
-}
-
-template <class V>
-void MaxImpl(const double* a, const double* b, double* out, size_t n) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const V av = V::Load(a + i);
-    const V bv = V::Load(b + i);
-    V::IfLess(av, bv, bv, av).Store(out + i);
-  }
-  for (; i < n; ++i) out[i] = std::max(a[i], b[i]);
-}
-
-template <class V>
-void MulScalarImpl(double s, const double* x, double* out, size_t n) {
-  const V sv = V::Broadcast(s);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) V::Mul(sv, V::Load(x + i)).Store(out + i);
-  for (; i < n; ++i) out[i] = s * x[i];
-}
-
-template <class V>
-void MinScalarImpl(double s, const double* x, double* out, size_t n) {
-  const V sv = V::Broadcast(s);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const V xv = V::Load(x + i);
-    V::IfLess(xv, sv, xv, sv).Store(out + i);
-  }
-  for (; i < n; ++i) out[i] = std::min(s, x[i]);
-}
-
-template <class V>
-void MaxScalarImpl(double s, const double* x, double* out, size_t n) {
-  const V sv = V::Broadcast(s);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const V xv = V::Load(x + i);
-    V::IfLess(sv, xv, xv, sv).Store(out + i);
-  }
-  for (; i < n; ++i) out[i] = std::max(s, x[i]);
 }
 
 template <class V>
@@ -540,9 +481,7 @@ constexpr KernOps MakeOps() {
       &DotImpl<V>,        &SumImpl<V>,       &SqDistImpl<V>,
       &WSqDistImpl<V>,    &MatVecImpl<V>,    &SqDistRowsImpl<V>,
       &WSqDistRowsImpl<V>, &AxpyImpl<V>,     &ScaleImpl<V>,
-      &AddSquaresImpl<V>, &SubSquareImpl<V>, &MulImpl<V>,
-      &AddImpl<V>,        &MinImpl<V>,       &MaxImpl<V>,
-      &MulScalarImpl<V>,  &MinScalarImpl<V>, &MaxScalarImpl<V>,
+      &AddSquaresImpl<V>, &SubSquareImpl<V>, &MinImpl<V>,
       &SubShiftImpl<V>,   &ExpScaledImpl<V>, &GemmImpl<V>,
       &GemmBtImpl<V>,     &CholImpl<V>,      &SolveLowerMultiImpl<V>,
       &CholAppendRowImpl<V>, &CholRank1UpdateImpl<V>,

@@ -26,13 +26,7 @@ struct KernOps {
   void (*scale)(double alpha, double* x, size_t n);
   void (*add_squares)(const double* x, double* acc, size_t n);
   void (*sub_square)(const double* a, const double* b, double* out, size_t n);
-  void (*mul)(const double* a, const double* b, double* out, size_t n);
-  void (*add)(const double* a, const double* b, double* out, size_t n);
   void (*vmin)(const double* a, const double* b, double* out, size_t n);
-  void (*vmax)(const double* a, const double* b, double* out, size_t n);
-  void (*mul_scalar)(double s, const double* x, double* out, size_t n);
-  void (*min_scalar)(double s, const double* x, double* out, size_t n);
-  void (*max_scalar)(double s, const double* x, double* out, size_t n);
   void (*sub_shift)(const double* a, const double* b, double shift,
                     double* out, size_t n);
   void (*exp_scaled)(double* x, size_t n, double pre, double post);

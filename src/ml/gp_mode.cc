@@ -12,7 +12,7 @@ constexpr size_t kDefaultSwitchThreshold = 240;
 
 /// Initial mode from LOCAT_GP_MODE. Runs once, thread-safe via the
 /// function-local static in ModeSlot() (same pattern as kern.cc's
-/// LOCAT_SIMD backend slot and batch_engine.cc's engine slot).
+/// LOCAT_SIMD backend slot).
 GpMode InitialMode() {
   const char* env = std::getenv("LOCAT_GP_MODE");
   if (env == nullptr || *env == '\0') return GpMode::kExact;

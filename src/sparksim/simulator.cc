@@ -1,14 +1,12 @@
 #include "sparksim/simulator.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <functional>
 #include <utility>
 
 #include "common/thread_pool.h"
-#include "sparksim/batch_engine.h"
 #include "sparksim/eval_cache.h"
 
 namespace locat::sparksim {
@@ -638,119 +636,18 @@ StatusOr<std::vector<AppRunResult>> ClusterSimulator::RunAppBatch(
                                 std::to_string(app.num_queries()) + " queries");
     }
   }
+  engine_stats_.batch_lanes += confs.size();
+  // Noise draws are conf-major and the fault stream is consumed run by
+  // run, so looping RunAppSubset in order is exactly the sequential
+  // contract; each run still fans its queries out over the thread pool.
   std::vector<AppRunResult> results;
   results.reserve(confs.size());
-  if (confs.empty()) return results;
-
-  // Engine dispatch: the SoA batch engine computes bit-identical results
-  // (see batch_engine.h for the contract); `auto` keeps single-conf
-  // batches on the sequential engine, where lowering has nothing to
-  // amortize over.
-  const SimEngine engine = ActiveSimEngine();
-  if (engine == SimEngine::kBatch ||
-      (engine == SimEngine::kAuto && confs.size() >= kBatchEngineMinConfs)) {
-    const auto start = std::chrono::steady_clock::now();
-    BatchEngine batch_engine(this);
-    StatusOr<std::vector<AppRunResult>> out =
-        batch_engine.Run(app, query_indices, confs, datasize_gb);
-    engine_stats_.batch_batches += 1;
-    engine_stats_.batch_lanes += confs.size();
-    engine_stats_.batch_cells += confs.size() * query_indices.size();
-    engine_stats_.batch_seconds +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
-    return out;
+  for (const SparkConf& conf : confs) {
+    StatusOr<AppRunResult> one =
+        RunAppSubset(app, query_indices, conf, datasize_gb);
+    if (!one.ok()) return one.status();
+    results.push_back(std::move(*one));
   }
-  engine_stats_.seq_batches += 1;
-  engine_stats_.seq_lanes += confs.size();
-
-  if (faults_.enabled()) {
-    // Sequential per-conf path: the fault stream is consumed run by run
-    // and kills bypass cache insertion, so the batch must replay exactly
-    // what the equivalent RunAppSubset sequence would do. Noise draws are
-    // conf-major in both shapes, so the results stay bit-identical.
-    for (const SparkConf& conf : confs) {
-      StatusOr<AppRunResult> one =
-          RunAppSubset(app, query_indices, conf, datasize_gb);
-      if (!one.ok()) return one.status();
-      results.push_back(std::move(*one));
-    }
-    return results;
-  }
-
-  obs::ScopedSpan batch_span(tracer_, "sim/app_batch", "sim");
-
-  const std::vector<int>& valid = query_indices;
-  const size_t nq = valid.size();
-  const size_t nruns = confs.size();
-
-  // Noise factors for the whole grid, conf-major — the exact order the
-  // equivalent sequence of RunAppSubset calls would consume the RNG.
-  std::vector<double> noises(nruns * nq, 1.0);
-  for (size_t k = 0; k < nruns; ++k) {
-    for (size_t i = 0; i < nq; ++i) {
-      ++runs_performed_;
-      if (params_.noise_sigma > 0.0) {
-        noises[k * nq + i] = noise_rng_.LognormalNoise(params_.noise_sigma);
-      }
-    }
-  }
-
-  std::vector<uint64_t> conf_fps(nruns, 0);
-  if (eval_cache_ != nullptr) {
-    for (size_t k = 0; k < nruns; ++k) conf_fps[k] = FingerprintConf(confs[k]);
-  }
-
-  // Whole runs served by the app-level cache skip the fan-out entirely;
-  // the subset fingerprint is computed once for the whole grid.
-  std::vector<QueryMetrics> metrics(nruns * nq);
-  std::vector<char> served(nruns, 0);
-  std::vector<uint64_t> app_keys(nruns, 0);
-  if (eval_cache_ != nullptr && nq > 0) {
-    const uint64_t subset_fp =
-        CombineSubsetFingerprint(AppFingerprint(app), valid.data(), nq);
-    for (size_t k = 0; k < nruns; ++k) {
-      app_keys[k] = CombineEvalFingerprint(conf_fps[k], eval_env_fp_,
-                                           subset_fp, datasize_gb);
-      served[k] = eval_cache_->LookupApp(app_keys[k], confs[k], datasize_gb,
-                                         subset_fp, eval_env_fp_, nq,
-                                         metrics.data() + k * nq)
-                      ? 1
-                      : 0;
-    }
-    // One flat fan-out over the remaining (conf, query) grid: wider than
-    // the per-run ParallelForEach when confs outnumber pool threads, and
-    // each slot is written by exactly one index.
-    common::ThreadPool::Global()->ParallelForEach(nruns * nq, [&](size_t j) {
-      const size_t k = j / nq;
-      if (served[k]) return;
-      const size_t i = j % nq;
-      metrics[j] =
-          EvaluateQuery(app.queries[static_cast<size_t>(valid[i])], confs[k],
-                        datasize_gb, conf_fps[k]);
-    });
-    for (size_t k = 0; k < nruns; ++k) {
-      if (served[k]) continue;
-      eval_cache_->InsertApp(app_keys[k], confs[k], datasize_gb, subset_fp,
-                             eval_env_fp_, metrics.data() + k * nq, nq);
-    }
-  } else {
-    common::ThreadPool::Global()->ParallelForEach(nruns * nq, [&](size_t j) {
-      const size_t k = j / nq;
-      const size_t i = j % nq;
-      metrics[j] =
-          EvaluateQuery(app.queries[static_cast<size_t>(valid[i])], confs[k],
-                        datasize_gb, conf_fps[k]);
-    });
-  }
-  for (size_t j = 0; j < nruns * nq; ++j) ApplyNoise(&metrics[j], noises[j]);
-
-  for (size_t k = 0; k < nruns; ++k) {
-    results.push_back(FinishAppRun(app, confs[k], datasize_gb,
-                                   metrics.data() + k * nq, nq, nullptr));
-  }
-  batch_span.Arg("runs", static_cast<double>(nruns));
-  batch_span.Arg("queries", static_cast<double>(nq));
   return results;
 }
 
@@ -830,10 +727,8 @@ AppRunResult ClusterSimulator::FinishAppRun(const SparkSqlApp& app,
     tracer_->RecordComplete(app.name.empty() ? "app" : app.name, "sim",
                             lane_start, cursor - lane_start, obs::kSimulatedPid, 0,
                             std::move(args));
-    if (app_span != nullptr) {
-      app_span->Arg("queries", static_cast<double>(result.per_query.size()));
-      app_span->Arg("simulated_seconds", result.total_seconds);
-    }
+    app_span->Arg("queries", static_cast<double>(result.per_query.size()));
+    app_span->Arg("simulated_seconds", result.total_seconds);
   }
   sim_lane_cursor_ns_ = cursor;
   return result;

@@ -115,16 +115,9 @@ struct AppRunResult {
   std::string fail_reason;   // empty when !failed
 };
 
-/// Dispatch counters of the simulator's two evaluation engines (see
-/// batch_engine.h). Purely observational; exposed so the CLI can print a
-/// `sim_engine:` line and emit a telemetry phase event.
-struct SimEngineStats {
-  uint64_t batch_batches = 0;  // RunAppBatch calls served by the SoA engine
-  uint64_t batch_lanes = 0;    // configurations across those calls
-  uint64_t batch_cells = 0;    // (conf, query) cells across those calls
-  uint64_t seq_batches = 0;    // RunAppBatch calls served sequentially
-  uint64_t seq_lanes = 0;
-  double batch_seconds = 0.0;  // wall time inside the SoA engine
+/// RunAppBatch counters. Purely observational.
+struct BatchStats {
+  uint64_t batch_lanes = 0;  // configurations passed to RunAppBatch
 };
 
 /// Deterministic analytical simulator of a Spark SQL cluster. Replaces the
@@ -168,29 +161,17 @@ class ClusterSimulator {
                                       const SparkConf& conf,
                                       double datasize_gb);
 
-  /// Evaluates many configurations over the same query subset in one
-  /// fan-out: the whole (conf x query) grid goes through the thread pool
-  /// at query granularity, with every noise factor pre-drawn in exactly
-  /// the order the equivalent sequential RunAppSubset calls would draw
-  /// them. Results (and runs_performed_) are bit-identical to calling
-  /// RunAppSubset once per configuration, in order, for any thread
-  /// count. The wall-lane trace differs (one "sim/app_batch" span instead
-  /// of per-run "sim/app" spans); the simulated-time lane is identical.
+  /// Evaluates many configurations over the same query subset: validates
+  /// the arguments once, then runs RunAppSubset per configuration, in
+  /// order. Results, the noise/fault RNG streams and runs_performed_ are
+  /// therefore exactly those of the equivalent RunAppSubset sequence.
   /// Same error contract as RunAppSubset.
-  ///
-  /// Two engines implement this contract and compute bit-identical
-  /// results: the sequential engine in this file (per-conf loop under
-  /// faults, flat fan-out otherwise) and the structure-of-arrays
-  /// BatchEngine (batch_engine.h), which lowers the whole conf batch into
-  /// contiguous per-knob planes and advances it phase by phase. Selection
-  /// comes from --sim-engine / LOCAT_SIM_ENGINE (default `auto`: batch
-  /// for multi-conf batches, sequential otherwise).
   StatusOr<std::vector<AppRunResult>> RunAppBatch(
       const SparkSqlApp& app, const std::vector<int>& query_indices,
       const std::vector<SparkConf>& confs, double datasize_gb);
 
-  /// Engine dispatch counters for this simulator (observational).
-  const SimEngineStats& engine_stats() const { return engine_stats_; }
+  /// RunAppBatch counters for this simulator (observational).
+  const BatchStats& engine_stats() const { return engine_stats_; }
 
   const ClusterSpec& cluster() const { return cluster_; }
   const SimParams& params() const { return params_; }
@@ -236,12 +217,6 @@ class ClusterSimulator {
   }
 
  private:
-  /// The SoA batch engine is a friend rather than a public seam: it is an
-  /// alternative implementation of RunAppBatch over the same private
-  /// state (noise/fault RNG streams, eval cache, scratch, lane cursor),
-  /// not a new capability.
-  friend class BatchEngine;
-
   /// Resource picture derived from a configuration.
   struct Resources {
     int executors = 1;        // actually launched (Yarn may grant fewer)
@@ -284,10 +259,9 @@ class ClusterSimulator {
   /// profiles of an app object must not be mutated mid-simulation.
   uint64_t AppFingerprint(const SparkSqlApp& app);
 
-  /// Shared tail of RunAppSubset/RunAppBatch: aggregates `count` per-query
-  /// metrics (noise already applied) into one AppRunResult and emits the
-  /// simulated-time lane. `app_span` (may be null) receives the wall-span
-  /// summary args.
+  /// Tail of RunAppSubset: aggregates `count` per-query metrics (noise
+  /// already applied) into one AppRunResult and emits the simulated-time
+  /// lane. `app_span` receives the wall-span summary args.
   AppRunResult FinishAppRun(const SparkSqlApp& app, const SparkConf& conf,
                             double datasize_gb, QueryMetrics* metrics,
                             size_t count, obs::ScopedSpan* app_span);
@@ -330,8 +304,8 @@ class ClusterSimulator {
   /// runs are appended back-to-back so the exported timeline reads as one
   /// continuous cluster schedule.
   uint64_t sim_lane_cursor_ns_ = 0;
-  /// Engine dispatch counters (see engine_stats()).
-  SimEngineStats engine_stats_;
+  /// RunAppBatch counters (see engine_stats()).
+  BatchStats engine_stats_;
 };
 
 }  // namespace locat::sparksim

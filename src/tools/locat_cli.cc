@@ -50,7 +50,6 @@
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
-#include "sparksim/batch_engine.h"
 #include "sparksim/eval_cache.h"
 #include "sparksim/simulator.h"
 #include "workloads/workloads.h"
@@ -87,12 +86,6 @@ int Usage() {
       "                      off (both force the scalar backend); results\n"
       "                      are bit-identical for any mode. Overrides the\n"
       "                      LOCAT_SIMD environment variable\n"
-      "  --sim-engine MODE   simulator batch engine: auto (default; the\n"
-      "                      structure-of-arrays batch engine for\n"
-      "                      multi-conf batches, sequential otherwise),\n"
-      "                      batch or seq; results are bit-identical for\n"
-      "                      any mode. Overrides the LOCAT_SIM_ENGINE\n"
-      "                      environment variable\n"
       "  --gp-mode MODE      surrogate scaling above the switch\n"
       "                      threshold: exact (default; full EI-MCMC\n"
       "                      refits), incremental (rank-1 Cholesky\n"
@@ -547,38 +540,6 @@ int CmdTune(const std::string& app_name, const std::string& cluster,
     };
     ctx.observer->OnPhase(ev);
   }
-  {
-    // Deterministic dispatch summary (counts only — wall time goes to the
-    // telemetry event below so stdout stays byte-identical across runs).
-    const sparksim::SimEngineStats& es = sim.engine_stats();
-    std::printf(
-        "sim_engine: %s dispatch | %llu batched runs (%llu lanes), "
-        "%llu sequential runs\n",
-        sparksim::ActiveSimEngineName(),
-        static_cast<unsigned long long>(es.batch_batches),
-        static_cast<unsigned long long>(es.batch_lanes),
-        static_cast<unsigned long long>(es.seq_batches));
-    if (ctx.observer != nullptr) {
-      obs::PhaseEvent ev;
-      ev.tuner = tuner->name();
-      ev.phase = "sim_engine";
-      const double lanes_per_sec =
-          es.batch_seconds > 0.0
-              ? static_cast<double>(es.batch_lanes) / es.batch_seconds
-              : 0.0;
-      ev.fields = {
-          {"engine_id", static_cast<double>(sparksim::ActiveSimEngine())},
-          {"batch_batches", static_cast<double>(es.batch_batches)},
-          {"batch_lanes", static_cast<double>(es.batch_lanes)},
-          {"batch_cells", static_cast<double>(es.batch_cells)},
-          {"seq_batches", static_cast<double>(es.seq_batches)},
-          {"seq_lanes", static_cast<double>(es.seq_lanes)},
-          {"batch_seconds", es.batch_seconds},
-          {"lanes_per_sec", lanes_per_sec},
-      };
-      ctx.observer->OnPhase(ev);
-    }
-  }
   std::printf("\n%s\n", result.best_conf.ToString().c_str());
 
   if (!flags.trace_path.empty()) {
@@ -967,14 +928,6 @@ int CmdReport(const std::string& path) {
   bool have_summary = false;
   bool have_sim_cache = false;
   bool have_linalg = false;
-  bool have_sim_engine = false;
-  double engine_id = 0.0;
-  double engine_batch_batches = 0.0;
-  double engine_batch_lanes = 0.0;
-  double engine_batch_cells = 0.0;
-  double engine_seq_batches = 0.0;
-  double engine_batch_seconds = 0.0;
-  double engine_lanes_per_sec = 0.0;
   struct ServingAgg {
     std::string app;
     double recommendations = 0.0;
@@ -992,6 +945,8 @@ int CmdReport(const std::string& path) {
   double cache_collisions = 0.0;
   double cache_entries = 0.0;
   double cache_hit_rate = 0.0;
+  // Phase events without a branch below (e.g. the sim_engine event older
+  // telemetry files carry) are skipped.
   for (const auto& rec : parsed.value()) {
     if (rec.type == "iteration") {
       if (tuner.empty()) tuner = rec.Str("tuner");
@@ -1029,15 +984,6 @@ int CmdReport(const std::string& path) {
     } else if (rec.type == "phase" && rec.Str("phase") == "linalg") {
       have_linalg = true;
       linalg_backend_id = rec.Num("backend_id");
-    } else if (rec.type == "phase" && rec.Str("phase") == "sim_engine") {
-      have_sim_engine = true;
-      engine_id = rec.Num("engine_id");
-      engine_batch_batches = rec.Num("batch_batches");
-      engine_batch_lanes = rec.Num("batch_lanes");
-      engine_batch_cells = rec.Num("batch_cells");
-      engine_seq_batches = rec.Num("seq_batches");
-      engine_batch_seconds = rec.Num("batch_seconds");
-      engine_lanes_per_sec = rec.Num("lanes_per_sec");
     } else if (rec.type == "phase" && rec.Str("phase") == "serving") {
       ServingAgg agg;
       agg.app = rec.Str("tuner");  // serve stores the app name here
@@ -1138,19 +1084,6 @@ int CmdReport(const std::string& path) {
         100.0 * total_fit_seconds / std::max(1e-12, kern_seconds),
         100.0 * total_acq_seconds / std::max(1e-12, kern_seconds));
   }
-  if (have_sim_engine) {
-    // batch_seconds / lanes_per_sec are wall-clock (machine-dependent);
-    // the batch/seq counters themselves are deterministic.
-    const auto engine = static_cast<sparksim::SimEngine>(
-        static_cast<int>(engine_id));
-    std::printf(
-        "sim_engine: %s dispatch | %.0f batched runs (%.0f lanes, "
-        "%.0f cells) / %.0f sequential runs | %.3f s in batch engine "
-        "(%.0f lanes/s)\n",
-        sparksim::SimEngineName(engine), engine_batch_batches,
-        engine_batch_lanes, engine_batch_cells, engine_seq_batches,
-        engine_batch_seconds, engine_lanes_per_sec);
-  }
   for (const auto& s : serving) {
     std::printf(
         "serving: %-12s %.0f recommendations (%.0f reused, %.0f tuned) | "
@@ -1184,14 +1117,6 @@ int main(int argc, char** argv) {
       const char* v = value();
       if (v == nullptr) return Usage();
       const auto status = locat::math::kern::SetBackendByName(v);
-      if (!status.ok()) {
-        std::fprintf(stderr, "%s\n", status.ToString().c_str());
-        return Usage();
-      }
-    } else if (arg == "--sim-engine") {
-      const char* v = value();
-      if (v == nullptr) return Usage();
-      const auto status = locat::sparksim::SetSimEngineByName(v);
       if (!status.ok()) {
         std::fprintf(stderr, "%s\n", status.ToString().c_str());
         return Usage();

@@ -331,40 +331,6 @@ TEST(SimCacheTest, DifferentEnvironmentsDoNotShareEntries) {
 
 // --------------------------------------------------------- RunAppBatch
 
-TEST(RunAppBatchTest, MatchesSequentialRunsAcrossThreadCounts) {
-  const auto app = workloads::TpcH();
-  ConfigSpace space(ArmCluster());
-  std::vector<int> subset = {0, 2, 4, 5};
-  std::vector<SparkConf> confs;
-  for (uint64_t s = 0; s < 5; ++s) confs.push_back(SomeConf(space, 20 + s));
-
-  // Reference: sequential RunAppSubset calls, in order.
-  ClusterSimulator seq(ArmCluster(), 7);
-  std::vector<AppRunResult> expected;
-  for (const auto& conf : confs) {
-    expected.push_back(*seq.RunAppSubset(app, subset, conf, 300.0));
-  }
-
-  for (int threads : {1, 4}) {
-    common::ThreadPool::SetGlobalThreads(threads);
-    ClusterSimulator sim(ArmCluster(), 7);
-    const std::vector<AppRunResult> got =
-        *sim.RunAppBatch(app, subset, confs, 300.0);
-    ASSERT_EQ(got.size(), expected.size());
-    for (size_t k = 0; k < got.size(); ++k) {
-      EXPECT_EQ(got[k].total_seconds, expected[k].total_seconds);
-      EXPECT_EQ(got[k].gc_seconds, expected[k].gc_seconds);
-      ASSERT_EQ(got[k].per_query.size(), expected[k].per_query.size());
-      for (size_t q = 0; q < got[k].per_query.size(); ++q) {
-        EXPECT_EQ(got[k].per_query[q].exec_seconds,
-                  expected[k].per_query[q].exec_seconds);
-      }
-    }
-    EXPECT_EQ(sim.runs_performed(), seq.runs_performed());
-  }
-  common::ThreadPool::SetGlobalThreads(0);  // restore default
-}
-
 TEST(RunAppBatchTest, CachedBatchMatchesUncachedBatch) {
   const auto app = workloads::HiBenchAggregation();
   ConfigSpace space(X86Cluster());

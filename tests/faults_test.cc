@@ -74,6 +74,15 @@ TEST(FaultSpecTest, FingerprintSeparatesPlans) {
   EXPECT_NE(CombineFaultFingerprint(0xabcdefULL, light1), 0xabcdefULL);
 }
 
+// The FaultSpec::FromName plumbing the CLI uses yields the same plan as
+// the preset constructor.
+TEST(FaultSpecTest, FromNameHeavy) {
+  auto spec = FaultSpec::FromName("heavy", 9);
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  EXPECT_EQ(FingerprintFaultSpec(spec.value()),
+            FingerprintFaultSpec(FaultSpec::Heavy(9)));
+}
+
 TEST(FaultSpecTest, DrawCountIsOutcomeIndependent) {
   // The draws consumed per run depend only on the query count.
   EXPECT_EQ(FaultDrawCount(0), kFaultDrawsPerRun);

@@ -143,55 +143,25 @@ TEST(KernBackendEquality, Elementwise) {
   }
 }
 
-// The batch-engine elementwise ops (Mul/Add/Min/Max + scalar-operand
-// variants): backends bit-equal, and every element equals the obvious
-// per-element formula (these ops are one rounding each, so the scalar
-// check is exact, not approximate).
+// The elementwise Min (sparse_gp's max-min distance update): backends
+// bit-equal, and every element equals std::min (one selection, so the
+// scalar check is exact, not approximate).
 TEST(KernBackendEquality, BatchElementwise) {
   Rng rng(1001);
   for (size_t n : kSizes) {
     const auto a = RandomVec(&rng, n);
     const auto b = RandomVec(&rng, n);
-    const double s = rng.Uniform(-2.0, 2.0);
-    std::vector<double> ref_mul, ref_add, ref_min, ref_max, ref_muls,
-        ref_mins, ref_maxs;
+    std::vector<double> ref_min;
     CompareBackends([&](bool is_reference) {
-      std::vector<double> mul(n), add(n), mn(n), mx(n), muls(n), mins(n),
-          maxs(n);
-      Mul(a.data(), b.data(), mul.data(), n);
-      Add(a.data(), b.data(), add.data(), n);
+      std::vector<double> mn(n);
       Min(a.data(), b.data(), mn.data(), n);
-      Max(a.data(), b.data(), mx.data(), n);
-      MulScalar(s, a.data(), muls.data(), n);
-      MinScalar(s, a.data(), mins.data(), n);
-      MaxScalar(s, a.data(), maxs.data(), n);
       if (is_reference) {
-        ref_mul = mul;
-        ref_add = add;
         ref_min = mn;
-        ref_max = mx;
-        ref_muls = muls;
-        ref_mins = mins;
-        ref_maxs = maxs;
         for (size_t i = 0; i < n; ++i) {
-          EXPECT_SAME_BITS(mul[i], a[i] * b[i]);
-          EXPECT_SAME_BITS(add[i], a[i] + b[i]);
           EXPECT_SAME_BITS(mn[i], std::min(a[i], b[i]));
-          EXPECT_SAME_BITS(mx[i], std::max(a[i], b[i]));
-          EXPECT_SAME_BITS(muls[i], s * a[i]);
-          EXPECT_SAME_BITS(mins[i], std::min(s, a[i]));
-          EXPECT_SAME_BITS(maxs[i], std::max(s, a[i]));
         }
       } else {
-        for (size_t i = 0; i < n; ++i) {
-          EXPECT_SAME_BITS(ref_mul[i], mul[i]);
-          EXPECT_SAME_BITS(ref_add[i], add[i]);
-          EXPECT_SAME_BITS(ref_min[i], mn[i]);
-          EXPECT_SAME_BITS(ref_max[i], mx[i]);
-          EXPECT_SAME_BITS(ref_muls[i], muls[i]);
-          EXPECT_SAME_BITS(ref_mins[i], mins[i]);
-          EXPECT_SAME_BITS(ref_maxs[i], maxs[i]);
-        }
+        for (size_t i = 0; i < n; ++i) EXPECT_SAME_BITS(ref_min[i], mn[i]);
       }
     });
   }
