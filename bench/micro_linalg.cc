@@ -210,7 +210,7 @@ CaseResult RunCase(int n) {
 }
 
 // ------------------------------------------------------------------
-// Incremental & sparse surrogate cases (rank-1 appends, inducing subsets)
+// Append & subset surrogate cases (rank-1 appends, max-min subsets)
 // ------------------------------------------------------------------
 
 constexpr int kAppendTail = 16;  // observations appended per timing run
@@ -296,9 +296,9 @@ IncTimes RunIncBackend(int n, int m, const math::Matrix& x,
       }
     }
   }
-  // Sparse mode: greedy max-min subset selection (seeded at the incumbent)
-  // plus an EI-MCMC fast-path fit on the m inducing points — the whole
-  // cost of a sparse refit, timed end to end.
+  // Subset refit: greedy max-min subset selection (seeded at the
+  // incumbent) plus an EI-MCMC fast-path fit on the m subset points — the
+  // whole cost of a Dagp refit past its cap, timed end to end.
   {
     size_t seed = 0;
     for (size_t i = 1; i < un; ++i) {
@@ -439,8 +439,8 @@ int main(int argc, char** argv) {
   }
   tp.Print(std::cout);
 
-  // Incremental & sparse surrogate cases. m = threshold - threshold/6 with
-  // the default switch threshold 240, matching Dagp's sparse default.
+  // Append & subset surrogate cases. m = 200 = core::Dagp::kMaxFitRows -
+  // kMaxFitRows / 6, the subset a Dagp full refit fits past its cap.
   std::vector<IncCaseResult> inc_cases;
   TablePrinter itp({"n", "m", "append", "refit", "append/refit", "sparse fit"});
   for (int n : {240, 480, 960}) {

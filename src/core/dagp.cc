@@ -1,6 +1,7 @@
 #include "core/dagp.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 
 #include "ml/sparse_gp.h"
@@ -9,11 +10,11 @@ namespace locat::core {
 
 namespace {
 
-// At or below the gp switch threshold, a single-size history gets a full
-// EI-MCMC refit only once it has grown by this many percent since the
-// last one; the rows in between are absorbed by rank-1 appends. Each BO
-// step adds one row, so at paper-sized histories (30-90 rows) this runs
-// the sampler every 3-9 steps instead of every step.
+// A single-size history gets a full EI-MCMC refit only once it has grown
+// by this many percent since the last one; the rows in between are
+// absorbed by rank-1 appends. Each BO step adds one row, so at
+// paper-sized histories (30-90 rows) this runs the sampler every 3-9
+// steps instead of every step.
 constexpr size_t kFullRefitGrowthPercent = 10;
 
 }  // namespace
@@ -59,11 +60,12 @@ void Dagp::SetObservability(obs::Tracer* tracer,
         {0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0});
     appends_counter_ = metrics->GetCounter(
         "locat_dagp_appends_total",
-        "Observations absorbed by rank-1 ensemble appends (growth "
-        "schedule or incremental mode) instead of full refits");
+        "Observations absorbed by rank-1 ensemble appends between full "
+        "refits of a single-size history");
     sparse_refits_counter_ = metrics->GetCounter(
         "locat_dagp_sparse_refits_total",
-        "Refits performed on a greedy max-min subset (sparse mode)");
+        "Full refits of a history longer than the fit cap, performed on "
+        "a greedy max-min subset");
   } else {
     refits_counter_ = nullptr;
     mcmc_evals_counter_ = nullptr;
@@ -131,63 +133,38 @@ Status Dagp::Refit(Rng* rng) {
   if (n < 2) {
     return Status::FailedPrecondition("DAGP needs >= 2 observations");
   }
-  const ml::GpMode mode = options_.gp_mode.value_or(ml::ActiveGpMode());
-  const size_t threshold = options_.gp_switch_threshold != 0
-                               ? options_.gp_switch_threshold
-                               : ml::GpSwitchThreshold();
-
-  // Whether to absorb the new rows into the fitted ensemble instead of
-  // re-sampling the hyperparameters. At or below the threshold this is
-  // the growth schedule every mode shares; above it, incremental mode
-  // appends onto the ensemble fitted at the threshold.
-  bool append = false;
-  if (model_.fitted() && fitted_n_ <= n) {
-    if (n <= threshold) {
-      append = !mixed_datasizes_ &&
-               100 * n < (100 + kFullRefitGrowthPercent) * last_full_fit_n_;
-    } else if (mode == ml::GpMode::kIncremental && fitted_n_ >= threshold) {
-      append = !(options_.incremental_refresh_factor > 1.0 &&
-                 static_cast<double>(n) >=
-                     options_.incremental_refresh_factor *
-                         static_cast<double>(last_full_fit_n_));
-    }
-  }
-  // A failed append (a near-singular extension in every member) falls
-  // through to a full refit, which rebuilds the model from the history.
+  // Absorb the new rows into the fitted ensemble instead of re-sampling
+  // the hyperparameters while a single-size history is within
+  // kFullRefitGrowthPercent of its last full fit. A failed append (a near-singular extension in every
+  // member) falls through to a full refit, which rebuilds the model from
+  // the history.
+  const bool append =
+      model_.fitted() && fitted_n_ <= n && !mixed_datasizes_ &&
+      100 * n < (100 + kFullRefitGrowthPercent) * last_full_fit_n_;
   if (append && AppendRows()) return Status::OK();
 
-  if (mode == ml::GpMode::kSparse && n > threshold) {
-    // Refit on a greedy max-min subset seeded at the incumbent, so the
-    // best observation is always in the active set and the rest spread
-    // over the design space. O(m^3) regardless of history length.
-    size_t m = options_.sparse_inducing != 0 ? options_.sparse_inducing
-                                             : threshold - threshold / 6;
-    m = std::max<size_t>(2, std::min(m, n));
+  // Past the cap, fit a greedy max-min subset seeded at the incumbent, so
+  // the best observation is always in the active set and the rest spread
+  // over the design space. O(m^3) regardless of history length.
+  const bool subset = n > kMaxFitRows;
+  std::vector<size_t> idx;
+  if (subset) {
     size_t seed = 0;
     for (size_t i = 1; i < n; ++i) {
       if (y_[i] < y_[seed]) seed = i;
     }
-    const size_t dim = x_.front().size();
-    math::Matrix all(n, dim);
+    math::Matrix all(n, x_.front().size());
     for (size_t i = 0; i < n; ++i) all.SetRow(i, x_[i]);
-    const std::vector<size_t> idx = ml::GreedyMaxMinSubset(all, m, seed);
-    const Status status = FullRefit(&idx, rng);
-    if (status.ok()) {
-      fitted_n_ = n;
-      last_full_fit_n_ = n;
-      last_refit_kind_ = RefitKind::kSparse;
-      if (sparse_refits_counter_ != nullptr) {
-        sparse_refits_counter_->Increment();
-      }
-    }
-    return status;
+    idx = ml::GreedyMaxMinSubset(all, kMaxFitRows - kMaxFitRows / 6, seed);
   }
-
-  const Status status = FullRefit(nullptr, rng);
+  const Status status = FullRefit(subset ? &idx : nullptr, rng);
   if (status.ok()) {
     fitted_n_ = n;
     last_full_fit_n_ = n;
-    last_refit_kind_ = RefitKind::kFull;
+    last_refit_kind_ = subset ? RefitKind::kSparse : RefitKind::kFull;
+    if (subset && sparse_refits_counter_ != nullptr) {
+      sparse_refits_counter_->Increment();
+    }
   }
   return status;
 }

@@ -1,14 +1,13 @@
 #ifndef LOCAT_CORE_DAGP_H_
 #define LOCAT_CORE_DAGP_H_
 
-#include <optional>
+#include <cstddef>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/status.h"
 #include "math/matrix.h"
 #include "ml/ei_mcmc.h"
-#include "ml/gp_mode.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -33,25 +32,6 @@ class Dagp {
     /// Data sizes are normalized by this many GB before entering the GP.
     double datasize_scale_gb = 1000.0;
     ml::EiMcmc::Options ei;
-    /// Surrogate scaling mode. Unset (the default) follows the
-    /// process-wide dispatch (`--gp-mode` / `LOCAT_GP_MODE`). All modes
-    /// share one refit schedule at or below the switch threshold, so they
-    /// are bit-identical there (see Refit).
-    std::optional<ml::GpMode> gp_mode;
-    /// Observation count above which incremental/sparse modes engage.
-    /// 0 (the default) follows the process-wide threshold
-    /// (`LOCAT_GP_THRESHOLD`, default 240).
-    size_t gp_switch_threshold = 0;
-    /// Inducing-set size for sparse mode. 0 (the default) uses 5/6 of the
-    /// switch threshold, so a sparse refit stays comfortably cheaper than
-    /// the largest exact refit ever performed.
-    size_t sparse_inducing = 0;
-    /// Incremental mode above the switch threshold: once the history
-    /// grows past this factor of the last full fit's size, run one full
-    /// MCMC refit to unfreeze the hyperparameters (e.g. 2.0 = refresh each
-    /// time n doubles). 0 (the default) never refreshes.
-    double incremental_refresh_factor = 0.0;
-
     Options() {}
   };
 
@@ -63,6 +43,12 @@ class Dagp {
     kAppend = 2,  // rank-1 appends onto the frozen ensemble
     kSparse = 3,  // full EI-MCMC refit on a greedy max-min subset
   };
+
+  /// Largest history a full refit fits whole. A longer history is fitted
+  /// on a greedy max-min subset of kMaxFitRows - kMaxFitRows / 6 rows
+  /// (200) seeded at the incumbent, so a refit never costs more than the
+  /// largest whole-history fit.
+  static constexpr size_t kMaxFitRows = 240;
 
   explicit Dagp(Options options = Options())
       : options_(options), model_(options_.ei) {}
@@ -79,20 +65,14 @@ class Dagp {
 
   /// Refits the surrogate on the current observations (>= 2).
   ///
-  /// At or below the switch threshold every gp mode follows one schedule
-  /// (same RNG draws, so recommendations are bit-exact across modes
-  /// there): while all observations share one data size, a full EI-MCMC
-  /// refit runs only once the history has grown by 10% since the last
-  /// full fit, and the rows in between are absorbed by O(n^2) rank-1
-  /// appends onto the frozen ensemble (no RNG consumed). A history that
-  /// spans several data sizes gets a full refit every call, since it is
-  /// still learning the data-size lengthscale.
-  ///
-  /// Above the threshold the path depends on the effective gp mode (see
-  /// Options::gp_mode): exact keeps refitting the full history;
-  /// incremental appends onto the ensemble fitted at the threshold;
-  /// sparse refits on a greedy max-min subset. Full and sparse refits
-  /// continue the EI-MCMC chain of the previous one (see
+  /// While all observations share one data size, a full EI-MCMC refit
+  /// runs only once the history has grown by 10% since the last full
+  /// fit; the rows in between are absorbed by O(n^2) rank-1 appends onto
+  /// the frozen ensemble (no RNG consumed). A history that spans several
+  /// data sizes gets a full refit every call, since it is still learning
+  /// the data-size lengthscale. A full refit fits the whole history up to
+  /// kMaxFitRows rows and a greedy max-min subset above that; it
+  /// continues the EI-MCMC chain of the previous one (see
   /// ml::EiMcmc::Fit).
   Status Refit(Rng* rng);
 
@@ -152,9 +132,9 @@ class Dagp {
   /// numerical-contract tests).
   const ml::EiMcmc& model() const { return model_; }
 
-  /// Observations the fitted model currently incorporates (== the subset
-  /// size in sparse mode, == num_observations() otherwise after a
-  /// successful Refit).
+  /// Observations the fitted model currently incorporates (the subset
+  /// size plus the rows appended since after a subset refit,
+  /// num_observations() otherwise).
   size_t model_observations() const {
     return model_.fitted() ? model_.ensemble().front().num_points() : 0;
   }

@@ -135,36 +135,4 @@ Status Cholesky::AppendRow(const Vector& cross, double diag) {
   return Status::OK();
 }
 
-Status Cholesky::RankOneUpdate(const Vector& v) {
-  const size_t n = l_.rows();
-  if (v.size() != n) {
-    return Status::InvalidArgument("RankOneUpdate size mismatch");
-  }
-  if (n == 0) return Status::OK();
-  Vector work = v;
-  kern::CholRank1Update(l_.RowData(0), n, n, work.data().data());
-  return Status::OK();
-}
-
-Status Cholesky::RankOneDowndate(const Vector& v) {
-  const size_t n = l_.rows();
-  if (v.size() != n) {
-    return Status::InvalidArgument("RankOneDowndate size mismatch");
-  }
-  if (n == 0) return Status::OK();
-  // The hyperbolic sweep modifies columns as it goes, so run it on a copy
-  // and only commit on success.
-  Matrix candidate = l_;
-  Vector work = v;
-  const ptrdiff_t bad =
-      kern::CholRank1Downdate(candidate.RowData(0), n, n, work.data().data());
-  if (bad >= 0) {
-    return Status::FailedPrecondition(
-        "downdated matrix is not positive definite (column " +
-        std::to_string(bad) + ")");
-  }
-  l_ = std::move(candidate);
-  return Status::OK();
-}
-
 }  // namespace locat::math

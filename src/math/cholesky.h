@@ -58,15 +58,6 @@ class Cholesky {
   /// a full refactorization.
   Status AppendRow(const Vector& cross, double diag);
 
-  /// Rank-1 update: this becomes the factor of A + v v^T (+ the same
-  /// jitter as before). O(n^2), cannot fail for a valid factor.
-  Status RankOneUpdate(const Vector& v);
-
-  /// Rank-1 downdate: this becomes the factor of A - v v^T. Returns
-  /// FailedPrecondition (factor unchanged) when the downdated matrix is
-  /// not positive definite.
-  Status RankOneDowndate(const Vector& v);
-
   /// The lower-triangular factor.
   const Matrix& L() const { return l_; }
 

@@ -215,12 +215,4 @@ double CholUpdateAppendRow(const double* l, size_t n, size_t stride,
   return Ops().chol_append_row(l, n, stride, row, diag);
 }
 
-void CholRank1Update(double* l, size_t n, size_t stride, double* v) {
-  Ops().chol_rank1_update(l, n, stride, v);
-}
-
-ptrdiff_t CholRank1Downdate(double* l, size_t n, size_t stride, double* v) {
-  return Ops().chol_rank1_downdate(l, n, stride, v);
-}
-
 }  // namespace locat::math::kern

@@ -149,7 +149,7 @@ ptrdiff_t CholeskyFactorInPlace(double* a, size_t n);
 void SolveLowerMatrixInPlace(const double* l, size_t n, double* y, size_t m);
 
 // ---------------------------------------------------------------------------
-// Rank-1 Cholesky maintenance (O(n^2) factor updates).
+// Bordered Cholesky append (O(n^2) factor growth).
 
 /// Bordered append. `l` is the factor of the leading n x n block of a
 /// row-major matrix with row stride `stride` (>= n + 1 so the new row
@@ -162,17 +162,6 @@ void SolveLowerMatrixInPlace(const double* l, size_t n, double* y, size_t m);
 /// backends.
 double CholUpdateAppendRow(const double* l, size_t n, size_t stride,
                            double* row, double diag);
-
-/// In-place rank-1 update L -> chol(L L^T + v v^T) (LINPACK dchud Givens
-/// sweep; column-sequential, explicit std::fma — bit-identical across
-/// backends). `v` (length n) is clobbered. Cannot fail for an SPD input.
-void CholRank1Update(double* l, size_t n, size_t stride, double* v);
-
-/// In-place rank-1 downdate L -> chol(L L^T - v v^T) (LINPACK dchdd
-/// hyperbolic sweep). `v` is clobbered. Returns -1 on success, else the
-/// first column where positive definiteness is lost — the factor is left
-/// partially modified and must be discarded by the caller.
-ptrdiff_t CholRank1Downdate(double* l, size_t n, size_t stride, double* v);
 
 }  // namespace locat::math::kern
 

@@ -401,7 +401,7 @@ void SolveLowerMultiImpl(const double* l, size_t n, double* y, size_t m) {
 }
 
 // ---------------------------------------------------------------------------
-// Rank-1 Cholesky maintenance.
+// Bordered Cholesky append.
 
 /// Bordered append: given the factor L (n x n, leading block of a matrix
 /// with row stride `stride`) of A, and row[0..n) = k (the cross column of
@@ -419,62 +419,6 @@ double CholAppendRowImpl(const double* l, size_t n, size_t stride,
   return diag - DotImpl<V>(row, row, n);
 }
 
-// The rank-1 update/downdate sweeps are inherently column-sequential
-// (rotation j is derived from the evolving v and applied to column j
-// before rotation j+1 exists), so they run the identical scalar op
-// sequence on every backend: explicit std::fma everywhere a product
-// feeds an addition, so no backend's compiler can contract differently.
-
-/// In-place rank-1 update L -> chol(L L^T + v v^T) via Givens rotations
-/// (LINPACK dchud). `v` is clobbered. Cannot fail: the updated matrix is
-/// SPD whenever L L^T is.
-template <class V>
-void CholRank1UpdateImpl(double* l, size_t n, size_t stride, double* v) {
-  for (size_t j = 0; j < n; ++j) {
-    double* lj = l + j * stride;
-    const double ljj = lj[j];
-    const double vj = v[j];
-    const double r = std::sqrt(std::fma(vj, vj, ljj * ljj));
-    const double c = r / ljj;
-    const double s = vj / ljj;
-    lj[j] = r;
-    for (size_t i = j + 1; i < n; ++i) {
-      double* lij = l + i * stride + j;
-      const double updated = std::fma(s, v[i], *lij) / c;
-      *lij = updated;
-      v[i] = std::fma(-s, updated, c * v[i]);
-    }
-  }
-}
-
-/// In-place rank-1 downdate L -> chol(L L^T - v v^T) via hyperbolic
-/// rotations (LINPACK dchdd). `v` is clobbered. Returns the first column
-/// index where the downdated matrix stops being positive definite (the
-/// factor is left partially modified — callers treat failure as fatal
-/// for this factor), or -1 on success.
-template <class V>
-ptrdiff_t CholRank1DowndateImpl(double* l, size_t n, size_t stride,
-                                double* v) {
-  for (size_t j = 0; j < n; ++j) {
-    double* lj = l + j * stride;
-    const double ljj = lj[j];
-    const double vj = v[j];
-    const double d = std::fma(-vj, vj, ljj * ljj);
-    if (!(d > 0.0) || !std::isfinite(d)) return static_cast<ptrdiff_t>(j);
-    const double r = std::sqrt(d);
-    const double c = r / ljj;
-    const double s = vj / ljj;
-    lj[j] = r;
-    for (size_t i = j + 1; i < n; ++i) {
-      double* lij = l + i * stride + j;
-      const double updated = std::fma(-s, v[i], *lij) / c;
-      *lij = updated;
-      v[i] = std::fma(-s, updated, c * v[i]);
-    }
-  }
-  return -1;
-}
-
 template <class V>
 constexpr KernOps MakeOps() {
   return KernOps{
@@ -484,8 +428,7 @@ constexpr KernOps MakeOps() {
       &AddSquaresImpl<V>, &SubSquareImpl<V>, &MinImpl<V>,
       &SubShiftImpl<V>,   &ExpScaledImpl<V>, &GemmImpl<V>,
       &GemmBtImpl<V>,     &CholImpl<V>,      &SolveLowerMultiImpl<V>,
-      &CholAppendRowImpl<V>, &CholRank1UpdateImpl<V>,
-      &CholRank1DowndateImpl<V>,
+      &CholAppendRowImpl<V>,
   };
 }
 

@@ -38,9 +38,6 @@ struct KernOps {
   void (*solve_lower_multi)(const double* l, size_t n, double* y, size_t m);
   double (*chol_append_row)(const double* l, size_t n, size_t stride,
                             double* row, double diag);
-  void (*chol_rank1_update)(double* l, size_t n, size_t stride, double* v);
-  ptrdiff_t (*chol_rank1_downdate)(double* l, size_t n, size_t stride,
-                                   double* v);
 };
 
 /// Per-backend tables. Each lives in a TU compiled with exactly the ISA

@@ -173,58 +173,6 @@ double GpKernelCache::LogMarginalLikelihood(const GpHyperparams& hp) {
   return lml;
 }
 
-void GpKernelCache::AppendObservation(const math::Vector& x_new,
-                                      double y_new) {
-  const size_t n = x_.rows();
-  const size_t d = x_.cols();
-  assert(x_new.size() == d);
-
-  // Extend the memoized factorization before touching x_: the cross row
-  // must be built against the n points the memo was factored over.
-  if (memo_.has_value()) {
-    const GpHyperparams hp = GpHyperparams::Unflatten(memo_key_);
-    const math::Vector w = KernelWeights(hp);
-    const double sv = std::exp(hp.log_signal_variance);
-    math::Vector cross(n);
-    math::kern::WeightedSquaredDistanceRows(x_.RowData(0), n, d, d,
-                                            x_new.data().data(),
-                                            w.data().data(),
-                                            cross.data().data());
-    math::kern::ExpScaled(cross.data().data(), n, -0.5, sv);
-    const double diag = sv + std::exp(hp.log_noise_variance) + 1e-10;
-    if (!memo_->chol.AppendRow(cross, diag).ok()) memo_.reset();
-  }
-
-  // New pair squared-diffs: pairs (n, j) for j < n sit contiguously at the
-  // end of the (i, j<i) enumeration, so growing the array preserves every
-  // existing pair index.
-  pair_sqdiff_.resize((n + 1) * n / 2 * d);
-  double* out = pair_sqdiff_.data() + n * (n - 1) / 2 * d;
-  for (size_t j = 0; j < n; ++j) {
-    math::kern::SubSquare(x_new.data().data(), x_.RowData(j), out, d);
-    out += d;
-  }
-
-  math::Matrix grown(n + 1, d);
-  for (size_t i = 0; i < n; ++i) grown.SetRow(i, x_.Row(i));
-  grown.SetRow(n, x_new);
-  x_ = std::move(grown);
-
-  math::Vector y_grown(n + 1);
-  for (size_t i = 0; i < n; ++i) y_grown[i] = y_raw_[i];
-  y_grown[n] = y_new;
-  y_raw_ = std::move(y_grown);
-  Standardize(y_raw_, &ys_, &y_mean_, &y_std_);
-
-  // Finish the extended memo with the restandardized targets.
-  if (memo_.has_value()) {
-    memo_->alpha = memo_->chol.Solve(ys_);
-    memo_->log_marginal_likelihood =
-        -0.5 * ys_.Dot(memo_->alpha) - 0.5 * memo_->chol.LogDeterminant() -
-        static_cast<double>(n + 1) * kHalfLog2Pi;
-  }
-}
-
 std::optional<GpKernelCache::Factorization> GpKernelCache::TakeMemoized(
     const math::Vector& flat) {
   if (!memo_.has_value() || memo_key_.size() != flat.size()) {

@@ -86,15 +86,6 @@ class GpKernelCache {
   /// only on a hit.
   std::optional<Factorization> TakeMemoized(const math::Vector& flat);
 
-  /// Grows the cached dataset by one observation in O(n d + n^2): appends
-  /// the new point's pair squared-diffs (they land contiguously at the end
-  /// of the pair array — pair enumeration order is preserved), restandardizes
-  /// the targets over the full history, and *extends* the memoized
-  /// factorization via a rank-1 bordered append instead of discarding it.
-  /// If the append completion fails (near-singular extension), only the
-  /// memo is dropped; the cache itself stays consistent.
-  void AppendObservation(const math::Vector& x_new, double y_new);
-
  private:
   math::Matrix x_;
   math::Vector ys_;

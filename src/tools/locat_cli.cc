@@ -42,7 +42,6 @@
 #include "core/tuning.h"
 #include "harness/experiments.h"
 #include "math/kern/kern.h"
-#include "ml/gp_mode.h"
 #include "obs/admin_server.h"
 #include "obs/flight_recorder.h"
 #include "obs/labels.h"
@@ -86,15 +85,6 @@ int Usage() {
       "                      off (both force the scalar backend); results\n"
       "                      are bit-identical for any mode. Overrides the\n"
       "                      LOCAT_SIMD environment variable\n"
-      "  --gp-mode MODE      surrogate scaling above the switch\n"
-      "                      threshold: exact (default; full EI-MCMC\n"
-      "                      refits), incremental (rank-1 Cholesky\n"
-      "                      appends) or sparse (greedy max-min subset\n"
-      "                      refits); at or below it all modes share one\n"
-      "                      refit schedule and are bit-identical.\n"
-      "                      Overrides the LOCAT_GP_MODE environment\n"
-      "                      variable; the threshold comes from\n"
-      "                      LOCAT_GP_THRESHOLD (default 240)\n"
       "  --trace FILE        write a Chrome trace_event JSON timeline\n"
       "                      (chrome://tracing, Perfetto); includes the\n"
       "                      simulated-time lane of the cluster simulator\n"
@@ -528,8 +518,6 @@ int CmdTune(const std::string& app_name, const std::string& cluster,
     if (ctx.metrics != nullptr) sim_cache->ExportMetrics(ctx.metrics);
   }
   std::printf("linalg: %s dispatch\n", math::kern::ActiveBackendName());
-  std::printf("gp_mode: %s dispatch (switch threshold %zu)\n",
-              ml::ActiveGpModeName(), ml::GpSwitchThreshold());
   if (ctx.observer != nullptr) {
     obs::PhaseEvent ev;
     ev.tuner = tuner->name();
@@ -1117,14 +1105,6 @@ int main(int argc, char** argv) {
       const char* v = value();
       if (v == nullptr) return Usage();
       const auto status = locat::math::kern::SetBackendByName(v);
-      if (!status.ok()) {
-        std::fprintf(stderr, "%s\n", status.ToString().c_str());
-        return Usage();
-      }
-    } else if (arg == "--gp-mode") {
-      const char* v = value();
-      if (v == nullptr) return Usage();
-      const auto status = locat::ml::SetGpModeByName(v);
       if (!status.ok()) {
         std::fprintf(stderr, "%s\n", status.ToString().c_str());
         return Usage();

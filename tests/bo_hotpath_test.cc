@@ -17,7 +17,6 @@
 #include "math/matrix.h"
 #include "ml/ei_mcmc.h"
 #include "ml/gp.h"
-#include "ml/gp_mode.h"
 #include "ml/sparse_gp.h"
 #include "sparksim/simulator.h"
 #include "workloads/workloads.h"
@@ -464,61 +463,6 @@ TEST(AppendFitTest, AppendAfterJitterRetryMatchesConsistentlyJitteredRefit) {
   EXPECT_TRUE(std::isfinite(pred.variance));
 }
 
-TEST(AppendFitTest, CacheAppendExtendsMemoizedFactorization) {
-  const size_t n = 30, d = 5;
-  Matrix x;
-  Vector y;
-  MakeDataset(n + 2, d, &x, &y);
-  Matrix x0(n, d);
-  Vector y0(n);
-  for (size_t i = 0; i < n; ++i) {
-    x0.SetRow(i, x.Row(i));
-    y0[i] = y[i];
-  }
-  const GpHyperparams hp = MakeHyperparams(d);
-
-  GpKernelCache cache(x0, y0);
-  ASSERT_TRUE(std::isfinite(cache.LogMarginalLikelihood(hp)));  // memoize
-  cache.AppendObservation(x.Row(n), y[n]);
-  cache.AppendObservation(x.Row(n + 1), y[n + 1]);
-  ASSERT_EQ(cache.num_points(), n + 2);
-
-  // The grown cache must be indistinguishable from one built on the full
-  // data: identical pair structure (bit-exact kernel) ...
-  GpKernelCache fresh(x, y);
-  const Matrix grown_k = cache.BuildKernel(hp);
-  const Matrix fresh_k = fresh.BuildKernel(hp);
-  EXPECT_EQ(grown_k.MaxAbsDiff(fresh_k), 0.0);
-  EXPECT_EQ(cache.standardized_y().size(), fresh.standardized_y().size());
-  for (size_t i = 0; i < n + 2; ++i) {
-    EXPECT_EQ(cache.standardized_y()[i], fresh.standardized_y()[i]);
-  }
-
-  // ... and the memoized factorization was EXTENDED, not discarded: it
-  // answers for the original hyperparameters with the extended-data
-  // likelihood.
-  const double grown_lml = cache.LogMarginalLikelihood(hp);
-  const double fresh_lml = fresh.LogMarginalLikelihood(hp);
-  EXPECT_NEAR(grown_lml, fresh_lml, 1e-7 * std::abs(fresh_lml));
-
-  auto fact = cache.TakeMemoized(hp.Flatten());
-  ASSERT_TRUE(fact.has_value()) << "append must keep the memo key valid";
-  GaussianProcess adopted;
-  ASSERT_TRUE(adopted.AdoptFit(cache, hp, std::move(*fact)).ok());
-  GaussianProcess direct;
-  ASSERT_TRUE(direct.Fit(fresh, hp).ok());
-  Rng rng(91);
-  for (int t = 0; t < 20; ++t) {
-    Vector q(d);
-    for (size_t j = 0; j < d; ++j) q[j] = rng.NextDouble();
-    const auto a = adopted.Predict(q);
-    const auto b = direct.Predict(q);
-    EXPECT_NEAR(a.mean, b.mean, 1e-8 * std::max(1.0, std::abs(b.mean)));
-    EXPECT_NEAR(a.variance, b.variance,
-                1e-8 * std::max(1.0, std::abs(b.variance)));
-  }
-}
-
 TEST(AppendFitTest, EiMcmcAppendMatchesPerMemberAppendAndThreadCounts) {
   Matrix x;
   Vector y;
@@ -572,7 +516,7 @@ TEST(AppendFitTest, EiMcmcAppendMatchesPerMemberAppendAndThreadCounts) {
   }
 }
 
-// Synthetic DAGP observation stream shared by the mode tests below.
+// Synthetic single-data-size DAGP observation stream.
 void FeedObservations(core::Dagp* dagp, size_t count, size_t dim,
                       uint64_t seed) {
   Rng rng(seed);
@@ -583,105 +527,8 @@ void FeedObservations(core::Dagp* dagp, size_t count, size_t dim,
       conf[j] = rng.NextDouble();
       s += std::sin(2.5 * conf[j] + static_cast<double>(j));
     }
-    const double ds = 80.0 + 40.0 * rng.NextDouble();
     const double seconds = 60.0 + 25.0 * s * s + 2.0 * rng.NextDouble();
-    dagp->AddObservation(conf, ds, seconds);
-  }
-}
-
-TEST(AppendFitTest, DagpIncrementalBitIdenticalToExactBelowThreshold) {
-  // Below the switch threshold the incremental mode must run the same
-  // refit schedule as exact (for this mixed-data-size history, a full
-  // refit every time), consuming identical RNG draws — recommendations
-  // are bit-exact, not merely close. The second refit continues the
-  // first one's EI-MCMC chain.
-  auto run = [&](ml::GpMode mode) {
-    core::Dagp::Options opts;
-    opts.gp_mode = mode;
-    opts.gp_switch_threshold = 100;  // history stays below
-    opts.ei.num_hyper_samples = 3;
-    opts.ei.burn_in = 4;
-    core::Dagp dagp(opts);
-    FeedObservations(&dagp, 30, 4, 1234);
-    Rng rng(55);
-    EXPECT_TRUE(dagp.Refit(&rng).ok());
-    FeedObservations(&dagp, 3, 4, 4321);
-    EXPECT_TRUE(dagp.Refit(&rng).ok());
-    EXPECT_TRUE(dagp.last_fit_stats().continued);
-    EXPECT_EQ(dagp.last_refit_kind(), core::Dagp::RefitKind::kFull);
-    Vector probe(4, 0.3);
-    return std::pair<double, double>(dagp.ExpectedImprovement(probe, 100.0),
-                                     dagp.Predict(probe, 100.0).seconds);
-  };
-  const auto exact = run(ml::GpMode::kExact);
-  const auto incremental = run(ml::GpMode::kIncremental);
-  const auto sparse = run(ml::GpMode::kSparse);
-  EXPECT_EQ(exact.first, incremental.first);
-  EXPECT_EQ(exact.second, incremental.second);
-  EXPECT_EQ(exact.first, sparse.first);
-  EXPECT_EQ(exact.second, sparse.second);
-}
-
-TEST(AppendFitTest, DagpIncrementalAppendsAboveThresholdMatchFrozenRefit) {
-  core::Dagp::Options opts;
-  opts.gp_mode = ml::GpMode::kIncremental;
-  opts.gp_switch_threshold = 16;
-  opts.ei.num_hyper_samples = 3;
-  opts.ei.burn_in = 4;
-  core::Dagp dagp(opts);
-  FeedObservations(&dagp, 16, 3, 99);
-  Rng rng(56);
-  ASSERT_TRUE(dagp.Refit(&rng).ok());
-  ASSERT_EQ(dagp.last_refit_kind(), core::Dagp::RefitKind::kFull);
-
-  FeedObservations(&dagp, 8, 3, 100);
-  ASSERT_TRUE(dagp.Refit(&rng).ok());
-  EXPECT_EQ(dagp.last_refit_kind(), core::Dagp::RefitKind::kAppend);
-  EXPECT_EQ(dagp.model_observations(), 24u);
-
-  // Every ensemble member must equal a from-scratch fixed-hyperparameter
-  // fit on the full history (the appends only skip the MCMC, never change
-  // the math). Reconstruct the assembled inputs the same way Dagp does.
-  FeedObservations(&dagp, 1, 3, 101);
-  ASSERT_TRUE(dagp.Refit(&rng).ok());
-  ASSERT_EQ(dagp.last_refit_kind(), core::Dagp::RefitKind::kAppend);
-  ASSERT_EQ(dagp.model_observations(), 25u);
-
-  Matrix all(25, 4);
-  Vector ylog(25);
-  {
-    Rng r1(99), r2(100), r3(101);
-    size_t row = 0;
-    for (Rng* r : {&r1, &r2, &r3}) {
-      const size_t count = r == &r1 ? 16 : (r == &r2 ? 8 : 1);
-      for (size_t i = 0; i < count; ++i) {
-        double s = 0.0;
-        for (size_t j = 0; j < 3; ++j) {
-          const double v = r->NextDouble();
-          all(row, j) = v;
-          s += std::sin(2.5 * v + static_cast<double>(j));
-        }
-        const double ds = 80.0 + 40.0 * r->NextDouble();
-        all(row, 3) = ds / 1000.0;  // Dagp's default datasize scale
-        ylog[row] = std::log(60.0 + 25.0 * s * s + 2.0 * r->NextDouble());
-        ++row;
-      }
-    }
-    ASSERT_EQ(row, 25u);
-  }
-  for (const auto& member : dagp.model().ensemble()) {
-    GaussianProcess reference;
-    ASSERT_TRUE(reference.Fit(all, ylog, member.hyperparams()).ok());
-    Rng prng(57);
-    for (int t = 0; t < 10; ++t) {
-      Vector q(4);
-      for (size_t j = 0; j < 4; ++j) q[j] = prng.NextDouble();
-      const auto a = member.Predict(q);
-      const auto b = reference.Predict(q);
-      EXPECT_NEAR(a.mean, b.mean, 1e-8 * std::max(1.0, std::abs(b.mean)));
-      EXPECT_NEAR(a.variance, b.variance,
-                  1e-8 * std::max(1.0, std::abs(b.variance)));
-    }
+    dagp->AddObservation(conf, 100.0, seconds);
   }
 }
 
@@ -726,25 +573,34 @@ TEST(SparseGpTest, GreedyMaxMinSelectionProperties) {
 }
 
 TEST(SparseGpTest, DagpSparseModeRefitsOnIncumbentSeededSubset) {
+  // One row past the fit cap: the full refit runs on a greedy max-min
+  // subset of kMaxFitRows - kMaxFitRows / 6 rows.
   core::Dagp::Options opts;
-  opts.gp_mode = ml::GpMode::kSparse;
-  opts.gp_switch_threshold = 20;
-  opts.sparse_inducing = 12;
   opts.ei.num_hyper_samples = 3;
   opts.ei.burn_in = 4;
   core::Dagp dagp(opts);
-  FeedObservations(&dagp, 40, 3, 7);
+  const size_t cap = core::Dagp::kMaxFitRows;
+  const size_t subset = cap - cap / 6;
+  ASSERT_EQ(subset, 200u);
+  FeedObservations(&dagp, cap + 1, 3, 7);
   Rng rng(62);
   ASSERT_TRUE(dagp.Refit(&rng).ok());
   EXPECT_EQ(dagp.last_refit_kind(), core::Dagp::RefitKind::kSparse);
-  EXPECT_EQ(dagp.model_observations(), 12u);
+  EXPECT_EQ(dagp.model_observations(), subset);
   // The incumbent seeds the subset, so the model's best observed target
   // is the GLOBAL best, not merely the subset's.
   EXPECT_EQ(std::exp(dagp.model().best_observed()), dagp.best_seconds());
-  // The sparse surrogate stays usable for acquisition + prediction.
+  // The subset surrogate stays usable for acquisition + prediction.
   Vector probe(3, 0.5);
   EXPECT_TRUE(std::isfinite(dagp.ExpectedImprovement(probe, 100.0)));
   EXPECT_GT(dagp.Predict(probe, 100.0).seconds, 0.0);
+
+  // Past the cap the growth schedule still applies: the next same-size
+  // row is appended onto the subset model.
+  FeedObservations(&dagp, 1, 3, 8);
+  ASSERT_TRUE(dagp.Refit(&rng).ok());
+  EXPECT_EQ(dagp.last_refit_kind(), core::Dagp::RefitKind::kAppend);
+  EXPECT_EQ(dagp.model_observations(), subset + 1);
 }
 
 // ------------------------------------------- end-to-end tuner invariance
@@ -783,115 +639,81 @@ TEST(BoHotPathTest, TunerOutputBitIdenticalAcrossThreadCounts) {
   EXPECT_TRUE(one.best_conf == eight.best_conf);
 }
 
-TEST(BoHotPathTest, TunerOutputBitIdenticalAcrossGpModesAtSmallN) {
-  // A short tune never crosses the gp switch threshold (default 240), so
-  // every --gp-mode must follow the identical refit schedule (full
-  // refits and appends) and reproduce the recommendation bit-for-bit —
-  // at every thread count.
-  const auto cluster = sparksim::X86Cluster();
-  const auto app = workloads::HiBenchAggregation();
-  auto run = [&](ml::GpMode mode, int threads) {
-    ml::SetGpMode(mode);
-    common::ThreadPool::SetGlobalThreads(threads);
-    sparksim::ClusterSimulator sim(cluster, 90);
-    core::TuningSession session(&sim, app);
-    core::LocatTuner::Options opts;
-    opts.n_qcsa = 8;
-    opts.n_iicp = 6;
-    opts.lhs_init = 2;
-    opts.min_iterations = 3;
-    opts.max_iterations = 5;
-    opts.warm_iterations = 3;
-    opts.candidates = 60;
-    opts.seed = 9;
-    core::LocatTuner tuner(opts);
-    return tuner.Tune(&session, 200.0);
-  };
-  const core::TuningResult baseline = run(ml::GpMode::kExact, 1);
-  for (const ml::GpMode mode :
-       {ml::GpMode::kExact, ml::GpMode::kIncremental, ml::GpMode::kSparse}) {
-    for (const int threads : {1, 4, 8}) {
-      if (mode == ml::GpMode::kExact && threads == 1) continue;
-      const core::TuningResult r = run(mode, threads);
-      EXPECT_EQ(baseline.evaluations, r.evaluations)
-          << ml::GpModeName(mode) << " x " << threads << " threads";
-      EXPECT_EQ(baseline.best_observed_seconds, r.best_observed_seconds)
-          << ml::GpModeName(mode) << " x " << threads << " threads";
-      EXPECT_TRUE(baseline.best_conf == r.best_conf)
-          << ml::GpModeName(mode) << " x " << threads << " threads";
-    }
-  }
-  ml::SetGpMode(ml::GpMode::kExact);  // restore the default dispatch
-  common::ThreadPool::SetGlobalThreads(0);
-}
-
-TEST(BoHotPathTest, LongHorizonIncrementalTuneCompletes) {
-  // Acceptance: an e2e long-horizon tune with >= 1000 observations in
-  // incremental mode. Past the (lowered) switch threshold every Refit
-  // must be absorbed by rank-1 appends — no O(n^3) refits, no MCMC — and
-  // the surrogate must stay usable for EI-driven proposals throughout.
+TEST(BoHotPathTest, LongHorizonTuneCompletes) {
+  // A single-size history driven from the fit cap to >= 1000 rows. Every
+  // refit past the cap is either a subset refit (once the history has
+  // grown 10% since the last one) or rank-1 appends in between, and the
+  // surrogate stays usable for EI-driven proposals throughout.
   core::Dagp::Options opts;
-  opts.gp_mode = ml::GpMode::kIncremental;
-  opts.gp_switch_threshold = 64;
   opts.ei.num_hyper_samples = 2;
   opts.ei.burn_in = 4;
   core::Dagp dagp(opts);
 
   const size_t d = 4;
-  auto objective = [](const Vector& c, double ds) {
+  const double ds = 100.0;
+  auto objective = [](const Vector& c) {
     double s = 0.0;
     for (size_t j = 0; j < c.size(); ++j) {
       const double t = c[j] - 0.2 - 0.1 * static_cast<double>(j);
       s += t * t;
     }
-    return 30.0 + 120.0 * s + 0.05 * ds;
+    return 30.0 + 120.0 * s;
   };
   Rng rng(2026);
   auto add_random = [&](size_t count) {
     for (size_t i = 0; i < count; ++i) {
       Vector c(d);
       for (size_t j = 0; j < d; ++j) c[j] = rng.NextDouble();
-      const double ds = 80.0 + 40.0 * rng.NextDouble();
-      dagp.AddObservation(c, ds, objective(c, ds));
+      dagp.AddObservation(c, ds, objective(c));
     }
   };
 
-  add_random(opts.gp_switch_threshold);
+  add_random(core::Dagp::kMaxFitRows);
   ASSERT_TRUE(dagp.Refit(&rng).ok());
   ASSERT_EQ(dagp.last_refit_kind(), core::Dagp::RefitKind::kFull);
 
-  size_t append_refits = 0;
+  size_t last_full_n = core::Dagp::kMaxFitRows;
+  size_t subset_refits = 0;
   while (dagp.num_observations() < 1050) {
     // One EI-proposed point per round (the tuner's candidate sweep in
     // miniature), plus random exploration to advance the horizon fast.
     std::vector<Vector> cands(16, Vector(d));
     for (auto& c : cands)
       for (size_t j = 0; j < d; ++j) c[j] = rng.NextDouble();
-    const Vector ei = dagp.ExpectedImprovementBatch(cands, 100.0);
+    const Vector ei = dagp.ExpectedImprovementBatch(cands, ds);
     size_t best = 0;
     for (size_t i = 1; i < cands.size(); ++i)
       if (ei[i] > ei[best]) best = i;
     ASSERT_TRUE(std::isfinite(ei[best]));
-    dagp.AddObservation(cands[best], 100.0,
-                        objective(cands[best], 100.0));
+    dagp.AddObservation(cands[best], ds, objective(cands[best]));
     add_random(15);
     ASSERT_TRUE(dagp.Refit(&rng).ok());
-    ASSERT_EQ(dagp.last_refit_kind(), core::Dagp::RefitKind::kAppend)
-        << "n = " << dagp.num_observations();
-    ++append_refits;
+    const size_t n = static_cast<size_t>(dagp.num_observations());
+    if (10 * n >= 11 * last_full_n) {
+      ASSERT_EQ(dagp.last_refit_kind(), core::Dagp::RefitKind::kSparse)
+          << "n = " << n;
+      last_full_n = n;
+      ++subset_refits;
+    } else {
+      ASSERT_EQ(dagp.last_refit_kind(), core::Dagp::RefitKind::kAppend)
+          << "n = " << n;
+    }
   }
-  EXPECT_GE(dagp.model_observations(), 1000u);
-  EXPECT_EQ(dagp.model_observations(),
+  // 240 -> 1056 rows in steps of 16: each subset refit lands within one
+  // step past 10% growth, so 4.4x growth takes between
+  // log(4.4) / log(1.1 + 16 / 240) ~ 9.6 and log(4.4) / log(1.1) ~ 15.5.
+  EXPECT_GE(subset_refits, 10u);
+  EXPECT_LE(subset_refits, 16u);
+  EXPECT_GE(dagp.num_observations(), 1000);
+  EXPECT_LT(dagp.model_observations(),
             static_cast<size_t>(dagp.num_observations()));
-  EXPECT_GT(append_refits, 50u);
   // The long-horizon posterior still ranks a near-optimal configuration
   // well below the prior mean region.
   Vector good(d);
   for (size_t j = 0; j < d; ++j)
     good[j] = 0.2 + 0.1 * static_cast<double>(j);
   Vector bad(d, 0.95);
-  EXPECT_LT(dagp.Predict(good, 100.0).seconds,
-            dagp.Predict(bad, 100.0).seconds);
+  EXPECT_LT(dagp.Predict(good, ds).seconds, dagp.Predict(bad, ds).seconds);
 }
 
 }  // namespace

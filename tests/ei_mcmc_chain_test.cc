@@ -1,9 +1,9 @@
 // Tests of the persistent EI-MCMC chain: the sweep schedule of cold and
 // continued fits, the events that force a cold restart, DAGP's growth
 // schedule of full refits and rank-1 appends, truthful per-refit
-// telemetry, and tune-quality regression checks. Thread-count and
-// GP-mode bit-identity of a continued chain in a whole tune are checked
-// in bo_hotpath_test.cc.
+// telemetry, and tune-quality regression checks. Thread-count
+// bit-identity of a continued chain in a whole tune is checked in
+// bo_hotpath_test.cc.
 #include <chrono>
 #include <cmath>
 #include <regex>
@@ -19,7 +19,6 @@
 #include "math/matrix.h"
 #include "ml/ei_mcmc.h"
 #include "ml/gp.h"
-#include "ml/gp_mode.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "sparksim/simulator.h"
@@ -132,7 +131,6 @@ void Feed(core::Dagp* dagp, size_t count, size_t dim, Rng* rng) {
 
 TEST(EiMcmcChainTest, DagpContinuesChainAndClearRestartsCold) {
   core::Dagp::Options opts;
-  opts.gp_mode = ml::GpMode::kExact;
   opts.ei = SmallOptions();
   core::Dagp dagp(opts);
   Rng data(7), rng(8);
@@ -180,16 +178,14 @@ void FeedAt(core::Dagp* dagp, size_t count, size_t dim, double datasize_gb,
   }
 }
 
-core::Dagp::Options ScheduleOptions(ml::GpMode mode) {
+core::Dagp::Options ScheduleOptions() {
   core::Dagp::Options opts;
-  opts.gp_mode = mode;
-  opts.gp_switch_threshold = 100;  // the histories below stay under it
   opts.ei = SmallOptions();
   return opts;
 }
 
 TEST(EiMcmcChainTest, DagpSingleSizeHistoryAppendsUntilTenPercentGrowth) {
-  core::Dagp dagp(ScheduleOptions(ml::GpMode::kExact));
+  core::Dagp dagp(ScheduleOptions());
   History history;
   Rng data(21), rng(22);
   FeedAt(&dagp, 30, 3, 100.0, &data, &history);
@@ -235,7 +231,7 @@ TEST(EiMcmcChainTest, DagpSingleSizeHistoryAppendsUntilTenPercentGrowth) {
 }
 
 TEST(EiMcmcChainTest, DagpMixedSizeHistoryRefitsFullEveryTime) {
-  core::Dagp dagp(ScheduleOptions(ml::GpMode::kExact));
+  core::Dagp dagp(ScheduleOptions());
   History history;
   Rng data(24), rng(25);
   FeedAt(&dagp, 29, 3, 100.0, &data, &history);
@@ -261,38 +257,6 @@ TEST(EiMcmcChainTest, DagpMixedSizeHistoryRefitsFullEveryTime) {
   FeedAt(&dagp, 1, 3, 300.0, &data, &history);
   ASSERT_TRUE(dagp.Refit(&rng).ok());
   EXPECT_EQ(dagp.last_refit_kind(), core::Dagp::RefitKind::kAppend);
-}
-
-TEST(EiMcmcChainTest, DagpScheduleBitIdenticalAcrossGpModes) {
-  // At or below the switch threshold the schedule runs before the mode
-  // dispatch, so every mode takes the same full refits and appends.
-  auto run = [](ml::GpMode mode) {
-    core::Dagp dagp(ScheduleOptions(mode));
-    History history;
-    Rng data(26), rng(27);
-    FeedAt(&dagp, 30, 3, 100.0, &data, &history);
-    std::vector<double> out;
-    const Vector probe(3, 0.3);
-    // Refits at n = 30 (full), 31, 32 (append), 33 (full), 34 (append).
-    for (int step = 0; step < 5; ++step) {
-      if (step > 0) FeedAt(&dagp, 1, 3, 100.0, &data, &history);
-      EXPECT_TRUE(dagp.Refit(&rng).ok());
-      out.push_back(static_cast<double>(dagp.last_refit_kind()));
-      out.push_back(dagp.ExpectedImprovement(probe, 100.0));
-      const auto p = dagp.Predict(probe, 100.0);
-      out.push_back(p.seconds);
-      out.push_back(p.log_variance);
-    }
-    return out;
-  };
-  const std::vector<double> exact = run(ml::GpMode::kExact);
-  const std::vector<double> kinds = {exact[0], exact[4], exact[8], exact[12],
-                                     exact[16]};
-  const auto full = static_cast<double>(core::Dagp::RefitKind::kFull);
-  const auto append = static_cast<double>(core::Dagp::RefitKind::kAppend);
-  EXPECT_EQ(kinds, (std::vector<double>{full, append, append, full, append}));
-  EXPECT_EQ(exact, run(ml::GpMode::kIncremental));
-  EXPECT_EQ(exact, run(ml::GpMode::kSparse));
 }
 
 core::LocatTuner::Options SmallTuneOptions(uint64_t seed) {

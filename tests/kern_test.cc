@@ -339,10 +339,9 @@ TEST(KernCholesky, JitterRetryPathBitIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// Rank-1 Cholesky maintenance: the O(n^2) bordered append and the
-// LINPACK update/downdate sweeps must (a) agree with a from-scratch
-// factorization to tight tolerance and (b) be bit-identical across
-// backends, including every remainder-lane class.
+// Bordered Cholesky append: the O(n^2) append must (a) agree with a
+// from-scratch factorization to tight tolerance and (b) be bit-identical
+// across backends, including every remainder-lane class.
 
 Matrix MakeSpd(Rng* rng, size_t n) {
   Matrix bmat(n, n);
@@ -469,96 +468,6 @@ TEST(KernCholUpdate, AppendRowJitterContract) {
                   1e-8 * std::max(1.0, std::fabs(ref->L()(i, j))))
           << "L(" << i << "," << j << ")";
     }
-}
-
-TEST(KernCholUpdate, Rank1UpdateMatchesRefactorAndBackendsBitEqual) {
-  Rng rng(408);
-  for (size_t n : {1u, 2u, 3u, 5u, 8u, 13u, 31u}) {
-    const Matrix spd = MakeSpd(&rng, n);
-    const auto vraw = RandomVec(&rng, n, 0.7);
-    Vector v(n);
-    for (size_t i = 0; i < n; ++i) v[i] = vraw[i];
-
-    Matrix ref_l(1, 1);
-    bool have_ref = false;
-    CompareBackends([&](bool is_reference) {
-      auto chol = Cholesky::Factor(spd);
-      ASSERT_TRUE(chol.ok());
-      ASSERT_TRUE(chol->RankOneUpdate(v).ok());
-      if (is_reference) {
-        ref_l = chol->L();
-        have_ref = true;
-      } else {
-        ASSERT_TRUE(have_ref);
-        for (size_t i = 0; i < n; ++i)
-          for (size_t j = 0; j <= i; ++j)
-            EXPECT_SAME_BITS(ref_l(i, j), chol->L()(i, j)) << "n=" << n;
-      }
-    });
-
-    // Tolerance check against factoring A + v v^T from scratch.
-    Matrix bumped = spd;
-    for (size_t i = 0; i < n; ++i)
-      for (size_t j = 0; j < n; ++j) bumped(i, j) += v[i] * v[j];
-    auto full = Cholesky::Factor(bumped);
-    ASSERT_TRUE(full.ok());
-    for (size_t i = 0; i < n; ++i)
-      for (size_t j = 0; j <= i; ++j)
-        EXPECT_NEAR(ref_l(i, j), full->L()(i, j),
-                    1e-9 * std::max(1.0, std::fabs(full->L()(i, j))))
-            << "n=" << n;
-  }
-}
-
-TEST(KernCholUpdate, DowndateRoundTripRestoresFactor) {
-  Rng rng(409);
-  for (size_t n : {1u, 3u, 8u, 13u, 31u}) {
-    const Matrix spd = MakeSpd(&rng, n);
-    const auto vraw = RandomVec(&rng, n, 0.5);
-    Vector v(n);
-    for (size_t i = 0; i < n; ++i) v[i] = vraw[i];
-    auto chol = Cholesky::Factor(spd);
-    ASSERT_TRUE(chol.ok());
-    const Matrix original = chol->L();
-    ASSERT_TRUE(chol->RankOneUpdate(v).ok());
-    ASSERT_TRUE(chol->RankOneDowndate(v).ok());
-    for (size_t i = 0; i < n; ++i)
-      for (size_t j = 0; j <= i; ++j)
-        EXPECT_NEAR(chol->L()(i, j), original(i, j),
-                    1e-9 * std::max(1.0, std::fabs(original(i, j))))
-            << "n=" << n;
-  }
-}
-
-TEST(KernCholUpdate, DowndateFailureIsDeterministicAndRollsBack) {
-  // Downdating by a vector with more energy than the matrix must fail on
-  // the same column for every backend and leave the factor unchanged.
-  Rng rng(410);
-  const size_t n = 9;
-  const Matrix spd = MakeSpd(&rng, n);
-  Vector v(n);
-  for (size_t i = 0; i < n; ++i) v[i] = 100.0 * (i == 4 ? 1.0 : 0.01);
-  ptrdiff_t ref_col = -2;
-  CompareBackends([&](bool is_reference) {
-    auto chol = Cholesky::Factor(spd);
-    ASSERT_TRUE(chol.ok());
-    const Matrix before = chol->L();
-    std::vector<double> l(n * n);
-    for (size_t i = 0; i < n; ++i)
-      for (size_t j = 0; j < n; ++j) l[i * n + j] = before(i, j);
-    std::vector<double> work(n);
-    for (size_t i = 0; i < n; ++i) work[i] = v[i];
-    const ptrdiff_t col = CholRank1Downdate(l.data(), n, n, work.data());
-    ASSERT_GE(col, 0);
-    if (is_reference) {
-      ref_col = col;
-    } else {
-      EXPECT_EQ(ref_col, col);
-    }
-    // The class API rolls back on failure.
-    EXPECT_FALSE(chol->RankOneDowndate(v).ok());
-    EXPECT_EQ(before.MaxAbsDiff(chol->L()), 0.0);
-  });
 }
 
 TEST(KernDispatch, NamesAndAvailability) {
