@@ -166,8 +166,8 @@ ScaleResult CaseScale() {
   const double drive_s = Seconds(t0, Clock::now());
 
   // Warm-probe phase: every live app already covers its last size, so
-  // each Lookup is the lock-free fast path. Raw per-call samples give the
-  // latency quantiles; the coarse histogram is not good enough here.
+  // each Lookup is a hit on its published plan. Raw per-call samples give
+  // the latency quantiles; the coarse histogram is not good enough here.
   std::vector<std::pair<std::string, double>> live;
   for (const auto& row : registry.AppRows()) {
     live.emplace_back(row.snapshot.app, row.snapshot.last_datasize_gb);

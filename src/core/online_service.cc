@@ -12,11 +12,11 @@ namespace locat::core {
 
 OnlineTuningService::OnlineTuningService(TuningSession* session,
                                          Options options)
-    : session_(session), options_(options), tuner_(options.tuner) {
-  // Published() must never return null, even before the first mutator.
-  published_.store(std::make_shared<const PublishedState>(),
-                   std::memory_order_release);
-}
+    : session_(session),
+      options_(options),
+      tuner_(options.tuner),
+      // Published() must never return null, even before the first mutator.
+      published_(std::make_shared<const PublishedState>()) {}
 
 void OnlineTuningService::SetObservability(const obs::ObsContext& obs) {
   obs_ = obs;
@@ -82,6 +82,9 @@ void OnlineTuningService::EnableLatencyTracking() {
 double OnlineTuningService::NearestTunedKeyIn(
     const std::map<double, sparksim::SparkConf>& tuned, double datasize_gb,
     double threshold) {
+  // The gap is symmetric in the two sizes so the reuse decision does not
+  // depend on which of the pair was tuned first (|ds - x| / max(ds, x)
+  // instead of dividing by the tuned size).
   double best_gap = 1e300;
   double best_key = std::numeric_limits<double>::quiet_NaN();
   for (const auto& [ds, conf] : tuned) {
@@ -110,7 +113,12 @@ void OnlineTuningService::Publish() {
   next->last_conf = last_conf_;
   next->has_last_conf = has_last_conf_;
   next->optimization_seconds = session_->optimization_seconds();
-  published_.store(std::move(next), std::memory_order_release);
+  std::shared_ptr<const PublishedState> prev = std::move(next);
+  {
+    std::lock_guard<std::mutex> lock(plan_mu_);
+    published_.swap(prev);
+  }
+  // `prev` (the superseded plan) is released here, outside the lock.
 }
 
 std::optional<sparksim::SparkConf> OnlineTuningService::PublishedReuse(
@@ -151,25 +159,13 @@ StatusOr<sparksim::SparkConf> OnlineTuningService::RecommendedConf(
     }
     return conf;
   };
-  // Closest tuned size, if any. The gap is symmetric in the two sizes so
-  // the reuse decision does not depend on which of the pair was tuned
-  // first (|ds - x| / max(ds, x) instead of dividing by the tuned size).
-  double best_gap = 1e300;
-  const sparksim::SparkConf* nearest = nullptr;
-  for (const auto& [ds, conf] : tuned_) {
-    const double gap =
-        std::fabs(ds - datasize_gb) / std::max(ds, datasize_gb);
-    if (gap < best_gap) {
-      best_gap = gap;
-      nearest = &conf;
-    }
-  }
-  if (nearest != nullptr && best_gap <= options_.retune_threshold) {
+  const double key = NearestTunedKey(datasize_gb);
+  if (!std::isnan(key)) {
     span.Arg("reused", 1.0);
     ++reuses_;
     if (reuse_counter_ != nullptr) reuse_counter_->Increment();
     if (rec_reuse_ != nullptr) rec_reuse_->Increment();
-    return finish(*nearest);
+    return finish(tuned_.at(key));
   }
   span.Arg("reused", 0.0);
   const TuningResult result = tuner_.Tune(session_, datasize_gb);

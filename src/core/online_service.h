@@ -1,10 +1,10 @@
 #ifndef LOCAT_CORE_ONLINE_SERVICE_H_
 #define LOCAT_CORE_ONLINE_SERVICE_H_
 
-#include <atomic>
 #include <limits>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -35,10 +35,12 @@ namespace locat::core {
 /// Threading: the three mutators (RecommendedConf, ReportRun,
 /// ReportFailedRun) must be externally serialized — the ServiceRegistry
 /// does this with per-app single-flight; a single-threaded caller gets it
-/// for free. Every mutator re-publishes an immutable state snapshot, so
-/// the const readers (Snapshot, tuned_sizes, penalized_count, Published,
-/// PublishedReuse) are safe to call concurrently with one running mutator
-/// from any number of threads.
+/// for free. Every mutator re-publishes an immutable state snapshot by
+/// swapping one shared_ptr under a small plan mutex, so the const readers
+/// (Snapshot, tuned_sizes, penalized_count, Published, PublishedReuse)
+/// are safe to call concurrently with one running mutator from any
+/// number of threads: each copies the pointer under the mutex and reads
+/// the snapshot outside it.
 class OnlineTuningService {
  public:
   struct Options {
@@ -123,9 +125,9 @@ class OnlineTuningService {
     return tuner_.ExportObservations(cap);
   }
 
-  /// Immutable serving plan, re-published by every mutator and read
-  /// lock-free (one atomic shared_ptr load) by any thread. This is the
-  /// structure the ServiceRegistry's hot lookup path consumes.
+  /// Immutable serving plan, re-published by every mutator and readable
+  /// from any thread. This is the structure the ServiceRegistry's lookup
+  /// path consumes.
   struct PublishedState {
     std::map<double, sparksim::SparkConf> tuned;  // ds -> best conf
     std::map<double, int> penalized;              // tuned ds -> failures
@@ -145,14 +147,15 @@ class OnlineTuningService {
   /// immutable) for as long as the caller holds the shared_ptr, even
   /// across concurrent re-tunes.
   std::shared_ptr<const PublishedState> Published() const {
-    return published_.load(std::memory_order_acquire);
+    std::lock_guard<std::mutex> lock(plan_mu_);
+    return published_;
   }
 
-  /// Lock-free fast path: the tuned conf closest to `datasize_gb` when
-  /// its symmetric gap is within retune_threshold, nullopt when the
-  /// request must go through a (cold or warm) tuning pass. Does NOT count
-  /// as a recommendation — callers that serve from it are expected to
-  /// report it via the owning registry's bookkeeping.
+  /// Reuse check on the published plan: the tuned conf closest to
+  /// `datasize_gb` when its symmetric gap is within retune_threshold,
+  /// nullopt when the request must go through a (cold or warm) tuning
+  /// pass. Does NOT count as a recommendation — callers that serve from it
+  /// are expected to report it via the owning registry's bookkeeping.
   std::optional<sparksim::SparkConf> PublishedReuse(double datasize_gb) const;
 
   /// Key of the tuned size in `tuned` closest to `datasize_gb` when its
@@ -237,7 +240,10 @@ class OnlineTuningService {
   double last_datasize_gb_ = std::numeric_limits<double>::quiet_NaN();
   sparksim::SparkConf last_conf_;
   bool has_last_conf_ = false;
-  std::atomic<std::shared_ptr<const PublishedState>> published_;
+  /// Guards only the `published_` pointer swap; never held while the
+  /// snapshot is built or read.
+  mutable std::mutex plan_mu_;
+  std::shared_ptr<const PublishedState> published_;
   std::unique_ptr<obs::Histogram> owned_latency_;
   obs::ObsContext obs_;
   obs::Counter* recommendations_counter_ = nullptr;

@@ -19,17 +19,6 @@ std::vector<double> LookupLatencyBuckets() {
           1e-4, 2.5e-4, 1e-3, 1e-2, 1e-1, 1.0};
 }
 
-/// FNV-1a, fixed across platforms so shard assignment (and therefore the
-/// statusz occupancy table) is stable everywhere.
-uint64_t HashName(const std::string& s) {
-  uint64_t h = 1469598103934665603ULL;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 constexpr size_t kFingerprintDim = 17;
 
 }  // namespace
@@ -109,17 +98,25 @@ ServiceRegistry::ServiceRegistry(BackendFactory factory, Options options)
       lookup_latency_("locat_registry_lookup_seconds",
                       "Wall-clock latency of ServiceRegistry::Lookup",
                       LookupLatencyBuckets()) {
-  for (auto& shard : shards_) {
-    shard.map.store(std::make_shared<const EntryMap>(),
-                    std::memory_order_release);
-  }
   clock_latency_.store(options_.track_latency, std::memory_order_release);
 }
 
 ServiceRegistry::~ServiceRegistry() = default;
 
-size_t ServiceRegistry::ShardIndex(const std::string& app) {
-  return static_cast<size_t>(HashName(app) % kNumShards);
+std::shared_ptr<ServiceRegistry::Entry> ServiceRegistry::Find(
+    const std::string& app) const {
+  std::lock_guard<std::mutex> lock(map_mu_);
+  const auto it = entries_.find(app);
+  return it == entries_.end() ? nullptr : it->second;
+}
+
+std::vector<std::shared_ptr<ServiceRegistry::Entry>>
+ServiceRegistry::Entries() const {
+  std::vector<std::shared_ptr<Entry>> out;
+  std::lock_guard<std::mutex> lock(map_mu_);
+  out.reserve(entries_.size());
+  for (const auto& [name, entry] : entries_) out.push_back(entry);
+  return out;
 }
 
 void ServiceRegistry::SetObservability(const obs::ObsContext& obs) {
@@ -163,16 +160,8 @@ void ServiceRegistry::SetObservability(const obs::ObsContext& obs) {
     m_lookup_latency_ = nullptr;
     clock_latency_.store(options_.track_latency, std::memory_order_release);
   }
-  // Re-wire entries admitted before the context arrived. Entry mutexes
-  // are taken with no shard mutex held (eviction locks entry before
-  // shard, so nesting the other way here could deadlock).
-  std::vector<std::shared_ptr<Entry>> entries;
-  for (auto& shard : shards_) {
-    const std::shared_ptr<const EntryMap> map =
-        shard.map.load(std::memory_order_acquire);
-    for (const auto& [name, entry] : *map) entries.push_back(entry);
-  }
-  for (const auto& entry : entries) {
+  // Re-wire entries admitted before the context arrived.
+  for (const auto& entry : Entries()) {
     std::unique_lock<std::mutex> el(entry->mu);
     entry->done.wait(el, [&] { return !entry->tuning_in_flight; });
     entry->backend->service()->SetObservability(obs_);
@@ -262,18 +251,11 @@ ServiceRegistry::BuildPriorsLocked(const std::string& app,
 
 StatusOr<std::shared_ptr<ServiceRegistry::Entry>>
 ServiceRegistry::FindOrAdmit(const std::string& app) {
-  Shard& shard = shards_[ShardIndex(app)];
-  {
-    const std::shared_ptr<const EntryMap> map =
-        shard.map.load(std::memory_order_acquire);
-    const auto it = map->find(app);
-    if (it != map->end()) return it->second;
-  }
-  std::lock_guard<std::mutex> lock(shard.mu);
-  const std::shared_ptr<const EntryMap> map =
-      shard.map.load(std::memory_order_acquire);
-  const auto it = map->find(app);
-  if (it != map->end()) return it->second;  // lost the admission race
+  // Admission runs under the map mutex, so concurrent first lookups of
+  // one app admit (and consume its evicted history) exactly once.
+  std::lock_guard<std::mutex> lock(map_mu_);
+  const auto it = entries_.find(app);
+  if (it != entries_.end()) return it->second;
 
   std::unique_ptr<AppBackend> backend = factory_(app);
   if (backend == nullptr) {
@@ -320,10 +302,7 @@ ServiceRegistry::FindOrAdmit(const std::string& app) {
     }
   }
 
-  auto next = std::make_shared<EntryMap>(*map);
-  (*next)[app] = entry;
-  shard.map.store(std::shared_ptr<const EntryMap>(std::move(next)),
-                  std::memory_order_release);
+  entries_.emplace(app, entry);
   return entry;
 }
 
@@ -344,33 +323,6 @@ StatusOr<sparksim::SparkConf> ServiceRegistry::Lookup(const std::string& app,
     if (m_lookup_latency_ != nullptr) m_lookup_latency_->Observe(s);
   };
 
-  // Fast path: entry present and its published plan already covers this
-  // size — two atomic loads and a map find, no mutex anywhere.
-  {
-    const std::shared_ptr<const EntryMap> map =
-        shards_[ShardIndex(app)].map.load(std::memory_order_acquire);
-    const auto it = map->find(app);
-    if (it != map->end()) {
-      const std::shared_ptr<Entry>& entry = it->second;
-      std::optional<sparksim::SparkConf> conf =
-          entry->backend->service()->PublishedReuse(datasize_gb);
-      if (conf.has_value()) {
-        entry->last_used_tick.store(tick_.load(std::memory_order_relaxed),
-                                    std::memory_order_relaxed);
-        entry->hits.fetch_add(1, std::memory_order_relaxed);
-        entry->last_served.store(
-            std::make_shared<const std::pair<double, sparksim::SparkConf>>(
-                datasize_gb, *conf),
-            std::memory_order_release);
-        lookups_hit_.fetch_add(1, std::memory_order_relaxed);
-        if (m_hit_ != nullptr) m_hit_->Increment();
-        observe_latency();
-        return *std::move(conf);
-      }
-    }
-  }
-
-  // Slow path: admit if needed, then single-flight the tuning pass.
   StatusOr<std::shared_ptr<Entry>> entry_or = FindOrAdmit(app);
   if (!entry_or.ok()) return entry_or.status();
   const std::shared_ptr<Entry> entry = *std::move(entry_or);
@@ -381,21 +333,18 @@ StatusOr<sparksim::SparkConf> ServiceRegistry::Lookup(const std::string& app,
   std::unique_lock<std::mutex> lock(entry->mu);
   bool waited = false;
   for (;;) {
-    // Re-check under the lock: a concurrent tune may have published a
-    // plan covering this size while we queued.
+    // Serve from the published plan when it covers this size — possibly
+    // one a concurrent tune published while this request queued.
     std::optional<sparksim::SparkConf> conf =
         svc->PublishedReuse(datasize_gb);
     if (conf.has_value()) {
-      entry->last_served.store(
-          std::make_shared<const std::pair<double, sparksim::SparkConf>>(
-              datasize_gb, *conf),
-          std::memory_order_release);
+      entry->last_served.emplace(datasize_gb, *conf);
       if (waited) {
-        entry->coalesced.fetch_add(1, std::memory_order_relaxed);
+        ++entry->coalesced;
         lookups_coalesced_.fetch_add(1, std::memory_order_relaxed);
         if (m_coalesced_ != nullptr) m_coalesced_->Increment();
       } else {
-        entry->hits.fetch_add(1, std::memory_order_relaxed);
+        ++entry->hits;
         lookups_hit_.fetch_add(1, std::memory_order_relaxed);
         if (m_hit_ != nullptr) m_hit_->Increment();
       }
@@ -409,7 +358,7 @@ StatusOr<sparksim::SparkConf> ServiceRegistry::Lookup(const std::string& app,
 
   // This request owns the tuning pass. The flag extends mutual exclusion
   // over the pool-executed tune without holding the mutex while it runs,
-  // so readers stay lock-free and waiters can queue.
+  // so hits on other sizes are served and waiters can queue.
   const bool cold = svc->Published()->tuning_passes == 0;
   entry->tuning_in_flight = true;
   lock.unlock();
@@ -431,13 +380,8 @@ StatusOr<sparksim::SparkConf> ServiceRegistry::Lookup(const std::string& app,
   });
   StatusOr<sparksim::SparkConf> result = fut.get();
 
-  if (result.ok()) {
-    entry->last_served.store(
-        std::make_shared<const std::pair<double, sparksim::SparkConf>>(
-            datasize_gb, *result),
-        std::memory_order_release);
-  }
   lock.lock();
+  if (result.ok()) entry->last_served.emplace(datasize_gb, *result);
   entry->tuning_in_flight = false;
   entry->done.notify_all();
   lock.unlock();
@@ -448,13 +392,8 @@ StatusOr<sparksim::SparkConf> ServiceRegistry::Lookup(const std::string& app,
 Status ServiceRegistry::ReportRun(const std::string& app, double datasize_gb,
                                   const sparksim::SparkConf& conf,
                                   double observed_seconds) {
-  const std::shared_ptr<const EntryMap> map =
-      shards_[ShardIndex(app)].map.load(std::memory_order_acquire);
-  const auto it = map->find(app);
-  if (it == map->end()) {
-    return Status::NotFound("app not admitted: " + app);
-  }
-  const std::shared_ptr<Entry>& entry = it->second;
+  const std::shared_ptr<Entry> entry = Find(app);
+  if (entry == nullptr) return Status::NotFound("app not admitted: " + app);
   entry->last_used_tick.store(tick_.load(std::memory_order_relaxed),
                               std::memory_order_relaxed);
   std::unique_lock<std::mutex> lock(entry->mu);
@@ -467,13 +406,8 @@ Status ServiceRegistry::ReportFailedRun(const std::string& app,
                                         double datasize_gb,
                                         const sparksim::SparkConf& conf,
                                         double partial_seconds) {
-  const std::shared_ptr<const EntryMap> map =
-      shards_[ShardIndex(app)].map.load(std::memory_order_acquire);
-  const auto it = map->find(app);
-  if (it == map->end()) {
-    return Status::NotFound("app not admitted: " + app);
-  }
-  const std::shared_ptr<Entry>& entry = it->second;
+  const std::shared_ptr<Entry> entry = Find(app);
+  if (entry == nullptr) return Status::NotFound("app not admitted: " + app);
   entry->last_used_tick.store(tick_.load(std::memory_order_relaxed),
                               std::memory_order_relaxed);
   std::unique_lock<std::mutex> lock(entry->mu);
@@ -482,130 +416,107 @@ Status ServiceRegistry::ReportFailedRun(const std::string& app,
                                                     partial_seconds);
 }
 
-void ServiceRegistry::EvictLocked(Shard& shard,
-                                  const std::shared_ptr<Entry>& entry) {
+void ServiceRegistry::EvictLocked(const Entry& entry) {
   // Persist the observation history so re-admission warm-starts instead
   // of cold-tuning. The backend itself dies with the entry's last
-  // shared_ptr — in-flight readers holding an older map snapshot keep it
-  // alive until they return.
+  // shared_ptr — in-flight requests that found the entry before the
+  // erase keep it alive until they return.
   TransferRecord rec;
-  rec.fingerprint = entry->fingerprint;
+  rec.fingerprint = entry.fingerprint;
   rec.observations =
-      entry->backend->service()->ExportObservations(options_.transfer_cap * 4);
+      entry.backend->service()->ExportObservations(options_.transfer_cap * 4);
   if (const QcsaResult* qcsa =
-          entry->backend->service()->tuner().qcsa_result()) {
+          entry.backend->service()->tuner().qcsa_result()) {
     rec.csq = qcsa->csq_indices;
   }
   {
     std::lock_guard<std::mutex> tlock(transfer_mu_);
-    transfer_store_.erase(entry->name);
+    transfer_store_.erase(entry.name);
     if (!rec.observations.empty()) {
-      evicted_store_[entry->name] = std::move(rec);
+      evicted_store_[entry.name] = std::move(rec);
     }
   }
-  const std::shared_ptr<const EntryMap> map =
-      shard.map.load(std::memory_order_acquire);
-  auto next = std::make_shared<EntryMap>(*map);
-  next->erase(entry->name);
-  shard.map.store(std::shared_ptr<const EntryMap>(std::move(next)),
-                  std::memory_order_release);
+  std::lock_guard<std::mutex> lock(map_mu_);
+  entries_.erase(entry.name);
 }
 
 uint64_t ServiceRegistry::AdvanceTick() {
   const uint64_t tick = tick_.fetch_add(1, std::memory_order_relaxed) + 1;
 
-  // Deterministic scan order: every live entry, sorted by name (the
-  // per-shard maps are sorted; a merged sort over shards keeps cross-
-  // shard order stable too).
-  struct Live {
-    Shard* shard;
-    std::shared_ptr<Entry> entry;
-  };
-  std::vector<Live> live;
-  for (auto& shard : shards_) {
-    const std::shared_ptr<const EntryMap> map =
-        shard.map.load(std::memory_order_acquire);
-    for (const auto& [name, entry] : *map) live.push_back({&shard, entry});
-  }
-  std::sort(live.begin(), live.end(), [](const Live& a, const Live& b) {
-    return a.entry->name < b.entry->name;
-  });
+  // Deterministic scan order: every live entry, in name order.
+  std::vector<std::shared_ptr<Entry>> live = Entries();
 
   // 1. Refresh donor knowledge from tuned entries. Busy entries (a tune
   //    in flight) are skipped — their knowledge lands next tick.
-  for (const auto& l : live) {
-    std::unique_lock<std::mutex> el(l.entry->mu, std::try_to_lock);
-    if (!el.owns_lock() || l.entry->tuning_in_flight) continue;
-    OnlineTuningService* svc = l.entry->backend->service();
-    if (!l.entry->sensitivity_added) {
+  for (const auto& entry : live) {
+    std::unique_lock<std::mutex> el(entry->mu, std::try_to_lock);
+    if (!el.owns_lock() || entry->tuning_in_flight) continue;
+    OnlineTuningService* svc = entry->backend->service();
+    if (!entry->sensitivity_added) {
       if (const QcsaResult* qcsa = svc->tuner().qcsa_result()) {
-        l.entry->fingerprint.AddSensitivity(
-            *qcsa, l.entry->backend->app().num_queries());
-        l.entry->sensitivity_added = true;
+        entry->fingerprint.AddSensitivity(
+            *qcsa, entry->backend->app().num_queries());
+        entry->sensitivity_added = true;
       }
     }
     if (svc->Published()->tuning_passes > 0) {
       TransferRecord rec;
-      rec.fingerprint = l.entry->fingerprint;
+      rec.fingerprint = entry->fingerprint;
       rec.observations = svc->ExportObservations(options_.transfer_cap * 4);
       if (const QcsaResult* qcsa = svc->tuner().qcsa_result()) {
         rec.csq = qcsa->csq_indices;
       }
       if (!rec.observations.empty()) {
         std::lock_guard<std::mutex> tlock(transfer_mu_);
-        transfer_store_[l.entry->name] = std::move(rec);
+        transfer_store_[entry->name] = std::move(rec);
       }
     }
   }
 
+  // Evicts live[i] unless a request holds it or a tune is in flight;
+  // resets the slot so later passes skip it.
+  auto try_evict = [&](size_t i) {
+    // `entry` is declared before the lock on its mutex, so it outlives
+    // the unlock even once `live[i]` (maybe the last reference) is reset.
+    const std::shared_ptr<Entry> entry = live[i];
+    std::unique_lock<std::mutex> el(entry->mu, std::try_to_lock);
+    if (!el.owns_lock() || entry->tuning_in_flight) return false;
+    EvictLocked(*entry);
+    live[i] = nullptr;
+    return true;
+  };
+
   // 2. TTL eviction, in name order.
   if (options_.ttl_ticks > 0) {
-    for (auto& l : live) {
-      if (l.entry == nullptr) continue;
+    for (size_t i = 0; i < live.size(); ++i) {
+      if (live[i] == nullptr) continue;
       const uint64_t last =
-          l.entry->last_used_tick.load(std::memory_order_relaxed);
+          live[i]->last_used_tick.load(std::memory_order_relaxed);
       if (tick - last <= static_cast<uint64_t>(options_.ttl_ticks)) continue;
-      // `entry` is declared before the lock on its mutex, so it outlives
-      // the unlock even once `l.entry` (maybe the last reference) is reset.
-      const std::shared_ptr<Entry> entry = l.entry;
-      std::unique_lock<std::mutex> el(entry->mu, std::try_to_lock);
-      if (!el.owns_lock() || entry->tuning_in_flight) continue;
-      std::lock_guard<std::mutex> slock(l.shard->mu);
-      EvictLocked(*l.shard, entry);
+      if (!try_evict(i)) continue;
       evictions_ttl_.fetch_add(1, std::memory_order_relaxed);
       if (m_evict_ttl_ != nullptr) m_evict_ttl_->Increment();
-      l.entry = nullptr;  // gone; skip in the capacity pass
     }
   }
 
   // 3. Capacity trim: evict least-recently-used first (older tick, then
-  //    name as the deterministic tie-break).
+  //    name as the deterministic tie-break — `live` is in name order, so
+  //    the index breaks ties). Ticks are read once, before sorting.
   if (options_.capacity > 0) {
-    std::vector<Live*> remaining;
-    for (auto& l : live) {
-      if (l.entry != nullptr) remaining.push_back(&l);
+    std::vector<std::pair<uint64_t, size_t>> remaining;
+    for (size_t i = 0; i < live.size(); ++i) {
+      if (live[i] == nullptr) continue;
+      remaining.emplace_back(
+          live[i]->last_used_tick.load(std::memory_order_relaxed), i);
     }
     if (remaining.size() > options_.capacity) {
-      std::sort(remaining.begin(), remaining.end(),
-                [](const Live* a, const Live* b) {
-                  const uint64_t ta =
-                      a->entry->last_used_tick.load(std::memory_order_relaxed);
-                  const uint64_t tb =
-                      b->entry->last_used_tick.load(std::memory_order_relaxed);
-                  if (ta != tb) return ta < tb;
-                  return a->entry->name < b->entry->name;
-                });
+      std::sort(remaining.begin(), remaining.end());
       size_t excess = remaining.size() - options_.capacity;
-      for (Live* l : remaining) {
+      for (const auto& [last, i] : remaining) {
         if (excess == 0) break;
-        const std::shared_ptr<Entry> entry = l->entry;  // outlives `el`
-        std::unique_lock<std::mutex> el(entry->mu, std::try_to_lock);
-        if (!el.owns_lock() || entry->tuning_in_flight) continue;
-        std::lock_guard<std::mutex> slock(l->shard->mu);
-        EvictLocked(*l->shard, entry);
+        if (!try_evict(i)) continue;
         evictions_capacity_.fetch_add(1, std::memory_order_relaxed);
         if (m_evict_cap_ != nullptr) m_evict_cap_->Increment();
-        l->entry = nullptr;
         --excess;
       }
     }
@@ -624,13 +535,8 @@ ServiceRegistry::Stats ServiceRegistry::GetStats() const {
   s.evictions_ttl = evictions_ttl_.load(std::memory_order_relaxed);
   s.evictions_capacity = evictions_capacity_.load(std::memory_order_relaxed);
   s.warm_start_hits = warm_start_hits_.load(std::memory_order_relaxed);
-  s.shard_occupancy.reserve(kNumShards);
-  for (const auto& shard : shards_) {
-    const std::shared_ptr<const EntryMap> map =
-        shard.map.load(std::memory_order_acquire);
-    s.shard_occupancy.push_back(map->size());
-    s.live_apps += map->size();
-  }
+  std::lock_guard<std::mutex> lock(map_mu_);
+  s.live_apps = entries_.size();
   return s;
 }
 
@@ -638,46 +544,35 @@ double ServiceRegistry::LookupLatencyQuantile(double q) const {
   return lookup_latency_.Quantile(q);
 }
 
-ServiceRegistry::AppRow ServiceRegistry::BuildRow(const Entry& entry) {
+ServiceRegistry::AppRow ServiceRegistry::BuildRow(Entry& entry) {
   AppRow row;
   row.snapshot = entry.backend->service()->Snapshot();
-  row.hits = entry.hits.load(std::memory_order_relaxed);
-  row.coalesced = entry.coalesced.load(std::memory_order_relaxed);
   row.warm_started = entry.warm_started;
   row.last_used_tick = entry.last_used_tick.load(std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(entry.mu);
+  row.hits = entry.hits;
+  row.coalesced = entry.coalesced;
   // The service only records tuned recommendations as "last"; prefer the
-  // registry's record, which also covers fast-path hits.
-  const std::shared_ptr<const std::pair<double, sparksim::SparkConf>> last =
-      entry.last_served.load(std::memory_order_acquire);
-  if (last != nullptr) {
-    row.snapshot.last_datasize_gb = last->first;
-    row.snapshot.last_conf = sparksim::SparkPropertiesToString(last->second);
+  // registry's record, which also covers reuse hits.
+  if (entry.last_served.has_value()) {
+    row.snapshot.last_datasize_gb = entry.last_served->first;
+    row.snapshot.last_conf =
+        sparksim::SparkPropertiesToString(entry.last_served->second);
   }
   return row;
 }
 
 std::vector<ServiceRegistry::AppRow> ServiceRegistry::AppRows() const {
   std::vector<AppRow> rows;
-  for (const auto& shard : shards_) {
-    const std::shared_ptr<const EntryMap> map =
-        shard.map.load(std::memory_order_acquire);
-    for (const auto& [name, entry] : *map) {
-      rows.push_back(BuildRow(*entry));
-    }
-  }
-  std::sort(rows.begin(), rows.end(), [](const AppRow& a, const AppRow& b) {
-    return a.snapshot.app < b.snapshot.app;
-  });
+  for (const auto& entry : Entries()) rows.push_back(BuildRow(*entry));
   return rows;
 }
 
 std::optional<ServiceRegistry::AppRow> ServiceRegistry::GetAppRow(
     const std::string& app) const {
-  const std::shared_ptr<const EntryMap> map =
-      shards_[ShardIndex(app)].map.load(std::memory_order_acquire);
-  const auto it = map->find(app);
-  if (it == map->end()) return std::nullopt;
-  return BuildRow(*it->second);
+  const std::shared_ptr<Entry> entry = Find(app);
+  if (entry == nullptr) return std::nullopt;
+  return BuildRow(*entry);
 }
 
 std::string ServiceRegistry::RenderStatusTable() const {
@@ -704,12 +599,6 @@ std::string ServiceRegistry::RenderStatusTable() const {
       static_cast<unsigned long long>(s.evictions_ttl),
       static_cast<unsigned long long>(s.evictions_capacity));
   out += line;
-  out += "shards:  ";
-  for (size_t occ : s.shard_occupancy) {
-    std::snprintf(line, sizeof(line), " %zu", occ);
-    out += line;
-  }
-  out += "\n";
   return out;
 }
 

@@ -9,6 +9,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -56,21 +57,24 @@ class AppBackend {
   virtual const sparksim::SparkSqlApp& app() const = 0;
 };
 
-/// Multi-tenant front door for OnlineTuningService: a 16-way sharded
-/// (hash-on-app-name) registry serving hundreds of applications whose
-/// input sizes drift over time (ROADMAP item 1, Section 3.1 of the
-/// paper).
+/// Multi-tenant front door for OnlineTuningService: a registry serving
+/// hundreds of applications whose input sizes drift over time (Section
+/// 3.1 of the paper).
 ///
-/// Request path. `Lookup(app, ds)` is read-mostly and lock-free on the
-/// hot path: the shard's entry map is an immutable snapshot swapped via
-/// std::atomic<std::shared_ptr> (copy-on-write on admission/eviction,
-/// same pattern as the obs flight recorder), and each service publishes
-/// its serving plan the same way — a warm hit costs two atomic loads and
-/// a map lookup, no mutex. Cold misses and drift re-tunes take the
-/// entry's mutex and run the tuning pass on a background worker pool with
-/// per-app single-flight dedup: concurrent requests for the same drifting
-/// app coalesce behind exactly one tuning pass and are served from its
-/// published result.
+/// Request path. `Lookup(app, ds)` finds the app's entry in one
+/// name-ordered map under a short map mutex, then takes the entry's mutex
+/// and serves the service's published plan when it already covers the
+/// size (a hit). Otherwise the request runs the tuning pass on a
+/// background worker pool with per-app single-flight dedup: concurrent
+/// requests for the same drifting app coalesce behind exactly one tuning
+/// pass and are served from its published result. The entry mutex is not
+/// held while the pass runs, so hits on other sizes of the same app are
+/// served meanwhile.
+///
+/// Lock order. An entry's mutex is always taken before the map mutex,
+/// and the transfer-store mutex is innermost. Readers that visit every
+/// entry copy the entry list under the map mutex, release it, and only
+/// then lock each entry.
 ///
 /// Lifecycle. Cross-app-visible state — LRU/TTL eviction and the
 /// transfer store warm starts read from — mutates ONLY inside
@@ -169,7 +173,6 @@ class ServiceRegistry {
     uint64_t evictions_ttl = 0;
     uint64_t evictions_capacity = 0;
     uint64_t warm_start_hits = 0;
-    std::vector<size_t> shard_occupancy;  // kNumShards entries
   };
   Stats GetStats() const;
 
@@ -182,7 +185,7 @@ class ServiceRegistry {
   /// plus the registry's own per-app bookkeeping.
   struct AppRow {
     OnlineTuningService::StatusSnapshot snapshot;
-    uint64_t hits = 0;       // lock-free reuse serves (fast path)
+    uint64_t hits = 0;       // served from the published plan, no tune
     uint64_t coalesced = 0;  // waiters served by another request's tune
     bool warm_started = false;
     uint64_t last_used_tick = 0;
@@ -190,8 +193,8 @@ class ServiceRegistry {
   std::vector<AppRow> AppRows() const;
   std::optional<AppRow> GetAppRow(const std::string& app) const;
 
-  /// Monospace registry table for /statusz: shard occupancy, eviction and
-  /// coalesce counters, warm-start hits.
+  /// Monospace registry table for /statusz: live apps, lookup, retune and
+  /// eviction counters, warm-start hits.
   std::string RenderStatusTable() const;
 
   /// Wires tracing/metrics into the registry and every current and
@@ -203,37 +206,29 @@ class ServiceRegistry {
   ///   locat_registry_lookup_seconds (histogram)
   void SetObservability(const obs::ObsContext& obs);
 
-  static constexpr int kNumShards = 16;
-
  private:
   struct Entry {
     std::string name;
     std::unique_ptr<AppBackend> backend;
-    AppFingerprint fingerprint;
-    /// Serializes the service's mutators; the in_flight flag extends the
-    /// critical section over the (pool-executed) tuning pass without
-    /// holding the mutex while it runs.
+    bool warm_started = false;  // set at admission, before the map insert
+    /// Serializes the service's mutators and guards the fields below it
+    /// (all but `last_used_tick`). The in_flight flag extends the critical
+    /// section over the (pool-executed) tuning pass without holding the
+    /// mutex while it runs.
     std::mutex mu;
     std::condition_variable done;
+    AppFingerprint fingerprint;
     bool tuning_in_flight = false;
     bool sensitivity_added = false;
-    bool warm_started = false;
-    std::atomic<uint64_t> last_used_tick{0};
-    std::atomic<uint64_t> hits{0};
-    std::atomic<uint64_t> coalesced{0};
+    uint64_t hits = 0;
+    uint64_t coalesced = 0;
     /// Size and conf of the last successful Lookup (the service only
-    /// records tuned recommendations; fast-path hits land here so the
-    /// statusz "last conf" column covers every served request).
-    std::atomic<std::shared_ptr<const std::pair<double, sparksim::SparkConf>>>
-        last_served;
-  };
-  using EntryMap = std::map<std::string, std::shared_ptr<Entry>>;
-
-  struct Shard {
-    /// Immutable snapshot, COW-swapped under `mu` on admission/eviction;
-    /// the read path loads it without the mutex.
-    std::atomic<std::shared_ptr<const EntryMap>> map;
-    std::mutex mu;  // serializes admissions/evictions on this shard
+    /// records tuned recommendations; reuse hits land here so the statusz
+    /// "last conf" column covers every served request).
+    std::optional<std::pair<double, sparksim::SparkConf>> last_served;
+    /// Stamped by requests before they lock `mu` and read by the capacity
+    /// sort in AdvanceTick without it.
+    std::atomic<uint64_t> last_used_tick{0};
   };
 
   /// What an evicted (or tuned) app leaves behind for future warm starts.
@@ -247,7 +242,11 @@ class ServiceRegistry {
     std::vector<int> csq;
   };
 
-  static size_t ShardIndex(const std::string& app);
+  /// The live entry for `app`, or null when it is not admitted.
+  std::shared_ptr<Entry> Find(const std::string& app) const;
+
+  /// Every live entry, in name order, copied under the map mutex.
+  std::vector<std::shared_ptr<Entry>> Entries() const;
 
   /// Finds the entry for `app`, admitting it (with warm-start seeding)
   /// when absent. Never returns null on OK status.
@@ -261,23 +260,26 @@ class ServiceRegistry {
       const std::string& app, const AppFingerprint& fp,
       std::vector<int>* csq_hint) const;
 
-  /// Removes `entry` from its shard map and persists its history into
-  /// the transfer store. Caller holds the shard mutex and `entry->mu`.
-  void EvictLocked(Shard& shard, const std::shared_ptr<Entry>& entry);
+  /// Removes `entry` from the map and persists its history into the
+  /// transfer store. Caller holds `entry->mu`.
+  void EvictLocked(const Entry& entry);
 
   /// Assembles one AppRow from the entry's service snapshot plus the
-  /// registry-side bookkeeping (lock-free reads only).
-  static AppRow BuildRow(const Entry& entry);
+  /// registry-side bookkeeping (taken under `entry.mu`).
+  static AppRow BuildRow(Entry& entry);
 
   BackendFactory factory_;
   Options options_;
-  Shard shards_[kNumShards];
+  /// Live entries by name. Guards only the map itself; see the class
+  /// comment for the lock order.
+  mutable std::mutex map_mu_;
+  std::map<std::string, std::shared_ptr<Entry>> entries_;
   common::ThreadPool tune_pool_;
   std::atomic<uint64_t> tick_{0};
 
   /// Donor knowledge: live tuned apps (refreshed each tick) and evicted
   /// apps (persisted until re-admission). Guarded by transfer_mu_; read
-  /// only on admissions and ticks, never on the hot path.
+  /// only on admissions and ticks, never on a hit.
   mutable std::mutex transfer_mu_;
   std::map<std::string, TransferRecord> transfer_store_;
   std::map<std::string, TransferRecord> evicted_store_;

@@ -20,6 +20,7 @@
 // Clusters: "arm" (4-node KUNPENG) or "x86" (8-node Xeon).
 // Apps: TPC-DS, TPC-H, Join, Scan, Aggregation.
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -669,7 +670,7 @@ int CmdServe(const std::string& cluster, std::vector<std::string> app_names,
                      "p50 (ms)", "p99 (ms)", "last conf"});
     for (const core::ServiceRegistry::AppRow& row : registry.AppRows()) {
       const auto& snap = row.snapshot;
-      // Registry fast-path hits never enter the service, but each one is
+      // Registry reuse hits never enter the service, but each one is
       // a served (reused) recommendation; merging reproduces the counts
       // the registry-less loop reported.
       const int extra = static_cast<int>(row.hits + row.coalesced);
@@ -1179,8 +1180,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--registry-cap") {
       const char* v = value();
       if (v == nullptr) return Usage();
-      flags.registry_cap =
-          static_cast<size_t>(std::strtoull(v, nullptr, 10));
+      // A plain non-negative integer only: strtoull would wrap "-1" to
+      // 2^64-1 and read "abc" as 0 (unlimited).
+      const char* end = v + std::strlen(v);
+      const auto [ptr, ec] = std::from_chars(v, end, flags.registry_cap);
+      if (ec != std::errc() || ptr != end) return Usage();
     } else if (arg == "--registry-ttl") {
       const char* v = value();
       if (v == nullptr) return Usage();

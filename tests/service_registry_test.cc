@@ -86,7 +86,7 @@ TEST(ServiceRegistryTest, ColdLookupAdmitsAndTunes) {
   EXPECT_EQ(stats.retunes_cold, 1u);
   EXPECT_EQ(stats.retunes_drift, 0u);
 
-  // Within the reuse gap: a lock-free hit, no new tuning pass.
+  // Within the reuse gap: a hit on the published plan, no new tuning pass.
   const auto again = registry.Lookup("TPC-H", 110.0);
   ASSERT_TRUE(again.ok());
   EXPECT_TRUE(*again == *conf);
@@ -397,6 +397,64 @@ TEST(ServiceRegistryTest, ConcurrentReadersDuringTunes) {
   stop.store(true, std::memory_order_release);
   reader.join();
   EXPECT_EQ(registry.GetStats().live_apps, 2u);
+}
+
+TEST(ServiceRegistryTest, StatusReadersDuringEvictions) {
+  // Status readers, request drivers and evicting ticks all at once: a
+  // tick locks an entry and then the map, readers copy the entry list
+  // and then lock each entry, so a lock-order inversion would hang here
+  // (and the tsan leg would flag any unguarded field).
+  ServiceRegistry::Options ropts;
+  ropts.capacity = 2;
+  ropts.ttl_ticks = 1;
+  ropts.tune_threads = 2;
+  ServiceRegistry registry(Factory(TinyOptions()), ropts);
+
+  std::atomic<int> drivers_left{2};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < 2; ++i) {
+    threads.emplace_back([&, i] {
+      const std::vector<std::string> apps =
+          i == 0 ? std::vector<std::string>{"TPC-H", "Scan"}
+                 : std::vector<std::string>{"Join", "Aggregation"};
+      for (double ds : {100.0, 400.0, 110.0}) {
+        for (const std::string& app : apps) {
+          const auto conf = registry.Lookup(app, ds);
+          ASSERT_TRUE(conf.ok()) << conf.status().ToString();
+          // A tick may evict the app between the two calls.
+          const Status st = registry.ReportRun(app, ds, *conf, 50.0 + ds);
+          EXPECT_TRUE(st.ok() || st.code() == StatusCode::kNotFound)
+              << st.ToString();
+        }
+      }
+      drivers_left.fetch_sub(1, std::memory_order_release);
+    });
+  }
+  threads.emplace_back([&] {
+    while (drivers_left.load(std::memory_order_acquire) > 0) {
+      registry.AdvanceTick();
+      std::this_thread::yield();
+    }
+  });
+  threads.emplace_back([&] {
+    while (drivers_left.load(std::memory_order_acquire) > 0) {
+      for (const auto& row : registry.AppRows()) {
+        ASSERT_FALSE(row.snapshot.app.empty());
+      }
+      (void)registry.GetAppRow("Scan");
+      (void)registry.GetStats();
+      (void)registry.RenderStatusTable();
+      std::this_thread::yield();
+    }
+  });
+  for (auto& t : threads) t.join();
+
+  // Quiescent now: one more tick trims to capacity.
+  registry.AdvanceTick();
+  const auto stats = registry.GetStats();
+  EXPECT_LE(stats.live_apps, 2u);
+  // All four apps were admitted at least once and at most two are left.
+  EXPECT_GE(stats.evictions_ttl + stats.evictions_capacity, 2u);
 }
 
 TEST(ServiceRegistryTest, TrackLatencyReportsLookupQuantiles) {
