@@ -169,12 +169,6 @@ Status Dagp::Refit(Rng* rng) {
   return status;
 }
 
-double Dagp::ExpectedImprovement(const math::Vector& encoded_conf,
-                                 double datasize_gb) const {
-  assert(model_.fitted());
-  return model_.AcquisitionValue(Assemble(encoded_conf, datasize_gb));
-}
-
 math::Vector Dagp::ExpectedImprovementBatch(
     const std::vector<math::Vector>& encoded_confs,
     double datasize_gb) const {
@@ -186,25 +180,6 @@ math::Vector Dagp::ExpectedImprovementBatch(
     xs.SetRow(i, Assemble(encoded_confs[i], datasize_gb));
   }
   return model_.AcquisitionValueBatch(xs);
-}
-
-double Dagp::RelativeExpectedImprovement(const math::Vector& encoded_conf,
-                                         double datasize_gb) const {
-  const double ei_log = ExpectedImprovement(encoded_conf, datasize_gb);
-  // In log space an improvement of delta corresponds to a runtime factor
-  // exp(-delta); express EI as the expected fractional runtime reduction.
-  return 1.0 - std::exp(-std::max(0.0, ei_log));
-}
-
-Dagp::Prediction Dagp::Predict(const math::Vector& encoded_conf,
-                               double datasize_gb) const {
-  assert(model_.fitted());
-  const auto p = model_.PredictAveraged(Assemble(encoded_conf, datasize_gb));
-  Prediction out;
-  // Mean of a lognormal: exp(mu + sigma^2 / 2).
-  out.seconds = std::exp(p.mean + 0.5 * p.variance);
-  out.log_variance = p.variance;
-  return out;
 }
 
 std::vector<Dagp::Prediction> Dagp::PredictBatch(

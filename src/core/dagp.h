@@ -76,37 +76,25 @@ class Dagp {
   /// ml::EiMcmc::Fit).
   Status Refit(Rng* rng);
 
-  /// Expected improvement of a candidate at a data size (log-space EI,
-  /// averaged over the hyperparameter posterior). Requires a prior Refit.
-  double ExpectedImprovement(const math::Vector& encoded_conf,
-                             double datasize_gb) const;
-
-  /// Expected improvement of many candidates at one data size in a single
-  /// batched pass: one cross-kernel and one blocked triangular solve per
-  /// ensemble member instead of one per candidate. Entry i corresponds to
-  /// `encoded_confs[i]`; results are bit-identical for any thread count.
+  /// Expected improvement (log-space EI, averaged over the
+  /// hyperparameter posterior) of many candidates at one data size in a
+  /// single batched pass: one cross-kernel and one blocked triangular
+  /// solve per ensemble member. Entry i corresponds to `encoded_confs[i]`;
+  /// results are bit-identical for any thread count. Requires a prior
+  /// Refit.
   math::Vector ExpectedImprovementBatch(
       const std::vector<math::Vector>& encoded_confs,
       double datasize_gb) const;
 
-  /// Relative EI for the stop rule: EI / |log best| is awkward, so we use
-  /// the paper-faithful quantity "expected fractional runtime improvement"
-  /// = 1 - exp(-EI_log), which is ~EI_log for small values. Stop when this
-  /// drops below 0.10.
-  double RelativeExpectedImprovement(const math::Vector& encoded_conf,
-                                     double datasize_gb) const;
-
   /// Predicted seconds (posterior-mean in log space, de-transformed) and
-  /// a crude variance on the seconds scale.
+  /// the log-space variance.
   struct Prediction {
     double seconds = 0.0;
     double log_variance = 0.0;
   };
-  Prediction Predict(const math::Vector& encoded_conf,
-                     double datasize_gb) const;
 
-  /// Batched Predict for (conf, ds) pairs; `datasizes_gb` must be the
-  /// same length as `encoded_confs`.
+  /// Predictions for (conf, ds) pairs; `datasizes_gb` must be the same
+  /// length as `encoded_confs`.
   std::vector<Prediction> PredictBatch(
       const std::vector<math::Vector>& encoded_confs,
       const std::vector<double>& datasizes_gb) const;

@@ -94,108 +94,83 @@ double LocatTuner::RqaObjective(const std::vector<double>& per_query,
   return sum_rqa + (full_seconds - sum_all);
 }
 
-double LocatTuner::EvaluateAndRecord(TuningSession* session,
-                                     const sparksim::SparkConf& conf,
-                                     double datasize_gb, bool full_app) {
-  const double meter_before = session->optimization_seconds();
-  StatusOr<EvalRecord> rec_or =
-      full_app ? session->Evaluate(conf, datasize_gb)
-               : session->EvaluateSubset(conf, datasize_gb, rqa_);
-  double eval_seconds = session->optimization_seconds() - meter_before;
-  return FinishEvaluation(session, conf, datasize_gb, full_app,
-                          std::move(rec_or), &eval_seconds);
-}
-
-double LocatTuner::FinishEvaluation(TuningSession* session,
-                                    const sparksim::SparkConf& conf,
-                                    double datasize_gb, bool full_app,
-                                    StatusOr<EvalRecord> rec_or,
-                                    double* eval_seconds) {
-  // Retry budget: a failed run may be bad luck (straggler/kill draw), so
-  // re-run within the budget, charging exponential backoff to the meter —
-  // wasted wall clock is part of the optimization cost.
-  int attempt = 0;
-  while (rec_or.ok() && rec_or->failed &&
-         attempt < options_.retry.max_retries) {
-    const double backoff = options_.retry.BackoffSeconds(attempt);
-    session->ChargePenaltySeconds(backoff);
-    *eval_seconds += backoff;
-    ++attempt;
-    const double before = session->optimization_seconds();
-    rec_or = full_app ? session->Evaluate(conf, datasize_gb)
-                      : session->EvaluateSubset(conf, datasize_gb, rqa_);
-    *eval_seconds += session->optimization_seconds() - before;
-  }
-
-  Observation obs;
-  obs.unit = session->space().ToUnit(conf);
-  obs.datasize_gb = datasize_gb;
-  double objective = 0.0;
-  if (!rec_or.ok()) {
-    // Hard evaluation error (bad inputs): impute with no partial time.
-    obs.failed = true;
-    objective = CensoredObjective(worst_objective_, 0.0,
-                                  options_.censor_margin);
-  } else if (rec_or->failed) {
-    // Censored: the run died after the retry budget. Its true cost is
-    // unknown but at least the partial time and at least as bad as the
-    // worst completed run; the margin steers DAGP/EI away.
-    obs.failed = true;
-    objective = CensoredObjective(worst_objective_, rec_or->app_seconds,
-                                  options_.censor_margin);
-  } else if (full_app) {
-    obs.per_query = rec_or->per_query_seconds;
-    objective = RqaObjective(rec_or->per_query_seconds, rec_or->app_seconds);
-  } else {
-    objective = rec_or->app_seconds;
-  }
-  obs.objective_seconds = objective;
-  const bool failed = obs.failed;
-  dagp_.AddObservation(EncodeUnit(obs.unit), datasize_gb, objective);
-  observations_.push_back(std::move(obs));
-
-  if (!failed) {
-    worst_objective_ = std::max(worst_objective_, objective);
-    if (best_objective_ <= 0.0 || objective < best_objective_) {
-      best_objective_ = objective;
-      best_conf_ = conf;
-    }
-  } else {
-    ++failed_evals_;
-  }
-  trajectory_.push_back(best_objective_);
-  EmitIteration(datasize_gb, *eval_seconds, objective, full_app);
-  return objective;
-}
-
-void LocatTuner::EvaluateAndRecordBatch(
+void LocatTuner::EvaluateAndRecord(
     TuningSession* session, const std::vector<sparksim::SparkConf>& confs,
     double datasize_gb, bool full_app) {
-  if (confs.empty()) return;
-  double meter = session->optimization_seconds();
-  StatusOr<std::vector<EvalRecord>> recs_or =
-      full_app ? session->EvaluateBatch(confs, datasize_gb)
-               : session->EvaluateSubsetBatch(confs, datasize_gb, rqa_);
-  if (!recs_or.ok()) {
-    // Defensive: inputs are validated upstream; degrade to the scalar
-    // path rather than silently dropping the runs.
-    for (const auto& conf : confs) {
-      EvaluateAndRecord(session, conf, datasize_gb, full_app);
-    }
-    return;
+  auto run = [&](const sparksim::SparkConf& conf) {
+    return full_app ? session->Evaluate(conf, datasize_gb)
+                    : session->EvaluateSubset(conf, datasize_gb, rqa_);
+  };
+  // Every first attempt runs before any retry, so the simulator's noise
+  // and fault streams see the runs in the order the configurations are
+  // listed. Each charge is the meter's value after the run minus before.
+  std::vector<StatusOr<EvalRecord>> recs;
+  std::vector<double> eval_seconds;
+  recs.reserve(confs.size());
+  eval_seconds.reserve(confs.size());
+  for (const auto& conf : confs) {
+    const double before = session->optimization_seconds();
+    recs.push_back(run(conf));
+    eval_seconds.push_back(session->optimization_seconds() - before);
   }
-  const std::vector<EvalRecord>& recs = *recs_or;
-  for (size_t k = 0; k < recs.size(); ++k) {
-    // Reproduce the sequential loop's meter-delta arithmetic exactly: the
-    // session charged the runs one by one in this order, so replaying the
-    // additions yields the same intermediate sums bit-for-bit. Retries of
-    // failed records (fault injection only) charge on top inside
-    // FinishEvaluation.
-    const double meter_after = meter + recs[k].app_seconds;
-    double eval_seconds = meter_after - meter;
-    meter = meter_after;
-    FinishEvaluation(session, confs[k], datasize_gb, full_app,
-                     StatusOr<EvalRecord>(recs[k]), &eval_seconds);
+
+  for (size_t k = 0; k < confs.size(); ++k) {
+    const sparksim::SparkConf& conf = confs[k];
+    StatusOr<EvalRecord>& rec_or = recs[k];
+    // Retry budget: a failed run may be bad luck (straggler/kill draw), so
+    // re-run within the budget, charging exponential backoff to the meter
+    // — wasted wall clock is part of the optimization cost.
+    int attempt = 0;
+    while (rec_or.ok() && rec_or->failed &&
+           attempt < options_.retry.max_retries) {
+      const double backoff = options_.retry.BackoffSeconds(attempt);
+      session->ChargePenaltySeconds(backoff);
+      eval_seconds[k] += backoff;
+      ++attempt;
+      const double before = session->optimization_seconds();
+      rec_or = run(conf);
+      eval_seconds[k] += session->optimization_seconds() - before;
+    }
+
+    Observation obs;
+    obs.unit = session->space().ToUnit(conf);
+    obs.datasize_gb = datasize_gb;
+    double objective = 0.0;
+    if (!rec_or.ok()) {
+      // Hard evaluation error (bad inputs): impute with no partial time.
+      obs.failed = true;
+      objective = CensoredObjective(worst_objective_, 0.0,
+                                    options_.censor_margin);
+    } else if (rec_or->failed) {
+      // Censored: the run died after the retry budget. Its true cost is
+      // unknown but at least the partial time and at least as bad as the
+      // worst completed run; the margin steers DAGP/EI away.
+      obs.failed = true;
+      objective = CensoredObjective(worst_objective_, rec_or->app_seconds,
+                                    options_.censor_margin);
+    } else if (full_app) {
+      obs.per_query = rec_or->per_query_seconds;
+      objective =
+          RqaObjective(rec_or->per_query_seconds, rec_or->app_seconds);
+    } else {
+      objective = rec_or->app_seconds;
+    }
+    obs.objective_seconds = objective;
+    const bool failed = obs.failed;
+    dagp_.AddObservation(EncodeUnit(obs.unit), datasize_gb, objective);
+    observations_.push_back(std::move(obs));
+
+    if (!failed) {
+      worst_objective_ = std::max(worst_objective_, objective);
+      if (best_objective_ <= 0.0 || objective < best_objective_) {
+        best_objective_ = objective;
+        best_conf_ = conf;
+      }
+    } else {
+      ++failed_evals_;
+    }
+    trajectory_.push_back(best_objective_);
+    EmitIteration(datasize_gb, eval_seconds[k], objective, full_app);
   }
 }
 
@@ -712,9 +687,7 @@ TuningResult LocatTuner::Tune(TuningSession* session, double datasize_gb) {
         lhs_confs.push_back(
             space.Repair(space.FromUnit(lhs.Row(static_cast<size_t>(i)))));
       }
-      // All start points are known upfront: evaluate them as one batch.
-      EvaluateAndRecordBatch(session, lhs_confs, datasize_gb,
-                             /*full_app=*/true);
+      EvaluateAndRecord(session, lhs_confs, datasize_gb, /*full_app=*/true);
     }
     {
       obs::ScopedSpan span(tracer(), "tune/qcsa-sampling", "tuner");
@@ -723,9 +696,8 @@ TuningResult LocatTuner::Tune(TuningSession* session, double datasize_gb) {
       // Section 3.2), so two of three phase-A runs draw uniformly and
       // only the third follows the acquisition function. The random
       // draws between two acquisition steps don't depend on each other's
-      // results, so they accumulate in `pending` and run as one batch;
-      // the rng_ stream, the noise stream and the observation order are
-      // exactly those of the sequential loop.
+      // results, so they accumulate in `pending` and run together: all
+      // their first attempts before any of their retries.
       std::vector<sparksim::SparkConf> pending;
       while (static_cast<int>(observations_.size() + pending.size()) <
              options_.n_qcsa) {
@@ -736,10 +708,9 @@ TuningResult LocatTuner::Tune(TuningSession* session, double datasize_gb) {
         sparksim::SparkConf conf = space.RandomValid(&rng_);
         if (i % 3 == 2) {
           // Flush the queued random runs first so the refit (and the
-          // proposal) see exactly the observations the sequential loop
-          // would have recorded by now.
-          EvaluateAndRecordBatch(session, pending, datasize_gb,
-                                 /*full_app=*/true);
+          // proposal) see every observation drawn so far.
+          EvaluateAndRecord(session, pending, datasize_gb,
+                            /*full_app=*/true);
           pending.clear();
           pending_relative_ei_ = 0.0;
           pending_candidate_pool_ = 0;
@@ -748,7 +719,7 @@ TuningResult LocatTuner::Tune(TuningSession* session, double datasize_gb) {
             const Proposal prop = ProposeNext(session, datasize_gb);
             conf = space.Repair(space.FromUnit(prop.unit));
           }
-          EvaluateAndRecord(session, conf, datasize_gb, /*full_app=*/true);
+          EvaluateAndRecord(session, {conf}, datasize_gb, /*full_app=*/true);
         } else {
           pending.push_back(std::move(conf));
         }
@@ -756,8 +727,7 @@ TuningResult LocatTuner::Tune(TuningSession* session, double datasize_gb) {
       pending_relative_ei_ = 0.0;
       pending_candidate_pool_ = 0;
       pending_acq_seconds_ = 0.0;
-      EvaluateAndRecordBatch(session, pending, datasize_gb,
-                             /*full_app=*/true);
+      EvaluateAndRecord(session, pending, datasize_gb, /*full_app=*/true);
     }
 
     // Phase A': QCSA + IICP on the collected samples.
@@ -771,11 +741,10 @@ TuningResult LocatTuner::Tune(TuningSession* session, double datasize_gb) {
     obs::ScopedSpan span(tracer(), "tune/reduced", "tuner");
     phase_label_ = "reduced";
     // Transfer probes: real RQA runs of the donors' claimed-best
-    // configurations (one batched evaluation). A good transfer takes over
-    // the incumbent here and the candidate families below refine it; a
-    // bad one costs an evaluation and the observation steers the
-    // surrogate away. Never runs without priors, keeping the prior-free
-    // path byte-identical.
+    // configurations. A good transfer takes over the incumbent here and
+    // the candidate families below refine it; a bad one costs an
+    // evaluation and the observation steers the surrogate away. Never
+    // runs without priors, keeping the prior-free path byte-identical.
     if (!prior_probe_units_.empty()) {
       pending_relative_ei_ = 0.0;
       pending_candidate_pool_ = 0;
@@ -785,8 +754,8 @@ TuningResult LocatTuner::Tune(TuningSession* session, double datasize_gb) {
       for (const auto& u : prior_probe_units_) {
         probe_confs.push_back(space.Repair(space.FromUnit(u)));
       }
-      EvaluateAndRecordBatch(session, probe_confs, datasize_gb,
-                             /*full_app=*/false);
+      EvaluateAndRecord(session, probe_confs, datasize_gb,
+                        /*full_app=*/false);
     }
     int iterations = 0;
     while (iterations < options_.max_iterations) {
@@ -799,7 +768,7 @@ TuningResult LocatTuner::Tune(TuningSession* session, double datasize_gb) {
       }
       const sparksim::SparkConf conf =
           space.Repair(space.FromUnit(prop.unit));
-      EvaluateAndRecord(session, conf, datasize_gb, /*full_app=*/false);
+      EvaluateAndRecord(session, {conf}, datasize_gb, /*full_app=*/false);
       ++iterations;
     }
   } else {
@@ -813,7 +782,7 @@ TuningResult LocatTuner::Tune(TuningSession* session, double datasize_gb) {
       if (iterations >= 3 && prop.relative_ei < options_.ei_stop) break;
       const sparksim::SparkConf conf =
           space.Repair(space.FromUnit(prop.unit));
-      EvaluateAndRecord(session, conf, datasize_gb, /*full_app=*/false);
+      EvaluateAndRecord(session, {conf}, datasize_gb, /*full_app=*/false);
       ++iterations;
     }
     // The incumbent may come from another data size; re-rank the history
@@ -871,42 +840,30 @@ TuningResult LocatTuner::Tune(TuningSession* session, double datasize_gb) {
     }
   }
   std::sort(ranked.begin(), ranked.end());
-  // Re-measure the top candidates as one batch; the champion/telemetry
-  // loop below replays the sequential bookkeeping (including the meter
-  // deltas) in ranked order.
+  // Re-measure the top candidates in ranked order.
   const size_t n_rerun = std::min<size_t>(ranked.size(), 3);
-  std::vector<sparksim::SparkConf> rerun_confs;
-  rerun_confs.reserve(n_rerun);
-  for (size_t r = 0; r < n_rerun; ++r) {
-    rerun_confs.push_back(space.Repair(
-        space.FromUnit(observations_[ranked[r].second].unit)));
-  }
-  double rerun_meter = session->optimization_seconds();
-  StatusOr<std::vector<EvalRecord>> rerun_or =
-      session->EvaluateSubsetBatch(rerun_confs, datasize_gb, rqa_);
   double champion = 0.0;
-  if (rerun_or.ok()) {
-    const std::vector<EvalRecord>& rerun_recs = *rerun_or;
-    for (size_t r = 0; r < n_rerun; ++r) {
-      const auto& obs = observations_[ranked[r].second];
-      const EvalRecord& rec = rerun_recs[r];
-      const double rerun_meter_after = rerun_meter + rec.app_seconds;
-      if (rec.failed) {
-        // A kill during the confirmation re-run disqualifies the
-        // candidate — the previously ranked observations stand.
-        ++failed_evals_;
-      } else {
-        const double avg = 0.5 * (rec.app_seconds + obs.objective_seconds);
-        if (champion <= 0.0 || avg < champion) {
-          champion = avg;
-          best_conf_ = rerun_confs[r];
-          best_objective_ = avg;
-        }
+  for (size_t r = 0; r < n_rerun; ++r) {
+    const auto& obs = observations_[ranked[r].second];
+    const sparksim::SparkConf conf = space.Repair(space.FromUnit(obs.unit));
+    const double before = session->optimization_seconds();
+    const StatusOr<EvalRecord> rec_or =
+        session->EvaluateSubset(conf, datasize_gb, rqa_);
+    if (!rec_or.ok()) continue;
+    if (rec_or->failed) {
+      // A kill during the confirmation re-run disqualifies the
+      // candidate — the previously ranked observations stand.
+      ++failed_evals_;
+    } else {
+      const double avg = 0.5 * (rec_or->app_seconds + obs.objective_seconds);
+      if (champion <= 0.0 || avg < champion) {
+        champion = avg;
+        best_conf_ = conf;
+        best_objective_ = avg;
       }
-      EmitIteration(datasize_gb, rerun_meter_after - rerun_meter,
-                    rec.app_seconds, /*full_app=*/false);
-      rerun_meter = rerun_meter_after;
     }
+    EmitIteration(datasize_gb, session->optimization_seconds() - before,
+                  rec_or->app_seconds, /*full_app=*/false);
   }
 
   TuningResult result;

@@ -172,32 +172,15 @@ class LocatTuner : public Tuner {
   /// before).
   math::Vector EncodeUnit(const math::Vector& unit) const;
 
-  /// Runs one evaluation (full app or RQA depending on phase), records it
-  /// in the observation log and the DAGP, and updates the incumbent.
-  double EvaluateAndRecord(TuningSession* session,
-                           const sparksim::SparkConf& conf,
-                           double datasize_gb, bool full_app);
-
-  /// Shared failure-aware tail of the scalar and batched paths: retries a
-  /// failed first attempt within the retry budget (backoff charged to the
-  /// meter), imputes the censored cost when it keeps failing, then does
-  /// the usual bookkeeping (observation log, DAGP, incumbent — never
-  /// updated from a failed run — trajectory, telemetry). `eval_seconds`
-  /// carries the first attempt's charged seconds in and accumulates
-  /// retry/backoff seconds for the emitted event.
-  double FinishEvaluation(TuningSession* session,
-                          const sparksim::SparkConf& conf,
-                          double datasize_gb, bool full_app,
-                          StatusOr<EvalRecord> rec_or,
-                          double* eval_seconds);
-
-  /// Batched EvaluateAndRecord: one RunAppBatch call for all
-  /// configurations, then the identical per-run bookkeeping in order —
-  /// observations, DAGP, incumbent, trajectory and telemetry all match
-  /// the sequential loop bit-for-bit.
-  void EvaluateAndRecordBatch(TuningSession* session,
-                              const std::vector<sparksim::SparkConf>& confs,
-                              double datasize_gb, bool full_app);
+  /// Evaluates each configuration (full app or RQA depending on phase),
+  /// first attempts in order and then, per configuration in order, the
+  /// failure-aware tail: retries within the retry budget (backoff charged
+  /// to the meter), a censored cost when it keeps failing, the
+  /// observation log, the DAGP, the incumbent (never updated from a
+  /// failed run), the trajectory and telemetry.
+  void EvaluateAndRecord(TuningSession* session,
+                         const std::vector<sparksim::SparkConf>& confs,
+                         double datasize_gb, bool full_app);
 
   /// Proposes the next configuration by maximizing EI over a candidate
   /// pool; returns the winning unit vector and its relative EI.

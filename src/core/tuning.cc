@@ -61,46 +61,7 @@ StatusOr<EvalRecord> TuningSession::EvaluateSubset(
   span.Arg("simulated_seconds", run.total_seconds);
   span.Arg("oom", run.any_oom ? 1.0 : 0.0);
   if (run.failed) span.Arg("failed", 1.0);
-  return RecordRun(conf, datasize_gb, query_indices, run);
-}
 
-StatusOr<std::vector<EvalRecord>> TuningSession::EvaluateBatch(
-    const std::vector<sparksim::SparkConf>& confs, double datasize_gb) {
-  if (!restriction_.empty()) {
-    return EvaluateSubsetBatch(confs, datasize_gb, restriction_);
-  }
-  std::vector<int> all(static_cast<size_t>(app_.num_queries()));
-  for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<int>(i);
-  return EvaluateSubsetBatch(confs, datasize_gb, all);
-}
-
-StatusOr<std::vector<EvalRecord>> TuningSession::EvaluateSubsetBatch(
-    const std::vector<sparksim::SparkConf>& confs, double datasize_gb,
-    const std::vector<int>& query_indices) {
-  std::vector<EvalRecord> out;
-  out.reserve(confs.size());
-  if (confs.empty()) return out;
-  obs::ScopedSpan span(obs_.tracer, "session/evaluate_batch", "session");
-  StatusOr<std::vector<sparksim::AppRunResult>> runs_or =
-      simulator_->RunAppBatch(app_, query_indices, confs, datasize_gb);
-  if (!runs_or.ok()) return runs_or.status();
-  const std::vector<sparksim::AppRunResult>& runs = *runs_or;
-  double batch_seconds = 0.0;
-  for (size_t k = 0; k < runs.size(); ++k) {
-    batch_seconds += runs[k].total_seconds;
-    out.push_back(RecordRun(confs[k], datasize_gb, query_indices, runs[k]));
-  }
-  span.Arg("runs", static_cast<double>(confs.size()));
-  span.Arg("queries", static_cast<double>(query_indices.size()));
-  span.Arg("datasize_gb", datasize_gb);
-  span.Arg("simulated_seconds", batch_seconds);
-  return out;
-}
-
-const EvalRecord& TuningSession::RecordRun(
-    const sparksim::SparkConf& conf, double datasize_gb,
-    const std::vector<int>& query_indices,
-    const sparksim::AppRunResult& run) {
   if (evals_counter_ != nullptr) evals_counter_->Increment();
   if (opt_seconds_counter_ != nullptr) {
     opt_seconds_counter_->Increment(run.total_seconds);
@@ -132,8 +93,8 @@ const EvalRecord& TuningSession::RecordRun(
   rec.lost_executors = run.lost_executors;
 
   optimization_seconds_ += run.total_seconds;
-  history_.push_back(std::move(rec));
-  return history_.back();
+  history_.push_back(rec);
+  return rec;
 }
 
 void TuningSession::ChargePenaltySeconds(double seconds) {

@@ -56,19 +56,6 @@ class TuningSession {
                                       double datasize_gb,
                                       const std::vector<int>& query_indices);
 
-  /// Batched equivalents of calling Evaluate/EvaluateSubset once per
-  /// configuration, in order: one RunAppBatch (an in-order loop of
-  /// RunAppSubset calls) serves every configuration. History, meter,
-  /// counters and the returned records are bit-identical to the
-  /// sequential loop; records are returned by value because history_ may
-  /// reallocate. Per-run "session/evaluate" spans collapse into one
-  /// "session/evaluate_batch" span (observational only).
-  StatusOr<std::vector<EvalRecord>> EvaluateBatch(
-      const std::vector<sparksim::SparkConf>& confs, double datasize_gb);
-  StatusOr<std::vector<EvalRecord>> EvaluateSubsetBatch(
-      const std::vector<sparksim::SparkConf>& confs, double datasize_gb,
-      const std::vector<int>& query_indices);
-
   /// Runs the full application *without* charging optimization time; used
   /// by the harness to measure the quality of a final configuration.
   sparksim::AppRunResult MeasureFinal(const sparksim::SparkConf& conf,
@@ -107,13 +94,6 @@ class TuningSession {
   const obs::ObsContext& obs() const { return obs_; }
 
  private:
-  /// Shared bookkeeping for one completed app run: counters, the eval
-  /// record, the optimization-time meter and the history entry.
-  const EvalRecord& RecordRun(const sparksim::SparkConf& conf,
-                              double datasize_gb,
-                              const std::vector<int>& query_indices,
-                              const sparksim::AppRunResult& run);
-
   sparksim::ClusterSimulator* simulator_;
   sparksim::SparkSqlApp app_;
   sparksim::ConfigSpace space_;

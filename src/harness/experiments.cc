@@ -229,22 +229,10 @@ std::vector<int> ExperimentRunner::CanonicalCsq(const std::string& app_name,
   Rng rng(StableHash("csq-rng|" + key));
   std::vector<std::vector<double>> times(
       static_cast<size_t>(app.num_queries()));
-  // One RunAppBatch instead of 30 sequential RunApp calls (bit-identical
-  // results, same RNG stream — the confs are drawn up front in the same
-  // rng order).
-  std::vector<sparksim::SparkConf> probe_confs;
-  probe_confs.reserve(30);
-  for (int i = 0; i < 30; ++i) probe_confs.push_back(space.RandomValid(&rng));
-  std::vector<int> all_queries(static_cast<size_t>(app.num_queries()));
-  for (size_t q = 0; q < all_queries.size(); ++q) {
-    all_queries[q] = static_cast<int>(q);
-  }
-  const auto runs = sim.RunAppBatch(app, all_queries, probe_confs, 100.0);
-  if (runs.ok()) {
-    for (const auto& run : runs.value()) {
-      for (size_t q = 0; q < run.per_query.size(); ++q) {
-        times[q].push_back(run.per_query[q].exec_seconds);
-      }
+  for (int i = 0; i < 30; ++i) {
+    const auto run = sim.RunApp(app, space.RandomValid(&rng), 100.0);
+    for (size_t q = 0; q < run.per_query.size(); ++q) {
+      times[q].push_back(run.per_query[q].exec_seconds);
     }
   }
   std::vector<int> csq;

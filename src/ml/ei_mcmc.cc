@@ -222,24 +222,6 @@ math::Vector EiMcmc::AcquisitionValueBatch(const math::Matrix& xs) const {
   return out;
 }
 
-GaussianProcess::Prediction EiMcmc::PredictAveraged(
-    const math::Vector& x) const {
-  assert(fitted());
-  double mean = 0.0;
-  double second_moment = 0.0;
-  for (const auto& gp : ensemble_) {
-    const auto pred = gp.Predict(x);
-    mean += pred.mean;
-    second_moment += pred.variance + pred.mean * pred.mean;
-  }
-  const double n = static_cast<double>(ensemble_.size());
-  mean /= n;
-  GaussianProcess::Prediction out;
-  out.mean = mean;
-  out.variance = std::max(0.0, second_moment / n - mean * mean);
-  return out;
-}
-
 GaussianProcess::BatchPrediction EiMcmc::PredictAveragedBatch(
     const math::Matrix& xs) const {
   assert(fitted());
@@ -267,11 +249,6 @@ GaussianProcess::BatchPrediction EiMcmc::PredictAveragedBatch(
     out.variance[c] = std::max(0.0, second_moment / n - mean * mean);
   }
   return out;
-}
-
-double EiMcmc::RelativeEi(const math::Vector& x) const {
-  const double denom = std::max(std::fabs(best_observed_), 1e-12);
-  return AcquisitionValue(x) / denom;
 }
 
 }  // namespace locat::ml

@@ -105,20 +105,13 @@ class EiMcmc {
   math::Vector AcquisitionValueBatch(const math::Matrix& xs) const;
 
   /// Ensemble-averaged predictive mean and (law-of-total-variance)
-  /// variance.
-  GaussianProcess::Prediction PredictAveraged(const math::Vector& x) const;
-
-  /// Batched PredictAveraged for all rows of `xs`; same determinism
-  /// contract as AcquisitionValueBatch.
+  /// variance for all rows of `xs`; same determinism contract as
+  /// AcquisitionValueBatch.
   GaussianProcess::BatchPrediction PredictAveragedBatch(
       const math::Matrix& xs) const;
 
   /// Lowest observed target so far — the incumbent EI is computed against.
   double best_observed() const { return best_observed_; }
-
-  /// Relative EI used by LOCAT's stop condition: EI / |best observed|
-  /// (stop once this drops below 0.10 after >= 10 iterations).
-  double RelativeEi(const math::Vector& x) const;
 
   bool fitted() const { return !ensemble_.empty(); }
   const std::vector<GaussianProcess>& ensemble() const { return ensemble_; }

@@ -78,7 +78,7 @@ struct FaultStats {
 /// (loss event, loss magnitude, loss point) plus 4 per query (straggler
 /// event, straggler magnitude, fetch failure, kill). The count never
 /// depends on outcomes, so the fault RNG stream is identical across
-/// cache hits, thread counts and batch shapes.
+/// cache hits and thread counts.
 constexpr size_t kFaultDrawsPerRun = 3;
 constexpr size_t kFaultDrawsPerQuery = 4;
 constexpr size_t FaultDrawCount(size_t num_queries) {

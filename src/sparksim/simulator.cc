@@ -503,7 +503,7 @@ StatusOr<AppRunResult> ClusterSimulator::RunAppSubset(
   }
   // Fault draws come from their own stream, with a fixed count per run
   // (independent of outcomes), so the schedule is identical across cache
-  // hits, thread counts and batch shapes.
+  // hits and thread counts.
   const bool faults_on = faults_.enabled();
   if (faults_on) {
     scratch_fault_draws_.resize(FaultDrawCount(n));
@@ -621,34 +621,6 @@ StatusOr<AppRunResult> ClusterSimulator::RunAppSubset(
     if (outcome.killed) result.fail_reason = "oom_kill";
   }
   return result;
-}
-
-StatusOr<std::vector<AppRunResult>> ClusterSimulator::RunAppBatch(
-    const SparkSqlApp& app, const std::vector<int>& query_indices,
-    const std::vector<SparkConf>& confs, double datasize_gb) {
-  if (!std::isfinite(datasize_gb) || datasize_gb <= 0.0) {
-    return Status::InvalidArgument("datasize_gb must be finite and > 0");
-  }
-  for (int idx : query_indices) {
-    if (idx < 0 || idx >= app.num_queries()) {
-      return Status::OutOfRange("query index " + std::to_string(idx) +
-                                " outside app of " +
-                                std::to_string(app.num_queries()) + " queries");
-    }
-  }
-  engine_stats_.batch_lanes += confs.size();
-  // Noise draws are conf-major and the fault stream is consumed run by
-  // run, so looping RunAppSubset in order is exactly the sequential
-  // contract; each run still fans its queries out over the thread pool.
-  std::vector<AppRunResult> results;
-  results.reserve(confs.size());
-  for (const SparkConf& conf : confs) {
-    StatusOr<AppRunResult> one =
-        RunAppSubset(app, query_indices, conf, datasize_gb);
-    if (!one.ok()) return one.status();
-    results.push_back(std::move(*one));
-  }
-  return results;
 }
 
 AppRunResult ClusterSimulator::FinishAppRun(const SparkSqlApp& app,

@@ -115,9 +115,9 @@ struct AppRunResult {
   std::string fail_reason;   // empty when !failed
 };
 
-/// RunAppBatch counters. Purely observational.
+/// Counters of the removed batch evaluation API; always zero.
 struct BatchStats {
-  uint64_t batch_lanes = 0;  // configurations passed to RunAppBatch
+  uint64_t batch_lanes = 0;
 };
 
 /// Deterministic analytical simulator of a Spark SQL cluster. Replaces the
@@ -161,17 +161,10 @@ class ClusterSimulator {
                                       const SparkConf& conf,
                                       double datasize_gb);
 
-  /// Evaluates many configurations over the same query subset: validates
-  /// the arguments once, then runs RunAppSubset per configuration, in
-  /// order. Results, the noise/fault RNG streams and runs_performed_ are
-  /// therefore exactly those of the equivalent RunAppSubset sequence.
-  /// Same error contract as RunAppSubset.
-  StatusOr<std::vector<AppRunResult>> RunAppBatch(
-      const SparkSqlApp& app, const std::vector<int>& query_indices,
-      const std::vector<SparkConf>& confs, double datasize_gb);
-
-  /// RunAppBatch counters for this simulator (observational).
-  const BatchStats& engine_stats() const { return engine_stats_; }
+  /// Always zero: configurations are evaluated one RunAppSubset at a
+  /// time, so there is no batch to count. The accessor stays until
+  /// perfbench stops reading it.
+  BatchStats engine_stats() const { return {}; }
 
   const ClusterSpec& cluster() const { return cluster_; }
   const SimParams& params() const { return params_; }
@@ -304,8 +297,6 @@ class ClusterSimulator {
   /// runs are appended back-to-back so the exported timeline reads as one
   /// continuous cluster schedule.
   uint64_t sim_lane_cursor_ns_ = 0;
-  /// RunAppBatch counters (see engine_stats()).
-  BatchStats engine_stats_;
 };
 
 }  // namespace locat::sparksim

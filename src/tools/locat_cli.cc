@@ -21,6 +21,7 @@
 // Apps: TPC-DS, TPC-H, Join, Scan, Aggregation.
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -138,6 +139,23 @@ int Usage() {
       "clusters: arm | x86; apps: TPC-DS | TPC-H | Join | Scan | "
       "Aggregation\n");
   return 2;
+}
+
+/// Parses all of `s` as a T: no whitespace, no trailing characters, no
+/// sign an unsigned T cannot hold, and no out-of-range value. A missing
+/// value (null `s`) fails. A double may still come back as nan or inf;
+/// callers range-check it.
+template <typename T>
+bool ParseNumber(const char* s, T* out) {
+  if (s == nullptr) return false;
+  const char* end = s + std::strlen(s);
+  const auto [ptr, ec] = std::from_chars(s, end, *out);
+  return ec == std::errc() && ptr == end;
+}
+
+/// A data size in GB: a finite number > 0.
+bool ParseDatasize(const std::string& s, double* ds) {
+  return ParseNumber(s.c_str(), ds) && std::isfinite(*ds) && *ds > 0.0;
 }
 
 int CmdCatalog() {
@@ -1095,13 +1113,11 @@ int main(int argc, char** argv) {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
     if (arg == "--seed") {
-      const char* v = value();
-      if (v == nullptr) return Usage();
-      flags.seed = std::strtoull(v, nullptr, 10);
+      if (!ParseNumber(value(), &flags.seed)) return Usage();
     } else if (arg == "--threads") {
-      const char* v = value();
-      if (v == nullptr) return Usage();
-      common::ThreadPool::SetGlobalThreads(std::atoi(v));
+      int threads = 0;
+      if (!ParseNumber(value(), &threads) || threads < 0) return Usage();
+      common::ThreadPool::SetGlobalThreads(threads);
     } else if (arg == "--simd") {
       const char* v = value();
       if (v == nullptr) return Usage();
@@ -1130,10 +1146,7 @@ int main(int argc, char** argv) {
       }
       flags.sim_cache = (std::strcmp(v, "on") == 0);
     } else if (arg == "--sim-cache-cap") {
-      const char* v = value();
-      if (v == nullptr) return Usage();
-      flags.sim_cache_cap =
-          static_cast<size_t>(std::strtoull(v, nullptr, 10));
+      if (!ParseNumber(value(), &flags.sim_cache_cap)) return Usage();
     } else if (arg == "--faults") {
       const char* v = value();
       if (v == nullptr ||
@@ -1143,14 +1156,12 @@ int main(int argc, char** argv) {
       }
       flags.faults = v;
     } else if (arg == "--fault-seed") {
-      const char* v = value();
-      if (v == nullptr) return Usage();
-      flags.fault_seed = std::strtoull(v, nullptr, 10);
+      if (!ParseNumber(value(), &flags.fault_seed)) return Usage();
     } else if (arg == "--admin-port") {
-      const char* v = value();
-      if (v == nullptr) return Usage();
-      flags.admin_port = std::atoi(v);
-      if (flags.admin_port < 0 || flags.admin_port > 65535) return Usage();
+      if (!ParseNumber(value(), &flags.admin_port) || flags.admin_port < 0 ||
+          flags.admin_port > 65535) {
+        return Usage();
+      }
     } else if (arg == "--log-level") {
       const char* v = value();
       if (v == nullptr) return Usage();
@@ -1164,32 +1175,26 @@ int main(int argc, char** argv) {
       if (v == nullptr) return Usage();
       flags.flight_path = v;
     } else if (arg == "--rounds") {
-      const char* v = value();
-      if (v == nullptr) return Usage();
-      flags.rounds = std::atoi(v);
-      if (flags.rounds < 1) return Usage();
+      if (!ParseNumber(value(), &flags.rounds) || flags.rounds < 1) {
+        return Usage();
+      }
     } else if (arg == "--serve-linger") {
-      const char* v = value();
-      if (v == nullptr) return Usage();
-      flags.serve_linger = std::atof(v);
+      if (!ParseNumber(value(), &flags.serve_linger) ||
+          !std::isfinite(flags.serve_linger) || flags.serve_linger < 0.0) {
+        return Usage();
+      }
     } else if (arg == "--serve-threads") {
-      const char* v = value();
-      if (v == nullptr) return Usage();
-      flags.serve_threads = std::atoi(v);
-      if (flags.serve_threads < 1) return Usage();
+      if (!ParseNumber(value(), &flags.serve_threads) ||
+          flags.serve_threads < 1) {
+        return Usage();
+      }
     } else if (arg == "--registry-cap") {
-      const char* v = value();
-      if (v == nullptr) return Usage();
-      // A plain non-negative integer only: strtoull would wrap "-1" to
-      // 2^64-1 and read "abc" as 0 (unlimited).
-      const char* end = v + std::strlen(v);
-      const auto [ptr, ec] = std::from_chars(v, end, flags.registry_cap);
-      if (ec != std::errc() || ptr != end) return Usage();
+      if (!ParseNumber(value(), &flags.registry_cap)) return Usage();
     } else if (arg == "--registry-ttl") {
-      const char* v = value();
-      if (v == nullptr) return Usage();
-      flags.registry_ttl = std::atoi(v);
-      if (flags.registry_ttl < 0) return Usage();
+      if (!ParseNumber(value(), &flags.registry_ttl) ||
+          flags.registry_ttl < 0) {
+        return Usage();
+      }
     } else if (arg == "--warm-start") {
       const char* v = value();
       if (v == nullptr || (std::strcmp(v, "on") != 0 &&
@@ -1213,19 +1218,27 @@ int main(int argc, char** argv) {
   const std::string& cmd = pos[0];
   if (cmd == "catalog") return CmdCatalog();
   if (cmd == "apps") return CmdApps();
+  double ds = 0.0;
   if (cmd == "simulate" && pos.size() >= 4) {
-    return CmdSimulate(pos[1], pos[2], std::atof(pos[3].c_str()));
+    if (!ParseDatasize(pos[3], &ds)) return Usage();
+    return CmdSimulate(pos[1], pos[2], ds);
   }
   if (cmd == "sweep" && pos.size() >= 5) {
-    return CmdSweep(pos[1], pos[2], std::atof(pos[3].c_str()), pos[4]);
+    if (!ParseDatasize(pos[3], &ds)) return Usage();
+    return CmdSweep(pos[1], pos[2], ds, pos[4]);
   }
   if (cmd == "qcsa" && pos.size() >= 3) {
-    return CmdQcsa(pos[1], pos[2],
-                   pos.size() >= 4 ? std::atoi(pos[3].c_str()) : 30);
+    int runs = 30;
+    if (pos.size() >= 4 &&
+        (!ParseNumber(pos[3].c_str(), &runs) || runs < 2)) {
+      return Usage();
+    }
+    return CmdQcsa(pos[1], pos[2], runs);
   }
   if (cmd == "tune" && pos.size() >= 4) {
-    return CmdTune(pos[1], pos[2], std::atof(pos[3].c_str()),
-                   pos.size() >= 5 ? pos[4] : "LOCAT", flags, flight);
+    if (!ParseDatasize(pos[3], &ds)) return Usage();
+    return CmdTune(pos[1], pos[2], ds, pos.size() >= 5 ? pos[4] : "LOCAT",
+                   flags, flight);
   }
   if (cmd == "serve" && pos.size() >= 2) {
     return CmdServe(pos[1],

@@ -43,38 +43,19 @@ core::TuningResult QcsaIicpFrontend::Tune(core::TuningSession* session,
   session->ClearQueryRestriction();
   {
     obs::ScopedSpan span(tracer(), "frontend/sampling", "tuner");
-    // Evaluation never touches rng_, so all sample configurations can be
-    // drawn upfront and evaluated as one batch; confs, noise order and
-    // the resulting records match the sequential loop bit-for-bit.
-    std::vector<sparksim::SparkConf> sample_confs;
-    sample_confs.reserve(static_cast<size_t>(n_samples));
+    double sample_best = 0.0;
     for (int i = 0; i < n_samples; ++i) {
-      sample_confs.push_back(space.RandomValid(&rng_));
-    }
-    double meter = session->optimization_seconds();
-    const StatusOr<std::vector<core::EvalRecord>> recs_or =
-        session->EvaluateBatch(sample_confs, datasize_gb);
-    if (recs_or.ok()) {
-      const std::vector<core::EvalRecord>& recs = *recs_or;
-      double sample_best = 0.0;
-      for (int i = 0; i < n_samples; ++i) {
-        const core::EvalRecord& rec = recs[static_cast<size_t>(i)];
-        // Replays the sequential meter additions so the emitted
-        // eval_seconds deltas stay bit-identical.
-        const double meter_after = meter + rec.app_seconds;
-        if (rec.failed) {
-          // Killed sample: its per-query vector is truncated, so it can't
-          // feed QCSA's aligned columns — drop it from the analyses.
-          ++sample_failures;
-          if (observer() != nullptr) {
-            core::EmitSimpleIteration(observer(), name(), "sampling", i,
-                                      datasize_gb, meter_after - meter,
-                                      rec.app_seconds, sample_best,
-                                      rec.full_app, sample_failures);
-          }
-          meter = meter_after;
-          continue;
-        }
+      const double before = session->optimization_seconds();
+      const StatusOr<core::EvalRecord> rec_or =
+          session->Evaluate(space.RandomValid(&rng_), datasize_gb);
+      if (!rec_or.ok()) continue;
+      const core::EvalRecord& rec = *rec_or;
+      const double eval_seconds = session->optimization_seconds() - before;
+      if (rec.failed) {
+        // Killed sample: its per-query vector is truncated, so it can't
+        // feed QCSA's aligned columns — drop it from the analyses.
+        ++sample_failures;
+      } else {
         units.push_back(rec.unit);
         seconds.push_back(rec.app_seconds);
         for (size_t q = 0; q < rec.per_query_seconds.size(); ++q) {
@@ -83,13 +64,11 @@ core::TuningResult QcsaIicpFrontend::Tune(core::TuningSession* session,
         if (sample_best <= 0.0 || rec.app_seconds < sample_best) {
           sample_best = rec.app_seconds;
         }
-        if (observer() != nullptr) {
-          core::EmitSimpleIteration(observer(), name(), "sampling", i,
-                                    datasize_gb, meter_after - meter,
-                                    rec.app_seconds, sample_best,
-                                    rec.full_app, sample_failures);
-        }
-        meter = meter_after;
+      }
+      if (observer() != nullptr) {
+        core::EmitSimpleIteration(observer(), name(), "sampling", i,
+                                  datasize_gb, eval_seconds, rec.app_seconds,
+                                  sample_best, rec.full_app, sample_failures);
       }
     }
   }

@@ -302,9 +302,20 @@ TEST(EiMcmcBatchTest, BatchAcquisitionMatchesPerCandidate) {
     const Vector q = xs.Row(i);
     EXPECT_NEAR(eis[i], model.AcquisitionValue(q),
                 1e-12 * std::max(1.0, std::abs(eis[i])));
-    const auto p = model.PredictAveraged(q);
-    EXPECT_NEAR(preds.mean[i], p.mean, 1e-10);
-    EXPECT_NEAR(preds.variance[i], p.variance, 1e-10);
+    // Per-point reference: the members' moments averaged by the law of
+    // total variance.
+    double mean = 0.0;
+    double second_moment = 0.0;
+    for (const auto& gp : model.ensemble()) {
+      const auto p = gp.Predict(q);
+      mean += p.mean;
+      second_moment += p.variance + p.mean * p.mean;
+    }
+    const double n = static_cast<double>(model.ensemble().size());
+    mean /= n;
+    EXPECT_NEAR(preds.mean[i], mean, 1e-10);
+    EXPECT_NEAR(preds.variance[i],
+                std::max(0.0, second_moment / n - mean * mean), 1e-10);
   }
 }
 
@@ -592,8 +603,8 @@ TEST(SparseGpTest, DagpSparseModeRefitsOnIncumbentSeededSubset) {
   EXPECT_EQ(std::exp(dagp.model().best_observed()), dagp.best_seconds());
   // The subset surrogate stays usable for acquisition + prediction.
   Vector probe(3, 0.5);
-  EXPECT_TRUE(std::isfinite(dagp.ExpectedImprovement(probe, 100.0)));
-  EXPECT_GT(dagp.Predict(probe, 100.0).seconds, 0.0);
+  EXPECT_TRUE(std::isfinite(dagp.ExpectedImprovementBatch({probe}, 100.0)[0]));
+  EXPECT_GT(dagp.PredictBatch({probe}, {100.0})[0].seconds, 0.0);
 
   // Past the cap the growth schedule still applies: the next same-size
   // row is appended onto the subset model.
@@ -713,7 +724,8 @@ TEST(BoHotPathTest, LongHorizonTuneCompletes) {
   for (size_t j = 0; j < d; ++j)
     good[j] = 0.2 + 0.1 * static_cast<double>(j);
   Vector bad(d, 0.95);
-  EXPECT_LT(dagp.Predict(good, ds).seconds, dagp.Predict(bad, ds).seconds);
+  const auto preds = dagp.PredictBatch({good, bad}, {ds, ds});
+  EXPECT_LT(preds[0].seconds, preds[1].seconds);
 }
 
 }  // namespace

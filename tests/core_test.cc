@@ -161,9 +161,8 @@ TEST(DagpTest, LearnsDatasizeTrend) {
   }
   ASSERT_TRUE(dagp.Refit(&rng).ok());
   const Vector probe(3, 0.5);
-  const double t100 = dagp.Predict(probe, 100.0).seconds;
-  const double t500 = dagp.Predict(probe, 500.0).seconds;
-  EXPECT_GT(t500, 2.0 * t100);
+  const auto preds = dagp.PredictBatch({probe, probe}, {100.0, 500.0});
+  EXPECT_GT(preds[1].seconds, 2.0 * preds[0].seconds);
 }
 
 TEST(DagpTest, EiNonNegativeAndBestTracksMinimum) {
@@ -174,9 +173,10 @@ TEST(DagpTest, EiNonNegativeAndBestTracksMinimum) {
   dagp.AddObservation(Vector{0.5}, 100.0, 90.0);
   ASSERT_TRUE(dagp.Refit(&rng).ok());
   EXPECT_DOUBLE_EQ(dagp.best_seconds(), 60.0);
-  EXPECT_GE(dagp.ExpectedImprovement(Vector{0.9}, 100.0), 0.0);
-  EXPECT_GE(dagp.RelativeExpectedImprovement(Vector{0.9}, 100.0), 0.0);
-  EXPECT_LE(dagp.RelativeExpectedImprovement(Vector{0.9}, 100.0), 1.0);
+  const Vector ei = dagp.ExpectedImprovementBatch({Vector{0.9}}, 100.0);
+  ASSERT_EQ(ei.size(), 1u);
+  EXPECT_TRUE(std::isfinite(ei[0]));
+  EXPECT_GE(ei[0], 0.0);
 }
 
 TEST(DagpTest, ClearResetsState) {

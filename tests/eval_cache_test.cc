@@ -329,34 +329,6 @@ TEST(SimCacheTest, DifferentEnvironmentsDoNotShareEntries) {
   EXPECT_EQ(cache.stats().hits, hits_before);
 }
 
-// --------------------------------------------------------- RunAppBatch
-
-TEST(RunAppBatchTest, CachedBatchMatchesUncachedBatch) {
-  const auto app = workloads::HiBenchAggregation();
-  ConfigSpace space(X86Cluster());
-  std::vector<int> all(static_cast<size_t>(app.num_queries()));
-  for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<int>(i);
-  // Duplicated confs: the cached batch serves half its grid from memory.
-  std::vector<SparkConf> confs;
-  for (uint64_t s = 0; s < 6; ++s) confs.push_back(SomeConf(space, 30 + s % 3));
-
-  ClusterSimulator plain(X86Cluster(), 13);
-  const std::vector<AppRunResult> a =
-      *plain.RunAppBatch(app, all, confs, 200.0);
-
-  EvalCache cache(1 << 16);
-  ClusterSimulator cached(X86Cluster(), 13);
-  cached.set_eval_cache(&cache);
-  const std::vector<AppRunResult> b =
-      *cached.RunAppBatch(app, all, confs, 200.0);
-
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t k = 0; k < a.size(); ++k) {
-    EXPECT_EQ(a[k].total_seconds, b[k].total_seconds);
-  }
-  EXPECT_GT(cache.stats().hits, 0u);
-}
-
 }  // namespace
 }  // namespace locat::sparksim
 

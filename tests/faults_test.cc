@@ -125,17 +125,24 @@ TEST(FaultDeterminismTest, SameSeedSameScheduleAcrossThreadsAndCache) {
   ConfigSpace space(X86Cluster());
   std::vector<int> all(static_cast<size_t>(app.num_queries()));
   for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<int>(i);
+  // The whole app and an RQA-style subset; every run alternates between
+  // them so the fault stream sees both draw counts.
+  const std::vector<std::vector<int>> subsets = {all, {0, 2, 4, 5, 9}};
 
   // Reference: single-threaded, no cache.
   std::vector<AppRunResult> expected;
+  FaultStats expected_stats;
+  int64_t expected_runs = 0;
   {
     common::ThreadPool::SetGlobalThreads(1);
     ClusterSimulator sim(X86Cluster(), 42);
     sim.set_faults(FaultSpec::Heavy(7));
     for (uint64_t s = 0; s < 10; ++s) {
-      expected.push_back(
-          *sim.RunAppSubset(app, all, SweepConf(space, s), 200.0));
+      expected.push_back(*sim.RunAppSubset(app, subsets[s % 2],
+                                           SweepConf(space, s), 200.0));
     }
+    expected_stats = sim.fault_stats();
+    expected_runs = sim.runs_performed();
   }
   ASSERT_EQ(expected.size(), 10u);
 
@@ -147,15 +154,17 @@ TEST(FaultDeterminismTest, SameSeedSameScheduleAcrossThreadsAndCache) {
       sim.set_faults(FaultSpec::Heavy(7));
       if (use_cache) sim.set_eval_cache(&cache);
       for (uint64_t s = 0; s < 10; ++s) {
-        const AppRunResult got =
-            *sim.RunAppSubset(app, all, SweepConf(space, s), 200.0);
+        const AppRunResult got = *sim.RunAppSubset(app, subsets[s % 2],
+                                                   SweepConf(space, s), 200.0);
         const AppRunResult& want = expected[s];
         ASSERT_EQ(got.failed, want.failed)
             << "threads=" << threads << " cache=" << use_cache << " run=" << s;
         EXPECT_EQ(got.failed_at_query, want.failed_at_query);
+        EXPECT_EQ(got.fail_reason, want.fail_reason);
         EXPECT_EQ(got.retries, want.retries);
         EXPECT_EQ(got.lost_executors, want.lost_executors);
         EXPECT_EQ(got.total_seconds, want.total_seconds);  // bit-identical
+        EXPECT_EQ(got.gc_seconds, want.gc_seconds);
         ASSERT_EQ(got.per_query.size(), want.per_query.size());
         for (size_t q = 0; q < got.per_query.size(); ++q) {
           EXPECT_EQ(got.per_query[q].exec_seconds,
@@ -164,6 +173,13 @@ TEST(FaultDeterminismTest, SameSeedSameScheduleAcrossThreadsAndCache) {
           EXPECT_EQ(got.per_query[q].retries, want.per_query[q].retries);
         }
       }
+      EXPECT_EQ(sim.runs_performed(), expected_runs);
+      const FaultStats& fs = sim.fault_stats();
+      EXPECT_EQ(fs.executor_losses, expected_stats.executor_losses);
+      EXPECT_EQ(fs.stragglers, expected_stats.stragglers);
+      EXPECT_EQ(fs.fetch_failures, expected_stats.fetch_failures);
+      EXPECT_EQ(fs.app_kills, expected_stats.app_kills);
+      EXPECT_EQ(fs.failed_runs, expected_stats.failed_runs);
     }
   }
   common::ThreadPool::SetGlobalThreads(0);  // restore default
@@ -213,33 +229,6 @@ TEST(FaultDeterminismTest, FaultsOffIsByteIdenticalToNoFaultSetup) {
     EXPECT_FALSE(b.failed);
   }
   EXPECT_EQ(off.fault_stats().failed_runs, 0u);
-}
-
-TEST(FaultDeterminismTest, BatchMatchesSequentialUnderFaults) {
-  const auto app = workloads::TpcH();
-  ConfigSpace space(X86Cluster());
-  std::vector<int> subset = {0, 2, 4, 5, 9};
-  std::vector<SparkConf> confs;
-  for (uint64_t s = 0; s < 6; ++s) confs.push_back(SweepConf(space, 40 + s));
-
-  ClusterSimulator seq(X86Cluster(), 11);
-  seq.set_faults(FaultSpec::Heavy(3));
-  std::vector<AppRunResult> expected;
-  for (const auto& conf : confs) {
-    expected.push_back(*seq.RunAppSubset(app, subset, conf, 300.0));
-  }
-
-  ClusterSimulator batch(X86Cluster(), 11);
-  batch.set_faults(FaultSpec::Heavy(3));
-  const std::vector<AppRunResult> got =
-      *batch.RunAppBatch(app, subset, confs, 300.0);
-  ASSERT_EQ(got.size(), expected.size());
-  for (size_t k = 0; k < got.size(); ++k) {
-    EXPECT_EQ(got[k].total_seconds, expected[k].total_seconds);
-    EXPECT_EQ(got[k].failed, expected[k].failed);
-    EXPECT_EQ(got[k].failed_at_query, expected[k].failed_at_query);
-  }
-  EXPECT_EQ(batch.fault_stats().failed_runs, seq.fault_stats().failed_runs);
 }
 
 // ------------------------------------------------------ cache interaction
@@ -412,6 +401,29 @@ TEST(FailureAwareTuningTest, RetryBudgetChargesBackoffToTheMeter) {
   // Every evaluation kept failing: the tuner still terminates and reports
   // a (censored) result rather than spinning.
   EXPECT_GT(session.evaluations(), 0);
+}
+
+TEST(FailureAwareTuningTest, FirstAttemptsRunBeforeRetries) {
+  // Every LHS start point runs once before any of them is retried: with a
+  // kill-certain plan the history opens with the three distinct start
+  // points, then their first retries in the same order.
+  const auto app = workloads::HiBenchScan();
+  ClusterSimulator sim(X86Cluster(), 16);
+  sim.set_faults(KillCertainSpec(6));
+  core::TuningSession session(&sim, app);
+  core::LocatTuner::Options opts = TinyTunerOptions();
+  opts.lhs_init = 3;
+  opts.retry.max_retries = 1;
+  core::LocatTuner tuner(opts);
+  tuner.Tune(&session, 100.0);
+  const std::vector<core::EvalRecord>& h = session.history();
+  ASSERT_GE(h.size(), 6u);
+  EXPECT_FALSE(h[0].conf == h[1].conf);
+  EXPECT_FALSE(h[0].conf == h[2].conf);
+  EXPECT_FALSE(h[1].conf == h[2].conf);
+  for (size_t k = 0; k < 3; ++k) {
+    EXPECT_TRUE(h[3 + k].conf == h[k].conf) << "retry " << k;
+  }
 }
 
 TEST(FailureAwareTuningTest, IdenticalFaultedTunesAreBitIdentical) {

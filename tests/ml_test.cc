@@ -276,8 +276,10 @@ TEST(EiMcmcTest, PredictAveragedTracksData) {
   }
   EiMcmc model;
   ASSERT_TRUE(model.Fit(x, y, &rng).ok());
-  const auto pred = model.PredictAveraged(Vector{0.5});
-  EXPECT_NEAR(pred.mean, 3.5, 0.25);
+  Matrix q(1, 1);
+  q(0, 0) = 0.5;
+  const auto pred = model.PredictAveragedBatch(q);
+  EXPECT_NEAR(pred.mean[0], 3.5, 0.25);
 }
 
 TEST(EiMcmcTest, RejectsTooFewSamples) {

@@ -4,10 +4,8 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "sparksim/cluster.h"
 #include "sparksim/config.h"
-#include "sparksim/faults.h"
 #include "sparksim/query_profile.h"
 #include "sparksim/simulator.h"
 #include "workloads/workloads.h"
@@ -427,63 +425,6 @@ TEST(SimulatorTest, OverheadStarvationSlowsShuffles) {
   const double t_ample =
       sim.RunQuery(ShuffleHeavyQuery(), ample, 300.0).exec_seconds;
   EXPECT_GT(t_skimpy, 1.2 * t_ample);
-}
-
-// RunAppBatch is RunAppSubset per configuration, in order: every result
-// field, the run counter and the fault counters match the sequential
-// calls for any thread count, with and without a fault plan.
-TEST(RunAppBatchTest, MatchesSequentialRunsAcrossThreadCounts) {
-  const auto app = workloads::TpcH();
-  ConfigSpace space(ArmCluster());
-  const std::vector<int> subset = {0, 2, 4, 5};
-  Rng rng(20);
-  std::vector<SparkConf> confs;
-  for (int i = 0; i < 12; ++i) confs.push_back(space.RandomValid(&rng));
-
-  for (const FaultSpec& plan : {FaultSpec::Off(), FaultSpec::Heavy(9)}) {
-    SCOPED_TRACE(plan.enabled() ? "faults=heavy" : "faults=off");
-    ClusterSimulator seq(ArmCluster(), 7);
-    seq.set_faults(plan);
-    std::vector<AppRunResult> expected;
-    for (const auto& conf : confs) {
-      expected.push_back(*seq.RunAppSubset(app, subset, conf, 300.0));
-    }
-    if (plan.enabled()) {
-      EXPECT_GT(seq.fault_stats().app_kills, 0u);
-    }
-
-    for (int threads : {1, 4}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads));
-      common::ThreadPool::SetGlobalThreads(threads);
-      ClusterSimulator sim(ArmCluster(), 7);
-      sim.set_faults(plan);
-      const std::vector<AppRunResult> got =
-          *sim.RunAppBatch(app, subset, confs, 300.0);
-      ASSERT_EQ(got.size(), expected.size());
-      for (size_t k = 0; k < got.size(); ++k) {
-        EXPECT_EQ(got[k].total_seconds, expected[k].total_seconds);
-        EXPECT_EQ(got[k].gc_seconds, expected[k].gc_seconds);
-        EXPECT_EQ(got[k].failed, expected[k].failed);
-        EXPECT_EQ(got[k].failed_at_query, expected[k].failed_at_query);
-        EXPECT_EQ(got[k].fail_reason, expected[k].fail_reason);
-        ASSERT_EQ(got[k].per_query.size(), expected[k].per_query.size());
-        for (size_t q = 0; q < got[k].per_query.size(); ++q) {
-          EXPECT_EQ(got[k].per_query[q].exec_seconds,
-                    expected[k].per_query[q].exec_seconds);
-        }
-      }
-      EXPECT_EQ(sim.runs_performed(), seq.runs_performed());
-      const FaultStats& a = sim.fault_stats();
-      const FaultStats& b = seq.fault_stats();
-      EXPECT_EQ(a.executor_losses, b.executor_losses);
-      EXPECT_EQ(a.stragglers, b.stragglers);
-      EXPECT_EQ(a.fetch_failures, b.fetch_failures);
-      EXPECT_EQ(a.app_kills, b.app_kills);
-      EXPECT_EQ(a.failed_runs, b.failed_runs);
-      EXPECT_EQ(sim.engine_stats().batch_lanes, confs.size());
-    }
-  }
-  common::ThreadPool::SetGlobalThreads(0);  // restore default
 }
 
 class ClusterParityTest : public ::testing::TestWithParam<const char*> {};
