@@ -318,7 +318,7 @@ LocatTuner::Proposal LocatTuner::ProposeNext(TuningSession* session,
     best.relative_ei = 1.0 - std::exp(-std::max(0.0, best_ei));
   }
   pending_relative_ei_ = best.relative_ei;
-  pending_candidate_pool_ = options_.candidates;
+  pending_candidate_pool_ = static_cast<int>(pool_units.size());
   pending_acq_seconds_ =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     acq_start)

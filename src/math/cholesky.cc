@@ -80,17 +80,6 @@ Vector Cholesky::SolveLower(const Vector& b) const {
   return y;
 }
 
-Matrix Cholesky::SolveLowerMatrix(const Matrix& b) const {
-  const size_t n = l_.rows();
-  assert(b.rows() == n);
-  const size_t m = b.cols();
-  Matrix y = b;
-  if (n > 0 && m > 0) {
-    kern::SolveLowerMatrixInPlace(l_.RowData(0), n, y.RowData(0), m);
-  }
-  return y;
-}
-
 Matrix Cholesky::Solve(const Matrix& b) const {
   Matrix x(b.rows(), b.cols());
   for (size_t c = 0; c < b.cols(); ++c) {

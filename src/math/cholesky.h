@@ -33,13 +33,6 @@ class Cholesky {
   /// style GP computations use this for the predictive variance.
   Vector SolveLower(const Vector& b) const;
 
-  /// Solves `L Y = B` for every column of the n x m right-hand side at
-  /// once. Blocked forward substitution: the elimination loop streams
-  /// whole rows of Y (contiguous in the row-major layout), so solving m
-  /// candidates together touches L once instead of m times. This is the
-  /// kernel behind `GaussianProcess::PredictBatch`.
-  Matrix SolveLowerMatrix(const Matrix& b) const;
-
   /// Solves `A X = B` column-by-column.
   Matrix Solve(const Matrix& b) const;
 

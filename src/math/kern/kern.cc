@@ -163,6 +163,12 @@ void WeightedSquaredDistanceRows(const double* rows, size_t nrows, size_t dim,
   Ops().wsqdist_rows(rows, nrows, dim, stride, q, w, out);
 }
 
+void WeightedSquaredDistanceCols(const double* cols, size_t m, size_t dim,
+                                 const double* q, const double* w,
+                                 double* out) {
+  Ops().wsqdist_cols(cols, m, dim, q, w, out);
+}
+
 void Axpy(double alpha, const double* x, double* y, size_t n) {
   Ops().axpy(alpha, x, y, n);
 }

@@ -90,6 +90,14 @@ void WeightedSquaredDistanceRows(const double* rows, size_t nrows, size_t dim,
                                  size_t stride, const double* q,
                                  const double* w, double* out);
 
+/// out[c] = WeightedSquaredDistance(q, point_c, w, dim) for `m` points
+/// stored coordinate-major: coordinate k of point c is cols[k*m + c].
+/// Vectorized across points; each output keeps the exact lane tree of the
+/// single call, so it has the same bits.
+void WeightedSquaredDistanceCols(const double* cols, size_t m, size_t dim,
+                                 const double* q, const double* w,
+                                 double* out);
+
 // ---------------------------------------------------------------------------
 // Elementwise kernels (lane-independent, hence trivially backend-invariant).
 
@@ -145,7 +153,11 @@ void GemmTransposedB(const double* a, size_t m, const double* b, size_t n,
 ptrdiff_t CholeskyFactorInPlace(double* a, size_t n);
 
 /// Solves L Y = B in place on y (n x m) for lower-triangular L
-/// (row-major n x n): blocked forward substitution streaming whole rows.
+/// (row-major n x n; only the lower triangle is read): forward
+/// substitution register-blocked over 16-column groups. Every element
+/// folds rows j < i in ascending order (skipping l_ij == 0) and then
+/// multiplies by 1/l_ii, so its bits do not depend on m or on which
+/// columns it shares a call with.
 void SolveLowerMatrixInPlace(const double* l, size_t n, double* y, size_t m);
 
 // ---------------------------------------------------------------------------

@@ -192,6 +192,65 @@ double WSqDistImpl(const double* a, const double* b, const double* w,
   return (l[0] + l[2]) + (l[1] + l[3]);
 }
 
+/// WSqDistColsImpl for the 4P points starting at column 0 of `cols`
+/// (row stride m): acc[t][p] is lane class t of points 4p..4p+3.
+template <class V, size_t P>
+inline void WSqDistColsBlock(const double* cols, size_t m, size_t dim,
+                             const double* q, const double* w, double* out) {
+  V acc[4][P];
+  for (auto& lane : acc)
+    for (V& a : lane) a = V::Zero();
+  const auto step = [&](size_t t, size_t k) {
+    const V qk = V::Broadcast(q[k]);
+    const V wk = V::Broadcast(w[k]);
+    const double* col = cols + k * m;
+    for (size_t p = 0; p < P; ++p) {
+      const V d = V::Sub(qk, V::Load(col + 4 * p));
+      acc[t][p] = V::Fma(V::Mul(wk, d), d, acc[t][p]);
+    }
+  };
+  size_t k = 0;
+  for (; k + 4 <= dim; k += 4) {
+    step(0, k);
+    step(1, k + 1);
+    step(2, k + 2);
+    step(3, k + 3);
+  }
+  if (k < dim) step(0, k);
+  if (k + 1 < dim) step(1, k + 1);
+  if (k + 2 < dim) step(2, k + 2);
+  for (size_t p = 0; p < P; ++p) {
+    V::Add(V::Add(acc[0][p], acc[2][p]), V::Add(acc[1][p], acc[3][p]))
+        .Store(out + 4 * p);
+  }
+}
+
+/// out[c] = WSqDistImpl(q, point_c, w, dim) for m points stored
+/// coordinate-major (coordinate k of point c at cols[k*m + c]), vectorized
+/// across points. Lane class t accumulates the coordinates k == t (mod 4)
+/// in ascending order, each folded as fma(w_k*d, d, acc) with
+/// d = q_k - point_ck, and the classes combine as (l0 + l2) + (l1 + l3):
+/// WSqDistImpl's tree, so every out[c] has the bits of the row-major call.
+/// Eight points per pass keep eight independent fma chains in flight;
+/// leftover points replay the lanes scalarly.
+template <class V>
+void WSqDistColsImpl(const double* cols, size_t m, size_t dim, const double* q,
+                     const double* w, double* out) {
+  size_t c = 0;
+  for (; c + 8 <= m; c += 8)
+    WSqDistColsBlock<V, 2>(cols + c, m, dim, q, w, out + c);
+  for (; c + 4 <= m; c += 4)
+    WSqDistColsBlock<V, 1>(cols + c, m, dim, q, w, out + c);
+  for (; c < m; ++c) {
+    double l[4] = {0.0, 0.0, 0.0, 0.0};
+    for (size_t k = 0; k < dim; ++k) {
+      const double d = q[k] - cols[k * m + c];
+      l[k % 4] = std::fma(w[k] * d, d, l[k % 4]);
+    }
+    out[c] = (l[0] + l[2]) + (l[1] + l[3]);
+  }
+}
+
 template <class V>
 void MatVecImpl(const double* m, size_t rows, size_t cols, const double* v,
                 double* out) {
@@ -385,18 +444,47 @@ ptrdiff_t CholImpl(double* a, size_t n) {
   return -1;
 }
 
-/// Forward substitution streaming whole rows of y (n x m): each row i
-/// folds rows j < i in ascending order via Axpy, then scales by 1/l_ii.
+/// Forward substitution on y (n x m) in place. Columns go in groups of 16
+/// whose slice of row i stays in four registers while rows j < i fold in;
+/// the tail columns stream whole row slices through Axpy. Both paths give
+/// each element the same sequence: fma(-l_ij, y_j, y_i) for ascending j
+/// with l_ij != 0, then a multiply by 1/l_ii.
 template <class V>
 void SolveLowerMultiImpl(const double* l, size_t n, double* y, size_t m) {
+  constexpr size_t kGroup = 16;
+  size_t g = 0;
+  for (; g + kGroup <= m; g += kGroup) {
+    for (size_t i = 0; i < n; ++i) {
+      const double* li = l + i * n;
+      double* yi = y + i * m + g;
+      V r0 = V::Load(yi), r1 = V::Load(yi + 4);
+      V r2 = V::Load(yi + 8), r3 = V::Load(yi + 12);
+      for (size_t j = 0; j < i; ++j) {
+        if (li[j] == 0.0) continue;
+        const V a = V::Broadcast(-li[j]);
+        const double* yj = y + j * m + g;
+        r0 = V::Fma(a, V::Load(yj), r0);
+        r1 = V::Fma(a, V::Load(yj + 4), r1);
+        r2 = V::Fma(a, V::Load(yj + 8), r2);
+        r3 = V::Fma(a, V::Load(yj + 12), r3);
+      }
+      const V inv = V::Broadcast(1.0 / li[i]);
+      V::Mul(inv, r0).Store(yi);
+      V::Mul(inv, r1).Store(yi + 4);
+      V::Mul(inv, r2).Store(yi + 8);
+      V::Mul(inv, r3).Store(yi + 12);
+    }
+  }
+  if (g == m) return;
+  const size_t tail = m - g;
   for (size_t i = 0; i < n; ++i) {
     const double* li = l + i * n;
-    double* yi = y + i * m;
+    double* yi = y + i * m + g;
     for (size_t j = 0; j < i; ++j) {
       if (li[j] == 0.0) continue;
-      AxpyImpl<V>(-li[j], y + j * m, yi, m);
+      AxpyImpl<V>(-li[j], y + j * m + g, yi, tail);
     }
-    ScaleImpl<V>(1.0 / li[i], yi, m);
+    ScaleImpl<V>(1.0 / li[i], yi, tail);
   }
 }
 
@@ -424,7 +512,8 @@ constexpr KernOps MakeOps() {
   return KernOps{
       &DotImpl<V>,        &SumImpl<V>,       &SqDistImpl<V>,
       &WSqDistImpl<V>,    &MatVecImpl<V>,    &SqDistRowsImpl<V>,
-      &WSqDistRowsImpl<V>, &AxpyImpl<V>,     &ScaleImpl<V>,
+      &WSqDistRowsImpl<V>, &WSqDistColsImpl<V>, &AxpyImpl<V>,
+      &ScaleImpl<V>,
       &AddSquaresImpl<V>, &SubSquareImpl<V>, &MinImpl<V>,
       &SubShiftImpl<V>,   &ExpScaledImpl<V>, &GemmImpl<V>,
       &GemmBtImpl<V>,     &CholImpl<V>,      &SolveLowerMultiImpl<V>,

@@ -22,6 +22,8 @@ struct KernOps {
   void (*wsqdist_rows)(const double* rows, size_t nrows, size_t dim,
                        size_t stride, const double* q, const double* w,
                        double* out);
+  void (*wsqdist_cols)(const double* cols, size_t m, size_t dim,
+                       const double* q, const double* w, double* out);
   void (*axpy)(double alpha, const double* x, double* y, size_t n);
   void (*scale)(double alpha, double* x, size_t n);
   void (*add_squares)(const double* x, double* acc, size_t n);

@@ -1,5 +1,6 @@
 #include "ml/gp.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <vector>
@@ -11,6 +12,11 @@ namespace locat::ml {
 namespace {
 
 constexpr double kHalfLog2Pi = 0.9189385332046727;  // 0.5 * log(2*pi)
+
+// Candidates per PredictBatch block: at the tuner's n of up to ~80 rows
+// the block's n x 64 k*^T (<= 40 KB) stays in L1 through the
+// cross-kernel, the mean and the forward substitution.
+constexpr size_t kPredictBlock = 64;
 
 /// exp(-2 * log_l_d) per dimension — the multiplicative form of the ARD
 /// lengthscales. Computing these once per kernel build (instead of one
@@ -367,38 +373,64 @@ GaussianProcess::BatchPrediction GaussianProcess::PredictBatch(
   assert(xs.cols() == x_.cols());
   const size_t m = xs.rows();
   const size_t n = x_.rows();
+  const size_t d = x_.cols();
   BatchPrediction out;
   out.mean = math::Vector(m);
   out.variance = math::Vector(m);
   if (m == 0) return out;
 
-  // Candidate-major cross-kernel: km(c, i) = k(xs_c, x_i). Row c is the
-  // k* vector of candidate c — built with exactly the batched ops Predict
-  // uses, so the two paths agree bit-for-bit on the kernel values.
-  math::Matrix km(m, n);
   const double* w = inv_sq_lengthscales_.data().data();
-  for (size_t c = 0; c < m; ++c) {
-    double* row = km.RowData(c);
-    math::kern::WeightedSquaredDistanceRows(x_.RowData(0), n, x_.cols(),
-                                            x_.cols(), xs.RowData(c), w, row);
-    math::kern::ExpScaled(row, n, -0.5, signal_variance_);
-    out.mean[c] =
-        y_mean_ + y_std_ * math::kern::Dot(row, alpha_.data().data(), n);
-  }
-
-  // One blocked forward substitution for every candidate at once:
-  // V = L^-1 K*^T, then var_c = k(x,x) - sum_i V(i,c)^2. The column sums
-  // accumulate i in increasing order, matching the per-point Predict.
-  const math::Matrix v = chol_->SolveLowerMatrix(km.Transpose());
-  math::Vector sumsq(m);
-  for (size_t i = 0; i < n; ++i) {
-    math::kern::AddSquares(v.RowData(i), sumsq.data().data(), m);
-  }
+  const double* alpha = alpha_.data().data();
   const double ys2 = y_std_ * y_std_;
-  for (size_t c = 0; c < m; ++c) {
-    double var = signal_variance_ - sumsq[c];
-    if (var < 0.0) var = 0.0;
-    out.variance[c] = var * ys2;
+  // Per-block scratch, reused across blocks: the block's candidates
+  // coordinate-major (d x b), its k*^T (n x b, solved in place into
+  // V = L^-1 k*^T), the four lane accumulators of the mean, and the
+  // variance's column sums of squares.
+  std::vector<double> cols(d * kPredictBlock);
+  std::vector<double> kt(n * kPredictBlock);
+  std::vector<double> lanes(4 * kPredictBlock);
+  std::vector<double> sumsq(kPredictBlock);
+  for (size_t c0 = 0; c0 < m; c0 += kPredictBlock) {
+    const size_t b = std::min(kPredictBlock, m - c0);
+    for (size_t c = 0; c < b; ++c) {
+      const double* xc = xs.RowData(c0 + c);
+      for (size_t k = 0; k < d; ++k) cols[k * b + c] = xc[k];
+    }
+    // Row i of k*^T holds k(x_i, xs_c) for the block's candidates: the
+    // weighted distance with q = x_i keeps Predict's sign (x_i - xs_c)
+    // and lane tree, and ExpScaled is lane-independent, so every entry
+    // has the bits of Predict's k*. The mean's Dot(k*, alpha) becomes
+    // four Axpy lanes, lane i % 4 taking row i in ascending i, combined
+    // with Dot's (l0 + l2) + (l1 + l3).
+    std::fill(lanes.begin(), lanes.begin() + 4 * b, 0.0);
+    for (size_t i = 0; i < n; ++i) {
+      double* row = kt.data() + i * b;
+      math::kern::WeightedSquaredDistanceCols(cols.data(), b, d,
+                                              x_.RowData(i), w, row);
+      math::kern::ExpScaled(row, b, -0.5, signal_variance_);
+      math::kern::Axpy(alpha[i], row, lanes.data() + (i % 4) * b, b);
+    }
+    const double* l0 = lanes.data();
+    const double* l1 = l0 + b;
+    const double* l2 = l1 + b;
+    const double* l3 = l2 + b;
+    for (size_t c = 0; c < b; ++c) {
+      const double dot = (l0[c] + l2[c]) + (l1[c] + l3[c]);
+      out.mean[c0 + c] = y_mean_ + y_std_ * dot;
+    }
+
+    // var_c = k(x,x) - sum_i V(i,c)^2, the sum taken in ascending i.
+    math::kern::SolveLowerMatrixInPlace(chol_->L().RowData(0), n, kt.data(),
+                                        b);
+    std::fill(sumsq.begin(), sumsq.begin() + b, 0.0);
+    for (size_t i = 0; i < n; ++i) {
+      math::kern::AddSquares(kt.data() + i * b, sumsq.data(), b);
+    }
+    for (size_t c = 0; c < b; ++c) {
+      double var = signal_variance_ - sumsq[c];
+      if (var < 0.0) var = 0.0;
+      out.variance[c0 + c] = var * ys2;
+    }
   }
   return out;
 }

@@ -163,11 +163,12 @@ class GaussianProcess {
     math::Vector variance;
   };
 
-  /// Posterior mean/variance for all rows of `xs` (m x d) at once: forms
-  /// the m x n cross-kernel in one pass and runs one blocked forward
-  /// substitution instead of m per-point triangular solves. Each row's
-  /// result depends only on that row, so any chunking of `xs` yields
-  /// bit-identical values.
+  /// Posterior mean/variance for all rows of `xs` (m x d) in one pass over
+  /// blocks of 64 candidates: each block's n x 64 cross-kernel is built
+  /// coordinate-major, folded into the mean and solved in place by one
+  /// forward substitution, so no m x n matrix is ever formed. The mean has
+  /// the bits of `Predict`'s; each row's result depends only on that row,
+  /// so any chunking of `xs` yields bit-identical values.
   BatchPrediction PredictBatch(const math::Matrix& xs) const;
 
   /// Log marginal likelihood of the fitted data under the fitted

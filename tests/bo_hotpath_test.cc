@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -14,6 +16,7 @@
 #include "core/locat_tuner.h"
 #include "core/tuning.h"
 #include "math/cholesky.h"
+#include "math/kern/kern.h"
 #include "math/matrix.h"
 #include "ml/ei_mcmc.h"
 #include "ml/gp.h"
@@ -58,6 +61,10 @@ GpHyperparams MakeHyperparams(size_t d) {
 
 // --------------------------------------------------- SolveLowerMatrix
 
+// The blocked multi-column forward substitution PredictBatch runs on its
+// candidate blocks agrees with the per-column solve. m covers a lone
+// column, a tail-only solve, one exact 16-column group, and groups plus a
+// tail.
 TEST(SolveLowerMatrixTest, MatchesPerColumnSolveLower) {
   Rng rng(11);
   const size_t n = 24;
@@ -73,20 +80,20 @@ TEST(SolveLowerMatrixTest, MatchesPerColumnSolveLower) {
   const auto chol = math::Cholesky::Factor(a);
   ASSERT_TRUE(chol.ok());
 
-  const size_t m = 7;
-  Matrix b(n, m);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t c = 0; c < m; ++c) b(i, c) = rng.NextGaussian();
-  }
-  const Matrix y = chol->SolveLowerMatrix(b);
-  ASSERT_EQ(y.rows(), n);
-  ASSERT_EQ(y.cols(), m);
-  for (size_t c = 0; c < m; ++c) {
-    Vector col(n);
-    for (size_t i = 0; i < n; ++i) col[i] = b(i, c);
-    const Vector ref = chol->SolveLower(col);
+  for (size_t m : {1u, 7u, 16u, 17u, 40u}) {
+    Matrix b(n, m);
     for (size_t i = 0; i < n; ++i) {
-      EXPECT_NEAR(y(i, c), ref[i], 1e-12) << "col " << c << " row " << i;
+      for (size_t c = 0; c < m; ++c) b(i, c) = rng.NextGaussian();
+    }
+    Matrix y = b;
+    math::kern::SolveLowerMatrixInPlace(chol->L().RowData(0), n,
+                                        y.RowData(0), m);
+    for (size_t c = 0; c < m; ++c) {
+      const Vector ref = chol->SolveLower(b.Col(c));
+      for (size_t i = 0; i < n; ++i) {
+        EXPECT_NEAR(y(i, c), ref[i], 1e-12)
+            << "m " << m << " col " << c << " row " << i;
+      }
     }
   }
 }
@@ -111,7 +118,7 @@ TEST(PredictBatchTest, MatchesPerPointPredict) {
   ASSERT_EQ(batch.variance.size(), m);
   for (size_t i = 0; i < m; ++i) {
     const auto p = gp.Predict(xs.Row(i));
-    EXPECT_NEAR(batch.mean[i], p.mean, 1e-12) << "candidate " << i;
+    EXPECT_EQ(batch.mean[i], p.mean) << "candidate " << i;
     EXPECT_NEAR(batch.variance[i], p.variance, 1e-12) << "candidate " << i;
     EXPECT_GE(batch.variance[i], 0.0);
   }
@@ -151,6 +158,127 @@ TEST(PredictBatchTest, AnyChunkingIsBitIdentical) {
     const double var = i < cut ? a.variance[i] : b.variance[i - cut];
     EXPECT_EQ(whole.mean[i], mean) << "candidate " << i;
     EXPECT_EQ(whole.variance[i], var) << "candidate " << i;
+  }
+}
+
+/// PredictBatch's variance computed the unfused way from public pieces:
+/// Predict's row-major k* (WeightedSquaredDistanceRows + ExpScaled) per
+/// candidate, then a plain row-streaming forward substitution with one
+/// std::fma per term in ascending j, then the ascending sum of squares.
+Vector UnfusedVariance(const GaussianProcess& gp, const GpKernelCache& cache,
+                       const Matrix& xs) {
+  const Matrix& x = cache.x();
+  const size_t n = x.rows();
+  const size_t d = x.cols();
+  const GpHyperparams& hp = gp.hyperparams();
+  std::vector<double> w(d);
+  for (size_t k = 0; k < d; ++k) w[k] = std::exp(-2.0 * hp.log_lengthscales[k]);
+  const double sv = std::exp(hp.log_signal_variance);
+  const double ys2 = cache.y_std() * cache.y_std();
+  const Matrix& l = gp.factor();
+  Vector var(xs.rows());
+  std::vector<double> v(n);
+  for (size_t c = 0; c < xs.rows(); ++c) {
+    math::kern::WeightedSquaredDistanceRows(x.RowData(0), n, d, d,
+                                            xs.RowData(c), w.data(), v.data());
+    math::kern::ExpScaled(v.data(), n, -0.5, sv);
+    for (size_t i = 0; i < n; ++i) {
+      double acc = v[i];
+      for (size_t j = 0; j < i; ++j) {
+        if (l(i, j) == 0.0) continue;
+        acc = std::fma(-l(i, j), v[j], acc);
+      }
+      v[i] = (1.0 / l(i, i)) * acc;
+    }
+    double sumsq = 0.0;
+    for (size_t i = 0; i < n; ++i) sumsq = std::fma(v[i], v[i], sumsq);
+    double vc = sv - sumsq;
+    if (vc < 0.0) vc = 0.0;
+    var[c] = vc * ys2;
+  }
+  return var;
+}
+
+Matrix RandomCandidates(size_t m, size_t d, Rng* rng) {
+  Matrix xs(m, d);
+  for (size_t i = 0; i < m; ++i) {
+    for (size_t j = 0; j < d; ++j) xs(i, j) = rng->NextDouble();
+  }
+  return xs;
+}
+
+void ExpectFusedMatchesUnfused(const GaussianProcess& gp,
+                               const GpKernelCache& cache, const Matrix& xs) {
+  const auto batch = gp.PredictBatch(xs);
+  const Vector ref = UnfusedVariance(gp, cache, xs);
+  ASSERT_EQ(batch.variance.size(), xs.rows());
+  for (size_t c = 0; c < xs.rows(); ++c) {
+    EXPECT_EQ(batch.variance[c], ref[c]) << "candidate " << c;
+    EXPECT_EQ(batch.mean[c], gp.Predict(xs.Row(c)).mean) << "candidate " << c;
+  }
+}
+
+const size_t kFusedBlockSizes[] = {1, 15, 16, 17, 63, 64, 65, 130};
+
+// The candidate-blocked PredictBatch keeps every floating-point operation
+// sequence of the unfused computation: m straddles the 64-candidate block
+// and the solve's 16-column groups, n the mean's four lanes, d the
+// cross-kernel's four lane classes.
+TEST(PredictBatchTest, FusedMatchesUnfusedBitForBit) {
+  Rng rng(21);
+  for (size_t n : {1u, 3u, 5u, 48u, 77u}) {
+    for (size_t d : {1u, 4u, 7u, 15u, 39u}) {
+      SCOPED_TRACE("n " + std::to_string(n) + " d " + std::to_string(d));
+      Matrix x;
+      Vector y;
+      MakeDataset(n, d, &x, &y);
+      GpKernelCache cache(x, y);
+      GaussianProcess gp;
+      ASSERT_TRUE(gp.Fit(cache, MakeHyperparams(d)).ok());
+      for (size_t m : kFusedBlockSizes) {
+        SCOPED_TRACE("m " + std::to_string(m));
+        ExpectFusedMatchesUnfused(gp, cache, RandomCandidates(m, d, &rng));
+      }
+    }
+  }
+
+  // Duplicate rows force the jitter-retry factorization.
+  {
+    const size_t n = 20, d = 3;
+    Matrix x(n, d);
+    Vector y(n);
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t j = 0; j < d; ++j) {
+        x(i, j) = 0.2 + 0.15 * static_cast<double>((i % 4) + j);
+      }
+      y[i] = 1.0 + 0.01 * static_cast<double>(i);
+    }
+    GpHyperparams hp = GpHyperparams::Default(d);
+    hp.log_noise_variance = -40.0;
+    hp.log_signal_variance = 20.0;
+    GpKernelCache cache(x, y);
+    GaussianProcess gp;
+    ASSERT_TRUE(gp.Fit(cache, hp).ok());
+    ASSERT_GT(gp.applied_jitter(), 0.0) << "test requires the jitter path";
+    for (size_t m : kFusedBlockSizes) {
+      SCOPED_TRACE("jitter m " + std::to_string(m));
+      ExpectFusedMatchesUnfused(gp, cache, RandomCandidates(m, d, &rng));
+    }
+  }
+
+  // Constant targets: y_std clamps to 1 and alpha is all zeros.
+  {
+    Matrix x;
+    Vector y;
+    MakeDataset(30, 5, &x, &y);
+    for (size_t i = 0; i < y.size(); ++i) y[i] = 7.5;
+    GpKernelCache cache(x, y);
+    GaussianProcess gp;
+    ASSERT_TRUE(gp.Fit(cache, MakeHyperparams(5)).ok());
+    for (size_t m : kFusedBlockSizes) {
+      SCOPED_TRACE("constant m " + std::to_string(m));
+      ExpectFusedMatchesUnfused(gp, cache, RandomCandidates(m, 5, &rng));
+    }
   }
 }
 

@@ -111,6 +111,39 @@ TEST(KernBackendEquality, RowBatchesMatchSingleCalls) {
   });
 }
 
+// The coordinate-major cross-kernel keeps the single call's lane tree: every
+// point's output has the bits of WeightedSquaredDistance(q, point, w) on
+// every backend. m covers the eight-point, four-point and scalar paths,
+// dim every lane-class remainder.
+TEST(KernBackendEquality, WeightedSquaredDistanceCols) {
+  Rng rng(19);
+  for (size_t m : {0u, 1u, 7u, 8u, 9u, 33u}) {
+    for (size_t dim : {1u, 2u, 3u, 4u, 5u, 8u, 15u, 39u}) {
+      const auto cols = RandomVec(&rng, m * dim);
+      const auto q = RandomVec(&rng, dim);
+      const auto w = RandomVec(&rng, dim, 0.5);
+      std::vector<double> ref;
+      CompareBackends([&](bool is_reference) {
+        std::vector<double> out(m);
+        WeightedSquaredDistanceCols(cols.data(), m, dim, q.data(), w.data(),
+                                    out.data());
+        std::vector<double> point(dim);
+        for (size_t c = 0; c < m; ++c) {
+          for (size_t k = 0; k < dim; ++k) point[k] = cols[k * m + c];
+          EXPECT_SAME_BITS(out[c], WeightedSquaredDistance(
+                                       q.data(), point.data(), w.data(), dim))
+              << "m=" << m << " dim=" << dim << " c=" << c;
+        }
+        if (is_reference) {
+          ref = out;
+        } else {
+          for (size_t c = 0; c < m; ++c) EXPECT_SAME_BITS(ref[c], out[c]);
+        }
+      });
+    }
+  }
+}
+
 TEST(KernBackendEquality, Elementwise) {
   Rng rng(99);
   for (size_t n : kSizes) {
@@ -250,17 +283,14 @@ TEST(KernBackendEquality, GemmAndGemmBt) {
   }
 }
 
-TEST(KernBackendEquality, CholeskyAndSolve) {
-  Rng rng(31);
-  for (size_t n : {1u, 2u, 5u, 8u, 31u, 32u, 33u, 64u, 97u}) {
-    // Random SPD matrix: B * B^T + n * I.
-    Matrix bmat(n, n);
-    for (size_t i = 0; i < n; ++i)
-      for (size_t j = 0; j < n; ++j) bmat(i, j) = rng.NextGaussian();
-    Matrix spd = bmat.MultiplyTransposed(bmat);
-    spd.AddToDiagonal(static_cast<double>(n));
-    const size_t m = 6;
-    const auto rhs = RandomVec(&rng, n * m);
+/// Factors `spd` and solves L Y = B for each right-hand-side width m under
+/// both backends; L and every Y must match bit for bit. The widths cover a
+/// lone column, tail-only solves, one exact 16-column group, and groups
+/// plus a tail.
+void ExpectCholeskyAndSolveBackendEqual(const Matrix& spd, Rng* rng) {
+  const size_t n = spd.rows();
+  for (size_t m : {1u, 6u, 16u, 17u, 40u}) {
+    const auto rhs = RandomVec(rng, n * m);
     std::vector<double> ref_l, ref_y;
     CompareBackends([&](bool is_reference) {
       std::vector<double> a(n * n);
@@ -277,10 +307,44 @@ TEST(KernBackendEquality, CholeskyAndSolve) {
           for (size_t j = 0; j <= i; ++j)
             EXPECT_SAME_BITS(ref_l[i * n + j], a[i * n + j])
                 << "L(" << i << "," << j << ") n=" << n;
-        for (size_t i = 0; i < n * m; ++i) EXPECT_SAME_BITS(ref_y[i], y[i]);
+        for (size_t i = 0; i < n * m; ++i)
+          EXPECT_SAME_BITS(ref_y[i], y[i]) << "n=" << n << " m=" << m;
       }
     });
   }
+}
+
+TEST(KernBackendEquality, CholeskyAndSolve) {
+  Rng rng(31);
+  for (size_t n : {1u, 2u, 5u, 8u, 31u, 32u, 33u, 64u, 97u}) {
+    // Random SPD matrix: B * B^T + n * I.
+    Matrix bmat(n, n);
+    for (size_t i = 0; i < n; ++i)
+      for (size_t j = 0; j < n; ++j) bmat(i, j) = rng.NextGaussian();
+    Matrix spd = bmat.MultiplyTransposed(bmat);
+    spd.AddToDiagonal(static_cast<double>(n));
+    ExpectCholeskyAndSolveBackendEqual(spd, &rng);
+  }
+
+  // Block-diagonal SPD matrix: its factor is exactly zero between the two
+  // blocks, so the solve's l_ij == 0 skip runs.
+  const size_t n = 40, split = 17;
+  Matrix spd(n, n);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j <= i; ++j) {
+      if ((i < split) != (j < split)) continue;
+      const double v = rng.NextDouble() - 0.5;
+      spd(i, j) = v;
+      spd(j, i) = v;
+    }
+    spd(i, i) += static_cast<double>(n);
+  }
+  std::vector<double> l(n * n);
+  for (size_t i = 0; i < n; ++i)
+    for (size_t j = 0; j < n; ++j) l[i * n + j] = spd(i, j);
+  ASSERT_EQ(CholeskyFactorInPlace(l.data(), n), -1);
+  ASSERT_EQ(l[(n - 1) * n], 0.0) << "factor must carry exact zeros";
+  ExpectCholeskyAndSolveBackendEqual(spd, &rng);
 }
 
 TEST(KernCholesky, ReportsFirstBadPivot) {

@@ -7,6 +7,7 @@
 #include <sstream>
 #include <string>
 
+#include "core/locat_tuner.h"
 #include "core/tuning.h"
 #include "harness/experiments.h"
 #include "obs/clock.h"
@@ -287,6 +288,33 @@ TEST(ObservedTuneTest, ObserverDoesNotChangeTunerOutput) {
   }
   EXPECT_TRUE(saw_qcsa);
   EXPECT_TRUE(saw_summary);
+}
+
+// candidate_pool counts the candidates EI actually scored: near-duplicates
+// of past observations are dropped before scoring, so the pool is at most
+// the generated count and smaller whenever one was dropped.
+TEST(ObservedTuneTest, CandidatePoolCountsScoredCandidates) {
+  sparksim::ClusterSimulator sim(sparksim::X86Cluster(), 777);
+  core::TuningSession session(&sim, workloads::HiBenchAggregation());
+  auto tuner = harness::MakeTuner("LOCAT", /*seed_salt=*/0);
+  obs::CollectingObserver collector;
+  obs::ObsContext ctx;
+  ctx.observer = &collector;
+  tuner->SetObservability(ctx);
+  tuner->Tune(&session, 150.0);
+
+  const int generated = core::LocatTuner::Options().candidates;
+  int proposals = 0;
+  int pruned = 0;
+  for (const auto& ev : collector.iterations) {
+    EXPECT_GE(ev.candidate_pool, 0);
+    EXPECT_LE(ev.candidate_pool, generated);
+    if (ev.phase != "reduced") continue;
+    ++proposals;
+    if (ev.candidate_pool < generated) ++pruned;
+  }
+  EXPECT_GT(proposals, 0);
+  EXPECT_GT(pruned, 0);
 }
 
 }  // namespace
