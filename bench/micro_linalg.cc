@@ -15,8 +15,9 @@
 // (hand-rolled steady_clock timing; "cold" is the single first call and is reported as-is), written to
 // BENCH_linalg.json.
 //
-// The two backends must agree bit-for-bit (checked on the Gram matrix
-// every run; the bench aborts on any mismatch). The acceptance bar is
+// The two backends must agree bit-for-bit (checked every run on the Gram
+// matrix and on every EI-MCMC ensemble member's log marginal likelihood
+// and factor; the bench aborts on any mismatch). The acceptance bar is
 // >= 3x on gram and >= 2x on fit at n = 120, single-core — the bench
 // pins the thread pool to one worker unless --threads says otherwise.
 #include <algorithm>
@@ -103,8 +104,10 @@ struct CaseResult {
 };
 
 /// Times all ops for one size under the currently dispatched backend.
-/// `gram_out` receives the Gram matrix for the cross-backend bit check.
-OpTimes RunBackend(int n, math::Matrix* gram_out) {
+/// `gram_out` receives the Gram matrix and `fit_out` the fitted EI-MCMC
+/// ensemble for the cross-backend bit checks.
+OpTimes RunBackend(int n, math::Matrix* gram_out,
+                   std::vector<ml::GaussianProcess>* fit_out) {
   OpTimes out;
   math::Matrix x;
   math::Vector y;
@@ -182,27 +185,56 @@ OpTimes RunBackend(int n, math::Matrix* gram_out) {
       if (!model.Fit(x, y, &rng).ok()) std::abort();
       const auto t1 = Clock::now();
       best = std::min(best, Seconds(t0, t1));
+      *fit_out = model.ensemble();
     }
     out.fit_s = best;
   }
   return out;
 }
 
+bool SameBits(double a, double b) { return std::memcmp(&a, &b, 8) == 0; }
+
 CaseResult RunCase(int n) {
   CaseResult out;
   out.n = n;
   math::Matrix gram_scalar;
   math::Matrix gram_native;
+  std::vector<ml::GaussianProcess> fit_scalar;
+  std::vector<ml::GaussianProcess> fit_native;
   math::kern::SetBackend(math::kern::Backend::kScalar);
-  out.scalar = RunBackend(n, &gram_scalar);
+  out.scalar = RunBackend(n, &gram_scalar, &fit_scalar);
   math::kern::SetBackend(math::kern::BestBackend());
-  out.native = RunBackend(n, &gram_native);
-  // Determinism gate: the backends must agree on every Gram bit.
+  out.native = RunBackend(n, &gram_native, &fit_native);
+  // Determinism gates: the backends must agree on every Gram bit, and on
+  // every ensemble member's likelihood and factor bit.
   for (size_t i = 0; i < gram_scalar.rows(); ++i) {
     for (size_t j = 0; j < gram_scalar.cols(); ++j) {
-      if (std::memcmp(&gram_scalar(i, j), &gram_native(i, j), 8) != 0) {
+      if (!SameBits(gram_scalar(i, j), gram_native(i, j))) {
         std::fprintf(stderr, "backend mismatch at n=%d (%zu,%zu)\n", n, i, j);
         std::abort();
+      }
+    }
+  }
+  if (fit_scalar.size() != fit_native.size()) {
+    std::fprintf(stderr, "fit ensemble size mismatch at n=%d\n", n);
+    std::abort();
+  }
+  for (size_t m = 0; m < fit_scalar.size(); ++m) {
+    if (!SameBits(fit_scalar[m].LogMarginalLikelihood(),
+                  fit_native[m].LogMarginalLikelihood())) {
+      std::fprintf(stderr, "fit member %zu likelihood mismatch at n=%d\n", m,
+                   n);
+      std::abort();
+    }
+    const math::Matrix& ls = fit_scalar[m].factor();
+    const math::Matrix& ln = fit_native[m].factor();
+    for (size_t i = 0; i < ls.rows(); ++i) {
+      for (size_t j = 0; j <= i; ++j) {
+        if (!SameBits(ls(i, j), ln(i, j))) {
+          std::fprintf(stderr, "fit member %zu factor mismatch at n=%d "
+                       "(%zu,%zu)\n", m, n, i, j);
+          std::abort();
+        }
       }
     }
   }
@@ -344,7 +376,7 @@ IncCaseResult RunIncCase(int n, int m) {
   // backends (lower triangle; the strict upper part is unspecified).
   for (size_t i = 0; i < factor_scalar.rows(); ++i) {
     for (size_t j = 0; j <= i; ++j) {
-      if (std::memcmp(&factor_scalar(i, j), &factor_native(i, j), 8) != 0) {
+      if (!SameBits(factor_scalar(i, j), factor_native(i, j))) {
         std::fprintf(stderr, "append backend mismatch at n=%d (%zu,%zu)\n", n,
                      i, j);
         std::abort();

@@ -1,6 +1,7 @@
 #include "math/cholesky.h"
 
 #include <cmath>
+#include <utility>
 
 #include "math/kern/kern.h"
 
@@ -11,22 +12,29 @@ StatusOr<Cholesky> Cholesky::Factor(const Matrix& a) {
     return Status::InvalidArgument("Cholesky requires a square matrix");
   }
   const size_t n = a.rows();
-  // Copy the lower triangle into a zeroed matrix and factor in place; the
-  // kern Cholesky never touches the (zero) upper triangle.
+  // Copy the lower triangle into a zeroed matrix and factor that.
   Matrix l(n, n);
   for (size_t i = 0; i < n; ++i) {
     const double* src = a.RowData(i);
     double* dst = l.RowData(i);
     for (size_t j = 0; j <= i; ++j) dst[j] = src[j];
   }
+  return FactorLowerInPlace(std::move(l));
+}
+
+StatusOr<Cholesky> Cholesky::FactorLowerInPlace(Matrix a) {
+  if (a.rows() != a.cols()) {
+    return Status::InvalidArgument("Cholesky requires a square matrix");
+  }
+  const size_t n = a.rows();
   const ptrdiff_t pivot =
-      n == 0 ? -1 : kern::CholeskyFactorInPlace(l.RowData(0), n);
+      n == 0 ? -1 : kern::CholeskyFactorInPlace(a.RowData(0), n);
   if (pivot >= 0) {
     return Status::FailedPrecondition(
         "matrix is not positive definite (pivot " + std::to_string(pivot) +
         ")");
   }
-  return Cholesky(std::move(l), /*jitter=*/0.0);
+  return Cholesky(std::move(a), /*jitter=*/0.0);
 }
 
 StatusOr<Cholesky> Cholesky::FactorWithJitter(const Matrix& a,

@@ -19,6 +19,13 @@ class Cholesky {
   /// typically retry after adding diagonal jitter.
   static StatusOr<Cholesky> Factor(const Matrix& a);
 
+  /// Factors the lower triangle of `a` in place and keeps the storage as
+  /// L: the upper triangle must already be zero (it is neither read nor
+  /// written). `Factor` copies into such a matrix and calls this, so a
+  /// caller that builds its matrix straight into a zeroed lower triangle
+  /// gets the same bits without the copy. Same errors as `Factor`.
+  static StatusOr<Cholesky> FactorLowerInPlace(Matrix a);
+
   /// Like `Factor` but retries with growing diagonal jitter
   /// (`initial_jitter * 10^k`, k = 0..max_attempts-1). Returns the factor of
   /// `a + jitter*I` for the first jitter that succeeds.

@@ -179,10 +179,6 @@ void AddSquares(const double* x, double* acc, size_t n) {
   Ops().add_squares(x, acc, n);
 }
 
-void SubSquare(const double* a, const double* b, double* out, size_t n) {
-  Ops().sub_square(a, b, out, n);
-}
-
 void Min(const double* a, const double* b, double* out, size_t n) {
   Ops().vmin(a, b, out, n);
 }

@@ -110,9 +110,6 @@ void Scale(double alpha, double* x, size_t n);
 /// acc[i] = fma(x[i], x[i], acc[i]) — column sum-of-squares accumulator.
 void AddSquares(const double* x, double* acc, size_t n);
 
-/// out[i] = (a[i] - b[i])^2 — the pair-sqdiff precompute.
-void SubSquare(const double* a, const double* b, double* out, size_t n);
-
 /// out[i] = std::min(a[i], b[i]) — the exact std::min selection rule
 /// (b < a ? b : a), not an ISA min instruction, so bits match scalar
 /// <algorithm> code on every backend.

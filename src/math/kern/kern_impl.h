@@ -305,19 +305,6 @@ void AddSquaresImpl(const double* x, double* acc, size_t n) {
   for (; i < n; ++i) acc[i] = std::fma(x[i], x[i], acc[i]);
 }
 
-template <class V>
-void SubSquareImpl(const double* a, const double* b, double* out, size_t n) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const V d = V::Sub(V::Load(a + i), V::Load(b + i));
-    V::Mul(d, d).Store(out + i);
-  }
-  for (; i < n; ++i) {
-    const double d = a[i] - b[i];
-    out[i] = d * d;
-  }
-}
-
 // Min follows the std::min selection rule exactly — min(a, b) =
 // b < a ? b : a — built on IfLess rather than native min instructions,
 // whose +-0/NaN conventions differ between ISAs. This keeps it
@@ -405,9 +392,12 @@ void GemmBtImpl(const double* a, size_t m, const double* b, size_t n, size_t k,
 }
 
 /// Blocked right-looking Cholesky on the lower triangle, panel width 32.
-/// Panel columns factor left-looking within the block; the trailing SYRK
-/// update then folds the panel into the remaining rows with Dot4-blocked
-/// inner products. Returns the first bad pivot index, or -1.
+/// Panel columns factor left-looking within the block, four rows at a
+/// time through Dot4Impl so the rows share the pivot row's loads (each
+/// entry keeps DotImpl's chain: fma is symmetric in its product operands).
+/// The trailing SYRK update then folds the panel into the remaining rows
+/// with Dot4-blocked inner products. The panel width fixes the operation
+/// order. Returns the first bad pivot index, or -1.
 template <class V>
 ptrdiff_t CholImpl(double* a, size_t n) {
   constexpr size_t kPanel = 32;
@@ -415,14 +405,24 @@ ptrdiff_t CholImpl(double* a, size_t n) {
     const size_t jb = std::min(kPanel, n - j0);
     for (size_t j = j0; j < j0 + jb; ++j) {
       double* rj = a + j * n;
-      const double d = rj[j] - DotImpl<V>(rj + j0, rj + j0, j - j0);
+      const size_t len = j - j0;
+      const double d = rj[j] - DotImpl<V>(rj + j0, rj + j0, len);
       if (!(d > 0.0) || !std::isfinite(d)) return static_cast<ptrdiff_t>(j);
       const double ljj = std::sqrt(d);
       rj[j] = ljj;
       const double inv = 1.0 / ljj;
-      for (size_t i = j + 1; i < n; ++i) {
+      size_t i = j + 1;
+      for (; i + 4 <= n; i += 4) {
+        double d4[4];
+        Dot4Impl<V>(rj + j0, a + i * n + j0, n, len, d4);
+        for (size_t r = 0; r < 4; ++r) {
+          double* ri = a + (i + r) * n;
+          ri[j] = (ri[j] - d4[r]) * inv;
+        }
+      }
+      for (; i < n; ++i) {
         double* ri = a + i * n;
-        ri[j] = (ri[j] - DotImpl<V>(ri + j0, rj + j0, j - j0)) * inv;
+        ri[j] = (ri[j] - DotImpl<V>(ri + j0, rj + j0, len)) * inv;
       }
     }
     const size_t e = j0 + jb;
@@ -514,7 +514,7 @@ constexpr KernOps MakeOps() {
       &WSqDistImpl<V>,    &MatVecImpl<V>,    &SqDistRowsImpl<V>,
       &WSqDistRowsImpl<V>, &WSqDistColsImpl<V>, &AxpyImpl<V>,
       &ScaleImpl<V>,
-      &AddSquaresImpl<V>, &SubSquareImpl<V>, &MinImpl<V>,
+      &AddSquaresImpl<V>, &MinImpl<V>,
       &SubShiftImpl<V>,   &ExpScaledImpl<V>, &GemmImpl<V>,
       &GemmBtImpl<V>,     &CholImpl<V>,      &SolveLowerMultiImpl<V>,
       &CholAppendRowImpl<V>,

@@ -27,7 +27,6 @@ struct KernOps {
   void (*axpy)(double alpha, const double* x, double* y, size_t n);
   void (*scale)(double alpha, double* x, size_t n);
   void (*add_squares)(const double* x, double* acc, size_t n);
-  void (*sub_square)(const double* a, const double* b, double* out, size_t n);
   void (*vmin)(const double* a, const double* b, double* out, size_t n);
   void (*sub_shift)(const double* a, const double* b, double shift,
                     double* out, size_t n);

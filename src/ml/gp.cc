@@ -1,7 +1,9 @@
 #include "ml/gp.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -73,6 +75,42 @@ void Standardize(const math::Vector& y, math::Vector* ys, double* mean,
   for (size_t i = 0; i < y.size(); ++i) (*ys)[i] = (y[i] - *mean) / *std;
 }
 
+/// Lane t of the pair exponents: S_t[p] = fma chain over the coordinates
+/// k == t (mod 4) in ascending k, fma(w_k, D_kp, acc) from +0, one Axpy
+/// per coordinate over the coordinate-major squared differences.
+void ComputeLane(const double* sqdiff, size_t npairs, size_t d,
+                 const double* w, size_t t, double* lane) {
+  std::fill(lane, lane + npairs, 0.0);
+  for (size_t k = t; k < d; k += 4) {
+    math::kern::Axpy(w[k], sqdiff + k * npairs, lane, npairs);
+  }
+}
+
+/// e[p] = exp(-((S_0 + S_2) + (S_1 + S_3)) / 2) with post-scale 1, so a
+/// later `signal * e[p]` is ExpScaled(-1/2, signal)'s own multiply.
+void UnitKernel(const double* lanes, size_t npairs, double* e) {
+  const double* s0 = lanes;
+  const double* s1 = s0 + npairs;
+  const double* s2 = s1 + npairs;
+  const double* s3 = s2 + npairs;
+  for (size_t p = 0; p < npairs; ++p) e[p] = (s0[p] + s2[p]) + (s1[p] + s3[p]);
+  math::kern::ExpScaled(e, npairs, -0.5, 1.0);
+}
+
+/// Writes signal * e into the strict lower triangle of `k` (pair
+/// p = i*(i-1)/2 + j, so row i reads e contiguously) and `diag` onto the
+/// diagonal; the upper triangle is left as it is.
+void FillLowerKernel(const double* e, double sv, double diag,
+                     math::Matrix* k) {
+  const double* ei = e;
+  for (size_t i = 0; i < k->rows(); ++i) {
+    double* row = k->RowData(i);
+    for (size_t j = 0; j < i; ++j) row[j] = sv * ei[j];
+    row[i] = diag;
+    ei += i;
+  }
+}
+
 }  // namespace
 
 GpHyperparams GpHyperparams::Default(size_t input_dim) {
@@ -108,13 +146,16 @@ GpKernelCache::GpKernelCache(const math::Matrix& x, const math::Vector& y)
   Standardize(y, &ys_, &y_mean_, &y_std_);
   const size_t n = x_.rows();
   const size_t d = x_.cols();
-  pair_sqdiff_.resize(n * (n - 1) / 2 * d);
-  double* out = pair_sqdiff_.data();
-  for (size_t i = 0; i < n; ++i) {
-    const double* xi = x_.RowData(i);
-    for (size_t j = 0; j < i; ++j) {
-      math::kern::SubSquare(xi, x_.RowData(j), out, d);
-      out += d;
+  const size_t npairs = n * (n - 1) / 2;
+  pair_sqdiff_.resize(npairs * d);
+  for (size_t k = 0; k < d; ++k) {
+    double* out = pair_sqdiff_.data() + k * npairs;
+    for (size_t i = 0; i < n; ++i) {
+      const double xik = x_(i, k);
+      for (size_t j = 0; j < i; ++j) {
+        const double diff = xik - x_(j, k);
+        *out++ = diff * diff;
+      }
     }
   }
 }
@@ -122,28 +163,48 @@ GpKernelCache::GpKernelCache(const math::Matrix& x, const math::Vector& y)
 math::Matrix GpKernelCache::BuildKernel(const GpHyperparams& hp) const {
   const size_t n = x_.rows();
   const size_t d = x_.cols();
+  const size_t npairs = n * (n - 1) / 2;
   const math::Vector w = KernelWeights(hp);
   const double sv = std::exp(hp.log_signal_variance);
   const double diag = sv + std::exp(hp.log_noise_variance) + 1e-10;
+  std::vector<double> lanes(4 * npairs);
+  for (size_t t = 0; t < 4; ++t) {
+    ComputeLane(pair_sqdiff_.data(), npairs, d, w.data().data(), t,
+                lanes.data() + t * npairs);
+  }
+  std::vector<double> e(npairs);
+  UnitKernel(lanes.data(), npairs, e.data());
   math::Matrix k(n, n);
-  // The precomputed pair squared-diffs form an (npairs x d) row-major
-  // matrix, so the whole strict lower triangle is one mat-vec against the
-  // lengthscale weights followed by one vectorized exp pass.
-  const size_t npairs = n * (n - 1) / 2;
-  std::vector<double> vals(npairs);
-  math::kern::MatVecRowMajor(pair_sqdiff_.data(), npairs, d, w.data().data(),
-                             vals.data());
-  math::kern::ExpScaled(vals.data(), npairs, -0.5, sv);
-  const double* v = vals.data();
+  FillLowerKernel(e.data(), sv, diag, &k);
   for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j < i; ++j) {
-      k(i, j) = *v;
-      k(j, i) = *v;
-      ++v;
-    }
-    k(i, i) = diag;
+    for (size_t j = 0; j < i; ++j) k(j, i) = k(i, j);
   }
   return k;
+}
+
+bool GpKernelCache::RefreshLanes(const math::Vector& w) {
+  const size_t n = x_.rows();
+  const size_t d = x_.cols();
+  const size_t npairs = n * (n - 1) / 2;
+  const bool cold = lane_w_.size() != d || lanes_.size() != 4 * npairs;
+  if (cold) {
+    lanes_.assign(4 * npairs, 0.0);
+    unit_kernel_.resize(npairs);
+  }
+  bool changed = cold;
+  for (size_t t = 0; t < 4; ++t) {
+    bool stale = cold;
+    for (size_t k = t; k < d && !stale; k += 4) {
+      stale = std::bit_cast<uint64_t>(w[k]) !=
+              std::bit_cast<uint64_t>(lane_w_[k]);
+    }
+    if (!stale) continue;
+    ComputeLane(pair_sqdiff_.data(), npairs, d, w.data().data(), t,
+                lanes_.data() + t * npairs);
+    changed = true;
+  }
+  lane_w_ = w.data();
+  return changed;
 }
 
 double GpKernelCache::LogMarginalLikelihood(const GpHyperparams& hp) {
@@ -166,11 +227,21 @@ double GpKernelCache::LogMarginalLikelihood(const GpHyperparams& hp) {
       if (match) return memo_->log_marginal_likelihood;
     }
   }
-  math::Matrix k = BuildKernel(hp);
-  auto chol = math::Cholesky::FactorWithJitter(k);
+  if (RefreshLanes(KernelWeights(hp))) {
+    UnitKernel(lanes_.data(), unit_kernel_.size(), unit_kernel_.data());
+  }
+  const size_t n_pts = x_.rows();
+  const double sv = std::exp(hp.log_signal_variance);
+  const double diag = sv + std::exp(hp.log_noise_variance) + 1e-10;
+  math::Matrix l(n_pts, n_pts);
+  FillLowerKernel(unit_kernel_.data(), sv, diag, &l);
+  auto chol = math::Cholesky::FactorLowerInPlace(std::move(l));
+  // A non-SPD pivot consumed the buffer; the jitter retries start over
+  // from a rebuilt kernel (the same bits).
+  if (!chol.ok()) chol = math::Cholesky::FactorWithJitter(BuildKernel(hp));
   if (!chol.ok()) return -std::numeric_limits<double>::infinity();
   math::Vector alpha = chol->Solve(ys_);
-  const double n = static_cast<double>(x_.rows());
+  const double n = static_cast<double>(n_pts);
   const double lml = -0.5 * ys_.Dot(alpha) - 0.5 * chol->LogDeterminant() -
                      n * kHalfLog2Pi;
   memo_.emplace(

@@ -41,6 +41,20 @@ struct GpHyperparams {
 /// once; each proposal then costs one exp per pair instead of d exps, d
 /// divisions, and two Vector copies per pair.
 ///
+/// The exponent of pair p is summed in four lanes: lane t folds the
+/// coordinates k == t (mod 4) in ascending k as fma(w_k, D_kp, acc) from
+/// +0, and the lanes combine as (S_0 + S_2) + (S_1 + S_3) — the order a
+/// row-major `kern` mat-vec of the pair rows against w uses, so the
+/// exponents are the ones a plain mat-vec gives. `LogMarginalLikelihood`
+/// keeps the lanes, the weights that produced them and the unscaled
+/// exp(-exponent / 2) across calls. The sampler moves one coordinate at a
+/// time, so a lengthscale proposal recomputes one lane (about d/4
+/// coordinates) and a signal or noise proposal recomputes none. The
+/// kernel is then written as signal * exp into the lower triangle of one
+/// zeroed matrix that `math::Cholesky::FactorLowerInPlace` factors in
+/// place; that is `ExpScaled(-1/2, signal)`'s separate multiply, so every
+/// entry, the factor and the likelihood keep their bits.
+///
 /// The cache also standardizes the targets once and memoizes the
 /// factorization of the most recent successful likelihood evaluation.
 /// The slice sampler's final density evaluation of each sweep lands
@@ -62,8 +76,9 @@ class GpKernelCache {
   double y_mean() const { return y_mean_; }
   double y_std() const { return y_std_; }
 
-  /// Kernel matrix K(hp) with the noise + 1e-10 diagonal already added.
-  /// Const and thread-safe.
+  /// Kernel matrix K(hp) with the noise + 1e-10 diagonal already added,
+  /// with the bits `LogMarginalLikelihood` factors. Const and thread-safe:
+  /// it computes every lane on local buffers.
   math::Matrix BuildKernel(const GpHyperparams& hp) const;
 
   /// The reusable result of one likelihood evaluation.
@@ -76,26 +91,40 @@ class GpKernelCache {
   /// Log marginal likelihood of the cached data under `hp` (same value as
   /// `GaussianProcess::ComputeLogMarginalLikelihood`, jittered path).
   /// Returns -inf when the kernel cannot be factored even with jitter.
-  /// Memoizes the factorization of the last successful call; NOT
-  /// thread-safe because of that memo write.
+  /// Updates the lane state and memoizes the factorization of the last
+  /// successful call; NOT thread-safe because of those writes.
   double LogMarginalLikelihood(const GpHyperparams& hp);
 
   /// Moves out the memoized factorization iff it was produced for exactly
   /// the hyperparameters `flat` (element-wise equality on the flattened
-  /// vector). Returns nullopt on a miss; the memo is consumed either way
-  /// only on a hit.
+  /// vector). Returns nullopt on a miss and leaves the memo in place; a
+  /// hit consumes it, so a second take of the same key misses.
   std::optional<Factorization> TakeMemoized(const math::Vector& flat);
 
  private:
+  /// Brings `lanes_` up to the weights `w`, recomputing only the lanes
+  /// holding a coordinate whose weight bits changed. Returns true when
+  /// some lane was recomputed.
+  bool RefreshLanes(const math::Vector& w);
+
   math::Matrix x_;
   math::Vector ys_;
   math::Vector y_raw_;
   double y_mean_ = 0.0;
   double y_std_ = 1.0;
-  // Row p holds the d squared differences of pair p, pairs enumerated as
-  // (i, j) with j < i, p = i*(i-1)/2 + j. Contiguous so a kernel build is
-  // one linear scan.
+  // Coordinate-major squared differences: pair_sqdiff_[k * npairs + p] is
+  // (x_i[k] - x_j[k])^2 for pair p = i*(i-1)/2 + j, j < i. One coordinate
+  // of every pair is contiguous, so it folds into its lane in one Axpy,
+  // and row i's pairs are contiguous in p.
   std::vector<double> pair_sqdiff_;
+
+  // Lane state of LogMarginalLikelihood, kept across calls (empty until
+  // the first call): lanes_[t * npairs + p] = S_t[p], lane_w_ the weights
+  // the lanes were built from, and unit_kernel_[p] the unscaled
+  // exp(-((S_0 + S_2) + (S_1 + S_3)) / 2).
+  std::vector<double> lanes_;
+  std::vector<double> lane_w_;
+  std::vector<double> unit_kernel_;
 
   std::optional<Factorization> memo_;
   math::Vector memo_key_;
@@ -133,13 +162,16 @@ class GaussianProcess {
 
   /// Adds one observation to an already-fitted GP in O(n^2) via a rank-1
   /// bordered Cholesky append (hyperparameters stay fixed): one cross
-  /// kernel row (built with the same batched kernels Fit uses, so the
-  /// entries are bit-identical to a full kernel rebuild), one triangular
-  /// solve, a scalar Schur completion, then a restandardization of the
-  /// full target history and one O(n^2) re-solve for the weights. When
-  /// the completion rejects the append (near-singular extension) the
-  /// implementation falls back to a full jittered refactorization of the
-  /// extended kernel. On any error the GP is left unchanged.
+  /// kernel row, one triangular solve, a scalar Schur completion, then a
+  /// restandardization of the full target history and one O(n^2) re-solve
+  /// for the weights. The cross row is built with the batched weighted
+  /// distances the (x, y) `Fit` uses, which fold fma(w*d, d, acc), so its
+  /// entries are bit-identical to that Fit's kernel on the extended
+  /// inputs. They are not bit-identical to the EI-MCMC refit's kernel
+  /// (`GpKernelCache`, which folds fma(w, d^2, acc)). When the completion
+  /// rejects the append (near-singular extension) the implementation
+  /// falls back to a full jittered refactorization of the extended
+  /// kernel. On any error the GP is left unchanged.
   Status AppendFit(const math::Vector& x_new, double y_new);
 
   struct Prediction {

@@ -3,8 +3,11 @@
 // of the tuner. The contract under test is "fast, but bit-for-bit the
 // same answer" — every optimization here must be invisible in results.
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -172,7 +175,9 @@ Vector UnfusedVariance(const GaussianProcess& gp, const GpKernelCache& cache,
   const size_t d = x.cols();
   const GpHyperparams& hp = gp.hyperparams();
   std::vector<double> w(d);
-  for (size_t k = 0; k < d; ++k) w[k] = std::exp(-2.0 * hp.log_lengthscales[k]);
+  for (size_t k = 0; k < d; ++k) {
+    w[k] = std::exp(-2.0 * hp.log_lengthscales[k]);
+  }
   const double sv = std::exp(hp.log_signal_variance);
   const double ys2 = cache.y_std() * cache.y_std();
   const Matrix& l = gp.factor();
@@ -402,6 +407,188 @@ TEST(GpKernelCacheTest, DegenerateKernelStillFactorsWithJitter) {
   EXPECT_TRUE(std::isfinite(cached));
   EXPECT_TRUE(std::isfinite(ref));
   EXPECT_NEAR(cached, ref, 1e-6 * std::max(1.0, std::abs(ref)));
+}
+
+/// The log marginal likelihood by the kernel build the lane cache
+/// replaces: row-major pair squared differences, one row-major mat-vec
+/// against the weights, ExpScaled(-1/2, signal) and a symmetric K handed
+/// to FactorWithJitter. nullopt when K cannot be factored.
+std::optional<GpKernelCache::Factorization> RowMajorMatVecDensity(
+    const Matrix& x, const Vector& ys, const GpHyperparams& hp) {
+  const size_t n = x.rows();
+  const size_t d = x.cols();
+  const size_t npairs = n * (n - 1) / 2;
+  std::vector<double> sqdiff(npairs * d);
+  for (size_t i = 0, p = 0; i < n; ++i) {
+    for (size_t j = 0; j < i; ++j, ++p) {
+      for (size_t k = 0; k < d; ++k) {
+        const double diff = x(i, k) - x(j, k);
+        sqdiff[p * d + k] = diff * diff;
+      }
+    }
+  }
+  std::vector<double> w(d);
+  for (size_t k = 0; k < d; ++k) {
+    w[k] = std::exp(-2.0 * hp.log_lengthscales[k]);
+  }
+  const double sv = std::exp(hp.log_signal_variance);
+  std::vector<double> vals(npairs);
+  math::kern::MatVecRowMajor(sqdiff.data(), npairs, d, w.data(), vals.data());
+  math::kern::ExpScaled(vals.data(), npairs, -0.5, sv);
+  Matrix k(n, n);
+  for (size_t i = 0, p = 0; i < n; ++i) {
+    for (size_t j = 0; j < i; ++j, ++p) {
+      k(i, j) = vals[p];
+      k(j, i) = vals[p];
+    }
+    k(i, i) = sv + std::exp(hp.log_noise_variance) + 1e-10;
+  }
+  auto chol = math::Cholesky::FactorWithJitter(k);
+  if (!chol.ok()) return std::nullopt;
+  Vector alpha = chol->Solve(ys);
+  const double lml = -0.5 * ys.Dot(alpha) - 0.5 * chol->LogDeterminant() -
+                     static_cast<double>(n) * 0.9189385332046727;
+  return GpKernelCache::Factorization{std::move(chol).value(),
+                                      std::move(alpha), lml};
+}
+
+bool SameBits(double a, double b) {
+  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+
+/// How many steps of a walk took the jitter path, and how many could not
+/// be factored at all.
+struct WalkPaths {
+  int jittered = 0;
+  int failed = 0;
+};
+
+/// Walks one cache through `steps` proposals shaped like the slice
+/// sampler's: one lengthscale, signal only, noise only, or every
+/// coordinate at once, then repeats the state (no lane changes). At each
+/// step the density, the factor and alpha must carry the bits of
+/// `RowMajorMatVecDensity`. `extreme` draws some lengthscales whose
+/// weights underflow to 0 or overflow to inf.
+WalkPaths ExpectWalkMatchesRowMajorReference(const Matrix& x,
+                                             const Vector& y, uint64_t seed,
+                                             int steps, bool extreme) {
+  const size_t n = x.rows();
+  const size_t d = x.cols();
+  GpKernelCache cache(x, y);
+  Rng rng(seed);
+  GpHyperparams hp = GpHyperparams::Default(d);
+  WalkPaths paths;
+  const auto draw_lengthscale = [&]() {
+    if (extreme && rng.NextDouble() < 0.3) {
+      return rng.NextDouble() < 0.5 ? 400.0 : -400.0;
+    }
+    return rng.Uniform(-3.0, 1.5);
+  };
+  // A quarter of the signal draws are so large, and half the noise draws
+  // so tiny, that the fixed 1e-10 diagonal drowns in rounding and
+  // near-singular kernels need the jitter retries.
+  const auto draw_signal = [&]() {
+    return rng.NextDouble() < 0.25 ? rng.Uniform(10.0, 25.0)
+                                   : rng.Uniform(-2.0, 2.0);
+  };
+  const auto draw_noise = [&]() {
+    return rng.NextDouble() < 0.5 ? rng.Uniform(-40.0, -20.0)
+                                  : rng.Uniform(-12.0, 0.0);
+  };
+  for (int step = 0; step < steps; ++step) {
+    switch (step % 5) {
+      case 0:
+        hp.log_lengthscales[static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(d) - 1))] =
+            draw_lengthscale();
+        break;
+      case 1:
+        hp.log_signal_variance = draw_signal();
+        break;
+      case 2:
+        hp.log_noise_variance = draw_noise();
+        break;
+      case 3:
+        for (size_t k = 0; k < d; ++k) {
+          hp.log_lengthscales[k] = draw_lengthscale();
+        }
+        hp.log_signal_variance = draw_signal();
+        hp.log_noise_variance = draw_noise();
+        break;
+      default:
+        break;  // same state again
+    }
+    const auto ref = RowMajorMatVecDensity(x, cache.standardized_y(), hp);
+    const double lml = cache.LogMarginalLikelihood(hp);
+    SCOPED_TRACE(::testing::Message() << "n=" << n << " d=" << d
+                                      << " step=" << step);
+    auto got = cache.TakeMemoized(hp.Flatten());
+    if (!ref.has_value()) {
+      ++paths.failed;
+      EXPECT_EQ(lml, -std::numeric_limits<double>::infinity());
+      EXPECT_FALSE(got.has_value());
+      continue;
+    }
+    if (ref->chol.jitter() > 0.0) ++paths.jittered;
+    EXPECT_PRED2(SameBits, lml, ref->log_marginal_likelihood);
+    if (!got.has_value()) {
+      ADD_FAILURE() << "no memoized factorization";
+      continue;
+    }
+    EXPECT_PRED2(SameBits, got->chol.jitter(), ref->chol.jitter());
+    const Matrix& l = got->chol.L();
+    const Matrix& rl = ref->chol.L();
+    size_t factor_diffs = 0;
+    size_t alpha_diffs = 0;
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t j = 0; j < n; ++j) {
+        factor_diffs += !SameBits(l(i, j), rl(i, j));
+      }
+      alpha_diffs += !SameBits(got->alpha[i], ref->alpha[i]);
+    }
+    EXPECT_EQ(factor_diffs, 0u);
+    EXPECT_EQ(alpha_diffs, 0u);
+  }
+  return paths;
+}
+
+// The lane-cached density against the mat-vec formula it replaced.
+TEST(GpKernelCacheTest, IncrementalDensityMatchesParentFormulaBitForBit) {
+  uint64_t seed = 1;
+  for (size_t d : {1u, 2u, 3u, 4u, 5u, 8u, 21u, 39u}) {
+    for (size_t n : {2u, 3u, 33u, 77u}) {
+      Matrix x;
+      Vector y;
+      MakeDataset(n, d, &x, &y);
+      ExpectWalkMatchesRowMajorReference(x, y, seed++, 30,
+                                         /*extreme=*/false);
+    }
+  }
+
+  // Duplicate rows with tiny noise: singular kernels take the jitter path.
+  Matrix x;
+  Vector y;
+  MakeDataset(33, 5, &x, &y);
+  for (size_t i = 11; i < 33; ++i) x.SetRow(i, x.Row(i % 11));
+  const WalkPaths dup =
+      ExpectWalkMatchesRowMajorReference(x, y, 101, 40, /*extreme=*/false);
+  EXPECT_GT(dup.jittered, 0);
+
+  // Constant targets standardize to all zeros.
+  MakeDataset(33, 8, &x, &y);
+  for (size_t i = 0; i < y.size(); ++i) y[i] = 2.5;
+  ExpectWalkMatchesRowMajorReference(x, y, 102, 30, /*extreme=*/false);
+
+  // Weights exp(-2 * 400) = 0 and exp(800) = inf, on data that also has
+  // repeated coordinate values: inf * 0 makes NaN exponents, whose
+  // kernels cannot be factored.
+  for (size_t d : {3u, 21u}) {
+    MakeDataset(33, d, &x, &y);
+    for (size_t i = 0; i < 33; i += 3) x(i, 0) = 0.5;
+    const WalkPaths paths = ExpectWalkMatchesRowMajorReference(
+        x, y, 100 + d, 60, /*extreme=*/true);
+    EXPECT_GT(paths.failed, 0) << "d=" << d;
+  }
 }
 
 // ------------------------------------------------------------- EiMcmc

@@ -149,26 +149,23 @@ TEST(KernBackendEquality, Elementwise) {
   for (size_t n : kSizes) {
     const auto a = RandomVec(&rng, n);
     const auto b = RandomVec(&rng, n);
-    std::vector<double> ref_y, ref_sq, ref_sh, ref_acc;
+    std::vector<double> ref_y, ref_sh, ref_acc;
     CompareBackends([&](bool is_reference) {
       auto y = b;
       Axpy(1.7, a.data(), y.data(), n);
       Scale(0.37, y.data(), n);
       auto acc = b;
       AddSquares(a.data(), acc.data(), n);
-      std::vector<double> sq(n), sh(n);
-      SubSquare(a.data(), b.data(), sq.data(), n);
+      std::vector<double> sh(n);
       SubtractShift(a.data(), b.data(), 0.125, sh.data(), n);
       if (is_reference) {
         ref_y = y;
         ref_acc = acc;
-        ref_sq = sq;
         ref_sh = sh;
       } else {
         for (size_t i = 0; i < n; ++i) {
           EXPECT_SAME_BITS(ref_y[i], y[i]);
           EXPECT_SAME_BITS(ref_acc[i], acc[i]);
-          EXPECT_SAME_BITS(ref_sq[i], sq[i]);
           EXPECT_SAME_BITS(ref_sh[i], sh[i]);
         }
       }
@@ -402,11 +399,7 @@ TEST(KernCholesky, JitterRetryPathBitIdentical) {
   });
 }
 
-// ---------------------------------------------------------------------------
-// Bordered Cholesky append: the O(n^2) append must (a) agree with a
-// from-scratch factorization to tight tolerance and (b) be bit-identical
-// across backends, including every remainder-lane class.
-
+/// Random SPD matrix: B * B^T + n * I.
 Matrix MakeSpd(Rng* rng, size_t n) {
   Matrix bmat(n, n);
   for (size_t i = 0; i < n; ++i)
@@ -415,6 +408,65 @@ Matrix MakeSpd(Rng* rng, size_t n) {
   spd.AddToDiagonal(static_cast<double>(n));
   return spd;
 }
+
+/// The blocked Cholesky's panel algorithm with one kern::Dot per entry:
+/// panel width 32, each panel column left-looking over the panel's
+/// finished columns, then the trailing update of every later entry by the
+/// panel's inner products. Unblocked across rows, so it pins the order of
+/// operations the 4-row panel blocking must keep.
+void PanelCholeskyReplica(double* a, size_t n) {
+  constexpr size_t kPanel = 32;
+  for (size_t j0 = 0; j0 < n; j0 += kPanel) {
+    const size_t jb = std::min(kPanel, n - j0);
+    for (size_t j = j0; j < j0 + jb; ++j) {
+      double* rj = a + j * n;
+      rj[j] = std::sqrt(rj[j] - Dot(rj + j0, rj + j0, j - j0));
+      const double inv = 1.0 / rj[j];
+      for (size_t i = j + 1; i < n; ++i) {
+        double* ri = a + i * n;
+        ri[j] = (ri[j] - Dot(ri + j0, rj + j0, j - j0)) * inv;
+      }
+    }
+    for (size_t i = j0 + jb; i < n; ++i) {
+      double* ri = a + i * n;
+      for (size_t j = j0 + jb; j <= i; ++j)
+        ri[j] -= Dot(ri + j0, a + j * n + j0, jb);
+    }
+  }
+}
+
+TEST(KernCholesky, BlockedPanelMatchesPerEntryDotReplica) {
+  // n covers lone rows, the 4-row blocks and their tails, one exact
+  // panel, the panel boundary, and several panels with every tail class.
+  const Backend entry = ActiveBackend();
+  Rng rng(2112);
+  for (size_t n : {1u, 3u, 4u, 5u, 31u, 32u, 33u, 36u, 37u, 64u, 65u, 77u,
+                   100u}) {
+    const Matrix spd = MakeSpd(&rng, n);
+    std::vector<double> lower(n * n, 0.0);
+    for (size_t i = 0; i < n; ++i)
+      for (size_t j = 0; j <= i; ++j) lower[i * n + j] = spd(i, j);
+    for (Backend b : {Backend::kScalar, Backend::kAvx2, Backend::kNeon}) {
+      if (!BackendAvailable(b)) continue;
+      SetBackend(b);
+      auto ref = lower;
+      PanelCholeskyReplica(ref.data(), n);
+      auto got = lower;
+      ASSERT_EQ(CholeskyFactorInPlace(got.data(), n), -1);
+      for (size_t i = 0; i < n; ++i)
+        for (size_t j = 0; j <= i; ++j)
+          EXPECT_SAME_BITS(ref[i * n + j], got[i * n + j])
+              << "L(" << i << "," << j << ") n=" << n << " backend "
+              << BackendName(b);
+    }
+  }
+  SetBackend(entry);
+}
+
+// ---------------------------------------------------------------------------
+// Bordered Cholesky append: the O(n^2) append must (a) agree with a
+// from-scratch factorization to tight tolerance and (b) be bit-identical
+// across backends, including every remainder-lane class.
 
 TEST(KernCholUpdate, AppendRowBackendBitIdentical) {
   Rng rng(404);
