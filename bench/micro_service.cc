@@ -16,7 +16,11 @@
 //   warm_vs_cold: three donor apps tuned with a production budget seed a
 //           similar new app's surrogate (observations + CSQ hint); the
 //           warm app must reach within 5% of the cold-tuned noise-free
-//           cost in at most half the tuning iterations (observations).
+//           cost in at most half the tuning iterations (observations),
+//           at tuner seed 31. The case also runs tuner seeds 31-46 and
+//           records the warm/cold distribution; the geometric mean of
+//           the warm/cold ratios must stay at or below 0.968, so a fix
+//           that passes seed 31 by hurting the other seeds fails.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -292,7 +296,9 @@ struct WarmColdResult {
   double cost_ratio() const { return warm_nf_s / cold_nf_s; }
 };
 
-WarmColdResult CaseWarmVsCold() {
+/// One cold and one warm-started tune of the newcomer, with every tuner
+/// (donors and newcomer) at `seed`.
+WarmColdResult RunWarmVsCold(uint64_t seed) {
   // Donors and the newcomer are close TPC-H variants; the newcomer's
   // backend (app profile + simulator seed) is identical in both arms, so
   // any difference comes from the transferred priors alone. The donors
@@ -307,7 +313,7 @@ WarmColdResult CaseWarmVsCold() {
   sopts.tuner.max_iterations = 6;
   sopts.tuner.warm_iterations = 3;
   sopts.tuner.candidates = 60;
-  sopts.tuner.seed = 31;
+  sopts.tuner.seed = seed;
 
   core::OnlineTuningService::Options bopts;  // donor (production) budget
   bopts.tuner.n_qcsa = 12;
@@ -317,7 +323,7 @@ WarmColdResult CaseWarmVsCold() {
   bopts.tuner.max_iterations = 14;
   bopts.tuner.warm_iterations = 5;
   bopts.tuner.candidates = 240;
-  bopts.tuner.seed = 31;
+  bopts.tuner.seed = seed;
 
   std::map<std::string, sparksim::SparkSqlApp> apps;
   for (int d = 0; d < 3; ++d) {
@@ -384,7 +390,39 @@ WarmColdResult CaseWarmVsCold() {
   out.cold_nf_s = cold_sim.RunApp(app, cold_conf, 150.0).total_seconds;
   sparksim::ClusterSimulator warm_sim(sparksim::X86Cluster(), 1, nf);
   out.warm_nf_s = warm_sim.RunApp(app, warm_conf, 150.0).total_seconds;
+  return out;
+}
 
+/// Tuner seeds of the warm_vs_cold distribution; the first is the case
+/// the 1.05x and iteration gates judge.
+constexpr uint64_t kWarmColdFirstSeed = 31;
+constexpr int kWarmColdSeeds = 16;
+/// Bound on the warm/cold geometric mean over those seeds: the value
+/// measured before the EI-MCMC ensemble was amortized across refits.
+constexpr double kMaxWarmColdGeoMean = 0.968;
+
+struct WarmColdSweep {
+  std::vector<WarmColdResult> seeds;  // seed kWarmColdFirstSeed + i
+  double cold_geo_s = 0.0;
+  double warm_geo_s = 0.0;
+  double ratio_geo = 0.0;
+};
+
+WarmColdSweep CaseWarmVsCold() {
+  WarmColdSweep sweep;
+  double log_cold = 0.0, log_warm = 0.0;
+  for (int i = 0; i < kWarmColdSeeds; ++i) {
+    const WarmColdResult r =
+        RunWarmVsCold(kWarmColdFirstSeed + static_cast<uint64_t>(i));
+    log_cold += std::log(r.cold_nf_s);
+    log_warm += std::log(r.warm_nf_s);
+    sweep.seeds.push_back(r);
+  }
+  sweep.cold_geo_s = std::exp(log_cold / kWarmColdSeeds);
+  sweep.warm_geo_s = std::exp(log_warm / kWarmColdSeeds);
+  sweep.ratio_geo = sweep.warm_geo_s / sweep.cold_geo_s;
+
+  const WarmColdResult& out = sweep.seeds.front();
   if (out.warm_nf_s > 1.05 * out.cold_nf_s) {
     std::fprintf(stderr,
                  "warm_vs_cold: warm conf %.1f s is worse than 1.05x the "
@@ -402,11 +440,21 @@ WarmColdResult CaseWarmVsCold() {
                  out.warm_iters, out.cold_iters);
     std::abort();
   }
-  return out;
+  if (sweep.ratio_geo > kMaxWarmColdGeoMean) {
+    std::fprintf(stderr,
+                 "warm_vs_cold: warm/cold geometric mean %.3f over seeds "
+                 "%d-%d exceeds %.3f\n",
+                 sweep.ratio_geo, static_cast<int>(kWarmColdFirstSeed),
+                 static_cast<int>(kWarmColdFirstSeed) + kWarmColdSeeds - 1,
+                 kMaxWarmColdGeoMean);
+    std::abort();
+  }
+  return sweep;
 }
 
 void WriteJson(const std::string& path, const ScaleResult& scale,
-               bool deterministic, const WarmColdResult& wc) {
+               bool deterministic, const WarmColdSweep& sweep) {
+  const WarmColdResult& wc = sweep.seeds.front();
   std::ofstream os(path);
   if (!os) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -431,7 +479,20 @@ void WriteJson(const std::string& path, const ScaleResult& scale,
      << "  \"warm_evaluations\": " << wc.warm_evals << ",\n"
      << "  \"cold_noise_free_s\": " << wc.cold_nf_s << ",\n"
      << "  \"warm_noise_free_s\": " << wc.warm_nf_s << ",\n"
-     << "  \"warm_cost_ratio\": " << wc.cost_ratio() << "\n"
+     << "  \"warm_cost_ratio\": " << wc.cost_ratio() << ",\n"
+     << "  \"warm_vs_cold_seeds\": [\n";
+  for (size_t i = 0; i < sweep.seeds.size(); ++i) {
+    const WarmColdResult& r = sweep.seeds[i];
+    os << "    {\"seed\": " << kWarmColdFirstSeed + i
+       << ", \"cold_noise_free_s\": " << r.cold_nf_s
+       << ", \"warm_noise_free_s\": " << r.warm_nf_s
+       << ", \"warm_cost_ratio\": " << r.cost_ratio() << "}"
+       << (i + 1 < sweep.seeds.size() ? ",\n" : "\n");
+  }
+  os << "  ],\n"
+     << "  \"cold_noise_free_geomean_s\": " << sweep.cold_geo_s << ",\n"
+     << "  \"warm_noise_free_geomean_s\": " << sweep.warm_geo_s << ",\n"
+     << "  \"warm_cost_ratio_geomean\": " << sweep.ratio_geo << "\n"
      << "}\n";
   std::printf("wrote %s\n", path.c_str());
 }
@@ -451,7 +512,8 @@ int main(int argc, char** argv) {
 
   const ScaleResult scale = CaseScale();
   const bool deterministic = CaseDeterminism();
-  const WarmColdResult wc = CaseWarmVsCold();
+  const WarmColdSweep sweep = CaseWarmVsCold();
+  const WarmColdResult& wc = sweep.seeds.front();
 
   TablePrinter tp({"metric", "value"});
   tp.AddRow({"apps", TablePrinter::Num(g_apps, 0)});
@@ -469,8 +531,11 @@ int main(int argc, char** argv) {
                  TablePrinter::Num(wc.warm_iters, 0)});
   tp.AddRow({"warm/cold noise-free cost",
              TablePrinter::Num(wc.cost_ratio(), 3)});
+  tp.AddRow({"warm/cold geomean, " + std::to_string(kWarmColdSeeds) +
+                 " seeds",
+             TablePrinter::Num(sweep.ratio_geo, 3)});
   tp.Print(std::cout);
 
-  WriteJson(out_path, scale, deterministic, wc);
+  WriteJson(out_path, scale, deterministic, sweep);
   return 0;
 }

@@ -72,8 +72,9 @@ class Dagp {
   /// data sizes gets a full refit every call, since it is still learning
   /// the data-size lengthscale. A full refit fits the whole history up to
   /// kMaxFitRows rows and a greedy max-min subset above that; it
-  /// continues the EI-MCMC chain of the previous one (see
-  /// ml::EiMcmc::Fit).
+  /// continues the EI-MCMC chain of the previous one and replaces the
+  /// older half of the hyperparameter ensemble, refitting the newer half
+  /// on the current rows (see ml::EiMcmc::Fit).
   Status Refit(Rng* rng);
 
   /// Expected improvement (log-space EI, averaged over the

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstring>
+#include <set>
 
 #include "math/kern/kern.h"
 #include "ml/lhs.h"
@@ -244,12 +246,20 @@ LocatTuner::Proposal LocatTuner::ProposeNext(TuningSession* session,
 
   // Generate the whole pool first (sequentially — candidate generation is
   // where the RNG stream lives), then score every survivor in one batched
-  // EI pass. Near-duplicates are dropped *before* scoring, exactly as the
-  // scalar loop did.
+  // EI pass. Near-duplicates of observations are dropped *before*
+  // scoring, exactly as the scalar loop did, and so are bit-identical
+  // copies of an earlier pool member: a copy's EI has the first copy's
+  // bits, so the strict-'>' scan below could never pick it.
   std::vector<math::Vector> pool_units;
   std::vector<math::Vector> pool_encoded;
   pool_units.reserve(static_cast<size_t>(options_.candidates));
   pool_encoded.reserve(static_cast<size_t>(options_.candidates));
+  auto bitwise_less = [&pool_units](size_t a, size_t b) {
+    return std::memcmp(pool_units[a].data().data(),
+                       pool_units[b].data().data(),
+                       pool_units[a].size() * sizeof(double)) < 0;
+  };
+  std::set<size_t, decltype(bitwise_less)> unique_units(bitwise_less);
   for (int c = 0; c < options_.candidates; ++c) {
     math::Vector unit = best_unit;
     int family = have_incumbent ? c % 3 : 1;
@@ -292,8 +302,12 @@ LocatTuner::Proposal LocatTuner::ProposeNext(TuningSession* session,
       }
     }
     if (duplicate) continue;
-    pool_encoded.push_back(EncodeUnit(valid_unit));
     pool_units.push_back(std::move(valid_unit));
+    if (!unique_units.insert(pool_units.size() - 1).second) {
+      pool_units.pop_back();
+      continue;
+    }
+    pool_encoded.push_back(EncodeUnit(pool_units.back()));
   }
 
   Proposal best;

@@ -32,7 +32,7 @@ constexpr const char* kKeySalt = "v3";
 // Versions the rows of the results cache (results.csv). Bump it whenever
 // any tuner's output changes, so an existing cache stops serving the old
 // results to the figures.
-constexpr const char* kCacheVersion = "v4";
+constexpr const char* kCacheVersion = "v5";
 
 uint64_t StableHash(const std::string& s) {
   uint64_t h = 1469598103934665603ULL;

@@ -1,5 +1,6 @@
 #include "ml/ei_mcmc.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -35,7 +36,6 @@ Status EiMcmc::Fit(const math::Matrix& x, const math::Vector& y, Rng* rng) {
   best_observed_ = math::Min(y.data());
 
   const size_t dim = x.cols();
-  const size_t rows = x.rows();
   SliceSampler::Options sopts;
   sopts.width = 0.8;
 
@@ -58,56 +58,53 @@ Status EiMcmc::Fit(const math::Matrix& x, const math::Vector& y, Rng* rng) {
     return lml + LogPrior(hp);
   };
 
-  // Continue the chain when its state fits this input dimension and has
-  // a finite density on the new data (the check is a memo hit for the
-  // first sweep's evaluation, so it costs no factorization). Re-burn one
-  // sweep per row added since the chain's last fit, at most burn_in.
-  const int burn_in = std::max(0, options_.burn_in);
+  // Continue the chain when its last state fits this input dimension and
+  // has a finite density on the new data (the check is a memo hit for the
+  // first sweep's evaluation, so it costs no factorization). A continued
+  // chain runs no re-burn and draws half an ensemble of new samples.
+  const size_t k = static_cast<size_t>(std::max(0, options_.num_hyper_samples));
   const bool continued =
-      chain_state_.size() == dim + 2 &&
-      std::isfinite(log_posterior(chain_state_));
-  math::Vector initial;
-  int burn = burn_in;
-  if (continued) {
-    initial = chain_state_;
-    const size_t added = rows > chain_rows_ ? rows - chain_rows_ : 1;
-    burn = static_cast<int>(
-        std::min<size_t>(added, static_cast<size_t>(burn_in)));
-  } else {
-    initial = GpHyperparams::Default(dim).Flatten();
-  }
+      !chain_.empty() && chain_.back().size() == dim + 2 &&
+      std::isfinite(log_posterior(chain_.back()));
+  if (!continued) chain_.clear();
+  const int burn = continued ? 0 : std::max(0, options_.burn_in);
+  const int draws = static_cast<int>(continued ? (k + 1) / 2 : k);
   last_fit_stats_.continued = continued;
-  last_fit_stats_.sweeps =
-      burn + options_.num_hyper_samples * std::max(1, options_.thin);
+  last_fit_stats_.sweeps = burn + draws * std::max(1, options_.thin);
 
   SliceSampler sampler(log_posterior, sopts);
   std::vector<std::optional<GpKernelCache::Factorization>> harvested;
   auto on_sample = [&](int /*index*/, const math::Vector& state) {
     harvested.push_back(cache.TakeMemoized(state));
   };
-  const std::vector<math::Vector> samples = sampler.Sample(
-      initial, options_.num_hyper_samples, burn, options_.thin, rng,
-      &last_fit_stats_.sampler, on_sample);
-  if (!samples.empty()) {
-    chain_state_ = samples.back();
-    chain_rows_ = rows;
-  }
+  std::vector<math::Vector> samples = sampler.Sample(
+      continued ? chain_.back() : GpHyperparams::Default(dim).Flatten(),
+      draws, burn, options_.thin, rng, &last_fit_stats_.sampler, on_sample);
 
-  // Fit the members concurrently, one slot per sample, then assemble in
-  // sample order — results are independent of the thread count. Workers
-  // only read `cache` and write their own slot; no RNG is touched.
-  std::vector<std::optional<GaussianProcess>> slots(samples.size());
+  // The chain keeps its last k states: the newest carried ones, then the
+  // fresh samples.
+  const size_t carried = std::min(chain_.size(), k - samples.size());
+  chain_.erase(chain_.begin(),
+               chain_.end() - static_cast<std::ptrdiff_t>(carried));
+  for (auto& sample : samples) chain_.push_back(std::move(sample));
+
+  // Fit the members concurrently, one slot per kept state, then assemble
+  // in chain order — results are independent of the thread count.
+  // Carried states refactor on the current rows; fresh samples adopt the
+  // sampler's factorization. Workers only read `cache` and write their
+  // own slot; no RNG is touched.
+  std::vector<std::optional<GaussianProcess>> slots(chain_.size());
   common::ThreadPool::Global()->ParallelForEach(
-      samples.size(), [&](size_t i) {
-        const GpHyperparams hp = GpHyperparams::Unflatten(samples[i]);
+      chain_.size(), [&](size_t i) {
+        const GpHyperparams hp = GpHyperparams::Unflatten(chain_[i]);
         GaussianProcess gp;
         const Status s =
-            harvested[i].has_value()
-                ? gp.AdoptFit(cache, hp, std::move(*harvested[i]))
+            i >= carried && harvested[i - carried].has_value()
+                ? gp.AdoptFit(cache, hp, std::move(*harvested[i - carried]))
                 : gp.Fit(cache, hp);
         if (s.ok()) slots[i].emplace(std::move(gp));
       });
-  ensemble_.reserve(samples.size());
+  ensemble_.reserve(slots.size());
   for (auto& slot : slots) {
     if (slot.has_value()) ensemble_.push_back(std::move(*slot));
   }

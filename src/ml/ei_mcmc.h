@@ -25,16 +25,19 @@ enum class AcquisitionKind { kExpectedImprovement, kProbabilityOfImprovement, kU
 /// integrates out hyperparameter uncertainty and removes the need for any
 /// external hyperparameter tuning.
 ///
-/// The sampler's chain persists across fits, as in Snoek et al.: a refit
-/// on a grown history continues from the previous fit's last state with
-/// one re-burn sweep per added row instead of re-burning from the prior.
+/// The sampler's chain persists across fits, as in Snoek et al., and so
+/// does the ensemble: it is the chain's last `num_hyper_samples` states.
+/// A refit continues from the previous fit's last state without re-burn,
+/// draws half an ensemble of new samples, and refits the newer half of
+/// the previous states on the current rows, so every refit replaces the
+/// older half of the ensemble instead of all of it.
 class EiMcmc {
  public:
   struct Options {
     /// Number of posterior hyperparameter samples (fitted GPs).
     int num_hyper_samples = 8;
     /// Slice-sampler burn-in sweeps before the first sample of a cold
-    /// chain; a continued chain re-burns at most this many (see Fit).
+    /// chain; a continued chain runs none (see Fit).
     int burn_in = 16;
     /// Sweeps between retained samples.
     int thin = 2;
@@ -66,7 +69,7 @@ class EiMcmc {
     /// True when the fit continued the previous fit's chain; false for a
     /// cold start from GpHyperparams::Default.
     bool continued = false;
-    /// Slice-sampler sweeps run: burn-in (or re-burn) plus retained.
+    /// Slice-sampler sweeps run: burn-in (cold fits only) plus retained.
     int sweeps = 0;
     SliceSampler::Stats sampler;
   };
@@ -76,12 +79,18 @@ class EiMcmc {
   /// Fits the hyperparameter-marginalized model to (x, y). `x` is n x d
   /// with n >= 2. Deterministic given `rng`'s state and the chain.
   ///
-  /// Cold start (no chain yet, the input dimension changed, or the stored
-  /// state has no finite density on the new data): the chain starts at
-  /// GpHyperparams::Default and runs `burn_in` sweeps. Otherwise the chain
-  /// continues from the previous fit's last state with
-  /// clamp(n - previous n, 1, burn_in) re-burn sweeps. Either way
-  /// `num_hyper_samples` x `thin` retained sweeps follow.
+  /// Cold start (no chain yet, the input dimension changed, or the chain's
+  /// last state has no finite density on the new data): the chain starts
+  /// at GpHyperparams::Default, runs `burn_in` sweeps and then draws K =
+  /// `num_hyper_samples` samples `thin` sweeps apart. Otherwise the chain
+  /// continues from its last state with no re-burn and draws ceil(K / 2)
+  /// samples `thin` sweeps apart. The chain keeps its last K states, and
+  /// they are the ensemble, oldest first: fresh samples adopt the
+  /// sampler's memoized factorization, carried states are refactored
+  /// once on the current rows, and a state that fails to factor is left
+  /// out of the ensemble. Half the ensemble is a fixed rule, not an
+  /// option: drawing 2 samples per refit found measurably worse
+  /// configurations (DESIGN.md, "Persistent EI-MCMC chains").
   Status Fit(const math::Matrix& x, const math::Vector& y, Rng* rng);
 
   /// Extends a fitted model by one observation in O(n^2) per ensemble
@@ -123,10 +132,10 @@ class EiMcmc {
   double LogPrior(const GpHyperparams& hp) const;
 
   Options options_;
-  /// The chain: the sampler's last state (flattened hyperparameters,
-  /// empty before the first fit) and the row count that fit used.
-  math::Vector chain_state_;
-  size_t chain_rows_ = 0;
+  /// The chain's last `num_hyper_samples` retained states (flattened
+  /// hyperparameters), oldest first; back() is the state the next fit
+  /// continues from. Empty before the first fit.
+  std::vector<math::Vector> chain_;
   std::vector<GaussianProcess> ensemble_;
   double best_observed_ = 0.0;
   FitStats last_fit_stats_;

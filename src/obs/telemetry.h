@@ -26,7 +26,7 @@ struct BoIterationEvent {
   double objective_seconds = 0.0;  // objective value of this evaluation
   double incumbent_seconds = 0.0;  // best objective after this evaluation
   double relative_ei = 0.0;    // of the chosen candidate (0 when no model)
-  int candidate_pool = 0;      // EI candidates scored for this proposal
+  int candidate_pool = 0;      // unique EI candidates scored for this proposal
   bool full_app = true;        // full application vs RQA subset
   double dagp_fit_seconds = 0.0;   // wall seconds of the preceding refit
   double acq_seconds = 0.0;        // wall seconds scoring candidates for

@@ -1,11 +1,13 @@
 // Tests of the persistent EI-MCMC chain: the sweep schedule of cold and
-// continued fits, the events that force a cold restart, DAGP's growth
-// schedule of full refits and rank-1 appends, truthful per-refit
-// telemetry, and tune-quality regression checks. Thread-count
-// bit-identity of a continued chain in a whole tune is checked in
-// bo_hotpath_test.cc.
+// continued fits, the ensemble as the chain's last states, the events
+// that force a cold restart, DAGP's growth schedule of full refits and
+// rank-1 appends, truthful per-refit telemetry, and tune-quality
+// regression checks. Thread-count bit-identity of a continued chain in a
+// whole tune is checked in bo_hotpath_test.cc.
+#include <bit>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <regex>
 #include <string>
 #include <vector>
@@ -13,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "core/dagp.h"
 #include "core/locat_tuner.h"
 #include "core/tuning.h"
@@ -75,33 +78,106 @@ TEST(EiMcmcChainTest, ColdFitRunsFullBurnIn) {
   EXPECT_EQ(stats.ensemble_size, opts.num_hyper_samples);
 }
 
-TEST(EiMcmcChainTest, ContinuedFitReburnsOneSweepPerAddedRow) {
+TEST(EiMcmcChainTest, ContinuedFitDrawsHalfAnEnsembleWithoutReburn) {
   const ml::EiMcmc::Options opts = SmallOptions();
-  const int retained = opts.num_hyper_samples * opts.thin;
+  // ceil(K / 2) fresh samples, thin sweeps apart, whatever the row delta.
+  const int half = (opts.num_hyper_samples + 1) / 2 * opts.thin;
   ml::EiMcmc model(opts);
   Rng rng(2);
   const auto cold = FitRows(&model, 20, 4, &rng);
   ASSERT_FALSE(cold.continued);
 
-  // +1 row: one re-burn sweep, so less sampler work than the cold fit.
+  // +1 row: less sampler work than the cold fit.
   auto stats = FitRows(&model, 21, 4, &rng);
   EXPECT_TRUE(stats.continued);
-  EXPECT_EQ(stats.sweeps, 1 + retained);
+  EXPECT_EQ(stats.sweeps, half);
+  EXPECT_EQ(stats.ensemble_size, opts.num_hyper_samples);
   EXPECT_LT(stats.sampler.density_evals, cold.sampler.density_evals);
-  // +3 rows: three.
+  // +3 rows and +16 rows: the same.
   stats = FitRows(&model, 24, 4, &rng);
   EXPECT_TRUE(stats.continued);
-  EXPECT_EQ(stats.sweeps, 3 + retained);
-  // +16 rows: clamped to burn_in.
+  EXPECT_EQ(stats.sweeps, half);
   stats = FitRows(&model, 40, 4, &rng);
   EXPECT_TRUE(stats.continued);
-  EXPECT_EQ(stats.sweeps, opts.burn_in + retained);
-  // Same or fewer rows (a sliding window): clamped up to one sweep.
+  EXPECT_EQ(stats.sweeps, half);
+  // Same or fewer rows (a sliding window): the same.
   stats = FitRows(&model, 40, 4, &rng);
-  EXPECT_EQ(stats.sweeps, 1 + retained);
+  EXPECT_TRUE(stats.continued);
+  EXPECT_EQ(stats.sweeps, half);
   stats = FitRows(&model, 30, 4, &rng);
   EXPECT_TRUE(stats.continued);
-  EXPECT_EQ(stats.sweeps, 1 + retained);
+  EXPECT_EQ(stats.sweeps, half);
+  EXPECT_EQ(stats.ensemble_size, opts.num_hyper_samples);
+}
+
+std::vector<uint64_t> Bits(const std::vector<double>& values) {
+  std::vector<uint64_t> bits;
+  for (double v : values) bits.push_back(std::bit_cast<uint64_t>(v));
+  return bits;
+}
+
+std::vector<uint64_t> Bits(const Matrix& m) {
+  std::vector<uint64_t> bits;
+  for (size_t r = 0; r < m.rows(); ++r) {
+    for (size_t c = 0; c < m.cols(); ++c) {
+      bits.push_back(std::bit_cast<uint64_t>(m(r, c)));
+    }
+  }
+  return bits;
+}
+
+TEST(EiMcmcChainTest, EnsembleIsLastKChainStates) {
+  ml::EiMcmc::Options opts = SmallOptions();
+  opts.num_hyper_samples = 5;
+  const size_t k = 5, fresh = 3, carried = 2;  // fresh = ceil(k / 2)
+  Matrix x;
+  Vector y;
+  MakeRows(23, 4, &x, &y);
+  const ml::GpKernelCache cache(x, y);
+
+  // Per thread count: every member's hyperparameters, factor and LML
+  // after a cold fit on 20 rows and a continued fit on 23.
+  std::vector<std::vector<std::vector<uint64_t>>> runs;
+  for (int threads : {1, 4, 8}) {
+    common::ThreadPool::SetGlobalThreads(threads);
+    ml::EiMcmc model(opts);
+    Rng rng(5);
+    FitRows(&model, 20, 4, &rng);
+    ASSERT_EQ(model.ensemble().size(), k);
+    std::vector<std::vector<uint64_t>> previous;
+    for (const auto& member : model.ensemble()) {
+      previous.push_back(Bits(member.hyperparams().Flatten().data()));
+    }
+    ASSERT_TRUE(FitRows(&model, 23, 4, &rng).continued);
+    ASSERT_EQ(model.ensemble().size(), k);
+
+    std::vector<std::vector<uint64_t>> run;
+    for (size_t i = 0; i < k; ++i) {
+      const ml::GaussianProcess& member = model.ensemble()[i];
+      const std::vector<uint64_t> hp =
+          Bits(member.hyperparams().Flatten().data());
+      if (i < carried) {
+        // The newest previous states, refactored on the current rows.
+        EXPECT_EQ(hp, previous[i + fresh]) << "member " << i;
+        ml::GaussianProcess reference;
+        ASSERT_TRUE(reference.Fit(cache, member.hyperparams()).ok());
+        EXPECT_EQ(Bits(member.factor()), Bits(reference.factor()))
+            << "member " << i;
+        EXPECT_EQ(std::bit_cast<uint64_t>(member.LogMarginalLikelihood()),
+                  std::bit_cast<uint64_t>(reference.LogMarginalLikelihood()))
+            << "member " << i;
+      } else {
+        EXPECT_EQ(member.num_points(), 23u);
+      }
+      run.push_back(hp);
+      run.push_back(Bits(member.factor()));
+      run.push_back({std::bit_cast<uint64_t>(member.LogMarginalLikelihood())});
+    }
+    runs.push_back(std::move(run));
+  }
+  common::ThreadPool::SetGlobalThreads(0);  // restore default
+  EXPECT_EQ(runs[0], runs[1]);
+  EXPECT_EQ(runs[0], runs[2]);
 }
 
 TEST(EiMcmcChainTest, DimensionChangeRestartsCold) {
@@ -140,7 +216,7 @@ TEST(EiMcmcChainTest, DagpContinuesChainAndClearRestartsCold) {
   Feed(&dagp, 1, 3, &data);
   ASSERT_TRUE(dagp.Refit(&rng).ok());
   EXPECT_TRUE(dagp.last_fit_stats().continued);
-  EXPECT_EQ(dagp.last_fit_stats().sweeps, 1 + 3 * 2);
+  EXPECT_EQ(dagp.last_fit_stats().sweeps, 2 * 2);
 
   // A new encoding: same dimension, but the chain must not carry over.
   dagp.Clear();
@@ -221,12 +297,12 @@ TEST(EiMcmcChainTest, DagpSingleSizeHistoryAppendsUntilTenPercentGrowth) {
   }
 
   // n = 33 reaches 1.1 x 30: a full refit that continues the chain and
-  // re-burns one sweep per row added since the last full fit.
+  // draws ceil(3 / 2) fresh samples, thin 2.
   FeedAt(&dagp, 1, 3, 100.0, &data, &history);
   ASSERT_TRUE(dagp.Refit(&rng).ok());
   EXPECT_EQ(dagp.last_refit_kind(), core::Dagp::RefitKind::kFull);
   EXPECT_TRUE(dagp.last_fit_stats().continued);
-  EXPECT_EQ(dagp.last_fit_stats().sweeps, 3 + 3 * 2);
+  EXPECT_EQ(dagp.last_fit_stats().sweeps, 2 * 2);
   EXPECT_EQ(dagp.model_observations(), 33u);
 }
 
