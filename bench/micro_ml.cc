@@ -61,9 +61,10 @@ void BM_GpPredict(benchmark::State& state) {
   for (size_t i = 0; i < n; ++i) y[i] = rng.NextDouble();
   ml::GaussianProcess gp;
   (void)gp.Fit(x, y, ml::GpHyperparams::Default(d));
-  const math::Vector probe(d, 0.5);
+  // One acquisition pool's worth of candidates, scored in one batch.
+  const math::Matrix pool = RandomMatrix(200, d, 6);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(gp.Predict(probe));
+    benchmark::DoNotOptimize(gp.PredictBatch(pool));
   }
 }
 BENCHMARK(BM_GpPredict);

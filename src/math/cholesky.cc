@@ -88,15 +88,6 @@ Vector Cholesky::SolveLower(const Vector& b) const {
   return y;
 }
 
-Matrix Cholesky::Solve(const Matrix& b) const {
-  Matrix x(b.rows(), b.cols());
-  for (size_t c = 0; c < b.cols(); ++c) {
-    Vector col = Solve(b.Col(c));
-    for (size_t r = 0; r < b.rows(); ++r) x(r, c) = col[r];
-  }
-  return x;
-}
-
 double Cholesky::LogDeterminant() const {
   double s = 0.0;
   for (size_t i = 0; i < l_.rows(); ++i) s += std::log(l_(i, i));

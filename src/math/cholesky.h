@@ -7,11 +7,12 @@
 namespace locat::math {
 
 /// Cholesky factorization `A = L L^T` of a symmetric positive-definite
-/// matrix, plus the triangular solves needed by Gaussian-process
-/// regression.
+/// matrix, plus the vector solves needed by Gaussian-process regression.
 ///
-/// The GP hot loop is: factor the kernel matrix once, then call
-/// `Solve`/`SolveLower` for the mean and variance of each prediction.
+/// A GP fit factors its kernel matrix once and calls `Solve` once for the
+/// weights alpha; `AppendRow` grows the factor when one observation is
+/// added. Batch prediction does not solve per candidate: it reads `L()`
+/// and runs one `kern::SolveLowerMatrixInPlace` per block of candidates.
 class Cholesky {
  public:
   /// Factors `a` (must be square, symmetric, positive definite). Returns
@@ -39,9 +40,6 @@ class Cholesky {
   /// Solves `L y = b` (forward substitution only). `alpha = L^-T L^-1 b`
   /// style GP computations use this for the predictive variance.
   Vector SolveLower(const Vector& b) const;
-
-  /// Solves `A X = B` column-by-column.
-  Matrix Solve(const Matrix& b) const;
 
   /// log(det(A)) = 2 * sum(log(L_ii)); needed for the GP log marginal
   /// likelihood.

@@ -161,39 +161,24 @@ Status EiMcmc::AppendObservation(const math::Vector& x, double y) {
   return Status::OK();
 }
 
-double EiMcmc::AcquisitionValue(const math::Vector& x) const {
+std::vector<GaussianProcess::BatchPrediction> EiMcmc::MemberPredictions(
+    const math::Matrix& xs) const {
   assert(fitted());
-  double total = 0.0;
-  for (const auto& gp : ensemble_) {
-    const auto pred = gp.Predict(x);
-    const double sd = std::sqrt(pred.variance);
-    switch (options_.acquisition) {
-      case AcquisitionKind::kProbabilityOfImprovement:
-        total += math::ProbabilityOfImprovement(pred.mean, sd, best_observed_);
-        break;
-      case AcquisitionKind::kUcb:
-        total += math::NegativeLowerConfidenceBound(pred.mean, sd,
-                                                    options_.ucb_beta);
-        break;
-      case AcquisitionKind::kExpectedImprovement:
-        total += math::ExpectedImprovement(pred.mean, sd, best_observed_);
-        break;
-    }
-  }
-  return total / static_cast<double>(ensemble_.size());
+  // One batched prediction per ensemble member, computed concurrently.
+  // Each member's result depends only on that member, so a per-candidate
+  // accumulation in fixed member order is thread-count invariant.
+  std::vector<GaussianProcess::BatchPrediction> preds(ensemble_.size());
+  common::ThreadPool::Global()->ParallelForEach(
+      ensemble_.size(),
+      [&](size_t k) { preds[k] = ensemble_[k].PredictBatch(xs); });
+  return preds;
 }
 
 math::Vector EiMcmc::AcquisitionValueBatch(const math::Matrix& xs) const {
-  assert(fitted());
+  const std::vector<GaussianProcess::BatchPrediction> preds =
+      MemberPredictions(xs);
   const size_t m = xs.rows();
-  const size_t members = ensemble_.size();
-  // One batched prediction per ensemble member, computed concurrently.
-  // Each member's result depends only on that member, so the per-candidate
-  // accumulation below (fixed member order) is thread-count invariant.
-  std::vector<GaussianProcess::BatchPrediction> preds(members);
-  common::ThreadPool::Global()->ParallelForEach(members, [&](size_t k) {
-    preds[k] = ensemble_[k].PredictBatch(xs);
-  });
+  const size_t members = preds.size();
 
   math::Vector out(m);
   for (size_t c = 0; c < m; ++c) {
@@ -221,13 +206,10 @@ math::Vector EiMcmc::AcquisitionValueBatch(const math::Matrix& xs) const {
 
 GaussianProcess::BatchPrediction EiMcmc::PredictAveragedBatch(
     const math::Matrix& xs) const {
-  assert(fitted());
+  const std::vector<GaussianProcess::BatchPrediction> preds =
+      MemberPredictions(xs);
   const size_t m = xs.rows();
-  const size_t members = ensemble_.size();
-  std::vector<GaussianProcess::BatchPrediction> preds(members);
-  common::ThreadPool::Global()->ParallelForEach(members, [&](size_t k) {
-    preds[k] = ensemble_[k].PredictBatch(xs);
-  });
+  const size_t members = preds.size();
 
   GaussianProcess::BatchPrediction out;
   out.mean = math::Vector(m);

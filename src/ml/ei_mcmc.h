@@ -47,7 +47,7 @@ class EiMcmc {
     double noise_log_mean = -4.6;  // ~0.01
     /// Shared prior standard deviation in log space.
     double prior_log_std = 1.0;
-    /// Which acquisition AcquisitionValue computes.
+    /// Which acquisition rule AcquisitionValueBatch averages.
     AcquisitionKind acquisition = AcquisitionKind::kExpectedImprovement;
     /// Exploration weight for the UCB rule.
     double ucb_beta = 2.0;
@@ -102,15 +102,12 @@ class EiMcmc {
   /// returned so the caller can fall back to a full refit.
   Status AppendObservation(const math::Vector& x, double y);
 
-  /// Average Expected Improvement (for minimization) of a candidate over
-  /// the posterior GP ensemble.
-  double AcquisitionValue(const math::Vector& x) const;
-
-  /// Acquisition values for all rows of `xs` at once. Each ensemble
-  /// member runs one batched prediction (concurrently on the shared
-  /// thread pool); the per-candidate average then accumulates members in
-  /// fixed index order, so the result is bit-identical for any thread
-  /// count.
+  /// Acquisition values (by default Expected Improvement for
+  /// minimization) for all rows of `xs`, each averaged over the posterior
+  /// GP ensemble. Each ensemble member runs one batched prediction
+  /// (concurrently on the shared thread pool); the per-candidate average
+  /// then accumulates members in fixed index order, so the result is
+  /// bit-identical for any thread count.
   math::Vector AcquisitionValueBatch(const math::Matrix& xs) const;
 
   /// Ensemble-averaged predictive mean and (law-of-total-variance)
@@ -130,6 +127,9 @@ class EiMcmc {
 
  private:
   double LogPrior(const GpHyperparams& hp) const;
+  /// One `PredictBatch` of `xs` per ensemble member, in member order.
+  std::vector<GaussianProcess::BatchPrediction> MemberPredictions(
+      const math::Matrix& xs) const;
 
   Options options_;
   /// The chain's last `num_hyper_samples` retained states (flattened

@@ -395,31 +395,6 @@ void GaussianProcess::FinishFit() {
   fitted_ = true;
 }
 
-GaussianProcess::Prediction GaussianProcess::Predict(
-    const math::Vector& x) const {
-  assert(fitted_);
-  assert(x.size() == x_.cols());
-  const size_t n = x_.rows();
-  const double* xp = x.data().data();
-  math::Vector kstar(n);
-  math::kern::WeightedSquaredDistanceRows(x_.RowData(0), n, x_.cols(),
-                                          x_.cols(), xp,
-                                          inv_sq_lengthscales_.data().data(),
-                                          kstar.data().data());
-  math::kern::ExpScaled(kstar.data().data(), n, -0.5, signal_variance_);
-
-  Prediction pred;
-  pred.mean = y_mean_ + y_std_ * kstar.Dot(alpha_);
-
-  // var = k(x,x) - k*^T (K + noise I)^-1 k*, computed via the triangular
-  // solve v = L^-1 k*. k(x,x) is exactly the signal variance.
-  const math::Vector v = chol_->SolveLower(kstar);
-  double var = signal_variance_ - v.Dot(v);
-  if (var < 0.0) var = 0.0;
-  pred.variance = var * y_std_ * y_std_;
-  return pred;
-}
-
 GaussianProcess::Prediction GaussianProcess::PredictReference(
     const math::Vector& x) const {
   assert(fitted_);
@@ -468,11 +443,12 @@ GaussianProcess::BatchPrediction GaussianProcess::PredictBatch(
       for (size_t k = 0; k < d; ++k) cols[k * b + c] = xc[k];
     }
     // Row i of k*^T holds k(x_i, xs_c) for the block's candidates: the
-    // weighted distance with q = x_i keeps Predict's sign (x_i - xs_c)
-    // and lane tree, and ExpScaled is lane-independent, so every entry
-    // has the bits of Predict's k*. The mean's Dot(k*, alpha) becomes
-    // four Axpy lanes, lane i % 4 taking row i in ascending i, combined
-    // with Dot's (l0 + l2) + (l1 + l3).
+    // weighted distance with q = x_i keeps the sign (x_i - xs_c) and lane
+    // tree of a row-major WeightedSquaredDistanceRows of the training rows
+    // against xs_c, and ExpScaled is lane-independent, so every entry has
+    // that per-candidate k*'s bits. The mean's Dot(k*, alpha) becomes four
+    // Axpy lanes, lane i % 4 taking row i in ascending i, combined with
+    // Dot's (l0 + l2) + (l1 + l3).
     std::fill(lanes.begin(), lanes.begin() + 4 * b, 0.0);
     for (size_t i = 0; i < n; ++i) {
       double* row = kt.data() + i * b;

@@ -179,15 +179,12 @@ class GaussianProcess {
     double variance = 0.0;
   };
 
-  /// Posterior predictive mean/variance at a point (equation (10)).
-  /// Must be called after a successful Fit.
-  Prediction Predict(const math::Vector& x) const;
-
-  /// Straightforward per-point prediction that rebuilds everything from
-  /// the raw hyperparameters (per-dimension exp + divide, Vector row
-  /// copies). Kept as the ground-truth implementation for equivalence
-  /// tests and as the benchmark baseline; produces the same posterior as
-  /// `Predict` up to floating-point reassociation.
+  /// Straightforward per-point posterior mean/variance (equation (10))
+  /// that rebuilds everything from the raw hyperparameters (per-dimension
+  /// exp + divide, Vector row copies). Kept as the ground-truth
+  /// implementation for equivalence tests; produces the same posterior as
+  /// `PredictBatch` up to floating-point reassociation. Must be called
+  /// after a successful Fit.
   Prediction PredictReference(const math::Vector& x) const;
 
   struct BatchPrediction {
@@ -195,12 +192,14 @@ class GaussianProcess {
     math::Vector variance;
   };
 
-  /// Posterior mean/variance for all rows of `xs` (m x d) in one pass over
-  /// blocks of 64 candidates: each block's n x 64 cross-kernel is built
-  /// coordinate-major, folded into the mean and solved in place by one
-  /// forward substitution, so no m x n matrix is ever formed. The mean has
-  /// the bits of `Predict`'s; each row's result depends only on that row,
-  /// so any chunking of `xs` yields bit-identical values.
+  /// Posterior predictive mean/variance (equation (10)) for all rows of
+  /// `xs` (m x d) in one pass over blocks of 64 candidates: each block's
+  /// n x 64 cross-kernel is built coordinate-major, folded into the mean
+  /// and solved in place by one forward substitution, so no m x n matrix
+  /// is ever formed. The mean has the bits of a per-candidate
+  /// `kern::Dot(k*, alpha)` over the row-major k*; each row's result
+  /// depends only on that row, so any chunking of `xs` yields
+  /// bit-identical values. Must be called after a successful Fit.
   BatchPrediction PredictBatch(const math::Matrix& xs) const;
 
   /// Log marginal likelihood of the fitted data under the fitted

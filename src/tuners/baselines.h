@@ -7,7 +7,6 @@
 
 #include "common/rng.h"
 #include "core/tuning.h"
-#include "tuners/bo_search.h"
 
 namespace locat::tuners {
 
@@ -46,7 +45,6 @@ class TunefulTuner : public core::Tuner {
     int significant_params = 6;
     int bo_iterations = 70;
     uint64_t seed = 21;
-    BoSearch::Options bo;
 
     Options() {}
   };
@@ -103,7 +101,6 @@ class GboRlTuner : public core::Tuner {
     int guided_seeds = 8;
     int bo_iterations = 260;
     uint64_t seed = 41;
-    BoSearch::Options bo;
 
     Options() {}
   };
@@ -161,7 +158,6 @@ class CherryPickTuner : public core::Tuner {
     int start_points = 3;
     int bo_iterations = 45;
     uint64_t seed = 71;
-    BoSearch::Options bo;
 
     Options() {}
   };

@@ -3,7 +3,30 @@
 #include <algorithm>
 #include <cmath>
 
+#include "ml/ei_mcmc.h"
+
 namespace locat::tuners {
+namespace {
+
+/// Candidates scored per iteration.
+constexpr size_t kCandidates = 200;
+/// Refit the GP every `kRefitPeriod` evaluations (keeps the O(n^3) cost
+/// manageable at baseline-scale budgets).
+constexpr int kRefitPeriod = 6;
+/// Only the most recent `kTrainingWindow` samples enter the GP.
+constexpr size_t kTrainingWindow = 48;
+
+/// A small EI-MCMC ensemble: 2 hyperparameter samples, 4 burn-in sweeps,
+/// no thinning.
+ml::EiMcmc::Options EnsembleOptions() {
+  ml::EiMcmc::Options ei;
+  ei.num_hyper_samples = 2;
+  ei.burn_in = 4;
+  ei.thin = 1;
+  return ei;
+}
+
+}  // namespace
 
 math::Vector BoSearch::FreeDims(const math::Vector& unit,
                                 const std::vector<int>& free_dims) const {
@@ -78,15 +101,15 @@ void BoSearch::Run(core::TuningSession* session, double datasize_gb,
 
   // One model for the whole run, so each refit continues the EI-MCMC
   // chain of the previous one (see EiMcmc::Fit).
-  ml::EiMcmc model(options_.ei);
-  int since_refit = options_.refit_period;  // force initial fit
+  ml::EiMcmc model(EnsembleOptions());
+  int since_refit = kRefitPeriod;  // force initial fit
   const int remaining =
       options_.iterations - static_cast<int>(trajectory_.size());
+  std::vector<math::Vector> pool(kCandidates);
+  math::Matrix pool_free(kCandidates, free_dims.size());
   for (int it = 0; it < remaining; ++it) {
-    if (since_refit >= options_.refit_period) {
-      const size_t n =
-          std::min<size_t>(xs.size(), static_cast<size_t>(
-                                          options_.training_window));
+    if (since_refit >= kRefitPeriod) {
+      const size_t n = std::min(xs.size(), kTrainingWindow);
       const size_t start = xs.size() - n;
       math::Matrix x(n, free_dims.size());
       math::Vector y(n);
@@ -97,11 +120,10 @@ void BoSearch::Run(core::TuningSession* session, double datasize_gb,
       if (!model.Fit(x, y, rng_).ok()) break;
       since_refit = 0;
     }
-    // Candidate pool: random + perturbations of the incumbent.
+    // Candidate pool: random + perturbations of the incumbent, generated
+    // whole (the RNG stream lives here) and then scored in one batch.
     const math::Vector best_unit = space.ToUnit(best_conf_);
-    math::Vector winner;
-    double winner_ei = -1.0;
-    for (int c = 0; c < options_.candidates; ++c) {
+    for (size_t c = 0; c < pool.size(); ++c) {
       math::Vector unit = base_unit;
       if (c % 3 == 0) {
         for (int d : free_dims) {
@@ -114,16 +136,20 @@ void BoSearch::Run(core::TuningSession* session, double datasize_gb,
           unit[static_cast<size_t>(d)] = rng_->NextDouble();
         }
       }
-      const sparksim::SparkConf conf = space.Repair(space.FromUnit(unit));
-      const math::Vector valid_unit = space.ToUnit(conf);
-      const double ei =
-          model.AcquisitionValue(FreeDims(valid_unit, free_dims));
-      if (ei > winner_ei) {
-        winner_ei = ei;
-        winner = valid_unit;
+      pool[c] = space.ToUnit(space.Repair(space.FromUnit(unit)));
+      pool_free.SetRow(c, FreeDims(pool[c], free_dims));
+    }
+    const math::Vector eis = model.AcquisitionValueBatch(pool_free);
+    // Strict '>' in pool order: the first maximum wins.
+    size_t winner = 0;
+    double winner_ei = -1.0;
+    for (size_t c = 0; c < pool.size(); ++c) {
+      if (eis[c] > winner_ei) {
+        winner_ei = eis[c];
+        winner = c;
       }
     }
-    evaluate(winner);
+    evaluate(pool[winner]);
     ++since_refit;
   }
 }

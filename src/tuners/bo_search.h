@@ -5,35 +5,25 @@
 
 #include "common/rng.h"
 #include "core/tuning.h"
-#include "ml/ei_mcmc.h"
 
 namespace locat::tuners {
 
-/// Shared plain (non-datasize-aware) GP-BO loop used by the Tuneful and
-/// GBO-RL baselines. Searches the unit cube restricted to `free_dims`
-/// (others pinned to a base configuration), maximizing EI over a random
-/// candidate pool.
+/// Shared plain (non-datasize-aware) GP-BO loop used by the Tuneful,
+/// GBO-RL and CherryPick baselines. Searches the unit cube restricted to
+/// `free_dims` (others pinned to a base configuration): each iteration
+/// draws a random candidate pool and scores all of it in one
+/// `EiMcmc::AcquisitionValueBatch` call, as LOCAT does, then evaluates the
+/// first candidate with the highest EI.
 ///
 /// Deliberately mirrors the baselines' published methodology rather than
 /// LOCAT's: no data-size input, full-application evaluations, fixed
-/// iteration budget.
+/// iteration budget. The pool size, refit period, training window and
+/// ensemble settings are fixed in bo_search.cc; the budget is the one
+/// knob.
 class BoSearch {
  public:
   struct Options {
     int iterations = 120;
-    int candidates = 200;
-    /// Refit the GP every `refit_period` evaluations (keeps the O(n^3)
-    /// cost manageable at baseline-scale budgets).
-    int refit_period = 6;
-    /// Only the most recent `training_window` samples enter the GP.
-    int training_window = 48;
-    ml::EiMcmc::Options ei;
-
-    Options() {
-      ei.num_hyper_samples = 2;
-      ei.burn_in = 4;
-      ei.thin = 1;
-    }
   };
 
   BoSearch(Options options, Rng* rng) : options_(options), rng_(rng) {}

@@ -1,6 +1,7 @@
 #include <algorithm>
 
 #include "tuners/baselines.h"
+#include "tuners/bo_search.h"
 
 namespace locat::tuners {
 
@@ -25,9 +26,7 @@ core::TuningResult CherryPickTuner::Tune(core::TuningSession* session,
   for (int i = 0; i < options_.start_points; ++i) {
     starts.push_back(space.RandomValidUnit(&rng_));
   }
-  BoSearch::Options bopts = options_.bo;
-  bopts.iterations = options_.bo_iterations;
-  BoSearch bo(bopts, &rng_);
+  BoSearch bo({options_.bo_iterations}, &rng_);
   bo.SetObservability(obs_, name());
   bo.Run(session, datasize_gb, free_dims_,
          space.Repair(space.DefaultConf()), starts);

@@ -2,6 +2,7 @@
 #include <cmath>
 
 #include "tuners/baselines.h"
+#include "tuners/bo_search.h"
 
 namespace locat::tuners {
 
@@ -77,9 +78,7 @@ core::TuningResult GboRlTuner::Tune(core::TuningSession* session,
   }
 
   // --- Standard GP-BO from the guided seeds over the full space.
-  BoSearch::Options bopts = options_.bo;
-  bopts.iterations = options_.bo_iterations;
-  BoSearch bo(bopts, &rng_);
+  BoSearch bo({options_.bo_iterations}, &rng_);
   bo.SetObservability(obs_, name());
   bo.Run(session, datasize_gb, MemoryCentricDims(free_dims_),
          space.Repair(space.DefaultConf()), seeds);

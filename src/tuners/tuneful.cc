@@ -3,6 +3,7 @@
 #include <numeric>
 
 #include "tuners/baselines.h"
+#include "tuners/bo_search.h"
 
 namespace locat::tuners {
 
@@ -92,9 +93,7 @@ core::TuningResult TunefulTuner::Tune(core::TuningSession* session,
   std::sort(significant.begin(), significant.end());
 
   // --- GP-BO over the significant subspace.
-  BoSearch::Options bopts = options_.bo;
-  bopts.iterations = options_.bo_iterations;
-  BoSearch bo(bopts, &rng_);
+  BoSearch bo({options_.bo_iterations}, &rng_);
   bo.SetObservability(obs_, name());
   bo.Run(session, datasize_gb, significant, base_conf, {});
 

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "acquisition_reference.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/dagp.h"
@@ -120,9 +121,9 @@ TEST(PredictBatchTest, MatchesPerPointPredict) {
   ASSERT_EQ(batch.mean.size(), m);
   ASSERT_EQ(batch.variance.size(), m);
   for (size_t i = 0; i < m; ++i) {
-    const auto p = gp.Predict(xs.Row(i));
-    EXPECT_EQ(batch.mean[i], p.mean) << "candidate " << i;
-    EXPECT_NEAR(batch.variance[i], p.variance, 1e-12) << "candidate " << i;
+    const auto p = gp.PredictReference(xs.Row(i));
+    EXPECT_NEAR(batch.mean[i], p.mean, 1e-10) << "candidate " << i;
+    EXPECT_NEAR(batch.variance[i], p.variance, 1e-10) << "candidate " << i;
     EXPECT_GE(batch.variance[i], 0.0);
   }
 }
@@ -164,12 +165,15 @@ TEST(PredictBatchTest, AnyChunkingIsBitIdentical) {
   }
 }
 
-/// PredictBatch's variance computed the unfused way from public pieces:
-/// Predict's row-major k* (WeightedSquaredDistanceRows + ExpScaled) per
-/// candidate, then a plain row-streaming forward substitution with one
+/// PredictBatch computed the unfused way from public pieces, per
+/// candidate: the row-major k* (WeightedSquaredDistanceRows + ExpScaled);
+/// the mean as y_mean + y_std * kern::Dot(k*, alpha), with alpha solved
+/// from the factorization `GaussianProcess::Fit(cache, hp)` runs; the
+/// variance by a plain row-streaming forward substitution with one
 /// std::fma per term in ascending j, then the ascending sum of squares.
-Vector UnfusedVariance(const GaussianProcess& gp, const GpKernelCache& cache,
-                       const Matrix& xs) {
+GaussianProcess::BatchPrediction UnfusedPredict(const GaussianProcess& gp,
+                                                const GpKernelCache& cache,
+                                                const Matrix& xs) {
   const Matrix& x = cache.x();
   const size_t n = x.rows();
   const size_t d = x.cols();
@@ -181,12 +185,20 @@ Vector UnfusedVariance(const GaussianProcess& gp, const GpKernelCache& cache,
   const double sv = std::exp(hp.log_signal_variance);
   const double ys2 = cache.y_std() * cache.y_std();
   const Matrix& l = gp.factor();
-  Vector var(xs.rows());
+  auto chol = math::Cholesky::FactorWithJitter(cache.BuildKernel(hp));
+  EXPECT_TRUE(chol.ok());
+  const Vector alpha = chol->Solve(cache.standardized_y());
+  GaussianProcess::BatchPrediction out;
+  out.mean = Vector(xs.rows());
+  out.variance = Vector(xs.rows());
   std::vector<double> v(n);
   for (size_t c = 0; c < xs.rows(); ++c) {
     math::kern::WeightedSquaredDistanceRows(x.RowData(0), n, d, d,
                                             xs.RowData(c), w.data(), v.data());
     math::kern::ExpScaled(v.data(), n, -0.5, sv);
+    out.mean[c] = cache.y_mean() +
+                  cache.y_std() * math::kern::Dot(v.data(),
+                                                  alpha.data().data(), n);
     for (size_t i = 0; i < n; ++i) {
       double acc = v[i];
       for (size_t j = 0; j < i; ++j) {
@@ -199,9 +211,9 @@ Vector UnfusedVariance(const GaussianProcess& gp, const GpKernelCache& cache,
     for (size_t i = 0; i < n; ++i) sumsq = std::fma(v[i], v[i], sumsq);
     double vc = sv - sumsq;
     if (vc < 0.0) vc = 0.0;
-    var[c] = vc * ys2;
+    out.variance[c] = vc * ys2;
   }
-  return var;
+  return out;
 }
 
 Matrix RandomCandidates(size_t m, size_t d, Rng* rng) {
@@ -215,11 +227,11 @@ Matrix RandomCandidates(size_t m, size_t d, Rng* rng) {
 void ExpectFusedMatchesUnfused(const GaussianProcess& gp,
                                const GpKernelCache& cache, const Matrix& xs) {
   const auto batch = gp.PredictBatch(xs);
-  const Vector ref = UnfusedVariance(gp, cache, xs);
+  const auto ref = UnfusedPredict(gp, cache, xs);
   ASSERT_EQ(batch.variance.size(), xs.rows());
   for (size_t c = 0; c < xs.rows(); ++c) {
-    EXPECT_EQ(batch.variance[c], ref[c]) << "candidate " << c;
-    EXPECT_EQ(batch.mean[c], gp.Predict(xs.Row(c)).mean) << "candidate " << c;
+    EXPECT_EQ(batch.variance[c], ref.variance[c]) << "candidate " << c;
+    EXPECT_EQ(batch.mean[c], ref.mean[c]) << "candidate " << c;
   }
 }
 
@@ -294,13 +306,12 @@ TEST(PredictTest, ReferenceImplementationAgrees) {
   GaussianProcess gp;
   ASSERT_TRUE(gp.Fit(x, y, MakeHyperparams(7)).ok());
   Rng rng(7);
-  for (int t = 0; t < 50; ++t) {
-    Vector q(7);
-    for (size_t j = 0; j < 7; ++j) q[j] = rng.NextDouble();
-    const auto fast = gp.Predict(q);
-    const auto ref = gp.PredictReference(q);
-    EXPECT_NEAR(fast.mean, ref.mean, 1e-10);
-    EXPECT_NEAR(fast.variance, ref.variance, 1e-10);
+  const Matrix qs = RandomCandidates(50, 7, &rng);
+  const auto fast = gp.PredictBatch(qs);
+  for (size_t t = 0; t < qs.rows(); ++t) {
+    const auto ref = gp.PredictReference(qs.Row(t));
+    EXPECT_NEAR(fast.mean[t], ref.mean, 1e-10);
+    EXPECT_NEAR(fast.variance[t], ref.variance, 1e-10);
   }
 }
 
@@ -333,13 +344,12 @@ TEST(GpKernelCacheTest, CacheFitMatchesDirectFit) {
   GaussianProcess via_cache;
   ASSERT_TRUE(via_cache.Fit(cache, hp).ok());
   Rng rng(8);
-  for (int t = 0; t < 20; ++t) {
-    Vector q(5);
-    for (size_t j = 0; j < 5; ++j) q[j] = rng.NextDouble();
-    const auto a = direct.Predict(q);
-    const auto b = via_cache.Predict(q);
-    EXPECT_NEAR(a.mean, b.mean, 1e-10);
-    EXPECT_NEAR(a.variance, b.variance, 1e-10);
+  const Matrix qs = RandomCandidates(20, 5, &rng);
+  const auto a = direct.PredictBatch(qs);
+  const auto b = via_cache.PredictBatch(qs);
+  for (size_t t = 0; t < qs.rows(); ++t) {
+    EXPECT_NEAR(a.mean[t], b.mean[t], 1e-10);
+    EXPECT_NEAR(a.variance[t], b.variance[t], 1e-10);
   }
 }
 
@@ -363,13 +373,12 @@ TEST(GpKernelCacheTest, AdoptFitEquivalentToFreshFit) {
   EXPECT_DOUBLE_EQ(adopted.LogMarginalLikelihood(),
                    fresh.LogMarginalLikelihood());
   Rng rng(9);
-  for (int t = 0; t < 20; ++t) {
-    Vector q(5);
-    for (size_t j = 0; j < 5; ++j) q[j] = rng.NextDouble();
-    const auto a = adopted.Predict(q);
-    const auto b = fresh.Predict(q);
-    EXPECT_EQ(a.mean, b.mean);
-    EXPECT_EQ(a.variance, b.variance);
+  const Matrix qs = RandomCandidates(20, 5, &rng);
+  const auto a = adopted.PredictBatch(qs);
+  const auto b = fresh.PredictBatch(qs);
+  for (size_t t = 0; t < qs.rows(); ++t) {
+    EXPECT_EQ(a.mean[t], b.mean[t]);
+    EXPECT_EQ(a.variance[t], b.variance[t]);
   }
 }
 
@@ -615,14 +624,14 @@ TEST(EiMcmcBatchTest, BatchAcquisitionMatchesPerCandidate) {
   ASSERT_EQ(eis.size(), m);
   for (size_t i = 0; i < m; ++i) {
     const Vector q = xs.Row(i);
-    EXPECT_NEAR(eis[i], model.AcquisitionValue(q),
-                1e-12 * std::max(1.0, std::abs(eis[i])));
+    EXPECT_NEAR(eis[i], testutil::ReferenceAcquisition(model, q),
+                1e-10 * std::max(1.0, std::abs(eis[i])));
     // Per-point reference: the members' moments averaged by the law of
     // total variance.
     double mean = 0.0;
     double second_moment = 0.0;
     for (const auto& gp : model.ensemble()) {
-      const auto p = gp.Predict(q);
+      const auto p = gp.PredictReference(q);
       mean += p.mean;
       second_moment += p.variance + p.mean * p.mean;
     }
@@ -697,14 +706,14 @@ TEST(AppendFitTest, RepeatedAppendMatchesOneFit) {
   EXPECT_NEAR(incremental.LogMarginalLikelihood(), full.LogMarginalLikelihood(),
               1e-7 * std::abs(full.LogMarginalLikelihood()));
   Rng rng(77);
-  for (int t = 0; t < 40; ++t) {
-    Vector q(d);
-    for (size_t j = 0; j < d; ++j) q[j] = rng.NextDouble();
-    const auto a = incremental.Predict(q);
-    const auto b = full.Predict(q);
-    EXPECT_NEAR(a.mean, b.mean, 1e-8 * std::max(1.0, std::abs(b.mean)));
-    EXPECT_NEAR(a.variance, b.variance,
-                1e-8 * std::max(1.0, std::abs(b.variance)));
+  const Matrix qs = RandomCandidates(40, d, &rng);
+  const auto a = incremental.PredictBatch(qs);
+  const auto b = full.PredictBatch(qs);
+  for (size_t t = 0; t < qs.rows(); ++t) {
+    EXPECT_NEAR(a.mean[t], b.mean[t],
+                1e-8 * std::max(1.0, std::abs(b.mean[t])));
+    EXPECT_NEAR(a.variance[t], b.variance[t],
+                1e-8 * std::max(1.0, std::abs(b.variance[t])));
   }
 }
 
@@ -777,16 +786,16 @@ TEST(AppendFitTest, AppendAfterJitterRetryMatchesConsistentlyJitteredRefit) {
   // The posterior stays sane: predicting at the duplicated input recovers
   // (approximately) the mean of the duplicated targets, with a finite
   // non-negative variance.
-  Vector q(d);
-  q[0] = 0.5;
-  q[1] = 0.5;
-  const auto pred = gp.Predict(q);
+  Matrix q(1, d);
+  q(0, 0) = 0.5;
+  q(0, 1) = 0.5;
+  const auto pred = gp.PredictBatch(q);
   double y_bar = 0.0;
   for (size_t i = 0; i < n; ++i) y_bar += y[i] / static_cast<double>(n);
-  EXPECT_TRUE(std::isfinite(pred.mean));
-  EXPECT_NEAR(pred.mean, y_bar, 0.2);
-  EXPECT_GE(pred.variance, 0.0);
-  EXPECT_TRUE(std::isfinite(pred.variance));
+  EXPECT_TRUE(std::isfinite(pred.mean[0]));
+  EXPECT_NEAR(pred.mean[0], y_bar, 0.2);
+  EXPECT_GE(pred.variance[0], 0.0);
+  EXPECT_TRUE(std::isfinite(pred.variance[0]));
 }
 
 TEST(AppendFitTest, EiMcmcAppendMatchesPerMemberAppendAndThreadCounts) {
@@ -827,17 +836,17 @@ TEST(AppendFitTest, EiMcmcAppendMatchesPerMemberAppendAndThreadCounts) {
     ASSERT_TRUE(manual.AppendFit(x.Row(24), y[24]).ok());
     ASSERT_TRUE(manual.AppendFit(x.Row(25), y[25]).ok());
     Rng rng(53);
-    for (int t = 0; t < 10; ++t) {
-      Vector q(5);
-      for (size_t j = 0; j < 5; ++j) q[j] = rng.NextDouble();
-      const auto a = one.ensemble()[k].Predict(q);
-      const auto b = eight.ensemble()[k].Predict(q);
-      EXPECT_EQ(a.mean, b.mean) << "member " << k;
-      EXPECT_EQ(a.variance, b.variance) << "member " << k;
-      const auto m = manual.Predict(q);
-      EXPECT_NEAR(a.mean, m.mean, 1e-10 * std::max(1.0, std::abs(m.mean)));
-      EXPECT_NEAR(a.variance, m.variance,
-                  1e-10 * std::max(1.0, std::abs(m.variance)));
+    const Matrix qs = RandomCandidates(10, 5, &rng);
+    const auto a = one.ensemble()[k].PredictBatch(qs);
+    const auto b = eight.ensemble()[k].PredictBatch(qs);
+    const auto m = manual.PredictBatch(qs);
+    for (size_t t = 0; t < qs.rows(); ++t) {
+      EXPECT_EQ(a.mean[t], b.mean[t]) << "member " << k;
+      EXPECT_EQ(a.variance[t], b.variance[t]) << "member " << k;
+      EXPECT_NEAR(a.mean[t], m.mean[t],
+                  1e-10 * std::max(1.0, std::abs(m.mean[t])));
+      EXPECT_NEAR(a.variance[t], m.variance[t],
+                  1e-10 * std::max(1.0, std::abs(m.variance[t])));
     }
   }
 }

@@ -280,19 +280,22 @@ TEST(EiMcmcChainTest, DagpSingleSizeHistoryAppendsUntilTenPercentGrowth) {
   Matrix all(history.x.size(), 4);
   for (size_t i = 0; i < history.x.size(); ++i) all.SetRow(i, history.x[i]);
   const Vector ylog(history.y);
+  Matrix probes(10, 4);
+  Rng probe_rng(23);
+  for (size_t t = 0; t < probes.rows(); ++t) {
+    for (size_t j = 0; j < 3; ++j) probes(t, j) = probe_rng.NextDouble();
+    probes(t, 3) = 0.1;
+  }
   for (const auto& member : dagp.model().ensemble()) {
     ml::GaussianProcess reference;
     ASSERT_TRUE(reference.Fit(all, ylog, member.hyperparams()).ok());
-    Rng probes(23);
-    for (int t = 0; t < 10; ++t) {
-      Vector q(4);
-      for (size_t j = 0; j < 3; ++j) q[j] = probes.NextDouble();
-      q[3] = 0.1;
-      const auto a = member.Predict(q);
-      const auto b = reference.Predict(q);
-      EXPECT_NEAR(a.mean, b.mean, 1e-8 * std::max(1.0, std::abs(b.mean)));
-      EXPECT_NEAR(a.variance, b.variance,
-                  1e-8 * std::max(1.0, std::abs(b.variance)));
+    const auto a = member.PredictBatch(probes);
+    const auto b = reference.PredictBatch(probes);
+    for (size_t t = 0; t < probes.rows(); ++t) {
+      EXPECT_NEAR(a.mean[t], b.mean[t],
+                  1e-8 * std::max(1.0, std::abs(b.mean[t])));
+      EXPECT_NEAR(a.variance[t], b.variance[t],
+                  1e-8 * std::max(1.0, std::abs(b.variance[t])));
     }
   }
 

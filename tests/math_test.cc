@@ -123,14 +123,6 @@ TEST(CholeskyTest, LogDeterminant) {
   EXPECT_NEAR(chol->LogDeterminant(), std::log(36.0), 1e-12);
 }
 
-TEST(CholeskyTest, MatrixSolve) {
-  Matrix a{{4, 1}, {1, 3}};
-  auto chol = Cholesky::Factor(a);
-  ASSERT_TRUE(chol.ok());
-  Matrix x = chol->Solve(Matrix::Identity(2));
-  EXPECT_LT((a * x).MaxAbsDiff(Matrix::Identity(2)), 1e-10);
-}
-
 TEST(EigenTest, DiagonalMatrix) {
   Matrix a{{3, 0}, {0, 1}};
   auto eig = JacobiEigenSymmetric(a);

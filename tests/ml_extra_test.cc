@@ -1,7 +1,9 @@
+#include <algorithm>
 #include <cmath>
 
 #include <gtest/gtest.h>
 
+#include "acquisition_reference.h"
 #include "common/rng.h"
 #include "math/distributions.h"
 #include "math/stats.h"
@@ -146,8 +148,13 @@ TEST(AcquisitionTest, EiMcmcSupportsAllKinds) {
     EiMcmc model(opts);
     Rng fit_rng(21);
     ASSERT_TRUE(model.Fit(x, y, &fit_rng).ok());
-    const double value = model.AcquisitionValue(Vector{0.5});
-    EXPECT_TRUE(std::isfinite(value));
+    const Vector value = model.AcquisitionValueBatch(Matrix{{0.5}});
+    ASSERT_EQ(value.size(), 1u);
+    EXPECT_TRUE(std::isfinite(value[0]));
+    EXPECT_NEAR(value[0],
+                testutil::ReferenceAcquisition(model, Vector{0.5}, kind,
+                                               opts.ucb_beta),
+                1e-10 * std::max(1.0, std::abs(value[0])));
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "acquisition_reference.h"
 #include "common/rng.h"
 #include "math/stats.h"
 #include "ml/ei_mcmc.h"
@@ -143,10 +144,10 @@ TEST(GpTest, InterpolatesNoiselessData) {
   hp.log_noise_variance = std::log(1e-8);
   GaussianProcess gp;
   ASSERT_TRUE(gp.Fit(x, y, hp).ok());
-  for (int i = 0; i < 5; ++i) {
-    const auto pred = gp.Predict(x.Row(static_cast<size_t>(i)));
-    EXPECT_NEAR(pred.mean, y[static_cast<size_t>(i)], 1e-3);
-    EXPECT_LT(pred.variance, 1e-3);
+  const auto pred = gp.PredictBatch(x);
+  for (size_t i = 0; i < 5; ++i) {
+    EXPECT_NEAR(pred.mean[i], y[i], 1e-3);
+    EXPECT_LT(pred.variance[i], 1e-3);
   }
 }
 
@@ -158,9 +159,8 @@ TEST(GpTest, VarianceGrowsAwayFromData) {
   x(2, 0) = 0.2;
   GaussianProcess gp;
   ASSERT_TRUE(gp.Fit(x, y, GpHyperparams::Default(1)).ok());
-  const double var_near = gp.Predict(Vector{0.1}).variance;
-  const double var_far = gp.Predict(Vector{3.0}).variance;
-  EXPECT_GT(var_far, var_near);
+  const auto pred = gp.PredictBatch(Matrix{{0.1}, {3.0}});
+  EXPECT_GT(pred.variance[1], pred.variance[0]);
 }
 
 TEST(GpTest, ConstantTargetsPredictMean) {
@@ -171,7 +171,7 @@ TEST(GpTest, ConstantTargetsPredictMean) {
   Vector y(4, 7.5);
   GaussianProcess gp;
   ASSERT_TRUE(gp.Fit(x, y, GpHyperparams::Default(2)).ok());
-  EXPECT_NEAR(gp.Predict(Vector{0.5, 0.5}).mean, 7.5, 1e-6);
+  EXPECT_NEAR(gp.PredictBatch(Matrix{{0.5, 0.5}}).mean[0], 7.5, 1e-6);
 }
 
 TEST(GpTest, RejectsMismatchedInput) {
@@ -261,9 +261,16 @@ TEST(EiMcmcTest, FitAndAcquire) {
   ASSERT_TRUE(model.Fit(x, y, &rng).ok());
   EXPECT_TRUE(model.fitted());
   EXPECT_DOUBLE_EQ(model.best_observed(), math::Min(y.data()));
-  EXPECT_GE(model.AcquisitionValue(Vector{0.5, 0.5}), 0.0);
+  const Matrix qs{{0.5, 0.5}, {0.95, 0.05}};
+  const Vector eis = model.AcquisitionValueBatch(qs);
+  ASSERT_EQ(eis.size(), 2u);
+  EXPECT_GE(eis[0], 0.0);
   // A far-away point with high uncertainty should have positive EI.
-  EXPECT_GT(model.AcquisitionValue(Vector{0.95, 0.05}), 0.0);
+  EXPECT_GT(eis[1], 0.0);
+  for (size_t i = 0; i < qs.rows(); ++i) {
+    EXPECT_NEAR(eis[i], testutil::ReferenceAcquisition(model, qs.Row(i)),
+                1e-10 * std::max(1.0, std::abs(eis[i])));
+  }
 }
 
 TEST(EiMcmcTest, PredictAveragedTracksData) {

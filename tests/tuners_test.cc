@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.h"
 #include "core/tuning.h"
 #include "sparksim/simulator.h"
 #include "tuners/baselines.h"
@@ -125,19 +126,35 @@ TEST(MakeBaselineTest, FactoryNames) {
 }
 
 TEST(BoSearchTest, FindsBetterThanInitialPoints) {
-  sparksim::ClusterSimulator sim(sparksim::X86Cluster(), 5);
-  auto session = MakeSession(&sim, "Join");
-  Rng rng(5);
-  BoSearch::Options opts;
-  opts.iterations = 12;
-  opts.candidates = 80;
-  BoSearch bo(opts, &rng);
-  const sparksim::SparkConf base =
-      session.space().Repair(session.space().DefaultConf());
-  bo.Run(&session, 150.0, AllParamIndices(), base, {});
-  EXPECT_GT(bo.best_seconds(), 0.0);
-  EXPECT_LT(bo.best_seconds(), DefaultSeconds(&session, 150.0));
-  EXPECT_EQ(bo.trajectory().size(), 12u);
+  // Each iteration's pool is scored by one AcquisitionValueBatch, which
+  // fans out over the ensemble members on the global thread pool: the
+  // search must not depend on the thread count.
+  struct Outcome {
+    double best_seconds;
+    double default_seconds;
+    std::vector<double> trajectory;
+    sparksim::SparkConf best_conf;
+  };
+  auto run = [](int threads) {
+    common::ThreadPool::SetGlobalThreads(threads);
+    sparksim::ClusterSimulator sim(sparksim::X86Cluster(), 5);
+    auto session = MakeSession(&sim, "Join");
+    Rng rng(5);
+    BoSearch bo({12}, &rng);
+    const sparksim::SparkConf base =
+        session.space().Repair(session.space().DefaultConf());
+    bo.Run(&session, 150.0, AllParamIndices(), base, {});
+    return Outcome{bo.best_seconds(), DefaultSeconds(&session, 150.0),
+                   bo.trajectory(), bo.best_conf()};
+  };
+  const Outcome one = run(1);
+  const Outcome four = run(4);
+  common::ThreadPool::SetGlobalThreads(0);  // restore default
+  EXPECT_GT(one.best_seconds, 0.0);
+  EXPECT_LT(one.best_seconds, one.default_seconds);
+  EXPECT_EQ(one.trajectory.size(), 12u);
+  EXPECT_EQ(one.trajectory, four.trajectory);
+  EXPECT_TRUE(one.best_conf == four.best_conf);
 }
 
 TEST(FrontendTest, NamesReflectMode) {
