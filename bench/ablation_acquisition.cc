@@ -44,8 +44,8 @@ int main() {
       core::TuningSession session(&sim, app);
       core::LocatTuner::Options opts;
       opts.seed = 10 + seed;
-      opts.dagp.ei.acquisition = v.kind;
-      opts.dagp.ei.num_hyper_samples = v.hyper_samples;
+      opts.acquisition = v.kind;
+      opts.max_hyper_samples = v.hyper_samples;
       core::LocatTuner tuner(opts);
       const auto result = tuner.Tune(&session, 300.0);
       tuned_sum +=

@@ -93,6 +93,4 @@ std::vector<int> Rng::Permutation(int n) {
   return perm;
 }
 
-Rng Rng::Fork() { return Rng(NextUint64()); }
-
 }  // namespace locat

@@ -56,10 +56,6 @@ class Rng {
     }
   }
 
-  /// Derives an independent child generator; convenient for giving each
-  /// subsystem (simulator noise, tuner proposals, ...) its own stream.
-  Rng Fork();
-
  private:
   uint64_t state_[4];
   bool has_cached_gaussian_ = false;

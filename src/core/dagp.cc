@@ -17,13 +17,16 @@ namespace {
 // steps instead of every step.
 constexpr size_t kFullRefitGrowthPercent = 10;
 
+// Data sizes are normalized by this many GB before entering the GP.
+constexpr double kDatasizeScaleGb = 1000.0;
+
 }  // namespace
 
 math::Vector Dagp::Assemble(const math::Vector& encoded_conf,
                             double datasize_gb) const {
   math::Vector x(encoded_conf.size() + 1);
   for (size_t i = 0; i < encoded_conf.size(); ++i) x[i] = encoded_conf[i];
-  x[encoded_conf.size()] = datasize_gb / options_.datasize_scale_gb;
+  x[encoded_conf.size()] = datasize_gb / kDatasizeScaleGb;
   return x;
 }
 
@@ -39,7 +42,7 @@ void Dagp::AddObservation(const math::Vector& encoded_conf,
 void Dagp::Clear() {
   x_.clear();
   y_.clear();
-  model_ = ml::EiMcmc(options_.ei);
+  model_ = ml::EiMcmc(options_);
   fitted_n_ = 0;
   last_full_fit_n_ = 0;
   mixed_datasizes_ = false;

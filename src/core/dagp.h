@@ -18,7 +18,7 @@ namespace locat::core {
 /// the input data size, t = f(conf, ds) (equation (7)).
 ///
 /// Inputs: an encoded configuration vector (full unit cube before IICP,
-/// KPCA latent space after) concatenated with ds / ds_scale. Targets are
+/// KPCA latent space after) concatenated with ds / 1000 GB. Targets are
 /// modeled in log space — execution times span orders of magnitude once
 /// OOM-retry configurations appear, and the log transform keeps the GP
 /// well-conditioned.
@@ -28,13 +28,6 @@ namespace locat::core {
 /// inform predictions at 300 GB exactly to the extent the data supports.
 class Dagp {
  public:
-  struct Options {
-    /// Data sizes are normalized by this many GB before entering the GP.
-    double datasize_scale_gb = 1000.0;
-    ml::EiMcmc::Options ei;
-    Options() {}
-  };
-
   /// How the most recent successful Refit() updated the model — exposed
   /// for the numerical-contract tests and telemetry.
   enum class RefitKind {
@@ -50,8 +43,8 @@ class Dagp {
   /// largest whole-history fit.
   static constexpr size_t kMaxFitRows = 240;
 
-  explicit Dagp(Options options = Options())
-      : options_(options), model_(options_.ei) {}
+  explicit Dagp(ml::EiMcmc::Options options = ml::EiMcmc::Options())
+      : options_(options), model_(options_) {}
 
   /// Adds one observation (encoded conf, data size, measured seconds).
   /// All observations must share the encoding dimension.
@@ -141,7 +134,7 @@ class Dagp {
   /// caller then refits from the history.
   bool AppendRows();
 
-  Options options_;
+  ml::EiMcmc::Options options_;
   std::vector<math::Vector> x_;  // encoded conf + normalized ds
   std::vector<double> y_;        // log(seconds)
   ml::EiMcmc model_;

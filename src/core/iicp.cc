@@ -9,6 +9,12 @@
 namespace locat::core {
 namespace {
 
+// CPS keeps parameters with |Spearman correlation| >= this bound; 0.2 is
+// the paper's "poor correlation" cutoff.
+constexpr double kSccThreshold = 0.2;
+// CPE keeps the KPCA components covering this fraction of the spectrum.
+constexpr double kKpcaVarianceToRetain = 0.90;
+
 // Median pairwise Euclidean distance over the rows of x; the standard
 // Gaussian-kernel bandwidth heuristic.
 double MedianPairwiseDistance(const math::Matrix& x) {
@@ -53,7 +59,6 @@ StatusOr<math::Vector> IicpResult::DecodeSelected(
 
 StatusOr<IicpResult> Iicp::Run(const math::Matrix& unit_confs,
                                const std::vector<double>& times,
-                               const IicpOptions& options,
                                obs::Tracer* tracer) {
   const size_t n = unit_confs.rows();
   const size_t d = unit_confs.cols();
@@ -74,7 +79,7 @@ StatusOr<IicpResult> Iicp::Run(const math::Matrix& unit_confs,
       for (size_t i = 0; i < n; ++i) column[i] = unit_confs(i, p);
       result.scc_abs_[p] =
           std::fabs(ml::SpearmanCorrelation(column, times));
-      if (result.scc_abs_[p] >= options.scc_threshold) {
+      if (result.scc_abs_[p] >= kSccThreshold) {
         result.selected_.push_back(static_cast<int>(p));
       }
     }
@@ -118,21 +123,18 @@ StatusOr<IicpResult> Iicp::Run(const math::Matrix& unit_confs,
           result.weights_[j];
     }
   }
-  double bandwidth = options.kernel_bandwidth;
-  if (bandwidth <= 0.0) {
-    // Median-distance heuristic with a floor at the expected distance of
-    // uniform points in the [0,1]^m cube (~sqrt(m/6)); without the floor,
-    // clustered training samples yield a bandwidth so small that unseen
-    // configurations all project to the same constant.
-    const double uniform_scale =
-        std::sqrt(static_cast<double>(result.selected_.size()) / 6.0);
-    bandwidth = std::max(MedianPairwiseDistance(reduced), uniform_scale);
-  }
+  // Median-distance bandwidth heuristic with a floor at the expected
+  // distance of uniform points in the [0,1]^m cube (~sqrt(m/6)); without
+  // the floor, clustered training samples yield a bandwidth so small that
+  // unseen configurations all project to the same constant.
+  const double uniform_scale =
+      std::sqrt(static_cast<double>(result.selected_.size()) / 6.0);
+  const double bandwidth =
+      std::max(MedianPairwiseDistance(reduced), uniform_scale);
   result.kernel_ = std::make_shared<ml::GaussianKernel>(bandwidth);
 
   ml::Kpca::Options kopts;
-  kopts.variance_to_retain = options.kpca_variance_to_retain;
-  kopts.max_components = options.kpca_max_components;
+  kopts.variance_to_retain = kKpcaVarianceToRetain;
   LOCAT_RETURN_IF_ERROR(result.kpca_.Fit(reduced, result.kernel_.get(), kopts));
   cpe_span.Arg("bandwidth", bandwidth);
   cpe_span.Arg("latent_dim", static_cast<double>(result.latent_dim()));

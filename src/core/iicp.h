@@ -12,21 +12,6 @@
 
 namespace locat::core {
 
-/// Options of the IICP pipeline (Section 3.3).
-struct IicpOptions {
-  /// CPS keeps parameters with |Spearman correlation| >= this bound; 0.2
-  /// is the paper's "poor correlation" cutoff.
-  double scc_threshold = 0.2;
-  /// KPCA component-retention rule for CPE.
-  double kpca_variance_to_retain = 0.90;
-  int kpca_max_components = 0;  // 0 = no cap
-  /// Gaussian-kernel bandwidth for CPE; <= 0 selects the median pairwise
-  /// distance heuristic.
-  double kernel_bandwidth = 0.0;
-
-  IicpOptions() {}
-};
-
 /// Result of IICP: which parameters CPS kept, and the fitted KPCA that CPE
 /// uses to extract the "new parameters" fed to the DAGP.
 class IicpResult {
@@ -75,14 +60,16 @@ class Iicp {
  public:
   /// Runs IICP on N_IICP samples: `unit_confs` is n x 38 (configurations
   /// in unit-cube coordinates), `times[i]` the matching execution time.
-  /// Requires n >= 4. Never returns an empty selection: when no parameter
-  /// clears the SCC bound, the top-3 by |SCC| are kept (the paper's
-  /// pipeline implicitly assumes at least some correlated parameters).
+  /// Requires n >= 4. CPS keeps the parameters with |SCC| >= 0.2 (the
+  /// paper's "poor correlation" cutoff) and never returns an empty
+  /// selection: when fewer than 3 clear the bound, the top-3 by |SCC| are
+  /// kept (the paper's pipeline implicitly assumes at least some
+  /// correlated parameters). CPE keeps the KPCA components covering 90%
+  /// of the spectrum.
   ///
   /// `tracer` (optional) records the CPS and CPE stages as nested spans.
   static StatusOr<IicpResult> Run(const math::Matrix& unit_confs,
                                   const std::vector<double>& times,
-                                  const IicpOptions& options = IicpOptions(),
                                   obs::Tracer* tracer = nullptr);
 };
 

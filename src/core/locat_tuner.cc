@@ -10,16 +10,37 @@
 #include "ml/lhs.h"
 
 namespace locat::core {
+namespace {
+
+/// The reduced-space and warm searches stop once the best candidate's
+/// relative EI drops below this bound (DESIGN.md "Stop rule calibration").
+constexpr double kEiStop = 0.02;
+/// A run that keeps failing costs this multiple of max(worst seen,
+/// partial time).
+constexpr double kCensorMargin = 2.0;
+/// A failed evaluation is re-run up to kMaxRetries times; the backoff
+/// before retry k is charged to the meter (wasted wall clock is part of
+/// the optimization cost).
+constexpr int kMaxRetries = 2;
+constexpr double kBackoffSeconds[kMaxRetries] = {30.0, 60.0};
+
+}  // namespace
 
 LocatTuner::LocatTuner(Options options)
-    : options_(options), rng_(options.seed) {
+    : options_(options),
+      rng_(options.seed),
+      dagp_(SurrogateOptions(/*reduced=*/false)) {}
+
+ml::EiMcmc::Options LocatTuner::SurrogateOptions(bool reduced) const {
   // Lighter MCMC for the high-dimensional pre-IICP phase keeps the cold
-  // start cheap; accuracy matters most after the reduction.
-  options_.dagp.ei.num_hyper_samples =
-      std::min(options_.dagp.ei.num_hyper_samples, 6);
-  options_.dagp.ei.burn_in = std::min(options_.dagp.ei.burn_in, 10);
-  options_.dagp.ei.thin = 1;
-  dagp_ = Dagp(options_.dagp);
+  // start cheap; accuracy matters most after the reduction, where the
+  // latent space makes a richer ensemble affordable.
+  ml::EiMcmc::Options ei;
+  ei.num_hyper_samples = std::min(reduced ? 10 : 6, options_.max_hyper_samples);
+  ei.burn_in = reduced ? 16 : 10;
+  ei.thin = 1;
+  ei.acquisition = options_.acquisition;
+  return ei;
 }
 
 void LocatTuner::SetObservability(const obs::ObsContext& obs) {
@@ -69,10 +90,7 @@ void LocatTuner::EmitIteration(double datasize_gb, double eval_seconds,
 }
 
 std::string LocatTuner::name() const {
-  if (options_.enable_qcsa && options_.enable_iicp) return "LOCAT";
-  if (options_.enable_qcsa) return "LOCAT-AP";      // all parameters
-  if (options_.enable_iicp) return "LOCAT-noQCSA";
-  return "LOCAT-DAGPonly";
+  return options_.enable_iicp ? "LOCAT" : "LOCAT-AP";  // AP: all parameters
 }
 
 math::Vector LocatTuner::EncodeUnit(const math::Vector& unit) const {
@@ -119,16 +137,12 @@ void LocatTuner::EvaluateAndRecord(
   for (size_t k = 0; k < confs.size(); ++k) {
     const sparksim::SparkConf& conf = confs[k];
     StatusOr<EvalRecord>& rec_or = recs[k];
-    // Retry budget: a failed run may be bad luck (straggler/kill draw), so
-    // re-run within the budget, charging exponential backoff to the meter
-    // — wasted wall clock is part of the optimization cost.
-    int attempt = 0;
-    while (rec_or.ok() && rec_or->failed &&
-           attempt < options_.retry.max_retries) {
-      const double backoff = options_.retry.BackoffSeconds(attempt);
-      session->ChargePenaltySeconds(backoff);
-      eval_seconds[k] += backoff;
-      ++attempt;
+    // A failed run may be bad luck (straggler/kill draw), so re-run it,
+    // charging the backoff to the meter.
+    for (int attempt = 0;
+         attempt < kMaxRetries && rec_or.ok() && rec_or->failed; ++attempt) {
+      session->ChargePenaltySeconds(kBackoffSeconds[attempt]);
+      eval_seconds[k] += kBackoffSeconds[attempt];
       const double before = session->optimization_seconds();
       rec_or = run(conf);
       eval_seconds[k] += session->optimization_seconds() - before;
@@ -141,15 +155,14 @@ void LocatTuner::EvaluateAndRecord(
     if (!rec_or.ok()) {
       // Hard evaluation error (bad inputs): impute with no partial time.
       obs.failed = true;
-      objective = CensoredObjective(worst_objective_, 0.0,
-                                    options_.censor_margin);
+      objective = CensoredObjective(worst_objective_, 0.0, kCensorMargin);
     } else if (rec_or->failed) {
       // Censored: the run died after the retry budget. Its true cost is
       // unknown but at least the partial time and at least as bad as the
       // worst completed run; the margin steers DAGP/EI away.
       obs.failed = true;
       objective = CensoredObjective(worst_objective_, rec_or->app_seconds,
-                                    options_.censor_margin);
+                                    kCensorMargin);
     } else if (full_app) {
       obs.per_query = rec_or->per_query_seconds;
       objective =
@@ -346,22 +359,19 @@ void LocatTuner::RunQcsaAndIicp(TuningSession* session) {
   // --- QCSA on the first N_QCSA full-app runs (matrix S, equation (2)).
   // Failed runs never contribute: their per_query is empty (or truncated
   // at the kill), so the CV computation sees only completed samples.
-  if (options_.enable_qcsa) {
-    std::vector<std::vector<double>> times(
-        static_cast<size_t>(num_queries));
-    for (const auto& obs : observations_) {
-      if (obs.failed) continue;
-      if (static_cast<int>(obs.per_query.size()) != num_queries) continue;
-      for (int q = 0; q < num_queries; ++q) {
-        times[static_cast<size_t>(q)].push_back(
-            obs.per_query[static_cast<size_t>(q)]);
-      }
+  std::vector<std::vector<double>> times(static_cast<size_t>(num_queries));
+  for (const auto& obs : observations_) {
+    if (obs.failed) continue;
+    if (static_cast<int>(obs.per_query.size()) != num_queries) continue;
+    for (int q = 0; q < num_queries; ++q) {
+      times[static_cast<size_t>(q)].push_back(
+          obs.per_query[static_cast<size_t>(q)]);
     }
-    auto qcsa = AnalyzeQuerySensitivity(times, tracer());
-    if (qcsa.ok()) {
-      qcsa_ = std::move(qcsa).value();
-      rqa_ = qcsa_->csq_indices;
-    }
+  }
+  auto qcsa = AnalyzeQuerySensitivity(times, tracer());
+  if (qcsa.ok()) {
+    qcsa_ = std::move(qcsa).value();
+    rqa_ = qcsa_->csq_indices;
   }
   if (rqa_.empty()) {
     rqa_.resize(static_cast<size_t>(num_queries));
@@ -401,7 +411,7 @@ void LocatTuner::RunQcsaAndIicp(TuningSession* session) {
       ts[static_cast<size_t>(i)] =
           observations_[ok_idx[static_cast<size_t>(i)]].objective_seconds;
     }
-    auto iicp = Iicp::Run(confs, ts, options_.iicp, tracer());
+    auto iicp = Iicp::Run(confs, ts, tracer());
     if (iicp.ok()) iicp_ = std::move(iicp).value();
   }
 
@@ -413,13 +423,7 @@ void LocatTuner::RunQcsaAndIicp(TuningSession* session) {
   // richer than in the 38-dimensional phase A; without the reduction the
   // light options stay (a rich MCMC over 38 lengthscales costs minutes
   // per refit and is exactly what IICP exists to avoid).
-  Dagp::Options reduced_opts = options_.dagp;
-  if (iicp_) {
-    reduced_opts.ei.num_hyper_samples = 10;
-    reduced_opts.ei.burn_in = 16;
-    reduced_opts.ei.thin = 1;
-  }
-  dagp_ = Dagp(reduced_opts);
+  dagp_ = Dagp(SurrogateOptions(/*reduced=*/iicp_.has_value()));
   // The reassignment dropped the observability wiring; restore it.
   dagp_.SetObservability(obs_.tracer, obs_.metrics);
   dagp_.Clear();
@@ -502,13 +506,9 @@ void LocatTuner::RunQcsaAndIicp(TuningSession* session) {
                        log_ratios.begin() + log_ratios.size() / 2,
                        log_ratios.end());
       const double factor = std::exp(log_ratios[log_ratios.size() / 2]);
-      // Pessimism (>= 1) is applied after the rescale so it survives the
-      // normalization: donor knowledge sits slightly above this app's
-      // level and real observations win ties near the optimum.
-      const double lift = factor * std::max(1.0, prior_pessimism_);
       for (const auto& p : priors_) {
         dagp_.AddObservation(EncodeUnit(p.unit), p.datasize_gb,
-                             p.objective_seconds * lift);
+                             p.objective_seconds * factor);
       }
       // The donors' claimed optima — at the data size most comparable to
       // this cold start — are worth real runs (the probes after the
@@ -581,8 +581,7 @@ void LocatTuner::RunQcsaAndIicp(TuningSession* session) {
   }
 }
 
-void LocatTuner::SeedPriorObservations(std::vector<PriorObservation> priors,
-                                       double pessimism) {
+void LocatTuner::SeedPriorObservations(std::vector<PriorObservation> priors) {
   if (cold_started_) return;
   std::vector<PriorObservation> valid;
   valid.reserve(priors.size());
@@ -598,7 +597,6 @@ void LocatTuner::SeedPriorObservations(std::vector<PriorObservation> priors,
   // rescaled to this app's objective level, when the cold start switches
   // to the RQA objective.
   priors_ = std::move(valid);
-  prior_pessimism_ = std::max(1.0, pessimism);
   // The transferred surrogate (plus the probe runs of the donors' best
   // configurations) stands in for most of the cold-start samples: cut
   // the QCSA sampling budget to a third (never below the LHS points) and
@@ -666,7 +664,7 @@ void LocatTuner::ObserveFailedExternalRun(const sparksim::ConfigSpace& space,
   obs.objective_seconds =
       CensoredObjective(worst_objective_,
                         std::max(0.0, partial_seconds) * rqa_share_,
-                        options_.censor_margin);
+                        kCensorMargin);
   dagp_.AddObservation(EncodeUnit(obs.unit), datasize_gb,
                        obs.objective_seconds);
   observations_.push_back(std::move(obs));
@@ -777,8 +775,8 @@ TuningResult LocatTuner::Tune(TuningSession* session, double datasize_gb) {
       if (!RefitDagp().ok()) break;
       const Proposal prop = ProposeNext(session, datasize_gb);
       if (iterations >= options_.min_iterations &&
-          prop.relative_ei < options_.ei_stop) {
-        break;  // Converged: expected improvement below 10%.
+          prop.relative_ei < kEiStop) {
+        break;  // Converged: expected improvement below the stop bound.
       }
       const sparksim::SparkConf conf =
           space.Repair(space.FromUnit(prop.unit));
@@ -793,7 +791,7 @@ TuningResult LocatTuner::Tune(TuningSession* session, double datasize_gb) {
     while (iterations < options_.warm_iterations) {
       if (!RefitDagp().ok()) break;
       const Proposal prop = ProposeNext(session, datasize_gb);
-      if (iterations >= 3 && prop.relative_ei < options_.ei_stop) break;
+      if (iterations >= 3 && prop.relative_ei < kEiStop) break;
       const sparksim::SparkConf conf =
           space.Repair(space.FromUnit(prop.unit));
       EvaluateAndRecord(session, {conf}, datasize_gb, /*full_app=*/false);

@@ -5,12 +5,12 @@
 #include <string>
 #include <vector>
 
-#include "common/retry_policy.h"
 #include "common/rng.h"
 #include "core/dagp.h"
 #include "core/iicp.h"
 #include "core/qcsa.h"
 #include "core/tuning.h"
+#include "ml/ei_mcmc.h"
 
 namespace locat::core {
 
@@ -28,7 +28,8 @@ namespace locat::core {
 ///      Gaussian-KPCA produce a low-dimensional encoding; the DAGP history
 ///      is re-encoded and BO continues in the latent space.
 ///   4. Stop once >= min_iterations reduced-space iterations ran and the
-///      best candidate's relative EI drops below ei_stop (10%).
+///      best candidate's relative EI drops below a fixed bound (2%, not
+///      the paper's 10%; see DESIGN.md "Stop rule calibration").
 ///
 /// Warm start (later Tune calls with a different data size): the DAGP
 /// already models t = f(conf, ds), so only warm_iterations RQA runs at the
@@ -39,26 +40,24 @@ class LocatTuner : public Tuner {
     int n_qcsa = 30;
     int n_iicp = 20;
     int lhs_init = 3;
-    /// Reduced-space iteration floor/cap and the EI stop bound.
+    /// Reduced-space iteration floor and cap; the EI stop rule ends the
+    /// search between them.
     int min_iterations = 25;
     int max_iterations = 55;
-    double ei_stop = 0.02;
     /// Candidate pool per BO iteration.
     int candidates = 900;
     /// Iteration cap when re-tuning for a new data size (warm start).
     int warm_iterations = 12;
     uint64_t seed = 1;
-    /// Ablation switches: Figure 15's "AP" variant sets enable_iicp =
-    /// false; Section 5.10 isolates QCSA/IICP via these too.
-    bool enable_qcsa = true;
+    /// Ablation switch: Figure 15's "AP" variant sets enable_iicp = false
+    /// and keeps all 38 parameters.
     bool enable_iicp = true;
-    IicpOptions iicp;
-    Dagp::Options dagp;
-    /// Failure handling: per-evaluation retry budget (backoff is charged
-    /// to the optimization-time meter) and the censored-cost margin
-    /// applied to worst-seen when a config keeps dying.
-    common::RetryPolicy retry;
-    double censor_margin = 2.0;
+    /// Acquisition rule averaged over the EI-MCMC ensemble (Section 2.2's
+    /// comparison in bench/ablation_acquisition).
+    ml::AcquisitionKind acquisition = ml::AcquisitionKind::kExpectedImprovement;
+    /// Cap (>= 1) on the EI-MCMC ensemble: it holds min(6, cap) GPs
+    /// before IICP and min(10, cap) after it; 1 is a single fit.
+    int max_hyper_samples = 10;
 
     Options() {}
   };
@@ -86,20 +85,17 @@ class LocatTuner : public Tuner {
   /// the incumbent, QCSA/IICP statistics or the trajectory), and only at
   /// the QCSA/IICP rebuild, rescaled (median-to-median, anchored at the
   /// donor data size nearest this tune's size) to this app's objective
-  /// level so the two scales never mix; `pessimism` (>= 1) lifts the
-  /// rescaled donor objectives so real observations win ties. The donor's
-  /// claimed-best configuration additionally gets one real probe run
-  /// right after the rebuild, so a good transfer immediately becomes the
-  /// incumbent. The cold start runs a reduced schedule: a third of the
-  /// QCSA sampling budget and of the reduced-space iteration floor/cap,
-  /// because the transferred surrogate stands in for the missing
-  /// samples. Entries with a
-  /// non-positive objective or a wrong dimension are dropped. Calls after
+  /// level so the two scales never mix. The donor's claimed-best
+  /// configuration additionally gets one real probe run right after the
+  /// rebuild, so a good transfer immediately becomes the incumbent. The
+  /// cold start runs a reduced schedule: a third of the QCSA sampling
+  /// budget and of the reduced-space iteration floor/cap, because the
+  /// transferred surrogate stands in for the missing samples. Entries with
+  /// a non-positive objective or a wrong dimension are dropped. Calls after
   /// the cold start (or with nothing valid to seed) are no-ops, so a
   /// tuner that never receives priors behaves byte-identically to one
   /// where this method does not exist.
-  void SeedPriorObservations(std::vector<PriorObservation> priors,
-                             double pessimism = 1.0);
+  void SeedPriorObservations(std::vector<PriorObservation> priors);
 
   /// Seeds the configuration-sensitive query set from a donor app (or
   /// this app's own pre-eviction history). QCSA sensitivity is a property
@@ -154,8 +150,8 @@ class LocatTuner : public Tuner {
   const IicpResult* iicp_result() const {
     return iicp_ ? &*iicp_ : nullptr;
   }
-  /// Query indices the RQA executes (all queries before QCSA/when
-  /// disabled).
+  /// Query indices the RQA executes (all queries before QCSA or when it
+  /// fails).
   const std::vector<int>& rqa_indices() const { return rqa_; }
 
  private:
@@ -197,6 +193,10 @@ class LocatTuner : public Tuner {
 
   void RunQcsaAndIicp(TuningSession* session);
 
+  /// EI-MCMC settings of the DAGP before IICP (`reduced` false) and after
+  /// a successful IICP reduction.
+  ml::EiMcmc::Options SurrogateOptions(bool reduced) const;
+
   /// Refits the DAGP and, when the refit ran EI-MCMC (not appends), marks
   /// its FitStats for the next emitted iteration event.
   Status RefitDagp();
@@ -214,9 +214,6 @@ class LocatTuner : public Tuner {
   /// QCSA/IICP statistics and duplicate checks see exclusively this
   /// app's own runs.
   std::vector<PriorObservation> priors_;
-  /// Multiplier (>= 1) applied to prior objectives after they are rescaled
-  /// to this app's objective level at the QCSA/IICP rebuild.
-  double prior_pessimism_ = 1.0;
   /// The donors' claimed-best units (lowest prior objectives at the
   /// anchor data size, pairwise-diverse); probed with real evaluations
   /// right after the QCSA/IICP rebuild so a genuinely good transfer

@@ -13,7 +13,6 @@ namespace locat::core {
 OnlineTuningService::OnlineTuningService(TuningSession* session,
                                          Options options)
     : session_(session),
-      options_(options),
       tuner_(options.tuner),
       // Published() must never return null, even before the first mutator.
       published_(std::make_shared<const PublishedState>()) {}
@@ -71,14 +70,6 @@ void OnlineTuningService::SetObservability(const obs::ObsContext& obs) {
   }
 }
 
-void OnlineTuningService::EnableLatencyTracking() {
-  if (owned_latency_ != nullptr) return;
-  owned_latency_ = std::make_unique<obs::Histogram>(
-      "locat_service_recommend_seconds",
-      "Wall-clock latency of RecommendedConf",
-      obs::LatencySecondsBuckets());
-}
-
 double OnlineTuningService::NearestTunedKeyIn(
     const std::map<double, sparksim::SparkConf>& tuned, double datasize_gb,
     double threshold) {
@@ -125,8 +116,8 @@ std::optional<sparksim::SparkConf> OnlineTuningService::PublishedReuse(
     double datasize_gb) const {
   if (!(datasize_gb > 0.0)) return std::nullopt;
   const std::shared_ptr<const PublishedState> plan = Published();
-  const double key = NearestTunedKeyIn(plan->tuned, datasize_gb,
-                                       options_.retune_threshold);
+  const double key =
+      NearestTunedKeyIn(plan->tuned, datasize_gb, kRetuneThreshold);
   if (std::isnan(key)) return std::nullopt;
   return plan->tuned.at(key);
 }
@@ -145,7 +136,7 @@ StatusOr<sparksim::SparkConf> OnlineTuningService::RecommendedConf(
   }
   // Latency is only clocked when a histogram is wired: the disabled path
   // must never read a clock.
-  obs::Histogram* latency = latency_sink();
+  obs::Histogram* latency = recommend_latency_;
   const uint64_t t0_ns =
       latency != nullptr ? obs::MonotonicClock::Default()->NowNanos() : 0;
   auto finish = [&](const sparksim::SparkConf& conf) -> sparksim::SparkConf {
@@ -233,8 +224,8 @@ Status OnlineTuningService::ReportFailedRun(double datasize_gb,
 
 int OnlineTuningService::penalized_count(double datasize_gb) const {
   const std::shared_ptr<const PublishedState> plan = Published();
-  const double key = NearestTunedKeyIn(plan->tuned, datasize_gb,
-                                       options_.retune_threshold);
+  const double key =
+      NearestTunedKeyIn(plan->tuned, datasize_gb, kRetuneThreshold);
   if (std::isnan(key)) return 0;
   const auto it = plan->penalized.find(key);
   return it == plan->penalized.end() ? 0 : it->second;
@@ -255,10 +246,10 @@ OnlineTuningService::StatusSnapshot OnlineTuningService::Snapshot() const {
   if (plan->has_last_conf) {
     snap.last_conf = sparksim::SparkPropertiesToString(plan->last_conf);
   }
-  if (const obs::Histogram* latency = latency_sink(); latency != nullptr) {
-    snap.recommend_p50_s = latency->Quantile(0.50);
-    snap.recommend_p95_s = latency->Quantile(0.95);
-    snap.recommend_p99_s = latency->Quantile(0.99);
+  if (recommend_latency_ != nullptr) {
+    snap.recommend_p50_s = recommend_latency_->Quantile(0.50);
+    snap.recommend_p95_s = recommend_latency_->Quantile(0.95);
+    snap.recommend_p99_s = recommend_latency_->Quantile(0.99);
   }
   return snap;
 }

@@ -28,7 +28,7 @@ namespace locat::core {
 /// The service owns one LocatTuner. The first recommendation triggers the
 /// cold-start tuning pass; later recommendations for *new* data sizes run
 /// a short warm adaptation only when the size differs enough from
-/// anything tuned before (relative gap > retune_threshold); otherwise the
+/// anything tuned before (relative gap > kRetuneThreshold); otherwise the
 /// nearest tuned configuration is reused instantly. Reported production
 /// runs feed the DAGP as free observations.
 ///
@@ -45,14 +45,15 @@ class OnlineTuningService {
  public:
   struct Options {
     LocatTuner::Options tuner;
-    /// Re-tune when the requested size differs from every tuned size by
-    /// more than this relative factor. The gap is symmetric:
-    /// |ds - tuned| / max(ds, tuned), so 100 -> 130 and 130 -> 100 make
-    /// the same reuse decision.
-    double retune_threshold = 0.25;
 
     Options() {}
   };
+
+  /// Re-tune when the requested size differs from every tuned size by
+  /// more than this relative factor. The gap is symmetric:
+  /// |ds - tuned| / max(ds, tuned), so 100 -> 130 and 130 -> 100 make the
+  /// same reuse decision.
+  static constexpr double kRetuneThreshold = 0.25;
 
   /// `session` must outlive the service.
   OnlineTuningService(TuningSession* session, Options options = Options());
@@ -106,9 +107,8 @@ class OnlineTuningService {
   /// Seeds the tuner with observations transferred from similar apps
   /// (cross-app warm start). Must run before the first RecommendedConf;
   /// later calls are no-ops. See LocatTuner::SeedPriorObservations.
-  void SeedPriorObservations(std::vector<LocatTuner::PriorObservation> p,
-                             double pessimism = 1.0) {
-    tuner_.SeedPriorObservations(std::move(p), pessimism);
+  void SeedPriorObservations(std::vector<LocatTuner::PriorObservation> p) {
+    tuner_.SeedPriorObservations(std::move(p));
   }
 
   /// Transfers a donor's configuration-sensitive query set; adopted as
@@ -152,7 +152,7 @@ class OnlineTuningService {
   }
 
   /// Reuse check on the published plan: the tuned conf closest to
-  /// `datasize_gb` when its symmetric gap is within retune_threshold,
+  /// `datasize_gb` when its symmetric gap is within kRetuneThreshold,
   /// nullopt when the request must go through a (cold or warm) tuning
   /// pass. Does NOT count as a recommendation — callers that serve from it
   /// are expected to report it via the owning registry's bookkeeping.
@@ -185,18 +185,10 @@ class OnlineTuningService {
     /// Optimization meter as of the last mutation (see PublishedState).
     double optimization_seconds = 0.0;
   };
-  /// Latency-quantile source, in order of preference: the registry-backed
-  /// labeled histogram (when SetObservability wired a metrics registry),
-  /// else the owned histogram (when EnableLatencyTracking was called),
-  /// else the quantiles are 0 — with neither wired the recommend path
-  /// never reads a clock, so there is nothing to report. This is the one
-  /// place that behavior is defined.
+  /// The recommend-latency quantiles come from the labeled histogram a
+  /// wired metrics registry holds; without one the recommend path never
+  /// reads a clock and the quantiles are 0.
   StatusSnapshot Snapshot() const;
-
-  /// Makes the service clock RecommendedConf latency into an owned
-  /// histogram even without a metrics registry, so Snapshot() can report
-  /// quantiles. A registry wired later takes precedence as the sink.
-  void EnableLatencyTracking();
 
   /// Wires observability into the service and its tuner (the session is
   /// wired separately by whoever owns it). Purely observational. Besides
@@ -209,24 +201,16 @@ class OnlineTuningService {
 
  private:
   /// Key of the tuned size closest to `datasize_gb` when its symmetric
-  /// gap is within retune_threshold; NaN when nothing is close enough.
+  /// gap is within kRetuneThreshold; NaN when nothing is close enough.
   double NearestTunedKey(double datasize_gb) const {
-    return NearestTunedKeyIn(tuned_, datasize_gb, options_.retune_threshold);
+    return NearestTunedKeyIn(tuned_, datasize_gb, kRetuneThreshold);
   }
 
   /// Rebuilds the immutable snapshot from the mutable state and swaps it
   /// in. Called at the end of every mutator.
   void Publish();
 
-  /// The histogram RecommendedConf clocks into: the registry child when
-  /// wired, else the owned one, else null (no clock reads).
-  obs::Histogram* latency_sink() const {
-    return recommend_latency_ != nullptr ? recommend_latency_
-                                         : owned_latency_.get();
-  }
-
   TuningSession* session_;
-  Options options_;
   LocatTuner tuner_;
   std::map<double, sparksim::SparkConf> tuned_;  // ds -> best conf
   /// Last conf that *finished* a reported production run, per tuned size —
@@ -244,7 +228,6 @@ class OnlineTuningService {
   /// snapshot is built or read.
   mutable std::mutex plan_mu_;
   std::shared_ptr<const PublishedState> published_;
-  std::unique_ptr<obs::Histogram> owned_latency_;
   obs::ObsContext obs_;
   obs::Counter* recommendations_counter_ = nullptr;
   obs::Counter* reuse_counter_ = nullptr;
@@ -256,7 +239,8 @@ class OnlineTuningService {
   obs::Counter* rec_tuned_ = nullptr;        // {app,source="tuned"}
   obs::Counter* runs_ok_ = nullptr;          // {app,status="ok"}
   obs::Counter* runs_failed_ = nullptr;      // {app,status="failed"}
-  obs::Histogram* recommend_latency_ = nullptr;  // {app}
+  /// {app}; RecommendedConf reads a clock only when it is set.
+  obs::Histogram* recommend_latency_ = nullptr;
 };
 
 }  // namespace locat::core

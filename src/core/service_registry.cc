@@ -12,6 +12,9 @@
 namespace locat::core {
 namespace {
 
+/// Donors a new app's warm start draws prior observations from.
+constexpr size_t kTransferK = 3;
+
 /// Microsecond-resolution buckets for the lookup path (the generic
 /// latency buckets start too coarse for a ~µs hot path).
 std::vector<double> LookupLatencyBuckets() {
@@ -94,12 +97,7 @@ double AppFingerprint::Distance(const AppFingerprint& a,
 ServiceRegistry::ServiceRegistry(BackendFactory factory, Options options)
     : factory_(std::move(factory)),
       options_(options),
-      tune_pool_(std::max(1, options.tune_threads)),
-      lookup_latency_("locat_registry_lookup_seconds",
-                      "Wall-clock latency of ServiceRegistry::Lookup",
-                      LookupLatencyBuckets()) {
-  clock_latency_.store(options_.track_latency, std::memory_order_release);
-}
+      tune_pool_(std::max(1, options.tune_threads)) {}
 
 ServiceRegistry::~ServiceRegistry() = default;
 
@@ -158,7 +156,7 @@ void ServiceRegistry::SetObservability(const obs::ObsContext& obs) {
     m_evict_cap_ = nullptr;
     m_warm_starts_ = nullptr;
     m_lookup_latency_ = nullptr;
-    clock_latency_.store(options_.track_latency, std::memory_order_release);
+    clock_latency_.store(false, std::memory_order_release);
   }
   // Re-wire entries admitted before the context arrived.
   for (const auto& entry : Entries()) {
@@ -194,9 +192,7 @@ ServiceRegistry::BuildPriorsLocked(const std::string& app,
     if (a.distance != b.distance) return a.distance < b.distance;
     return *a.name < *b.name;
   });
-  if (donors.size() > static_cast<size_t>(std::max(0, options_.transfer_k))) {
-    donors.resize(static_cast<size_t>(options_.transfer_k));
-  }
+  if (donors.size() > kTransferK) donors.resize(kTransferK);
   if (donors.empty() || options_.transfer_cap == 0) return {};
   // The RQA hint comes from the single nearest donor: mixing CSQ sets
   // from donors at different distances would dilute the sensitivity
@@ -269,31 +265,26 @@ ServiceRegistry::FindOrAdmit(const std::string& app) {
                               std::memory_order_relaxed);
   OnlineTuningService* svc = entry->backend->service();
   if (obs_.any()) svc->SetObservability(obs_);
-  if (options_.track_latency) svc->EnableLatencyTracking();
 
   if (options_.warm_start) {
     std::vector<LocatTuner::PriorObservation> priors;
     std::vector<int> csq_hint;
-    bool own_history = false;
     {
       std::lock_guard<std::mutex> tlock(transfer_mu_);
       const auto evicted = evicted_store_.find(app);
       if (evicted != evicted_store_.end()) {
         // Re-admission: the app's own persisted history beats any
-        // cross-app donor; no pessimism, it *is* this workload.
+        // cross-app donor.
         priors = std::move(evicted->second.observations);
         csq_hint = std::move(evicted->second.csq);
         evicted_store_.erase(evicted);
-        own_history = true;
       } else {
         priors = BuildPriorsLocked(app, entry->fingerprint, &csq_hint);
       }
     }
     if (!priors.empty()) {
       if (!csq_hint.empty()) svc->SeedRqaHint(std::move(csq_hint));
-      svc->SeedPriorObservations(
-          std::move(priors),
-          own_history ? 1.0 : options_.transfer_pessimism);
+      svc->SeedPriorObservations(std::move(priors));
       if (svc->tuner().warm_started()) {
         entry->warm_started = true;
         warm_start_hits_.fetch_add(1, std::memory_order_relaxed);
@@ -319,7 +310,6 @@ StatusOr<sparksim::SparkConf> ServiceRegistry::Lookup(const std::string& app,
     if (!clocked) return;
     const uint64_t t1_ns = obs::MonotonicClock::Default()->NowNanos();
     const double s = static_cast<double>(t1_ns - t0_ns) * 1e-9;
-    lookup_latency_.Observe(s);
     if (m_lookup_latency_ != nullptr) m_lookup_latency_->Observe(s);
   };
 
@@ -538,10 +528,6 @@ ServiceRegistry::Stats ServiceRegistry::GetStats() const {
   std::lock_guard<std::mutex> lock(map_mu_);
   s.live_apps = entries_.size();
   return s;
-}
-
-double ServiceRegistry::LookupLatencyQuantile(double q) const {
-  return lookup_latency_.Quantile(q);
 }
 
 ServiceRegistry::AppRow ServiceRegistry::BuildRow(Entry& entry) {

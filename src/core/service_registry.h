@@ -88,36 +88,20 @@ class AppBackend {
 class ServiceRegistry {
  public:
   struct Options {
-    /// Per-app service options applied by the backend factory (kept here
-    /// for the drift threshold the hot path shares with the service).
-    double retune_threshold = 0.25;
     /// Maximum live apps; the excess is evicted (least-recently-used
     /// first) at the next AdvanceTick. 0 = unlimited.
     size_t capacity = 0;
     /// Evict apps idle for more than this many ticks. 0 = never.
     int ttl_ticks = 0;
-    /// Cross-app transfer: seed new apps from the K nearest tuned apps'
+    /// Cross-app transfer: seed new apps from the 3 nearest tuned apps'
     /// observation histories. `false` leaves every tuner byte-identical
     /// to a registry-less cold start.
     bool warm_start = true;
-    /// Donor count and total transferred-observation cap per admission.
-    int transfer_k = 3;
+    /// Total transferred-observation cap per admission.
     size_t transfer_cap = 12;
-    /// Multiplier on transferred objectives, applied inside the tuner
-    /// AFTER donor priors are rescaled to the recipient's own objective
-    /// level (> 1 biases the surrogate to treat donor knowledge as
-    /// slightly pessimistic, so the new app's own observations win ties
-    /// near the optimum). Re-admission from an app's own evicted history
-    /// always uses 1.0.
-    double transfer_pessimism = 1.0;
     /// Worker threads for background tuning passes. 1 = run inline on
     /// the requesting thread (fully deterministic single-threaded mode).
     int tune_threads = 1;
-    /// Clock Lookup latency into an owned histogram (and each service's
-    /// RecommendedConf latency) even without a metrics registry, so
-    /// statusz/bench can report quantiles. Off by default: disabled
-    /// observability must not read clocks.
-    bool track_latency = false;
 
     Options() {}
   };
@@ -176,11 +160,6 @@ class ServiceRegistry {
   };
   Stats GetStats() const;
 
-  /// Lookup-latency quantile in seconds (0 unless track_latency or a
-  /// metrics registry is wired — same contract as
-  /// OnlineTuningService::Snapshot).
-  double LookupLatencyQuantile(double q) const;
-
   /// One serving row per live app, ordered by name: the service snapshot
   /// plus the registry's own per-app bookkeeping.
   struct AppRow {
@@ -204,6 +183,7 @@ class ServiceRegistry {
   ///   locat_registry_evictions_total{reason="ttl"|"capacity"}
   ///   locat_registry_warm_starts_total
   ///   locat_registry_lookup_seconds (histogram)
+  /// Lookup latency is clocked exactly while a metrics registry is wired.
   void SetObservability(const obs::ObsContext& obs);
 
  private:
@@ -294,9 +274,9 @@ class ServiceRegistry {
   std::atomic<uint64_t> evictions_capacity_{0};
   std::atomic<uint64_t> warm_start_hits_{0};
 
-  /// Owned lookup-latency histogram; observed only when latency tracking
-  /// is on (track_latency option or metrics wired).
-  obs::Histogram lookup_latency_;
+  /// Whether Lookup clocks its latency (a metrics registry is wired);
+  /// stored with release after m_lookup_latency_ so a Lookup that reads
+  /// true sees the histogram.
   std::atomic<bool> clock_latency_{false};
 
   obs::ObsContext obs_;

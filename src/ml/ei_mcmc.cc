@@ -12,20 +12,33 @@
 #include "math/stats.h"
 
 namespace locat::ml {
+namespace {
 
-double EiMcmc::LogPrior(const GpHyperparams& hp) const {
-  const double inv_var = 1.0 / (options_.prior_log_std * options_.prior_log_std);
+// Weak log-normal hyperparameter priors: means of the log lengthscale
+// (~0.30 for [0,1]-normalized inputs), log signal variance and log noise
+// variance (~0.01), with one shared standard deviation in log space.
+constexpr double kLengthscaleLogMean = -1.2;
+constexpr double kSignalLogMean = 0.0;
+constexpr double kNoiseLogMean = -4.6;
+constexpr double kPriorLogStd = 1.0;
+// Exploration weight of the GP-UCB rule.
+constexpr double kUcbBeta = 2.0;
+
+double LogPrior(const GpHyperparams& hp) {
+  const double inv_var = 1.0 / (kPriorLogStd * kPriorLogStd);
   double lp = 0.0;
   for (size_t i = 0; i < hp.log_lengthscales.size(); ++i) {
-    const double d = hp.log_lengthscales[i] - options_.lengthscale_log_mean;
+    const double d = hp.log_lengthscales[i] - kLengthscaleLogMean;
     lp -= 0.5 * d * d * inv_var;
   }
-  const double ds = hp.log_signal_variance - options_.signal_log_mean;
+  const double ds = hp.log_signal_variance - kSignalLogMean;
   lp -= 0.5 * ds * ds * inv_var;
-  const double dn = hp.log_noise_variance - options_.noise_log_mean;
+  const double dn = hp.log_noise_variance - kNoiseLogMean;
   lp -= 0.5 * dn * dn * inv_var;
   return lp;
 }
+
+}  // namespace
 
 Status EiMcmc::Fit(const math::Matrix& x, const math::Vector& y, Rng* rng) {
   if (x.rows() < 2 || x.rows() != y.size()) {
@@ -191,8 +204,7 @@ math::Vector EiMcmc::AcquisitionValueBatch(const math::Matrix& xs) const {
           total += math::ProbabilityOfImprovement(mean, sd, best_observed_);
           break;
         case AcquisitionKind::kUcb:
-          total += math::NegativeLowerConfidenceBound(mean, sd,
-                                                      options_.ucb_beta);
+          total += math::NegativeLowerConfidenceBound(mean, sd, kUcbBeta);
           break;
         case AcquisitionKind::kExpectedImprovement:
           total += math::ExpectedImprovement(mean, sd, best_observed_);

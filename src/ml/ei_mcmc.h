@@ -41,16 +41,8 @@ class EiMcmc {
     int burn_in = 16;
     /// Sweeps between retained samples.
     int thin = 2;
-    /// Prior means for log lengthscale / log signal var / log noise var.
-    double lengthscale_log_mean = -1.2;  // ~0.30 for [0,1]-normalized inputs
-    double signal_log_mean = 0.0;
-    double noise_log_mean = -4.6;  // ~0.01
-    /// Shared prior standard deviation in log space.
-    double prior_log_std = 1.0;
     /// Which acquisition rule AcquisitionValueBatch averages.
     AcquisitionKind acquisition = AcquisitionKind::kExpectedImprovement;
-    /// Exploration weight for the UCB rule.
-    double ucb_beta = 2.0;
 
     Options() {}
   };
@@ -126,7 +118,6 @@ class EiMcmc {
   const FitStats& last_fit_stats() const { return last_fit_stats_; }
 
  private:
-  double LogPrior(const GpHyperparams& hp) const;
   /// One `PredictBatch` of `xs` per ensemble member, in member order.
   std::vector<GaussianProcess::BatchPrediction> MemberPredictions(
       const math::Matrix& xs) const;

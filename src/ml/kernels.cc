@@ -32,17 +32,6 @@ math::Matrix Kernel::GramMatrix(const math::Matrix& x) const {
   return k;
 }
 
-math::Matrix Kernel::CrossGramMatrix(const math::Matrix& a,
-                                     const math::Matrix& b) const {
-  math::Matrix k(a.rows(), b.rows());
-  if (a.rows() == 0 || b.rows() == 0) return k;
-  for (size_t i = 0; i < a.rows(); ++i) {
-    EvaluateAgainstRows(a.RowData(i), a.cols(), b.RowData(0), b.rows(),
-                        b.cols(), k.RowData(i));
-  }
-  return k;
-}
-
 double GaussianKernel::EvaluateData(const double* a, const double* b,
                                     size_t n) const {
   return math::kern::Exp(pre_ * math::kern::SquaredDistance(a, b, n));

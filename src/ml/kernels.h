@@ -46,10 +46,6 @@ class Kernel {
   /// Builds the Gram matrix K with K(i,j) = k(X.Row(i), X.Row(j)).
   /// Computes the lower triangle row-batched and mirrors it.
   math::Matrix GramMatrix(const math::Matrix& x) const;
-
-  /// Builds the cross Gram matrix K with K(i,j) = k(A.Row(i), B.Row(j)).
-  math::Matrix CrossGramMatrix(const math::Matrix& a,
-                               const math::Matrix& b) const;
 };
 
 /// Gaussian (RBF) kernel: k(a,b) = exp(-||a-b||^2 / (2 gamma^2)).

@@ -110,14 +110,6 @@ math::Vector Kpca::Project(const math::Vector& x) const {
   return z;
 }
 
-math::Matrix Kpca::ProjectAll(const math::Matrix& x) const {
-  math::Matrix out(x.rows(), static_cast<size_t>(num_components_));
-  for (size_t r = 0; r < x.rows(); ++r) {
-    out.SetRow(r, Project(x.Row(r)));
-  }
-  return out;
-}
-
 StatusOr<math::Vector> Kpca::GaussianPreimage(const math::Vector& z,
                                               int max_iterations,
                                               double tolerance) const {

@@ -47,9 +47,6 @@ class Kpca {
   /// Projects a d-dimensional point to the latent space.
   math::Vector Project(const math::Vector& x) const;
 
-  /// Projects every row of `x`.
-  math::Matrix ProjectAll(const math::Matrix& x) const;
-
   /// Fraction of spectrum mass captured by the retained components.
   double explained_variance_ratio() const { return explained_variance_; }
 

@@ -102,31 +102,6 @@ std::vector<std::pair<LabelSet, const Counter*>> CounterFamily::Children()
   return out;
 }
 
-Gauge* GaugeFamily::WithLabels(const LabelSet& labels) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = children_.find(labels);
-  if (it == children_.end()) {
-    it = children_.emplace(labels, std::make_unique<Gauge>(name_, help_))
-             .first;
-  }
-  return it->second.get();
-}
-
-size_t GaugeFamily::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return children_.size();
-}
-
-std::vector<std::pair<LabelSet, const Gauge*>> GaugeFamily::Children() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::pair<LabelSet, const Gauge*>> out;
-  out.reserve(children_.size());
-  for (const auto& [labels, child] : children_) {
-    out.emplace_back(labels, child.get());
-  }
-  return out;
-}
-
 Histogram* HistogramFamily::WithLabels(const LabelSet& labels) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = children_.find(labels);
@@ -201,18 +176,6 @@ CounterFamily* MetricsRegistry::GetCounterFamily(const std::string& name,
   return it->second.get();
 }
 
-GaugeFamily* MetricsRegistry::GetGaugeFamily(const std::string& name,
-                                             const std::string& help) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = gauge_families_.find(name);
-  if (it == gauge_families_.end()) {
-    it = gauge_families_
-             .emplace(name, std::make_unique<GaugeFamily>(name, help))
-             .first;
-  }
-  return it->second.get();
-}
-
 HistogramFamily* MetricsRegistry::GetHistogramFamily(
     const std::string& name, const std::string& help,
     std::vector<double> upper_bounds) {
@@ -230,8 +193,7 @@ HistogramFamily* MetricsRegistry::GetHistogramFamily(
 size_t MetricsRegistry::metric_count() const {
   std::lock_guard<std::mutex> lock(mu_);
   return counters_.size() + gauges_.size() + histograms_.size() +
-         counter_families_.size() + gauge_families_.size() +
-         histogram_families_.size();
+         counter_families_.size() + histogram_families_.size();
 }
 
 namespace {
@@ -298,13 +260,6 @@ void MetricsRegistry::WritePrometheus(std::ostream& os) const {
     WriteHeader(os, name, g->help(), "gauge");
     os << name << " " << FormatNumber(g->value()) << "\n";
   }
-  for (const auto& [name, fam] : gauge_families_) {
-    WriteHeader(os, name, fam->help(), "gauge");
-    for (const auto& [labels, child] : fam->Children()) {
-      os << name << labels.ToPrometheus() << " "
-         << FormatNumber(child->value()) << "\n";
-    }
-  }
   for (const auto& [name, h] : histograms_) {
     WriteHeader(os, name, h->help(), "histogram");
     WriteHistogramSamples(os, name, LabelSet(), *h);
@@ -347,19 +302,6 @@ void MetricsRegistry::WriteJson(std::ostream& os) const {
     if (!first) os << ",";
     first = false;
     os << "\"" << JsonEscape(name) << "\":{\"kind\":\"counter\",\"children\":[";
-    bool cfirst = true;
-    for (const auto& [labels, child] : fam->Children()) {
-      if (!cfirst) os << ",";
-      cfirst = false;
-      os << "{\"labels\":" << labels.ToJson()
-         << ",\"value\":" << FormatNumber(child->value()) << "}";
-    }
-    os << "]}";
-  }
-  for (const auto& [name, fam] : gauge_families_) {
-    if (!first) os << ",";
-    first = false;
-    os << "\"" << JsonEscape(name) << "\":{\"kind\":\"gauge\",\"children\":[";
     bool cfirst = true;
     for (const auto& [labels, child] : fam->Children()) {
       if (!cfirst) os << ",";

@@ -126,25 +126,6 @@ class CounterFamily {
   std::map<LabelSet, std::unique_ptr<Counter>> children_;
 };
 
-class GaugeFamily {
- public:
-  GaugeFamily(std::string name, std::string help)
-      : name_(std::move(name)), help_(std::move(help)) {}
-
-  Gauge* WithLabels(const LabelSet& labels);
-
-  const std::string& name() const { return name_; }
-  const std::string& help() const { return help_; }
-  size_t size() const;
-  std::vector<std::pair<LabelSet, const Gauge*>> Children() const;
-
- private:
-  std::string name_;
-  std::string help_;
-  mutable std::mutex mu_;
-  std::map<LabelSet, std::unique_ptr<Gauge>> children_;
-};
-
 class HistogramFamily {
  public:
   HistogramFamily(std::string name, std::string help,
@@ -187,8 +168,6 @@ class MetricsRegistry {
 
   CounterFamily* GetCounterFamily(const std::string& name,
                                   const std::string& help = "");
-  GaugeFamily* GetGaugeFamily(const std::string& name,
-                              const std::string& help = "");
   HistogramFamily* GetHistogramFamily(const std::string& name,
                                       const std::string& help,
                                       std::vector<double> upper_bounds);
@@ -213,7 +192,6 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
   std::map<std::string, std::unique_ptr<CounterFamily>> counter_families_;
-  std::map<std::string, std::unique_ptr<GaugeFamily>> gauge_families_;
   std::map<std::string, std::unique_ptr<HistogramFamily>> histogram_families_;
 };
 

@@ -667,7 +667,6 @@ int CmdServe(const std::string& cluster, std::vector<std::string> app_names,
   sopts.tuner.seed = 31 + flags.seed;
 
   core::ServiceRegistry::Options ropts;
-  ropts.retune_threshold = sopts.retune_threshold;
   ropts.capacity = flags.registry_cap;
   ropts.ttl_ticks = flags.registry_ttl;
   ropts.warm_start = flags.warm_start;

@@ -39,8 +39,6 @@ class RandomSearchTuner : public core::Tuner {
 class TunefulTuner : public core::Tuner {
  public:
   struct Options {
-    /// OAT probes per parameter (low/high ends).
-    int oat_probes_per_param = 1;
     /// Parameters kept after the significance phase.
     int significant_params = 6;
     int bo_iterations = 70;
@@ -71,7 +69,6 @@ class DacTuner : public core::Tuner {
     int training_samples = 190;
     int ga_population = 60;
     int ga_generations = 40;
-    double ga_mutation = 0.15;
     int validation_runs = 6;
     uint64_t seed = 31;
 
@@ -127,10 +124,6 @@ class QtuneTuner : public core::Tuner {
   struct Options {
     int episodes = 20;
     int steps_per_episode = 19;  // ~456 evaluations
-    int levels_per_param = 5;
-    double epsilon = 0.40;       // exploration rate
-    double alpha = 0.25;          // Q-learning step size
-    double gamma = 0.6;          // discount
     uint64_t seed = 51;
 
     Options() {}
@@ -155,7 +148,6 @@ class QtuneTuner : public core::Tuner {
 class CherryPickTuner : public core::Tuner {
  public:
   struct Options {
-    int start_points = 3;
     int bo_iterations = 45;
     uint64_t seed = 71;
 

@@ -4,6 +4,12 @@
 #include "tuners/bo_search.h"
 
 namespace locat::tuners {
+namespace {
+
+// Random start points before the BO loop.
+constexpr int kStartPoints = 3;
+
+}  // namespace
 
 CherryPickTuner::CherryPickTuner(Options options)
     : options_(options), rng_(options.seed), free_dims_(AllParamIndices()) {}
@@ -23,7 +29,7 @@ core::TuningResult CherryPickTuner::Tune(core::TuningSession* session,
   // budget. Crucially — no data-size input: every new input size means a
   // full re-tune (the limitation DAGP removes, Section 3.4).
   std::vector<math::Vector> starts;
-  for (int i = 0; i < options_.start_points; ++i) {
+  for (int i = 0; i < kStartPoints; ++i) {
     starts.push_back(space.RandomValidUnit(&rng_));
   }
   BoSearch bo({options_.bo_iterations}, &rng_);

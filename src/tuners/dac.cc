@@ -7,6 +7,9 @@
 namespace locat::tuners {
 namespace {
 
+// Per-coordinate mutation probability of the genetic search.
+constexpr double kGaMutation = 0.15;
+
 // Tournament selection for the genetic search.
 size_t Tournament(const std::vector<double>& fitness, Rng* rng) {
   const size_t a = static_cast<size_t>(
@@ -140,7 +143,7 @@ core::TuningResult DacTuner::Tune(core::TuningSession* session,
         math::Vector child(pa.size());
         for (size_t j = 0; j < child.size(); ++j) {
           child[j] = rng_.Bernoulli(0.5) ? pa[j] : pb[j];
-          if (rng_.Bernoulli(options_.ga_mutation)) {
+          if (rng_.Bernoulli(kGaMutation)) {
             child[j] =
                 std::clamp(child[j] + rng_.Gaussian(0.0, 0.15), 0.0, 1.0);
           }

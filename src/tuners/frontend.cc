@@ -103,7 +103,7 @@ core::TuningResult QcsaIicpFrontend::Tune(core::TuningSession* session,
       confs.SetRow(static_cast<size_t>(i), units[static_cast<size_t>(i)]);
       ts[static_cast<size_t>(i)] = seconds[static_cast<size_t>(i)];
     }
-    auto iicp = core::Iicp::Run(confs, ts, options_.iicp, tracer());
+    auto iicp = core::Iicp::Run(confs, ts, tracer());
     if (iicp.ok()) {
       iicp_ = std::move(iicp).value();
       inner_->SetFreeParams(iicp_->selected_params());

@@ -28,7 +28,6 @@ class QcsaIicpFrontend : public core::Tuner {
     int n_qcsa = 30;
     int n_iicp = 20;
     uint64_t seed = 61;
-    core::IicpOptions iicp;
 
     Options() {}
   };

@@ -7,6 +7,13 @@
 namespace locat::tuners {
 namespace {
 
+// Discretization levels per parameter (the action moves one level).
+constexpr int kLevelsPerParam = 5;
+// Exploration rate, Q-learning step size and discount.
+constexpr double kEpsilon = 0.40;
+constexpr double kAlpha = 0.25;
+constexpr double kGamma = 0.6;
+
 // Coarse workload feature: dominant query category of the application
 // (QTune featurizes queries; this is the tabular analogue).
 int WorkloadFeature(const sparksim::SparkSqlApp& app) {
@@ -31,7 +38,6 @@ core::TuningResult QtuneTuner::Tune(core::TuningSession* session,
   const double meter_start = session->optimization_seconds();
   const int evals_start = session->evaluations();
   const sparksim::ConfigSpace& space = session->space();
-  const int levels = std::max(2, options_.levels_per_param);
 
   // State: (workload feature, performance bucket); actions: (param, +/-).
   // The Q table maps state -> per-action value.
@@ -43,12 +49,12 @@ core::TuningResult QtuneTuner::Tune(core::TuningSession* session,
   result.tuner_name = name();
 
   // Level assignment per free parameter, starting mid-range.
-  std::vector<int> level(free_dims_.size(), levels / 2);
+  std::vector<int> level(free_dims_.size(), kLevelsPerParam / 2);
   auto conf_from_levels = [&]() {
     math::Vector unit = space.ToUnit(space.Repair(space.DefaultConf()));
     for (size_t j = 0; j < free_dims_.size(); ++j) {
       unit[static_cast<size_t>(free_dims_[j])] =
-          (static_cast<double>(level[j]) + 0.5) / levels;
+          (static_cast<double>(level[j]) + 0.5) / kLevelsPerParam;
     }
     return space.Repair(space.FromUnit(unit));
   };
@@ -94,7 +100,7 @@ core::TuningResult QtuneTuner::Tune(core::TuningSession* session,
     // Episodes restart from a random level assignment (exploration across
     // the space, as DRL restarts from workload states).
     for (size_t j = 0; j < level.size(); ++j) {
-      level[j] = static_cast<int>(rng_.UniformInt(0, levels - 1));
+      level[j] = static_cast<int>(rng_.UniformInt(0, kLevelsPerParam - 1));
     }
     double prev_seconds = charged_evaluate(conf_from_levels());
     if (prev_seconds < 0.0) break;  // session error — deterministic
@@ -117,7 +123,7 @@ core::TuningResult QtuneTuner::Tune(core::TuningSession* session,
       if (qvals.empty()) qvals.assign(static_cast<size_t>(num_actions), 0.0);
 
       int action;
-      if (rng_.Bernoulli(options_.epsilon)) {
+      if (rng_.Bernoulli(kEpsilon)) {
         action = static_cast<int>(rng_.UniformInt(0, num_actions - 1));
       } else {
         action = static_cast<int>(
@@ -125,7 +131,7 @@ core::TuningResult QtuneTuner::Tune(core::TuningSession* session,
       }
       const size_t pidx = static_cast<size_t>(action / 2);
       const int direction = (action % 2 == 0) ? 1 : -1;
-      level[pidx] = std::clamp(level[pidx] + direction, 0, levels - 1);
+      level[pidx] = std::clamp(level[pidx] + direction, 0, kLevelsPerParam - 1);
 
       const double now_seconds = charged_evaluate(conf_from_levels());
       if (now_seconds < 0.0) break;  // session error — deterministic
@@ -141,7 +147,7 @@ core::TuningResult QtuneTuner::Tune(core::TuningSession* session,
       const double next_best =
           *std::max_element(next_q.begin(), next_q.end());
       qvals[static_cast<size_t>(action)] +=
-          options_.alpha * (reward + options_.gamma * next_best -
+          kAlpha * (reward + kGamma * next_best -
                             qvals[static_cast<size_t>(action)]);
 
       prev_seconds = now_seconds;

@@ -27,8 +27,8 @@ core::TuningResult TunefulTuner::Tune(core::TuningSession* session,
   const sparksim::SparkConf base_conf = space.Repair(space.DefaultConf());
   const math::Vector base_unit = space.ToUnit(base_conf);
 
-  // --- Significance phase: one-at-a-time probes per parameter against
-  // the base configuration's runtime.
+  // --- Significance phase: one one-at-a-time probe per parameter, at the
+  // high end of its range, against the base configuration's runtime.
   std::vector<double> influence(sparksim::kNumParams, 0.0);
   int failed_evals = 0;
   {
@@ -63,20 +63,12 @@ core::TuningResult TunefulTuner::Tune(core::TuningSession* session,
     };
     const double base_seconds = oat_evaluate(base_conf);
     for (int d : free_dims_) {
-      std::vector<double> observed = {base_seconds};
-      for (int probe = 0; probe < options_.oat_probes_per_param; ++probe) {
-        math::Vector unit = base_unit;
-        unit[static_cast<size_t>(d)] =
-            options_.oat_probes_per_param == 1
-                ? 1.0
-                : static_cast<double>(probe) /
-                      (options_.oat_probes_per_param - 1);
-        const sparksim::SparkConf conf = space.Repair(space.FromUnit(unit));
-        observed.push_back(oat_evaluate(conf));
-      }
-      const auto [mn, mx] = std::minmax_element(observed.begin(),
-                                                observed.end());
-      influence[static_cast<size_t>(d)] = *mx - *mn;
+      math::Vector unit = base_unit;
+      unit[static_cast<size_t>(d)] = 1.0;
+      const double probe_seconds =
+          oat_evaluate(space.Repair(space.FromUnit(unit)));
+      influence[static_cast<size_t>(d)] =
+          std::fabs(probe_seconds - base_seconds);
     }
     oat_span.Arg("probes", static_cast<double>(oat_iter));
   }

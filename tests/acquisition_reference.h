@@ -17,8 +17,8 @@ namespace locat::testutil {
 /// Agrees with the batch up to floating-point reassociation.
 inline double ReferenceAcquisition(
     const ml::EiMcmc& model, const math::Vector& x,
-    ml::AcquisitionKind kind = ml::AcquisitionKind::kExpectedImprovement,
-    double ucb_beta = 2.0) {
+    ml::AcquisitionKind kind = ml::AcquisitionKind::kExpectedImprovement) {
+  constexpr double kUcbBeta = 2.0;  // EiMcmc's GP-UCB exploration weight
   double total = 0.0;
   for (const auto& gp : model.ensemble()) {
     const auto p = gp.PredictReference(x);
@@ -29,7 +29,7 @@ inline double ReferenceAcquisition(
                                                 model.best_observed());
         break;
       case ml::AcquisitionKind::kUcb:
-        total += math::NegativeLowerConfidenceBound(p.mean, sd, ucb_beta);
+        total += math::NegativeLowerConfidenceBound(p.mean, sd, kUcbBeta);
         break;
       case ml::AcquisitionKind::kExpectedImprovement:
         total += math::ExpectedImprovement(p.mean, sd, model.best_observed());

@@ -910,9 +910,9 @@ TEST(SparseGpTest, GreedyMaxMinSelectionProperties) {
 TEST(SparseGpTest, DagpSparseModeRefitsOnIncumbentSeededSubset) {
   // One row past the fit cap: the full refit runs on a greedy max-min
   // subset of kMaxFitRows - kMaxFitRows / 6 rows.
-  core::Dagp::Options opts;
-  opts.ei.num_hyper_samples = 3;
-  opts.ei.burn_in = 4;
+  ml::EiMcmc::Options opts;
+  opts.num_hyper_samples = 3;
+  opts.burn_in = 4;
   core::Dagp dagp(opts);
   const size_t cap = core::Dagp::kMaxFitRows;
   const size_t subset = cap - cap / 6;
@@ -979,9 +979,9 @@ TEST(BoHotPathTest, LongHorizonTuneCompletes) {
   // refit past the cap is either a subset refit (once the history has
   // grown 10% since the last one) or rank-1 appends in between, and the
   // surrogate stays usable for EI-driven proposals throughout.
-  core::Dagp::Options opts;
-  opts.ei.num_hyper_samples = 2;
-  opts.ei.burn_in = 4;
+  ml::EiMcmc::Options opts;
+  opts.num_hyper_samples = 2;
+  opts.burn_in = 4;
   core::Dagp dagp(opts);
 
   const size_t d = 4;

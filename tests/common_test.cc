@@ -161,17 +161,6 @@ TEST(RngTest, PermutationIsValid) {
   }
 }
 
-TEST(RngTest, ForkProducesIndependentStream) {
-  Rng parent(23);
-  Rng child = parent.Fork();
-  // The child and the advanced parent should not produce equal streams.
-  int same = 0;
-  for (int i = 0; i < 64; ++i) {
-    if (parent.NextUint64() == child.NextUint64()) ++same;
-  }
-  EXPECT_LT(same, 2);
-}
-
 TEST(TablePrinterTest, FormatsAlignedTable) {
   TablePrinter tp({"name", "value"});
   tp.AddRow({"alpha", "1"});

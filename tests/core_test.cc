@@ -1,4 +1,7 @@
 #include <cmath>
+#include <map>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -8,6 +11,7 @@
 #include "core/locat_tuner.h"
 #include "core/qcsa.h"
 #include "core/tuning.h"
+#include "obs/telemetry.h"
 #include "sparksim/simulator.h"
 #include "workloads/workloads.h"
 
@@ -330,16 +334,46 @@ TEST(LocatTunerTest, ApVariantSkipsIicp) {
   EXPECT_NE(tuner.qcsa_result(), nullptr);
 }
 
-TEST(LocatTunerTest, QcsaDisabledKeepsAllQueries) {
-  const auto cluster = sparksim::X86Cluster();
-  sparksim::ClusterSimulator sim(cluster, 82);
-  const auto app = workloads::TpcH();
-  TuningSession session(&sim, app);
-  LocatTuner::Options opts = TinyLocatOptions();
-  opts.enable_qcsa = false;
+// ------------------------------------------------- EI-MCMC ensemble cap
+
+/// Ensemble sizes the iteration events of one tiny TPC-H tune report per
+/// phase, in order (only events that follow an MCMC refit carry one).
+std::map<std::string, std::vector<int>> EnsembleSizesByPhase(
+    LocatTuner::Options opts) {
+  sparksim::ClusterSimulator sim(sparksim::X86Cluster(), 83);
+  TuningSession session(&sim, workloads::TpcH());
   LocatTuner tuner(opts);
-  tuner.Tune(&session, 100.0);
-  EXPECT_EQ(tuner.rqa_indices().size(), 22u);
+  obs::CollectingObserver collector;
+  obs::ObsContext ctx;
+  ctx.observer = &collector;
+  tuner.SetObservability(ctx);
+  tuner.Tune(&session, 300.0);
+  EXPECT_NE(tuner.iicp_result(), nullptr);
+  std::map<std::string, std::vector<int>> sizes;
+  for (const auto& ev : collector.iterations) {
+    if (ev.mcmc_ensemble > 0) sizes[ev.phase].push_back(ev.mcmc_ensemble);
+  }
+  return sizes;
+}
+
+// The cap reaches both phases' ensembles: the default keeps 6 GPs before
+// IICP and 10 after it, a cap of 1 a single GP in both.
+TEST(HyperSampleCapTest, CapReachesBothPhases) {
+  struct Case {
+    int cap;
+    int qcsa;
+    int reduced;
+  };
+  const int default_cap = LocatTuner::Options().max_hyper_samples;
+  for (const Case c : {Case{default_cap, 6, 10}, Case{1, 1, 1}}) {
+    LocatTuner::Options opts = TinyLocatOptions();
+    opts.max_hyper_samples = c.cap;
+    const auto sizes = EnsembleSizesByPhase(opts);
+    ASSERT_EQ(sizes.count("qcsa"), 1u) << "cap " << c.cap;
+    ASSERT_EQ(sizes.count("reduced"), 1u) << "cap " << c.cap;
+    for (int size : sizes.at("qcsa")) EXPECT_EQ(size, c.qcsa) << c.cap;
+    for (int size : sizes.at("reduced")) EXPECT_EQ(size, c.reduced) << c.cap;
+  }
 }
 
 }  // namespace

@@ -206,9 +206,7 @@ void Feed(core::Dagp* dagp, size_t count, size_t dim, Rng* rng) {
 }
 
 TEST(EiMcmcChainTest, DagpContinuesChainAndClearRestartsCold) {
-  core::Dagp::Options opts;
-  opts.ei = SmallOptions();
-  core::Dagp dagp(opts);
+  core::Dagp dagp(SmallOptions());
   Rng data(7), rng(8);
   Feed(&dagp, 12, 3, &data);
   ASSERT_TRUE(dagp.Refit(&rng).ok());
@@ -254,14 +252,8 @@ void FeedAt(core::Dagp* dagp, size_t count, size_t dim, double datasize_gb,
   }
 }
 
-core::Dagp::Options ScheduleOptions() {
-  core::Dagp::Options opts;
-  opts.ei = SmallOptions();
-  return opts;
-}
-
 TEST(EiMcmcChainTest, DagpSingleSizeHistoryAppendsUntilTenPercentGrowth) {
-  core::Dagp dagp(ScheduleOptions());
+  core::Dagp dagp(SmallOptions());
   History history;
   Rng data(21), rng(22);
   FeedAt(&dagp, 30, 3, 100.0, &data, &history);
@@ -310,7 +302,7 @@ TEST(EiMcmcChainTest, DagpSingleSizeHistoryAppendsUntilTenPercentGrowth) {
 }
 
 TEST(EiMcmcChainTest, DagpMixedSizeHistoryRefitsFullEveryTime) {
-  core::Dagp dagp(ScheduleOptions());
+  core::Dagp dagp(SmallOptions());
   History history;
   Rng data(24), rng(25);
   FeedAt(&dagp, 29, 3, 100.0, &data, &history);

@@ -6,7 +6,6 @@
 #include <cmath>
 #include <vector>
 
-#include "common/retry_policy.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
@@ -92,20 +91,6 @@ TEST(FaultSpecTest, DrawCountIsOutcomeIndependent) {
   DrawRunFaults(&a, 4, d1.data());
   DrawRunFaults(&b, 4, d2.data());
   EXPECT_EQ(d1, d2);
-}
-
-// ----------------------------------------------------------- RetryPolicy
-
-TEST(RetryPolicyTest, BackoffIsExponentialAndCapped) {
-  common::RetryPolicy p;  // 30 s initial, x2, 600 s cap
-  EXPECT_DOUBLE_EQ(p.BackoffSeconds(0), 30.0);
-  EXPECT_DOUBLE_EQ(p.BackoffSeconds(1), 60.0);
-  EXPECT_DOUBLE_EQ(p.BackoffSeconds(2), 120.0);
-  EXPECT_DOUBLE_EQ(p.BackoffSeconds(10), 600.0);  // capped
-  EXPECT_DOUBLE_EQ(p.BackoffSeconds(-1), 0.0);
-  common::RetryPolicy off;
-  off.initial_backoff_seconds = 0.0;
-  EXPECT_DOUBLE_EQ(off.BackoffSeconds(3), 0.0);
 }
 
 TEST(CensoredObjectiveTest, ImputesWorstSeenTimesMargin) {
@@ -384,15 +369,13 @@ TEST(FailureAwareTuningTest, TunerConvergesDespiteInjectedFailures) {
 
 TEST(FailureAwareTuningTest, RetryBudgetChargesBackoffToTheMeter) {
   // With a kill-certain plan every evaluation fails, retries included, so
-  // each charged evaluation pays (max_retries + 1) runs plus the backoff.
+  // each charged evaluation pays 3 runs (2 retries) plus the backoff.
   const auto app = workloads::HiBenchScan();
   ClusterSimulator sim(X86Cluster(), 16);
   sim.set_faults(KillCertainSpec(6));
   core::TuningSession session(&sim, app);
   core::LocatTuner::Options opts = TinyTunerOptions();
   opts.max_iterations = 3;
-  opts.retry.max_retries = 2;
-  opts.retry.initial_backoff_seconds = 30.0;
   core::LocatTuner tuner(opts);
   const core::TuningResult result = tuner.Tune(&session, 100.0);
   EXPECT_GE(result.failed_evaluations, 1);
@@ -406,23 +389,24 @@ TEST(FailureAwareTuningTest, RetryBudgetChargesBackoffToTheMeter) {
 TEST(FailureAwareTuningTest, FirstAttemptsRunBeforeRetries) {
   // Every LHS start point runs once before any of them is retried: with a
   // kill-certain plan the history opens with the three distinct start
-  // points, then their first retries in the same order.
+  // points, then each one's two retries back to back, in the same order.
   const auto app = workloads::HiBenchScan();
   ClusterSimulator sim(X86Cluster(), 16);
   sim.set_faults(KillCertainSpec(6));
   core::TuningSession session(&sim, app);
   core::LocatTuner::Options opts = TinyTunerOptions();
   opts.lhs_init = 3;
-  opts.retry.max_retries = 1;
   core::LocatTuner tuner(opts);
   tuner.Tune(&session, 100.0);
   const std::vector<core::EvalRecord>& h = session.history();
-  ASSERT_GE(h.size(), 6u);
+  ASSERT_GE(h.size(), 9u);
   EXPECT_FALSE(h[0].conf == h[1].conf);
   EXPECT_FALSE(h[0].conf == h[2].conf);
   EXPECT_FALSE(h[1].conf == h[2].conf);
+  // h0 h1 h2, then h0 h0 h1 h1 h2 h2.
   for (size_t k = 0; k < 3; ++k) {
-    EXPECT_TRUE(h[3 + k].conf == h[k].conf) << "retry " << k;
+    EXPECT_TRUE(h[3 + 2 * k].conf == h[k].conf) << "first retry of " << k;
+    EXPECT_TRUE(h[4 + 2 * k].conf == h[k].conf) << "second retry of " << k;
   }
 }
 

@@ -9,7 +9,6 @@
 #include "math/stats.h"
 #include "ml/ei_mcmc.h"
 #include "ml/pca.h"
-#include "ml/random_forest.h"
 
 namespace locat::ml {
 namespace {
@@ -64,52 +63,6 @@ TEST(PcaTest, RejectsDegenerateInput) {
   EXPECT_FALSE(pca.Fit(Matrix(5, 3)).ok());  // all-zero: no variance
 }
 
-// --------------------------------------------------------- RandomForest
-
-TEST(RandomForestTest, FitsNonlinearFunction) {
-  Rng rng(11);
-  Matrix x(250, 2);
-  Vector y(250);
-  for (size_t i = 0; i < 250; ++i) {
-    x(i, 0) = rng.NextDouble();
-    x(i, 1) = rng.NextDouble();
-    y[i] = (x(i, 0) > 0.5 ? 3.0 : 0.0) + std::sin(5.0 * x(i, 1));
-  }
-  RandomForest forest;
-  ASSERT_TRUE(forest.Fit(x, y).ok());
-  const auto preds = forest.PredictAll(x);
-  EXPECT_LT(math::MeanSquaredError(preds, y.data()), 0.25);
-}
-
-TEST(RandomForestTest, SpreadGrowsOffDistribution) {
-  Rng rng(13);
-  Matrix x(100, 1);
-  Vector y(100);
-  for (size_t i = 0; i < 100; ++i) {
-    x(i, 0) = rng.Uniform(0.0, 0.5);  // training mass in [0, 0.5]
-    y[i] = x(i, 0) * 10.0 + rng.Gaussian(0.0, 0.3);
-  }
-  RandomForest forest;
-  ASSERT_TRUE(forest.Fit(x, y).ok());
-  EXPECT_GE(forest.PredictStdDev(Vector{0.25}), 0.0);
-}
-
-TEST(RandomForestTest, DeterministicForSeed) {
-  Rng rng(17);
-  Matrix x(60, 2);
-  Vector y(60);
-  for (size_t i = 0; i < 60; ++i) {
-    x(i, 0) = rng.NextDouble();
-    x(i, 1) = rng.NextDouble();
-    y[i] = x(i, 0) + x(i, 1);
-  }
-  RandomForest a;
-  RandomForest b;
-  ASSERT_TRUE(a.Fit(x, y).ok());
-  ASSERT_TRUE(b.Fit(x, y).ok());
-  EXPECT_DOUBLE_EQ(a.Predict(Vector{0.3, 0.7}), b.Predict(Vector{0.3, 0.7}));
-}
-
 // ----------------------------------------------------- Acquisition rules
 
 TEST(AcquisitionTest, ProbabilityOfImprovementProperties) {
@@ -152,8 +105,7 @@ TEST(AcquisitionTest, EiMcmcSupportsAllKinds) {
     ASSERT_EQ(value.size(), 1u);
     EXPECT_TRUE(std::isfinite(value[0]));
     EXPECT_NEAR(value[0],
-                testutil::ReferenceAcquisition(model, Vector{0.5}, kind,
-                                               opts.ucb_beta),
+                testutil::ReferenceAcquisition(model, Vector{0.5}, kind),
                 1e-10 * std::max(1.0, std::abs(value[0])));
   }
 }

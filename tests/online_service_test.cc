@@ -202,9 +202,9 @@ TEST(OnlineServiceTest, ReportFailedRunWithoutGoodRunForcesRetune) {
 
 TEST(OnlineServiceTest, SnapshotQuantilesNeedALatencySink) {
   // Regression: Snapshot() used to leave the latency quantiles at zero
-  // even when latency *was* being measured. The contract now: no sink
-  // wired -> no clock reads and zero quantiles; EnableLatencyTracking
-  // wires an owned histogram and the quantiles become real.
+  // even when latency *was* being measured. The contract now: no metrics
+  // registry wired -> no clock reads and zero quantiles; once one is
+  // wired the quantiles become real.
   sparksim::ClusterSimulator sim(sparksim::X86Cluster(), 608);
   TuningSession session(&sim, workloads::HiBenchScan());
   OnlineTuningService service(&session, TinyOptions());
@@ -213,7 +213,10 @@ TEST(OnlineServiceTest, SnapshotQuantilesNeedALatencySink) {
   EXPECT_DOUBLE_EQ(service.Snapshot().recommend_p50_s, 0.0);
   EXPECT_DOUBLE_EQ(service.Snapshot().recommend_p99_s, 0.0);
 
-  service.EnableLatencyTracking();
+  obs::MetricsRegistry metrics;
+  obs::ObsContext ctx;
+  ctx.metrics = &metrics;
+  service.SetObservability(ctx);
   ASSERT_TRUE(service.RecommendedConf(105.0).ok());  // reuse, but clocked
   const auto snap = service.Snapshot();
   EXPECT_GT(snap.recommend_p50_s, 0.0);

@@ -458,16 +458,27 @@ TEST(ServiceRegistryTest, StatusReadersDuringEvictions) {
 }
 
 TEST(ServiceRegistryTest, TrackLatencyReportsLookupQuantiles) {
-  ServiceRegistry::Options ropts;
-  ropts.track_latency = true;
-  ServiceRegistry registry(Factory(TinyOptions()), ropts);
+  // Without a metrics registry nothing is clocked: zero quantiles.
+  ServiceRegistry plain(Factory(TinyOptions()));
+  ASSERT_TRUE(plain.Lookup("TPC-H", 100.0).ok());
+  const auto plain_row = plain.GetAppRow("TPC-H");
+  ASSERT_TRUE(plain_row.has_value());
+  EXPECT_DOUBLE_EQ(plain_row->snapshot.recommend_p50_s, 0.0);
+
+  obs::MetricsRegistry metrics;
+  obs::ObsContext ctx;
+  ctx.metrics = &metrics;
+  ServiceRegistry registry(Factory(TinyOptions()));
+  registry.SetObservability(ctx);
   ASSERT_TRUE(registry.Lookup("TPC-H", 100.0).ok());
   ASSERT_TRUE(registry.Lookup("TPC-H", 105.0).ok());
-  EXPECT_GT(registry.LookupLatencyQuantile(0.5), 0.0);
+  EXPECT_GT(metrics.GetHistogram("locat_registry_lookup_seconds", "", {})
+                ->Quantile(0.5),
+            0.0);
   const auto row = registry.GetAppRow("TPC-H");
   ASSERT_TRUE(row.has_value());
   EXPECT_GT(row->snapshot.recommend_p50_s, 0.0)
-      << "track_latency must flow into the per-service histograms";
+      << "the wired registry must flow into the per-service histograms";
 }
 
 }  // namespace
