@@ -57,7 +57,8 @@ Status LocatTuner::RefitDagp() {
 }
 
 void LocatTuner::EmitIteration(double datasize_gb, double eval_seconds,
-                               double objective, bool full_app) {
+                               double objective, bool full_app,
+                               const Proposal* proposal) {
   const int iteration = iter_in_pass_++;
   const bool report_fit = fit_unreported_;
   fit_unreported_ = false;
@@ -70,10 +71,12 @@ void LocatTuner::EmitIteration(double datasize_gb, double eval_seconds,
   ev.eval_seconds = eval_seconds;
   ev.objective_seconds = objective;
   ev.incumbent_seconds = best_objective_;
-  ev.relative_ei = pending_relative_ei_;
-  ev.candidate_pool = pending_candidate_pool_;
   ev.full_app = full_app;
-  ev.acq_seconds = pending_acq_seconds_;
+  if (proposal != nullptr) {
+    ev.relative_ei = proposal->relative_ei;
+    ev.candidate_pool = proposal->candidate_pool;
+    ev.acq_seconds = proposal->acq_seconds;
+  }
   if (report_fit) {
     // Only the first event after an MCMC refit carries its cost, so sums
     // over events count each refit once.
@@ -100,7 +103,6 @@ math::Vector LocatTuner::EncodeUnit(const math::Vector& unit) const {
 
 double LocatTuner::RqaObjective(const std::vector<double>& per_query,
                                 double full_seconds) const {
-  if (rqa_.empty() || per_query.empty()) return full_seconds;
   double sum_all = 0.0;
   for (double t : per_query) sum_all += t;
   double sum_rqa = 0.0;
@@ -116,7 +118,7 @@ double LocatTuner::RqaObjective(const std::vector<double>& per_query,
 
 void LocatTuner::EvaluateAndRecord(
     TuningSession* session, const std::vector<sparksim::SparkConf>& confs,
-    double datasize_gb, bool full_app) {
+    double datasize_gb, bool full_app, const Proposal* proposal) {
   auto run = [&](const sparksim::SparkConf& conf) {
     return full_app ? session->Evaluate(conf, datasize_gb)
                     : session->EvaluateSubset(conf, datasize_gb, rqa_);
@@ -163,29 +165,50 @@ void LocatTuner::EvaluateAndRecord(
       obs.failed = true;
       objective = CensoredObjective(worst_objective_, rec_or->app_seconds,
                                     kCensorMargin);
-    } else if (full_app) {
-      obs.per_query = rec_or->per_query_seconds;
-      objective =
-          RqaObjective(rec_or->per_query_seconds, rec_or->app_seconds);
     } else {
+      // Full-app runs happen before QCSA only; RunQcsaAndIicp converts
+      // their objective to the RQA scale through per_query.
       objective = rec_or->app_seconds;
+      if (full_app) obs.per_query = rec_or->per_query_seconds;
     }
     obs.objective_seconds = objective;
-    const bool failed = obs.failed;
-    dagp_.AddObservation(EncodeUnit(obs.unit), datasize_gb, objective);
-    observations_.push_back(std::move(obs));
-
-    if (!failed) {
-      worst_objective_ = std::max(worst_objective_, objective);
-      if (best_objective_ <= 0.0 || objective < best_objective_) {
-        best_objective_ = objective;
-        best_conf_ = conf;
-      }
-    } else {
-      ++failed_evals_;
-    }
+    Record(std::move(obs), &conf);
     trajectory_.push_back(best_objective_);
-    EmitIteration(datasize_gb, eval_seconds[k], objective, full_app);
+    EmitIteration(datasize_gb, eval_seconds[k], objective, full_app,
+                  proposal);
+  }
+}
+
+void LocatTuner::Record(Observation obs,
+                        const sparksim::SparkConf* incumbent_conf) {
+  const double objective = obs.objective_seconds;
+  const bool failed = obs.failed;
+  dagp_.AddObservation(EncodeUnit(obs.unit), obs.datasize_gb, objective);
+  observations_.push_back(std::move(obs));
+  if (failed) {
+    ++failed_evals_;
+    return;
+  }
+  worst_objective_ = std::max(worst_objective_, objective);
+  if (incumbent_conf != nullptr &&
+      (best_objective_ <= 0.0 || objective < best_objective_)) {
+    best_objective_ = objective;
+    best_conf_ = *incumbent_conf;
+  }
+}
+
+void LocatTuner::Search(TuningSession* session, double datasize_gb,
+                        int floor, int cap, bool anneal) {
+  const sparksim::ConfigSpace& space = session->space();
+  for (int iterations = 0; iterations < cap; ++iterations) {
+    if (anneal) exploit_only_ = iterations >= (cap * 3) / 5;
+    if (!RefitDagp().ok()) break;
+    const Proposal prop = ProposeNext(session, datasize_gb);
+    // Converged: expected improvement below the stop bound. The discarded
+    // proposal emits nothing.
+    if (iterations >= floor && prop.relative_ei < kEiStop) break;
+    EvaluateAndRecord(session, {space.Repair(space.FromUnit(prop.unit))},
+                      datasize_gb, /*full_app=*/false, &prop);
   }
 }
 
@@ -344,12 +367,10 @@ LocatTuner::Proposal LocatTuner::ProposeNext(TuningSession* session,
   } else {
     best.relative_ei = 1.0 - std::exp(-std::max(0.0, best_ei));
   }
-  pending_relative_ei_ = best.relative_ei;
-  pending_candidate_pool_ = static_cast<int>(pool_units.size());
-  pending_acq_seconds_ =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    acq_start)
-          .count();
+  best.candidate_pool = static_cast<int>(pool_units.size());
+  best.acq_seconds = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - acq_start)
+                         .count();
   return best;
 }
 
@@ -426,23 +447,17 @@ void LocatTuner::RunQcsaAndIicp(TuningSession* session) {
   dagp_ = Dagp(SurrogateOptions(/*reduced=*/iicp_.has_value()));
   // The reassignment dropped the observability wiring; restore it.
   dagp_.SetObservability(obs_.tracer, obs_.metrics);
-  dagp_.Clear();
   for (auto& obs : observations_) {
     if (!obs.per_query.empty()) {
-      // Phase-A observations stored the full-app time; per_query lets us
-      // convert them to the RQA objective (CSQ times + submit overhead).
+      // Phase-A observations stored the full-app time; per_query converts
+      // them to the RQA objective (CSQ times + submit overhead).
+      const double full_seconds = obs.objective_seconds;
+      obs.objective_seconds = RqaObjective(obs.per_query, full_seconds);
       double sum_all = 0.0;
       for (double t : obs.per_query) sum_all += t;
-      const double overhead = obs.objective_seconds - sum_all;
-      double sum_rqa = 0.0;
-      for (int idx : rqa_) {
-        if (idx >= 0 && static_cast<size_t>(idx) < obs.per_query.size()) {
-          sum_rqa += obs.per_query[static_cast<size_t>(idx)];
-        }
-      }
-      obs.objective_seconds = sum_rqa + overhead;
       if (sum_all > 0.0) {
-        rqa_ratio_sum += (sum_rqa + overhead) / (sum_all + overhead);
+        rqa_ratio_sum +=
+            obs.objective_seconds / (sum_all + (full_seconds - sum_all));
         ++rqa_ratio_count;
       }
     }
@@ -646,10 +661,7 @@ void LocatTuner::ObserveExternalRun(const sparksim::ConfigSpace& space,
   obs.unit = space.ToUnit(conf);
   obs.datasize_gb = datasize_gb;
   obs.objective_seconds = full_app_seconds * rqa_share_;
-  dagp_.AddObservation(EncodeUnit(obs.unit), datasize_gb,
-                       obs.objective_seconds);
-  worst_objective_ = std::max(worst_objective_, obs.objective_seconds);
-  observations_.push_back(std::move(obs));
+  Record(std::move(obs), /*incumbent_conf=*/nullptr);
 }
 
 void LocatTuner::ObserveFailedExternalRun(const sparksim::ConfigSpace& space,
@@ -665,10 +677,7 @@ void LocatTuner::ObserveFailedExternalRun(const sparksim::ConfigSpace& space,
       CensoredObjective(worst_objective_,
                         std::max(0.0, partial_seconds) * rqa_share_,
                         kCensorMargin);
-  dagp_.AddObservation(EncodeUnit(obs.unit), datasize_gb,
-                       obs.objective_seconds);
-  observations_.push_back(std::move(obs));
-  ++failed_evals_;
+  Record(std::move(obs), /*incumbent_conf=*/nullptr);
 }
 
 TuningResult LocatTuner::Tune(TuningSession* session, double datasize_gb) {
@@ -688,9 +697,6 @@ TuningResult LocatTuner::Tune(TuningSession* session, double datasize_gb) {
     {
       obs::ScopedSpan span(tracer(), "tune/lhs", "tuner");
       phase_label_ = "lhs";
-      pending_relative_ei_ = 0.0;
-      pending_candidate_pool_ = 0;
-      pending_acq_seconds_ = 0.0;
       const math::Matrix lhs =
           ml::LatinHypercube(options_.lhs_init, sparksim::kNumParams, &rng_);
       std::vector<sparksim::SparkConf> lhs_confs;
@@ -699,7 +705,8 @@ TuningResult LocatTuner::Tune(TuningSession* session, double datasize_gb) {
         lhs_confs.push_back(
             space.Repair(space.FromUnit(lhs.Row(static_cast<size_t>(i)))));
       }
-      EvaluateAndRecord(session, lhs_confs, datasize_gb, /*full_app=*/true);
+      EvaluateAndRecord(session, lhs_confs, datasize_gb, /*full_app=*/true,
+                        /*proposal=*/nullptr);
     }
     {
       obs::ScopedSpan span(tracer(), "tune/qcsa-sampling", "tuner");
@@ -713,33 +720,27 @@ TuningResult LocatTuner::Tune(TuningSession* session, double datasize_gb) {
       std::vector<sparksim::SparkConf> pending;
       while (static_cast<int>(observations_.size() + pending.size()) <
              options_.n_qcsa) {
-        pending_relative_ei_ = 0.0;
-        pending_candidate_pool_ = 0;
-        pending_acq_seconds_ = 0.0;
         const size_t i = observations_.size() + pending.size();
         sparksim::SparkConf conf = space.RandomValid(&rng_);
         if (i % 3 == 2) {
           // Flush the queued random runs first so the refit (and the
           // proposal) see every observation drawn so far.
           EvaluateAndRecord(session, pending, datasize_gb,
-                            /*full_app=*/true);
+                            /*full_app=*/true, /*proposal=*/nullptr);
           pending.clear();
-          pending_relative_ei_ = 0.0;
-          pending_candidate_pool_ = 0;
-          pending_acq_seconds_ = 0.0;
+          std::optional<Proposal> prop;
           if (RefitDagp().ok()) {
-            const Proposal prop = ProposeNext(session, datasize_gb);
-            conf = space.Repair(space.FromUnit(prop.unit));
+            prop = ProposeNext(session, datasize_gb);
+            conf = space.Repair(space.FromUnit(prop->unit));
           }
-          EvaluateAndRecord(session, {conf}, datasize_gb, /*full_app=*/true);
+          EvaluateAndRecord(session, {conf}, datasize_gb, /*full_app=*/true,
+                            prop ? &*prop : nullptr);
         } else {
           pending.push_back(std::move(conf));
         }
       }
-      pending_relative_ei_ = 0.0;
-      pending_candidate_pool_ = 0;
-      pending_acq_seconds_ = 0.0;
-      EvaluateAndRecord(session, pending, datasize_gb, /*full_app=*/true);
+      EvaluateAndRecord(session, pending, datasize_gb, /*full_app=*/true,
+                        /*proposal=*/nullptr);
     }
 
     // Phase A': QCSA + IICP on the collected samples.
@@ -758,45 +759,22 @@ TuningResult LocatTuner::Tune(TuningSession* session, double datasize_gb) {
     // evaluation and the observation steers the surrogate away. Never
     // runs without priors, keeping the prior-free path byte-identical.
     if (!prior_probe_units_.empty()) {
-      pending_relative_ei_ = 0.0;
-      pending_candidate_pool_ = 0;
-      pending_acq_seconds_ = 0.0;
       std::vector<sparksim::SparkConf> probe_confs;
       probe_confs.reserve(prior_probe_units_.size());
       for (const auto& u : prior_probe_units_) {
         probe_confs.push_back(space.Repair(space.FromUnit(u)));
       }
       EvaluateAndRecord(session, probe_confs, datasize_gb,
-                        /*full_app=*/false);
+                        /*full_app=*/false, /*proposal=*/nullptr);
     }
-    int iterations = 0;
-    while (iterations < options_.max_iterations) {
-      exploit_only_ = iterations >= (options_.max_iterations * 3) / 5;
-      if (!RefitDagp().ok()) break;
-      const Proposal prop = ProposeNext(session, datasize_gb);
-      if (iterations >= options_.min_iterations &&
-          prop.relative_ei < kEiStop) {
-        break;  // Converged: expected improvement below the stop bound.
-      }
-      const sparksim::SparkConf conf =
-          space.Repair(space.FromUnit(prop.unit));
-      EvaluateAndRecord(session, {conf}, datasize_gb, /*full_app=*/false);
-      ++iterations;
-    }
+    Search(session, datasize_gb, options_.min_iterations,
+           options_.max_iterations, /*anneal=*/true);
   } else {
     // Warm start at a new data size: the DAGP transfers across ds.
     obs::ScopedSpan span(tracer(), "tune/warm", "tuner");
     phase_label_ = "warm";
-    int iterations = 0;
-    while (iterations < options_.warm_iterations) {
-      if (!RefitDagp().ok()) break;
-      const Proposal prop = ProposeNext(session, datasize_gb);
-      if (iterations >= 3 && prop.relative_ei < kEiStop) break;
-      const sparksim::SparkConf conf =
-          space.Repair(space.FromUnit(prop.unit));
-      EvaluateAndRecord(session, {conf}, datasize_gb, /*full_app=*/false);
-      ++iterations;
-    }
+    Search(session, datasize_gb, /*floor=*/3, options_.warm_iterations,
+           /*anneal=*/false);
     // The incumbent may come from another data size; re-rank the history
     // restricted to this ds (with the GP's help when it is empty).
     double best = 0.0;
@@ -816,11 +794,12 @@ TuningResult LocatTuner::Tune(TuningSession* session, double datasize_gb) {
   // once more (charged) and pick the best two-run average.
   obs::ScopedSpan recommend_span(tracer(), "tune/recommend", "tuner");
   phase_label_ = "recommend";
-  pending_relative_ei_ = 0.0;
-  pending_candidate_pool_ = 0;
-  pending_acq_seconds_ = 0.0;
   const bool have_model = dagp_.fitted() || RefitDagp().ok();
   std::vector<std::pair<double, size_t>> ranked;
+  // The ranking pass is this phase's acquisition; its wall time goes on
+  // the first re-run event only.
+  Proposal ranking;
+  const Proposal* unreported = &ranking;
   if (have_model) {
     // One batched posterior-mean pass over this data size's history.
     const auto acq_start = std::chrono::steady_clock::now();
@@ -840,10 +819,9 @@ TuningResult LocatTuner::Tune(TuningSession* session, double datasize_gb) {
         ranked.push_back({preds[k].seconds, indices[k]});
       }
     }
-    pending_acq_seconds_ =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      acq_start)
-            .count();
+    ranking.acq_seconds = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - acq_start)
+                              .count();
   } else {
     for (size_t i = 0; i < observations_.size(); ++i) {
       const auto& obs = observations_[i];
@@ -875,7 +853,8 @@ TuningResult LocatTuner::Tune(TuningSession* session, double datasize_gb) {
       }
     }
     EmitIteration(datasize_gb, session->optimization_seconds() - before,
-                  rec_or->app_seconds, /*full_app=*/false);
+                  rec_or->app_seconds, /*full_app=*/false, unreported);
+    unreported = nullptr;
   }
 
   TuningResult result;

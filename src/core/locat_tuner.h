@@ -168,23 +168,41 @@ class LocatTuner : public Tuner {
   /// before).
   math::Vector EncodeUnit(const math::Vector& unit) const;
 
-  /// Evaluates each configuration (full app or RQA depending on phase),
-  /// first attempts in order and then, per configuration in order, the
-  /// failure-aware tail: retries within the retry budget (backoff charged
-  /// to the meter), a censored cost when it keeps failing, the
-  /// observation log, the DAGP, the incumbent (never updated from a
-  /// failed run), the trajectory and telemetry.
-  void EvaluateAndRecord(TuningSession* session,
-                         const std::vector<sparksim::SparkConf>& confs,
-                         double datasize_gb, bool full_app);
-
-  /// Proposes the next configuration by maximizing EI over a candidate
-  /// pool; returns the winning unit vector and its relative EI.
+  /// The next configuration, chosen by maximizing EI over a candidate
+  /// pool, with the telemetry of that acquisition for the evaluation it
+  /// produces to report.
   struct Proposal {
     math::Vector unit;
     double relative_ei = 0.0;
+    int candidate_pool = 0;    // candidates scored
+    double acq_seconds = 0.0;  // wall clock of the whole proposal
   };
   Proposal ProposeNext(TuningSession* session, double datasize_gb);
+
+  /// Evaluates each configuration (full app or RQA depending on phase),
+  /// first attempts in order and then, per configuration in order, the
+  /// failure-aware tail: retries within the retry budget (backoff charged
+  /// to the meter), a censored cost when it keeps failing, Record, the
+  /// trajectory and telemetry. `proposal` is the acquisition that produced
+  /// the (single) configuration, or null for LHS, random and probe runs.
+  void EvaluateAndRecord(TuningSession* session,
+                         const std::vector<sparksim::SparkConf>& confs,
+                         double datasize_gb, bool full_app,
+                         const Proposal* proposal);
+
+  /// Appends one observation to the history and the DAGP. A failed one
+  /// counts towards failed_evaluations(); a successful one moves the
+  /// censored-cost anchor and, when `incumbent_conf` is set (this tuner's
+  /// own runs, never external reports), may become the incumbent.
+  void Record(Observation obs, const sparksim::SparkConf* incumbent_conf);
+
+  /// The BO loop on the RQA: refit, propose, stop once at least `floor`
+  /// iterations ran and the relative EI is below the stop bound, evaluate;
+  /// at most `cap` iterations. `anneal` (the reduced phase) drops global
+  /// candidates from 3/5 of the cap on; without it the proposals keep
+  /// whatever the cold start left.
+  void Search(TuningSession* session, double datasize_gb, int floor, int cap,
+              bool anneal);
 
   /// RQA-equivalent objective of a full-app run: CSQ query times plus the
   /// submit overhead share.
@@ -201,10 +219,12 @@ class LocatTuner : public Tuner {
   /// its FitStats for the next emitted iteration event.
   Status RefitDagp();
 
-  /// Sends one BoIterationEvent for a just-charged evaluation; no-op
-  /// without an observer (the event is not even built).
+  /// Sends one BoIterationEvent for a just-charged evaluation, with the
+  /// acquisition telemetry of `proposal` (zeros when null); no-op without
+  /// an observer (the event is not even built).
   void EmitIteration(double datasize_gb, double eval_seconds,
-                     double objective, bool full_app);
+                     double objective, bool full_app,
+                     const Proposal* proposal);
 
   Options options_;
   Rng rng_;
@@ -244,9 +264,6 @@ class LocatTuner : public Tuner {
   // regardless of whether an observer is wired (they never feed back into
   // the search), so the disabled path stays branch-free.
   const char* phase_label_ = "lhs";
-  double pending_relative_ei_ = 0.0;
-  int pending_candidate_pool_ = 0;
-  double pending_acq_seconds_ = 0.0;
   int iter_in_pass_ = 0;
   /// Set by an MCMC refit, cleared by the next EmitIteration.
   bool fit_unreported_ = false;

@@ -21,20 +21,8 @@ void OnlineTuningService::SetObservability(const obs::ObsContext& obs) {
   obs_ = obs;
   tuner_.SetObservability(obs);
   if (obs_.metrics != nullptr) {
-    recommendations_counter_ = obs_.metrics->GetCounter(
-        "locat_service_recommendations_total",
-        "RecommendedConf calls answered");
-    reuse_counter_ = obs_.metrics->GetCounter(
-        "locat_service_reuse_total",
-        "Recommendations served from an already-tuned data size");
-    tuning_passes_counter_ = obs_.metrics->GetCounter(
-        "locat_service_tuning_passes_total",
-        "Cold or warm tuning passes triggered by recommendations");
-    failed_reports_counter_ = obs_.metrics->GetCounter(
-        "locat_service_failed_reports_total",
-        "Failed production runs reported back to the service");
-    // Labeled views of the same events, keyed by app. Children are
-    // resolved here, once, so recording stays one relaxed atomic op.
+    // Children are resolved here, once, so recording stays one relaxed
+    // atomic op.
     const std::string& app = session_->app().name;
     obs::CounterFamily* rec = obs_.metrics->GetCounterFamily(
         "locat_service_recommendations",
@@ -58,10 +46,6 @@ void OnlineTuningService::SetObservability(const obs::ObsContext& obs) {
                 obs::LatencySecondsBuckets())
             ->WithLabels(obs::LabelSet({{"app", app}}));
   } else {
-    recommendations_counter_ = nullptr;
-    reuse_counter_ = nullptr;
-    tuning_passes_counter_ = nullptr;
-    failed_reports_counter_ = nullptr;
     rec_reuse_ = nullptr;
     rec_tuned_ = nullptr;
     runs_ok_ = nullptr;
@@ -131,9 +115,6 @@ StatusOr<sparksim::SparkConf> OnlineTuningService::RecommendedConf(
   obs::ScopedSpan span(obs_.tracer, "service/recommend", "service");
   span.Arg("datasize_gb", datasize_gb);
   ++recommendations_;
-  if (recommendations_counter_ != nullptr) {
-    recommendations_counter_->Increment();
-  }
   // Latency is only clocked when a histogram is wired: the disabled path
   // must never read a clock.
   obs::Histogram* latency = recommend_latency_;
@@ -154,14 +135,12 @@ StatusOr<sparksim::SparkConf> OnlineTuningService::RecommendedConf(
   if (!std::isnan(key)) {
     span.Arg("reused", 1.0);
     ++reuses_;
-    if (reuse_counter_ != nullptr) reuse_counter_->Increment();
     if (rec_reuse_ != nullptr) rec_reuse_->Increment();
     return finish(tuned_.at(key));
   }
   span.Arg("reused", 0.0);
   const TuningResult result = tuner_.Tune(session_, datasize_gb);
   ++tuning_passes_;
-  if (tuning_passes_counter_ != nullptr) tuning_passes_counter_->Increment();
   if (rec_tuned_ != nullptr) rec_tuned_->Increment();
   tuned_[datasize_gb] = result.best_conf;
   return finish(tuned_[datasize_gb]);
@@ -201,7 +180,6 @@ Status OnlineTuningService::ReportFailedRun(double datasize_gb,
   obs::ScopedSpan span(obs_.tracer, "service/report_failed", "service");
   span.Arg("datasize_gb", datasize_gb);
   ++failed_reports_;
-  if (failed_reports_counter_ != nullptr) failed_reports_counter_->Increment();
   if (runs_failed_ != nullptr) runs_failed_->Increment();
   tuner_.ObserveFailedExternalRun(session_->space(), conf, datasize_gb,
                                   partial_seconds);

@@ -191,9 +191,8 @@ class OnlineTuningService {
   StatusSnapshot Snapshot() const;
 
   /// Wires observability into the service and its tuner (the session is
-  /// wired separately by whoever owns it). Purely observational. Besides
-  /// the plain counters, the service exports labeled families keyed by
-  /// the session's app name:
+  /// wired separately by whoever owns it). Purely observational. The
+  /// service exports labeled families keyed by the session's app name:
   ///   locat_service_recommendations{app,source="reuse"|"tuned"}
   ///   locat_service_runs_total{app,status="ok"|"failed"}
   ///   locat_service_recommend_seconds{app}   (histogram)
@@ -229,10 +228,6 @@ class OnlineTuningService {
   mutable std::mutex plan_mu_;
   std::shared_ptr<const PublishedState> published_;
   obs::ObsContext obs_;
-  obs::Counter* recommendations_counter_ = nullptr;
-  obs::Counter* reuse_counter_ = nullptr;
-  obs::Counter* tuning_passes_counter_ = nullptr;
-  obs::Counter* failed_reports_counter_ = nullptr;
   // Labeled children, resolved once at wiring time (app name is fixed for
   // the session) so the hot path stays one relaxed atomic op.
   obs::Counter* rec_reuse_ = nullptr;        // {app,source="reuse"}

@@ -97,7 +97,9 @@ double AppFingerprint::Distance(const AppFingerprint& a,
 ServiceRegistry::ServiceRegistry(BackendFactory factory, Options options)
     : factory_(std::move(factory)),
       options_(options),
-      tune_pool_(std::max(1, options.tune_threads)) {}
+      // ThreadPool(n) spawns n - 1 workers and Submit runs on a worker
+      // whenever there is one, so T > 1 concurrent passes need T + 1.
+      tune_pool_(options.tune_threads > 1 ? options.tune_threads + 1 : 1) {}
 
 ServiceRegistry::~ServiceRegistry() = default;
 
@@ -406,19 +408,24 @@ Status ServiceRegistry::ReportFailedRun(const std::string& app,
                                                     partial_seconds);
 }
 
+ServiceRegistry::TransferRecord ServiceRegistry::MakeTransferRecord(
+    const Entry& entry) const {
+  const OnlineTuningService* svc = entry.backend->service();
+  TransferRecord rec;
+  rec.fingerprint = entry.fingerprint;
+  rec.observations = svc->ExportObservations(options_.transfer_cap * 4);
+  if (const QcsaResult* qcsa = svc->tuner().qcsa_result()) {
+    rec.csq = qcsa->csq_indices;
+  }
+  return rec;
+}
+
 void ServiceRegistry::EvictLocked(const Entry& entry) {
   // Persist the observation history so re-admission warm-starts instead
   // of cold-tuning. The backend itself dies with the entry's last
   // shared_ptr — in-flight requests that found the entry before the
   // erase keep it alive until they return.
-  TransferRecord rec;
-  rec.fingerprint = entry.fingerprint;
-  rec.observations =
-      entry.backend->service()->ExportObservations(options_.transfer_cap * 4);
-  if (const QcsaResult* qcsa =
-          entry.backend->service()->tuner().qcsa_result()) {
-    rec.csq = qcsa->csq_indices;
-  }
+  TransferRecord rec = MakeTransferRecord(entry);
   {
     std::lock_guard<std::mutex> tlock(transfer_mu_);
     transfer_store_.erase(entry.name);
@@ -450,12 +457,7 @@ uint64_t ServiceRegistry::AdvanceTick() {
       }
     }
     if (svc->Published()->tuning_passes > 0) {
-      TransferRecord rec;
-      rec.fingerprint = entry->fingerprint;
-      rec.observations = svc->ExportObservations(options_.transfer_cap * 4);
-      if (const QcsaResult* qcsa = svc->tuner().qcsa_result()) {
-        rec.csq = qcsa->csq_indices;
-      }
+      TransferRecord rec = MakeTransferRecord(*entry);
       if (!rec.observations.empty()) {
         std::lock_guard<std::mutex> tlock(transfer_mu_);
         transfer_store_[entry->name] = std::move(rec);

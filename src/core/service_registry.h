@@ -99,8 +99,9 @@ class ServiceRegistry {
     bool warm_start = true;
     /// Total transferred-observation cap per admission.
     size_t transfer_cap = 12;
-    /// Worker threads for background tuning passes. 1 = run inline on
-    /// the requesting thread (fully deterministic single-threaded mode).
+    /// Tuning passes that may run at once, each on its own worker
+    /// thread. 1 = run inline on the requesting thread (fully
+    /// deterministic single-threaded mode).
     int tune_threads = 1;
 
     Options() {}
@@ -239,6 +240,11 @@ class ServiceRegistry {
   std::vector<LocatTuner::PriorObservation> BuildPriorsLocked(
       const std::string& app, const AppFingerprint& fp,
       std::vector<int>* csq_hint) const;
+
+  /// What `entry` hands future warm starts: its fingerprint, up to
+  /// 4 x transfer_cap exported observations and its CSQ indices. Caller
+  /// holds `entry.mu`.
+  TransferRecord MakeTransferRecord(const Entry& entry) const;
 
   /// Removes `entry` from the map and persists its history into the
   /// transfer store. Caller holds `entry->mu`.

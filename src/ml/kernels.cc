@@ -95,19 +95,4 @@ void ArdSquaredExponentialKernel::EvaluateAgainstRows(
   math::kern::ExpScaled(out, nrows, -0.5, signal_variance_);
 }
 
-ArdMatern52Kernel::ArdMatern52Kernel(math::Vector lengthscales,
-                                     double signal_variance)
-    : lengthscales_(std::move(lengthscales)),
-      inv_sq_lengthscales_(InverseSquares(lengthscales_)),
-      signal_variance_(signal_variance) {}
-
-double ArdMatern52Kernel::EvaluateData(const double* a, const double* b,
-                                       size_t n) const {
-  assert(n == lengthscales_.size());
-  const double s = math::kern::WeightedSquaredDistance(
-      a, b, inv_sq_lengthscales_.data(), n);
-  const double r = std::sqrt(5.0 * s);
-  return signal_variance_ * (1.0 + r + 5.0 * s / 3.0) * math::kern::Exp(-r);
-}
-
 }  // namespace locat::ml

@@ -115,21 +115,6 @@ class ArdSquaredExponentialKernel : public Kernel {
   double signal_variance_;
 };
 
-/// Matérn 5/2 kernel with ARD lengthscales; a standard BO surrogate choice
-/// offered as an alternative to the squared exponential.
-class ArdMatern52Kernel : public Kernel {
- public:
-  ArdMatern52Kernel(math::Vector lengthscales, double signal_variance);
-  double EvaluateData(const double* a, const double* b,
-                      size_t n) const override;
-  std::string name() const override { return "ard_matern52"; }
-
- private:
-  math::Vector lengthscales_;
-  std::vector<double> inv_sq_lengthscales_;
-  double signal_variance_;
-};
-
 }  // namespace locat::ml
 
 #endif  // LOCAT_ML_KERNELS_H_

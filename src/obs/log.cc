@@ -76,13 +76,6 @@ Log* Log::Global() {
   return log;
 }
 
-void Log::SetStderrSink() {
-  std::lock_guard<std::mutex> lock(mu_);
-  os_ = nullptr;
-  jsonl_ = false;
-  owned_os_.reset();
-}
-
 void Log::SetJsonlSink(std::ostream* os) {
   std::lock_guard<std::mutex> lock(mu_);
   os_ = os;

@@ -72,8 +72,6 @@ class Log {
     return static_cast<int>(level) >= level_.load(std::memory_order_relaxed);
   }
 
-  /// Routes records to stderr in human-readable form (the default sink).
-  void SetStderrSink();
   /// Routes records to `os` as JSONL; `os` must outlive the logger.
   void SetJsonlSink(std::ostream* os);
   /// Opens `path` and routes records there as JSONL.

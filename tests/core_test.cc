@@ -376,5 +376,37 @@ TEST(HyperSampleCapTest, CapReachesBothPhases) {
   }
 }
 
+// ------------------------------------------------ Proposal telemetry
+
+// Each acquisition is stamped on the evaluation it produced: every
+// reduced-phase run reports its own proposal's pool and wall time, and
+// the recommend ranking pass's time rides on the first re-run only.
+TEST(ProposalTelemetryTest, AcquisitionTimeIsStampedOnce) {
+  sparksim::ClusterSimulator sim(sparksim::X86Cluster(), 83);
+  TuningSession session(&sim, workloads::TpcH());
+  LocatTuner tuner(TinyLocatOptions());
+  obs::CollectingObserver collector;
+  obs::ObsContext ctx;
+  ctx.observer = &collector;
+  tuner.SetObservability(ctx);
+  tuner.Tune(&session, 300.0);
+  int reduced = 0;
+  int reruns = 0;
+  int stamped_reruns = 0;
+  for (const auto& ev : collector.iterations) {
+    if (ev.phase == "reduced") {
+      ++reduced;
+      EXPECT_GT(ev.candidate_pool, 0) << "iteration " << ev.iteration;
+      EXPECT_GT(ev.acq_seconds, 0.0) << "iteration " << ev.iteration;
+    } else if (ev.phase == "recommend") {
+      ++reruns;
+      if (ev.acq_seconds > 0.0) ++stamped_reruns;
+    }
+  }
+  EXPECT_GT(reduced, 0);
+  ASSERT_GE(reruns, 2);
+  EXPECT_EQ(stamped_reruns, 1);
+}
+
 }  // namespace
 }  // namespace locat::core

@@ -1,14 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/online_service.h"
 #include "core/service_registry.h"
+#include "obs/telemetry.h"
 #include "sparksim/properties_io.h"
 #include "sparksim/simulator.h"
 #include "workloads/workloads.h"
@@ -158,6 +162,77 @@ TEST(ServiceRegistryTest, ConcurrentColdLookupsSingleFlight) {
   // Everyone who didn't own the pass was served without tuning.
   EXPECT_EQ(stats.lookups_hit + stats.lookups_coalesced,
             static_cast<uint64_t>(kThreads - 1));
+}
+
+/// Shared meeting point of two tuning passes: each pass checks in once
+/// and waits, bounded, for the other one.
+struct Rendezvous {
+  std::mutex mu;
+  std::condition_variable cv;
+  int arrived = 0;
+  int met = 0;  // check-ins that saw both passes in at once
+
+  void Arrive() {
+    std::unique_lock<std::mutex> lock(mu);
+    ++arrived;
+    cv.notify_all();
+    if (cv.wait_for(lock, std::chrono::seconds(20),
+                    [&] { return arrived >= 2; })) {
+      ++met;
+    }
+  }
+};
+
+/// Checks its tuning pass into the rendezvous at the first iteration
+/// event, i.e. from inside the pass.
+class RendezvousObserver : public obs::TunerObserver {
+ public:
+  explicit RendezvousObserver(Rendezvous* rendezvous)
+      : rendezvous_(rendezvous) {}
+  void OnIteration(const obs::BoIterationEvent&) override {
+    if (arrived_) return;
+    arrived_ = true;
+    rendezvous_->Arrive();
+  }
+  void OnPhase(const obs::PhaseEvent&) override {}
+
+ private:
+  Rendezvous* rendezvous_;
+  bool arrived_ = false;
+};
+
+class RendezvousBackend : public SimBackend {
+ public:
+  RendezvousBackend(const std::string& name, Rendezvous* rendezvous)
+      : SimBackend(name, TinyOptions()), observer_(rendezvous) {
+    obs::ObsContext ctx;
+    ctx.observer = &observer_;
+    service()->SetObservability(ctx);
+  }
+
+ private:
+  RendezvousObserver observer_;
+};
+
+TEST(ServiceRegistryTest, TuneThreadsRunThatManyPassesAtOnce) {
+  // tune_threads = 2: the cold passes of two different apps must both be
+  // inside their tuning pass at the same time.
+  Rendezvous rendezvous;
+  ServiceRegistry::Options ropts;
+  ropts.tune_threads = 2;
+  ServiceRegistry registry(
+      [&rendezvous](const std::string& name) -> std::unique_ptr<AppBackend> {
+        return std::make_unique<RendezvousBackend>(name, &rendezvous);
+      },
+      ropts);
+  std::vector<std::thread> threads;
+  for (const std::string app : {"TPC-H", "Join"}) {
+    threads.emplace_back(
+        [&registry, app] { EXPECT_TRUE(registry.Lookup(app, 100.0).ok()); });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(rendezvous.arrived, 2);
+  EXPECT_EQ(rendezvous.met, 2) << "the two passes ran one after the other";
 }
 
 TEST(ServiceRegistryTest, ConcurrentDriftLookupsSingleFlight) {

@@ -86,7 +86,9 @@ TEST(TaskSimTest, DependenciesSequenceStages) {
   EXPECT_NEAR(result->stage_end_s[1], 2.0, 1e-9);
   // Every stage-1 task starts after stage 0 completed.
   for (const auto& t : result->tasks) {
-    if (t.stage == 1) EXPECT_GE(t.start_s, result->stage_end_s[0] - 1e-9);
+    if (t.stage == 1) {
+      EXPECT_GE(t.start_s, result->stage_end_s[0] - 1e-9);
+    }
   }
 }
 
