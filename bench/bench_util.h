@@ -31,12 +31,6 @@ inline std::string Num(double v, int precision = 2) {
   return TablePrinter::Num(v, precision);
 }
 
-/// Fills the cache for a list of cells and saves it.
-inline void Warm(const std::vector<harness::CellSpec>& specs) {
-  Runner().RunAll(specs, 0);
-  Runner().Save();
-}
-
 /// All (tuner x app x ds) cells for one cluster — the grid behind
 /// Figures 11-14 and 18-20.
 inline std::vector<harness::CellSpec> ComparisonGrid(

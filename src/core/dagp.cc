@@ -39,16 +39,6 @@ void Dagp::AddObservation(const math::Vector& encoded_conf,
   if (x_.back()[ds] != x_.front()[ds]) mixed_datasizes_ = true;
 }
 
-void Dagp::Clear() {
-  x_.clear();
-  y_.clear();
-  model_ = ml::EiMcmc(options_);
-  fitted_n_ = 0;
-  last_full_fit_n_ = 0;
-  mixed_datasizes_ = false;
-  last_refit_kind_ = RefitKind::kNone;
-}
-
 void Dagp::SetObservability(obs::Tracer* tracer,
                             obs::MetricsRegistry* metrics) {
   tracer_ = tracer;
@@ -203,11 +193,6 @@ std::vector<Dagp::Prediction> Dagp::PredictBatch(
     out[i].log_variance = p.variance[i];
   }
   return out;
-}
-
-double Dagp::best_seconds() const {
-  if (y_.empty()) return 0.0;
-  return std::exp(*std::min_element(y_.begin(), y_.end()));
 }
 
 }  // namespace locat::core

@@ -51,11 +51,6 @@ class Dagp {
   void AddObservation(const math::Vector& encoded_conf, double datasize_gb,
                       double seconds);
 
-  /// Discards all observations and the EI-MCMC chain (used when the
-  /// encoding changes after IICP; callers re-add re-encoded history, and
-  /// the next refit is a cold start).
-  void Clear();
-
   /// Refits the surrogate on the current observations (>= 2).
   ///
   /// While all observations share one data size, a full EI-MCMC refit
@@ -95,8 +90,6 @@ class Dagp {
 
   int num_observations() const { return static_cast<int>(y_.size()); }
   bool fitted() const { return model_.fitted(); }
-  /// Best (lowest) observed seconds so far.
-  double best_seconds() const;
 
   /// Wires tracing/metrics sinks (either may be null). Purely
   /// observational: never changes fit results or RNG consumption.

@@ -45,18 +45,6 @@ math::Vector IicpResult::Encode(const math::Vector& unit_conf) const {
   return kpca_.Project(SelectDims(unit_conf));
 }
 
-StatusOr<math::Vector> IicpResult::DecodeSelected(
-    const math::Vector& latent) const {
-  auto preimage = kpca_.GaussianPreimage(latent);
-  if (!preimage.ok()) return preimage.status();
-  math::Vector out = std::move(preimage).value();
-  for (size_t i = 0; i < out.size(); ++i) {
-    // Undo the CPS weighting, then clamp back into the unit range.
-    out[i] = std::clamp(out[i] / weights_[i], 0.0, 1.0);
-  }
-  return out;
-}
-
 StatusOr<IicpResult> Iicp::Run(const math::Matrix& unit_confs,
                                const std::vector<double>& times,
                                obs::Tracer* tracer) {

@@ -34,15 +34,6 @@ class IicpResult {
   /// sees runtime-relevant directions amplified).
   math::Vector SelectDims(const math::Vector& unit_conf) const;
 
-  /// Per-selected-dimension weights (|SCC| normalized to max 1, floored).
-  const std::vector<double>& dim_weights() const { return weights_; }
-
-  /// Approximately inverts Encode on the CPS-selected subspace (Gaussian
-  /// pre-image); entries of the returned vector are in [0,1] order of
-  /// selected_params(). Mainly useful for reporting a latent optimum as
-  /// original parameter values.
-  StatusOr<math::Vector> DecodeSelected(const math::Vector& latent) const;
-
   const ml::Kpca& kpca() const { return kpca_; }
 
  private:

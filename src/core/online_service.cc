@@ -200,15 +200,6 @@ Status OnlineTuningService::ReportFailedRun(double datasize_gb,
   return Status::OK();
 }
 
-int OnlineTuningService::penalized_count(double datasize_gb) const {
-  const std::shared_ptr<const PublishedState> plan = Published();
-  const double key =
-      NearestTunedKeyIn(plan->tuned, datasize_gb, kRetuneThreshold);
-  if (std::isnan(key)) return 0;
-  const auto it = plan->penalized.find(key);
-  return it == plan->penalized.end() ? 0 : it->second;
-}
-
 OnlineTuningService::StatusSnapshot OnlineTuningService::Snapshot() const {
   const std::shared_ptr<const PublishedState> plan = Published();
   StatusSnapshot snap;

@@ -37,7 +37,7 @@ namespace locat::core {
 /// does this with per-app single-flight; a single-threaded caller gets it
 /// for free. Every mutator re-publishes an immutable state snapshot by
 /// swapping one shared_ptr under a small plan mutex, so the const readers
-/// (Snapshot, tuned_sizes, penalized_count, Published, PublishedReuse)
+/// (Snapshot, tuned_sizes, Published, PublishedReuse)
 /// are safe to call concurrently with one running mutator from any
 /// number of threads: each copies the pointer under the mutex and reads
 /// the snapshot outside it.
@@ -86,9 +86,6 @@ class OnlineTuningService {
   /// Failed production runs reported so far.
   int failed_reports() const { return Published()->failed_reports; }
 
-  /// How many failure reports have hit the tuned size nearest to
-  /// `datasize_gb` (0 when nothing nearby was ever penalized).
-  int penalized_count(double datasize_gb) const;
 
   /// Simulated time spent on tuning so far (the service's total
   /// optimization overhead).

@@ -110,11 +110,6 @@ sparksim::AppRunResult TuningSession::MeasureFinal(
   return simulator_->RunApp(app_, conf, datasize_gb);
 }
 
-void TuningSession::Reset() {
-  history_.clear();
-  optimization_seconds_ = 0.0;
-}
-
 double CensoredObjective(double worst_seen_seconds, double partial_seconds,
                          double margin) {
   const double base = std::max(worst_seen_seconds, partial_seconds);

@@ -76,9 +76,6 @@ class TuningSession {
   /// optimization time.
   void ChargePenaltySeconds(double seconds);
 
-  /// Forgets history and resets the meter (keeps the simulator state).
-  void Reset();
-
   /// Restricts Evaluate() to the given query subset — used by the
   /// QCSA-on-SOTA frontend (Section 5.10) so baseline tuners transparently
   /// run the RQA. EvaluateSubset and MeasureFinal are unaffected.

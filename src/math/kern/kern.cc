@@ -173,8 +173,6 @@ void Axpy(double alpha, const double* x, double* y, size_t n) {
   Ops().axpy(alpha, x, y, n);
 }
 
-void Scale(double alpha, double* x, size_t n) { Ops().scale(alpha, x, n); }
-
 void AddSquares(const double* x, double* acc, size_t n) {
   Ops().add_squares(x, acc, n);
 }
@@ -197,11 +195,6 @@ double Exp(double x) { return ExpScalar(x); }
 void Gemm(const double* a, size_t m, size_t k, const double* b, size_t n,
           double* c) {
   Ops().gemm(a, m, k, b, n, c);
-}
-
-void GemmTransposedB(const double* a, size_t m, const double* b, size_t n,
-                     size_t k, double* c) {
-  Ops().gemm_bt(a, m, b, n, k, c);
 }
 
 ptrdiff_t CholeskyFactorInPlace(double* a, size_t n) {

@@ -104,9 +104,6 @@ void WeightedSquaredDistanceCols(const double* cols, size_t m, size_t dim,
 /// y[i] = fma(alpha, x[i], y[i]).
 void Axpy(double alpha, const double* x, double* y, size_t n);
 
-/// x[i] *= alpha.
-void Scale(double alpha, double* x, size_t n);
-
 /// acc[i] = fma(x[i], x[i], acc[i]) — column sum-of-squares accumulator.
 void AddSquares(const double* x, double* acc, size_t n);
 
@@ -137,11 +134,6 @@ double Exp(double x);
 /// any backend and any cache blocking gives identical bits.
 void Gemm(const double* a, size_t m, size_t k, const double* b, size_t n,
           double* c);
-
-/// c (m x n) = a (m x k) * b^T with b (n x k): c[i][j] = Dot(a_i, b_j).
-/// Register-blocked 4-wide over j; every output is one canonical Dot.
-void GemmTransposedB(const double* a, size_t m, const double* b, size_t n,
-                     size_t k, double* c);
 
 /// In-place blocked right-looking Cholesky of the lower triangle of the
 /// row-major n x n matrix `a` (upper triangle is neither read nor

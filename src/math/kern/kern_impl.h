@@ -372,25 +372,6 @@ void GemmImpl(const double* a, size_t m, size_t k, const double* b, size_t n,
   }
 }
 
-/// c[i][j] = dot(a_i, b_j) with b row-major n x k. Row blocks of b sized
-/// to stay cache-resident; 4-wide register blocking over j via Dot4Impl.
-template <class V>
-void GemmBtImpl(const double* a, size_t m, const double* b, size_t n, size_t k,
-                double* c) {
-  constexpr size_t kRowBlock = 64;
-  for (size_t j0 = 0; j0 < n; j0 += kRowBlock) {
-    const size_t jn = std::min(kRowBlock, n - j0);
-    for (size_t i = 0; i < m; ++i) {
-      const double* ai = a + i * k;
-      double* ci = c + i * n + j0;
-      size_t j = 0;
-      for (; j + 4 <= jn; j += 4)
-        Dot4Impl<V>(ai, b + (j0 + j) * k, k, k, ci + j);
-      for (; j < jn; ++j) ci[j] = DotImpl<V>(ai, b + (j0 + j) * k, k);
-    }
-  }
-}
-
 /// Blocked right-looking Cholesky on the lower triangle, panel width 32.
 /// Panel columns factor left-looking within the block, four rows at a
 /// time through Dot4Impl so the rows share the pivot row's loads (each
@@ -513,10 +494,9 @@ constexpr KernOps MakeOps() {
       &DotImpl<V>,        &SumImpl<V>,       &SqDistImpl<V>,
       &WSqDistImpl<V>,    &MatVecImpl<V>,    &SqDistRowsImpl<V>,
       &WSqDistRowsImpl<V>, &WSqDistColsImpl<V>, &AxpyImpl<V>,
-      &ScaleImpl<V>,
       &AddSquaresImpl<V>, &MinImpl<V>,
       &SubShiftImpl<V>,   &ExpScaledImpl<V>, &GemmImpl<V>,
-      &GemmBtImpl<V>,     &CholImpl<V>,      &SolveLowerMultiImpl<V>,
+      &CholImpl<V>,       &SolveLowerMultiImpl<V>,
       &CholAppendRowImpl<V>,
   };
 }

@@ -25,7 +25,6 @@ struct KernOps {
   void (*wsqdist_cols)(const double* cols, size_t m, size_t dim,
                        const double* q, const double* w, double* out);
   void (*axpy)(double alpha, const double* x, double* y, size_t n);
-  void (*scale)(double alpha, double* x, size_t n);
   void (*add_squares)(const double* x, double* acc, size_t n);
   void (*vmin)(const double* a, const double* b, double* out, size_t n);
   void (*sub_shift)(const double* a, const double* b, double shift,
@@ -33,8 +32,6 @@ struct KernOps {
   void (*exp_scaled)(double* x, size_t n, double pre, double post);
   void (*gemm)(const double* a, size_t m, size_t k, const double* b, size_t n,
                double* c);
-  void (*gemm_bt)(const double* a, size_t m, const double* b, size_t n,
-                  size_t k, double* c);
   ptrdiff_t (*chol)(double* a, size_t n);
   void (*solve_lower_multi)(const double* l, size_t n, double* y, size_t m);
   double (*chol_append_row)(const double* l, size_t n, size_t stride,

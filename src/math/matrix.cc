@@ -1,8 +1,6 @@
 #include "math/matrix.h"
 
 #include <cmath>
-#include <cstdio>
-#include <sstream>
 
 #include "math/kern/kern.h"
 
@@ -12,40 +10,15 @@ double Vector::Norm() const {
   return std::sqrt(kern::Dot(data_.data(), data_.data(), size()));
 }
 
-double Vector::Sum() const { return kern::Sum(data_.data(), size()); }
-
 double Vector::Dot(const Vector& other) const {
   assert(size() == other.size());
   return kern::Dot(data_.data(), other.data_.data(), size());
-}
-
-Vector& Vector::operator+=(const Vector& other) {
-  assert(size() == other.size());
-  for (size_t i = 0; i < size(); ++i) data_[i] += other.data_[i];
-  return *this;
 }
 
 Vector& Vector::operator-=(const Vector& other) {
   assert(size() == other.size());
   for (size_t i = 0; i < size(); ++i) data_[i] -= other.data_[i];
   return *this;
-}
-
-Vector& Vector::operator*=(double s) {
-  for (double& v : data_) v *= s;
-  return *this;
-}
-
-std::string Vector::ToString(int precision) const {
-  std::ostringstream os;
-  os << "[";
-  for (size_t i = 0; i < size(); ++i) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.*f", precision, data_[i]);
-    os << (i ? ", " : "") << buf;
-  }
-  os << "]";
-  return os.str();
 }
 
 Matrix::Matrix(std::initializer_list<std::initializer_list<double>> rows) {
@@ -71,13 +44,6 @@ Vector Matrix::Row(size_t r) const {
   return v;
 }
 
-Vector Matrix::Col(size_t c) const {
-  assert(c < cols_);
-  Vector v(rows_);
-  for (size_t r = 0; r < rows_; ++r) v[r] = (*this)(r, c);
-  return v;
-}
-
 void Matrix::SetRow(size_t r, const Vector& v) {
   assert(r < rows_ && v.size() == cols_);
   for (size_t c = 0; c < cols_; ++c) (*this)(r, c) = v[c];
@@ -99,37 +65,12 @@ Matrix Matrix::operator*(const Matrix& other) const {
   return out;
 }
 
-Matrix Matrix::MultiplyTransposed(const Matrix& other) const {
-  assert(cols_ == other.cols_);
-  Matrix out(rows_, other.rows_);
-  kern::GemmTransposedB(data_.data(), rows_, other.data_.data(), other.rows_,
-                        cols_, out.data_.data());
-  return out;
-}
-
 Vector Matrix::operator*(const Vector& v) const {
   assert(cols_ == v.size());
   Vector out(rows_);
   kern::MatVecRowMajor(data_.data(), rows_, cols_, v.data().data(),
                        out.data().data());
   return out;
-}
-
-Matrix& Matrix::operator+=(const Matrix& other) {
-  assert(rows_ == other.rows_ && cols_ == other.cols_);
-  for (size_t i = 0; i < data_.size(); ++i) data_[i] += other.data_[i];
-  return *this;
-}
-
-Matrix& Matrix::operator-=(const Matrix& other) {
-  assert(rows_ == other.rows_ && cols_ == other.cols_);
-  for (size_t i = 0; i < data_.size(); ++i) data_[i] -= other.data_[i];
-  return *this;
-}
-
-Matrix& Matrix::operator*=(double s) {
-  for (double& v : data_) v *= s;
-  return *this;
 }
 
 void Matrix::AddToDiagonal(double value) {
@@ -145,14 +86,6 @@ double Matrix::MaxAbsDiff(const Matrix& other) const {
     if (d > m) m = d;
   }
   return m;
-}
-
-std::string Matrix::ToString(int precision) const {
-  std::ostringstream os;
-  for (size_t r = 0; r < rows_; ++r) {
-    os << Row(r).ToString(precision) << "\n";
-  }
-  return os.str();
 }
 
 }  // namespace locat::math

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cstddef>
 #include <initializer_list>
-#include <string>
 #include <vector>
 
 namespace locat::math {
@@ -36,21 +35,11 @@ class Vector {
 
   /// Euclidean norm.
   double Norm() const;
-  /// Sum of elements.
-  double Sum() const;
   /// Dot product; sizes must match.
   double Dot(const Vector& other) const;
 
-  Vector& operator+=(const Vector& other);
   Vector& operator-=(const Vector& other);
-  Vector& operator*=(double s);
-
-  friend Vector operator+(Vector a, const Vector& b) { return a += b; }
   friend Vector operator-(Vector a, const Vector& b) { return a -= b; }
-  friend Vector operator*(Vector a, double s) { return a *= s; }
-  friend Vector operator*(double s, Vector a) { return a *= s; }
-
-  std::string ToString(int precision = 4) const;
 
  private:
   std::vector<double> data_;
@@ -93,8 +82,6 @@ class Matrix {
     assert(r < rows_);
     return data_.data() + r * cols_;
   }
-  /// Returns column `c` as a Vector.
-  Vector Col(size_t c) const;
   /// Overwrites row `r`; sizes must match.
   void SetRow(size_t r, const Vector& v);
 
@@ -102,28 +89,14 @@ class Matrix {
 
   /// Matrix-matrix product; inner dimensions must agree.
   Matrix operator*(const Matrix& other) const;
-  /// `this * other^T` without materializing the transpose. Both operands
-  /// are walked row-major, so the inner dot product is contiguous in both
-  /// — the cache-friendly kernel behind batched GP cross-kernels.
-  /// Requires `cols() == other.cols()`.
-  Matrix MultiplyTransposed(const Matrix& other) const;
   /// Matrix-vector product; `v.size()` must equal `cols()`.
   Vector operator*(const Vector& v) const;
-
-  Matrix& operator+=(const Matrix& other);
-  Matrix& operator-=(const Matrix& other);
-  Matrix& operator*=(double s);
-  friend Matrix operator+(Matrix a, const Matrix& b) { return a += b; }
-  friend Matrix operator-(Matrix a, const Matrix& b) { return a -= b; }
-  friend Matrix operator*(Matrix a, double s) { return a *= s; }
 
   /// Adds `value` to every diagonal entry (jitter / ridge term).
   void AddToDiagonal(double value);
 
   /// Max |a_ij - b_ij|; matrices must have equal shapes.
   double MaxAbsDiff(const Matrix& other) const;
-
-  std::string ToString(int precision = 4) const;
 
  private:
   size_t rows_ = 0;

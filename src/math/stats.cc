@@ -29,32 +29,6 @@ double CoefficientOfVariation(const std::vector<double>& xs) {
   return StdDev(xs) / m;
 }
 
-double MeanSquaredError(const std::vector<double>& predicted,
-                        const std::vector<double>& actual) {
-  assert(predicted.size() == actual.size());
-  if (predicted.empty()) return 0.0;
-  double s = 0.0;
-  for (size_t i = 0; i < predicted.size(); ++i) {
-    const double d = predicted[i] - actual[i];
-    s += d * d;
-  }
-  return s / static_cast<double>(predicted.size());
-}
-
-double MeanSquaredRelativeError(const std::vector<double>& predicted,
-                                const std::vector<double>& actual) {
-  assert(predicted.size() == actual.size());
-  double s = 0.0;
-  size_t n = 0;
-  for (size_t i = 0; i < predicted.size(); ++i) {
-    if (actual[i] == 0.0) continue;
-    const double d = (predicted[i] - actual[i]) / actual[i];
-    s += d * d;
-    ++n;
-  }
-  return n == 0 ? 0.0 : s / static_cast<double>(n);
-}
-
 double Min(const std::vector<double>& xs) {
   assert(!xs.empty());
   return *std::min_element(xs.begin(), xs.end());
@@ -63,17 +37,6 @@ double Min(const std::vector<double>& xs) {
 double Max(const std::vector<double>& xs) {
   assert(!xs.empty());
   return *std::max_element(xs.begin(), xs.end());
-}
-
-double Quantile(std::vector<double> xs, double q) {
-  assert(!xs.empty());
-  q = std::clamp(q, 0.0, 1.0);
-  std::sort(xs.begin(), xs.end());
-  const double pos = q * static_cast<double>(xs.size() - 1);
-  const size_t lo = static_cast<size_t>(pos);
-  const size_t hi = std::min(lo + 1, xs.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return xs[lo] * (1.0 - frac) + xs[hi] * frac;
 }
 
 std::vector<double> RankWithTies(const std::vector<double>& xs) {

@@ -22,21 +22,9 @@ double StdDev(const std::vector<double>& xs);
 /// the mean is 0.
 double CoefficientOfVariation(const std::vector<double>& xs);
 
-/// Mean squared error between predictions and targets; sizes must match.
-double MeanSquaredError(const std::vector<double>& predicted,
-                        const std::vector<double>& actual);
-
-/// Relative error version of MSE used for Figure 16: mean of
-/// ((pred - actual)/actual)^2 over entries with actual != 0.
-double MeanSquaredRelativeError(const std::vector<double>& predicted,
-                                const std::vector<double>& actual);
-
 /// Minimum / maximum; require non-empty input (asserts).
 double Min(const std::vector<double>& xs);
 double Max(const std::vector<double>& xs);
-
-/// Linearly-interpolated quantile, q in [0, 1]; requires non-empty input.
-double Quantile(std::vector<double> xs, double q);
 
 /// Average ranks (1-based) with ties sharing the mean rank; the building
 /// block of Spearman correlation.

@@ -110,67 +110,4 @@ math::Vector Kpca::Project(const math::Vector& x) const {
   return z;
 }
 
-StatusOr<math::Vector> Kpca::GaussianPreimage(const math::Vector& z,
-                                              int max_iterations,
-                                              double tolerance) const {
-  assert(fitted_);
-  const auto* gaussian = dynamic_cast<const GaussianKernel*>(kernel_);
-  if (gaussian == nullptr) {
-    return Status::FailedPrecondition(
-        "pre-image iteration requires a Gaussian kernel");
-  }
-  const size_t n = x_.rows();
-  const size_t d = x_.cols();
-
-  // Feature-space reconstruction: psi = sum_m z_m v_m + phi_bar
-  //                                  = sum_i gamma_i phi(x_i)
-  // with gamma_i = sum_m z_m alpha_im + (1/n)(1 - sum_j sum_m z_m alpha_jm).
-  math::Vector gamma(n);
-  double proj_sum = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    double g = 0.0;
-    for (int m = 0; m < num_components_; ++m) {
-      g += z[static_cast<size_t>(m)] * alphas_(i, static_cast<size_t>(m));
-    }
-    gamma[i] = g;
-    proj_sum += g;
-  }
-  const double centering = (1.0 - proj_sum) / static_cast<double>(n);
-  for (size_t i = 0; i < n; ++i) gamma[i] += centering;
-
-  // Initialize at the gamma-weighted mean of the training points.
-  math::Vector current(d);
-  double gsum = 0.0;
-  for (size_t i = 0; i < n; ++i) gsum += gamma[i];
-  if (std::fabs(gsum) < 1e-300) gsum = 1.0;
-  for (size_t i = 0; i < n; ++i) {
-    math::kern::Axpy(gamma[i] / gsum, x_.RowData(i), current.data().data(), d);
-  }
-
-  // Mika fixed-point iteration. Each step batches the kernel row
-  // evaluations and accumulates the weighted mean with axpy passes over
-  // contiguous training rows.
-  std::vector<double> kvals(n);
-  for (int it = 0; it < max_iterations; ++it) {
-    gaussian->EvaluateAgainstRows(current.data().data(), d, x_.RowData(0), n,
-                                  d, kvals.data());
-    math::Vector next(d);
-    double denom = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-      const double w = gamma[i] * kvals[i];
-      denom += w;
-      math::kern::Axpy(w, x_.RowData(i), next.data().data(), d);
-    }
-    if (std::fabs(denom) < 1e-12) {
-      // Reconstruction collapsed; return the current best iterate.
-      return current;
-    }
-    math::kern::Scale(1.0 / denom, next.data().data(), d);
-    const double delta = (next - current).Norm();
-    current = next;
-    if (delta < tolerance) break;
-  }
-  return current;
-}
-
 }  // namespace locat::ml

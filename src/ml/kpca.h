@@ -16,10 +16,6 @@ namespace locat::ml {
 /// it, and keeps the leading components. Project() maps a configuration
 /// vector onto those components; the projected coordinates are the "new
 /// parameters which are functions of the original ones" that feed the DAGP.
-///
-/// GaussianPreimage() approximately inverts the map for Gaussian kernels
-/// (Mika et al., fixed-point iteration), used to derive original parameter
-/// values from a latent optimum.
 class Kpca {
  public:
   struct Options {
@@ -52,15 +48,6 @@ class Kpca {
 
   /// Eigenvalues of the centered Gram matrix (descending, all of them).
   const math::Vector& eigenvalues() const { return eigenvalues_; }
-
-  /// Approximate pre-image of latent point `z` for a Gaussian kernel:
-  /// the d-dimensional x whose feature-space image is closest to the
-  /// reconstruction of z. Fails with FailedPrecondition when fitted with a
-  /// non-Gaussian kernel; returns the best iterate even if the fixed-point
-  /// iteration does not fully converge.
-  StatusOr<math::Vector> GaussianPreimage(const math::Vector& z,
-                                          int max_iterations = 100,
-                                          double tolerance = 1e-7) const;
 
   bool fitted() const { return fitted_; }
 

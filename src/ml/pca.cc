@@ -71,11 +71,4 @@ math::Vector Pca::Project(const math::Vector& x) const {
   return components_.Transpose() * centered;
 }
 
-math::Vector Pca::Reconstruct(const math::Vector& z) const {
-  assert(fitted_);
-  math::Vector x = components_ * z;
-  x += mean_;
-  return x;
-}
-
 }  // namespace locat::ml

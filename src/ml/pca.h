@@ -37,11 +37,6 @@ class Pca {
   /// Projects a d-dimensional point onto the retained components.
   math::Vector Project(const math::Vector& x) const;
 
-  /// Reconstructs a point from its projection (inverse transform onto the
-  /// principal subspace) — exact for points in the subspace, the
-  /// least-squares approximation otherwise.
-  math::Vector Reconstruct(const math::Vector& z) const;
-
   bool fitted() const { return fitted_; }
 
  private:

@@ -24,9 +24,6 @@ class Regressor {
 
   /// Model name as it appears in the paper's figures.
   virtual std::string name() const = 0;
-
-  /// Predicts every row of `x`.
-  std::vector<double> PredictAll(const math::Matrix& x) const;
 };
 
 }  // namespace locat::ml

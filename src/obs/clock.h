@@ -38,9 +38,6 @@ class ManualClock : public Clock {
     return now_ns_;
   }
 
-  /// Moves time forward without producing a reading.
-  void Advance(uint64_t ns) { now_ns_ += ns; }
-
  private:
   uint64_t now_ns_;
   uint64_t tick_ns_;

@@ -191,10 +191,6 @@ void FlightRecorder::SetDumpOnFault(const std::string& path) {
   dump_on_fault_ = path;
 }
 
-FlightRecorder* FlightRecorder::Global() {
-  return g_global.load(std::memory_order_acquire);
-}
-
 FlightRecorder* FlightRecorder::InstallGlobal(size_t capacity) {
   FlightRecorder* existing = g_global.load(std::memory_order_acquire);
   if (existing != nullptr) return existing;

@@ -64,7 +64,6 @@ class FlightRecorder {
   /// path (the OOM app-kill hook of the simulator). Call before wiring
   /// the recorder into writers; not thread-safe against Record.
   void SetDumpOnFault(const std::string& path);
-  const std::string& dump_on_fault_path() const { return dump_on_fault_; }
 
   uint64_t total_recorded() const {
     return next_seq_.load(std::memory_order_relaxed);
@@ -75,7 +74,6 @@ class FlightRecorder {
   /// The global recorder is what the SIGSEGV/SIGABRT handlers dump; it is
   /// null until InstallGlobal runs. Install once, early (the CLI does it
   /// when --flight is given).
-  static FlightRecorder* Global();
   static FlightRecorder* InstallGlobal(size_t capacity = 1024);
 
   /// Installs SIGSEGV/SIGABRT handlers that dump the global recorder to

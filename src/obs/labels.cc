@@ -41,13 +41,6 @@ LabelSet::LabelSet(std::vector<std::pair<std::string, std::string>> kv)
   Canonicalize(&kv_);
 }
 
-std::string LabelSet::Get(const std::string& key) const {
-  for (const auto& [k, v] : kv_) {
-    if (k == key) return v;
-  }
-  return std::string();
-}
-
 std::string LabelSet::ToPrometheus() const {
   if (kv_.empty()) return std::string();
   std::string out = "{";

@@ -26,9 +26,6 @@ class LabelSet {
   bool empty() const { return kv_.empty(); }
   size_t size() const { return kv_.size(); }
 
-  /// Value for `key`, or "" when absent.
-  std::string Get(const std::string& key) const;
-
   /// Prometheus exposition form: `{k1="v1",k2="v2"}` with label values
   /// escaped per the text format; "" for the empty set. `extra` appends
   /// one more pair (used for histogram `le` labels) and renders `{...}`

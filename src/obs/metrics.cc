@@ -86,11 +86,6 @@ Counter* CounterFamily::WithLabels(const LabelSet& labels) {
   return it->second.get();
 }
 
-size_t CounterFamily::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return children_.size();
-}
-
 std::vector<std::pair<LabelSet, const Counter*>> CounterFamily::Children()
     const {
   std::lock_guard<std::mutex> lock(mu_);
@@ -112,11 +107,6 @@ Histogram* HistogramFamily::WithLabels(const LabelSet& labels) {
              .first;
   }
   return it->second.get();
-}
-
-size_t HistogramFamily::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return children_.size();
 }
 
 std::vector<std::pair<LabelSet, const Histogram*>> HistogramFamily::Children()
@@ -188,12 +178,6 @@ HistogramFamily* MetricsRegistry::GetHistogramFamily(
              .first;
   }
   return it->second.get();
-}
-
-size_t MetricsRegistry::metric_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return counters_.size() + gauges_.size() + histograms_.size() +
-         counter_families_.size() + histogram_families_.size();
 }
 
 namespace {

@@ -115,7 +115,6 @@ class CounterFamily {
 
   const std::string& name() const { return name_; }
   const std::string& help() const { return help_; }
-  size_t size() const;
   /// Children in label order (stable pointers; safe to read after return).
   std::vector<std::pair<LabelSet, const Counter*>> Children() const;
 
@@ -139,7 +138,6 @@ class HistogramFamily {
   const std::string& name() const { return name_; }
   const std::string& help() const { return help_; }
   const std::vector<double>& upper_bounds() const { return upper_bounds_; }
-  size_t size() const;
   std::vector<std::pair<LabelSet, const Histogram*>> Children() const;
 
  private:
@@ -183,8 +181,6 @@ class MetricsRegistry {
   ///  "families":{"<name>":{"kind":...,"children":[{"labels":{...},...}]}}}
   /// Histogram entries carry bucket counts plus derived p50/p95/p99.
   void WriteJson(std::ostream& os) const;
-
-  size_t metric_count() const;
 
  private:
   mutable std::mutex mu_;

@@ -60,9 +60,8 @@ class TunerObserver {
   virtual void OnPhase(const PhaseEvent& event) = 0;
 };
 
-/// Writes one JSON object per event to a stream (JSONL), mirroring how
-/// sparksim::event_log records simulated runs. The stream must outlive
-/// the observer.
+/// Writes one JSON object per event to a stream (JSONL). The stream must
+/// outlive the observer.
 class JsonlObserver : public TunerObserver {
  public:
   explicit JsonlObserver(std::ostream* os) : os_(os) {}

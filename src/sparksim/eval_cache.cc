@@ -152,7 +152,7 @@ size_t EvalCache::CapacityFromEnv() {
   return 1u << 20;
 }
 
-EvalCache::EvalCache(size_t capacity) : capacity_(capacity) {
+EvalCache::EvalCache(size_t capacity) {
   // Distribute the budget so the shard capacities sum to exactly
   // `capacity` (remainder to the low shards); a zero-capacity shard
   // simply never retains entries.
@@ -345,20 +345,6 @@ size_t EvalCache::size() const {
     n += shard.lru.size();
   }
   return n;
-}
-
-void EvalCache::Clear() {
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.lru.clear();
-    shard.index.clear();
-  }
-  for (AppShard& shard : app_shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.lru.clear();
-    shard.index.clear();
-    shard.units = 0;
-  }
 }
 
 void EvalCache::ExportMetrics(obs::MetricsRegistry* metrics) const {

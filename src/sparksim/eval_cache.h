@@ -150,8 +150,6 @@ class EvalCache {
 
   EvalCacheStats stats() const;
   size_t size() const;
-  size_t capacity() const { return capacity_; }
-  void Clear();
 
   /// Publishes the counters as locat_sim_cache_* metrics.
   void ExportMetrics(obs::MetricsRegistry* metrics) const;
@@ -218,7 +216,6 @@ class EvalCache {
     return app_shards_[static_cast<size_t>(fingerprint % kNumShards)];
   }
 
-  size_t capacity_ = 0;
   std::array<Shard, kNumShards> shards_;
   std::array<AppShard, kNumShards> app_shards_;
 };

@@ -2,18 +2,6 @@
 
 namespace locat::sparksim {
 
-SparkSqlApp SparkSqlApp::Subset(const std::vector<int>& keep) const {
-  SparkSqlApp out;
-  out.name = name + "-rqa";
-  out.queries.reserve(keep.size());
-  for (int idx : keep) {
-    if (idx >= 0 && idx < num_queries()) {
-      out.queries.push_back(queries[static_cast<size_t>(idx)]);
-    }
-  }
-  return out;
-}
-
 int SparkSqlApp::IndexOf(const std::string& query_name) const {
   for (int i = 0; i < num_queries(); ++i) {
     if (queries[static_cast<size_t>(i)].name == query_name) return i;

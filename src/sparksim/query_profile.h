@@ -72,10 +72,6 @@ struct SparkSqlApp {
 
   int num_queries() const { return static_cast<int>(queries.size()); }
 
-  /// Returns a copy containing only the queries whose indices appear in
-  /// `keep` — the Reduced Query Application (RQA) of Section 3.2.
-  SparkSqlApp Subset(const std::vector<int>& keep) const;
-
   /// Index of a query by name; -1 when absent.
   int IndexOf(const std::string& query_name) const;
 };

@@ -95,8 +95,4 @@ std::vector<SparkSqlApp> AllBenchmarks() {
           HiBenchAggregation()};
 }
 
-std::vector<double> StandardDataSizesGb() {
-  return {100.0, 200.0, 300.0, 400.0, 500.0};
-}
-
 }  // namespace locat::workloads

@@ -32,9 +32,6 @@ sparksim::SparkSqlApp HiBenchAggregation();
 /// The five benchmark applications of Table 1, in table order.
 std::vector<sparksim::SparkSqlApp> AllBenchmarks();
 
-/// The five input data sizes of Table 1: 100..500 GB.
-std::vector<double> StandardDataSizesGb();
-
 }  // namespace locat::workloads
 
 #endif  // LOCAT_WORKLOADS_WORKLOADS_H_

@@ -110,28 +110,6 @@ TEST(IicpTest, EncodeDimensionMatchesLatent) {
             result->selected_params().size());
 }
 
-TEST(IicpTest, DecodeSelectedStaysInUnitRange) {
-  Rng rng(11);
-  const int n = 24;
-  Matrix confs(n, sparksim::kNumParams);
-  std::vector<double> times(n);
-  for (int i = 0; i < n; ++i) {
-    for (int d = 0; d < sparksim::kNumParams; ++d) {
-      confs(static_cast<size_t>(i), static_cast<size_t>(d)) = rng.NextDouble();
-    }
-    times[static_cast<size_t>(i)] =
-        100.0 + 80.0 * confs(static_cast<size_t>(i), 3);
-  }
-  auto result = Iicp::Run(confs, times);
-  ASSERT_TRUE(result.ok());
-  auto decoded = result->DecodeSelected(result->Encode(confs.Row(0)));
-  ASSERT_TRUE(decoded.ok());
-  for (size_t i = 0; i < decoded->size(); ++i) {
-    EXPECT_GE((*decoded)[i], 0.0);
-    EXPECT_LE((*decoded)[i], 1.0);
-  }
-}
-
 TEST(IicpTest, NeverReturnsEmptySelection) {
   Rng rng(13);
   const int n = 20;
@@ -176,20 +154,11 @@ TEST(DagpTest, EiNonNegativeAndBestTracksMinimum) {
   dagp.AddObservation(Vector{0.8}, 100.0, 60.0);
   dagp.AddObservation(Vector{0.5}, 100.0, 90.0);
   ASSERT_TRUE(dagp.Refit(&rng).ok());
-  EXPECT_DOUBLE_EQ(dagp.best_seconds(), 60.0);
+  EXPECT_DOUBLE_EQ(std::exp(dagp.model().best_observed()), 60.0);
   const Vector ei = dagp.ExpectedImprovementBatch({Vector{0.9}}, 100.0);
   ASSERT_EQ(ei.size(), 1u);
   EXPECT_TRUE(std::isfinite(ei[0]));
   EXPECT_GE(ei[0], 0.0);
-}
-
-TEST(DagpTest, ClearResetsState) {
-  Rng rng(23);
-  Dagp dagp;
-  dagp.AddObservation(Vector{0.5}, 100.0, 50.0);
-  dagp.Clear();
-  EXPECT_EQ(dagp.num_observations(), 0);
-  EXPECT_FALSE(dagp.Refit(&rng).ok());
 }
 
 // --------------------------------------------------------- TuningSession
@@ -207,9 +176,6 @@ TEST(TuningSessionTest, ChargesSimulatedTime) {
   EXPECT_EQ(session.evaluations(), 1);
   session.Evaluate(conf, 100.0);
   EXPECT_EQ(session.evaluations(), 2);
-  session.Reset();
-  EXPECT_EQ(session.evaluations(), 0);
-  EXPECT_DOUBLE_EQ(session.optimization_seconds(), 0.0);
 }
 
 TEST(TuningSessionTest, MeasureFinalIsNotCharged) {

@@ -217,7 +217,8 @@ TEST(EiMcmcChainTest, DagpContinuesChainAndClearRestartsCold) {
   EXPECT_EQ(dagp.last_fit_stats().sweeps, 2 * 2);
 
   // A new encoding: same dimension, but the chain must not carry over.
-  dagp.Clear();
+  // The tuner rebuilds its surrogate as a fresh Dagp at the IICP step.
+  dagp = core::Dagp(SmallOptions());
   Feed(&dagp, 13, 3, &data);
   ASSERT_TRUE(dagp.Refit(&rng).ok());
   EXPECT_FALSE(dagp.last_fit_stats().continued);
@@ -317,9 +318,10 @@ TEST(EiMcmcChainTest, DagpMixedSizeHistoryRefitsFullEveryTime) {
     EXPECT_TRUE(dagp.last_fit_stats().continued);
   }
 
-  // Clear() forgets the second data size along with the chain: the next
-  // refit is a cold full fit, and a single-size history appends again.
-  dagp.Clear();
+  // A fresh Dagp (the tuner's IICP rebuild) forgets the second data size
+  // along with the chain: the next refit is a cold full fit, and a
+  // single-size history appends again.
+  dagp = core::Dagp(SmallOptions());
   FeedAt(&dagp, 30, 3, 300.0, &data, &history);
   ASSERT_TRUE(dagp.Refit(&rng).ok());
   EXPECT_EQ(dagp.last_refit_kind(), core::Dagp::RefitKind::kFull);

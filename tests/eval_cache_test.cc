@@ -128,18 +128,6 @@ TEST(EvalCacheTest, ZeroCapacityCacheNeverRetains) {
   EXPECT_FALSE(cache.Lookup(1, conf, 100.0, 1, 2, &out));
 }
 
-TEST(EvalCacheTest, ClearResetsEntriesButKeepsCapacity) {
-  ConfigSpace space(ArmCluster());
-  const SparkConf conf = SomeConf(space, 7);
-  EvalCache cache(16);
-  QueryMetrics m;
-  cache.Insert(1, conf, 100.0, 1, 2, m);
-  ASSERT_EQ(cache.size(), 1u);
-  cache.Clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.capacity(), 16u);
-}
-
 // ------------------------------------------- app-level (L1) entries
 
 TEST(EvalCacheTest, AppLevelCollisionFallbackMisses) {

@@ -16,14 +16,9 @@ TEST(VectorTest, BasicOps) {
   Vector a{1.0, 2.0, 3.0};
   Vector b{4.0, 5.0, 6.0};
   EXPECT_DOUBLE_EQ(a.Dot(b), 32.0);
-  EXPECT_DOUBLE_EQ(a.Sum(), 6.0);
   EXPECT_NEAR(a.Norm(), std::sqrt(14.0), 1e-12);
-  Vector c = a + b;
-  EXPECT_DOUBLE_EQ(c[0], 5.0);
   Vector d = b - a;
   EXPECT_DOUBLE_EQ(d[2], 3.0);
-  Vector e = 2.0 * a;
-  EXPECT_DOUBLE_EQ(e[1], 4.0);
 }
 
 TEST(MatrixTest, IdentityAndMultiply) {
@@ -51,7 +46,8 @@ TEST(MatrixTest, RowColSetRow) {
   m.SetRow(0, Vector{1, 2, 3});
   m.SetRow(1, Vector{4, 5, 6});
   EXPECT_DOUBLE_EQ(m.Row(1)[2], 6.0);
-  EXPECT_DOUBLE_EQ(m.Col(1)[0], 2.0);
+  EXPECT_DOUBLE_EQ(m(0, 1), 2.0);
+  EXPECT_DOUBLE_EQ(m(1, 1), 5.0);
 }
 
 TEST(MatrixTest, AddToDiagonal) {
@@ -190,18 +186,10 @@ TEST(StatsTest, CvZeroMean) {
   EXPECT_DOUBLE_EQ(CoefficientOfVariation({-1.0, 1.0}), 0.0);
 }
 
-TEST(StatsTest, Mse) {
-  EXPECT_DOUBLE_EQ(MeanSquaredError({1, 2}, {1, 4}), 2.0);
-  EXPECT_DOUBLE_EQ(MeanSquaredRelativeError({2, 2}, {2, 4}), 0.125);
-}
-
-TEST(StatsTest, MinMaxQuantile) {
+TEST(StatsTest, MinMax) {
   std::vector<double> xs = {3, 1, 4, 1, 5};
   EXPECT_DOUBLE_EQ(Min(xs), 1.0);
   EXPECT_DOUBLE_EQ(Max(xs), 5.0);
-  EXPECT_DOUBLE_EQ(Quantile(xs, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(Quantile(xs, 1.0), 5.0);
-  EXPECT_DOUBLE_EQ(Quantile(xs, 0.5), 3.0);
 }
 
 TEST(StatsTest, RankWithTies) {

@@ -37,26 +37,6 @@ TEST(PcaTest, RecoversAxisAlignedStructure) {
   EXPECT_GT(std::fabs(hi[0] - lo[0]), 0.9);
 }
 
-TEST(PcaTest, ReconstructionRoundTripsOnSubspacePoints) {
-  Rng rng(7);
-  Matrix x(40, 4);
-  for (size_t i = 0; i < 40; ++i) {
-    const double a = rng.NextDouble();
-    const double b = rng.NextDouble();
-    x(i, 0) = a;
-    x(i, 1) = 2.0 * a;
-    x(i, 2) = b;
-    x(i, 3) = -b;
-  }
-  Pca pca;
-  Pca::Options opts;
-  opts.variance_to_retain = 0.999;
-  ASSERT_TRUE(pca.Fit(x, opts).ok());
-  const Vector original = x.Row(5);
-  const Vector back = pca.Reconstruct(pca.Project(original));
-  EXPECT_LT((back - original).Norm(), 1e-6);
-}
-
 TEST(PcaTest, RejectsDegenerateInput) {
   Pca pca;
   EXPECT_FALSE(pca.Fit(Matrix(1, 3)).ok());

@@ -43,12 +43,11 @@ TEST(ObsLabelsTest, CanonicalizesOrderAndDuplicates) {
   const obs::LabelSet a({{"b", "2"}, {"a", "1"}});
   const obs::LabelSet b({{"a", "1"}, {"b", "2"}});
   EXPECT_TRUE(a == b);
-  EXPECT_EQ(a.Get("a"), "1");
-  EXPECT_EQ(a.Get("missing"), "");
+  EXPECT_EQ(a.ToPrometheus(), "{a=\"1\",b=\"2\"}");
   // Duplicate keys keep the last value given.
   const obs::LabelSet dup({{"k", "old"}, {"k", "new"}});
   EXPECT_EQ(dup.size(), 1u);
-  EXPECT_EQ(dup.Get("k"), "new");
+  EXPECT_EQ(dup.ToPrometheus(), "{k=\"new\"}");
 }
 
 TEST(ObsLabelsTest, PrometheusFormAndEscaping) {
@@ -131,7 +130,7 @@ TEST(ObsFamiliesTest, WithLabelsReturnsStableCachedChildren) {
   obs::Counter* failed =
       fam->WithLabels(obs::LabelSet({{"app", "tpcds"}, {"status", "failed"}}));
   EXPECT_NE(a, failed);
-  EXPECT_EQ(fam->size(), 2u);
+  EXPECT_EQ(fam->Children().size(), 2u);
   a->Increment(3.0);
   failed->Increment();
   // Registering the same family name returns the same family.

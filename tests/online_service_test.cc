@@ -176,7 +176,6 @@ TEST(OnlineServiceTest, ReportFailedRunFallsBackToLastKnownGood) {
   // the last-known-good conf without paying for a fresh tuning pass.
   ASSERT_TRUE(service.ReportFailedRun(200.0, tuned, 12.0).ok());
   EXPECT_EQ(service.failed_reports(), 1);
-  EXPECT_EQ(service.penalized_count(200.0), 1);
 
   const double meter = service.optimization_seconds();
   const auto fallback = service.RecommendedConf(200.0).value();

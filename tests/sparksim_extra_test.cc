@@ -1,14 +1,11 @@
 #include <cmath>
-#include <sstream>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "sparksim/event_log.h"
 #include "sparksim/properties_io.h"
 #include "sparksim/simulator.h"
-#include "sparksim/task_sim.h"
-#include "workloads/workloads.h"
+#include "task_sim.h"
 
 namespace locat::sparksim {
 namespace {
@@ -139,102 +136,6 @@ TEST(TaskSimTest, WaveFormulaApproximatesEventSimulation) {
           << "tasks=" << tasks << " skew=" << skew;
     }
   }
-}
-
-TEST(TaskSimTest, BuildStageDagMatchesQueryShape) {
-  const auto app = workloads::TpcDs();
-  const auto& q72 = app.queries[static_cast<size_t>(app.IndexOf("q72"))];
-  ConfigSpace space(X86Cluster());
-  const SparkConf conf = space.Repair(space.DefaultConf());
-  const auto dag = BuildStageDag(q72, conf, X86Cluster(), 100.0);
-  ASSERT_EQ(dag.size(), static_cast<size_t>(1 + q72.num_shuffle_stages));
-  EXPECT_TRUE(dag[0].deps.empty());
-  for (size_t s = 1; s < dag.size(); ++s) {
-    ASSERT_EQ(dag[s].deps.size(), 1u);
-    EXPECT_EQ(dag[s].deps[0], static_cast<int>(s) - 1);
-    EXPECT_EQ(dag[s].num_tasks, conf.GetInt(kSqlShufflePartitions));
-  }
-}
-
-// -------------------------------------------------------------- EventLog
-
-TEST(EventLogTest, RoundTripsAnAppRun) {
-  const auto app = workloads::TpcH();
-  ClusterSimulator sim(X86Cluster(), 9);
-  ConfigSpace space(sim.cluster());
-  Rng rng(10);
-  const auto run = sim.RunApp(app, space.RandomValid(&rng), 100.0);
-
-  std::ostringstream os;
-  WriteEventLog("TPC-H", 100.0, run, os);
-  const auto parsed = ParseEventLog(os.str());
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed->app_name, "TPC-H");
-  EXPECT_DOUBLE_EQ(parsed->datasize_gb, 100.0);
-  ASSERT_EQ(parsed->queries.size(), run.per_query.size());
-  for (size_t q = 0; q < run.per_query.size(); ++q) {
-    EXPECT_EQ(parsed->queries[q].query, run.per_query[q].name);
-    EXPECT_NEAR(parsed->queries[q].exec_seconds,
-                run.per_query[q].exec_seconds, 1e-6);
-    EXPECT_EQ(parsed->queries[q].oom, run.per_query[q].oom);
-  }
-  EXPECT_NEAR(parsed->total_seconds, run.total_seconds, 1e-6);
-}
-
-TEST(EventLogTest, EscapesQuotesInNames) {
-  AppRunResult run;
-  QueryMetrics q;
-  q.name = "weird\"name\\x";
-  q.exec_seconds = 1.5;
-  run.per_query.push_back(q);
-  run.total_seconds = 1.5;
-  std::ostringstream os;
-  WriteEventLog("app \"v2\"", 50.0, run, os);
-  const auto parsed = ParseEventLog(os.str());
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed->app_name, "app \"v2\"");
-  EXPECT_EQ(parsed->queries[0].query, "weird\"name\\x");
-}
-
-TEST(EventLogTest, RejectsMalformedInput) {
-  EXPECT_FALSE(ParseEventLog("not json").ok());
-  EXPECT_FALSE(ParseEventLog("{\"Event\":\"JobEnd\"}").ok());
-  EXPECT_FALSE(ParseEventLog("").ok());
-}
-
-TEST(EventLogTest, SkipsUnknownEvents) {
-  const std::string text =
-      "{\"Event\":\"ApplicationStart\",\"App Name\":\"x\",\"Datasize GB\":1}\n"
-      "{\"Event\":\"ExecutorAdded\",\"Executor\":3}\n"
-      "{\"Event\":\"ApplicationEnd\",\"Total Duration\":5}\n";
-  const auto parsed = ParseEventLog(text);
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_TRUE(parsed->queries.empty());
-  EXPECT_DOUBLE_EQ(parsed->total_seconds, 5.0);
-}
-
-TEST(EventLogTest, QcsaMatrixFromSeveralRuns) {
-  const auto app = workloads::HiBenchJoin();
-  ClusterSimulator sim(X86Cluster(), 11);
-  ConfigSpace space(sim.cluster());
-  Rng rng(12);
-  std::vector<EventLog> logs;
-  for (int i = 0; i < 4; ++i) {
-    const auto run = sim.RunApp(app, space.RandomValid(&rng), 100.0);
-    std::ostringstream os;
-    WriteEventLog("Join", 100.0, run, os);
-    auto parsed = ParseEventLog(os.str());
-    ASSERT_TRUE(parsed.ok());
-    logs.push_back(std::move(parsed).value());
-  }
-  const auto matrix = QcsaMatrixFromLogs(logs);
-  ASSERT_TRUE(matrix.ok());
-  ASSERT_EQ(matrix->size(), 1u);
-  EXPECT_EQ((*matrix)[0].size(), 4u);
-
-  // Mismatched logs are rejected.
-  logs.back().queries.clear();
-  EXPECT_FALSE(QcsaMatrixFromLogs(logs).ok());
 }
 
 // ---------------------------------------------------------- PropertiesIo

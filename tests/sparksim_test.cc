@@ -209,9 +209,14 @@ TEST(QueryProfileTest, SubsetAndIndexOf) {
   app.queries = {ScanOnlyQuery(), ShuffleHeavyQuery()};
   EXPECT_EQ(app.IndexOf("heavy"), 1);
   EXPECT_EQ(app.IndexOf("nope"), -1);
-  const SparkSqlApp rqa = app.Subset({1});
-  ASSERT_EQ(rqa.num_queries(), 1);
-  EXPECT_EQ(rqa.queries[0].name, "heavy");
+  // A reduced query application runs only the queries it names.
+  ClusterSimulator sim(X86Cluster(), 1);
+  ConfigSpace space(sim.cluster());
+  const auto rqa =
+      sim.RunAppSubset(app, {1}, space.Repair(space.DefaultConf()), 100.0);
+  ASSERT_TRUE(rqa.ok());
+  ASSERT_EQ(rqa->per_query.size(), 1u);
+  EXPECT_EQ(rqa->per_query[0].name, "heavy");
 }
 
 // ------------------------------------------------------------ Simulator

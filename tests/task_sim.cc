@@ -1,4 +1,4 @@
-#include "sparksim/task_sim.h"
+#include "task_sim.h"
 
 #include <algorithm>
 #include <cmath>
@@ -129,43 +129,6 @@ StatusOr<TaskLevelSimulator::Result> TaskLevelSimulator::Execute(
     result.makespan_s = std::max(result.makespan_s, stage_end);
   }
   return result;
-}
-
-std::vector<StageSpec> BuildStageDag(const QueryProfile& query,
-                                     const SparkConf& conf,
-                                     const ClusterSpec& cluster,
-                                     double datasize_gb) {
-  std::vector<StageSpec> stages;
-  const double scanned_gb = datasize_gb * query.input_frac;
-
-  StageSpec scan;
-  scan.num_tasks =
-      std::max(1, static_cast<int>(std::ceil(scanned_gb / 0.128)));
-  scan.core_seconds = scanned_gb * query.cpu_per_gb;
-  scan.per_task_overhead_s = 0.0025;
-  scan.skew = 1.1;
-  stages.push_back(scan);
-
-  if (query.num_shuffle_stages > 0 && query.shuffle_ratio > 0.0) {
-    const double shuffle_gb = scanned_gb * query.shuffle_ratio *
-                              std::pow(datasize_gb / 100.0, query.ds_exponent);
-    const double per_stage_gb =
-        shuffle_gb / std::max(1, query.num_shuffle_stages);
-    const int partitions =
-        std::max(8, conf.GetInt(kSqlShufflePartitions));
-    for (int s = 0; s < query.num_shuffle_stages; ++s) {
-      StageSpec reduce;
-      reduce.num_tasks = partitions;
-      reduce.core_seconds =
-          per_stage_gb * (query.shuffle_cpu_per_gb + 1.2 /*serialization*/);
-      reduce.per_task_overhead_s = 0.0025;
-      reduce.skew = query.skew;
-      reduce.deps = {static_cast<int>(stages.size()) - 1};
-      stages.push_back(reduce);
-    }
-  }
-  (void)cluster;
-  return stages;
 }
 
 }  // namespace locat::sparksim

@@ -1,13 +1,10 @@
-#ifndef LOCAT_SPARKSIM_TASK_SIM_H_
-#define LOCAT_SPARKSIM_TASK_SIM_H_
+#ifndef LOCAT_TESTS_TASK_SIM_H_
+#define LOCAT_TESTS_TASK_SIM_H_
 
 #include <vector>
 
 #include "common/rng.h"
 #include "common/status.h"
-#include "sparksim/cluster.h"
-#include "sparksim/config.h"
-#include "sparksim/query_profile.h"
 
 namespace locat::sparksim {
 
@@ -39,8 +36,8 @@ struct StageSpec {
 /// ClusterSimulator approximates stage time with the wave formula
 /// `per_task * (waves - 1 + skew)`; this simulator actually places each
 /// task on a slot with an event-driven scheduler and measures the
-/// makespan. Tests and the wave-model ablation bench cross-validate the
-/// two.
+/// makespan. It is a test oracle: TaskSimTest checks the wave formula
+/// against it.
 class TaskLevelSimulator {
  public:
   struct Result {
@@ -62,24 +59,11 @@ class TaskLevelSimulator {
   StatusOr<Result> Execute(const std::vector<StageSpec>& stages,
                            Rng* rng = nullptr) const;
 
-  int slots() const { return slots_; }
-
  private:
   int slots_;
   double speed_;
 };
 
-/// Expands one query into the stage DAG the analytical model implies
-/// (scan stage followed by a chain of shuffle stages) so the two
-/// simulators can be compared on identical work. The stage work terms
-/// mirror ClusterSimulator's first-order costs (CPU, serialization,
-/// compression, reduce work) without the memory/GC cliff terms, which are
-/// not schedule-dependent.
-std::vector<StageSpec> BuildStageDag(const QueryProfile& query,
-                                     const SparkConf& conf,
-                                     const ClusterSpec& cluster,
-                                     double datasize_gb);
-
 }  // namespace locat::sparksim
 
-#endif  // LOCAT_SPARKSIM_TASK_SIM_H_
+#endif  // LOCAT_TESTS_TASK_SIM_H_

@@ -111,7 +111,7 @@ TEST(HiBenchTest, ThreeSingleQueryBenchmarks) {
             QueryCategory::kAggregation);
 }
 
-TEST(Table1Test, FiveBenchmarksAndFiveSizes) {
+TEST(Table1Test, FiveBenchmarks) {
   const auto apps = AllBenchmarks();
   ASSERT_EQ(apps.size(), 5u);
   EXPECT_EQ(apps[0].name, "TPC-DS");
@@ -119,10 +119,6 @@ TEST(Table1Test, FiveBenchmarksAndFiveSizes) {
   EXPECT_EQ(apps[2].name, "Join");
   EXPECT_EQ(apps[3].name, "Scan");
   EXPECT_EQ(apps[4].name, "Aggregation");
-  const auto sizes = StandardDataSizesGb();
-  ASSERT_EQ(sizes.size(), 5u);
-  EXPECT_DOUBLE_EQ(sizes.front(), 100.0);
-  EXPECT_DOUBLE_EQ(sizes.back(), 500.0);
 }
 
 class ProfileSanityTest : public ::testing::TestWithParam<int> {};
