@@ -1,6 +1,8 @@
 // Micro benchmarks (google-benchmark) of the numerical kernels on LOCAT's
 // hot path: GP fit/predict, EI-MCMC refit, KPCA fit/project, Cholesky
 // factorization, and the cluster simulator itself.
+#include <vector>
+
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
@@ -99,28 +101,44 @@ void BM_KpcaFitProject(benchmark::State& state) {
 }
 BENCHMARK(BM_KpcaFitProject);
 
+// 64 seeded random valid configurations. The simulator cases cycle over
+// them, as a tuning grid does, so the timing covers every zstd level,
+// off-heap setting and spill/OOM regime instead of one fixed branch path.
+std::vector<sparksim::SparkConf> SweepConfs(const sparksim::ConfigSpace& space,
+                                            uint64_t seed) {
+  Rng rng(seed);
+  std::vector<sparksim::SparkConf> confs;
+  for (int i = 0; i < 64; ++i) confs.push_back(space.RandomValid(&rng));
+  return confs;
+}
+
+// Whole-app runs. The queries of a run fan out over the global thread
+// pool, so CPU time is the process's (all threads), and items are
+// queries: items_per_second inverts to CPU time per query.
 void BM_SimulatorTpcdsRun(benchmark::State& state) {
   const auto app = workloads::TpcDs();
   sparksim::ClusterSimulator sim(sparksim::X86Cluster(), 10);
-  sparksim::ConfigSpace space(sim.cluster());
-  Rng rng(11);
-  const auto conf = space.RandomValid(&rng);
+  const auto confs = SweepConfs(sparksim::ConfigSpace(sim.cluster()), 11);
+  size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sim.RunApp(app, conf, 300.0).total_seconds);
+    benchmark::DoNotOptimize(
+        sim.RunApp(app, confs[i++ % confs.size()], 300.0).total_seconds);
   }
+  state.SetItemsProcessed(state.iterations() * app.num_queries());
 }
-BENCHMARK(BM_SimulatorTpcdsRun);
+BENCHMARK(BM_SimulatorTpcdsRun)->MeasureProcessCPUTime();
 
 void BM_SimulatorQuery(benchmark::State& state) {
   const auto app = workloads::TpcDs();
   sparksim::ClusterSimulator sim(sparksim::X86Cluster(), 12);
-  sparksim::ConfigSpace space(sim.cluster());
-  Rng rng(13);
-  const auto conf = space.RandomValid(&rng);
+  const auto confs = SweepConfs(sparksim::ConfigSpace(sim.cluster()), 13);
   const auto& q72 = app.queries[static_cast<size_t>(app.IndexOf("q72"))];
+  size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sim.RunQuery(q72, conf, 300.0).exec_seconds);
+    benchmark::DoNotOptimize(
+        sim.RunQuery(q72, confs[i++ % confs.size()], 300.0).exec_seconds);
   }
+  state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SimulatorQuery);
 

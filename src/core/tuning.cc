@@ -1,21 +1,25 @@
 #include "core/tuning.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace locat::core {
 
 TuningSession::TuningSession(sparksim::ClusterSimulator* simulator,
                              const sparksim::SparkSqlApp& app)
-    : simulator_(simulator), app_(app), space_(simulator->cluster()) {}
+    : simulator_(simulator),
+      app_(app),
+      space_(simulator->cluster()),
+      all_queries_(static_cast<size_t>(app_.num_queries())) {
+  for (size_t i = 0; i < all_queries_.size(); ++i) {
+    all_queries_[i] = static_cast<int>(i);
+  }
+}
 
 StatusOr<EvalRecord> TuningSession::Evaluate(const sparksim::SparkConf& conf,
                                              double datasize_gb) {
-  if (!restriction_.empty()) {
-    return EvaluateSubset(conf, datasize_gb, restriction_);
-  }
-  std::vector<int> all(static_cast<size_t>(app_.num_queries()));
-  for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<int>(i);
-  return EvaluateSubset(conf, datasize_gb, all);
+  return EvaluateSubset(conf, datasize_gb,
+                        restriction_.empty() ? all_queries_ : restriction_);
 }
 
 void TuningSession::RestrictToQueries(std::vector<int> query_indices) {
@@ -93,8 +97,8 @@ StatusOr<EvalRecord> TuningSession::EvaluateSubset(
   rec.lost_executors = run.lost_executors;
 
   optimization_seconds_ += run.total_seconds;
-  history_.push_back(rec);
-  return rec;
+  history_.push_back(std::move(rec));
+  return history_.back();
 }
 
 void TuningSession::ChargePenaltySeconds(double seconds) {

@@ -94,6 +94,7 @@ class TuningSession {
   sparksim::ClusterSimulator* simulator_;
   sparksim::SparkSqlApp app_;
   sparksim::ConfigSpace space_;
+  std::vector<int> all_queries_;  // 0..num_queries-1, what Evaluate runs
   std::vector<EvalRecord> history_;
   std::vector<int> restriction_;
   double optimization_seconds_ = 0.0;

@@ -63,57 +63,80 @@ void ClusterSimulator::set_faults(const FaultSpec& spec) {
   eval_env_fp_ = CombineFaultFingerprint(env_fp_, FingerprintFaultSpec(spec));
 }
 
-ClusterSimulator::Resources ClusterSimulator::DeriveResources(
-    const SparkConf& conf, const QueryProfile& query) const {
-  Resources r;
-  r.cores_per_executor = std::clamp(conf.GetInt(kExecutorCores), 1,
+ClusterSimulator::ConfTerms ClusterSimulator::DeriveConfTerms(
+    const SparkConf& conf) const {
+  ConfTerms t;
+  t.cores_per_executor = std::clamp(conf.GetInt(kExecutorCores), 1,
                                     cluster_.container_max_cores);
-  r.heap_gb = std::max(1.0, conf.Get(kExecutorMemory));
-  r.overhead_gb = std::max(0.384, conf.Get(kExecutorMemoryOverhead) / 1024.0);
+  t.heap_gb = std::max(1.0, conf.Get(kExecutorMemory));
+  t.overhead_gb = std::max(0.384, conf.Get(kExecutorMemoryOverhead) / 1024.0);
   const bool offheap_on = conf.GetBool(kMemoryOffHeapEnabled);
   const double offheap_gb =
       offheap_on ? conf.Get(kMemoryOffHeapSize) / 1024.0 : 0.0;
 
-  const double per_exec_mem = r.heap_gb + r.overhead_gb + offheap_gb;
+  const double per_exec_mem = t.heap_gb + t.overhead_gb + offheap_gb;
   const int requested = std::max(1, conf.GetInt(kExecutorInstances));
   // Yarn grants only as many containers as the cluster can host.
   const int max_by_mem = std::max(
       1, static_cast<int>(cluster_.total_memory_gb() / per_exec_mem));
   const int max_by_cores =
-      std::max(1, cluster_.total_cores() / r.cores_per_executor);
-  r.executors = std::min({requested, max_by_mem, max_by_cores});
-  r.slots = r.executors * r.cores_per_executor;
+      std::max(1, cluster_.total_cores() / t.cores_per_executor);
+  t.executors = std::min({requested, max_by_mem, max_by_cores});
+  t.slots = t.executors * t.cores_per_executor;
 
   // Spark unified memory: (heap - 300MB) * memory.fraction is shared by
-  // execution and storage; storageFraction protects cached blocks from
-  // eviction, shrinking what shuffles can use.
-  const double pool = std::max(0.1, (r.heap_gb - 0.3) *
-                                        conf.Get(kMemoryFraction));
-  const double storage_need =
-      0.25 + 0.65 * std::min(1.0, query.rescan_frac * 4.0);
-  r.storage_pool_gb =
-      pool * conf.Get(kMemoryStorageFraction) * storage_need;
-  const double exec_avail = std::max(0.05, pool - r.storage_pool_gb);
-  r.exec_mem_per_task_gb = exec_avail / r.cores_per_executor;
-  r.offheap_per_task_gb = offheap_gb / r.cores_per_executor;
-  return r;
-}
+  // execution and storage.
+  t.pool_gb = std::max(0.1, (t.heap_gb - 0.3) * conf.Get(kMemoryFraction));
+  t.offheap_per_task_gb = offheap_gb / t.cores_per_executor;
 
-QueryMetrics ClusterSimulator::SimulateQuery(const QueryProfile& query,
-                                             const SparkConf& conf,
-                                             double datasize_gb) const {
-  QueryMetrics m;
-  m.name = query.name;
-
-  const Resources res = DeriveResources(conf, query);
   // Cores sharing one JVM heap contend on allocation and locks beyond a
   // few cores per executor.
   const double contention =
       1.0 + params_.core_contention *
-                std::max(0, res.cores_per_executor -
+                std::max(0, t.cores_per_executor -
                                 params_.contention_free_cores);
-  const double speed = cluster_.core_speed / contention;
-  const double slots = res.slots;
+  t.speed = cluster_.core_speed / contention;
+
+  // Compression of map output and spills at the zstd level.
+  const int zlevel = std::clamp(conf.GetInt(kZstdLevel), 1, 5);
+  t.comp_ratio = params_.compression_ratio_l1 *
+                 std::pow(params_.compression_level_gain, zlevel - 1);
+  t.comp_cpu = params_.compression_cpu_l1 *
+               std::pow(params_.compression_level_cpu, zlevel - 1);
+
+  t.gc_pause_s = params_.gc_pause_s_per_gb * std::pow(t.heap_gb, 1.1);
+  // User-memory shortage: code objects live outside the unified pool, so
+  // memory.fraction ~0.9 starves them and the collector runs hot.
+  const double user_mem =
+      std::max(0.02, (t.heap_gb - 0.3) * (1.0 - conf.Get(kMemoryFraction)));
+  const double user_need =
+      params_.user_mem_base_gb +
+      params_.user_mem_per_core_gb * t.cores_per_executor;
+  t.user_pressure = std::max(0.0, user_need / user_mem - 1.0);
+  t.user_thrash = 1.0 + 3.0 * t.user_pressure;
+
+  t.codegen_max_fields = conf.GetInt(kSqlCodegenMaxFields);
+  return t;
+}
+
+QueryMetrics ClusterSimulator::SimulateQuery(const QueryProfile& query,
+                                             const SparkConf& conf,
+                                             const ConfTerms& terms,
+                                             double datasize_gb) const {
+  QueryMetrics m;
+  m.name = query.name;
+
+  // storageFraction protects cached blocks from eviction, shrinking what
+  // shuffles can use; how much the query caches sets how much it holds.
+  const double storage_need =
+      0.25 + 0.65 * std::min(1.0, query.rescan_frac * 4.0);
+  const double storage_pool_gb =
+      terms.pool_gb * conf.Get(kMemoryStorageFraction) * storage_need;
+  const double exec_avail = std::max(0.05, terms.pool_gb - storage_pool_gb);
+  const double exec_mem_per_task_gb = exec_avail / terms.cores_per_executor;
+
+  const double speed = terms.speed;
+  const double slots = terms.slots;
   const double disk_bw = cluster_.disk_gbps * cluster_.worker_nodes;
   const double scanned_gb = datasize_gb * query.input_frac;
 
@@ -124,7 +147,7 @@ QueryMetrics ClusterSimulator::SimulateQuery(const QueryProfile& query,
 
   // Whole-stage codegen falls back to interpreted mode when the plan has
   // more fields than sql.codegen.maxFields.
-  if (CodegenFields(query.name) > conf.GetInt(kSqlCodegenMaxFields)) {
+  if (CodegenFields(query.name) > terms.codegen_max_fields) {
     scan_cpu_per_gb *= 1.12;
   }
 
@@ -179,7 +202,7 @@ QueryMetrics ClusterSimulator::SimulateQuery(const QueryProfile& query,
         const double block_mb = std::max(1.0, conf.Get(kBroadcastBlockSize));
         const double piece_overhead =
             (bcast_mb / block_mb) * 0.002;  // torrent piece bookkeeping
-        broadcast_time = bcast_gb * res.executors / cluster_.network_gbps /
+        broadcast_time = bcast_gb * terms.executors / cluster_.network_gbps /
                              cluster_.worker_nodes +
                          bcast_cpu / speed + piece_overhead;
       }
@@ -224,18 +247,12 @@ QueryMetrics ClusterSimulator::SimulateQuery(const QueryProfile& query,
     }
 
     // Compression of map output.
-    const int zlevel = std::clamp(conf.GetInt(kZstdLevel), 1, 5);
-    const double comp_ratio =
-        params_.compression_ratio_l1 *
-        std::pow(params_.compression_level_gain, zlevel - 1);
-    const double comp_cpu =
-        params_.compression_cpu_l1 *
-        std::pow(params_.compression_level_cpu, zlevel - 1);
     double wire_gb = shuffle_gb;
     if (conf.GetBool(kShuffleCompress)) {
       const double zbuf = std::max(8.0, conf.Get(kZstdBufferSize));
-      map_cpu += shuffle_gb * comp_cpu * (1.0 + 0.05 * (32.0 / zbuf - 0.33));
-      wire_gb = shuffle_gb * comp_ratio;
+      map_cpu +=
+          shuffle_gb * terms.comp_cpu * (1.0 + 0.05 * (32.0 / zbuf - 0.33));
+      wire_gb = shuffle_gb * terms.comp_ratio;
     }
     // Small shuffle-file write buffers force extra flushes.
     const double file_buffer = std::max(8.0, conf.Get(kShuffleFileBuffer));
@@ -255,8 +272,7 @@ QueryMetrics ClusterSimulator::SimulateQuery(const QueryProfile& query,
     // ---- reduce side: decompress, (spill), aggregate/join.
     const double partition_gb = shuffle_gb / partitions;
     const double demand_gb = partition_gb * mem_demand_factor;
-    const double avail_gb =
-        res.exec_mem_per_task_gb + res.offheap_per_task_gb;
+    const double avail_gb = exec_mem_per_task_gb + terms.offheap_per_task_gb;
 
     double reduce_cpu = shuffle_gb * query.shuffle_cpu_per_gb;
     if (conf.GetBool(kShuffleCompress)) {
@@ -273,8 +289,8 @@ QueryMetrics ClusterSimulator::SimulateQuery(const QueryProfile& query,
       spill_gb = shuffle_gb * spill_ratio * (1.0 + merge_passes);
       double spill_disk_gb = spill_gb;
       if (conf.GetBool(kShuffleSpillCompress)) {
-        reduce_cpu += spill_gb * comp_cpu * 0.8;
-        spill_disk_gb *= comp_ratio;
+        reduce_cpu += spill_gb * terms.comp_cpu * 0.8;
+        spill_disk_gb *= terms.comp_ratio;
       }
       reduce_cpu += spill_gb * params_.spill_cpu_per_gb;
       spill_time = spill_disk_gb / disk_bw;
@@ -287,10 +303,10 @@ QueryMetrics ClusterSimulator::SimulateQuery(const QueryProfile& query,
     // it must scale with the heap and the fetch concurrency or Yarn kills
     // the container mid-stage.
     const double overhead_need =
-        0.07 * res.heap_gb + 0.3 +
-        0.004 * conf.Get(kReducerMaxSizeInFlight) * res.cores_per_executor;
+        0.07 * terms.heap_gb + 0.3 +
+        0.004 * conf.Get(kReducerMaxSizeInFlight) * terms.cores_per_executor;
     const double overhead_adequacy =
-        std::min(1.0, res.overhead_gb / overhead_need);
+        std::min(1.0, terms.overhead_gb / overhead_need);
     const double eff_threshold =
         params_.oom_threshold * (0.45 + 0.55 * overhead_adequacy);
     // Containers with skimpy overhead get killed by Yarn under shuffle
@@ -336,42 +352,31 @@ QueryMetrics ClusterSimulator::SimulateQuery(const QueryProfile& query,
   // ------------------------------------------------------------------ GC
   double alloc_gb = scanned_gb * 0.35 + shuffle_gb * 1.2 + spill_gb * 0.5;
   if (conf.GetBool(kRddCompress)) alloc_gb *= 0.92;
-  const double pool =
-      std::max(0.1, (res.heap_gb - 0.3) * conf.Get(kMemoryFraction));
+  const double pool = terms.pool_gb;
   // Off-heap allocations bypass the garbage collector entirely.
-  if (res.offheap_per_task_gb > 0.0) {
+  if (terms.offheap_per_task_gb > 0.0) {
     const double offheap_total =
-        res.offheap_per_task_gb * res.cores_per_executor;
+        terms.offheap_per_task_gb * terms.cores_per_executor;
     alloc_gb *= 1.0 - 0.5 * offheap_total / (offheap_total + pool);
   }
-  const double alloc_per_exec = alloc_gb / std::max(1, res.executors);
+  const double alloc_per_exec = alloc_gb / std::max(1, terms.executors);
   const double concurrent_demand =
-      res.cores_per_executor *
+      terms.cores_per_executor *
       std::min(query.mem_per_task_factor * shuffle_gb /
                    std::max(8.0, conf.Get(kSqlShufflePartitions)),
-               res.exec_mem_per_task_gb * 1.5);
+               exec_mem_per_task_gb * 1.5);
   const double occupancy = std::min(1.5, concurrent_demand / pool +
                                              query.rescan_frac * 0.3 + 0.15);
   const double thrash =
       1.0 + params_.gc_pressure_coeff *
                 std::pow(std::max(0.0, occupancy - 0.6), 2.0);
-  // User-memory shortage: code objects live outside the unified pool, so
-  // memory.fraction ~0.9 starves them and the collector runs hot.
-  const double user_mem =
-      std::max(0.02, (res.heap_gb - 0.3) * (1.0 - conf.Get(kMemoryFraction)));
-  const double user_need =
-      params_.user_mem_base_gb +
-      params_.user_mem_per_core_gb * res.cores_per_executor;
-  const double user_pressure = std::max(0.0, user_need / user_mem - 1.0);
-  const double user_thrash = 1.0 + 3.0 * user_pressure;
   const double full_gc_count =
       std::ceil(alloc_per_exec / std::max(0.4, pool * 0.8)) +
-      user_pressure * 6.0 * alloc_per_exec / std::max(0.5, res.heap_gb);
-  const double pause =
-      params_.gc_pause_s_per_gb * std::pow(res.heap_gb, 1.1);
+      terms.user_pressure * 6.0 * alloc_per_exec /
+          std::max(0.5, terms.heap_gb);
   m.gc_seconds =
-      alloc_per_exec * params_.gc_base_s_per_gb * thrash * user_thrash +
-      full_gc_count * pause * std::min(1.0, alloc_per_exec / pool);
+      alloc_per_exec * params_.gc_base_s_per_gb * thrash * terms.user_thrash +
+      full_gc_count * terms.gc_pause_s * std::min(1.0, alloc_per_exec / pool);
 
   // -------------------------------------------------------------- totals
   const double total_waves =
@@ -405,10 +410,11 @@ void ClusterSimulator::ApplyNoise(QueryMetrics* m, double noise) {
 
 QueryMetrics ClusterSimulator::EvaluateQuery(const QueryProfile& query,
                                              const SparkConf& conf,
+                                             const ConfTerms& terms,
                                              double datasize_gb,
                                              uint64_t conf_fp) const {
   if (eval_cache_ == nullptr) {
-    return SimulateQuery(query, conf, datasize_gb);
+    return SimulateQuery(query, conf, terms, datasize_gb);
   }
   const uint64_t query_fp = FingerprintQuery(query);
   const uint64_t fp =
@@ -417,7 +423,7 @@ QueryMetrics ClusterSimulator::EvaluateQuery(const QueryProfile& query,
   if (eval_cache_->Lookup(fp, conf, datasize_gb, query_fp, eval_env_fp_, &m)) {
     return m;
   }
-  m = SimulateQuery(query, conf, datasize_gb);
+  m = SimulateQuery(query, conf, terms, datasize_gb);
   eval_cache_->Insert(fp, conf, datasize_gb, query_fp, eval_env_fp_, m);
   return m;
 }
@@ -450,7 +456,8 @@ QueryMetrics ClusterSimulator::RunQuery(const QueryProfile& query,
                            : 1.0;
   const uint64_t conf_fp =
       eval_cache_ != nullptr ? FingerprintConf(conf) : 0;
-  QueryMetrics m = EvaluateQuery(query, conf, datasize_gb, conf_fp);
+  QueryMetrics m =
+      EvaluateQuery(query, conf, DeriveConfTerms(conf), datasize_gb, conf_fp);
   ApplyNoise(&m, noise);
   return m;
 }
@@ -531,6 +538,7 @@ StatusOr<AppRunResult> ClusterSimulator::RunAppSubset(
                                     eval_env_fp_, n, scratch_metrics_.data());
   }
   if (!served) {
+    const ConfTerms terms = DeriveConfTerms(conf);
     if (faults_on && eval_cache_ != nullptr) {
       // Deferred-insert path: a run this fault schedule kills must not
       // populate the noise-free cache at either level. Look up per-query
@@ -547,7 +555,7 @@ StatusOr<AppRunResult> ClusterSimulator::RunAppSubset(
             CombineEvalFingerprint(conf_fp, eval_env_fp_, qfp, datasize_gb);
         if (!eval_cache_->Lookup(fp, conf, datasize_gb, qfp, eval_env_fp_,
                                  &scratch_metrics_[i])) {
-          scratch_metrics_[i] = SimulateQuery(q, conf, datasize_gb);
+          scratch_metrics_[i] = SimulateQuery(q, conf, terms, datasize_gb);
           scratch_missed_[i] = 1;
         }
       });
@@ -573,7 +581,7 @@ StatusOr<AppRunResult> ClusterSimulator::RunAppSubset(
       common::ThreadPool::Global()->ParallelForEach(n, [&](size_t i) {
         scratch_metrics_[i] =
             EvaluateQuery(app.queries[static_cast<size_t>(scratch_valid_[i])],
-                          conf, datasize_gb, conf_fp);
+                          conf, terms, datasize_gb, conf_fp);
       });
       if (eval_cache_ != nullptr && n > 0) {
         eval_cache_->InsertApp(app_key, conf, datasize_gb, subset_fp,

@@ -210,25 +210,36 @@ class ClusterSimulator {
   }
 
  private:
-  /// Resource picture derived from a configuration.
-  struct Resources {
+  /// Cost-model terms that depend only on the configuration (given this
+  /// simulator's cluster and params), not on the query or the data size.
+  /// Derived once per RunAppSubset / RunQuery call and shared by every
+  /// query of the run; each keeps the exact expression SimulateQuery
+  /// used to compute per query, so the outputs keep their bits.
+  struct ConfTerms {
     int executors = 1;        // actually launched (Yarn may grant fewer)
     int cores_per_executor = 1;
     int slots = 1;            // executors * cores
     double heap_gb = 1.0;
-    double exec_mem_per_task_gb = 0.1;  // unified execution memory / core
-    double offheap_per_task_gb = 0.0;
     double overhead_gb = 0.0;
-    double storage_pool_gb = 0.0;
+    double offheap_per_task_gb = 0.0;
+    double pool_gb = 0.1;     // unified (execution + storage) memory
+    double speed = 1.0;       // per-core speed after heap contention
+    double comp_ratio = 1.0;  // zstd output/input bytes at the level
+    double comp_cpu = 0.0;    // zstd core-seconds per GB at the level
+    double gc_pause_s = 0.0;  // one full-GC pause
+    double user_pressure = 0.0;  // user-memory shortfall ratio
+    double user_thrash = 1.0;    // GC multiplier from that shortfall
+    int codegen_max_fields = 0;
   };
 
-  Resources DeriveResources(const SparkConf& conf,
-                            const QueryProfile& query) const;
+  ConfTerms DeriveConfTerms(const SparkConf& conf) const;
 
-  /// Pure noise-free cost-model evaluation: const, draws no randomness,
-  /// so app runs can evaluate queries concurrently and the output can be
-  /// memoized across noise draws.
+  /// The per-query half of the cost model: pure and noise-free, const,
+  /// draws no randomness, so app runs can evaluate queries concurrently
+  /// and the output can be memoized across noise draws. `terms` is
+  /// DeriveConfTerms(conf).
   QueryMetrics SimulateQuery(const QueryProfile& query, const SparkConf& conf,
+                             const ConfTerms& terms,
                              double datasize_gb) const;
 
   /// Scales the noise-free metrics by one drawn lognormal factor,
@@ -237,10 +248,12 @@ class ClusterSimulator {
   static void ApplyNoise(QueryMetrics* m, double noise);
 
   /// SimulateQuery through the eval cache (straight call when no cache is
-  /// wired). `conf_fp` is FingerprintConf(conf), hoisted by the caller so
-  /// app runs hash the configuration once, not per query.
+  /// wired). `terms` is DeriveConfTerms(conf) and `conf_fp` is
+  /// FingerprintConf(conf), both hoisted by the caller so app runs derive
+  /// and hash the configuration once, not per query.
   QueryMetrics EvaluateQuery(const QueryProfile& query, const SparkConf& conf,
-                             double datasize_gb, uint64_t conf_fp) const;
+                             const ConfTerms& terms, double datasize_gb,
+                             uint64_t conf_fp) const;
 
   /// FingerprintApp(app), memoized for the app this simulator last
   /// simulated. Folding every query profile costs ~30 ns per query, which

@@ -1,5 +1,8 @@
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -453,6 +456,113 @@ TEST_P(ClusterParityTest, AllQueriesFinitePositive) {
 
 INSTANTIATE_TEST_SUITE_P(Clusters, ClusterParityTest,
                          ::testing::Values("arm", "x86"));
+
+// ------------------------------------------------- cost-model pin
+
+// FNV-1a over 64-bit words.
+uint64_t FoldWord(uint64_t h, uint64_t word) {
+  return (h ^ word) * 0x100000001b3ULL;
+}
+
+uint64_t FoldMetrics(uint64_t h, const QueryMetrics& m) {
+  for (const char c : m.name) h = FoldWord(h, static_cast<unsigned char>(c));
+  for (const double v : {m.exec_seconds, m.gc_seconds, m.scan_seconds,
+                         m.shuffle_seconds, m.shuffle_gb, m.spill_gb,
+                         m.scan_tasks, m.task_waves, m.oom_severity}) {
+    h = FoldWord(h, std::bit_cast<uint64_t>(v));
+  }
+  h = FoldWord(h, m.oom ? 1 : 0);
+  h = FoldWord(h, m.failed ? 1 : 0);
+  return FoldWord(h, static_cast<uint64_t>(m.retries));
+}
+
+// Spark defaults, seeded random configurations and hand-built edge cases
+// that reach every branch of the cost model: each zstd level, off-heap
+// on and off, shuffle/spill compression on and off, and a starved heap
+// that spills and climbs the OOM ramp.
+std::vector<SparkConf> PinConfs(const ConfigSpace& space) {
+  std::vector<SparkConf> confs = {space.DefaultConf()};
+  Rng rng(2024);
+  for (int i = 0; i < 40; ++i) confs.push_back(space.RandomValid(&rng));
+  const SparkConf decent = DecentConf(space);
+  for (int level = 1; level <= 5; ++level) {
+    SparkConf c = decent;
+    c.Set(kZstdLevel, level);
+    confs.push_back(c);
+  }
+  for (const bool offheap : {false, true}) {
+    SparkConf c = decent;
+    c.Set(kMemoryOffHeapEnabled, offheap ? 1.0 : 0.0);
+    c.Set(kMemoryOffHeapSize, 2048);
+    confs.push_back(c);
+  }
+  for (const bool shuffle : {false, true}) {
+    for (const bool spill : {false, true}) {
+      SparkConf c = decent;
+      c.Set(kShuffleCompress, shuffle ? 1.0 : 0.0);
+      c.Set(kShuffleSpillCompress, spill ? 1.0 : 0.0);
+      c.Set(kZstdLevel, 4);
+      confs.push_back(c);
+    }
+  }
+  SparkConf starved = decent;
+  starved.Set(kExecutorMemory, 1);
+  starved.Set(kExecutorCores, 8);
+  starved.Set(kExecutorMemoryOverhead, 384);
+  starved.Set(kMemoryFraction, 0.9);
+  starved.Set(kSqlShufflePartitions, 50);
+  starved.Set(kSqlCodegenMaxFields, 60);
+  confs.push_back(starved);
+  starved.Set(kShuffleSpillCompress, 0.0);
+  starved.Set(kMemoryOffHeapEnabled, 1.0);
+  starved.Set(kMemoryOffHeapSize, 512);
+  confs.push_back(starved);
+  return confs;
+}
+
+void ExpectSameBits(const QueryMetrics& a, const QueryMetrics& b) {
+  EXPECT_EQ(a.name, b.name);
+  EXPECT_EQ(FoldMetrics(0, a), FoldMetrics(0, b)) << a.name;
+}
+
+// Every QueryMetrics bit of the noise-free cost model, folded over the
+// five benchmark apps x both clusters x three data sizes x the PinConfs
+// grid. A change that moves any simulated time moves this hash; a pure
+// speed-up must leave it equal.
+TEST(SimulatorCostModelTest, OutputsPinnedAcrossConfigSpace) {
+  SimParams params;
+  params.noise_sigma = 0.0;
+  uint64_t h = 0xcbf29ce484222325ULL;
+  bool saw_spill = false;
+  bool saw_oom_ramp = false;
+  for (const ClusterSpec& cluster : {ArmCluster(), X86Cluster()}) {
+    const ConfigSpace space(cluster);
+    const std::vector<SparkConf> confs = PinConfs(space);
+    ClusterSimulator sim(cluster, 7, params);
+    for (const SparkSqlApp& app : workloads::AllBenchmarks()) {
+      std::vector<int> all(app.queries.size());
+      for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<int>(i);
+      for (const double ds : {100.0, 300.0, 1000.0}) {
+        for (const SparkConf& conf : confs) {
+          const StatusOr<AppRunResult> run =
+              sim.RunAppSubset(app, all, conf, ds);
+          ASSERT_TRUE(run.ok());
+          ASSERT_EQ(run->per_query.size(), app.queries.size());
+          for (size_t i = 0; i < app.queries.size(); ++i) {
+            const QueryMetrics& m = run->per_query[i];
+            ExpectSameBits(m, sim.RunQuery(app.queries[i], conf, ds));
+            saw_spill = saw_spill || m.spill_gb > 0.0;
+            saw_oom_ramp = saw_oom_ramp || m.oom_severity > 1.0;
+            h = FoldMetrics(h, m);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(saw_spill);
+  EXPECT_TRUE(saw_oom_ramp);
+  EXPECT_EQ(h, 0xe75291a7f8f37475ULL);
+}
 
 }  // namespace
 }  // namespace locat::sparksim
