@@ -112,9 +112,9 @@ std::vector<sparksim::SparkConf> SweepConfs(const sparksim::ConfigSpace& space,
   return confs;
 }
 
-// Whole-app runs. The queries of a run fan out over the global thread
-// pool, so CPU time is the process's (all threads), and items are
-// queries: items_per_second inverts to CPU time per query.
+// Whole-app runs. The queries of a run are evaluated in order on the
+// calling thread, and items are queries: items_per_second inverts to CPU
+// time per query.
 void BM_SimulatorTpcdsRun(benchmark::State& state) {
   const auto app = workloads::TpcDs();
   sparksim::ClusterSimulator sim(sparksim::X86Cluster(), 10);

@@ -162,31 +162,36 @@ Status Dagp::Refit(Rng* rng) {
   return status;
 }
 
-math::Vector Dagp::ExpectedImprovementBatch(
-    const std::vector<math::Vector>& encoded_confs,
-    double datasize_gb) const {
-  assert(model_.fitted());
-  if (encoded_confs.empty()) return math::Vector();
-  const size_t dim = encoded_confs.front().size() + 1;
-  math::Matrix xs(encoded_confs.size(), dim);
-  for (size_t i = 0; i < encoded_confs.size(); ++i) {
-    xs.SetRow(i, Assemble(encoded_confs[i], datasize_gb));
+math::Matrix Dagp::AssembleRows(const math::Matrix& encoded_confs,
+                               const std::vector<double>& datasizes_gb) {
+  assert(encoded_confs.rows() == datasizes_gb.size());
+  const size_t dim = encoded_confs.cols();
+  math::Matrix xs(encoded_confs.rows(), dim + 1);
+  for (size_t i = 0; i < encoded_confs.rows(); ++i) {
+    const double* src = encoded_confs.RowData(i);
+    double* dst = xs.RowData(i);
+    std::copy(src, src + dim, dst);
+    dst[dim] = datasizes_gb[i] / kDatasizeScaleGb;
   }
-  return model_.AcquisitionValueBatch(xs);
+  return xs;
+}
+
+math::Vector Dagp::ExpectedImprovementBatch(const math::Matrix& encoded_confs,
+                                            double datasize_gb) const {
+  assert(model_.fitted());
+  if (encoded_confs.rows() == 0) return math::Vector();
+  return model_.AcquisitionValueBatch(AssembleRows(
+      encoded_confs,
+      std::vector<double>(encoded_confs.rows(), datasize_gb)));
 }
 
 std::vector<Dagp::Prediction> Dagp::PredictBatch(
-    const std::vector<math::Vector>& encoded_confs,
+    const math::Matrix& encoded_confs,
     const std::vector<double>& datasizes_gb) const {
   assert(model_.fitted());
-  assert(encoded_confs.size() == datasizes_gb.size());
-  std::vector<Prediction> out(encoded_confs.size());
-  if (encoded_confs.empty()) return out;
-  const size_t dim = encoded_confs.front().size() + 1;
-  math::Matrix xs(encoded_confs.size(), dim);
-  for (size_t i = 0; i < encoded_confs.size(); ++i) {
-    xs.SetRow(i, Assemble(encoded_confs[i], datasizes_gb[i]));
-  }
+  std::vector<Prediction> out(encoded_confs.rows());
+  if (out.empty()) return out;
+  const math::Matrix xs = AssembleRows(encoded_confs, datasizes_gb);
   const auto p = model_.PredictAveragedBatch(xs);
   for (size_t i = 0; i < out.size(); ++i) {
     out[i].seconds = std::exp(p.mean[i] + 0.5 * p.variance[i]);

@@ -68,12 +68,11 @@ class Dagp {
   /// Expected improvement (log-space EI, averaged over the
   /// hyperparameter posterior) of many candidates at one data size in a
   /// single batched pass: one cross-kernel and one blocked triangular
-  /// solve per ensemble member. Entry i corresponds to `encoded_confs[i]`;
-  /// results are bit-identical for any thread count. Requires a prior
-  /// Refit.
-  math::Vector ExpectedImprovementBatch(
-      const std::vector<math::Vector>& encoded_confs,
-      double datasize_gb) const;
+  /// solve per ensemble member. Entry i corresponds to row i of
+  /// `encoded_confs` (one encoded configuration per row); results are
+  /// bit-identical for any thread count. Requires a prior Refit.
+  math::Vector ExpectedImprovementBatch(const math::Matrix& encoded_confs,
+                                        double datasize_gb) const;
 
   /// Predicted seconds (posterior-mean in log space, de-transformed) and
   /// the log-space variance.
@@ -82,10 +81,10 @@ class Dagp {
     double log_variance = 0.0;
   };
 
-  /// Predictions for (conf, ds) pairs; `datasizes_gb` must be the same
-  /// length as `encoded_confs`.
+  /// Predictions for (conf, ds) pairs: row i of `encoded_confs` at
+  /// `datasizes_gb[i]`, which has one entry per row.
   std::vector<Prediction> PredictBatch(
-      const std::vector<math::Vector>& encoded_confs,
+      const math::Matrix& encoded_confs,
       const std::vector<double>& datasizes_gb) const;
 
   int num_observations() const { return static_cast<int>(y_.size()); }
@@ -117,6 +116,10 @@ class Dagp {
  private:
   math::Vector Assemble(const math::Vector& encoded_conf,
                         double datasize_gb) const;
+
+  /// The GP inputs of row i of `encoded_confs` at `datasizes_gb[i]`.
+  static math::Matrix AssembleRows(const math::Matrix& encoded_confs,
+                                   const std::vector<double>& datasizes_gb);
 
   /// Full EI-MCMC refit on rows `idx` of the history (all rows when
   /// `idx` is null).

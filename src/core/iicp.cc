@@ -33,16 +33,26 @@ double MedianPairwiseDistance(const math::Matrix& x) {
 
 }  // namespace
 
-math::Vector IicpResult::SelectDims(const math::Vector& unit_conf) const {
-  math::Vector out(selected_.size());
-  for (size_t i = 0; i < selected_.size(); ++i) {
-    out[i] = unit_conf[static_cast<size_t>(selected_[i])] * weights_[i];
-  }
-  return out;
+math::Vector IicpResult::Encode(const math::Vector& unit_conf) const {
+  math::Matrix row(1, unit_conf.size());
+  row.SetRow(0, unit_conf);
+  return EncodeRows(row).Row(0);
 }
 
-math::Vector IicpResult::Encode(const math::Vector& unit_conf) const {
-  return kpca_.Project(SelectDims(unit_conf));
+math::Matrix IicpResult::EncodeRows(const math::Matrix& unit_confs) const {
+  return kpca_.ProjectRows(SelectDims(unit_confs));
+}
+
+math::Matrix IicpResult::SelectDims(const math::Matrix& unit_confs) const {
+  math::Matrix reduced(unit_confs.rows(), selected_.size());
+  for (size_t r = 0; r < unit_confs.rows(); ++r) {
+    const double* unit = unit_confs.RowData(r);
+    double* out = reduced.RowData(r);
+    for (size_t i = 0; i < selected_.size(); ++i) {
+      out[i] = unit[static_cast<size_t>(selected_[i])] * weights_[i];
+    }
+  }
+  return reduced;
 }
 
 StatusOr<IicpResult> Iicp::Run(const math::Matrix& unit_confs,
@@ -103,14 +113,7 @@ StatusOr<IicpResult> Iicp::Run(const math::Matrix& unit_confs,
         result.scc_abs_[static_cast<size_t>(result.selected_[j])] / max_scc;
     result.weights_[j] = std::max(0.25, w);
   }
-  math::Matrix reduced(n, result.selected_.size());
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j < result.selected_.size(); ++j) {
-      reduced(i, j) =
-          unit_confs(i, static_cast<size_t>(result.selected_[j])) *
-          result.weights_[j];
-    }
-  }
+  const math::Matrix reduced = result.SelectDims(unit_confs);
   // Median-distance bandwidth heuristic with a floor at the expected
   // distance of uniform points in the [0,1]^m cube (~sqrt(m/6)); without
   // the floor, clustered training samples yield a bandwidth so small that

@@ -26,18 +26,23 @@ class IicpResult {
   int latent_dim() const { return kpca_.num_components(); }
 
   /// Projects a full unit-cube configuration (38 dims) to the latent
-  /// space: select CPS dims, then apply KPCA.
+  /// space: the one-row case of EncodeRows.
   math::Vector Encode(const math::Vector& unit_conf) const;
 
-  /// Restriction of a unit configuration to the CPS-selected dimensions,
-  /// scaled by the CPS correlation weights (the hybrid step: CPE's kernel
-  /// sees runtime-relevant directions amplified).
-  math::Vector SelectDims(const math::Vector& unit_conf) const;
+  /// Projects every row of `unit_confs` (rows x 38) to the latent space:
+  /// SelectDims, then one batched KPCA projection. Row r depends only on
+  /// input row r.
+  math::Matrix EncodeRows(const math::Matrix& unit_confs) const;
 
   const ml::Kpca& kpca() const { return kpca_; }
 
  private:
   friend class Iicp;
+  /// Restriction of each row to the CPS-selected dimensions, scaled by
+  /// the CPS correlation weights (the hybrid step: CPE's kernel sees
+  /// runtime-relevant directions amplified).
+  math::Matrix SelectDims(const math::Matrix& unit_confs) const;
+
   std::vector<int> selected_;
   std::vector<double> scc_abs_;
   std::vector<double> weights_;

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstring>
-#include <set>
+#include <string_view>
+#include <unordered_set>
 
 #include "math/kern/kern.h"
 #include "ml/lhs.h"
@@ -99,6 +99,11 @@ std::string LocatTuner::name() const {
 math::Vector LocatTuner::EncodeUnit(const math::Vector& unit) const {
   if (iicp_) return iicp_->Encode(unit);
   return unit;
+}
+
+math::Matrix LocatTuner::EncodeRows(const math::Matrix& units) const {
+  if (iicp_) return iicp_->EncodeRows(units);
+  return units;
 }
 
 double LocatTuner::RqaObjective(const std::vector<double>& per_query,
@@ -227,11 +232,6 @@ LocatTuner::Proposal LocatTuner::ProposeNext(TuningSession* session,
   // one batched prediction over the history.
   math::Vector best_unit = space.ToUnit(best_conf_);
   if (dagp_.fitted() && !observations_.empty()) {
-    std::vector<math::Vector> encoded;
-    encoded.reserve(observations_.size() + priors_.size());
-    for (const auto& obs : observations_) {
-      encoded.push_back(EncodeUnit(obs.unit));
-    }
     // Transferred prior units compete for the anchor too: the donor's
     // optimum is exactly the region a warm start exists to reach, and the
     // incumbent-anchored local/line families are the only way the
@@ -240,22 +240,25 @@ LocatTuner::Proposal LocatTuner::ProposeNext(TuningSession* session,
     // donor objective, so a genuinely better donor region wins the anchor
     // and this app's next evaluations refine it — with real runs, which
     // then take over the incumbent. Without priors the scan is unchanged.
-    for (const auto& p : priors_) {
-      encoded.push_back(EncodeUnit(p.unit));
+    const size_t rows = observations_.size() + priors_.size();
+    math::Matrix units(rows, sparksim::kNumParams);
+    for (size_t i = 0; i < rows; ++i) {
+      units.SetRow(i, i < observations_.size()
+                          ? observations_[i].unit
+                          : priors_[i - observations_.size()].unit);
     }
-    const std::vector<double> sizes(encoded.size(), datasize_gb);
-    const std::vector<Dagp::Prediction> preds =
-        dagp_.PredictBatch(encoded, sizes);
+    const std::vector<Dagp::Prediction> preds = dagp_.PredictBatch(
+        EncodeRows(units), std::vector<double>(rows, datasize_gb));
     double best_score = 0.0;
+    size_t best_row = 0;
     for (size_t i = 0; i < preds.size(); ++i) {
       const double score = preds[i].seconds;
       if (best_score <= 0.0 || score < best_score) {
         best_score = score;
-        best_unit = i < observations_.size()
-                        ? observations_[i].unit
-                        : priors_[i - observations_.size()].unit;
+        best_row = i;
       }
     }
+    best_unit = units.Row(best_row);
   }
 
   // After IICP only the CPS-selected parameters are tuned; the rest stay
@@ -281,23 +284,43 @@ LocatTuner::Proposal LocatTuner::ProposeNext(TuningSession* session,
   const bool have_incumbent = best_objective_ > 0.0;
 
   // Generate the whole pool first (sequentially — candidate generation is
-  // where the RNG stream lives), then score every survivor in one batched
-  // EI pass. Near-duplicates of observations are dropped *before*
-  // scoring, exactly as the scalar loop did, and so are bit-identical
-  // copies of an earlier pool member: a copy's EI has the first copy's
-  // bits, so the strict-'>' scan below could never pick it.
-  std::vector<math::Vector> pool_units;
-  std::vector<math::Vector> pool_encoded;
-  pool_units.reserve(static_cast<size_t>(options_.candidates));
-  pool_encoded.reserve(static_cast<size_t>(options_.candidates));
-  auto bitwise_less = [&pool_units](size_t a, size_t b) {
-    return std::memcmp(pool_units[a].data().data(),
-                       pool_units[b].data().data(),
-                       pool_units[a].size() * sizeof(double)) < 0;
-  };
-  std::set<size_t, decltype(bitwise_less)> unique_units(bitwise_less);
+  // where the RNG stream lives), then encode and score every survivor in
+  // one batch. Near-duplicates of observations are dropped *before*
+  // scoring, and so are bit-identical copies of an earlier pool member: a
+  // copy's EI has the first copy's bits, so the strict-'>' scan below
+  // could never pick it. Survivors are the leading rows of `pool`.
+  //
+  // The near-duplicate scan measures each candidate against this data
+  // size's observations at once, stored coordinate-major. With unit
+  // weights each distance has the bits of SquaredDistance(obs, cand):
+  // (c - o)^2 == (o - c)^2 exactly and 1 * d == d.
+  const size_t dim = static_cast<size_t>(sparksim::kNumParams);
+  std::vector<const math::Vector*> same_size;
+  for (const auto& obs : observations_) {
+    if (obs.datasize_gb == datasize_gb) same_size.push_back(&obs.unit);
+  }
+  const size_t n_obs = same_size.size();
+  std::vector<double> obs_cols(dim * n_obs);
+  for (size_t o = 0; o < n_obs; ++o) {
+    for (size_t k = 0; k < dim; ++k) {
+      obs_cols[k * n_obs + o] = (*same_size[o])[k];
+    }
+  }
+  const std::vector<double> ones(dim, 1.0);
+  std::vector<double> obs_d2(n_obs);
+
+  math::Matrix pool(static_cast<size_t>(options_.candidates), dim);
+  size_t pool_size = 0;
+  // The bytes of every accepted row (views into `pool`, whose accepted
+  // rows never move). Equality is memcmp, so the hash's
+  // implementation-defined values only place buckets and never decide
+  // which copy survives (the first, in generation order).
+  std::unordered_set<std::string_view> unique_rows;
+  unique_rows.reserve(static_cast<size_t>(options_.candidates));
+  math::Vector unit = best_unit;
+  sparksim::SparkConf conf;
   for (int c = 0; c < options_.candidates; ++c) {
-    math::Vector unit = best_unit;
+    unit = best_unit;
     int family = have_incumbent ? c % 3 : 1;
     // Late in the reduced phase, stop proposing global jumps: anneal to
     // local refinement around the incumbent.
@@ -320,43 +343,38 @@ LocatTuner::Proposal LocatTuner::ProposeNext(TuningSession* session,
       unit[static_cast<size_t>(d)] = rng_.NextDouble();
     }
     // Round-trip through the configuration space so the candidate is a
-    // *valid* configuration (Section 5.12 constraints).
-    const sparksim::SparkConf conf =
-        space.Repair(space.FromUnit(unit));
-    math::Vector valid_unit = space.ToUnit(conf);
+    // *valid* configuration (Section 5.12 constraints), written straight
+    // into the next pool row.
+    space.FromUnit(unit.data().data(), &conf);
+    space.RepairInPlace(&conf);
+    double* row = pool.RowData(pool_size);
+    space.ToUnit(conf, row);
     // Skip near-duplicates of past observations: re-running an evaluated
     // configuration wastes a cluster run and starves QCSA/IICP of sample
-    // diversity.
-    bool duplicate = false;
-    for (const auto& obs : observations_) {
-      if (obs.datasize_gb == datasize_gb &&
-          std::sqrt(math::kern::SquaredDistance(
-              obs.unit.data().data(), valid_unit.data().data(),
-              valid_unit.size())) < 0.05) {
-        duplicate = true;
-        break;
-      }
-    }
-    if (duplicate) continue;
-    pool_units.push_back(std::move(valid_unit));
-    if (!unique_units.insert(pool_units.size() - 1).second) {
-      pool_units.pop_back();
+    // diversity. A dropped row is overwritten by the next candidate.
+    math::kern::WeightedSquaredDistanceCols(obs_cols.data(), n_obs, dim, row,
+                                            ones.data(), obs_d2.data());
+    if (std::any_of(obs_d2.begin(), obs_d2.end(),
+                    [](double d2) { return d2 < kNearDuplicateSq; })) {
       continue;
     }
-    pool_encoded.push_back(EncodeUnit(pool_units.back()));
+    const std::string_view bytes(reinterpret_cast<const char*>(row),
+                                 dim * sizeof(double));
+    if (unique_rows.insert(bytes).second) ++pool_size;
   }
+  pool.ResizeRows(pool_size);
 
   Proposal best;
   double best_ei = -1.0;
-  if (!pool_units.empty()) {
+  if (pool_size > 0) {
     const math::Vector eis =
-        dagp_.ExpectedImprovementBatch(pool_encoded, datasize_gb);
+        dagp_.ExpectedImprovementBatch(EncodeRows(pool), datasize_gb);
     // Scan in generation order with strict '>' so the first maximum wins,
     // matching the scalar loop's tie-break.
-    for (size_t i = 0; i < pool_units.size(); ++i) {
+    for (size_t i = 0; i < pool_size; ++i) {
       if (eis[i] > best_ei) {
         best_ei = eis[i];
-        best.unit = pool_units[i];
+        best.unit = pool.Row(i);
       }
     }
   }
@@ -367,7 +385,7 @@ LocatTuner::Proposal LocatTuner::ProposeNext(TuningSession* session,
   } else {
     best.relative_ei = 1.0 - std::exp(-std::max(0.0, best_ei));
   }
-  best.candidate_pool = static_cast<int>(pool_units.size());
+  best.candidate_pool = static_cast<int>(pool_size);
   best.acq_seconds = std::chrono::duration<double>(
                          std::chrono::steady_clock::now() - acq_start)
                          .count();
@@ -803,18 +821,19 @@ TuningResult LocatTuner::Tune(TuningSession* session, double datasize_gb) {
   if (have_model) {
     // One batched posterior-mean pass over this data size's history.
     const auto acq_start = std::chrono::steady_clock::now();
-    std::vector<math::Vector> encoded;
     std::vector<size_t> indices;
     for (size_t i = 0; i < observations_.size(); ++i) {
       const auto& obs = observations_[i];
       if (obs.datasize_gb != datasize_gb || obs.failed) continue;
-      encoded.push_back(EncodeUnit(obs.unit));
       indices.push_back(i);
     }
-    if (!encoded.empty()) {
-      const std::vector<double> sizes(encoded.size(), datasize_gb);
-      const std::vector<Dagp::Prediction> preds =
-          dagp_.PredictBatch(encoded, sizes);
+    if (!indices.empty()) {
+      math::Matrix units(indices.size(), sparksim::kNumParams);
+      for (size_t k = 0; k < indices.size(); ++k) {
+        units.SetRow(k, observations_[indices[k]].unit);
+      }
+      const std::vector<Dagp::Prediction> preds = dagp_.PredictBatch(
+          EncodeRows(units), std::vector<double>(indices.size(), datasize_gb));
       for (size_t k = 0; k < preds.size(); ++k) {
         ranked.push_back({preds[k].seconds, indices[k]});
       }

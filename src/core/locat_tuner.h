@@ -64,6 +64,13 @@ class LocatTuner : public Tuner {
 
   explicit LocatTuner(Options options = Options());
 
+  /// A candidate whose squared unit-space distance to an observation at
+  /// the same data size is below this is a near-duplicate and is never
+  /// scored. It is the smallest double whose sqrt is >= 0.05, one ulp
+  /// below 0.05 * 0.05, so `d2 < kNearDuplicateSq` decides exactly as
+  /// `sqrt(d2) < 0.05` without taking the root.
+  static constexpr double kNearDuplicateSq = 0x1.47ae147ae147bp-9;
+
   std::string name() const override;
   TuningResult Tune(TuningSession* session, double datasize_gb) override;
   void SetObservability(const obs::ObsContext& obs) override;
@@ -167,6 +174,8 @@ class LocatTuner : public Tuner {
   /// Encoded representation for the DAGP (latent after IICP, identity
   /// before).
   math::Vector EncodeUnit(const math::Vector& unit) const;
+  /// EncodeUnit of every row of `units` (rows x 38) in one batch.
+  math::Matrix EncodeRows(const math::Matrix& units) const;
 
   /// The next configuration, chosen by maximizing EI over a candidate
   /// pool, with the telemetry of that acquisition for the evaluation it

@@ -82,17 +82,41 @@ inline double ExpScalar(double x) {
   return x < kExpFlushLo ? 0.0 : res;
 }
 
+/// x[u] = exp(x[u]) for u < U, in place. The U vectors run the same
+/// per-lane sequence side by side, so their Horner chains overlap instead
+/// of each exposing the full fma latency; U only changes the schedule,
+/// never an element's operations.
+template <class V, size_t U>
+inline void ExpVN(V* x) {
+  V n[U], r[U], p[U];
+  #pragma GCC unroll 8
+  for (size_t u = 0; u < U; ++u) {
+    V xc = V::IfLess(x[u], V::Broadcast(kExpSatHi), x[u],
+                     V::Broadcast(kExpSatHi));
+    xc = V::IfLess(xc, V::Broadcast(kExpClampLo), V::Broadcast(kExpClampLo),
+                   xc);
+    n[u] = V::Round(V::Mul(xc, V::Broadcast(kLog2e)));
+    r[u] = V::Fma(n[u], V::Broadcast(-kLn2Hi), xc);
+    r[u] = V::Fma(n[u], V::Broadcast(-kLn2Lo), r[u]);
+    p[u] = V::Broadcast(kExpCoef[13]);
+  }
+  for (int c = 12; c >= 0; --c) {
+    #pragma GCC unroll 8
+    for (size_t u = 0; u < U; ++u) {
+      p[u] = V::Fma(p[u], r[u], V::Broadcast(kExpCoef[c]));
+    }
+  }
+  #pragma GCC unroll 8
+  for (size_t u = 0; u < U; ++u) {
+    const V res = V::Mul(p[u], V::Pow2i(n[u]));
+    x[u] = V::IfLess(x[u], V::Broadcast(kExpFlushLo), V::Zero(), res);
+  }
+}
+
 template <class V>
 inline V ExpV(V x) {
-  V xc = V::IfLess(x, V::Broadcast(kExpSatHi), x, V::Broadcast(kExpSatHi));
-  xc = V::IfLess(xc, V::Broadcast(kExpClampLo), V::Broadcast(kExpClampLo), xc);
-  const V n = V::Round(V::Mul(xc, V::Broadcast(kLog2e)));
-  V r = V::Fma(n, V::Broadcast(-kLn2Hi), xc);
-  r = V::Fma(n, V::Broadcast(-kLn2Lo), r);
-  V p = V::Broadcast(kExpCoef[13]);
-  for (int c = 12; c >= 0; --c) p = V::Fma(p, r, V::Broadcast(kExpCoef[c]));
-  const V res = V::Mul(p, V::Pow2i(n));
-  return V::IfLess(x, V::Broadcast(kExpFlushLo), V::Zero(), res);
+  ExpVN<V, 1>(&x);
+  return x;
 }
 
 // ---------------------------------------------------------------------------
@@ -332,9 +356,22 @@ void SubShiftImpl(const double* a, const double* b, double shift, double* out,
 
 template <class V>
 void ExpScaledImpl(double* x, size_t n, double pre, double post) {
+  constexpr size_t kInFlight = 8;  // vectors per interleaved block
   const V prev = V::Broadcast(pre);
   const V postv = V::Broadcast(post);
   size_t i = 0;
+  for (; i + 4 * kInFlight <= n; i += 4 * kInFlight) {
+    V v[kInFlight];
+    #pragma GCC unroll 8
+    for (size_t u = 0; u < kInFlight; ++u) {
+      v[u] = V::Mul(prev, V::Load(x + i + 4 * u));
+    }
+    ExpVN<V, kInFlight>(v);
+    #pragma GCC unroll 8
+    for (size_t u = 0; u < kInFlight; ++u) {
+      V::Mul(postv, v[u]).Store(x + i + 4 * u);
+    }
+  }
   for (; i + 4 <= n; i += 4)
     V::Mul(postv, ExpV<V>(V::Mul(prev, V::Load(x + i)))).Store(x + i);
   if (i < n) {
@@ -425,37 +462,41 @@ ptrdiff_t CholImpl(double* a, size_t n) {
   return -1;
 }
 
-/// Forward substitution on y (n x m) in place. Columns go in groups of 16
-/// whose slice of row i stays in four registers while rows j < i fold in;
-/// the tail columns stream whole row slices through Axpy. Both paths give
-/// each element the same sequence: fma(-l_ij, y_j, y_i) for ascending j
-/// with l_ij != 0, then a multiply by 1/l_ii.
+/// Forward substitution on y (n x m) in place. Columns go in groups of 32,
+/// then 16, whose slice of row i stays in eight (four) registers while
+/// rows j < i fold in; the tail columns stream whole row slices through
+/// Axpy. Every path gives each element the same sequence:
+/// fma(-l_ij, y_j, y_i) for ascending j with l_ij != 0, then a multiply
+/// by 1/l_ii.
+template <class V, size_t R>
+inline void SolveLowerGroup(const double* l, size_t n, double* y, size_t m,
+                            size_t g) {
+  for (size_t i = 0; i < n; ++i) {
+    const double* li = l + i * n;
+    double* yi = y + i * m + g;
+    V r[R];
+    #pragma GCC unroll 8
+    for (size_t t = 0; t < R; ++t) r[t] = V::Load(yi + 4 * t);
+    for (size_t j = 0; j < i; ++j) {
+      if (li[j] == 0.0) continue;
+      const V a = V::Broadcast(-li[j]);
+      const double* yj = y + j * m + g;
+      #pragma GCC unroll 8
+      for (size_t t = 0; t < R; ++t) {
+        r[t] = V::Fma(a, V::Load(yj + 4 * t), r[t]);
+      }
+    }
+    const V inv = V::Broadcast(1.0 / li[i]);
+    #pragma GCC unroll 8
+    for (size_t t = 0; t < R; ++t) V::Mul(inv, r[t]).Store(yi + 4 * t);
+  }
+}
+
 template <class V>
 void SolveLowerMultiImpl(const double* l, size_t n, double* y, size_t m) {
-  constexpr size_t kGroup = 16;
   size_t g = 0;
-  for (; g + kGroup <= m; g += kGroup) {
-    for (size_t i = 0; i < n; ++i) {
-      const double* li = l + i * n;
-      double* yi = y + i * m + g;
-      V r0 = V::Load(yi), r1 = V::Load(yi + 4);
-      V r2 = V::Load(yi + 8), r3 = V::Load(yi + 12);
-      for (size_t j = 0; j < i; ++j) {
-        if (li[j] == 0.0) continue;
-        const V a = V::Broadcast(-li[j]);
-        const double* yj = y + j * m + g;
-        r0 = V::Fma(a, V::Load(yj), r0);
-        r1 = V::Fma(a, V::Load(yj + 4), r1);
-        r2 = V::Fma(a, V::Load(yj + 8), r2);
-        r3 = V::Fma(a, V::Load(yj + 12), r3);
-      }
-      const V inv = V::Broadcast(1.0 / li[i]);
-      V::Mul(inv, r0).Store(yi);
-      V::Mul(inv, r1).Store(yi + 4);
-      V::Mul(inv, r2).Store(yi + 8);
-      V::Mul(inv, r3).Store(yi + 12);
-    }
-  }
+  for (; g + 32 <= m; g += 32) SolveLowerGroup<V, 8>(l, n, y, m, g);
+  for (; g + 16 <= m; g += 16) SolveLowerGroup<V, 4>(l, n, y, m, g);
   if (g == m) return;
   const size_t tail = m - g;
   for (size_t i = 0; i < n; ++i) {

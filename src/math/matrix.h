@@ -85,6 +85,13 @@ class Matrix {
   /// Overwrites row `r`; sizes must match.
   void SetRow(size_t r, const Vector& v);
 
+  /// Keeps the leading `rows` rows (added rows are zero). Shrinking never
+  /// reallocates.
+  void ResizeRows(size_t rows) {
+    data_.resize(rows * cols_);
+    rows_ = rows;
+  }
+
   Matrix Transpose() const;
 
   /// Matrix-matrix product; inner dimensions must agree.

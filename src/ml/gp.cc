@@ -482,40 +482,4 @@ GaussianProcess::BatchPrediction GaussianProcess::PredictBatch(
   return out;
 }
 
-double GaussianProcess::ComputeLogMarginalLikelihood(const math::Matrix& x,
-                                                     const math::Vector& y,
-                                                     const GpHyperparams& hp) {
-  if (x.rows() == 0 || x.rows() != y.size() ||
-      hp.log_lengthscales.size() != x.cols()) {
-    return -std::numeric_limits<double>::infinity();
-  }
-  math::Vector ys;
-  double y_mean = 0.0;
-  double y_std = 1.0;
-  Standardize(y, &ys, &y_mean, &y_std);
-
-  // Reference kernel build (per-pair exps) on purpose: this static entry
-  // point doubles as the benchmark baseline for the cached path.
-  const size_t n_pts = x.rows();
-  math::Matrix k(n_pts, n_pts);
-  for (size_t i = 0; i < n_pts; ++i) {
-    const math::Vector xi = x.Row(i);
-    for (size_t j = i; j < n_pts; ++j) {
-      const double v = ReferenceArdSqExp(xi, x.Row(j), hp);
-      k(i, j) = v;
-      k(j, i) = v;
-    }
-  }
-  k.AddToDiagonal(std::exp(hp.log_noise_variance) + 1e-10);
-
-  // Same jittered factorization as Fit, so the sampler's density and the
-  // retained fit cannot disagree near the positive-definiteness boundary.
-  auto chol = math::Cholesky::FactorWithJitter(k);
-  if (!chol.ok()) return -std::numeric_limits<double>::infinity();
-  const math::Vector alpha = chol->Solve(ys);
-  const double n = static_cast<double>(x.rows());
-  return -0.5 * ys.Dot(alpha) - 0.5 * chol->LogDeterminant() -
-         n * kHalfLog2Pi;
-}
-
 }  // namespace locat::ml

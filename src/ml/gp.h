@@ -88,8 +88,8 @@ class GpKernelCache {
     double log_marginal_likelihood = 0.0;
   };
 
-  /// Log marginal likelihood of the cached data under `hp` (same value as
-  /// `GaussianProcess::ComputeLogMarginalLikelihood`, jittered path).
+  /// Log marginal likelihood of the cached data under `hp`, through the
+  /// jittered factorization `GaussianProcess::Fit` uses.
   /// Returns -inf when the kernel cannot be factored even with jitter.
   /// Updates the lane state and memoizes the factorization of the last
   /// successful call; NOT thread-safe because of those writes.
@@ -205,15 +205,6 @@ class GaussianProcess {
   /// Log marginal likelihood of the fitted data under the fitted
   /// hyperparameters (up to the usual constant).
   double LogMarginalLikelihood() const { return log_marginal_likelihood_; }
-
-  /// Computes the log marginal likelihood for candidate hyperparameters
-  /// without retaining the fit. Uses the same jittered factorization path
-  /// as Fit, so the sampler and the fit agree on the density. Returns
-  /// -inf (lowest double) when the kernel matrix cannot be factored even
-  /// with jitter.
-  static double ComputeLogMarginalLikelihood(const math::Matrix& x,
-                                             const math::Vector& y,
-                                             const GpHyperparams& hp);
 
   bool fitted() const { return fitted_; }
   size_t num_points() const { return x_.rows(); }

@@ -16,6 +16,18 @@ void Kernel::EvaluateAgainstRows(const double* q, size_t dim,
   }
 }
 
+void Kernel::EvaluateBlock(const double* cols, size_t m, size_t dim,
+                           const double* rows, size_t nrows, size_t stride,
+                           double* out) const {
+  std::vector<double> point(dim);
+  for (size_t c = 0; c < m; ++c) {
+    for (size_t k = 0; k < dim; ++k) point[k] = cols[k * m + c];
+    for (size_t r = 0; r < nrows; ++r) {
+      out[r * m + c] = EvaluateData(point.data(), rows + r * stride, dim);
+    }
+  }
+}
+
 math::Matrix Kernel::GramMatrix(const math::Matrix& x) const {
   const size_t n = x.rows();
   math::Matrix k(n, n);
@@ -42,6 +54,20 @@ void GaussianKernel::EvaluateAgainstRows(const double* q, size_t dim,
                                          size_t stride, double* out) const {
   math::kern::SquaredDistanceRows(rows, nrows, dim, stride, q, out);
   math::kern::ExpScaled(out, nrows, pre_, 1.0);
+}
+
+void GaussianKernel::EvaluateBlock(const double* cols, size_t m, size_t dim,
+                                   const double* rows, size_t nrows,
+                                   size_t stride, double* out) const {
+  // Unit weights: fma(1*d, d, acc) is fma(d, d, acc), and d = row - point
+  // squares exactly as SquaredDistance's point - row, so each distance
+  // has its bits.
+  const std::vector<double> ones(dim, 1.0);
+  for (size_t r = 0; r < nrows; ++r) {
+    math::kern::WeightedSquaredDistanceCols(cols, m, dim, rows + r * stride,
+                                            ones.data(), out + r * m);
+  }
+  math::kern::ExpScaled(out, nrows * m, pre_, 1.0);
 }
 
 double PolynomialKernel::EvaluateData(const double* a, const double* b,

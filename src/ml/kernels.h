@@ -34,6 +34,16 @@ class Kernel {
                                    const double* rows, size_t nrows,
                                    size_t stride, double* out) const;
 
+  /// Cross-kernel block: out[r * m + c] = k(point_c, rows_r) for the `m`
+  /// points stored coordinate-major (coordinate k of point c at
+  /// cols[k * m + c]) and the `nrows` rows at `rows + r * stride`, all of
+  /// dimension `dim`. Each entry has the bits of EvaluateData(point_c,
+  /// rows_r). Default: gathers each point and loops over EvaluateData;
+  /// distance-based kernels override with column-batched distances.
+  virtual void EvaluateBlock(const double* cols, size_t m, size_t dim,
+                             const double* rows, size_t nrows, size_t stride,
+                             double* out) const;
+
   /// Convenience wrapper; vectors must have equal dimension.
   double Evaluate(const math::Vector& a, const math::Vector& b) const {
     assert(a.size() == b.size());
@@ -59,6 +69,9 @@ class GaussianKernel : public Kernel {
   void EvaluateAgainstRows(const double* q, size_t dim, const double* rows,
                            size_t nrows, size_t stride,
                            double* out) const override;
+  void EvaluateBlock(const double* cols, size_t m, size_t dim,
+                     const double* rows, size_t nrows, size_t stride,
+                     double* out) const override;
   std::string name() const override { return "gaussian"; }
   double bandwidth() const { return bandwidth_; }
 

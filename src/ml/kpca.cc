@@ -82,32 +82,78 @@ Status Kpca::Fit(const math::Matrix& x, const Kernel* kernel,
   return Status::OK();
 }
 
-math::Vector Kpca::CenteredKernelColumn(const math::Vector& x) const {
-  const size_t n = x_.rows();
-  assert(x.size() == x_.cols());
-  math::Vector kx(n);
-  double* kd = kx.data().data();
-  kernel_->EvaluateAgainstRows(x.data().data(), x_.cols(), x_.RowData(0), n,
-                               x_.cols(), kd);
-  const double kx_mean = math::kern::Sum(kd, n) / static_cast<double>(n);
-  // kx_i - kx_mean - row_means_i + gm, fused (in place: a == out is safe).
-  math::kern::SubtractShift(kd, row_means_.data().data(),
-                            kx_mean - grand_mean_, kd, n);
-  return kx;
+math::Vector Kpca::Project(const math::Vector& x) const {
+  math::Matrix row(1, x.size());
+  row.SetRow(0, x);
+  return ProjectRows(row).Row(0);
 }
 
-math::Vector Kpca::Project(const math::Vector& x) const {
+math::Matrix Kpca::ProjectRows(const math::Matrix& x) const {
   assert(fitted_);
-  const math::Vector kx = CenteredKernelColumn(x);
-  // z = alphas^T kx, accumulated row-wise so each pass is contiguous in
-  // the row-major alphas (the strided column walk thrashed the cache).
-  math::Vector z(static_cast<size_t>(num_components_));
-  double* zd = z.data().data();
+  assert(x.cols() == x_.cols());
+  constexpr size_t kBlock = 64;
+  const size_t rows = x.rows();
+  const size_t n = x_.rows();
+  const size_t d = x_.cols();
   const size_t m = static_cast<size_t>(num_components_);
-  for (size_t i = 0; i < x_.rows(); ++i) {
-    math::kern::Axpy(kx[i], alphas_.RowData(i), zd, m);
+  math::Matrix out(rows, m);
+  // Per-block scratch: the block's points coordinate-major (d x b), its
+  // kernel columns (n x b, centered in place), Sum's four lanes of each
+  // column, each point's centering shift, and z^T (m x b).
+  const size_t cap = std::min(kBlock, rows);
+  std::vector<double> cols(d * cap);
+  std::vector<double> k(n * cap);
+  std::vector<double> lanes(4 * cap);
+  std::vector<double> shift(cap);
+  std::vector<double> zt(m * cap);
+  const double* rm = row_means_.data().data();
+  const double n_rows = static_cast<double>(n);
+  for (size_t r0 = 0; r0 < rows; r0 += kBlock) {
+    const size_t b = std::min(kBlock, rows - r0);
+    for (size_t c = 0; c < b; ++c) {
+      const double* xc = x.RowData(r0 + c);
+      for (size_t j = 0; j < d; ++j) cols[j * b + c] = xc[j];
+    }
+    // Row i of the block holds k(x_c, x_i) for the block's points.
+    kernel_->EvaluateBlock(cols.data(), b, d, x_.RowData(0), n, d, k.data());
+    // Each point's kernel mean is kern::Sum over its column: lane i % 4
+    // takes row i in ascending i, the lanes combine as (l0 + l2) +
+    // (l1 + l3). The centered entry is (k_i - row_mean_i) - shift with
+    // shift = mean - grand_mean, SubtractShift's order.
+    std::fill(lanes.begin(), lanes.begin() + 4 * b, 0.0);
+    for (size_t i = 0; i < n; ++i) {
+      double* lane = lanes.data() + (i % 4) * b;
+      const double* ki = k.data() + i * b;
+      for (size_t c = 0; c < b; ++c) lane[c] = lane[c] + ki[c];
+    }
+    const double* l0 = lanes.data();
+    const double* l1 = l0 + b;
+    const double* l2 = l1 + b;
+    const double* l3 = l2 + b;
+    for (size_t c = 0; c < b; ++c) {
+      const double mean = ((l0[c] + l2[c]) + (l1[c] + l3[c])) / n_rows;
+      shift[c] = mean - grand_mean_;
+    }
+    for (size_t i = 0; i < n; ++i) {
+      double* ki = k.data() + i * b;
+      for (size_t c = 0; c < b; ++c) ki[c] = (ki[c] - rm[i]) - shift[c];
+    }
+    // z = alphas^T kc: component j folds fma(alpha_ij, kc_i, z_j) over
+    // ascending i, the per-point Axpy order.
+    std::fill(zt.begin(), zt.begin() + m * b, 0.0);
+    for (size_t i = 0; i < n; ++i) {
+      const double* ai = alphas_.RowData(i);
+      const double* ki = k.data() + i * b;
+      for (size_t j = 0; j < m; ++j) {
+        math::kern::Axpy(ai[j], ki, zt.data() + j * b, b);
+      }
+    }
+    for (size_t c = 0; c < b; ++c) {
+      double* zc = out.RowData(r0 + c);
+      for (size_t j = 0; j < m; ++j) zc[j] = zt[j * b + c];
+    }
   }
-  return z;
+  return out;
 }
 
 }  // namespace locat::ml

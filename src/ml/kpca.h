@@ -40,8 +40,15 @@ class Kpca {
   /// Number of retained components (latent dimension).
   int num_components() const { return num_components_; }
 
-  /// Projects a d-dimensional point to the latent space.
+  /// Projects a d-dimensional point to the latent space: the one-row case
+  /// of ProjectRows.
   math::Vector Project(const math::Vector& x) const;
+
+  /// Projects every row of `x` (rows x d) to the latent space; row r of
+  /// the result (rows x num_components()) depends only on row r of `x`,
+  /// so any batching gives the same bits. Works on blocks of 64 rows with
+  /// scratch reused across blocks.
+  math::Matrix ProjectRows(const math::Matrix& x) const;
 
   /// Fraction of spectrum mass captured by the retained components.
   double explained_variance_ratio() const { return explained_variance_; }
@@ -52,9 +59,6 @@ class Kpca {
   bool fitted() const { return fitted_; }
 
  private:
-  /// Centered kernel evaluations of `x` against all training rows.
-  math::Vector CenteredKernelColumn(const math::Vector& x) const;
-
   bool fitted_ = false;
   const Kernel* kernel_ = nullptr;
   math::Matrix x_;           // training samples

@@ -166,6 +166,11 @@ SparkConf ConfigSpace::DefaultConf() const {
 SparkConf ConfigSpace::FromUnit(const math::Vector& unit) const {
   assert(unit.size() == static_cast<size_t>(kNumParams));
   SparkConf conf;
+  FromUnit(unit.data().data(), &conf);
+  return conf;
+}
+
+void ConfigSpace::FromUnit(const double* unit, SparkConf* out) const {
   for (int i = 0; i < kNumParams; ++i) {
     const auto& s = specs_[static_cast<size_t>(i)];
     const double u = std::clamp(unit[static_cast<size_t>(i)], 0.0, 1.0);
@@ -176,24 +181,26 @@ SparkConf ConfigSpace::FromUnit(const math::Vector& unit) const {
     } else if (s.kind == ParamKind::kBool) {
       v = u >= 0.5 ? 1.0 : 0.0;
     }
-    conf.Set(static_cast<ParamId>(i), v);
+    out->Set(static_cast<ParamId>(i), v);
   }
-  return conf;
 }
 
 math::Vector ConfigSpace::ToUnit(const SparkConf& conf) const {
   math::Vector unit(kNumParams);
+  ToUnit(conf, unit.data().data());
+  return unit;
+}
+
+void ConfigSpace::ToUnit(const SparkConf& conf, double* out) const {
   for (int i = 0; i < kNumParams; ++i) {
     const double lo = lo_[static_cast<size_t>(i)];
     const double hi = hi_[static_cast<size_t>(i)];
     const double range = hi - lo;
-    unit[static_cast<size_t>(i)] =
-        range <= 0.0
-            ? 0.0
-            : std::clamp((conf.Get(static_cast<ParamId>(i)) - lo) / range,
-                         0.0, 1.0);
+    out[i] = range <= 0.0
+                 ? 0.0
+                 : std::clamp((conf.Get(static_cast<ParamId>(i)) - lo) / range,
+                              0.0, 1.0);
   }
-  return unit;
 }
 
 Status ConfigSpace::Validate(const SparkConf& conf) const {
@@ -234,6 +241,12 @@ Status ConfigSpace::Validate(const SparkConf& conf) const {
 
 SparkConf ConfigSpace::Repair(const SparkConf& input) const {
   SparkConf conf = input;
+  RepairInPlace(&conf);
+  return conf;
+}
+
+void ConfigSpace::RepairInPlace(SparkConf* out) const {
+  SparkConf& conf = *out;
   // Clamp everything into its Table 2 range first.
   for (int i = 0; i < kNumParams; ++i) {
     const auto& s = specs_[static_cast<size_t>(i)];
@@ -299,7 +312,6 @@ SparkConf ConfigSpace::Repair(const SparkConf& input) const {
     instances = std::max(instances, lo_[kExecutorInstances]);
   }
   conf.Set(kExecutorInstances, std::round(instances));
-  return conf;
 }
 
 SparkConf ConfigSpace::RandomValid(Rng* rng) const {

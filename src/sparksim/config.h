@@ -123,9 +123,13 @@ class ConfigSpace {
   /// Maps a point in the unit hypercube [0,1]^38 to a configuration:
   /// linear interpolation, integer rounding, 0.5-thresholded booleans.
   SparkConf FromUnit(const math::Vector& unit) const;
+  /// FromUnit into caller-owned storage: `unit` holds kNumParams entries.
+  void FromUnit(const double* unit, SparkConf* out) const;
 
   /// Inverse of FromUnit (booleans map to 0/1, degenerate ranges to 0).
   math::Vector ToUnit(const SparkConf& conf) const;
+  /// ToUnit into caller-owned storage of kNumParams entries.
+  void ToUnit(const SparkConf& conf, double* out) const;
 
   /// Checks Table 2 ranges plus Section 5.12 rules:
   ///  - executor.memory + memoryOverhead + offHeap.size <= container memory
@@ -136,6 +140,8 @@ class ConfigSpace {
   /// Clamps to ranges and scales memory/instances down until Validate
   /// passes. Always returns a valid configuration.
   SparkConf Repair(const SparkConf& conf) const;
+  /// Repair in place, without the copy.
+  void RepairInPlace(SparkConf* conf) const;
 
   /// Uniform random configuration over the ranges, repaired to validity.
   SparkConf RandomValid(Rng* rng) const;

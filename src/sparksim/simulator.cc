@@ -6,7 +6,6 @@
 #include <functional>
 #include <utility>
 
-#include "common/thread_pool.h"
 #include "sparksim/eval_cache.h"
 
 namespace locat::sparksim {
@@ -519,10 +518,10 @@ StatusOr<AppRunResult> ClusterSimulator::RunAppSubset(
 
   // Evaluate the noise-free cost model for all queries — ideally from one
   // app-level cache entry (one lock + one bulk copy for the whole run),
-  // otherwise concurrently through the per-query level. EvaluateQuery is
-  // deterministic per key and each slot is written by exactly one index,
-  // so the result is bit-identical for any thread count; noise is applied
-  // afterwards from the pre-drawn factors either way.
+  // otherwise query by query through the per-query level, on the calling
+  // thread: a query costs a few hundred nanoseconds, less than handing it
+  // to a pool. Noise is applied afterwards from the pre-drawn factors
+  // either way.
   const uint64_t conf_fp =
       eval_cache_ != nullptr ? FingerprintConf(conf) : 0;
   scratch_metrics_.resize(n);
@@ -547,7 +546,7 @@ StatusOr<AppRunResult> ClusterSimulator::RunAppSubset(
       // matches ApplyRunFaults below), and only insert when the run
       // survives.
       scratch_missed_.assign(n, 0);
-      common::ThreadPool::Global()->ParallelForEach(n, [&](size_t i) {
+      for (size_t i = 0; i < n; ++i) {
         const QueryProfile& q =
             app.queries[static_cast<size_t>(scratch_valid_[i])];
         const uint64_t qfp = FingerprintQuery(q);
@@ -558,7 +557,7 @@ StatusOr<AppRunResult> ClusterSimulator::RunAppSubset(
           scratch_metrics_[i] = SimulateQuery(q, conf, terms, datasize_gb);
           scratch_missed_[i] = 1;
         }
-      });
+      }
       const int kill_at = FaultKillIndex(faults_, scratch_fault_draws_.data(),
                                          scratch_metrics_.data(), n);
       if (kill_at < 0) {
@@ -578,11 +577,11 @@ StatusOr<AppRunResult> ClusterSimulator::RunAppSubset(
         }
       }
     } else {
-      common::ThreadPool::Global()->ParallelForEach(n, [&](size_t i) {
+      for (size_t i = 0; i < n; ++i) {
         scratch_metrics_[i] =
             EvaluateQuery(app.queries[static_cast<size_t>(scratch_valid_[i])],
                           conf, terms, datasize_gb, conf_fp);
-      });
+      }
       if (eval_cache_ != nullptr && n > 0) {
         eval_cache_->InsertApp(app_key, conf, datasize_gb, subset_fp,
                                eval_env_fp_, scratch_metrics_.data(), n);

@@ -298,8 +298,7 @@ class ClusterSimulator {
   /// Per-run scratch reused across RunAppSubset calls so the tuning hot
   /// loop stops allocating three vectors per evaluation. Safe because a
   /// simulator instance is driven from one thread at a time (the noise
-  /// RNG already requires that); the inner ThreadPool workers only write
-  /// disjoint slots.
+  /// RNG already requires that).
   std::vector<int> scratch_valid_;
   std::vector<double> scratch_noises_;
   std::vector<QueryMetrics> scratch_metrics_;

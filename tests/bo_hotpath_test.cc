@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "acquisition_reference.h"
+#include "gp_reference.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/dagp.h"
@@ -84,7 +85,8 @@ TEST(SolveLowerMatrixTest, MatchesPerColumnSolveLower) {
   const auto chol = math::Cholesky::Factor(a);
   ASSERT_TRUE(chol.ok());
 
-  for (size_t m : {1u, 7u, 16u, 17u, 40u}) {
+  for (size_t m : {1u, 7u, 16u, 17u, 31u, 32u, 33u, 40u, 48u, 64u, 65u,
+                   97u}) {
     Matrix b(n, m);
     for (size_t i = 0; i < n; ++i) {
       for (size_t c = 0; c < m; ++c) b(i, c) = rng.NextGaussian();
@@ -96,8 +98,15 @@ TEST(SolveLowerMatrixTest, MatchesPerColumnSolveLower) {
       Vector col(n);
       for (size_t i = 0; i < n; ++i) col[i] = b(i, c);
       const Vector ref = chol->SolveLower(col);
+      // Solved alone, the column takes the Axpy tail path; inside the
+      // block it rode a 32- or 16-column group or the tail. Same bits.
+      Vector alone = col;
+      math::kern::SolveLowerMatrixInPlace(chol->L().RowData(0), n,
+                                          alone.data().data(), 1);
       for (size_t i = 0; i < n; ++i) {
         EXPECT_NEAR(y(i, c), ref[i], 1e-12)
+            << "m " << m << " col " << c << " row " << i;
+        EXPECT_EQ(y(i, c), alone[i])
             << "m " << m << " col " << c << " row " << i;
       }
     }
@@ -330,7 +339,7 @@ TEST(GpKernelCacheTest, LogMarginalLikelihoodMatchesReference) {
     hp.log_noise_variance -= 0.2 * t;
     const double cached = cache.LogMarginalLikelihood(hp);
     const double ref =
-        GaussianProcess::ComputeLogMarginalLikelihood(x, y, hp);
+        testutil::ReferenceLogMarginalLikelihood(x, y, hp);
     EXPECT_NEAR(cached, ref, 1e-8 * std::abs(ref)) << "variant " << t;
   }
 }
@@ -414,7 +423,7 @@ TEST(GpKernelCacheTest, DegenerateKernelStillFactorsWithJitter) {
   hp.log_noise_variance = -40.0;
   GpKernelCache cache(x, y);
   const double cached = cache.LogMarginalLikelihood(hp);
-  const double ref = GaussianProcess::ComputeLogMarginalLikelihood(x, y, hp);
+  const double ref = testutil::ReferenceLogMarginalLikelihood(x, y, hp);
   EXPECT_TRUE(std::isfinite(cached));
   EXPECT_TRUE(std::isfinite(ref));
   EXPECT_NEAR(cached, ref, 1e-6 * std::max(1.0, std::abs(ref)));
@@ -932,9 +941,9 @@ TEST(SparseGpTest, DagpSparseModeRefitsOnIncumbentSeededSubset) {
   // is the GLOBAL best, not merely the subset's.
   EXPECT_EQ(dagp.model().best_observed(), std::log(best_seconds));
   // The subset surrogate stays usable for acquisition + prediction.
-  Vector probe(3, 0.5);
-  EXPECT_TRUE(std::isfinite(dagp.ExpectedImprovementBatch({probe}, 100.0)[0]));
-  EXPECT_GT(dagp.PredictBatch({probe}, {100.0})[0].seconds, 0.0);
+  const Matrix probe(1, 3, 0.5);
+  EXPECT_TRUE(std::isfinite(dagp.ExpectedImprovementBatch(probe, 100.0)[0]));
+  EXPECT_GT(dagp.PredictBatch(probe, {100.0})[0].seconds, 0.0);
 
   // Past the cap the growth schedule still applies: the next same-size
   // row is appended onto the subset model.
@@ -1018,15 +1027,16 @@ TEST(BoHotPathTest, LongHorizonTuneCompletes) {
   while (dagp.num_observations() < 1050) {
     // One EI-proposed point per round (the tuner's candidate sweep in
     // miniature), plus random exploration to advance the horizon fast.
-    std::vector<Vector> cands(16, Vector(d));
-    for (auto& c : cands)
-      for (size_t j = 0; j < d; ++j) c[j] = rng.NextDouble();
+    Matrix cands(16, d);
+    for (size_t i = 0; i < cands.rows(); ++i)
+      for (size_t j = 0; j < d; ++j) cands(i, j) = rng.NextDouble();
     const Vector ei = dagp.ExpectedImprovementBatch(cands, ds);
     size_t best = 0;
-    for (size_t i = 1; i < cands.size(); ++i)
+    for (size_t i = 1; i < cands.rows(); ++i)
       if (ei[i] > ei[best]) best = i;
     ASSERT_TRUE(std::isfinite(ei[best]));
-    dagp.AddObservation(cands[best], ds, objective(cands[best]));
+    const Vector chosen = cands.Row(best);
+    dagp.AddObservation(chosen, ds, objective(chosen));
     add_random(15);
     ASSERT_TRUE(dagp.Refit(&rng).ok());
     const size_t n = static_cast<size_t>(dagp.num_observations());
@@ -1054,7 +1064,10 @@ TEST(BoHotPathTest, LongHorizonTuneCompletes) {
   for (size_t j = 0; j < d; ++j)
     good[j] = 0.2 + 0.1 * static_cast<double>(j);
   Vector bad(d, 0.95);
-  const auto preds = dagp.PredictBatch({good, bad}, {ds, ds});
+  Matrix pair(2, d);
+  pair.SetRow(0, good);
+  pair.SetRow(1, bad);
+  const auto preds = dagp.PredictBatch(pair, {ds, ds});
   EXPECT_LT(preds[0].seconds, preds[1].seconds);
 }
 

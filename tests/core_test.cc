@@ -1,4 +1,6 @@
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -106,8 +108,18 @@ TEST(IicpTest, EncodeDimensionMatchesLatent) {
   Vector unit(sparksim::kNumParams, 0.5);
   EXPECT_EQ(result->Encode(unit).size(),
             static_cast<size_t>(result->latent_dim()));
-  EXPECT_EQ(result->SelectDims(unit).size(),
-            result->selected_params().size());
+  // The batched encoding gives every row Encode's bits.
+  const Matrix encoded = result->EncodeRows(confs);
+  ASSERT_EQ(encoded.rows(), confs.rows());
+  ASSERT_EQ(encoded.cols(), static_cast<size_t>(result->latent_dim()));
+  for (size_t i = 0; i < confs.rows(); ++i) {
+    const Vector ref = result->Encode(confs.Row(i));
+    for (size_t j = 0; j < ref.size(); ++j) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(encoded(i, j)),
+                std::bit_cast<uint64_t>(ref[j]))
+          << "row " << i << " component " << j;
+    }
+  }
 }
 
 TEST(IicpTest, NeverReturnsEmptySelection) {
@@ -142,8 +154,8 @@ TEST(DagpTest, LearnsDatasizeTrend) {
     dagp.AddObservation(conf, ds, 10.0 * ds / 1000.0 * 100.0);
   }
   ASSERT_TRUE(dagp.Refit(&rng).ok());
-  const Vector probe(3, 0.5);
-  const auto preds = dagp.PredictBatch({probe, probe}, {100.0, 500.0});
+  const Matrix probes(2, 3, 0.5);
+  const auto preds = dagp.PredictBatch(probes, {100.0, 500.0});
   EXPECT_GT(preds[1].seconds, 2.0 * preds[0].seconds);
 }
 
@@ -155,7 +167,7 @@ TEST(DagpTest, EiNonNegativeAndBestTracksMinimum) {
   dagp.AddObservation(Vector{0.5}, 100.0, 90.0);
   ASSERT_TRUE(dagp.Refit(&rng).ok());
   EXPECT_DOUBLE_EQ(std::exp(dagp.model().best_observed()), 60.0);
-  const Vector ei = dagp.ExpectedImprovementBatch({Vector{0.9}}, 100.0);
+  const Vector ei = dagp.ExpectedImprovementBatch(Matrix{{0.9}}, 100.0);
   ASSERT_EQ(ei.size(), 1u);
   EXPECT_TRUE(std::isfinite(ei[0]));
   EXPECT_GE(ei[0], 0.0);
@@ -219,6 +231,23 @@ LocatTuner::Options TinyLocatOptions() {
   opts.candidates = 60;
   opts.seed = 9;
   return opts;
+}
+
+// The near-duplicate scan compares squared distances against
+// kNearDuplicateSq instead of taking sqrt(d2) < 0.05: a pair at exactly
+// that squared distance is kept, one at its predecessor is dropped, and
+// the two tests agree on every value around the boundary. The naive
+// 0.05 * 0.05 is one ulp higher and would drop the kept pair.
+TEST(LocatTunerTest, NearDuplicateThresholdMatchesSqrtTest) {
+  const double t = LocatTuner::kNearDuplicateSq;
+  EXPECT_FALSE(std::sqrt(t) < 0.05);
+  EXPECT_TRUE(std::sqrt(std::nextafter(t, 0.0)) < 0.05);
+  EXPECT_LT(t, 0.05 * 0.05);
+  double d2 = t;
+  for (int i = 0; i < 64; ++i) d2 = std::nextafter(d2, 0.0);
+  for (int i = 0; i < 128; ++i, d2 = std::nextafter(d2, 1.0)) {
+    EXPECT_EQ(d2 < t, std::sqrt(d2) < 0.05) << d2;
+  }
 }
 
 TEST(LocatTunerTest, ColdStartProducesAllStages) {

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -232,8 +233,17 @@ TEST(KernExp, MatchesLibmClosely) {
 
 TEST(KernExp, ScalarEntryMatchesVectorLanes) {
   Rng rng(6);
-  const size_t n = 64;
+  // 71 = two interleaved 32-element blocks, one single vector and a
+  // 3-element padded tail: every ExpScaled path, plus the saturation,
+  // clamp, flush and NaN edges.
+  const size_t n = 71;
   auto x = RandomVec(&rng, n, 10.0);
+  x[3] = 800.0;
+  x[9] = 708.0;
+  x[17] = -746.0;
+  x[30] = -708.5;
+  x[41] = std::numeric_limits<double>::quiet_NaN();
+  x[69] = -1000.0;
   CompareBackends([&](bool) {
     auto y = x;
     ExpScaled(y.data(), n, 1.0, 1.0);
@@ -279,7 +289,8 @@ TEST(KernBackendEquality, Gemm) {
 /// plus a tail.
 void ExpectCholeskyAndSolveBackendEqual(const Matrix& spd, Rng* rng) {
   const size_t n = spd.rows();
-  for (size_t m : {1u, 6u, 16u, 17u, 40u}) {
+  for (size_t m : {1u, 6u, 16u, 17u, 31u, 32u, 33u, 40u, 48u, 64u, 65u,
+                   97u}) {
     const auto rhs = RandomVec(rng, n * m);
     std::vector<double> ref_l, ref_y;
     CompareBackends([&](bool is_reference) {
