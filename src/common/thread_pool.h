@@ -13,9 +13,10 @@ namespace locat::common {
 
 /// A deliberately simple fixed-size thread pool: one mutex-protected task
 /// queue, no work stealing. It exists for the BO hot path (EI-MCMC ensemble
-/// fits, acquisition-pool scoring, simulator query fan-out), where the work
-/// items are chunky enough that queue contention is irrelevant and where
-/// *determinism* matters more than the last few percent of throughput.
+/// member fits and batched predictions), the experiment grid and the serve
+/// drivers, where the work items are chunky enough that queue contention is
+/// irrelevant and where *determinism* matters more than the last few
+/// percent of throughput.
 ///
 /// Determinism contract: `ParallelFor` partitions [0, n) into contiguous
 /// blocks, each index is executed exactly once, and no reduction happens

@@ -84,8 +84,7 @@ class ExperimentRunner {
   /// Inserts (or overwrites) a cell result, marking the cache dirty.
   void InsertResult(const CellSpec& spec, const CellResult& result);
 
-  /// Always zero: the runner no longer memoizes simulator evaluations
-  /// (on the grid the eval cache cost more than it saved). The accessor
+  /// Always zero: the simulator has no evaluation cache. The accessor
   /// stays until perfbench's grid-sim workload stops reading it.
   sparksim::EvalCacheStats sim_cache_stats() const { return {}; }
 

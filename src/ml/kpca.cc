@@ -44,21 +44,21 @@ Status Kpca::Fit(const math::Matrix& x, const Kernel* kernel,
 
   auto eig = math::JacobiEigenSymmetric(kc);
   if (!eig.ok()) return eig.status();
-  eigenvalues_ = eig->eigenvalues;
+  const math::Vector& eigenvalues = eig->eigenvalues;  // descending
 
   // Total positive spectrum mass.
   double total = 0.0;
-  for (size_t i = 0; i < n; ++i) total += std::max(0.0, eigenvalues_[i]);
+  for (size_t i = 0; i < n; ++i) total += std::max(0.0, eigenvalues[i]);
   if (total <= 0.0) {
     return Status::FailedPrecondition("degenerate kernel matrix (zero spectrum)");
   }
-  const double floor = options.eigenvalue_floor * std::max(eigenvalues_[0], 0.0);
+  const double floor = options.eigenvalue_floor * std::max(eigenvalues[0], 0.0);
 
   int m = 0;
   double covered = 0.0;
   for (size_t i = 0; i < n; ++i) {
-    if (eigenvalues_[i] <= floor) break;
-    covered += eigenvalues_[i];
+    if (eigenvalues[i] <= floor) break;
+    covered += eigenvalues[i];
     ++m;
     if (covered / total >= options.variance_to_retain) break;
     if (options.max_components > 0 && m >= options.max_components) break;
@@ -71,7 +71,7 @@ Status Kpca::Fit(const math::Matrix& x, const Kernel* kernel,
   // ||alpha_m||^2 = 1/lambda_m.
   alphas_ = math::Matrix(n, static_cast<size_t>(m));
   for (int c = 0; c < m; ++c) {
-    const double lambda = eigenvalues_[static_cast<size_t>(c)];
+    const double lambda = eigenvalues[static_cast<size_t>(c)];
     const double scale = 1.0 / std::sqrt(lambda);
     for (size_t r = 0; r < n; ++r) {
       alphas_(r, static_cast<size_t>(c)) =

@@ -53,9 +53,6 @@ class Kpca {
   /// Fraction of spectrum mass captured by the retained components.
   double explained_variance_ratio() const { return explained_variance_; }
 
-  /// Eigenvalues of the centered Gram matrix (descending, all of them).
-  const math::Vector& eigenvalues() const { return eigenvalues_; }
-
   bool fitted() const { return fitted_; }
 
  private:
@@ -63,7 +60,6 @@ class Kpca {
   const Kernel* kernel_ = nullptr;
   math::Matrix x_;           // training samples
   math::Matrix alphas_;      // n x m, column m = normalized eigenvector m
-  math::Vector eigenvalues_; // all eigenvalues, descending
   math::Vector row_means_;   // (1/n) sum_j K(i, j)
   double grand_mean_ = 0.0;  // (1/n^2) sum_ij K(i, j)
   int num_components_ = 0;

@@ -68,7 +68,6 @@ class FlightRecorder {
   uint64_t total_recorded() const {
     return next_seq_.load(std::memory_order_relaxed);
   }
-  size_t capacity() const { return capacity_; }
 
   /// --- process-global instance & crash handlers -----------------------
   /// The global recorder is what the SIGSEGV/SIGABRT handlers dump; it is

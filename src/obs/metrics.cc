@@ -130,16 +130,6 @@ Counter* MetricsRegistry::GetCounter(const std::string& name,
   return it->second.get();
 }
 
-Gauge* MetricsRegistry::GetGauge(const std::string& name,
-                                 const std::string& help) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = gauges_.find(name);
-  if (it == gauges_.end()) {
-    it = gauges_.emplace(name, std::make_unique<Gauge>(name, help)).first;
-  }
-  return it->second.get();
-}
-
 Histogram* MetricsRegistry::GetHistogram(const std::string& name,
                                          const std::string& help,
                                          std::vector<double> upper_bounds) {
@@ -240,10 +230,6 @@ void MetricsRegistry::WritePrometheus(std::ostream& os) const {
          << FormatNumber(child->value()) << "\n";
     }
   }
-  for (const auto& [name, g] : gauges_) {
-    WriteHeader(os, name, g->help(), "gauge");
-    os << name << " " << FormatNumber(g->value()) << "\n";
-  }
   for (const auto& [name, h] : histograms_) {
     WriteHeader(os, name, h->help(), "histogram");
     WriteHistogramSamples(os, name, LabelSet(), *h);
@@ -264,13 +250,6 @@ void MetricsRegistry::WriteJson(std::ostream& os) const {
     if (!first) os << ",";
     first = false;
     os << "\"" << JsonEscape(name) << "\":" << FormatNumber(c->value());
-  }
-  os << "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, g] : gauges_) {
-    if (!first) os << ",";
-    first = false;
-    os << "\"" << JsonEscape(name) << "\":" << FormatNumber(g->value());
   }
   os << "},\"histograms\":{";
   first = true;

@@ -36,24 +36,6 @@ class Counter {
   std::atomic<double> value_{0.0};
 };
 
-/// Point-in-time value that may go up or down. Thread-safe.
-class Gauge {
- public:
-  Gauge(std::string name, std::string help)
-      : name_(std::move(name)), help_(std::move(help)) {}
-
-  void Set(double value) { value_.store(value, std::memory_order_relaxed); }
-  void Add(double delta) { value_.fetch_add(delta, std::memory_order_relaxed); }
-  double value() const { return value_.load(std::memory_order_relaxed); }
-  const std::string& name() const { return name_; }
-  const std::string& help() const { return help_; }
-
- private:
-  std::string name_;
-  std::string help_;
-  std::atomic<double> value_{0.0};
-};
-
 /// Fixed-bucket histogram (Prometheus classic histogram semantics:
 /// cumulative `le` buckets plus an implicit +Inf, with _sum and _count).
 ///
@@ -154,11 +136,10 @@ class HistogramFamily {
 /// cache the pointer at wiring time so the hot path is a single atomic
 /// add. Exports as Prometheus text exposition format and as JSON. A
 /// metric name must not be reused across kinds (plain vs family, counter
-/// vs gauge, ...) — the exposition self-check rejects such output.
+/// vs histogram, ...) — the exposition self-check rejects such output.
 class MetricsRegistry {
  public:
   Counter* GetCounter(const std::string& name, const std::string& help = "");
-  Gauge* GetGauge(const std::string& name, const std::string& help = "");
   /// Returns the existing histogram when `name` was registered before
   /// (the bounds of the first registration win).
   Histogram* GetHistogram(const std::string& name, const std::string& help,
@@ -177,7 +158,7 @@ class MetricsRegistry {
   void WritePrometheus(std::ostream& os) const;
 
   /// Flat JSON object:
-  /// {"counters":{...},"gauges":{...},"histograms":{...},
+  /// {"counters":{...},"histograms":{...},
   ///  "families":{"<name>":{"kind":...,"children":[{"labels":{...},...}]}}}
   /// Histogram entries carry bucket counts plus derived p50/p95/p99.
   void WriteJson(std::ostream& os) const;
@@ -185,7 +166,6 @@ class MetricsRegistry {
  private:
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
   std::map<std::string, std::unique_ptr<CounterFamily>> counter_families_;
   std::map<std::string, std::unique_ptr<HistogramFamily>> histogram_families_;

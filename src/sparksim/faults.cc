@@ -2,36 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "sparksim/simulator.h"
 
 namespace locat::sparksim {
-namespace {
-
-// Local copies of the eval-cache mixers: faults.cc must not depend on
-// eval_cache.cc internals, but the fingerprints feed the same key space.
-uint64_t SplitMix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-uint64_t MixWord(uint64_t h, uint64_t w) {
-  h ^= SplitMix64(w);
-  h *= 1099511628211ULL;
-  return h;
-}
-
-uint64_t MixDouble(uint64_t h, double v) {
-  uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  return MixWord(h, bits);
-}
-
-}  // namespace
 
 FaultSpec FaultSpec::Off() { return FaultSpec{}; }
 
@@ -72,38 +46,9 @@ StatusOr<FaultSpec> FaultSpec::FromName(const std::string& name,
                                  "' (expected off|light|heavy)");
 }
 
-uint64_t FingerprintFaultSpec(const FaultSpec& spec) {
-  if (!spec.enabled()) return 0;
-  uint64_t h = SplitMix64(0xfa017c75ULL);
-  h = MixWord(h, static_cast<uint64_t>(spec.level));
-  h = MixWord(h, spec.seed);
-  h = MixDouble(h, spec.executor_loss_prob);
-  h = MixDouble(h, spec.executor_loss_frac);
-  h = MixDouble(h, spec.straggler_prob);
-  h = MixDouble(h, spec.straggler_mult);
-  h = MixDouble(h, spec.fetch_failure_prob);
-  h = MixDouble(h, spec.kill_severity);
-  h = MixDouble(h, spec.kill_prob);
-  // A live spec must never collide with the "faults off" sentinel.
-  return h == 0 ? 1 : h;
-}
-
 void DrawRunFaults(Rng* rng, size_t num_queries, double* draws) {
   const size_t total = FaultDrawCount(num_queries);
   for (size_t i = 0; i < total; ++i) draws[i] = rng->NextDouble();
-}
-
-int FaultKillIndex(const FaultSpec& spec, const double* draws,
-                   const QueryMetrics* metrics, size_t count) {
-  if (!spec.enabled()) return -1;
-  for (size_t i = 0; i < count; ++i) {
-    const double* qd = draws + kFaultDrawsPerRun + kFaultDrawsPerQuery * i;
-    if (metrics[i].oom_severity >= spec.kill_severity &&
-        qd[3] < spec.kill_prob) {
-      return static_cast<int>(i);
-    }
-  }
-  return -1;
 }
 
 FaultOutcome ApplyRunFaults(const FaultSpec& spec, const double* draws,

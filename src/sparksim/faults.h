@@ -22,7 +22,7 @@ enum class FaultLevel { kOff = 0, kLight = 1, kHeavy = 2 };
 /// is *static* — it fixes probabilities and magnitudes; the per-run fault
 /// schedule is drawn from a dedicated RNG stream (seeded by `seed`) in
 /// strict run order, so the same spec + seed reproduces the same faults
-/// for any thread count and with the eval cache on or off.
+/// for any thread count.
 struct FaultSpec {
   FaultLevel level = FaultLevel::kOff;
   /// Seed of the fault stream (independent of the simulator noise seed so
@@ -58,12 +58,6 @@ struct FaultSpec {
   static StatusOr<FaultSpec> FromName(const std::string& name, uint64_t seed);
 };
 
-/// Content fingerprint of a fault plan, folded into the simulator's cache
-/// environment fingerprint so cached entries are never shared across
-/// fault plans. Exactly 0 for a disabled spec: faults off keeps the
-/// pre-fault cache key space bit-for-bit.
-uint64_t FingerprintFaultSpec(const FaultSpec& spec);
-
 /// Cumulative fault-event counters of one simulator (exported as
 /// locat_sim_faults_* metrics by the CLI).
 struct FaultStats {
@@ -78,7 +72,7 @@ struct FaultStats {
 /// (loss event, loss magnitude, loss point) plus 4 per query (straggler
 /// event, straggler magnitude, fetch failure, kill). The count never
 /// depends on outcomes, so the fault RNG stream is identical across
-/// cache hits and thread counts.
+/// thread counts.
 constexpr size_t kFaultDrawsPerRun = 3;
 constexpr size_t kFaultDrawsPerQuery = 4;
 constexpr size_t FaultDrawCount(size_t num_queries) {
@@ -101,16 +95,9 @@ struct FaultOutcome {
   uint64_t fetch_failures = 0;
 };
 
-/// Index of the query that kills the app under this schedule, or -1. Pure
-/// function of the *noise-free* severities and the pre-drawn uniforms, so
-/// callers can decide cache admission before noise or faults are applied
-/// (failed runs must bypass the eval cache's noise-free entries).
-int FaultKillIndex(const FaultSpec& spec, const double* draws,
-                   const QueryMetrics* metrics, size_t count);
-
 /// Applies the schedule to `metrics[0..count)` in place (after noise):
 /// executor-loss capacity stretch, fetch-failure stage retries, straggler
-/// multipliers, then the hard kill (consistent with FaultKillIndex).
+/// multipliers, then the hard kill.
 /// `executors_requested` sizes the executor-loss count.
 FaultOutcome ApplyRunFaults(const FaultSpec& spec, const double* draws,
                             int executors_requested, QueryMetrics* metrics,

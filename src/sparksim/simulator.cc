@@ -6,8 +6,6 @@
 #include <functional>
 #include <utility>
 
-#include "sparksim/eval_cache.h"
-
 namespace locat::sparksim {
 namespace {
 
@@ -47,19 +45,12 @@ std::string NumArg(const char* key, double value) {
 
 ClusterSimulator::ClusterSimulator(const ClusterSpec& cluster, uint64_t seed,
                                    SimParams params)
-    : cluster_(cluster),
-      params_(params),
-      noise_rng_(seed),
-      env_fp_(CombineEnvFingerprint(FingerprintCluster(cluster_),
-                                    FingerprintSimParams(params_))) {
-  eval_env_fp_ = env_fp_;
-}
+    : cluster_(cluster), params_(params), noise_rng_(seed) {}
 
 void ClusterSimulator::set_faults(const FaultSpec& spec) {
   faults_ = spec;
   fault_rng_ = Rng(spec.seed);
   fault_stats_ = FaultStats{};
-  eval_env_fp_ = CombineFaultFingerprint(env_fp_, FingerprintFaultSpec(spec));
 }
 
 ClusterSimulator::ConfTerms ClusterSimulator::DeriveConfTerms(
@@ -407,45 +398,6 @@ void ClusterSimulator::ApplyNoise(QueryMetrics* m, double noise) {
   m->gc_seconds *= noise;
 }
 
-QueryMetrics ClusterSimulator::EvaluateQuery(const QueryProfile& query,
-                                             const SparkConf& conf,
-                                             const ConfTerms& terms,
-                                             double datasize_gb,
-                                             uint64_t conf_fp) const {
-  if (eval_cache_ == nullptr) {
-    return SimulateQuery(query, conf, terms, datasize_gb);
-  }
-  const uint64_t query_fp = FingerprintQuery(query);
-  const uint64_t fp =
-      CombineEvalFingerprint(conf_fp, eval_env_fp_, query_fp, datasize_gb);
-  QueryMetrics m;
-  if (eval_cache_->Lookup(fp, conf, datasize_gb, query_fp, eval_env_fp_, &m)) {
-    return m;
-  }
-  m = SimulateQuery(query, conf, terms, datasize_gb);
-  eval_cache_->Insert(fp, conf, datasize_gb, query_fp, eval_env_fp_, m);
-  return m;
-}
-
-uint64_t ClusterSimulator::AppFingerprint(const SparkSqlApp& app) {
-  const void* data = static_cast<const void*>(app.queries.data());
-  const size_t size = app.queries.size();
-  uint64_t guard = 0;
-  if (size > 0) {
-    guard = FingerprintQuery(app.queries.front()) * 31 +
-            FingerprintQuery(app.queries.back());
-  }
-  if (data == app_fp_queries_data_ && size == app_fp_queries_size_ &&
-      guard == app_fp_guard_) {
-    return app_fp_;
-  }
-  app_fp_ = FingerprintApp(app);
-  app_fp_queries_data_ = data;
-  app_fp_queries_size_ = size;
-  app_fp_guard_ = guard;
-  return app_fp_;
-}
-
 QueryMetrics ClusterSimulator::RunQuery(const QueryProfile& query,
                                         const SparkConf& conf,
                                         double datasize_gb) {
@@ -453,10 +405,8 @@ QueryMetrics ClusterSimulator::RunQuery(const QueryProfile& query,
   const double noise = params_.noise_sigma > 0.0
                            ? noise_rng_.LognormalNoise(params_.noise_sigma)
                            : 1.0;
-  const uint64_t conf_fp =
-      eval_cache_ != nullptr ? FingerprintConf(conf) : 0;
   QueryMetrics m =
-      EvaluateQuery(query, conf, DeriveConfTerms(conf), datasize_gb, conf_fp);
+      SimulateQuery(query, conf, DeriveConfTerms(conf), datasize_gb);
   ApplyNoise(&m, noise);
   return m;
 }
@@ -494,102 +444,29 @@ StatusOr<AppRunResult> ClusterSimulator::RunAppSubset(
   }
   obs::ScopedSpan app_span(tracer_, "sim/app", "sim");
 
-  scratch_valid_.assign(query_indices.begin(), query_indices.end());
-  const size_t n = scratch_valid_.size();
+  const size_t n = query_indices.size();
 
-  // Draw every noise factor up front, in exactly the order the sequential
-  // per-query loop drew them: the RNG stream (and runs_performed_) must
-  // not depend on how the evaluations below are scheduled.
-  scratch_noises_.assign(n, 1.0);
-  for (size_t i = 0; i < n; ++i) {
-    ++runs_performed_;
-    if (params_.noise_sigma > 0.0) {
-      scratch_noises_[i] = noise_rng_.LognormalNoise(params_.noise_sigma);
-    }
-  }
   // Fault draws come from their own stream, with a fixed count per run
-  // (independent of outcomes), so the schedule is identical across cache
-  // hits and thread counts.
+  // (independent of outcomes), so they never perturb the noise draws.
   const bool faults_on = faults_.enabled();
   if (faults_on) {
     scratch_fault_draws_.resize(FaultDrawCount(n));
     DrawRunFaults(&fault_rng_, n, scratch_fault_draws_.data());
   }
 
-  // Evaluate the noise-free cost model for all queries — ideally from one
-  // app-level cache entry (one lock + one bulk copy for the whole run),
-  // otherwise query by query through the per-query level, on the calling
-  // thread: a query costs a few hundred nanoseconds, less than handing it
-  // to a pool. Noise is applied afterwards from the pre-drawn factors
-  // either way.
-  const uint64_t conf_fp =
-      eval_cache_ != nullptr ? FingerprintConf(conf) : 0;
+  // The noise-free cost model, query by query, each scaled by its own
+  // noise draw.
+  const ConfTerms terms = DeriveConfTerms(conf);
   scratch_metrics_.resize(n);
-  uint64_t subset_fp = 0;
-  uint64_t app_key = 0;
-  bool served = false;
-  if (eval_cache_ != nullptr && n > 0) {
-    subset_fp =
-        CombineSubsetFingerprint(AppFingerprint(app), scratch_valid_.data(), n);
-    app_key =
-        CombineEvalFingerprint(conf_fp, eval_env_fp_, subset_fp, datasize_gb);
-    served = eval_cache_->LookupApp(app_key, conf, datasize_gb, subset_fp,
-                                    eval_env_fp_, n, scratch_metrics_.data());
-  }
-  if (!served) {
-    const ConfTerms terms = DeriveConfTerms(conf);
-    if (faults_on && eval_cache_ != nullptr) {
-      // Deferred-insert path: a run this fault schedule kills must not
-      // populate the noise-free cache at either level. Look up per-query
-      // entries without inserting, decide the kill on the noise-free
-      // severities (noise never changes oom_severity, so the decision
-      // matches ApplyRunFaults below), and only insert when the run
-      // survives.
-      scratch_missed_.assign(n, 0);
-      for (size_t i = 0; i < n; ++i) {
-        const QueryProfile& q =
-            app.queries[static_cast<size_t>(scratch_valid_[i])];
-        const uint64_t qfp = FingerprintQuery(q);
-        const uint64_t fp =
-            CombineEvalFingerprint(conf_fp, eval_env_fp_, qfp, datasize_gb);
-        if (!eval_cache_->Lookup(fp, conf, datasize_gb, qfp, eval_env_fp_,
-                                 &scratch_metrics_[i])) {
-          scratch_metrics_[i] = SimulateQuery(q, conf, terms, datasize_gb);
-          scratch_missed_[i] = 1;
-        }
-      }
-      const int kill_at = FaultKillIndex(faults_, scratch_fault_draws_.data(),
-                                         scratch_metrics_.data(), n);
-      if (kill_at < 0) {
-        for (size_t i = 0; i < n; ++i) {
-          if (scratch_missed_[i] == 0) continue;
-          const QueryProfile& q =
-              app.queries[static_cast<size_t>(scratch_valid_[i])];
-          const uint64_t qfp = FingerprintQuery(q);
-          const uint64_t fp =
-              CombineEvalFingerprint(conf_fp, eval_env_fp_, qfp, datasize_gb);
-          eval_cache_->Insert(fp, conf, datasize_gb, qfp, eval_env_fp_,
-                              scratch_metrics_[i]);
-        }
-        if (n > 0) {
-          eval_cache_->InsertApp(app_key, conf, datasize_gb, subset_fp,
-                                 eval_env_fp_, scratch_metrics_.data(), n);
-        }
-      }
-    } else {
-      for (size_t i = 0; i < n; ++i) {
-        scratch_metrics_[i] =
-            EvaluateQuery(app.queries[static_cast<size_t>(scratch_valid_[i])],
-                          conf, terms, datasize_gb, conf_fp);
-      }
-      if (eval_cache_ != nullptr && n > 0) {
-        eval_cache_->InsertApp(app_key, conf, datasize_gb, subset_fp,
-                               eval_env_fp_, scratch_metrics_.data(), n);
-      }
-    }
-  }
   for (size_t i = 0; i < n; ++i) {
-    ApplyNoise(&scratch_metrics_[i], scratch_noises_[i]);
+    ++runs_performed_;
+    const double noise = params_.noise_sigma > 0.0
+                             ? noise_rng_.LognormalNoise(params_.noise_sigma)
+                             : 1.0;
+    scratch_metrics_[i] =
+        SimulateQuery(app.queries[static_cast<size_t>(query_indices[i])],
+                      conf, terms, datasize_gb);
+    ApplyNoise(&scratch_metrics_[i], noise);
   }
 
   FaultOutcome outcome;

@@ -92,7 +92,7 @@ struct QueryMetrics {
   bool oom = false;              // hit the OOM retry path
   /// Memory-pressure overshoot (pressure ratio / effective threshold);
   /// >= 1 means the OOM retry path fired. Part of the noise-free model
-  /// output (cached), drives the fault layer's hard-kill decision.
+  /// output; drives the fault layer's hard-kill decision.
   double oom_severity = 0.0;
   bool failed = false;           // query killed the app (fault injection)
   int retries = 0;               // fetch-failure stage retries
@@ -180,23 +180,12 @@ class ClusterSimulator {
   /// observational: results and the noise RNG stream are unaffected.
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
-  /// Wires a memoizing evaluation cache (null disables, the default).
-  /// The cache stores *noise-free* cost-model outputs keyed by
-  /// (conf, datasize, query, cluster+params) fingerprints; the per-run
-  /// noise factor is drawn and applied regardless of hit or miss, so
-  /// every result — and the RNG stream — is bit-identical with the cache
-  /// on or off. The same cache may be shared by many simulators (even
-  /// with different seeds or noise sigmas) and is safe under concurrent
-  /// app runs.
-  void set_eval_cache(EvalCache* cache) { eval_cache_ = cache; }
-  EvalCache* eval_cache() const { return eval_cache_; }
+  /// A no-op: there is no evaluation cache (see sparksim/eval_cache.h).
+  void set_eval_cache(EvalCache*) {}
 
   /// Installs a fault-injection plan. Resets the dedicated fault RNG to
   /// spec.seed and clears the fault counters, so the schedule is a pure
-  /// function of (spec, run order) — independent of the noise stream,
-  /// thread count and cache state. With faults enabled the cache key
-  /// space shifts by the plan fingerprint (failed runs additionally
-  /// bypass insertion), so entries never leak across plans.
+  /// function of (spec, run order), independent of the noise stream.
   void set_faults(const FaultSpec& spec);
   const FaultSpec& faults() const { return faults_; }
   const FaultStats& fault_stats() const { return fault_stats_; }
@@ -235,35 +224,13 @@ class ClusterSimulator {
   ConfTerms DeriveConfTerms(const SparkConf& conf) const;
 
   /// The per-query half of the cost model: pure and noise-free, const,
-  /// draws no randomness, so app runs can evaluate queries concurrently
-  /// and the output can be memoized across noise draws. `terms` is
-  /// DeriveConfTerms(conf).
+  /// draws no randomness. `terms` is DeriveConfTerms(conf).
   QueryMetrics SimulateQuery(const QueryProfile& query, const SparkConf& conf,
                              const ConfTerms& terms,
                              double datasize_gb) const;
 
-  /// Scales the noise-free metrics by one drawn lognormal factor,
-  /// reproducing exactly the arithmetic the pre-memoization model applied
-  /// inline (total scaled as a sum, then each component).
+  /// Scales the noise-free metrics' times by one drawn lognormal factor.
   static void ApplyNoise(QueryMetrics* m, double noise);
-
-  /// SimulateQuery through the eval cache (straight call when no cache is
-  /// wired). `terms` is DeriveConfTerms(conf) and `conf_fp` is
-  /// FingerprintConf(conf), both hoisted by the caller so app runs derive
-  /// and hash the configuration once, not per query.
-  QueryMetrics EvaluateQuery(const QueryProfile& query, const SparkConf& conf,
-                             const ConfTerms& terms, double datasize_gb,
-                             uint64_t conf_fp) const;
-
-  /// FingerprintApp(app), memoized for the app this simulator last
-  /// simulated. Folding every query profile costs ~30 ns per query, which
-  /// would dominate the app-level warm path, so the full fold runs only
-  /// when the memo misses. The memo is keyed by the queries buffer
-  /// (pointer + size) and guarded by the content fingerprints of the
-  /// first and last query, so rebuilding an app in place — the only
-  /// mutation pattern the codebase uses — re-fingerprints correctly;
-  /// profiles of an app object must not be mutated mid-simulation.
-  uint64_t AppFingerprint(const SparkSqlApp& app);
 
   /// Tail of RunAppSubset: aggregates `count` per-query metrics (noise
   /// already applied) into one AppRunResult and emits the simulated-time
@@ -278,33 +245,17 @@ class ClusterSimulator {
   int64_t runs_performed_ = 0;
   obs::Tracer* tracer_ = nullptr;
   obs::FlightRecorder* flight_ = nullptr;
-  EvalCache* eval_cache_ = nullptr;
-  /// CombineEnvFingerprint(cluster, params), computed once at
-  /// construction.
-  uint64_t env_fp_ = 0;
-  /// Cache environment key actually used for lookups:
-  /// CombineFaultFingerprint(env_fp_, fault plan). Equals env_fp_ when
-  /// faults are off.
-  uint64_t eval_env_fp_ = 0;
   /// Fault-injection plan + its dedicated RNG stream and counters.
   FaultSpec faults_;
   Rng fault_rng_{0};
   FaultStats fault_stats_;
-  /// AppFingerprint memo (see the method comment).
-  const void* app_fp_queries_data_ = nullptr;
-  size_t app_fp_queries_size_ = 0;
-  uint64_t app_fp_guard_ = 0;
-  uint64_t app_fp_ = 0;
   /// Per-run scratch reused across RunAppSubset calls so the tuning hot
-  /// loop stops allocating three vectors per evaluation. Safe because a
-  /// simulator instance is driven from one thread at a time (the noise
-  /// RNG already requires that).
-  std::vector<int> scratch_valid_;
-  std::vector<double> scratch_noises_;
+  /// loop does not allocate per evaluation. Safe because a simulator
+  /// instance is driven from one thread at a time (the noise RNG already
+  /// requires that).
   std::vector<QueryMetrics> scratch_metrics_;
   std::vector<int> scratch_all_;
   std::vector<double> scratch_fault_draws_;
-  std::vector<char> scratch_missed_;
   /// Virtual-time cursor of the simulated lane (ns of trace time); app
   /// runs are appended back-to-back so the exported timeline reads as one
   /// continuous cluster schedule.

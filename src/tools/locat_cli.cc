@@ -51,7 +51,6 @@
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
-#include "sparksim/eval_cache.h"
 #include "sparksim/simulator.h"
 #include "workloads/workloads.h"
 
@@ -93,11 +92,6 @@ int Usage() {
       "  --metrics FILE      write a Prometheus text metrics snapshot\n"
       "  --telemetry FILE    write per-iteration BO telemetry as JSONL\n"
       "                      (input of `locat report`)\n"
-      "  --sim-cache on|off  memoize noise-free simulations, per query and\n"
-      "                      per whole app run (default on; results are\n"
-      "                      bit-identical either way)\n"
-      "  --sim-cache-cap N   cache capacity in entries (default: env\n"
-      "                      LOCAT_SIM_CACHE_CAP, else 1048576)\n"
       "  --faults LEVEL      deterministic fault injection: off (default),\n"
       "                      light or heavy — executor loss, stragglers,\n"
       "                      fetch-failure retries and OOM app kills; the\n"
@@ -156,6 +150,30 @@ bool ParseNumber(const char* s, T* out) {
 /// A data size in GB: a finite number > 0.
 bool ParseDatasize(const std::string& s, double* ds) {
   return ParseNumber(s.c_str(), ds) && std::isfinite(*ds) && *ds > 0.0;
+}
+
+/// Whether a positional names something the CLI can build. The harness
+/// factories fall back to Aggregation, x86 and Random for a name they do
+/// not know, so every command checks its names here first and an unknown
+/// one prints usage (exit 2).
+bool KnownName(const char* kind, const std::string& name, bool known) {
+  if (!known) std::fprintf(stderr, "unknown %s: %s\n", kind, name.c_str());
+  return known;
+}
+
+bool KnownApp(const std::string& name) {
+  const auto apps = workloads::AllBenchmarks();
+  return KnownName("app", name,
+                   std::any_of(apps.begin(), apps.end(),
+                               [&](const auto& a) { return a.name == name; }));
+}
+
+bool KnownCluster(const std::string& name) {
+  return KnownName("cluster", name, name == "arm" || name == "x86");
+}
+
+bool KnownTuner(const std::string& name) {
+  return KnownName("tuner", name, harness::MakeTuner(name, 0)->name() == name);
 }
 
 int CmdCatalog() {
@@ -295,8 +313,6 @@ struct ObsFlags {
   std::string trace_path;
   std::string metrics_path;
   std::string telemetry_path;
-  bool sim_cache = true;
-  size_t sim_cache_cap = 0;  // 0: LOCAT_SIM_CACHE_CAP env / built-in default
   std::string faults = "off";
   uint64_t fault_seed = 0;
   int admin_port = -1;  // -1: no admin server (zero sockets, zero threads)
@@ -359,15 +375,6 @@ int CmdTune(const std::string& app_name, const std::string& cluster,
   sparksim::ClusterSimulator sim(harness::MakeCluster(cluster),
                                  21 + flags.seed);
   if (flight != nullptr) sim.set_flight_recorder(flight);
-  // The eval cache memoizes the noise-free per-query simulation; it only
-  // changes wall-clock, never results (--sim-cache off to compare).
-  std::unique_ptr<sparksim::EvalCache> sim_cache;
-  if (flags.sim_cache) {
-    sim_cache = std::make_unique<sparksim::EvalCache>(
-        flags.sim_cache_cap > 0 ? flags.sim_cache_cap
-                                : sparksim::EvalCache::CapacityFromEnv());
-    sim.set_eval_cache(sim_cache.get());
-  }
   if (flags.faults != "off") {
     const auto spec_or =
         sparksim::FaultSpec::FromName(flags.faults, flags.fault_seed);
@@ -508,34 +515,6 @@ int CmdTune(const std::string& app_name, const std::string& cluster,
       ctx.observer->OnPhase(ev);
     }
   }
-  if (sim_cache != nullptr) {
-    const sparksim::EvalCacheStats cs = sim_cache->stats();
-    std::printf(
-        "sim cache: %llu hits / %llu misses (%.1f%% hit rate, "
-        "%llu whole-run hits), %zu entries, %llu evictions\n",
-        static_cast<unsigned long long>(cs.hits),
-        static_cast<unsigned long long>(cs.misses), 100.0 * cs.hit_rate(),
-        static_cast<unsigned long long>(cs.app_hits), sim_cache->size(),
-        static_cast<unsigned long long>(cs.evictions));
-    if (ctx.observer != nullptr) {
-      obs::PhaseEvent ev;
-      ev.tuner = tuner->name();
-      ev.phase = "sim_cache";
-      ev.fields = {
-          {"hits", static_cast<double>(cs.hits)},
-          {"misses", static_cast<double>(cs.misses)},
-          {"evictions", static_cast<double>(cs.evictions)},
-          {"collisions", static_cast<double>(cs.collisions)},
-          {"insertions", static_cast<double>(cs.insertions)},
-          {"entries", static_cast<double>(cs.entries)},
-          {"app_hits", static_cast<double>(cs.app_hits)},
-          {"app_misses", static_cast<double>(cs.app_misses)},
-          {"hit_rate", cs.hit_rate()},
-      };
-      ctx.observer->OnPhase(ev);
-    }
-    if (ctx.metrics != nullptr) sim_cache->ExportMetrics(ctx.metrics);
-  }
   std::printf("linalg: %s dispatch\n", math::kern::ActiveBackendName());
   if (ctx.observer != nullptr) {
     obs::PhaseEvent ev;
@@ -577,9 +556,9 @@ int CmdTune(const std::string& app_name, const std::string& cluster,
 
 /// Per-app state the CLI keeps across registry evictions: the profile and
 /// the simulator. The sim survives eviction on purpose — its noise stream
-/// and cache are "the cluster", which does not forget an app; only the
-/// tuner state (session + service, owned by the backend below) is rebuilt
-/// on re-admission.
+/// is "the cluster", which does not forget an app; only the tuner state
+/// (session + service, owned by the backend below) is rebuilt on
+/// re-admission.
 struct ServeHost {
   sparksim::SparkSqlApp app;
   std::unique_ptr<sparksim::ClusterSimulator> sim;
@@ -932,7 +911,6 @@ int CmdReport(const std::string& path) {
   double summary_best = 0.0;
   double summary_evals = 0.0;
   bool have_summary = false;
-  bool have_sim_cache = false;
   bool have_linalg = false;
   struct ServingAgg {
     std::string app;
@@ -945,14 +923,8 @@ int CmdReport(const std::string& path) {
   };
   std::vector<ServingAgg> serving;
   double linalg_backend_id = 0.0;
-  double cache_hits = 0.0;
-  double cache_misses = 0.0;
-  double cache_evictions = 0.0;
-  double cache_collisions = 0.0;
-  double cache_entries = 0.0;
-  double cache_hit_rate = 0.0;
-  // Phase events without a branch below (e.g. the sim_engine event older
-  // telemetry files carry) are skipped.
+  // Phase events without a branch below (e.g. the sim_engine and
+  // sim_cache events older telemetry files carry) are skipped.
   for (const auto& rec : parsed.value()) {
     if (rec.type == "iteration") {
       if (tuner.empty()) tuner = rec.Str("tuner");
@@ -1000,14 +972,6 @@ int CmdReport(const std::string& path) {
       agg.p50_s = rec.Num("recommend_p50_s");
       agg.p99_s = rec.Num("recommend_p99_s");
       serving.push_back(std::move(agg));
-    } else if (rec.type == "phase" && rec.Str("phase") == "sim_cache") {
-      have_sim_cache = true;
-      cache_hits = rec.Num("hits");
-      cache_misses = rec.Num("misses");
-      cache_evictions = rec.Num("evictions");
-      cache_collisions = rec.Num("collisions");
-      cache_entries = rec.Num("entries");
-      cache_hit_rate = rec.Num("hit_rate");
     }
   }
   if (total_events == 0 && serving.empty()) {
@@ -1068,13 +1032,6 @@ int CmdReport(const std::string& path) {
         "meter: %.1f s over %.0f evaluations | best %.1f s | "
         "phase sum vs meter: %+.2f%%\n",
         summary_opt, summary_evals, summary_best, drift);
-  }
-  if (have_sim_cache) {
-    std::printf(
-        "sim_cache: %.0f hits / %.0f misses (%.1f%% hit rate) | "
-        "%.0f entries | %.0f evictions | %.0f collisions\n",
-        cache_hits, cache_misses, 100.0 * cache_hit_rate, cache_entries,
-        cache_evictions, cache_collisions);
   }
   if (have_linalg) {
     // The fit/acq columns are where the math kernels run (GP Gram +
@@ -1137,15 +1094,6 @@ int main(int argc, char** argv) {
       const char* v = value();
       if (v == nullptr) return Usage();
       flags.telemetry_path = v;
-    } else if (arg == "--sim-cache") {
-      const char* v = value();
-      if (v == nullptr || (std::strcmp(v, "on") != 0 &&
-                           std::strcmp(v, "off") != 0)) {
-        return Usage();
-      }
-      flags.sim_cache = (std::strcmp(v, "on") == 0);
-    } else if (arg == "--sim-cache-cap") {
-      if (!ParseNumber(value(), &flags.sim_cache_cap)) return Usage();
     } else if (arg == "--faults") {
       const char* v = value();
       if (v == nullptr ||
@@ -1218,6 +1166,13 @@ int main(int argc, char** argv) {
   if (cmd == "catalog") return CmdCatalog();
   if (cmd == "apps") return CmdApps();
   double ds = 0.0;
+  // simulate, sweep, qcsa and tune all start with <app> <cluster>.
+  const bool takes_app = cmd == "simulate" || cmd == "sweep" ||
+                         cmd == "qcsa" || cmd == "tune";
+  if (takes_app && pos.size() >= 3 &&
+      (!KnownApp(pos[1]) || !KnownCluster(pos[2]))) {
+    return Usage();
+  }
   if (cmd == "simulate" && pos.size() >= 4) {
     if (!ParseDatasize(pos[3], &ds)) return Usage();
     return CmdSimulate(pos[1], pos[2], ds);
@@ -1235,11 +1190,15 @@ int main(int argc, char** argv) {
     return CmdQcsa(pos[1], pos[2], runs);
   }
   if (cmd == "tune" && pos.size() >= 4) {
-    if (!ParseDatasize(pos[3], &ds)) return Usage();
-    return CmdTune(pos[1], pos[2], ds, pos.size() >= 5 ? pos[4] : "LOCAT",
-                   flags, flight);
+    const std::string tuner = pos.size() >= 5 ? pos[4] : "LOCAT";
+    if (!ParseDatasize(pos[3], &ds) || !KnownTuner(tuner)) return Usage();
+    return CmdTune(pos[1], pos[2], ds, tuner, flags, flight);
   }
   if (cmd == "serve" && pos.size() >= 2) {
+    if (!KnownCluster(pos[1]) ||
+        !std::all_of(pos.begin() + 2, pos.end(), KnownApp)) {
+      return Usage();
+    }
     return CmdServe(pos[1],
                     std::vector<std::string>(pos.begin() + 2, pos.end()),
                     flags, flight);

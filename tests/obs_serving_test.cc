@@ -368,7 +368,8 @@ TEST(FlightRecorderTest, DumpsOnFaultEvents) {
 }
 
 TEST(FlightRecorderTest, ConcurrentRecordingStaysConsistent) {
-  obs::FlightRecorder recorder(64);
+  constexpr size_t kCapacity = 64;
+  obs::FlightRecorder recorder(kCapacity);
   constexpr int kThreads = 8;
   constexpr int kOps = 2000;
   std::atomic<bool> stop{false};
@@ -392,7 +393,7 @@ TEST(FlightRecorderTest, ConcurrentRecordingStaysConsistent) {
   stop.store(true, std::memory_order_release);
   reader.join();
   EXPECT_EQ(recorder.total_recorded(), uint64_t(kThreads) * kOps);
-  EXPECT_LE(recorder.Snapshot().size(), recorder.capacity());
+  EXPECT_LE(recorder.Snapshot().size(), kCapacity);
 }
 
 TEST(FlightRecorderSignalTest, CrashHandlerDumpsWindowOnAbort) {

@@ -84,7 +84,6 @@ TEST(MetricsTest, PrometheusAndJsonRoundTrip) {
   obs::Counter* evals = registry.GetCounter("locat_evals_total", "runs");
   evals->Increment();
   evals->Increment(2.0);
-  registry.GetGauge("locat_best_seconds", "incumbent")->Set(123.5);
   obs::Histogram* hist =
       registry.GetHistogram("locat_eval_seconds", "per-eval", {10.0, 100.0});
   hist->Observe(5.0);
@@ -103,7 +102,6 @@ TEST(MetricsTest, PrometheusAndJsonRoundTrip) {
   EXPECT_TRUE(Contains(text, "# HELP locat_evals_total runs"));
   EXPECT_TRUE(Contains(text, "# TYPE locat_evals_total counter"));
   EXPECT_TRUE(Contains(text, "locat_evals_total 3"));
-  EXPECT_TRUE(Contains(text, "locat_best_seconds 123.5"));
   // Cumulative buckets: le=10 -> 1, le=100 -> 2, +Inf -> 3.
   EXPECT_TRUE(Contains(text, "locat_eval_seconds_bucket{le=\"10\"} 1"));
   EXPECT_TRUE(Contains(text, "locat_eval_seconds_bucket{le=\"100\"} 2"));
@@ -115,7 +113,6 @@ TEST(MetricsTest, PrometheusAndJsonRoundTrip) {
   const std::string json = js.str();
   EXPECT_TRUE(Contains(json, "\"counters\""));
   EXPECT_TRUE(Contains(json, "\"locat_evals_total\":3"));
-  EXPECT_TRUE(Contains(json, "\"locat_best_seconds\":123.5"));
 }
 
 TEST(TelemetryTest, JsonlRoundTrip) {
