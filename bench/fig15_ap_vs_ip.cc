@@ -12,18 +12,22 @@ int main() {
               "Figure 15: LOCAT tuning all parameters (AP) vs important "
               "parameters (IP) on TPC-DS (x86)");
 
+  const std::vector<double> sizes = {100.0, 200.0, 300.0, 400.0, 500.0};
+  std::vector<harness::CellSpec> specs;
+  for (double ds : sizes) {
+    specs.push_back({"LOCAT-AP", "TPC-DS", "x86", ds});
+    specs.push_back({"LOCAT", "TPC-DS", "x86", ds});
+  }
+  const std::vector<harness::CellResult> cells =
+      harness::ExperimentRunner().RunAll(specs);
+
   TablePrinter tp({"datasize", "AP-tuned (s)", "IP-tuned (s)", "AP / IP"});
   double ratio_sum = 0.0;
   int count = 0;
-  for (double ds : {100.0, 200.0, 300.0, 400.0, 500.0}) {
-    harness::CellSpec spec;
-    spec.app = "TPC-DS";
-    spec.cluster = "x86";
-    spec.datasize_gb = ds;
-    spec.tuner = "LOCAT-AP";
-    const double ap = bench::Runner().Run(spec).best_app_seconds;
-    spec.tuner = "LOCAT";
-    const double ip = bench::Runner().Run(spec).best_app_seconds;
+  auto cell = cells.begin();
+  for (double ds : sizes) {
+    const double ap = (cell++)->best_app_seconds;
+    const double ip = (cell++)->best_app_seconds;
     ratio_sum += ap / ip;
     ++count;
     tp.AddRow({bench::Num(ds, 0) + " GB", bench::Num(ap, 0),
@@ -31,7 +35,6 @@ int main() {
   }
   tp.AddRow({"average", "", "", bench::Num(ratio_sum / count, 2)});
   tp.Print(std::cout);
-  bench::Runner().Save();
   std::cout << "\nPaper: IP-tuned performance is 1.8x higher than AP-tuned "
                "on average.\n";
   return 0;

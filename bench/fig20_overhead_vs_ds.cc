@@ -15,29 +15,28 @@ int main() {
   const std::vector<double> sizes = {100.0, 200.0, 300.0, 400.0, 500.0};
   const harness::WarmSequenceResult warm =
       harness::RunLocatWarmSequence("TPC-DS", "x86", sizes);
+  std::vector<harness::CellSpec> specs;
+  for (double ds : sizes) {
+    for (const std::string& tuner : bench::ComparedTunerNames()) {
+      specs.push_back({tuner, "TPC-DS", "x86", ds});
+    }
+  }
+  const std::vector<harness::CellResult> cells =
+      harness::ExperimentRunner().RunAll(specs);
 
   TablePrinter tp({"datasize", "LOCAT (warm/online)", "LOCAT (cold)",
                    "Tuneful", "DAC", "GBO-RL", "QTune"});
+  auto cell = cells.begin();
   for (size_t i = 0; i < sizes.size(); ++i) {
     std::vector<std::string> row = {
         bench::Num(sizes[i], 0) + " GB",
         bench::Num(warm.incremental_optimization_seconds[i] / 3600.0, 1)};
-    for (const std::string& tuner :
-         {std::string("LOCAT"), std::string("Tuneful"), std::string("DAC"),
-          std::string("GBO-RL"), std::string("QTune")}) {
-      harness::CellSpec spec;
-      spec.tuner = tuner;
-      spec.app = "TPC-DS";
-      spec.cluster = "x86";
-      spec.datasize_gb = sizes[i];
-      row.push_back(
-          bench::Num(bench::Runner().Run(spec).optimization_seconds / 3600.0,
-                     1));
+    for (size_t t = 0; t < bench::ComparedTunerNames().size(); ++t) {
+      row.push_back(bench::Num((cell++)->optimization_seconds / 3600.0, 1));
     }
     tp.AddRow(row);
   }
   tp.Print(std::cout);
-  bench::Runner().Save();
   std::cout << "\nPaper: the SOTA overhead grows sharply with the data size "
                "while LOCAT's stays low; with the DAGP reusing knowledge "
                "across sizes (warm column), re-tuning after a data-size "

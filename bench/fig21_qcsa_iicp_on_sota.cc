@@ -3,6 +3,7 @@
 // baseline on the reduced query application; +IICP restricts its search
 // to the CPS-selected parameters; +QIT applies both. TPC-DS, 500 GB.
 #include <iostream>
+#include <iterator>
 
 #include "bench/bench_util.h"
 
@@ -12,27 +13,27 @@ int main() {
               "Figure 21: QCSA/IICP retrofitted onto the SOTA tuners "
               "(TPC-DS, 500 GB, x86)");
 
-  harness::CellSpec locat_spec;
-  locat_spec.tuner = "LOCAT";
-  locat_spec.app = "TPC-DS";
-  locat_spec.cluster = "x86";
-  locat_spec.datasize_gb = 500.0;
-  const auto locat_cell = bench::Runner().Run(locat_spec);
+  const char* const kModes[] = {"", "+QCSA", "+IICP", "+QIT"};
+  std::vector<harness::CellSpec> specs = {{"LOCAT", "TPC-DS", "x86", 500.0}};
+  for (const std::string& base : harness::SotaTunerNames()) {
+    for (const char* mode : kModes) {
+      specs.push_back({base + mode, "TPC-DS", "x86", 500.0});
+    }
+  }
+  const std::vector<harness::CellResult> cells =
+      harness::ExperimentRunner().RunAll(specs);
+  const harness::CellResult& locat_cell = cells[0];
 
   TablePrinter perf({"tuner", "APT (s)", "+QCSA (s)", "+IICP (s)",
                      "+QIT (s)", "QIT gain"});
   TablePrinter cost({"tuner", "APT (h)", "+QCSA (h)", "+IICP (h)",
                      "+QIT (h)", "QIT reduction"});
+  auto cell = cells.begin() + 1;
   for (const std::string& base : harness::SotaTunerNames()) {
     std::vector<double> best;
     std::vector<double> hours;
-    for (const char* mode : {"", "+QCSA", "+IICP", "+QIT"}) {
-      harness::CellSpec spec;
-      spec.tuner = base + mode;
-      spec.app = "TPC-DS";
-      spec.cluster = "x86";
-      spec.datasize_gb = 500.0;
-      const auto r = bench::Runner().Run(spec);
+    for (size_t m = 0; m < std::size(kModes); ++m) {
+      const harness::CellResult& r = *cell++;
       best.push_back(r.best_app_seconds);
       hours.push_back(r.optimization_seconds / 3600.0);
     }
@@ -53,7 +54,6 @@ int main() {
   std::cout << "    DAGP/LOCAT reference: "
             << bench::Num(locat_cell.optimization_seconds / 3600.0, 1)
             << " h\n";
-  bench::Runner().Save();
   std::cout << "\nPaper: QIT improves the SOTA-tuned performance by 2.6x on "
                "average and cuts their overhead by 6.8x on average; QCSA "
                "contributes most of the overhead reduction, IICP most of "

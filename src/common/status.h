@@ -120,11 +120,6 @@ class StatusOr {
   const T* operator->() const { return &value(); }
   T* operator->() { return &value(); }
 
-  /// Returns the contained value or `fallback` when in error state.
-  T value_or(T fallback) const {
-    return ok() ? *value_ : std::move(fallback);
-  }
-
  private:
   Status status_;
   std::optional<T> value_;

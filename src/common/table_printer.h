@@ -28,8 +28,6 @@ class TablePrinter {
   /// Writes the table with a header separator line.
   void Print(std::ostream& os) const;
 
-  size_t row_count() const { return rows_.size(); }
-
  private:
   std::vector<std::string> header_;
   std::vector<std::vector<std::string>> rows_;

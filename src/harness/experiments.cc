@@ -1,14 +1,6 @@
 #include "harness/experiments.h"
 
-#include <fcntl.h>
-#include <sys/file.h>
-#include <unistd.h>
-
 #include <atomic>
-#include <cstdlib>
-#include <filesystem>
-#include <fstream>
-#include <functional>
 #include <sstream>
 #include <thread>
 
@@ -26,13 +18,8 @@ namespace {
 // Leads every cell key, and each cell's simulator is seeded with
 // StableHash(Key()), so it is part of every cell's noise stream: changing
 // it re-rolls every experiment (and moves the pinned baseline-grid
-// digest). Results caching is versioned separately, by kCacheVersion.
+// digest).
 constexpr const char* kKeySalt = "v3";
-
-// Versions the rows of the results cache (results.csv). Bump it whenever
-// any tuner's output changes, so an existing cache stops serving the old
-// results to the figures.
-constexpr const char* kCacheVersion = "v5";
 
 uint64_t StableHash(const std::string& s) {
   uint64_t h = 1469598103934665603ULL;
@@ -41,10 +28,6 @@ uint64_t StableHash(const std::string& s) {
     h *= 1099511628211ULL;
   }
   return h;
-}
-
-std::string CacheKey(const CellSpec& spec) {
-  return std::string(kCacheVersion) + "|" + spec.Key();
 }
 
 }  // namespace
@@ -63,16 +46,6 @@ std::string CellResult::Serialize() const {
      << default_app_seconds << "," << gc_seconds << "," << csq_seconds << ","
      << ciq_seconds << "," << evaluations;
   return os.str();
-}
-
-bool CellResult::Deserialize(const std::string& line, CellResult* out) {
-  std::istringstream is(line);
-  char comma;
-  is >> out->optimization_seconds >> comma >> out->best_app_seconds >>
-      comma >> out->default_app_seconds >> comma >> out->gc_seconds >>
-      comma >> out->csq_seconds >> comma >> out->ciq_seconds >> comma >>
-      out->evaluations;
-  return !is.fail();
 }
 
 sparksim::ClusterSpec MakeCluster(const std::string& name) {
@@ -117,101 +90,6 @@ std::unique_ptr<core::Tuner> MakeTuner(const std::string& name,
   return tuners::MakeBaseline(name, seed_salt);
 }
 
-ExperimentRunner::ExperimentRunner(std::string cache_path)
-    : cache_path_(std::move(cache_path)) {
-  if (cache_path_.empty()) {
-    const char* dir = std::getenv("LOCAT_CACHE_DIR");
-    cache_path_ = std::string(dir != nullptr ? dir : ".locat_cache") +
-                  "/results.csv";
-  }
-  Load();
-}
-
-ExperimentRunner::~ExperimentRunner() { Save(); }
-
-void ExperimentRunner::Load() {
-  std::ifstream in(cache_path_);
-  if (!in) return;
-  std::string line;
-  while (std::getline(in, line)) {
-    const auto sep = line.find('\t');
-    if (sep == std::string::npos) continue;
-    CellResult result;
-    if (CellResult::Deserialize(line.substr(sep + 1), &result)) {
-      cache_[line.substr(0, sep)] = result;
-    }
-  }
-}
-
-void ExperimentRunner::Save() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!dirty_) return;
-  std::filesystem::path path(cache_path_);
-  if (path.has_parent_path()) {
-    std::error_code ec;
-    std::filesystem::create_directories(path.parent_path(), ec);
-  }
-
-  // Concurrent runners (separate processes sharing $LOCAT_CACHE_DIR) must
-  // not lose each other's rows or expose torn files: serialize savers on
-  // an advisory lock, merge rows written since our Load, write to a
-  // process/thread-unique temp file and publish it with an atomic rename.
-  const std::string lock_path = cache_path_ + ".lock";
-  const int lock_fd = ::open(lock_path.c_str(), O_CREAT | O_RDWR, 0644);
-  if (lock_fd >= 0) ::flock(lock_fd, LOCK_EX);
-
-  {
-    std::ifstream in(cache_path_);
-    std::string line;
-    while (in && std::getline(in, line)) {
-      const auto sep = line.find('\t');
-      if (sep == std::string::npos) continue;
-      const std::string key = line.substr(0, sep);
-      CellResult result;
-      if (cache_.find(key) == cache_.end() &&
-          CellResult::Deserialize(line.substr(sep + 1), &result)) {
-        cache_[key] = result;
-      }
-    }
-  }
-
-  std::ostringstream tmp_name;
-  tmp_name << cache_path_ << ".tmp." << ::getpid() << "."
-           << std::hash<std::thread::id>{}(std::this_thread::get_id());
-  const std::string tmp_path = tmp_name.str();
-  bool wrote = false;
-  {
-    std::ofstream out(tmp_path, std::ios::trunc);
-    if (out) {
-      for (const auto& [key, result] : cache_) {
-        out << key << "\t" << result.Serialize() << "\n";
-      }
-      out.flush();
-      wrote = out.good();
-    }
-  }
-  std::error_code ec;
-  if (wrote) {
-    std::filesystem::rename(tmp_path, cache_path_, ec);
-    if (!ec) dirty_ = false;
-  }
-  if (!wrote || ec) {
-    std::filesystem::remove(tmp_path, ec);
-    obs::Log::Global()->Warn("harness", "results cache save failed",
-                             {{"path", cache_path_}});
-  } else {
-    obs::Log::Global()->Debug(
-        "harness", "results cache saved",
-        {{"path", cache_path_},
-         {"rows", static_cast<double>(cache_.size())}});
-  }
-
-  if (lock_fd >= 0) {
-    ::flock(lock_fd, LOCK_UN);
-    ::close(lock_fd);
-  }
-}
-
 std::vector<int> ExperimentRunner::CanonicalCsq(const std::string& app_name,
                                                 const std::string& cluster) {
   const std::string key = app_name + "|" + cluster;
@@ -248,7 +126,7 @@ std::vector<int> ExperimentRunner::CanonicalCsq(const std::string& app_name,
   return csq;
 }
 
-CellResult ExperimentRunner::Compute(const CellSpec& spec) {
+CellResult ExperimentRunner::Run(const CellSpec& spec) {
   const sparksim::SparkSqlApp app = MakeApp(spec.app);
   sparksim::ClusterSimulator sim(MakeCluster(spec.cluster),
                                  StableHash(spec.Key()));
@@ -299,40 +177,13 @@ CellResult ExperimentRunner::Compute(const CellSpec& spec) {
     (is_csq[q] ? cell.csq_seconds : cell.ciq_seconds) +=
         final_run.per_query[q].exec_seconds;
   }
-  return cell;
-}
-
-bool ExperimentRunner::Find(const CellSpec& spec, CellResult* out) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = cache_.find(CacheKey(spec));
-  if (it == cache_.end()) return false;
-  if (out != nullptr) *out = it->second;
-  return true;
-}
-
-void ExperimentRunner::InsertResult(const CellSpec& spec,
-                                    const CellResult& result) {
-  std::lock_guard<std::mutex> lock(mu_);
-  cache_[CacheKey(spec)] = result;
-  dirty_ = true;
-}
-
-CellResult ExperimentRunner::Run(const CellSpec& spec) {
-  CellResult result;
-  if (Find(spec, &result)) {
-    obs::Log::Global()->Debug("harness", "cell cache hit",
-                              {{"key", spec.Key()}});
-    return result;
-  }
-  result = Compute(spec);
   obs::Log::Global()->Debug(
       "harness", "cell computed",
       {{"key", spec.Key()},
-       {"best_app_seconds", result.best_app_seconds},
-       {"optimization_seconds", result.optimization_seconds},
-       {"evaluations", result.evaluations}});
-  InsertResult(spec, result);
-  return result;
+       {"best_app_seconds", cell.best_app_seconds},
+       {"optimization_seconds", cell.optimization_seconds},
+       {"evaluations", cell.evaluations}});
+  return cell;
 }
 
 std::vector<CellResult> ExperimentRunner::RunAll(
@@ -364,7 +215,6 @@ std::vector<CellResult> ExperimentRunner::RunAll(
       results[i] = Run(specs[i]);
     }
   });
-  Save();
   return results;
 }
 

@@ -37,8 +37,9 @@ struct CellResult {
   double ciq_seconds = 0.0;           // tuned time spent in CIQ queries
   int evaluations = 0;
 
+  /// All fields as one comma-separated line at full precision; perfbench's
+  /// grid-sim digest hashes it.
   std::string Serialize() const;
-  static bool Deserialize(const std::string& line, CellResult* out);
 };
 
 /// Builds the named cluster spec ("arm" / "x86").
@@ -56,18 +57,15 @@ std::unique_ptr<core::Tuner> MakeTuner(const std::string& name,
 /// The four SOTA baselines in the paper's order.
 const std::vector<std::string>& SotaTunerNames();
 
-/// Runs experiment cells with an on-disk cache so every bench binary can
-/// share one computation of the expensive comparison grid.
-///
-/// The cache lives at $LOCAT_CACHE_DIR/results.csv (default
-/// ".locat_cache/results.csv" under the current directory) and is keyed by
-/// the cell spec plus a cache-format version.
+/// Computes experiment cells. A cell's result depends only on its spec,
+/// so every call recomputes it; there is no results cache.
 class ExperimentRunner {
  public:
-  explicit ExperimentRunner(std::string cache_path = "");
-  ~ExperimentRunner();
+  /// The argument is ignored. It stays until perfbench's grid-sim
+  /// workload stops passing a results path.
+  explicit ExperimentRunner(std::string /*unused*/ = "") {}
 
-  /// Returns the cell result, computing and caching it if missing.
+  /// Computes one cell.
   CellResult Run(const CellSpec& spec);
 
   /// Computes many cells, using up to `threads` worker threads (0 = one
@@ -76,13 +74,6 @@ class ExperimentRunner {
   /// Results are returned in input order.
   std::vector<CellResult> RunAll(const std::vector<CellSpec>& specs,
                                  int threads = 0);
-
-  /// Looks up a cached cell without computing it. Returns true and fills
-  /// `out` (may be null) when present.
-  bool Find(const CellSpec& spec, CellResult* out) const;
-
-  /// Inserts (or overwrites) a cell result, marking the cache dirty.
-  void InsertResult(const CellSpec& spec, const CellResult& result);
 
   /// Always zero: the simulator has no evaluation cache. The accessor
   /// stays until perfbench's grid-sim workload stops reading it.
@@ -93,18 +84,9 @@ class ExperimentRunner {
   std::vector<int> CanonicalCsq(const std::string& app,
                                 const std::string& cluster);
 
-  /// Flushes the cache to disk (also done by the destructor).
-  void Save();
-
  private:
-  CellResult Compute(const CellSpec& spec);
-  void Load();
-
-  std::string cache_path_;
-  mutable std::mutex mu_;
-  std::map<std::string, CellResult> cache_;
+  std::mutex mu_;
   std::map<std::string, std::vector<int>> csq_cache_;
-  bool dirty_ = false;
 };
 
 /// Result of tuning one application across a sequence of data sizes with
@@ -116,7 +98,7 @@ struct WarmSequenceResult {
 };
 
 /// Tunes `app` at each data size in order, reusing the LOCAT state (DAGP
-/// transfers across sizes). Not cached (cheap relative to the grid).
+/// transfers across sizes).
 WarmSequenceResult RunLocatWarmSequence(const std::string& app,
                                         const std::string& cluster,
                                         const std::vector<double>& ds_list,

@@ -158,7 +158,6 @@ void AdminServer::Serve() {
     if (parsed) {
       body = HandleRequest(method, path, &code, &content_type);
     }
-    requests_.fetch_add(1, std::memory_order_relaxed);
     if (options_.metrics != nullptr && parsed) {
       options_.metrics
           ->GetCounterFamily("locat_admin_requests_total",

@@ -73,12 +73,6 @@ class AdminServer {
   /// destructor calls it.
   void Stop();
 
-  /// Requests served so far (also exported as
-  /// locat_admin_requests_total{path=...} when a registry is wired).
-  uint64_t requests_served() const {
-    return requests_.load(std::memory_order_relaxed);
-  }
-
  private:
   explicit AdminServer(Options options);
 
@@ -92,7 +86,6 @@ class AdminServer {
   int port_ = 0;
   std::atomic<bool> stop_{false};
   std::atomic<bool> quit_{false};
-  std::atomic<uint64_t> requests_{0};
   std::mutex quit_mu_;
   std::condition_variable quit_cv_;
   std::thread thread_;

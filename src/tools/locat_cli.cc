@@ -370,20 +370,12 @@ obs::FlightRecorder* SetupProcessObs(const ObsFlags& flags) {
 
 int CmdTune(const std::string& app_name, const std::string& cluster,
             double ds, const std::string& tuner_name, const ObsFlags& flags,
-            obs::FlightRecorder* flight) {
+            const sparksim::FaultSpec& faults, obs::FlightRecorder* flight) {
   const auto app = harness::MakeApp(app_name);
   sparksim::ClusterSimulator sim(harness::MakeCluster(cluster),
                                  21 + flags.seed);
   if (flight != nullptr) sim.set_flight_recorder(flight);
-  if (flags.faults != "off") {
-    const auto spec_or =
-        sparksim::FaultSpec::FromName(flags.faults, flags.fault_seed);
-    if (!spec_or.ok()) {
-      Diag("cli", spec_or.status().ToString());
-      return 2;
-    }
-    sim.set_faults(*spec_or);
-  }
+  if (faults.enabled()) sim.set_faults(faults);
   core::TuningSession session(&sim, app);
   auto tuner = harness::MakeTuner(tuner_name, flags.seed);
 
@@ -595,7 +587,8 @@ class ServeBackend : public core::AppBackend {
 /// single-threaded mode the round lines and the "serving:" summary line
 /// are byte-identical to the sequential pre-registry loop.
 int CmdServe(const std::string& cluster, std::vector<std::string> app_names,
-             const ObsFlags& flags, obs::FlightRecorder* flight) {
+             const ObsFlags& flags, const sparksim::FaultSpec& faults,
+             obs::FlightRecorder* flight) {
   if (app_names.empty()) app_names = {"TPC-DS", "TPC-H"};
 
   obs::MetricsRegistry metrics;
@@ -621,15 +614,7 @@ int CmdServe(const std::string& cluster, std::vector<std::string> app_names,
     h.sim = std::make_unique<sparksim::ClusterSimulator>(
         harness::MakeCluster(cluster), 21 + flags.seed);
     if (flight != nullptr) h.sim->set_flight_recorder(flight);
-    if (flags.faults != "off") {
-      const auto spec_or =
-          sparksim::FaultSpec::FromName(flags.faults, flags.fault_seed);
-      if (!spec_or.ok()) {
-        Diag("cli", spec_or.status().ToString());
-        return 2;
-      }
-      h.sim->set_faults(*spec_or);
-    }
+    if (faults.enabled()) h.sim->set_faults(faults);
     hosts.emplace(name, std::move(h));
   }
 
@@ -1096,11 +1081,7 @@ int main(int argc, char** argv) {
       flags.telemetry_path = v;
     } else if (arg == "--faults") {
       const char* v = value();
-      if (v == nullptr ||
-          (std::strcmp(v, "off") != 0 && std::strcmp(v, "light") != 0 &&
-           std::strcmp(v, "heavy") != 0)) {
-        return Usage();
-      }
+      if (v == nullptr) return Usage();
       flags.faults = v;
     } else if (arg == "--fault-seed") {
       if (!ParseNumber(value(), &flags.fault_seed)) return Usage();
@@ -1160,6 +1141,12 @@ int main(int argc, char** argv) {
       pos.push_back(arg);
     }
   }
+  const auto faults =
+      sparksim::FaultSpec::FromName(flags.faults, flags.fault_seed);
+  if (!faults.ok()) {
+    std::fprintf(stderr, "%s\n", faults.status().ToString().c_str());
+    return Usage();
+  }
   if (pos.empty()) return Usage();
   obs::FlightRecorder* flight = SetupProcessObs(flags);
   const std::string& cmd = pos[0];
@@ -1192,7 +1179,7 @@ int main(int argc, char** argv) {
   if (cmd == "tune" && pos.size() >= 4) {
     const std::string tuner = pos.size() >= 5 ? pos[4] : "LOCAT";
     if (!ParseDatasize(pos[3], &ds) || !KnownTuner(tuner)) return Usage();
-    return CmdTune(pos[1], pos[2], ds, tuner, flags, flight);
+    return CmdTune(pos[1], pos[2], ds, tuner, flags, *faults, flight);
   }
   if (cmd == "serve" && pos.size() >= 2) {
     if (!KnownCluster(pos[1]) ||
@@ -1201,7 +1188,7 @@ int main(int argc, char** argv) {
     }
     return CmdServe(pos[1],
                     std::vector<std::string>(pos.begin() + 2, pos.end()),
-                    flags, flight);
+                    flags, *faults, flight);
   }
   if (cmd == "report" && pos.size() >= 2) {
     return CmdReport(pos[1]);

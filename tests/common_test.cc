@@ -61,14 +61,12 @@ TEST(StatusOrTest, HoldsValue) {
   StatusOr<int> v = 42;
   ASSERT_TRUE(v.ok());
   EXPECT_EQ(*v, 42);
-  EXPECT_EQ(v.value_or(7), 42);
 }
 
 TEST(StatusOrTest, HoldsError) {
   StatusOr<int> v = Status::NotFound("missing");
   EXPECT_FALSE(v.ok());
   EXPECT_EQ(v.status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(v.value_or(7), 7);
 }
 
 TEST(StatusOrTest, MoveOutValue) {
@@ -170,7 +168,6 @@ TEST(TablePrinterTest, FormatsAlignedTable) {
   const std::string out = os.str();
   EXPECT_NE(out.find("| name  | value |"), std::string::npos);
   EXPECT_NE(out.find("| alpha | 1     |"), std::string::npos);
-  EXPECT_EQ(tp.row_count(), 2u);
 }
 
 TEST(TablePrinterTest, PadsShortRows) {
