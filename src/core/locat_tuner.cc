@@ -434,6 +434,7 @@ void LocatTuner::RunQcsaAndIicp(TuningSession* session) {
   // --- IICP on the first N_IICP *successful* samples (matrix S',
   // equation (5)): censored penalty values are imputed, not measured, and
   // would distort the Spearman/KPCA statistics.
+  bool iicp_transferred = false;
   if (options_.enable_iicp) {
     std::vector<size_t> ok_idx;
     for (size_t i = 0; i < observations_.size() &&
@@ -451,7 +452,16 @@ void LocatTuner::RunQcsaAndIicp(TuningSession* session) {
           observations_[ok_idx[static_cast<size_t>(i)]].objective_seconds;
     }
     auto iicp = Iicp::Run(confs, ts, tracer());
-    if (iicp.ok()) iicp_ = std::move(iicp).value();
+    if (iicp.ok()) {
+      iicp_ = std::make_shared<const IicpResult>(std::move(iicp).value());
+    } else if (!priors_.empty() && prior_iicp_ != nullptr) {
+      // A warm start's third-of-budget schedule can fall below IICP's
+      // 4-sample floor. The transferred reduction then stands in, so BO
+      // (and every EI-MCMC refit) stays in the latent space instead of
+      // marginalizing hyperparameters over all 38 parameters.
+      iicp_ = prior_iicp_;
+      iicp_transferred = true;
+    }
   }
 
   double rqa_ratio_sum = 0.0;
@@ -462,7 +472,7 @@ void LocatTuner::RunQcsaAndIicp(TuningSession* session) {
   // richer than in the 38-dimensional phase A; without the reduction the
   // light options stay (a rich MCMC over 38 lengthscales costs minutes
   // per refit and is exactly what IICP exists to avoid).
-  dagp_ = Dagp(SurrogateOptions(/*reduced=*/iicp_.has_value()));
+  dagp_ = Dagp(SurrogateOptions(/*reduced=*/iicp_ != nullptr));
   // The reassignment dropped the observability wiring; restore it.
   dagp_.SetObservability(obs_.tracer, obs_.metrics);
   for (auto& obs : observations_) {
@@ -608,6 +618,7 @@ void LocatTuner::RunQcsaAndIicp(TuningSession* session) {
           {"selected_params",
            static_cast<double>(iicp_->selected_params().size())},
           {"latent_dim", static_cast<double>(iicp_->latent_dim())},
+          {"transferred", iicp_transferred ? 1.0 : 0.0},
       };
       observer()->OnPhase(ev);
     }
@@ -640,9 +651,17 @@ void LocatTuner::SeedPriorObservations(std::vector<PriorObservation> priors) {
       std::max(options_.min_iterations, options_.max_iterations / 3);
 }
 
-void LocatTuner::SeedRqaHint(std::vector<int> csq_indices) {
+void LocatTuner::SeedTransferHint(TransferHint hint) {
   if (cold_started_) return;
-  prior_rqa_ = std::move(csq_indices);
+  prior_rqa_ = std::move(hint.csq_indices);
+  prior_iicp_ = std::move(hint.iicp);
+}
+
+LocatTuner::TransferHint LocatTuner::ExportTransferHint() const {
+  TransferHint hint;
+  if (qcsa_) hint.csq_indices = qcsa_->csq_indices;
+  hint.iicp = iicp_;
+  return hint;
 }
 
 std::vector<LocatTuner::PriorObservation> LocatTuner::ExportObservations(

@@ -1,6 +1,7 @@
 #ifndef LOCAT_CORE_LOCAT_TUNER_H_
 #define LOCAT_CORE_LOCAT_TUNER_H_
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -104,15 +105,32 @@ class LocatTuner : public Tuner {
   /// where this method does not exist.
   void SeedPriorObservations(std::vector<PriorObservation> priors);
 
-  /// Seeds the configuration-sensitive query set from a donor app (or
-  /// this app's own pre-eviction history). QCSA sensitivity is a property
-  /// of the application's queries, so a similar app's full-budget CSQ
-  /// statistics beat the handful of samples a warm start's shrunken
-  /// schedule can afford; when set (and priors were seeded), the cold
-  /// start adopts these indices as the RQA instead of its own QCSA
-  /// estimate. Out-of-range indices are dropped; an empty (or fully
-  /// invalid) hint, or a call after the cold start, is a no-op.
-  void SeedRqaHint(std::vector<int> csq_indices);
+  /// What one app's tune hands another app's warm start besides
+  /// observations: the configuration-sensitive query set (QCSA) and the
+  /// parameter reduction (IICP). Both are properties of the application's
+  /// queries and cost surface, and the donor estimated them from a full
+  /// sampling budget. A warm start's shrunken schedule cannot: a third of
+  /// the QCSA budget is too few samples for the CV ranking to mean
+  /// anything, and under small budgets it falls below IICP's 4-sample
+  /// floor, which would leave BO in the full 38-dimensional space.
+  struct TransferHint {
+    std::vector<int> csq_indices;
+    /// Shared and immutable: one reduction can serve any number of
+    /// recipients at once (encoding is read-only).
+    std::shared_ptr<const IicpResult> iicp;
+  };
+
+  /// Seeds the transfer hint from a donor app (or this app's own
+  /// pre-eviction history). When priors were seeded, the cold start
+  /// adopts the hinted CSQ indices as the RQA instead of its own QCSA
+  /// estimate, and the hinted reduction when its own IICP run fails;
+  /// a successful local IICP always wins. Out-of-range indices are
+  /// dropped; an empty hint, or a call after the cold start, is a no-op.
+  void SeedTransferHint(TransferHint hint);
+
+  /// This tuner's hint for others: its QCSA CSQ indices and the IICP
+  /// reduction it searches in (empty/null before the cold start).
+  TransferHint ExportTransferHint() const;
 
   /// Exports up to `cap` successful observations (evenly strided over the
   /// history so the sample spans the whole search, most representative
@@ -154,9 +172,7 @@ class LocatTuner : public Tuner {
   const QcsaResult* qcsa_result() const {
     return qcsa_ ? &*qcsa_ : nullptr;
   }
-  const IicpResult* iicp_result() const {
-    return iicp_ ? &*iicp_ : nullptr;
-  }
+  const IicpResult* iicp_result() const { return iicp_.get(); }
   /// Query indices the RQA executes (all queries before QCSA or when it
   /// fails).
   const std::vector<int>& rqa_indices() const { return rqa_; }
@@ -252,11 +268,13 @@ class LocatTuner : public Tuner {
   /// memory overhead), and the recipient's slightly different profile
   /// can push exactly that point into failure. Empty without priors.
   std::vector<math::Vector> prior_probe_units_;
-  /// Transferred CSQ indices (see SeedRqaHint); adopted as the RQA at the
-  /// rebuild when priors were seeded.
+  /// Transferred CSQ indices and reduction (see SeedTransferHint); the
+  /// rebuild adopts them when priors were seeded.
   std::vector<int> prior_rqa_;
+  std::shared_ptr<const IicpResult> prior_iicp_;
   std::optional<QcsaResult> qcsa_;
-  std::optional<IicpResult> iicp_;
+  /// Null until a reduction exists (own IICP run or adopted hint).
+  std::shared_ptr<const IicpResult> iicp_;
   std::vector<int> rqa_;
   Dagp dagp_;
   std::vector<Observation> observations_;

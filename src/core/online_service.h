@@ -108,11 +108,10 @@ class OnlineTuningService {
     tuner_.SeedPriorObservations(std::move(p));
   }
 
-  /// Transfers a donor's configuration-sensitive query set; adopted as
-  /// the RQA during a warm-started cold start. See
-  /// LocatTuner::SeedRqaHint.
-  void SeedRqaHint(std::vector<int> csq_indices) {
-    tuner_.SeedRqaHint(std::move(csq_indices));
+  /// Transfers a donor's CSQ set and IICP reduction, adopted during a
+  /// warm-started cold start. See LocatTuner::SeedTransferHint.
+  void SeedTransferHint(LocatTuner::TransferHint hint) {
+    tuner_.SeedTransferHint(std::move(hint));
   }
 
   /// Exports up to `cap` of the tuner's successful observations for

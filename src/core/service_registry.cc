@@ -171,7 +171,7 @@ void ServiceRegistry::SetObservability(const obs::ObsContext& obs) {
 std::vector<LocatTuner::PriorObservation>
 ServiceRegistry::BuildPriorsLocked(const std::string& app,
                                    const AppFingerprint& fp,
-                                   std::vector<int>* csq_hint) const {
+                                   LocatTuner::TransferHint* hint) const {
   // Candidate donors: live tuned apps plus the persisted history of
   // evicted ones. Sorted by (distance, name) so donor choice is a pure
   // function of the store's content — never of request timing.
@@ -196,12 +196,10 @@ ServiceRegistry::BuildPriorsLocked(const std::string& app,
   });
   if (donors.size() > kTransferK) donors.resize(kTransferK);
   if (donors.empty() || options_.transfer_cap == 0) return {};
-  // The RQA hint comes from the single nearest donor: mixing CSQ sets
-  // from donors at different distances would dilute the sensitivity
+  // The hint comes from the single nearest donor: mixing CSQ sets or
+  // reductions from donors at different distances would dilute the
   // signal the fingerprint match just established.
-  if (csq_hint != nullptr && !donors.front().record->csq.empty()) {
-    *csq_hint = donors.front().record->csq;
-  }
+  *hint = donors.front().record->hint;
 
   // Inverse-distance weights decide how much of the (capped) budget each
   // donor contributes; remainders go to the nearest donors first.
@@ -270,7 +268,7 @@ ServiceRegistry::FindOrAdmit(const std::string& app) {
 
   if (options_.warm_start) {
     std::vector<LocatTuner::PriorObservation> priors;
-    std::vector<int> csq_hint;
+    LocatTuner::TransferHint hint;
     {
       std::lock_guard<std::mutex> tlock(transfer_mu_);
       const auto evicted = evicted_store_.find(app);
@@ -278,14 +276,14 @@ ServiceRegistry::FindOrAdmit(const std::string& app) {
         // Re-admission: the app's own persisted history beats any
         // cross-app donor.
         priors = std::move(evicted->second.observations);
-        csq_hint = std::move(evicted->second.csq);
+        hint = std::move(evicted->second.hint);
         evicted_store_.erase(evicted);
       } else {
-        priors = BuildPriorsLocked(app, entry->fingerprint, &csq_hint);
+        priors = BuildPriorsLocked(app, entry->fingerprint, &hint);
       }
     }
     if (!priors.empty()) {
-      if (!csq_hint.empty()) svc->SeedRqaHint(std::move(csq_hint));
+      svc->SeedTransferHint(std::move(hint));
       svc->SeedPriorObservations(std::move(priors));
       if (svc->tuner().warm_started()) {
         entry->warm_started = true;
@@ -414,9 +412,7 @@ ServiceRegistry::TransferRecord ServiceRegistry::MakeTransferRecord(
   TransferRecord rec;
   rec.fingerprint = entry.fingerprint;
   rec.observations = svc->ExportObservations(options_.transfer_cap * 4);
-  if (const QcsaResult* qcsa = svc->tuner().qcsa_result()) {
-    rec.csq = qcsa->csq_indices;
-  }
+  rec.hint = svc->tuner().ExportTransferHint();
   return rec;
 }
 

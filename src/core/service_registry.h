@@ -216,11 +216,11 @@ class ServiceRegistry {
   struct TransferRecord {
     AppFingerprint fingerprint;
     std::vector<LocatTuner::PriorObservation> observations;
-    /// The app's configuration-sensitive query indices (QCSA result),
-    /// handed to warm-started recipients as the RQA hint: sensitivity is
-    /// a property of the queries, and the donor estimated it from a full
-    /// sampling budget the recipient's shrunken schedule cannot afford.
-    std::vector<int> csq;
+    /// The app's CSQ indices and its IICP reduction (one shared,
+    /// immutable object), handed to warm-started recipients: both are
+    /// properties of the app, estimated from a budget the recipient's
+    /// shrunken schedule cannot afford (see LocatTuner::TransferHint).
+    LocatTuner::TransferHint hint;
   };
 
   /// The live entry for `app`, or null when it is not admitted.
@@ -234,16 +234,16 @@ class ServiceRegistry {
   StatusOr<std::shared_ptr<Entry>> FindOrAdmit(const std::string& app);
 
   /// Builds the distance-weighted prior set for a new app from the
-  /// transfer store; `csq_hint` receives the nearest donor's CSQ indices
+  /// transfer store; `hint` receives the nearest donor's transfer hint
   /// (left untouched when there is no donor). Caller holds
   /// `transfer_mu_`.
   std::vector<LocatTuner::PriorObservation> BuildPriorsLocked(
       const std::string& app, const AppFingerprint& fp,
-      std::vector<int>* csq_hint) const;
+      LocatTuner::TransferHint* hint) const;
 
   /// What `entry` hands future warm starts: its fingerprint, up to
-  /// 4 x transfer_cap exported observations and its CSQ indices. Caller
-  /// holds `entry.mu`.
+  /// 4 x transfer_cap exported observations and its transfer hint.
+  /// Caller holds `entry.mu`.
   TransferRecord MakeTransferRecord(const Entry& entry) const;
 
   /// Removes `entry` from the map and persists its history into the

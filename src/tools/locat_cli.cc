@@ -908,6 +908,12 @@ int CmdReport(const std::string& path) {
   };
   std::vector<ServingAgg> serving;
   double linalg_backend_id = 0.0;
+  // IICP reductions: each one came from the tune's own samples or was
+  // transferred from a donor (a warm start below IICP's sample floor).
+  int iicp_own = 0;
+  int iicp_transferred = 0;
+  double iicp_params_sum = 0.0;
+  double iicp_latent_sum = 0.0;
   // Phase events without a branch below (e.g. the sim_engine and
   // sim_cache events older telemetry files carry) are skipped.
   for (const auto& rec : parsed.value()) {
@@ -944,6 +950,14 @@ int CmdReport(const std::string& path) {
       summary_opt = rec.Num("optimization_seconds");
       summary_best = rec.Num("best_seconds");
       summary_evals = rec.Num("evaluations");
+    } else if (rec.type == "phase" && rec.Str("phase") == "iicp") {
+      if (rec.Num("transferred") > 0.0) {
+        ++iicp_transferred;
+      } else {
+        ++iicp_own;
+      }
+      iicp_params_sum += rec.Num("selected_params");
+      iicp_latent_sum += rec.Num("latent_dim");
     } else if (rec.type == "phase" && rec.Str("phase") == "linalg") {
       have_linalg = true;
       linalg_backend_id = rec.Num("backend_id");
@@ -1017,6 +1031,13 @@ int CmdReport(const std::string& path) {
         "meter: %.1f s over %.0f evaluations | best %.1f s | "
         "phase sum vs meter: %+.2f%%\n",
         summary_opt, summary_evals, summary_best, drift);
+  }
+  if (const int n = iicp_own + iicp_transferred; n > 0) {
+    std::printf(
+        "iicp: %d reduction(s), %d from own samples, %d transferred | "
+        "mean %.1f params -> %.1f latent dims\n",
+        n, iicp_own, iicp_transferred, iicp_params_sum / n,
+        iicp_latent_sum / n);
   }
   if (have_linalg) {
     // The fit/acq columns are where the math kernels run (GP Gram +

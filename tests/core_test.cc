@@ -2,6 +2,9 @@
 #include <cmath>
 #include <cstdint>
 #include <map>
+#include <memory>
+#include <optional>
+#include <regex>
 #include <string>
 #include <vector>
 
@@ -14,6 +17,7 @@
 #include "core/qcsa.h"
 #include "core/tuning.h"
 #include "obs/telemetry.h"
+#include "obs/trace.h"
 #include "sparksim/simulator.h"
 #include "workloads/workloads.h"
 
@@ -327,6 +331,145 @@ TEST(LocatTunerTest, ApVariantSkipsIicp) {
   tuner.Tune(&session, 100.0);
   EXPECT_EQ(tuner.iicp_result(), nullptr);
   EXPECT_NE(tuner.qcsa_result(), nullptr);
+}
+
+// ------------------------------------------------------ Transfer hint
+
+/// What a tuned TPC-H app exports for a warm start: its best-spread
+/// observations and its CSQ + IICP hint.
+struct DonorExport {
+  std::vector<LocatTuner::PriorObservation> priors;
+  LocatTuner::TransferHint hint;
+};
+
+DonorExport TuneDonor() {
+  sparksim::ClusterSimulator sim(sparksim::X86Cluster(), 84);
+  TuningSession session(&sim, workloads::TpcH());
+  LocatTuner donor(TinyLocatOptions());
+  donor.Tune(&session, 100.0);
+  return {donor.ExportObservations(12), donor.ExportTransferHint()};
+}
+
+/// One warm-started Join tune seeded with `priors` (and `hint`, when
+/// set), with the observables the transfer-hint tests compare.
+struct RecipientRun {
+  TuningResult result;
+  std::shared_ptr<const IicpResult> iicp;
+  /// GP input dimension of each DAGP refit after the QCSA/IICP rebuild.
+  std::vector<int> refit_dims;
+  int phase_a_evals = 0;
+  /// The "iicp" phase event's `transferred` field; -1 without the event.
+  double transferred = -1.0;
+};
+
+RecipientRun TuneRecipient(int n_qcsa,
+                           std::vector<LocatTuner::PriorObservation> priors,
+                           std::optional<LocatTuner::TransferHint> hint) {
+  sparksim::ClusterSimulator sim(sparksim::X86Cluster(), 85);
+  TuningSession session(&sim, workloads::HiBenchJoin());
+  LocatTuner::Options opts = TinyLocatOptions();
+  opts.n_qcsa = n_qcsa;
+  LocatTuner tuner(opts);
+  obs::CollectingObserver collector;
+  obs::Tracer tracer;
+  obs::ObsContext ctx;
+  ctx.observer = &collector;
+  ctx.tracer = &tracer;
+  tuner.SetObservability(ctx);
+  tuner.SeedPriorObservations(std::move(priors));
+  if (hint) tuner.SeedTransferHint(std::move(*hint));
+  EXPECT_TRUE(tuner.warm_started());
+
+  RecipientRun run;
+  run.result = tuner.Tune(&session, 200.0);
+  run.iicp = tuner.ExportTransferHint().iicp;
+  bool after_analyze = false;
+  const std::regex dim_re("\"dim\":([0-9]+)");
+  for (const obs::TraceEvent& ev : tracer.snapshot()) {
+    if (ev.name == "tune/analyze") after_analyze = true;
+    std::smatch m;
+    if (after_analyze && ev.name == "dagp/refit" &&
+        std::regex_search(ev.args, m, dim_re)) {
+      run.refit_dims.push_back(std::stoi(m[1]));
+    }
+  }
+  for (const auto& ev : collector.iterations) {
+    if (ev.phase == "lhs" || ev.phase == "qcsa") ++run.phase_a_evals;
+  }
+  for (const auto& ev : collector.phases) {
+    if (ev.phase != "iicp") continue;
+    for (const auto& [key, value] : ev.fields) {
+      if (key == "transferred") run.transferred = value;
+    }
+  }
+  return run;
+}
+
+void ExpectSameTune(const TuningResult& a, const TuningResult& b) {
+  EXPECT_TRUE(a.best_conf == b.best_conf);
+  EXPECT_EQ(std::bit_cast<uint64_t>(a.best_observed_seconds),
+            std::bit_cast<uint64_t>(b.best_observed_seconds));
+  EXPECT_EQ(std::bit_cast<uint64_t>(a.optimization_seconds),
+            std::bit_cast<uint64_t>(b.optimization_seconds));
+  EXPECT_EQ(a.evaluations, b.evaluations);
+  EXPECT_EQ(a.failed_evaluations, b.failed_evaluations);
+  ASSERT_EQ(a.trajectory.size(), b.trajectory.size());
+  for (size_t i = 0; i < a.trajectory.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(a.trajectory[i]),
+              std::bit_cast<uint64_t>(b.trajectory[i]))
+        << "trajectory[" << i << "]";
+  }
+}
+
+// A warm start's third-of-budget schedule (8 / 3 -> 2 own samples) is
+// below IICP's 4-sample floor: the hinted reduction is adopted as is and
+// the DAGP is rebuilt in its latent space.
+TEST(TransferHintTest, ShortWarmStartAdoptsHintedReduction) {
+  DonorExport donor = TuneDonor();
+  ASSERT_NE(donor.hint.iicp, nullptr);
+  const RecipientRun run = TuneRecipient(8, donor.priors, donor.hint);
+  EXPECT_EQ(run.phase_a_evals, 2);
+  ASSERT_NE(run.iicp, nullptr);
+  EXPECT_EQ(run.iicp, donor.hint.iicp) << "one shared object, not a copy";
+  EXPECT_EQ(run.iicp->selected_params(), donor.hint.iicp->selected_params());
+  ASSERT_FALSE(run.refit_dims.empty());
+  for (int dim : run.refit_dims) {
+    EXPECT_EQ(dim, donor.hint.iicp->latent_dim() + 1);
+  }
+  EXPECT_EQ(run.transferred, 1.0);
+}
+
+// With enough own samples (15 / 3 -> 5) the local IICP run succeeds and
+// the hinted reduction changes nothing, bit for bit.
+TEST(TransferHintTest, LocalIicpWinsOverHint) {
+  DonorExport donor = TuneDonor();
+  ASSERT_NE(donor.hint.iicp, nullptr);
+  LocatTuner::TransferHint csq_only = donor.hint;
+  csq_only.iicp = nullptr;
+  const RecipientRun with = TuneRecipient(15, donor.priors, donor.hint);
+  const RecipientRun without = TuneRecipient(15, donor.priors, csq_only);
+  ASSERT_NE(with.iicp, nullptr);
+  EXPECT_NE(with.iicp, donor.hint.iicp);
+  EXPECT_EQ(with.transferred, 0.0);
+  EXPECT_EQ(with.refit_dims, without.refit_dims);
+  ExpectSameTune(with.result, without.result);
+}
+
+// Without a hinted reduction a short warm start keeps the 38-dimensional
+// fallback, and seeding an empty hint is the same as seeding none.
+TEST(TransferHintTest, NoHintKeepsFullSpaceFallback) {
+  DonorExport donor = TuneDonor();
+  const RecipientRun empty_hint =
+      TuneRecipient(8, donor.priors, LocatTuner::TransferHint{});
+  const RecipientRun no_hint = TuneRecipient(8, donor.priors, std::nullopt);
+  EXPECT_EQ(empty_hint.iicp, nullptr);
+  EXPECT_EQ(empty_hint.transferred, -1.0) << "no reduction, no iicp event";
+  ASSERT_FALSE(empty_hint.refit_dims.empty());
+  for (int dim : empty_hint.refit_dims) {
+    EXPECT_EQ(dim, sparksim::kNumParams + 1);
+  }
+  EXPECT_EQ(empty_hint.refit_dims, no_hint.refit_dims);
+  ExpectSameTune(empty_hint.result, no_hint.result);
 }
 
 // ------------------------------------------------- EI-MCMC ensemble cap

@@ -79,6 +79,27 @@ ServiceRegistry::BackendFactory Factory(
   };
 }
 
+/// Factory(opts) that also records the service each backend it creates
+/// holds, by app name; an entry is valid while that app stays admitted.
+ServiceRegistry::BackendFactory RecordingFactory(
+    const OnlineTuningService::Options& opts,
+    std::map<std::string, const OnlineTuningService*>* services) {
+  return [opts, services](const std::string& name)
+             -> std::unique_ptr<AppBackend> {
+    auto backend = std::make_unique<SimBackend>(name, opts);
+    (*services)[name] = backend->service();
+    return backend;
+  };
+}
+
+/// CPS-selected parameters of `app`'s live tuner (empty without IICP).
+std::vector<int> SelectedParams(
+    const std::map<std::string, const OnlineTuningService*>& services,
+    const std::string& app) {
+  const IicpResult* iicp = services.at(app)->tuner().iicp_result();
+  return iicp != nullptr ? iicp->selected_params() : std::vector<int>{};
+}
+
 TEST(ServiceRegistryTest, ColdLookupAdmitsAndTunes) {
   ServiceRegistry registry(Factory(TinyOptions()));
   const auto conf = registry.Lookup("TPC-H", 100.0);
@@ -340,11 +361,14 @@ TEST(ServiceRegistryWarmStartTest, OffIsByteExactToPlainService) {
 TEST(ServiceRegistryWarmStartTest, EvictedAppReadmitsFromOwnHistory) {
   ServiceRegistry::Options ropts;
   ropts.capacity = 1;  // admitting a second app forces an eviction
-  ServiceRegistry registry(Factory(TinyOptions()), ropts);
+  std::map<std::string, const OnlineTuningService*> services;
+  ServiceRegistry registry(RecordingFactory(TinyOptions(), &services), ropts);
 
   ASSERT_TRUE(registry.Lookup("TPC-H", 100.0).ok());
   const int evals_cold = registry.GetAppRow("TPC-H")->snapshot.tuning_passes;
   ASSERT_EQ(evals_cold, 1);
+  const std::vector<int> cold_selected = SelectedParams(services, "TPC-H");
+  ASSERT_FALSE(cold_selected.empty()) << "the cold tune ran IICP";
   registry.AdvanceTick();
 
   // A second app overflows capacity; TPC-H is least recently used.
@@ -362,10 +386,24 @@ TEST(ServiceRegistryWarmStartTest, EvictedAppReadmitsFromOwnHistory) {
   // Two warm starts happened: Join seeded cross-app from the tuned TPC-H
   // donor, then TPC-H re-admitted from its own persisted history.
   EXPECT_EQ(registry.GetStats().warm_start_hits, 2u);
+  // The warm start's 2 own samples are below IICP's floor, so the
+  // re-admitted tuner searches in its pre-eviction reduction ...
+  EXPECT_EQ(SelectedParams(services, "TPC-H"), cold_selected);
+
+  // ... and hands it on again: evict TPC-H a second time (Join returns)
+  // and re-admit it.
+  registry.AdvanceTick();  // evicts Join, the least recently used
+  ASSERT_TRUE(registry.Lookup("Join", 100.0).ok());
+  registry.AdvanceTick();  // evicts TPC-H
+  ASSERT_FALSE(registry.GetAppRow("TPC-H").has_value());
+  ASSERT_TRUE(registry.Lookup("TPC-H", 100.0).ok());
+  EXPECT_TRUE(registry.GetAppRow("TPC-H")->warm_started);
+  EXPECT_EQ(SelectedParams(services, "TPC-H"), cold_selected);
 }
 
 TEST(ServiceRegistryWarmStartTest, NewAppSeedsFromSimilarTunedApps) {
-  ServiceRegistry registry(Factory(TinyOptions()));
+  std::map<std::string, const OnlineTuningService*> services;
+  ServiceRegistry registry(RecordingFactory(TinyOptions(), &services));
   ASSERT_TRUE(registry.Lookup("TPC-H", 100.0).ok());
   ASSERT_TRUE(registry.Lookup("Join", 100.0).ok());
   EXPECT_FALSE(registry.GetAppRow("Join")->warm_started)
@@ -377,6 +415,65 @@ TEST(ServiceRegistryWarmStartTest, NewAppSeedsFromSimilarTunedApps) {
   ASSERT_TRUE(row.has_value());
   EXPECT_TRUE(row->warm_started);
   EXPECT_GE(registry.GetStats().warm_start_hits, 1u);
+
+  // The newcomer adopts the nearest donor's reduction (the very object,
+  // not a copy). Donor fingerprints carry their QCSA sensitivity, as
+  // AdvanceTick stamps them; ties go to the smaller name.
+  const AppFingerprint newcomer =
+      AppFingerprint::FromProfile(AppByName("Aggregation"));
+  std::string nearest;
+  double nearest_distance = 0.0;
+  for (const std::string donor : {"Join", "TPC-H"}) {
+    const sparksim::SparkSqlApp app = AppByName(donor);
+    AppFingerprint fp = AppFingerprint::FromProfile(app);
+    const QcsaResult* qcsa = services.at(donor)->tuner().qcsa_result();
+    ASSERT_NE(qcsa, nullptr);
+    fp.AddSensitivity(*qcsa, app.num_queries());
+    const double distance = AppFingerprint::Distance(newcomer, fp);
+    if (nearest.empty() || distance < nearest_distance) {
+      nearest = donor;
+      nearest_distance = distance;
+    }
+  }
+  const IicpResult* adopted =
+      services.at("Aggregation")->tuner().iicp_result();
+  ASSERT_NE(adopted, nullptr);
+  EXPECT_EQ(adopted, services.at(nearest)->tuner().iicp_result())
+      << "nearest donor: " << nearest;
+}
+
+TEST(ServiceRegistryWarmStartTest, ConcurrentRecipientsShareOneReduction) {
+  // One donor, three newcomers tuning at once on the pool while the
+  // donor re-tunes for a drifted size: all four encode through the same
+  // IicpResult (run under TSan in CI).
+  ServiceRegistry::Options ropts;
+  ropts.tune_threads = 4;
+  std::map<std::string, const OnlineTuningService*> services;
+  ServiceRegistry registry(RecordingFactory(TinyOptions(), &services), ropts);
+  ASSERT_TRUE(registry.Lookup("TPC-H", 100.0).ok());
+  registry.AdvanceTick();
+
+  const std::vector<std::pair<std::string, double>> requests = {
+      {"Join", 100.0}, {"Scan", 100.0}, {"Aggregation", 100.0},
+      {"TPC-H", 500.0}};
+  std::vector<std::thread> threads;
+  std::atomic<int> failures{0};
+  for (const auto& [app, ds] : requests) {
+    threads.emplace_back([&registry, &failures, app = app, ds = ds] {
+      if (!registry.Lookup(app, ds).ok()) failures.fetch_add(1);
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(failures.load(), 0);
+
+  const IicpResult* donor = services.at("TPC-H")->tuner().iicp_result();
+  ASSERT_NE(donor, nullptr);
+  for (const std::string app : {"Join", "Scan", "Aggregation"}) {
+    const auto row = registry.GetAppRow(app);
+    ASSERT_TRUE(row.has_value()) << app;
+    EXPECT_TRUE(row->warm_started) << app;
+    EXPECT_EQ(services.at(app)->tuner().iicp_result(), donor) << app;
+  }
 }
 
 TEST(ServiceRegistryTest, TtlEvictsIdleApps) {
