@@ -1,7 +1,7 @@
 // Observability overhead micro benchmarks.
 //
 // The locat::obs contract is "zero cost when disabled, <2% when enabled":
-// a null Tracer*/TunerObserver* must not allocate or read a clock, and a
+// a null Tracer*/Sink* must not allocate or read a clock, and a
 // fully wired context must stay in the noise next to the simulator work
 // it measures. The BM_SimApp_* pair is the headline number: the full
 // simulated app run with tracing off vs on.
@@ -129,46 +129,26 @@ void BM_Log_Enabled_Jsonl(benchmark::State& state) {
 }
 BENCHMARK(BM_Log_Enabled_Jsonl);
 
-// Rate-limited steady state: after the burst drains, each call is the
-// token-bucket check plus a dropped-counter bump — no formatting, no IO.
-void BM_Log_RateLimited(benchmark::State& state) {
-  std::ostringstream os;
-  obs::Log log;
-  log.SetLevel(obs::LogLevel::kInfo);
-  log.SetJsonlSink(&os);
-  log.SetRateLimit(1.0, 1);
-  log.Info("bench", "drain the burst", {});
-  for (auto _ : state) {
-    log.Info("bench", "mostly dropped", {{"n", "1"}});
-  }
-  state.counters["dropped"] = static_cast<double>(log.dropped());
-}
-BENCHMARK(BM_Log_RateLimited);
-
 // Flight-recorder append: wait-free seqlock slot claim + fixed-size
 // copies. This sits on the simulator fault path, so it must stay flat.
 void BM_FlightRecord(benchmark::State& state) {
   obs::FlightRecorder flight(256);
-  double v = 0.0;
-  for (auto _ : state) {
-    flight.Record("bench", "info", "bench", "ring append payload", v);
-    v += 1.0;
-  }
+  obs::Event ev("log", "bench", "ring append payload", {{"value", 0.0}});
+  ev.level = "info";
+  for (auto _ : state) flight.Record(ev);
   benchmark::DoNotOptimize(flight.total_recorded());
 }
 BENCHMARK(BM_FlightRecord);
 
+// One wired iteration record as a tuner pays for it: build the 16-field
+// event, then encode it.
 void BM_JsonlIterationEvent(benchmark::State& state) {
   std::ostringstream os;
-  obs::JsonlObserver observer(&os);
-  obs::BoIterationEvent ev;
-  ev.tuner = "LOCAT";
-  ev.phase = "reduced";
-  ev.datasize_gb = 300.0;
-  ev.eval_seconds = 1234.5;
+  obs::JsonlSink sink(&os);
+  int iteration = 0;
   for (auto _ : state) {
-    ev.iteration++;
-    observer.OnIteration(ev);
+    core::EmitSimpleIteration(&sink, "LOCAT", "reduced", iteration++, 300.0,
+                              1234.5, 1100.25, 900.0, false);
   }
   benchmark::DoNotOptimize(os.str().size());
 }
@@ -224,7 +204,7 @@ void RunTunePass(benchmark::State& state, bool observed) {
     obs::Tracer tracer;
     obs::MetricsRegistry metrics;
     std::ostringstream telemetry;
-    obs::JsonlObserver observer(&telemetry);
+    obs::JsonlSink observer(&telemetry);
     if (observed) {
       sim.set_tracer(&tracer);
       obs::ObsContext ctx;

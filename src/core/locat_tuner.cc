@@ -63,33 +63,36 @@ void LocatTuner::EmitIteration(double datasize_gb, double eval_seconds,
   const bool report_fit = fit_unreported_;
   fit_unreported_ = false;
   if (observer() == nullptr) return;
-  obs::BoIterationEvent ev;
-  ev.tuner = name();
-  ev.phase = phase_label_;
-  ev.iteration = iteration;
-  ev.datasize_gb = datasize_gb;
-  ev.eval_seconds = eval_seconds;
-  ev.objective_seconds = objective;
-  ev.incumbent_seconds = best_objective_;
-  ev.full_app = full_app;
+  double relative_ei = 0.0;
+  int candidate_pool = 0;
+  double acq_seconds = 0.0;
   if (proposal != nullptr) {
-    ev.relative_ei = proposal->relative_ei;
-    ev.candidate_pool = proposal->candidate_pool;
-    ev.acq_seconds = proposal->acq_seconds;
+    relative_ei = proposal->relative_ei;
+    candidate_pool = proposal->candidate_pool;
+    acq_seconds = proposal->acq_seconds;
   }
-  if (report_fit) {
-    // Only the first event after an MCMC refit carries its cost, so sums
-    // over events count each refit once.
-    const ml::EiMcmc::FitStats& fit = dagp_.last_fit_stats();
-    ev.dagp_fit_seconds = fit.wall_seconds;
-    ev.mcmc_ensemble = fit.ensemble_size;
-    ev.mcmc_density_evals = fit.sampler.density_evals;
-    ev.mcmc_acceptance = fit.sampler.acceptance_rate();
-  }
-  ev.rqa_share = rqa_share_;
-  ev.rqa_queries = static_cast<int>(rqa_.size());
-  ev.failed_evals = failed_evals_;
-  observer()->OnIteration(ev);
+  // Only the first event after an MCMC refit carries its cost, so sums
+  // over events count each refit once.
+  ml::EiMcmc::FitStats fit;
+  if (report_fit) fit = dagp_.last_fit_stats();
+  observer()->Emit(obs::Event(
+      "iteration", name(), phase_label_,
+      {{"iter", iteration},
+       {"datasize_gb", datasize_gb},
+       {"eval_seconds", eval_seconds},
+       {"objective_seconds", objective},
+       {"incumbent_seconds", best_objective_},
+       {"relative_ei", relative_ei},
+       {"candidate_pool", candidate_pool},
+       {"full_app", full_app},
+       {"dagp_fit_seconds", fit.wall_seconds},
+       {"acq_seconds", acq_seconds},
+       {"mcmc_ensemble", fit.ensemble_size},
+       {"mcmc_density_evals", fit.sampler.density_evals},
+       {"mcmc_acceptance", fit.sampler.acceptance_rate()},
+       {"rqa_share", rqa_share_},
+       {"rqa_queries", static_cast<int>(rqa_.size())},
+       {"failed_evals", failed_evals_}}));
 }
 
 std::string LocatTuner::name() const {
@@ -597,31 +600,20 @@ void LocatTuner::RunQcsaAndIicp(TuningSession* session) {
     worst_objective_ = std::max(worst_objective_, obs.objective_seconds);
   }
 
-  if (observer() != nullptr) {
-    if (qcsa_) {
-      obs::PhaseEvent ev;
-      ev.tuner = name();
-      ev.phase = "qcsa";
-      ev.fields = {
-          {"csq", static_cast<double>(qcsa_->csq_indices.size())},
-          {"ciq", static_cast<double>(qcsa_->ciq_indices.size())},
-          {"threshold", qcsa_->threshold},
-          {"rqa_share", rqa_share_},
-      };
-      observer()->OnPhase(ev);
-    }
-    if (iicp_) {
-      obs::PhaseEvent ev;
-      ev.tuner = name();
-      ev.phase = "iicp";
-      ev.fields = {
-          {"selected_params",
-           static_cast<double>(iicp_->selected_params().size())},
-          {"latent_dim", static_cast<double>(iicp_->latent_dim())},
-          {"transferred", iicp_transferred ? 1.0 : 0.0},
-      };
-      observer()->OnPhase(ev);
-    }
+  if (qcsa_) {
+    obs::EmitPhase(observer(), name(), "qcsa",
+                   {{"csq", static_cast<double>(qcsa_->csq_indices.size())},
+                    {"ciq", static_cast<double>(qcsa_->ciq_indices.size())},
+                    {"threshold", qcsa_->threshold},
+                    {"rqa_share", rqa_share_}});
+  }
+  if (iicp_) {
+    obs::EmitPhase(
+        observer(), name(), "iicp",
+        {{"selected_params",
+          static_cast<double>(iicp_->selected_params().size())},
+         {"latent_dim", static_cast<double>(iicp_->latent_dim())},
+         {"transferred", iicp_transferred ? 1.0 : 0.0}});
   }
 }
 
@@ -912,19 +904,13 @@ TuningResult LocatTuner::Tune(TuningSession* session, double datasize_gb) {
     tune_span.Arg("failed_evals",
                   static_cast<double>(result.failed_evaluations));
   }
-  if (observer() != nullptr) {
-    obs::PhaseEvent ev;
-    ev.tuner = name();
-    ev.phase = "summary";
-    ev.fields = {
-        {"evaluations", static_cast<double>(result.evaluations)},
-        {"optimization_seconds", result.optimization_seconds},
-        {"best_seconds", result.best_observed_seconds},
-        {"datasize_gb", datasize_gb},
-        {"failed_evals", static_cast<double>(result.failed_evaluations)},
-    };
-    observer()->OnPhase(ev);
-  }
+  obs::EmitPhase(
+      observer(), name(), "summary",
+      {{"evaluations", result.evaluations},
+       {"optimization_seconds", result.optimization_seconds},
+       {"best_seconds", result.best_observed_seconds},
+       {"datasize_gb", datasize_gb},
+       {"failed_evals", result.failed_evaluations}});
   return result;
 }
 

@@ -244,7 +244,7 @@ class LocatTuner : public Tuner {
   /// its FitStats for the next emitted iteration event.
   Status RefitDagp();
 
-  /// Sends one BoIterationEvent for a just-charged evaluation, with the
+  /// Sends one "iteration" event for a just-charged evaluation, with the
   /// acquisition telemetry of `proposal` (zeros when null); no-op without
   /// an observer (the event is not even built).
   void EmitIteration(double datasize_gb, double eval_seconds,

@@ -120,24 +120,28 @@ double CensoredObjective(double worst_seen_seconds, double partial_seconds,
   return (base > 0.0 ? base : 1.0) * margin;
 }
 
-void EmitSimpleIteration(obs::TunerObserver* observer,
-                         const std::string& tuner, const char* phase,
-                         int iteration, double datasize_gb,
+void EmitSimpleIteration(obs::Sink* observer, const std::string& tuner,
+                         const char* phase, int iteration, double datasize_gb,
                          double eval_seconds, double objective,
-                         double incumbent, bool full_app,
-                         int failed_evals) {
+                         double incumbent, bool full_app, int failed_evals) {
   if (observer == nullptr) return;
-  obs::BoIterationEvent ev;
-  ev.tuner = tuner;
-  ev.phase = phase;
-  ev.iteration = iteration;
-  ev.datasize_gb = datasize_gb;
-  ev.eval_seconds = eval_seconds;
-  ev.objective_seconds = objective;
-  ev.incumbent_seconds = incumbent;
-  ev.full_app = full_app;
-  ev.failed_evals = failed_evals;
-  observer->OnIteration(ev);
+  observer->Emit(obs::Event("iteration", tuner, phase,
+                            {{"iter", iteration},
+                             {"datasize_gb", datasize_gb},
+                             {"eval_seconds", eval_seconds},
+                             {"objective_seconds", objective},
+                             {"incumbent_seconds", incumbent},
+                             {"relative_ei", 0.0},
+                             {"candidate_pool", 0},
+                             {"full_app", full_app},
+                             {"dagp_fit_seconds", 0.0},
+                             {"acq_seconds", 0.0},
+                             {"mcmc_ensemble", 0},
+                             {"mcmc_density_evals", 0},
+                             {"mcmc_acceptance", 0.0},
+                             {"rqa_share", 0.0},
+                             {"rqa_queries", 0},
+                             {"failed_evals", failed_evals}}));
 }
 
 }  // namespace locat::core

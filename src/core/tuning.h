@@ -113,11 +113,11 @@ class TuningSession {
 double CensoredObjective(double worst_seen_seconds, double partial_seconds,
                          double margin);
 
-/// Builds and sends a minimal BoIterationEvent — the shared emit path for
-/// tuners without model-specific telemetry (the baselines). No-op when
-/// `observer` is null: the event is not even built, so disabled telemetry
-/// allocates nothing.
-void EmitSimpleIteration(obs::TunerObserver* observer,
+/// Builds and sends an "iteration" event with LOCAT's keys, the model
+/// fields at 0 — the shared emit path for tuners without model-specific
+/// telemetry (the baselines). No-op when `observer` is null: the event is
+/// not even built, so disabled telemetry allocates nothing.
+void EmitSimpleIteration(obs::Sink* observer,
                          const std::string& tuner, const char* phase,
                          int iteration, double datasize_gb,
                          double eval_seconds, double objective,
@@ -169,7 +169,7 @@ class Tuner {
   virtual void SetObservability(const obs::ObsContext& obs) { obs_ = obs; }
 
  protected:
-  obs::TunerObserver* observer() const { return obs_.observer; }
+  obs::Sink* observer() const { return obs_.observer; }
   obs::Tracer* tracer() const { return obs_.tracer; }
   obs::MetricsRegistry* metrics() const { return obs_.metrics; }
 

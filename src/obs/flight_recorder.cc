@@ -104,19 +104,21 @@ FlightRecorder::FlightRecorder(size_t capacity)
     : capacity_(capacity < 2 ? 2 : capacity), slots_(new Slot[capacity_]) {}
 
 LOCAT_NO_SANITIZE_THREAD
-void FlightRecorder::Record(const char* kind, const char* level,
-                            const char* component, const char* message,
-                            double value) {
+void FlightRecorder::Record(const Event& event) {
+  const auto fields = event.fields();
+  const double value =
+      !fields.empty() && fields[0].kind == Field::Kind::kNumber ? fields[0].num
+                                                                : 0.0;
   const uint64_t seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
   Slot& slot = slots_[seq % capacity_];
   slot.stamp.store(2 * seq + 1, std::memory_order_release);
   FlightEvent& ev = slot.event;
   ev.seq = seq;
   ev.t_ns = MonotonicClock::Default()->NowNanos();
-  CopyTruncated(ev.kind, sizeof(ev.kind), kind);
-  CopyTruncated(ev.level, sizeof(ev.level), level);
-  CopyTruncated(ev.component, sizeof(ev.component), component);
-  CopyTruncated(ev.message, sizeof(ev.message), message);
+  CopyTruncated(ev.kind, sizeof(ev.kind), event.type.c_str());
+  CopyTruncated(ev.level, sizeof(ev.level), event.level.c_str());
+  CopyTruncated(ev.component, sizeof(ev.component), event.source.c_str());
+  CopyTruncated(ev.message, sizeof(ev.message), event.name.c_str());
   ev.value = value;
   slot.stamp.store(2 * seq + 2, std::memory_order_release);
   if (!dump_on_fault_.empty() && std::strcmp(ev.kind, "fault") == 0) {

@@ -9,23 +9,24 @@
 #include <vector>
 
 #include "common/status.h"
+#include "obs/telemetry.h"
 
 namespace locat::obs {
 
-/// One event in the flight-recorder ring. All payload fields are
+/// One Event as the flight-recorder ring keeps it. All payload fields are
 /// fixed-size character arrays so recording never allocates and the
 /// crash-signal dump path can format them without touching the heap.
 struct FlightEvent {
   uint64_t seq = 0;   // global sequence number (monotonic)
   uint64_t t_ns = 0;  // steady-clock nanoseconds at record time
-  char kind[8] = {0};       // "log" | "span" | "fault" | ...
-  char level[8] = {0};      // log severity; "" otherwise
-  char component[24] = {0};
-  char message[104] = {0};  // truncated to fit
-  double value = 0.0;       // generic numeric payload (duration, count...)
+  char kind[8] = {0};       // Event::type: "log" | "fault" | ...
+  char level[8] = {0};      // Event::level
+  char component[24] = {0};  // Event::source
+  char message[104] = {0};  // Event::name, truncated to fit
+  double value = 0.0;       // the event's first field when it is a number
 };
 
-/// Fixed-size lock-free ring buffer of recent log/span/fault events — the
+/// Fixed-size lock-free ring buffer of recent log/fault events — the
 /// post-mortem "what happened just before this" record of a serving
 /// process.
 ///
@@ -39,10 +40,9 @@ class FlightRecorder {
  public:
   explicit FlightRecorder(size_t capacity = 1024);
 
-  /// Records one event; truncates every string to its field size. Safe
-  /// from any thread; never allocates, never takes a lock.
-  void Record(const char* kind, const char* level, const char* component,
-              const char* message, double value = 0.0);
+  /// Records one event, truncated into a fixed slot (see FlightEvent).
+  /// Safe from any thread; never allocates, never takes a lock.
+  void Record(const Event& event);
 
   /// Events still in the window, oldest first, ascending seq.
   std::vector<FlightEvent> Snapshot() const;

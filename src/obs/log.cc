@@ -1,6 +1,5 @@
 #include "obs/log.h"
 
-#include <algorithm>
 #include <cctype>
 #include <chrono>
 #include <cstdio>
@@ -9,16 +8,9 @@
 
 #include "obs/clock.h"
 #include "obs/flight_recorder.h"
-#include "obs/trace.h"
 
 namespace locat::obs {
 namespace {
-
-std::string Fmt(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.10g", v);
-  return buf;
-}
 
 /// Wall-clock timestamp "2026-08-08T12:34:56.789Z" for the stderr sink.
 /// (The JSONL sink records monotonic t_ns instead, which is what the
@@ -79,7 +71,6 @@ Log* Log::Global() {
 void Log::SetJsonlSink(std::ostream* os) {
   std::lock_guard<std::mutex> lock(mu_);
   os_ = os;
-  jsonl_ = true;
   owned_os_.reset();
 }
 
@@ -90,89 +81,46 @@ Status Log::OpenJsonlFile(const std::string& path) {
   }
   std::lock_guard<std::mutex> lock(mu_);
   os_ = file.get();
-  jsonl_ = true;
   owned_os_ = std::move(file);
   return Status::OK();
 }
 
-void Log::SetRateLimit(double per_sec, double burst) {
-  std::lock_guard<std::mutex> lock(mu_);
-  rate_per_sec_ = per_sec;
-  burst_ = burst > 0.0 ? burst : per_sec;
-  tokens_ = burst_;
-  last_refill_ns_ = MonotonicClock::Default()->NowNanos();
-}
-
-bool Log::TakeToken() {
-  if (rate_per_sec_ <= 0.0) return true;
-  const uint64_t now = MonotonicClock::Default()->NowNanos();
-  const double elapsed_s =
-      static_cast<double>(now - last_refill_ns_) * 1e-9;
-  last_refill_ns_ = now;
-  tokens_ = std::min(burst_, tokens_ + elapsed_s * rate_per_sec_);
-  if (tokens_ < 1.0) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    ++dropped_unreported_;
-    return false;
-  }
-  tokens_ -= 1.0;
-  return true;
-}
-
 void Log::Write(LogLevel level, const char* component,
                 const std::string& message,
-                std::initializer_list<LogField> fields) {
+                std::initializer_list<Field> fields) {
   if (!Enabled(level) || level == LogLevel::kOff) return;
-  const uint64_t t_ns = MonotonicClock::Default()->NowNanos();
-
-  if (flight_ != nullptr) {
-    flight_->Record("log", LogLevelName(level), component, message.c_str());
-  }
+  Event ev("log", component, message, fields);
+  ev.level = LogLevelName(level);
+  ev.t_ns = MonotonicClock::Default()->NowNanos();
+  if (flight_ != nullptr) flight_->Record(ev);
 
   std::lock_guard<std::mutex> lock(mu_);
-  if (!TakeToken()) return;
-  const uint64_t dropped_note = dropped_unreported_;
-  dropped_unreported_ = 0;
   written_.fetch_add(1, std::memory_order_relaxed);
-
-  if (jsonl_ && os_ != nullptr) {
-    std::ostream& os = *os_;
-    os << "{\"type\":\"log\",\"t_ns\":" << t_ns << ",\"level\":\""
-       << LogLevelName(level) << "\",\"component\":\"" << JsonEscape(component)
-       << "\",\"msg\":\"" << JsonEscape(message) << "\"";
-    for (const LogField& f : fields) {
-      os << ",\"" << JsonEscape(f.key) << "\":";
-      if (f.is_num) {
-        os << Fmt(f.num);
-      } else {
-        os << "\"" << JsonEscape(f.str) << "\"";
-      }
-    }
-    if (dropped_note > 0) os << ",\"dropped_before\":" << dropped_note;
-    os << "}\n";
-    os.flush();
+  if (os_ != nullptr) {
+    WriteJsonl(*os_, ev);
+    os_->flush();
     return;
   }
 
   // Human-readable stderr line.
   std::string line = WallTimestamp();
   line += ' ';
-  const char* name = LogLevelName(level);
-  line += static_cast<char>(std::toupper(static_cast<unsigned char>(name[0])));
+  line +=
+      static_cast<char>(std::toupper(static_cast<unsigned char>(ev.level[0])));
   line += ' ';
   line += component;
   line += ": ";
   line += message;
-  for (const LogField& f : fields) {
+  char buf[32];
+  for (const Field& f : ev.fields()) {
     line += ' ';
     line += f.key;
     line += '=';
-    line += f.is_num ? Fmt(f.num) : f.str;
-  }
-  if (dropped_note > 0) {
-    line += " (dropped ";
-    line += std::to_string(dropped_note);
-    line += " earlier records)";
+    if (f.kind == Field::Kind::kString) {
+      line += f.str;
+    } else {
+      line += FormatNumber(f.num, buf);
+    }
   }
   line += '\n';
   std::fwrite(line.data(), 1, line.size(), stderr);

@@ -488,8 +488,10 @@ StatusOr<AppRunResult> ClusterSimulator::RunAppSubset(
                       app.name.c_str(), datasize_gb, outcome.killed_at);
         // A "fault" event also triggers the recorder's dump-on-fault
         // snapshot when one is configured.
-        flight_->Record("fault", "warn", "sparksim", msg,
-                        static_cast<double>(outcome.killed_at));
+        obs::Event ev("fault", "sparksim", msg,
+                      {{"at_query", outcome.killed_at}});
+        ev.level = "warn";
+        flight_->Record(ev);
       }
     }
   }

@@ -384,7 +384,7 @@ int CmdTune(const std::string& app_name, const std::string& cluster,
   obs::Tracer tracer;
   obs::MetricsRegistry metrics;
   std::ofstream telemetry_os;
-  std::unique_ptr<obs::JsonlObserver> observer;
+  std::unique_ptr<obs::JsonlSink> observer;
   obs::ObsContext ctx;
   if (!flags.trace_path.empty()) {
     ctx.tracer = &tracer;
@@ -397,7 +397,7 @@ int CmdTune(const std::string& app_name, const std::string& cluster,
       Diag("cli", "cannot write " + flags.telemetry_path);
       return 1;
     }
-    observer = std::make_unique<obs::JsonlObserver>(&telemetry_os);
+    observer = std::make_unique<obs::JsonlSink>(&telemetry_os);
     ctx.observer = observer.get();
   }
   // An admin server implies a live metrics registry (that's what /metrics
@@ -492,32 +492,19 @@ int CmdTune(const std::string& app_name, const std::string& cluster,
                       "Simulated app runs that ended failed")
           ->Increment(static_cast<double>(fs.failed_runs));
     }
-    if (ctx.observer != nullptr) {
-      obs::PhaseEvent ev;
-      ev.tuner = tuner->name();
-      ev.phase = "faults";
-      ev.fields = {
-          {"executor_losses", static_cast<double>(fs.executor_losses)},
-          {"stragglers", static_cast<double>(fs.stragglers)},
-          {"fetch_failures", static_cast<double>(fs.fetch_failures)},
-          {"app_kills", static_cast<double>(fs.app_kills)},
-          {"failed_runs", static_cast<double>(fs.failed_runs)},
-          {"failed_evals", static_cast<double>(result.failed_evaluations)},
-      };
-      ctx.observer->OnPhase(ev);
-    }
+    obs::EmitPhase(
+        ctx.observer, tuner->name(), "faults",
+        {{"executor_losses", static_cast<double>(fs.executor_losses)},
+         {"stragglers", static_cast<double>(fs.stragglers)},
+         {"fetch_failures", static_cast<double>(fs.fetch_failures)},
+         {"app_kills", static_cast<double>(fs.app_kills)},
+         {"failed_runs", static_cast<double>(fs.failed_runs)},
+         {"failed_evals", result.failed_evaluations}});
   }
   std::printf("linalg: %s dispatch\n", math::kern::ActiveBackendName());
-  if (ctx.observer != nullptr) {
-    obs::PhaseEvent ev;
-    ev.tuner = tuner->name();
-    ev.phase = "linalg";
-    ev.fields = {
-        {"backend_id",
-         static_cast<double>(math::kern::ActiveBackend())},
-    };
-    ctx.observer->OnPhase(ev);
-  }
+  obs::EmitPhase(
+      ctx.observer, tuner->name(), "linalg",
+      {{"backend_id", static_cast<int>(math::kern::ActiveBackend())}});
   std::printf("\n%s\n", result.best_conf.ToString().c_str());
 
   if (!flags.trace_path.empty()) {
@@ -595,14 +582,14 @@ int CmdServe(const std::string& cluster, std::vector<std::string> app_names,
   obs::ObsContext ctx;
   ctx.metrics = &metrics;
   std::ofstream telemetry_os;
-  std::unique_ptr<obs::JsonlObserver> observer;
+  std::unique_ptr<obs::JsonlSink> observer;
   if (!flags.telemetry_path.empty()) {
     telemetry_os.open(flags.telemetry_path);
     if (!telemetry_os) {
       Diag("cli", "cannot write " + flags.telemetry_path);
       return 1;
     }
-    observer = std::make_unique<obs::JsonlObserver>(&telemetry_os);
+    observer = std::make_unique<obs::JsonlSink>(&telemetry_os);
     ctx.observer = observer.get();
   }
 
@@ -800,21 +787,13 @@ int CmdServe(const std::string& cluster, std::vector<std::string> app_names,
     reuses += snap.reuses + extra;
     tunes += snap.tuning_passes;
     opt_seconds += snap.optimization_seconds;
-    if (ctx.observer != nullptr) {
-      obs::PhaseEvent ev;
-      ev.tuner = snap.app;
-      ev.phase = "serving";
-      ev.fields = {
-          {"recommendations",
-           static_cast<double>(snap.recommendations + extra)},
-          {"reuses", static_cast<double>(snap.reuses + extra)},
-          {"tuning_passes", static_cast<double>(snap.tuning_passes)},
-          {"failed_reports", static_cast<double>(snap.failed_reports)},
-          {"recommend_p50_s", snap.recommend_p50_s},
-          {"recommend_p99_s", snap.recommend_p99_s},
-      };
-      ctx.observer->OnPhase(ev);
-    }
+    obs::EmitPhase(ctx.observer, snap.app, "serving",
+                   {{"recommendations", snap.recommendations + extra},
+                    {"reuses", snap.reuses + extra},
+                    {"tuning_passes", snap.tuning_passes},
+                    {"failed_reports", snap.failed_reports},
+                    {"recommend_p50_s", snap.recommend_p50_s},
+                    {"recommend_p99_s", snap.recommend_p99_s}});
   }
   std::printf(
       "serving: %d recommendations (%d reused, %d tuned) | %d ok runs | "
@@ -877,188 +856,76 @@ int CmdReport(const std::string& path) {
                  parsed.status().ToString().c_str());
     return 1;
   }
-
-  // Aggregate iteration events by phase, in first-seen order.
-  struct PhaseAgg {
-    std::string phase;
-    int events = 0;
-    int refits = 0;  // EI-MCMC refits (rank-1 appends are not counted)
-    double eval_seconds = 0.0;
-    double fit_seconds = 0.0;  // surrogate (DAGP) fitting wall time
-    double acq_seconds = 0.0;  // acquisition-scoring wall time
-    double best_seconds = 0.0;
-  };
-  std::vector<PhaseAgg> phases;
-  std::string tuner;
-  double total_eval_seconds = 0.0;
-  int total_events = 0;
-  double summary_opt = 0.0;
-  double summary_best = 0.0;
-  double summary_evals = 0.0;
-  bool have_summary = false;
-  bool have_linalg = false;
-  struct ServingAgg {
-    std::string app;
-    double recommendations = 0.0;
-    double reuses = 0.0;
-    double tuning_passes = 0.0;
-    double failed_reports = 0.0;
-    double p50_s = 0.0;
-    double p99_s = 0.0;
-  };
-  std::vector<ServingAgg> serving;
-  double linalg_backend_id = 0.0;
-  // IICP reductions: each one came from the tune's own samples or was
-  // transferred from a donor (a warm start below IICP's sample floor).
-  int iicp_own = 0;
-  int iicp_transferred = 0;
-  double iicp_params_sum = 0.0;
-  double iicp_latent_sum = 0.0;
-  // Phase events without a branch below (e.g. the sim_engine and
-  // sim_cache events older telemetry files carry) are skipped.
-  for (const auto& rec : parsed.value()) {
-    if (rec.type == "iteration") {
-      if (tuner.empty()) tuner = rec.Str("tuner");
-      const std::string phase = rec.Str("phase");
-      PhaseAgg* agg = nullptr;
-      for (auto& p : phases) {
-        if (p.phase == phase) {
-          agg = &p;
-          break;
-        }
-      }
-      if (agg == nullptr) {
-        phases.push_back(PhaseAgg{phase});
-        agg = &phases.back();
-      }
-      const double eval = rec.Num("eval_seconds");
-      const double incumbent = rec.Num("incumbent_seconds");
-      ++agg->events;
-      agg->eval_seconds += eval;
-      // Only the first event after an MCMC refit carries its ensemble.
-      if (rec.Num("mcmc_ensemble") > 0.0) ++agg->refits;
-      agg->fit_seconds += rec.Num("dagp_fit_seconds");
-      agg->acq_seconds += rec.Num("acq_seconds");
-      if (incumbent > 0.0 &&
-          (agg->best_seconds <= 0.0 || incumbent < agg->best_seconds)) {
-        agg->best_seconds = incumbent;
-      }
-      ++total_events;
-      total_eval_seconds += eval;
-    } else if (rec.type == "phase" && rec.Str("phase") == "summary") {
-      have_summary = true;
-      summary_opt = rec.Num("optimization_seconds");
-      summary_best = rec.Num("best_seconds");
-      summary_evals = rec.Num("evaluations");
-    } else if (rec.type == "phase" && rec.Str("phase") == "iicp") {
-      if (rec.Num("transferred") > 0.0) {
-        ++iicp_transferred;
-      } else {
-        ++iicp_own;
-      }
-      iicp_params_sum += rec.Num("selected_params");
-      iicp_latent_sum += rec.Num("latent_dim");
-    } else if (rec.type == "phase" && rec.Str("phase") == "linalg") {
-      have_linalg = true;
-      linalg_backend_id = rec.Num("backend_id");
-    } else if (rec.type == "phase" && rec.Str("phase") == "serving") {
-      ServingAgg agg;
-      agg.app = rec.Str("tuner");  // serve stores the app name here
-      agg.recommendations = rec.Num("recommendations");
-      agg.reuses = rec.Num("reuses");
-      agg.tuning_passes = rec.Num("tuning_passes");
-      agg.failed_reports = rec.Num("failed_reports");
-      agg.p50_s = rec.Num("recommend_p50_s");
-      agg.p99_s = rec.Num("recommend_p99_s");
-      serving.push_back(std::move(agg));
-    }
-  }
-  if (total_events == 0 && serving.empty()) {
-    std::fprintf(stderr, "%s: no iteration events\n", path.c_str());
+  const auto report_or = obs::SummarizeTelemetry(parsed.value());
+  if (!report_or.ok()) {
+    std::fprintf(stderr, "%s: %s\n", path.c_str(),
+                 report_or.status().message().c_str());
     return 1;
   }
-  if (total_events == 0) {
-    // Pure serving telemetry (from `locat serve --telemetry`): no
-    // per-iteration table, just the serving summary.
-    for (const auto& s : serving) {
-      std::printf(
-          "serving: %-12s %.0f recommendations (%.0f reused, %.0f tuned) | "
-          "%.0f failed runs | recommend p50 %.1f ms / p99 %.1f ms\n",
-          s.app.c_str(), s.recommendations, s.reuses, s.tuning_passes,
-          s.failed_reports, s.p50_s * 1e3, s.p99_s * 1e3);
+  const obs::TelemetryReport& r = report_or.value();
+  // Pure serving telemetry (no iteration records) prints serving lines only.
+  if (r.total.events > 0) {
+    if (!r.tuner.empty()) std::printf("tuner: %s\n", r.tuner.c_str());
+    // "fit" and "acq" split the tuner's own per-iteration overhead into
+    // surrogate fitting and acquisition scoring (real wall time, not
+    // simulated seconds); "charged" remains the simulated evaluation cost.
+    // "refits" counts the EI-MCMC refits behind "fit".
+    TablePrinter tp({"phase", "evals", "charged (s)", "share", "refits",
+                     "fit (s)", "acq (s)", "best (s)"});
+    for (const auto& p : r.phases) {
+      tp.AddRow({p.phase, std::to_string(p.events),
+                 TablePrinter::Num(p.eval_seconds, 1),
+                 TablePrinter::Num(100.0 * p.eval_seconds /
+                                       std::max(1e-12, r.total.eval_seconds),
+                                   1) +
+                     "%",
+                 std::to_string(p.refits), TablePrinter::Num(p.fit_seconds, 3),
+                 TablePrinter::Num(p.acq_seconds, 3),
+                 p.best_seconds > 0.0 ? TablePrinter::Num(p.best_seconds, 1)
+                                      : ""});
     }
-    return 0;
+    tp.AddRow({"total", std::to_string(r.total.events),
+               TablePrinter::Num(r.total.eval_seconds, 1), "100.0%",
+               std::to_string(r.total.refits),
+               TablePrinter::Num(r.total.fit_seconds, 3),
+               TablePrinter::Num(r.total.acq_seconds, 3), ""});
+    tp.Print(std::cout);
+    if (r.summaries > 0) {
+      std::printf(
+          "meter: %.1f s over %.0f evaluations | best %.1f s | "
+          "phase sum vs meter: %+.2f%%\n",
+          r.meter_seconds, r.meter_evaluations, r.meter_best_seconds,
+          r.MeterDrift());
+    }
+    if (const int n = r.iicp_own + r.iicp_transferred; n > 0) {
+      std::printf(
+          "iicp: %d reduction(s), %d from own samples, %d transferred | "
+          "mean %.1f params -> %.1f latent dims\n",
+          n, r.iicp_own, r.iicp_transferred, r.iicp_params_sum / n,
+          r.iicp_latent_sum / n);
+    }
+    if (r.linalg_backend_id >= 0.0) {
+      // The fit/acq columns are where the math kernels run (GP Gram +
+      // Cholesky under "fit", PredictBatch under "acq"), so their split is
+      // the kernel-time share of the tuner's own overhead.
+      const double kern_seconds = r.total.fit_seconds + r.total.acq_seconds;
+      const auto backend = static_cast<math::kern::Backend>(
+          static_cast<int>(r.linalg_backend_id));
+      std::printf(
+          "linalg: %s dispatch | %.3f s in math kernels "
+          "(fit %.1f%% / acq %.1f%%)\n",
+          math::kern::BackendName(backend), kern_seconds,
+          100.0 * r.total.fit_seconds / std::max(1e-12, kern_seconds),
+          100.0 * r.total.acq_seconds / std::max(1e-12, kern_seconds));
+    }
   }
-
-  if (!tuner.empty()) std::printf("tuner: %s\n", tuner.c_str());
-  // "fit" and "acq" split the tuner's own per-iteration overhead into
-  // surrogate fitting and acquisition scoring (real wall time, not
-  // simulated seconds); "charged" remains the simulated evaluation cost.
-  // "refits" counts the EI-MCMC refits behind "fit".
-  TablePrinter tp({"phase", "evals", "charged (s)", "share", "refits",
-                   "fit (s)", "acq (s)", "best (s)"});
-  int total_refits = 0;
-  double total_fit_seconds = 0.0;
-  double total_acq_seconds = 0.0;
-  for (const auto& p : phases) {
-    total_refits += p.refits;
-    total_fit_seconds += p.fit_seconds;
-    total_acq_seconds += p.acq_seconds;
-    tp.AddRow({p.phase, std::to_string(p.events),
-               TablePrinter::Num(p.eval_seconds, 1),
-               TablePrinter::Num(100.0 * p.eval_seconds /
-                                     std::max(1e-12, total_eval_seconds),
-                                 1) +
-                   "%",
-               std::to_string(p.refits), TablePrinter::Num(p.fit_seconds, 3),
-               TablePrinter::Num(p.acq_seconds, 3),
-               p.best_seconds > 0.0 ? TablePrinter::Num(p.best_seconds, 1)
-                                    : ""});
-  }
-  tp.AddRow({"total", std::to_string(total_events),
-             TablePrinter::Num(total_eval_seconds, 1), "100.0%",
-             std::to_string(total_refits),
-             TablePrinter::Num(total_fit_seconds, 3),
-             TablePrinter::Num(total_acq_seconds, 3), ""});
-  tp.Print(std::cout);
-
-  if (have_summary) {
-    const double drift =
-        summary_opt > 0.0
-            ? 100.0 * (total_eval_seconds - summary_opt) / summary_opt
-            : 0.0;
-    std::printf(
-        "meter: %.1f s over %.0f evaluations | best %.1f s | "
-        "phase sum vs meter: %+.2f%%\n",
-        summary_opt, summary_evals, summary_best, drift);
-  }
-  if (const int n = iicp_own + iicp_transferred; n > 0) {
-    std::printf(
-        "iicp: %d reduction(s), %d from own samples, %d transferred | "
-        "mean %.1f params -> %.1f latent dims\n",
-        n, iicp_own, iicp_transferred, iicp_params_sum / n,
-        iicp_latent_sum / n);
-  }
-  if (have_linalg) {
-    // The fit/acq columns are where the math kernels run (GP Gram +
-    // Cholesky under "fit", PredictBatch under "acq"), so their split is
-    // the kernel-time share of the tuner's own overhead.
-    const double kern_seconds = total_fit_seconds + total_acq_seconds;
-    const auto backend = static_cast<math::kern::Backend>(
-        static_cast<int>(linalg_backend_id));
-    std::printf(
-        "linalg: %s dispatch | %.3f s in math kernels "
-        "(fit %.1f%% / acq %.1f%%)\n",
-        math::kern::BackendName(backend), kern_seconds,
-        100.0 * total_fit_seconds / std::max(1e-12, kern_seconds),
-        100.0 * total_acq_seconds / std::max(1e-12, kern_seconds));
-  }
-  for (const auto& s : serving) {
+  for (const obs::Event& s : r.serving) {  // source: the app name
     std::printf(
         "serving: %-12s %.0f recommendations (%.0f reused, %.0f tuned) | "
         "%.0f failed runs | recommend p50 %.1f ms / p99 %.1f ms\n",
-        s.app.c_str(), s.recommendations, s.reuses, s.tuning_passes,
-        s.failed_reports, s.p50_s * 1e3, s.p99_s * 1e3);
+        s.source.c_str(), s.Num("recommendations"), s.Num("reuses"),
+        s.Num("tuning_passes"), s.Num("failed_reports"),
+        s.Num("recommend_p50_s") * 1e3, s.Num("recommend_p99_s") * 1e3);
   }
   return 0;
 }

@@ -29,7 +29,7 @@ class BoSearch {
   BoSearch(Options options, Rng* rng) : options_(options), rng_(rng) {}
 
   /// Wires observability and the owning tuner's name into the loop so
-  /// every charged evaluation emits one BoIterationEvent (phase "bo").
+  /// every charged evaluation emits one "iteration" event (phase "bo").
   void SetObservability(const obs::ObsContext& obs, std::string tuner_name) {
     obs_ = obs;
     tuner_name_ = std::move(tuner_name);

@@ -79,17 +79,11 @@ core::TuningResult QcsaIicpFrontend::Tune(core::TuningSession* session,
     if (qcsa.ok()) {
       qcsa_ = std::move(qcsa).value();
       session->RestrictToQueries(qcsa_->csq_indices);
-      if (observer() != nullptr) {
-        obs::PhaseEvent ev;
-        ev.tuner = name();
-        ev.phase = "qcsa";
-        ev.fields = {
-            {"csq", static_cast<double>(qcsa_->csq_indices.size())},
-            {"ciq", static_cast<double>(qcsa_->ciq_indices.size())},
-            {"threshold", qcsa_->threshold},
-        };
-        observer()->OnPhase(ev);
-      }
+      obs::EmitPhase(
+          observer(), name(), "qcsa",
+          {{"csq", static_cast<double>(qcsa_->csq_indices.size())},
+           {"ciq", static_cast<double>(qcsa_->ciq_indices.size())},
+           {"threshold", qcsa_->threshold}});
     }
   }
 
@@ -107,17 +101,11 @@ core::TuningResult QcsaIicpFrontend::Tune(core::TuningSession* session,
     if (iicp.ok()) {
       iicp_ = std::move(iicp).value();
       inner_->SetFreeParams(iicp_->selected_params());
-      if (observer() != nullptr) {
-        obs::PhaseEvent ev;
-        ev.tuner = name();
-        ev.phase = "iicp";
-        ev.fields = {
-            {"selected_params",
-             static_cast<double>(iicp_->selected_params().size())},
-            {"latent_dim", static_cast<double>(iicp_->latent_dim())},
-        };
-        observer()->OnPhase(ev);
-      }
+      obs::EmitPhase(
+          observer(), name(), "iicp",
+          {{"selected_params",
+            static_cast<double>(iicp_->selected_params().size())},
+           {"latent_dim", static_cast<double>(iicp_->latent_dim())}});
     }
   }
 

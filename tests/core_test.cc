@@ -370,7 +370,7 @@ RecipientRun TuneRecipient(int n_qcsa,
   LocatTuner::Options opts = TinyLocatOptions();
   opts.n_qcsa = n_qcsa;
   LocatTuner tuner(opts);
-  obs::CollectingObserver collector;
+  obs::CollectingSink collector;
   obs::Tracer tracer;
   obs::ObsContext ctx;
   ctx.observer = &collector;
@@ -393,13 +393,12 @@ RecipientRun TuneRecipient(int n_qcsa,
       run.refit_dims.push_back(std::stoi(m[1]));
     }
   }
-  for (const auto& ev : collector.iterations) {
-    if (ev.phase == "lhs" || ev.phase == "qcsa") ++run.phase_a_evals;
-  }
-  for (const auto& ev : collector.phases) {
-    if (ev.phase != "iicp") continue;
-    for (const auto& [key, value] : ev.fields) {
-      if (key == "transferred") run.transferred = value;
+  for (const auto& ev : collector.events) {
+    if (ev.type == "iteration" && (ev.name == "lhs" || ev.name == "qcsa")) {
+      ++run.phase_a_evals;
+    }
+    if (ev.type == "phase" && ev.name == "iicp") {
+      run.transferred = ev.Num("transferred");
     }
   }
   return run;
@@ -481,15 +480,18 @@ std::map<std::string, std::vector<int>> EnsembleSizesByPhase(
   sparksim::ClusterSimulator sim(sparksim::X86Cluster(), 83);
   TuningSession session(&sim, workloads::TpcH());
   LocatTuner tuner(opts);
-  obs::CollectingObserver collector;
+  obs::CollectingSink collector;
   obs::ObsContext ctx;
   ctx.observer = &collector;
   tuner.SetObservability(ctx);
   tuner.Tune(&session, 300.0);
   EXPECT_NE(tuner.iicp_result(), nullptr);
   std::map<std::string, std::vector<int>> sizes;
-  for (const auto& ev : collector.iterations) {
-    if (ev.mcmc_ensemble > 0) sizes[ev.phase].push_back(ev.mcmc_ensemble);
+  for (const auto& ev : collector.events) {
+    const int ensemble = static_cast<int>(ev.Num("mcmc_ensemble"));
+    if (ev.type == "iteration" && ensemble > 0) {
+      sizes[ev.name].push_back(ensemble);
+    }
   }
   return sizes;
 }
@@ -523,7 +525,7 @@ TEST(ProposalTelemetryTest, AcquisitionTimeIsStampedOnce) {
   sparksim::ClusterSimulator sim(sparksim::X86Cluster(), 83);
   TuningSession session(&sim, workloads::TpcH());
   LocatTuner tuner(TinyLocatOptions());
-  obs::CollectingObserver collector;
+  obs::CollectingSink collector;
   obs::ObsContext ctx;
   ctx.observer = &collector;
   tuner.SetObservability(ctx);
@@ -531,14 +533,15 @@ TEST(ProposalTelemetryTest, AcquisitionTimeIsStampedOnce) {
   int reduced = 0;
   int reruns = 0;
   int stamped_reruns = 0;
-  for (const auto& ev : collector.iterations) {
-    if (ev.phase == "reduced") {
+  for (const auto& ev : collector.events) {
+    if (ev.type != "iteration") continue;
+    if (ev.name == "reduced") {
       ++reduced;
-      EXPECT_GT(ev.candidate_pool, 0) << "iteration " << ev.iteration;
-      EXPECT_GT(ev.acq_seconds, 0.0) << "iteration " << ev.iteration;
-    } else if (ev.phase == "recommend") {
+      EXPECT_GT(ev.Num("candidate_pool"), 0) << "iteration " << ev.Num("iter");
+      EXPECT_GT(ev.Num("acq_seconds"), 0.0) << "iteration " << ev.Num("iter");
+    } else if (ev.name == "recommend") {
       ++reruns;
-      if (ev.acq_seconds > 0.0) ++stamped_reruns;
+      if (ev.Num("acq_seconds") > 0.0) ++stamped_reruns;
     }
   }
   EXPECT_GT(reduced, 0);

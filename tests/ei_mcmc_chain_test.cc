@@ -391,15 +391,15 @@ TEST(EiMcmcChainTest, IicpRebuildRestartsChainCold) {
 }
 
 /// Sums the per-event refit cost of a tune.
-class FitCostObserver : public obs::TunerObserver {
+class FitCostObserver : public obs::Sink {
  public:
-  void OnIteration(const obs::BoIterationEvent& ev) override {
-    fit_seconds += ev.dagp_fit_seconds;
-    density_evals += ev.mcmc_density_evals;
-    if (ev.dagp_fit_seconds > 0.0) ++stamped;
+  void Emit(const obs::Event& ev) override {
+    if (ev.type != "iteration") return;
+    fit_seconds += ev.Num("dagp_fit_seconds");
+    density_evals += static_cast<int64_t>(ev.Num("mcmc_density_evals"));
+    if (ev.Num("dagp_fit_seconds") > 0.0) ++stamped;
     ++events;
   }
-  void OnPhase(const obs::PhaseEvent&) override {}
 
   double fit_seconds = 0.0;
   int64_t density_evals = 0;

@@ -117,63 +117,80 @@ TEST(MetricsTest, PrometheusAndJsonRoundTrip) {
 
 TEST(TelemetryTest, JsonlRoundTrip) {
   std::ostringstream os;
-  obs::JsonlObserver observer(&os);
+  obs::JsonlSink sink(&os);
+  sink.Emit(obs::Event("iteration", "LOCAT", "reduced",
+                       {{"iter", 7},
+                        {"eval_seconds", 1234.5},
+                        {"objective_seconds", 1100.25},
+                        {"relative_ei", 0.02},
+                        {"full_app", false},
+                        {"mcmc_density_evals", int64_t{4200}}}));
+  obs::EmitPhase(&sink, "LOCAT", "qcsa", {{"csq", 33.0}, {"ciq", 71}});
+  obs::Event log("log", "cli", "quote \" and \\ and\nline", {{"app", "a\tb"}});
+  log.level = "info";
+  log.t_ns = 123456789012345;
+  sink.Emit(log);
 
-  obs::BoIterationEvent it;
-  it.tuner = "LOCAT";
-  it.phase = "reduced";
-  it.iteration = 7;
-  it.datasize_gb = 300.0;
-  it.eval_seconds = 1234.5;
-  it.objective_seconds = 1100.25;
-  it.incumbent_seconds = 900.0;
-  it.relative_ei = 0.02;
-  it.candidate_pool = 512;
-  it.full_app = false;
-  it.dagp_fit_seconds = 0.75;
-  it.mcmc_ensemble = 10;
-  it.mcmc_density_evals = 4200;
-  it.mcmc_acceptance = 0.85;
-  it.rqa_share = 0.31;
-  it.rqa_queries = 33;
-  observer.OnIteration(it);
+  // The encoder writes the keys in record order, numbers as %.10g.
+  const std::string text = os.str();
+  EXPECT_TRUE(Contains(
+      text,
+      "{\"type\":\"iteration\",\"tuner\":\"LOCAT\",\"phase\":\"reduced\","
+      "\"iter\":7,\"eval_seconds\":1234.5,\"objective_seconds\":1100.25,"
+      "\"relative_ei\":0.02,\"full_app\":false,"
+      "\"mcmc_density_evals\":4200}\n"));
+  EXPECT_TRUE(Contains(text,
+                       "{\"type\":\"phase\",\"tuner\":\"LOCAT\","
+                       "\"phase\":\"qcsa\",\"csq\":33,\"ciq\":71}\n"));
+  EXPECT_TRUE(Contains(text,
+                       "{\"type\":\"log\",\"t_ns\":123456789012345,"
+                       "\"level\":\"info\",\"component\":\"cli\","));
 
-  obs::PhaseEvent ph;
-  ph.tuner = "LOCAT";
-  ph.phase = "qcsa";
-  ph.fields = {{"csq", 33.0}, {"ciq", 71.0}};
-  observer.OnPhase(ph);
-
-  const auto parsed = obs::ParseTelemetry(os.str());
+  const auto parsed = obs::ParseTelemetry(text);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   const auto& records = parsed.value();
-  ASSERT_EQ(records.size(), 2u);
+  ASSERT_EQ(records.size(), 3u);
 
   const auto& r0 = records[0];
   EXPECT_EQ(r0.type, "iteration");
-  EXPECT_EQ(r0.Str("tuner"), "LOCAT");
-  EXPECT_EQ(r0.Str("phase"), "reduced");
+  EXPECT_EQ(r0.source, "LOCAT");
+  EXPECT_EQ(r0.name, "reduced");
+  ASSERT_EQ(r0.fields().size(), 6u);
+  EXPECT_STREQ(r0.fields()[0].key, "iter");
   EXPECT_DOUBLE_EQ(r0.Num("iter"), 7.0);
   EXPECT_DOUBLE_EQ(r0.Num("eval_seconds"), 1234.5);
   EXPECT_DOUBLE_EQ(r0.Num("objective_seconds"), 1100.25);
-  EXPECT_DOUBLE_EQ(r0.Num("incumbent_seconds"), 900.0);
   EXPECT_DOUBLE_EQ(r0.Num("relative_ei"), 0.02);
-  EXPECT_DOUBLE_EQ(r0.Num("candidate_pool"), 512.0);
-  EXPECT_DOUBLE_EQ(r0.Num("full_app"), 0.0);  // bools parse as 0/1
+  EXPECT_DOUBLE_EQ(r0.Num("full_app", -1.0), 0.0);  // bools read as 0/1
   EXPECT_DOUBLE_EQ(r0.Num("mcmc_density_evals"), 4200.0);
-  EXPECT_DOUBLE_EQ(r0.Num("rqa_share"), 0.31);
 
   const auto& r1 = records[1];
   EXPECT_EQ(r1.type, "phase");
-  EXPECT_EQ(r1.Str("phase"), "qcsa");
+  EXPECT_EQ(r1.name, "qcsa");
   EXPECT_DOUBLE_EQ(r1.Num("csq"), 33.0);
   EXPECT_DOUBLE_EQ(r1.Num("ciq"), 71.0);
+
+  const auto& r2 = records[2];
+  EXPECT_EQ(r2.type, "log");
+  EXPECT_EQ(r2.source, "cli");
+  EXPECT_EQ(r2.name, "quote \" and \\ and\nline");
+  EXPECT_EQ(r2.level, "info");
+  EXPECT_EQ(r2.t_ns, 123456789012345u);
+  EXPECT_EQ(r2.Find("app")->str, "a\tb");
+
+  // Re-encoding the parsed records reproduces the file byte for byte.
+  std::ostringstream again;
+  for (const auto& rec : records) obs::WriteJsonl(again, rec);
+  EXPECT_EQ(again.str(), text);
 }
 
 TEST(TelemetryTest, ParseRejectsMalformedLines) {
   EXPECT_FALSE(obs::ParseTelemetry("not json\n").ok());
   EXPECT_FALSE(obs::ParseTelemetry("{\"a\":}\n").ok());
   EXPECT_FALSE(obs::ParseTelemetry("{\"a\":1}\n").ok());  // missing type
+  EXPECT_FALSE(obs::ParseTelemetry(
+                   "{\"type\":\"phase\",\"a_key_longer_than_the_slot\":1}\n")
+                   .ok());
   // Empty lines are fine.
   const auto ok = obs::ParseTelemetry("\n{\"type\":\"phase\"}\n\n");
   ASSERT_TRUE(ok.ok());
@@ -229,7 +246,7 @@ TEST(SimulatorTraceTest, EmitsSimulatedLaneWithoutChangingResults) {
 // Wiring a full observability context must not change what any tuner
 // computes: telemetry reads state, it never draws from the RNGs.
 TEST(ObservedTuneTest, ObserverDoesNotChangeTunerOutput) {
-  auto run = [](bool observed, obs::CollectingObserver* collector,
+  auto run = [](bool observed, obs::CollectingSink* collector,
                 obs::MetricsRegistry* metrics) {
     sparksim::ClusterSimulator sim(sparksim::X86Cluster(), 777);
     core::TuningSession session(&sim, workloads::HiBenchAggregation());
@@ -247,7 +264,7 @@ TEST(ObservedTuneTest, ObserverDoesNotChangeTunerOutput) {
     return tuner->Tune(&session, 150.0);
   };
 
-  obs::CollectingObserver collector;
+  obs::CollectingSink collector;
   obs::MetricsRegistry metrics;
   const auto plain = run(false, nullptr, nullptr);
   const auto observed = run(true, &collector, &metrics);
@@ -260,10 +277,14 @@ TEST(ObservedTuneTest, ObserverDoesNotChangeTunerOutput) {
 
   // Coverage invariant: one iteration event per charged evaluation, and
   // the per-event charges sum to the meter exactly.
-  EXPECT_EQ(static_cast<int>(collector.iterations.size()),
-            plain.evaluations);
+  int iterations = 0;
   double charged = 0.0;
-  for (const auto& ev : collector.iterations) charged += ev.eval_seconds;
+  for (const auto& ev : collector.events) {
+    if (ev.type != "iteration") continue;
+    ++iterations;
+    charged += ev.Num("eval_seconds");
+  }
+  EXPECT_EQ(iterations, plain.evaluations);
   EXPECT_NEAR(charged, plain.optimization_seconds,
               1e-9 * plain.optimization_seconds);
 
@@ -278,9 +299,10 @@ TEST(ObservedTuneTest, ObserverDoesNotChangeTunerOutput) {
   // LOCAT emits its analysis phases and a final summary.
   bool saw_qcsa = false;
   bool saw_summary = false;
-  for (const auto& ph : collector.phases) {
-    if (ph.phase == "qcsa") saw_qcsa = true;
-    if (ph.phase == "summary") saw_summary = true;
+  for (const auto& ev : collector.events) {
+    if (ev.type != "phase") continue;
+    if (ev.name == "qcsa") saw_qcsa = true;
+    if (ev.name == "summary") saw_summary = true;
   }
   EXPECT_TRUE(saw_qcsa);
   EXPECT_TRUE(saw_summary);
@@ -293,7 +315,7 @@ TEST(ObservedTuneTest, CandidatePoolCountsScoredCandidates) {
   sparksim::ClusterSimulator sim(sparksim::X86Cluster(), 777);
   core::TuningSession session(&sim, workloads::HiBenchAggregation());
   auto tuner = harness::MakeTuner("LOCAT", /*seed_salt=*/0);
-  obs::CollectingObserver collector;
+  obs::CollectingSink collector;
   obs::ObsContext ctx;
   ctx.observer = &collector;
   tuner->SetObservability(ctx);
@@ -302,15 +324,49 @@ TEST(ObservedTuneTest, CandidatePoolCountsScoredCandidates) {
   const int generated = core::LocatTuner::Options().candidates;
   int proposals = 0;
   int pruned = 0;
-  for (const auto& ev : collector.iterations) {
-    EXPECT_GE(ev.candidate_pool, 0);
-    EXPECT_LE(ev.candidate_pool, generated);
-    if (ev.phase != "reduced") continue;
+  for (const auto& ev : collector.events) {
+    if (ev.type != "iteration") continue;
+    const double pool = ev.Num("candidate_pool");
+    EXPECT_GE(pool, 0);
+    EXPECT_LE(pool, generated);
+    if (ev.name != "reduced") continue;
     ++proposals;
-    if (ev.candidate_pool < generated) ++pruned;
+    if (pool < generated) ++pruned;
   }
   EXPECT_GT(proposals, 0);
   EXPECT_GT(pruned, 0);
+}
+
+// LOCAT and the baselines send iteration records with one key set, in the
+// order the JSONL has always had, so `locat report` reads every tuner alike.
+TEST(ObservedTuneTest, IterationKeysMatchAcrossTuners) {
+  const std::vector<std::string> want = {
+      "iter",          "datasize_gb",        "eval_seconds",
+      "objective_seconds", "incumbent_seconds", "relative_ei",
+      "candidate_pool", "full_app",          "dagp_fit_seconds",
+      "acq_seconds",   "mcmc_ensemble",      "mcmc_density_evals",
+      "mcmc_acceptance", "rqa_share",        "rqa_queries",
+      "failed_evals"};
+  for (const char* name : {"LOCAT", "Random", "Tuneful"}) {
+    SCOPED_TRACE(name);
+    sparksim::ClusterSimulator sim(sparksim::X86Cluster(), 777);
+    core::TuningSession session(&sim, workloads::HiBenchAggregation());
+    auto tuner = harness::MakeTuner(name, /*seed_salt=*/0);
+    obs::CollectingSink collector;
+    obs::ObsContext ctx;
+    ctx.observer = &collector;
+    tuner->SetObservability(ctx);
+    tuner->Tune(&session, 150.0);
+    int iterations = 0;
+    for (const auto& ev : collector.events) {
+      if (ev.type != "iteration") continue;
+      ++iterations;
+      std::vector<std::string> keys;
+      for (const obs::Field& f : ev.fields()) keys.push_back(f.key);
+      ASSERT_EQ(keys, want) << ev.name;
+    }
+    EXPECT_GT(iterations, 0);
+  }
 }
 
 }  // namespace

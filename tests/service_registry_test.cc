@@ -206,16 +206,15 @@ struct Rendezvous {
 
 /// Checks its tuning pass into the rendezvous at the first iteration
 /// event, i.e. from inside the pass.
-class RendezvousObserver : public obs::TunerObserver {
+class RendezvousObserver : public obs::Sink {
  public:
   explicit RendezvousObserver(Rendezvous* rendezvous)
       : rendezvous_(rendezvous) {}
-  void OnIteration(const obs::BoIterationEvent&) override {
-    if (arrived_) return;
+  void Emit(const obs::Event& ev) override {
+    if (ev.type != "iteration" || arrived_) return;
     arrived_ = true;
     rendezvous_->Arrive();
   }
-  void OnPhase(const obs::PhaseEvent&) override {}
 
  private:
   Rendezvous* rendezvous_;
