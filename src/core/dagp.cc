@@ -176,11 +176,11 @@ math::Matrix Dagp::AssembleRows(const math::Matrix& encoded_confs,
   return xs;
 }
 
-math::Vector Dagp::ExpectedImprovementBatch(const math::Matrix& encoded_confs,
-                                            double datasize_gb) const {
+ml::EiMcmc::Pick Dagp::PickCandidate(const math::Matrix& encoded_confs,
+                                     double datasize_gb) const {
   assert(model_.fitted());
-  if (encoded_confs.rows() == 0) return math::Vector();
-  return model_.AcquisitionValueBatch(AssembleRows(
+  if (encoded_confs.rows() == 0) return {};
+  return model_.PickCandidate(AssembleRows(
       encoded_confs,
       std::vector<double>(encoded_confs.rows(), datasize_gb)));
 }

@@ -65,14 +65,14 @@ class Dagp {
   /// on the current rows (see ml::EiMcmc::Fit).
   Status Refit(Rng* rng);
 
-  /// Expected improvement (log-space EI, averaged over the
-  /// hyperparameter posterior) of many candidates at one data size in a
-  /// single batched pass: one cross-kernel and one blocked triangular
-  /// solve per ensemble member. Entry i corresponds to row i of
-  /// `encoded_confs` (one encoded configuration per row); results are
-  /// bit-identical for any thread count. Requires a prior Refit.
-  math::Vector ExpectedImprovementBatch(const math::Matrix& encoded_confs,
-                                        double datasize_gb) const;
+  /// The candidate the acquisition picks among the rows of
+  /// `encoded_confs` at one data size (ml::EiMcmc::PickCandidate: the
+  /// newest ensemble member screens a pool of more than 64 rows, the full
+  /// ensemble scores the rest), with the ensemble's log-seconds mean and
+  /// variance there. Bit-identical for any thread count. Requires a prior
+  /// Refit.
+  ml::EiMcmc::Pick PickCandidate(const math::Matrix& encoded_confs,
+                                 double datasize_gb) const;
 
   /// Predicted seconds (posterior-mean in log space, de-transformed) and
   /// the log-space variance.

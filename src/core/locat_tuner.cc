@@ -57,7 +57,7 @@ Status LocatTuner::RefitDagp() {
 }
 
 void LocatTuner::EmitIteration(double datasize_gb, double eval_seconds,
-                               double objective, bool full_app,
+                               double objective, bool full_app, bool failed,
                                const Proposal* proposal) {
   const int iteration = iter_in_pass_++;
   const bool report_fit = fit_unreported_;
@@ -66,10 +66,18 @@ void LocatTuner::EmitIteration(double datasize_gb, double eval_seconds,
   double relative_ei = 0.0;
   int candidate_pool = 0;
   double acq_seconds = 0.0;
+  double pred_log_mean = 0.0;
+  double pred_log_sd = 0.0;
   if (proposal != nullptr) {
     relative_ei = proposal->relative_ei;
     candidate_pool = proposal->candidate_pool;
     acq_seconds = proposal->acq_seconds;
+    // A failed run's objective is imputed, not observed, so there is
+    // nothing to score the prediction against.
+    if (!failed) {
+      pred_log_mean = proposal->log_mean;
+      pred_log_sd = proposal->log_sd;
+    }
   }
   // Only the first event after an MCMC refit carries its cost, so sums
   // over events count each refit once.
@@ -92,7 +100,9 @@ void LocatTuner::EmitIteration(double datasize_gb, double eval_seconds,
        {"mcmc_acceptance", fit.sampler.acceptance_rate()},
        {"rqa_share", rqa_share_},
        {"rqa_queries", static_cast<int>(rqa_.size())},
-       {"failed_evals", failed_evals_}}));
+       {"failed_evals", failed_evals_},
+       {"pred_log_mean", pred_log_mean},
+       {"pred_log_sd", pred_log_sd}}));
 }
 
 std::string LocatTuner::name() const {
@@ -180,9 +190,10 @@ void LocatTuner::EvaluateAndRecord(
       if (full_app) obs.per_query = rec_or->per_query_seconds;
     }
     obs.objective_seconds = objective;
+    const bool failed = obs.failed;
     Record(std::move(obs), &conf);
     trajectory_.push_back(best_objective_);
-    EmitIteration(datasize_gb, eval_seconds[k], objective, full_app,
+    EmitIteration(datasize_gb, eval_seconds[k], objective, full_app, failed,
                   proposal);
   }
 }
@@ -367,26 +378,22 @@ LocatTuner::Proposal LocatTuner::ProposeNext(TuningSession* session,
   }
   pool.ResizeRows(pool_size);
 
+  // The first maximum in generation order wins; a pool of more than 64
+  // rows is screened by the newest ensemble member first (DESIGN.md
+  // "Screened acquisition").
   Proposal best;
-  double best_ei = -1.0;
-  if (pool_size > 0) {
-    const math::Vector eis =
-        dagp_.ExpectedImprovementBatch(EncodeRows(pool), datasize_gb);
-    // Scan in generation order with strict '>' so the first maximum wins,
-    // matching the scalar loop's tie-break.
-    for (size_t i = 0; i < pool_size; ++i) {
-      if (eis[i] > best_ei) {
-        best_ei = eis[i];
-        best.unit = pool.Row(i);
-      }
-    }
-  }
-  if (best_ei < 0.0) {
-    // Everything was a duplicate; fall back to a fresh random point.
+  ml::EiMcmc::Pick pick;
+  if (pool_size > 0) pick = dagp_.PickCandidate(EncodeRows(pool), datasize_gb);
+  if (pick.row == ml::EiMcmc::kNoRow || pick.value < 0.0) {
+    // Nothing to pick (every candidate was a duplicate, or no value was
+    // a number >= 0): fall back to a fresh random point.
     best.unit = session->space().RandomValidUnit(&rng_);
     best.relative_ei = 1.0;
   } else {
-    best.relative_ei = 1.0 - std::exp(-std::max(0.0, best_ei));
+    best.unit = pool.Row(pick.row);
+    best.relative_ei = 1.0 - std::exp(-std::max(0.0, pick.value));
+    best.log_mean = pick.mean;
+    best.log_sd = std::sqrt(pick.variance);
   }
   best.candidate_pool = static_cast<int>(pool_size);
   best.acq_seconds = std::chrono::duration<double>(
@@ -883,7 +890,8 @@ TuningResult LocatTuner::Tune(TuningSession* session, double datasize_gb) {
       }
     }
     EmitIteration(datasize_gb, session->optimization_seconds() - before,
-                  rec_or->app_seconds, /*full_app=*/false, unreported);
+                  rec_or->app_seconds, /*full_app=*/false, rec_or->failed,
+                  unreported);
     unreported = nullptr;
   }
 

@@ -199,8 +199,12 @@ class LocatTuner : public Tuner {
   struct Proposal {
     math::Vector unit;
     double relative_ei = 0.0;
-    int candidate_pool = 0;    // candidates scored
+    int candidate_pool = 0;    // pool rows after dedup (before the screen)
     double acq_seconds = 0.0;  // wall clock of the whole proposal
+    /// The ensemble's predictive mean and standard deviation of
+    /// ln(objective seconds) at `unit`; 0 for a random fallback.
+    double log_mean = 0.0;
+    double log_sd = 0.0;
   };
   Proposal ProposeNext(TuningSession* session, double datasize_gb);
 
@@ -245,10 +249,11 @@ class LocatTuner : public Tuner {
   Status RefitDagp();
 
   /// Sends one "iteration" event for a just-charged evaluation, with the
-  /// acquisition telemetry of `proposal` (zeros when null); no-op without
-  /// an observer (the event is not even built).
+  /// acquisition telemetry of `proposal` (zeros when null; its prediction
+  /// also reads 0 when the run `failed`); no-op without an observer (the
+  /// event is not even built).
   void EmitIteration(double datasize_gb, double eval_seconds,
-                     double objective, bool full_app,
+                     double objective, bool full_app, bool failed,
                      const Proposal* proposal);
 
   Options options_;

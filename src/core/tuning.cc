@@ -141,7 +141,9 @@ void EmitSimpleIteration(obs::Sink* observer, const std::string& tuner,
                              {"mcmc_acceptance", 0.0},
                              {"rqa_share", 0.0},
                              {"rqa_queries", 0},
-                             {"failed_evals", failed_evals}}));
+                             {"failed_evals", failed_evals},
+                             {"pred_log_mean", 0.0},
+                             {"pred_log_sd", 0.0}}));
 }
 
 }  // namespace locat::core

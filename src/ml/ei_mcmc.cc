@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <optional>
 #include <utility>
 
@@ -43,6 +44,14 @@ double LogPrior(const GpHyperparams& hp) {
 Status EiMcmc::Fit(const math::Matrix& x, const math::Vector& y, Rng* rng) {
   if (x.rows() < 2 || x.rows() != y.size()) {
     return Status::InvalidArgument("EiMcmc::Fit needs >= 2 matching samples");
+  }
+  // A NaN or inf would poison every density evaluation and leave an
+  // ensemble whose acquisition values are all NaN.
+  const auto finite = [](double v) { return std::isfinite(v); };
+  const double* x0 = x.RowData(0);
+  if (!std::all_of(x0, x0 + x.rows() * x.cols(), finite) ||
+      !std::all_of(y.data().begin(), y.data().end(), finite)) {
+    return Status::InvalidArgument("EiMcmc::Fit needs finite samples");
   }
   const auto wall_start = std::chrono::steady_clock::now();
   last_fit_stats_ = FitStats();
@@ -145,6 +154,11 @@ Status EiMcmc::AppendObservation(const math::Vector& x, double y) {
   if (x.size() != ensemble_.front().input_dim()) {
     return Status::InvalidArgument("AppendObservation dimension mismatch");
   }
+  if (!std::isfinite(y) ||
+      !std::all_of(x.data().begin(), x.data().end(),
+                   [](double v) { return std::isfinite(v); })) {
+    return Status::InvalidArgument("AppendObservation needs a finite sample");
+  }
   // Members extend independently (each owns its factor), one slot per
   // member — the surviving set and its order are thread-count invariant.
   const size_t members = ensemble_.size();
@@ -175,21 +189,33 @@ Status EiMcmc::AppendObservation(const math::Vector& x, double y) {
 }
 
 std::vector<GaussianProcess::BatchPrediction> EiMcmc::MemberPredictions(
-    const math::Matrix& xs) const {
+    const math::Matrix& xs, size_t members) const {
   assert(fitted());
   // One batched prediction per ensemble member, computed concurrently.
   // Each member's result depends only on that member, so a per-candidate
   // accumulation in fixed member order is thread-count invariant.
-  std::vector<GaussianProcess::BatchPrediction> preds(ensemble_.size());
+  std::vector<GaussianProcess::BatchPrediction> preds(members);
   common::ThreadPool::Global()->ParallelForEach(
-      ensemble_.size(),
-      [&](size_t k) { preds[k] = ensemble_[k].PredictBatch(xs); });
+      members, [&](size_t k) { preds[k] = ensemble_[k].PredictBatch(xs); });
   return preds;
+}
+
+double EiMcmc::MemberValue(double mean, double variance) const {
+  const double sd = std::sqrt(variance);
+  switch (options_.acquisition) {
+    case AcquisitionKind::kProbabilityOfImprovement:
+      return math::ProbabilityOfImprovement(mean, sd, best_observed_);
+    case AcquisitionKind::kUcb:
+      return math::NegativeLowerConfidenceBound(mean, sd, kUcbBeta);
+    case AcquisitionKind::kExpectedImprovement:
+      break;
+  }
+  return math::ExpectedImprovement(mean, sd, best_observed_);
 }
 
 math::Vector EiMcmc::AcquisitionValueBatch(const math::Matrix& xs) const {
   const std::vector<GaussianProcess::BatchPrediction> preds =
-      MemberPredictions(xs);
+      MemberPredictions(xs, ensemble_.size());
   const size_t m = xs.rows();
   const size_t members = preds.size();
 
@@ -197,49 +223,119 @@ math::Vector EiMcmc::AcquisitionValueBatch(const math::Matrix& xs) const {
   for (size_t c = 0; c < m; ++c) {
     double total = 0.0;
     for (size_t k = 0; k < members; ++k) {
-      const double mean = preds[k].mean[c];
-      const double sd = std::sqrt(preds[k].variance[c]);
-      switch (options_.acquisition) {
-        case AcquisitionKind::kProbabilityOfImprovement:
-          total += math::ProbabilityOfImprovement(mean, sd, best_observed_);
-          break;
-        case AcquisitionKind::kUcb:
-          total += math::NegativeLowerConfidenceBound(mean, sd, kUcbBeta);
-          break;
-        case AcquisitionKind::kExpectedImprovement:
-          total += math::ExpectedImprovement(mean, sd, best_observed_);
-          break;
-      }
+      total += MemberValue(preds[k].mean[c], preds[k].variance[c]);
     }
     out[c] = total / static_cast<double>(members);
   }
   return out;
 }
 
+namespace {
+
+// Ensemble mean and law-of-total-variance variance of candidate c.
+void AverageMoments(const std::vector<GaussianProcess::BatchPrediction>& preds,
+                    size_t c, double* mean, double* variance) {
+  const double n = static_cast<double>(preds.size());
+  double sum = 0.0;
+  double second_moment = 0.0;
+  for (const auto& p : preds) {
+    const double mu = p.mean[c];
+    sum += mu;
+    second_moment += p.variance[c] + mu * mu;
+  }
+  *mean = sum / n;
+  *variance = std::max(0.0, second_moment / n - *mean * *mean);
+}
+
+}  // namespace
+
 GaussianProcess::BatchPrediction EiMcmc::PredictAveragedBatch(
     const math::Matrix& xs) const {
   const std::vector<GaussianProcess::BatchPrediction> preds =
-      MemberPredictions(xs);
+      MemberPredictions(xs, ensemble_.size());
   const size_t m = xs.rows();
-  const size_t members = preds.size();
-
   GaussianProcess::BatchPrediction out;
   out.mean = math::Vector(m);
   out.variance = math::Vector(m);
-  const double n = static_cast<double>(members);
   for (size_t c = 0; c < m; ++c) {
-    double mean = 0.0;
-    double second_moment = 0.0;
-    for (size_t k = 0; k < members; ++k) {
-      const double mu = preds[k].mean[c];
-      mean += mu;
-      second_moment += preds[k].variance[c] + mu * mu;
-    }
-    mean /= n;
-    out.mean[c] = mean;
-    out.variance[c] = std::max(0.0, second_moment / n - mean * mean);
+    AverageMoments(preds, c, &out.mean[c], &out.variance[c]);
   }
   return out;
+}
+
+std::vector<size_t> EiMcmc::TopRows(std::span<const double> scores,
+                                    size_t keep) {
+  std::vector<size_t> rows(scores.size());
+  std::iota(rows.begin(), rows.end(), size_t{0});
+  if (keep >= rows.size()) return rows;
+  const auto ahead = [&scores](size_t a, size_t b) {
+    const bool a_nan = std::isnan(scores[a]);
+    if (a_nan != std::isnan(scores[b])) return !a_nan;
+    if (!a_nan && scores[a] != scores[b]) return scores[a] > scores[b];
+    return a < b;
+  };
+  std::nth_element(rows.begin(),
+                   rows.begin() + static_cast<std::ptrdiff_t>(keep), rows.end(),
+                   ahead);
+  rows.resize(keep);
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+EiMcmc::Pick EiMcmc::PickCandidate(const math::Matrix& xs) const {
+  assert(fitted());
+  const size_t m = xs.rows();
+  const size_t members = ensemble_.size();
+  // `rows` are the scored rows of xs in ascending order; preds[k] holds
+  // member k's predictions at them.
+  std::vector<size_t> rows;
+  std::vector<GaussianProcess::BatchPrediction> preds;
+  if (m <= kScreenKeep || members == 1) {
+    rows.resize(m);
+    std::iota(rows.begin(), rows.end(), size_t{0});
+    preds = MemberPredictions(xs, members);
+  } else {
+    // Stage 1: the newest member alone ranks the whole pool.
+    const GaussianProcess::BatchPrediction newest =
+        ensemble_.back().PredictBatch(xs);
+    std::vector<double> score(m);
+    for (size_t c = 0; c < m; ++c) {
+      score[c] = MemberValue(newest.mean[c], newest.variance[c]);
+    }
+    rows = TopRows(score, kScreenKeep);
+
+    // Stage 2: the other members predict the kept rows only; the newest
+    // member's values at them are already known.
+    math::Matrix kept(kScreenKeep, xs.cols());
+    for (size_t i = 0; i < kScreenKeep; ++i) {
+      std::copy(xs.RowData(rows[i]), xs.RowData(rows[i]) + xs.cols(),
+                kept.RowData(i));
+    }
+    preds = MemberPredictions(kept, members - 1);
+    GaussianProcess::BatchPrediction& last = preds.emplace_back();
+    last.mean = math::Vector(kScreenKeep);
+    last.variance = math::Vector(kScreenKeep);
+    for (size_t i = 0; i < kScreenKeep; ++i) {
+      last.mean[i] = newest.mean[rows[i]];
+      last.variance[i] = newest.variance[rows[i]];
+    }
+  }
+
+  // Accumulate members in member order, as AcquisitionValueBatch does;
+  // the best value under TopRows' order is the first maximum in row order.
+  std::vector<double> value(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    double total = 0.0;
+    for (const auto& p : preds) total += MemberValue(p.mean[i], p.variance[i]);
+    value[i] = total / static_cast<double>(members);
+  }
+  Pick pick;
+  const std::vector<size_t> best = TopRows(value, 1);
+  if (best.empty() || std::isnan(value[best[0]])) return pick;
+  pick.row = rows[best[0]];
+  pick.value = value[best[0]];
+  AverageMoments(preds, best[0], &pick.mean, &pick.variance);
+  return pick;
 }
 
 }  // namespace locat::ml

@@ -1,6 +1,8 @@
 #ifndef LOCAT_ML_EI_MCMC_H_
 #define LOCAT_ML_EI_MCMC_H_
 
+#include <cstddef>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -69,7 +71,9 @@ class EiMcmc {
   explicit EiMcmc(Options options = Options()) : options_(options) {}
 
   /// Fits the hyperparameter-marginalized model to (x, y). `x` is n x d
-  /// with n >= 2. Deterministic given `rng`'s state and the chain.
+  /// with n >= 2 and every entry of `x` and `y` finite (InvalidArgument
+  /// otherwise, the model left as it was). Deterministic given `rng`'s
+  /// state and the chain.
   ///
   /// Cold start (no chain yet, the input dimension changed, or the chain's
   /// last state has no finite density on the new data): the chain starts
@@ -85,7 +89,8 @@ class EiMcmc {
   /// configurations (DESIGN.md, "Persistent EI-MCMC chains").
   Status Fit(const math::Matrix& x, const math::Vector& y, Rng* rng);
 
-  /// Extends a fitted model by one observation in O(n^2) per ensemble
+  /// Extends a fitted model by one finite observation (InvalidArgument
+  /// otherwise) in O(n^2) per ensemble
   /// member (rank-1 bordered Cholesky append; hyperparameters stay frozen
   /// at the last Fit's posterior samples, no RNG consumed). Members whose
   /// factor cannot be extended even through the jitter fallback are
@@ -108,6 +113,41 @@ class EiMcmc {
   GaussianProcess::BatchPrediction PredictAveragedBatch(
       const math::Matrix& xs) const;
 
+  /// Rows of a pool that PickCandidate scores with the full ensemble once
+  /// it screens: one PredictBatch block.
+  static constexpr size_t kScreenKeep = 64;
+  static constexpr size_t kNoRow = static_cast<size_t>(-1);
+
+  /// The row PickCandidate chose and the ensemble's view of it.
+  struct Pick {
+    size_t row = kNoRow;    // kNoRow when no scored row has a number
+    double value = 0.0;     // its full-ensemble acquisition value
+    double mean = 0.0;      // ensemble predictive mean there
+    double variance = 0.0;  // law-of-total-variance across members
+  };
+
+  /// The acquisition maximizer over the rows of `xs`, in two stages when
+  /// the pool has more than kScreenKeep rows and the ensemble more than
+  /// one member:
+  ///   1. screen: rank every row by the acquisition value of the newest
+  ///      member alone (the chain's current state), NaN below every
+  ///      number and ties by row index, and keep the best kScreenKeep;
+  ///   2. score the kept rows with the full ensemble, accumulated in
+  ///      member order, reusing the newest member's stage-1 predictions
+  ///      (PredictBatch does not depend on the chunking).
+  /// Otherwise every row is scored with the full ensemble. Either way the
+  /// pick is the first maximum in row order among the scored rows, and
+  /// its value has the bits of AcquisitionValueBatch(xs)[row]. Thread-
+  /// count invariant like AcquisitionValueBatch.
+  Pick PickCandidate(const math::Matrix& xs) const;
+
+  /// PickCandidate's ranking, for both stages: the rows of `scores`
+  /// ordered best first by a strict total order (higher first, NaN below
+  /// every number, ties to the lower row), cut to the best `keep` and
+  /// returned in row order.
+  static std::vector<size_t> TopRows(std::span<const double> scores,
+                                     size_t keep);
+
   /// Lowest observed target so far — the incumbent EI is computed against.
   double best_observed() const { return best_observed_; }
 
@@ -118,9 +158,13 @@ class EiMcmc {
   const FitStats& last_fit_stats() const { return last_fit_stats_; }
 
  private:
-  /// One `PredictBatch` of `xs` per ensemble member, in member order.
+  /// One `PredictBatch` of `xs` for each of the first `members` ensemble
+  /// members, in member order.
   std::vector<GaussianProcess::BatchPrediction> MemberPredictions(
-      const math::Matrix& xs) const;
+      const math::Matrix& xs, size_t members) const;
+
+  /// One member's acquisition value at a predictive mean and variance.
+  double MemberValue(double mean, double variance) const;
 
   Options options_;
   /// The chain's last `num_hyper_samples` retained states (flattened

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
@@ -233,6 +234,17 @@ StatusOr<TelemetryReport> SummarizeTelemetry(const std::vector<Event>& events) {
       agg->fit_seconds += e.Num("dagp_fit_seconds");
       agg->acq_seconds += e.Num("acq_seconds");
       KeepBest(&agg->best_seconds, e.Num("incumbent_seconds"));
+      if (e.Find("pred_log_sd") != nullptr) r.has_calibration = true;
+      const double sd = e.Num("pred_log_sd");
+      const double objective = e.Num("objective_seconds");
+      if (sd > 0.0 && objective > 0.0) {
+        const double z =
+            std::abs(std::log(objective) - e.Num("pred_log_mean")) / sd;
+        ++agg->calibrated;
+        agg->abs_z_sum += z;
+        if (z <= 1.0) ++agg->within_1sd;
+        if (z <= 2.0) ++agg->within_2sd;
+      }
       ++r.total.events;
       r.total.eval_seconds += eval;
     } else if (e.type != "phase") {

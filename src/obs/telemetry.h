@@ -143,10 +143,19 @@ struct TelemetryReport {
     double fit_seconds = 0.0;   // surrogate (DAGP) fitting wall time
     double acq_seconds = 0.0;   // acquisition-scoring wall time
     double best_seconds = 0.0;  // lowest positive incumbent; 0 when none
+    /// Calibration of the surrogate's prediction for each proposed,
+    /// successful run (pred_log_sd > 0): z = (ln objective - mean) / sd.
+    int calibrated = 0;
+    double abs_z_sum = 0.0;
+    int within_1sd = 0;
+    int within_2sd = 0;
   };
   std::string tuner;  // of the first iteration record
   std::vector<Phase> phases;
-  Phase total;  // sums over phases (best_seconds stays 0)
+  Phase total;  // sums over phases (best_seconds and calibration stay 0)
+  /// True when iteration records carry the prediction keys
+  /// (pred_log_mean, pred_log_sd); older telemetry does not.
+  bool has_calibration = false;
 
   /// The meter, over every "summary" record: each tuning pass emits one,
   /// so multi-pass telemetry sums its passes' optimization seconds and

@@ -897,6 +897,19 @@ int CmdReport(const std::string& path) {
           r.meter_seconds, r.meter_evaluations, r.meter_best_seconds,
           r.MeterDrift());
     }
+    if (r.has_calibration) {
+      // How the surrogate's predicted ln-seconds (mean, sd) at each
+      // proposal compare with the run it produced; failed runs excluded.
+      for (const auto& p : r.phases) {
+        if (p.calibrated == 0) continue;
+        std::printf(
+            "calibration: %-9s n %d | mean |z| %.2f | within 1 sd %.1f%% / "
+            "2 sd %.1f%%\n",
+            p.phase.c_str(), p.calibrated, p.abs_z_sum / p.calibrated,
+            100.0 * p.within_1sd / p.calibrated,
+            100.0 * p.within_2sd / p.calibrated);
+      }
+    }
     if (const int n = r.iicp_own + r.iicp_transferred; n > 0) {
       std::printf(
           "iicp: %d reduction(s), %d from own samples, %d transferred | "

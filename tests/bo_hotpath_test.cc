@@ -690,6 +690,270 @@ TEST(EiMcmcBatchTest, FastPathInvariantToThreadCount) {
   }
 }
 
+// ------------------------------------------------- screened acquisition
+
+// A 6-member ensemble (a cold fit, then a continued one) on 28 rows.
+ml::EiMcmc ScreenModel() {
+  Matrix x0, x;
+  Vector y0, y;
+  MakeDataset(25, 6, &x0, &y0);
+  MakeDataset(28, 6, &x, &y);
+  ml::EiMcmc::Options opts;
+  opts.num_hyper_samples = 6;
+  opts.burn_in = 4;
+  ml::EiMcmc model(opts);
+  Rng rng(35);
+  EXPECT_TRUE(model.Fit(x0, y0, &rng).ok());
+  EXPECT_TRUE(model.Fit(x, y, &rng).ok());
+  EXPECT_EQ(model.ensemble().size(), 6u);
+  return model;
+}
+
+Matrix RandomPool(size_t m, size_t d, uint64_t seed) {
+  Rng rng(seed);
+  Matrix xs(m, d);
+  for (size_t i = 0; i < m; ++i) {
+    for (size_t j = 0; j < d; ++j) xs(i, j) = rng.NextDouble();
+  }
+  return xs;
+}
+
+// PickCandidate written the long way: the newest member's EI ranks the
+// rows (stable sort: NaN last, ties in row order), the best kScreenKeep
+// are kept, and the pick is the first maximum of the full-ensemble
+// AcquisitionValueBatch among them. Small pools and single members keep
+// every row.
+size_t ReferencePickRow(const ml::EiMcmc& model, const Matrix& xs) {
+  const Vector full = model.AcquisitionValueBatch(xs);
+  std::vector<size_t> rows(xs.rows());
+  for (size_t i = 0; i < rows.size(); ++i) rows[i] = i;
+  if (xs.rows() > ml::EiMcmc::kScreenKeep && model.ensemble().size() > 1) {
+    const auto p = model.ensemble().back().PredictBatch(xs);
+    std::vector<double> score(xs.rows());
+    for (size_t c = 0; c < score.size(); ++c) {
+      score[c] = math::ExpectedImprovement(p.mean[c], std::sqrt(p.variance[c]),
+                                           model.best_observed());
+    }
+    std::stable_sort(rows.begin(), rows.end(), [&](size_t a, size_t b) {
+      if (std::isnan(score[a])) return false;
+      return std::isnan(score[b]) || score[a] > score[b];
+    });
+    rows.resize(ml::EiMcmc::kScreenKeep);
+    std::sort(rows.begin(), rows.end());
+  }
+  size_t best = ml::EiMcmc::kNoRow;
+  for (size_t r : rows) {
+    if (std::isnan(full[r])) continue;
+    if (best == ml::EiMcmc::kNoRow || full[r] > full[best]) best = r;
+  }
+  return best;
+}
+
+// The pick's value and moments have the bits of the full-pool batch calls
+// at its row.
+void ExpectPickMatchesBatch(const ml::EiMcmc& model, const Matrix& xs) {
+  const ml::EiMcmc::Pick pick = model.PickCandidate(xs);
+  ASSERT_EQ(pick.row, ReferencePickRow(model, xs));
+  if (pick.row == ml::EiMcmc::kNoRow) return;
+  EXPECT_EQ(std::bit_cast<uint64_t>(pick.value),
+            std::bit_cast<uint64_t>(model.AcquisitionValueBatch(xs)[pick.row]));
+  const auto avg = model.PredictAveragedBatch(xs);
+  EXPECT_EQ(std::bit_cast<uint64_t>(pick.mean),
+            std::bit_cast<uint64_t>(avg.mean[pick.row]));
+  EXPECT_EQ(std::bit_cast<uint64_t>(pick.variance),
+            std::bit_cast<uint64_t>(avg.variance[pick.row]));
+}
+
+TEST(ScreenedAcquisitionTest, SmallPoolsAndSingleMembersScoreEveryRow) {
+  const ml::EiMcmc model = ScreenModel();
+  // At kScreenKeep rows nothing is screened: the pick is the first
+  // maximum of the full-pool batch.
+  const Matrix small = RandomPool(ml::EiMcmc::kScreenKeep, 6, 40);
+  const Vector eis = model.AcquisitionValueBatch(small);
+  size_t first_max = 0;
+  for (size_t i = 1; i < eis.size(); ++i) {
+    if (eis[i] > eis[first_max]) first_max = i;
+  }
+  EXPECT_EQ(model.PickCandidate(small).row, first_max);
+  ExpectPickMatchesBatch(model, small);
+
+  // A one-member ensemble scores a large pool whole.
+  Matrix x;
+  Vector y;
+  MakeDataset(28, 6, &x, &y);
+  ml::EiMcmc::Options opts;
+  opts.num_hyper_samples = 1;
+  ml::EiMcmc single(opts);
+  Rng rng(36);
+  ASSERT_TRUE(single.Fit(x, y, &rng).ok());
+  ASSERT_EQ(single.ensemble().size(), 1u);
+  ExpectPickMatchesBatch(single, RandomPool(300, 6, 41));
+}
+
+TEST(ScreenedAcquisitionTest, ScreenedPickHasTheFullEnsembleBits) {
+  const ml::EiMcmc model = ScreenModel();
+  for (size_t m : {65u, 200u, 900u}) {
+    SCOPED_TRACE(m);
+    ExpectPickMatchesBatch(model, RandomPool(m, 6, 42 + m));
+  }
+  // Duplicated rows tie in the screen; the earlier copy ranks first.
+  Matrix dup = RandomPool(240, 6, 43);
+  for (size_t i = 120; i < 240; ++i) {
+    for (size_t j = 0; j < 6; ++j) dup(i, j) = dup(i - 120, j);
+  }
+  ExpectPickMatchesBatch(model, dup);
+}
+
+TEST(ScreenedAcquisitionTest, NanScoresRankBelowEveryNumber) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  using Rows = std::vector<size_t>;
+  // NaN is never kept while numbers remain, ties go to the lower row, and
+  // the kept rows come back in row order.
+  EXPECT_EQ(ml::EiMcmc::TopRows(std::vector<double>{nan, 1.0, nan, 3.0}, 1),
+            Rows{3});
+  EXPECT_EQ(ml::EiMcmc::TopRows(std::vector<double>{nan, -inf, nan}, 1),
+            Rows{1});
+  EXPECT_EQ(ml::EiMcmc::TopRows(std::vector<double>{2.0, nan, 2.0, 2.0}, 2),
+            (Rows{0, 2}));
+  EXPECT_EQ(ml::EiMcmc::TopRows(std::vector<double>{0.0, -0.0, 0.0}, 1),
+            Rows{0});
+  EXPECT_EQ(ml::EiMcmc::TopRows(std::vector<double>{nan, 5.0, nan}, 2),
+            (Rows{0, 1}));
+  EXPECT_EQ(ml::EiMcmc::TopRows(std::vector<double>{nan, nan}, 1), Rows{0});
+  EXPECT_EQ(ml::EiMcmc::TopRows(std::vector<double>{1.0, nan}, 5),
+            (Rows{0, 1}));
+  EXPECT_TRUE(ml::EiMcmc::TopRows(std::vector<double>{}, 1).empty());
+
+  // Against a stable sort over pools dense with NaNs, infinities and
+  // ties: the order stays total, so the kept set is exactly the sort's.
+  Rng rng(50);
+  for (int trial = 0; trial < 200; ++trial) {
+    const size_t m = 1 + static_cast<size_t>(rng.UniformInt(0, 300));
+    std::vector<double> scores(m);
+    for (double& v : scores) {
+      const int64_t kind = rng.UniformInt(0, 5);
+      v = kind == 0   ? nan
+          : kind == 1 ? static_cast<double>(rng.UniformInt(0, 3))
+          : kind == 2 ? (rng.Bernoulli(0.5) ? inf : -inf)
+                      : rng.Gaussian(0.0, 1.0);
+    }
+    Rows want(m);
+    for (size_t i = 0; i < m; ++i) want[i] = i;
+    std::stable_sort(want.begin(), want.end(), [&](size_t a, size_t b) {
+      if (std::isnan(scores[a])) return false;
+      return std::isnan(scores[b]) || scores[a] > scores[b];
+    });
+    const size_t keep = static_cast<size_t>(rng.UniformInt(0, 80));
+    want.resize(std::min(keep, m));
+    std::sort(want.begin(), want.end());
+    ASSERT_EQ(ml::EiMcmc::TopRows(scores, keep), want) << "trial " << trial;
+  }
+}
+
+TEST(ScreenedAcquisitionTest, NonFiniteCandidatesKeepThePickConsistent) {
+  const ml::EiMcmc model = ScreenModel();
+  // NaN and inf coordinates reach the kernels (the exp saturates a NaN
+  // exponent); the pick still matches the reference and the batch bits.
+  Matrix pool = RandomPool(300, 6, 45);
+  for (size_t i = 0; i < pool.rows(); i += 3) {
+    pool(i, 2) = std::numeric_limits<double>::quiet_NaN();
+  }
+  for (size_t i = 1; i < pool.rows(); i += 7) {
+    pool(i, 4) = std::numeric_limits<double>::infinity();
+  }
+  ExpectPickMatchesBatch(model, pool);
+  const ml::EiMcmc::Pick pick = model.PickCandidate(pool);
+  ASSERT_NE(pick.row, ml::EiMcmc::kNoRow);
+  EXPECT_FALSE(std::isnan(pick.value));
+  EXPECT_EQ(model.PickCandidate(Matrix(0, 6)).row, ml::EiMcmc::kNoRow);
+}
+
+TEST(ScreenedAcquisitionTest, PickInvariantToThreadsAndSimdBackend) {
+  const Matrix pool = RandomPool(900, 6, 48);
+  auto run = [&](int threads, math::kern::Backend backend) {
+    common::ThreadPool::SetGlobalThreads(threads);
+    math::kern::SetBackend(backend);
+    return ScreenModel().PickCandidate(pool);
+  };
+  const math::kern::Backend entry = math::kern::ActiveBackend();
+  const ml::EiMcmc::Pick one = run(1, math::kern::BestBackend());
+  const ml::EiMcmc::Pick four = run(4, math::kern::BestBackend());
+  const ml::EiMcmc::Pick scalar = run(4, math::kern::Backend::kScalar);
+  math::kern::SetBackend(entry);
+  common::ThreadPool::SetGlobalThreads(0);  // restore default
+  for (const ml::EiMcmc::Pick* other : {&four, &scalar}) {
+    EXPECT_EQ(one.row, other->row);
+    EXPECT_EQ(std::bit_cast<uint64_t>(one.value),
+              std::bit_cast<uint64_t>(other->value));
+    EXPECT_EQ(std::bit_cast<uint64_t>(one.mean),
+              std::bit_cast<uint64_t>(other->mean));
+    EXPECT_EQ(std::bit_cast<uint64_t>(one.variance),
+              std::bit_cast<uint64_t>(other->variance));
+  }
+}
+
+// ---------------------------------------------- numerical edge cases
+
+TEST(EiMcmcEdgeCaseTest, NonFiniteSamplesAreRejected) {
+  Matrix x;
+  Vector y;
+  MakeDataset(6, 3, &x, &y);
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(bad);
+    ml::EiMcmc model;
+    Rng rng(37);
+    Vector y_bad = y;
+    y_bad[3] = bad;
+    EXPECT_EQ(model.Fit(x, y_bad, &rng).code(), StatusCode::kInvalidArgument);
+    EXPECT_FALSE(model.fitted());
+    Matrix x_bad = x;
+    x_bad(2, 1) = bad;
+    EXPECT_EQ(model.Fit(x_bad, y, &rng).code(), StatusCode::kInvalidArgument);
+    EXPECT_FALSE(model.fitted());
+  }
+  // A rejected refit or append leaves a fitted model as it was.
+  ml::EiMcmc model;
+  Rng rng(38);
+  ASSERT_TRUE(model.Fit(x, y, &rng).ok());
+  const size_t members = model.ensemble().size();
+  Vector y_bad = y;
+  y_bad[0] = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(model.Fit(x, y_bad, &rng).ok());
+  EXPECT_EQ(model.ensemble().size(), members);
+  EXPECT_EQ(model.AppendObservation(x.Row(0), y_bad[0]).code(),
+            StatusCode::kInvalidArgument);
+  Vector x_bad = x.Row(1);
+  x_bad[0] = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(model.AppendObservation(x_bad, 1.0).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(model.ensemble().size(), members);
+  EXPECT_EQ(model.ensemble().front().num_points(), x.rows());
+}
+
+TEST(EiMcmcEdgeCaseTest, ConstantObjectivesGiveFiniteAcquisition) {
+  Matrix x;
+  Vector y;
+  MakeDataset(12, 3, &x, &y);
+  for (size_t i = 0; i < y.size(); ++i) y[i] = 4.2;
+  ml::EiMcmc model;
+  Rng rng(39);
+  ASSERT_TRUE(model.Fit(x, y, &rng).ok());
+  const Matrix pool = RandomPool(200, 3, 49);
+  const Vector eis = model.AcquisitionValueBatch(pool);
+  for (size_t i = 0; i < eis.size(); ++i) {
+    EXPECT_TRUE(std::isfinite(eis[i])) << i;
+    EXPECT_GE(eis[i], 0.0) << i;
+  }
+  const ml::EiMcmc::Pick pick = model.PickCandidate(pool);
+  ASSERT_NE(pick.row, ml::EiMcmc::kNoRow);
+  EXPECT_TRUE(std::isfinite(pick.value));
+  EXPECT_TRUE(std::isfinite(pick.mean));
+  EXPECT_TRUE(std::isfinite(pick.variance));
+}
+
 // ------------------------------------------ incremental surrogate layer
 
 TEST(AppendFitTest, RepeatedAppendMatchesOneFit) {
@@ -943,7 +1207,9 @@ TEST(SparseGpTest, DagpSparseModeRefitsOnIncumbentSeededSubset) {
   EXPECT_EQ(dagp.model().best_observed(), std::log(best_seconds));
   // The subset surrogate stays usable for acquisition + prediction.
   const Matrix probe(1, 3, 0.5);
-  EXPECT_TRUE(std::isfinite(dagp.ExpectedImprovementBatch(probe, 100.0)[0]));
+  const ml::EiMcmc::Pick pick = dagp.PickCandidate(probe, 100.0);
+  EXPECT_EQ(pick.row, 0u);
+  EXPECT_TRUE(std::isfinite(pick.value));
   EXPECT_GT(dagp.PredictBatch(probe, {100.0})[0].seconds, 0.0);
 
   // Past the cap the growth schedule still applies: the next same-size
@@ -1069,12 +1335,10 @@ TEST(BoHotPathTest, LongHorizonTuneCompletes) {
     Matrix cands(16, d);
     for (size_t i = 0; i < cands.rows(); ++i)
       for (size_t j = 0; j < d; ++j) cands(i, j) = rng.NextDouble();
-    const Vector ei = dagp.ExpectedImprovementBatch(cands, ds);
-    size_t best = 0;
-    for (size_t i = 1; i < cands.rows(); ++i)
-      if (ei[i] > ei[best]) best = i;
-    ASSERT_TRUE(std::isfinite(ei[best]));
-    const Vector chosen = cands.Row(best);
+    const ml::EiMcmc::Pick pick = dagp.PickCandidate(cands, ds);
+    ASSERT_NE(pick.row, ml::EiMcmc::kNoRow);
+    ASSERT_TRUE(std::isfinite(pick.value));
+    const Vector chosen = cands.Row(pick.row);
     dagp.AddObservation(chosen, ds, objective(chosen));
     add_random(15);
     ASSERT_TRUE(dagp.Refit(&rng).ok());

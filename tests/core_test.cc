@@ -171,10 +171,10 @@ TEST(DagpTest, EiNonNegativeAndBestTracksMinimum) {
   dagp.AddObservation(Vector{0.5}, 100.0, 90.0);
   ASSERT_TRUE(dagp.Refit(&rng).ok());
   EXPECT_DOUBLE_EQ(std::exp(dagp.model().best_observed()), 60.0);
-  const Vector ei = dagp.ExpectedImprovementBatch(Matrix{{0.9}}, 100.0);
-  ASSERT_EQ(ei.size(), 1u);
-  EXPECT_TRUE(std::isfinite(ei[0]));
-  EXPECT_GE(ei[0], 0.0);
+  const ml::EiMcmc::Pick pick = dagp.PickCandidate(Matrix{{0.9}}, 100.0);
+  ASSERT_EQ(pick.row, 0u);
+  EXPECT_TRUE(std::isfinite(pick.value));
+  EXPECT_GE(pick.value, 0.0);
 }
 
 // --------------------------------------------------------- TuningSession

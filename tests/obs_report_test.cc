@@ -114,6 +114,45 @@ TEST(ObsReportTest, FixtureSummarizesToThePrintedReport) {
   EXPECT_EQ(Fixed(kern, 3), "0.245");
   EXPECT_EQ(Fixed(100.0 * r.total.fit_seconds / kern, 1), "46.3");
   EXPECT_TRUE(r.serving.empty());
+  // Written before iteration records carried the surrogate's prediction:
+  // no calibration line.
+  EXPECT_FALSE(r.has_calibration);
+}
+
+obs::Event Predicted(const char* phase, double objective, double mean,
+                     double sd) {
+  return obs::Event("iteration", "LOCAT", phase,
+                    {{"objective_seconds", objective},
+                     {"pred_log_mean", mean},
+                     {"pred_log_sd", sd}});
+}
+
+// z = (ln objective - mean) / sd per proposed run; a zero sd (no
+// proposal, or a failed run whose objective is imputed) is not scored.
+TEST(ObsReportTest, CalibrationScoresProposedSuccessfulRuns) {
+  const double e = std::exp(1.0);
+  const std::vector<obs::Event> events = {
+      Predicted("lhs", 50.0, 0.0, 0.0),
+      Predicted("reduced", e, 1.0, 0.5),        // z = 0
+      Predicted("reduced", e * e, 1.0, 0.75),   // |z| = 1.33
+      Predicted("reduced", 1.0, 1.0, 0.25),     // |z| = 4
+      Predicted("reduced", 400.0, 0.0, 0.0),    // failed: not scored
+      Predicted("warm", e, 1.5, 1.0),           // |z| = 0.5
+  };
+  const auto report = obs::SummarizeTelemetry(events);
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report->has_calibration);
+  ASSERT_EQ(report->phases.size(), 3u);
+  EXPECT_EQ(report->phases[0].calibrated, 0);
+  const auto& reduced = report->phases[1];
+  EXPECT_EQ(reduced.events, 4);
+  EXPECT_EQ(reduced.calibrated, 3);
+  EXPECT_NEAR(reduced.abs_z_sum, 0.0 + 4.0 / 3.0 + 4.0, 1e-12);
+  EXPECT_EQ(reduced.within_1sd, 1);
+  EXPECT_EQ(reduced.within_2sd, 2);
+  EXPECT_EQ(report->phases[2].calibrated, 1);
+  EXPECT_EQ(report->phases[2].within_1sd, 1);
+  EXPECT_EQ(report->total.calibrated, 0);
 }
 
 // Every tuning pass ends with its own summary, so the meter is the sum

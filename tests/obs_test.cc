@@ -346,7 +346,7 @@ TEST(ObservedTuneTest, IterationKeysMatchAcrossTuners) {
       "candidate_pool", "full_app",          "dagp_fit_seconds",
       "acq_seconds",   "mcmc_ensemble",      "mcmc_density_evals",
       "mcmc_acceptance", "rqa_share",        "rqa_queries",
-      "failed_evals"};
+      "failed_evals",  "pred_log_mean",      "pred_log_sd"};
   for (const char* name : {"LOCAT", "Random", "Tuneful"}) {
     SCOPED_TRACE(name);
     sparksim::ClusterSimulator sim(sparksim::X86Cluster(), 777);
@@ -358,14 +358,22 @@ TEST(ObservedTuneTest, IterationKeysMatchAcrossTuners) {
     tuner->SetObservability(ctx);
     tuner->Tune(&session, 150.0);
     int iterations = 0;
+    int predicted = 0;
     for (const auto& ev : collector.events) {
       if (ev.type != "iteration") continue;
       ++iterations;
       std::vector<std::string> keys;
       for (const obs::Field& f : ev.fields()) keys.push_back(f.key);
       ASSERT_EQ(keys, want) << ev.name;
+      if (ev.Num("pred_log_sd") > 0.0) ++predicted;
     }
     EXPECT_GT(iterations, 0);
+    // Only LOCAT's proposals carry the surrogate's prediction.
+    if (std::string(name) == "LOCAT") {
+      EXPECT_GT(predicted, 0);
+    } else {
+      EXPECT_EQ(predicted, 0);
+    }
   }
 }
 
