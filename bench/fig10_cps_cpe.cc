@@ -16,7 +16,7 @@ int main() {
 
   TablePrinter tp({"application", "CPS-selected", "CPE components",
                    "explained variance"});
-  for (const std::string& app_name : bench::AppNames()) {
+  for (const std::string& app_name : harness::AppNames()) {
     const auto app = harness::MakeApp(app_name);
     sparksim::ClusterSimulator sim(sparksim::X86Cluster(), 1400);
     sparksim::ConfigSpace space(sim.cluster());

@@ -21,7 +21,7 @@ int main() {
 
   TablePrinter tp({"application", "GBRT", "SVR", "LinearR", "LR", "KNNAR"});
   std::vector<double> avg(5, 0.0);
-  for (const std::string& app_name : bench::AppNames()) {
+  for (const std::string& app_name : harness::AppNames()) {
     const auto app = harness::MakeApp(app_name);
     sparksim::ClusterSimulator sim(sparksim::X86Cluster(), 1700);
     sparksim::ConfigSpace space(sim.cluster());

@@ -1,8 +1,11 @@
 #include "harness/experiments.h"
 
 #include <atomic>
+#include <cstdio>
+#include <cstdlib>
 #include <sstream>
 #include <thread>
+#include <utility>
 
 #include "common/thread_pool.h"
 #include "core/locat_tuner.h"
@@ -65,6 +68,78 @@ const std::vector<std::string>& SotaTunerNames() {
   static const std::vector<std::string>& names =
       *new std::vector<std::string>{"Tuneful", "DAC", "GBO-RL", "QTune"};
   return names;
+}
+
+const std::vector<std::string>& ComparedTunerNames() {
+  static const std::vector<std::string>& names =
+      *new std::vector<std::string>{"LOCAT", "Tuneful", "DAC", "GBO-RL",
+                                    "QTune"};
+  return names;
+}
+
+const std::vector<std::string>& AppNames() {
+  static const std::vector<std::string>& names =
+      *new std::vector<std::string>{"TPC-DS", "TPC-H", "Join", "Scan",
+                                    "Aggregation"};
+  return names;
+}
+
+const std::vector<double>& GridSizesGb() {
+  static const std::vector<double>& sizes =
+      *new std::vector<double>{100.0, 200.0, 300.0, 400.0, 500.0};
+  return sizes;
+}
+
+std::vector<CellSpec> PaperGridSpecs() {
+  std::vector<CellSpec> specs;
+  for (const std::string& app : AppNames()) {
+    for (const char* cluster : {"arm", "x86"}) {
+      for (double ds : GridSizesGb()) {
+        for (const std::string& tuner : ComparedTunerNames()) {
+          specs.push_back({tuner, app, cluster, ds});
+        }
+      }
+    }
+  }
+  for (double ds : GridSizesGb()) {
+    specs.push_back({"LOCAT-AP", "TPC-DS", "x86", ds});
+  }
+  for (const std::string& base : SotaTunerNames()) {
+    for (const char* mode : {"+QCSA", "+IICP", "+QIT"}) {
+      specs.push_back({base + mode, "TPC-DS", "x86", 500.0});
+    }
+  }
+  return specs;
+}
+
+GridResults::GridResults(const std::vector<CellSpec>& specs,
+                         std::vector<CellResult> results) {
+  if (specs.size() != results.size()) {
+    std::fprintf(stderr, "GridResults: %zu specs but %zu results\n",
+                 specs.size(), results.size());
+    std::abort();
+  }
+  for (size_t i = 0; i < specs.size(); ++i) {
+    if (!cells_.emplace(specs[i].Key(), std::move(results[i])).second) {
+      std::fprintf(stderr, "GridResults: cell %s listed twice\n",
+                   specs[i].Key().c_str());
+      std::abort();
+    }
+  }
+}
+
+const CellResult& GridResults::At(const std::string& tuner,
+                                  const std::string& app,
+                                  const std::string& cluster,
+                                  double datasize_gb) const {
+  const std::string key = CellSpec{tuner, app, cluster, datasize_gb}.Key();
+  const auto it = cells_.find(key);
+  if (it == cells_.end()) {
+    std::fprintf(stderr, "GridResults: cell %s is not in the grid\n",
+                 key.c_str());
+    std::abort();
+  }
+  return it->second;
 }
 
 std::unique_ptr<core::Tuner> MakeTuner(const std::string& name,

@@ -57,6 +57,40 @@ std::unique_ptr<core::Tuner> MakeTuner(const std::string& name,
 /// The four SOTA baselines in the paper's order.
 const std::vector<std::string>& SotaTunerNames();
 
+/// The five tuners of Figures 11-14 and 18-20: LOCAT, then the four SOTA
+/// baselines.
+const std::vector<std::string>& ComparedTunerNames();
+
+/// The five Table 1 applications in the paper's order.
+const std::vector<std::string>& AppNames();
+
+/// The input sizes the Section 5 figures sweep: 100 to 500 GB.
+const std::vector<double>& GridSizesGb();
+
+/// Every cell the Section 5 grid figures (2, 11-15 and 18-21) read, each
+/// listed once: ComparedTunerNames() x AppNames() x GridSizesGb() x
+/// {arm, x86}, LOCAT-AP on TPC-DS x86 at every size, and the twelve
+/// Section 5.10 composites "<SOTA>+QCSA|+IICP|+QIT" on TPC-DS x86 500 GB.
+std::vector<CellSpec> PaperGridSpecs();
+
+/// Computed cells, read by identity instead of by position.
+class GridResults {
+ public:
+  /// Pairs `specs[i]` with `results[i]`, the order RunAll returns. Aborts
+  /// when the lengths differ or two specs share a Key().
+  GridResults(const std::vector<CellSpec>& specs,
+              std::vector<CellResult> results);
+
+  /// The seed-0 cell (tuner, app, cluster, datasize_gb). A cell the
+  /// results do not hold is a bug in the caller: it aborts, naming the
+  /// cell, and never yields a default.
+  const CellResult& At(const std::string& tuner, const std::string& app,
+                       const std::string& cluster, double datasize_gb) const;
+
+ private:
+  std::map<std::string, CellResult> cells_;
+};
+
 /// Computes experiment cells. A cell's result depends only on its spec,
 /// so every call recomputes it; there is no results cache.
 class ExperimentRunner {

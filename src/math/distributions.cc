@@ -18,10 +18,6 @@ double ProbabilityOfImprovement(double mean, double stddev, double best) {
   return NormalCdf((best - mean) / stddev);
 }
 
-double NegativeLowerConfidenceBound(double mean, double stddev, double beta) {
-  return -(mean - beta * stddev);
-}
-
 double ExpectedImprovement(double mean, double stddev, double best) {
   if (stddev <= 1e-12) {
     const double imp = best - mean;

@@ -20,11 +20,6 @@ double ExpectedImprovement(double mean, double stddev, double best);
 /// sigma ~ 0 (Section 2.2 lists PI among the popular acquisitions).
 double ProbabilityOfImprovement(double mean, double stddev, double best);
 
-/// Negated lower confidence bound for a minimization problem:
-///   -(mu - beta * sigma). Maximizing this is the GP-UCB/LCB rule
-/// (Srinivas et al.); larger values are more promising.
-double NegativeLowerConfidenceBound(double mean, double stddev, double beta);
-
 }  // namespace locat::math
 
 #endif  // LOCAT_MATH_DISTRIBUTIONS_H_

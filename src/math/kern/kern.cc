@@ -105,19 +105,6 @@ void SetBackend(Backend b) {
   BackendSlot().store(b, std::memory_order_release);
 }
 
-Status SetBackendByName(std::string_view name) {
-  if (name == "off" || name == "scalar") {
-    SetBackend(Backend::kScalar);
-    return Status::OK();
-  }
-  if (name == "native") {
-    SetBackend(BestBackend());
-    return Status::OK();
-  }
-  return Status::InvalidArgument("unknown SIMD mode '" + std::string(name) +
-                                 "' (expected off|scalar|native)");
-}
-
 const char* BackendName(Backend b) {
   switch (b) {
     case Backend::kScalar:

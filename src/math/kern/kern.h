@@ -2,9 +2,6 @@
 #define LOCAT_MATH_KERN_KERN_H_
 
 #include <cstddef>
-#include <string_view>
-
-#include "common/status.h"
 
 namespace locat::math::kern {
 
@@ -50,13 +47,6 @@ bool BackendAvailable(Backend b);
 /// Thread-safe, but switching while kernels run on other threads gives
 /// an unspecified mix; callers switch between, not during, computations.
 void SetBackend(Backend b);
-
-/// Parses "off" | "scalar" | "native" (the LOCAT_SIMD / --simd values)
-/// and switches the dispatch. "off" and "scalar" are synonyms: both pin
-/// the portable scalar backend, which computes bit-identical results to
-/// the SIMD backends anyway — the knob exists for benchmarking and for
-/// ruling the SIMD units out when debugging.
-Status SetBackendByName(std::string_view name);
 
 const char* BackendName(Backend b);
 const char* ActiveBackendName();

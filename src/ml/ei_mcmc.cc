@@ -22,8 +22,6 @@ constexpr double kLengthscaleLogMean = -1.2;
 constexpr double kSignalLogMean = 0.0;
 constexpr double kNoiseLogMean = -4.6;
 constexpr double kPriorLogStd = 1.0;
-// Exploration weight of the GP-UCB rule.
-constexpr double kUcbBeta = 2.0;
 
 double LogPrior(const GpHyperparams& hp) {
   const double inv_var = 1.0 / (kPriorLogStd * kPriorLogStd);
@@ -205,8 +203,6 @@ double EiMcmc::MemberValue(double mean, double variance) const {
   switch (options_.acquisition) {
     case AcquisitionKind::kProbabilityOfImprovement:
       return math::ProbabilityOfImprovement(mean, sd, best_observed_);
-    case AcquisitionKind::kUcb:
-      return math::NegativeLowerConfidenceBound(mean, sd, kUcbBeta);
     case AcquisitionKind::kExpectedImprovement:
       break;
   }

@@ -13,9 +13,9 @@
 namespace locat::ml {
 
 /// Acquisition rules supported by the marginalized surrogate. LOCAT uses
-/// EI (with MCMC marginalization); PI and GP-UCB are provided for the
-/// Section 2.2 comparison (bench/ablation_acquisition).
-enum class AcquisitionKind { kExpectedImprovement, kProbabilityOfImprovement, kUcb };
+/// EI (with MCMC marginalization); PI is provided for the Section 2.2
+/// comparison (bench/ablation_acquisition).
+enum class AcquisitionKind { kExpectedImprovement, kProbabilityOfImprovement };
 
 /// Expected Improvement with MCMC hyperparameter marginalization
 /// (Snoek et al. 2012), the acquisition function LOCAT uses (Section 3.4).

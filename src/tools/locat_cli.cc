@@ -81,11 +81,6 @@ int Usage() {
       "                      ensemble fits, acquisition scoring, RQA query\n"
       "                      evaluation); results are bit-identical for\n"
       "                      any N. Default: hardware concurrency\n"
-      "  --simd MODE         math-kernel dispatch: native (default; best\n"
-      "                      of AVX2/NEON/scalar for this CPU), scalar or\n"
-      "                      off (both force the scalar backend); results\n"
-      "                      are bit-identical for any mode. Overrides the\n"
-      "                      LOCAT_SIMD environment variable\n"
       "  --trace FILE        write a Chrome trace_event JSON timeline\n"
       "                      (chrome://tracing, Perfetto); includes the\n"
       "                      simulated-time lane of the cluster simulator\n"
@@ -960,14 +955,6 @@ int main(int argc, char** argv) {
       int threads = 0;
       if (!ParseNumber(value(), &threads) || threads < 0) return Usage();
       common::ThreadPool::SetGlobalThreads(threads);
-    } else if (arg == "--simd") {
-      const char* v = value();
-      if (v == nullptr) return Usage();
-      const auto status = locat::math::kern::SetBackendByName(v);
-      if (!status.ok()) {
-        std::fprintf(stderr, "%s\n", status.ToString().c_str());
-        return Usage();
-      }
     } else if (arg == "--trace") {
       const char* v = value();
       if (v == nullptr) return Usage();

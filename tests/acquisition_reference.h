@@ -18,7 +18,6 @@ namespace locat::testutil {
 inline double ReferenceAcquisition(
     const ml::EiMcmc& model, const math::Vector& x,
     ml::AcquisitionKind kind = ml::AcquisitionKind::kExpectedImprovement) {
-  constexpr double kUcbBeta = 2.0;  // EiMcmc's GP-UCB exploration weight
   double total = 0.0;
   for (const auto& gp : model.ensemble()) {
     const auto p = gp.PredictReference(x);
@@ -27,9 +26,6 @@ inline double ReferenceAcquisition(
       case ml::AcquisitionKind::kProbabilityOfImprovement:
         total += math::ProbabilityOfImprovement(p.mean, sd,
                                                 model.best_observed());
-        break;
-      case ml::AcquisitionKind::kUcb:
-        total += math::NegativeLowerConfidenceBound(p.mean, sd, kUcbBeta);
         break;
       case ml::AcquisitionKind::kExpectedImprovement:
         total += math::ExpectedImprovement(p.mean, sd, model.best_observed());

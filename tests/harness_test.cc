@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <filesystem>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -129,6 +130,50 @@ TEST(ExperimentRunnerTest, RunAllMatchesSerialRunAcrossThreadCounts) {
       EXPECT_EQ(results[i].Serialize(), expected[i]) << specs[i].Key();
     }
   }
+}
+
+TEST(PaperGridTest, ListsEveryFigureCellOnceAndLooksThemUpByIdentity) {
+  const std::vector<CellSpec> specs = PaperGridSpecs();
+  EXPECT_EQ(specs.size(), 267u);
+  std::set<std::string> keys;
+  std::set<std::string> tuners;
+  for (const CellSpec& spec : specs) {
+    EXPECT_TRUE(keys.insert(spec.Key()).second) << spec.Key();
+    tuners.insert(spec.tuner);
+  }
+  // MakeTuner falls back to a baseline of another name for an unknown one.
+  for (const std::string& tuner : tuners) {
+    EXPECT_EQ(MakeTuner(tuner, 0)->name(), tuner);
+  }
+  // Figures 11-14: every compared tuner x app x size, on both clusters.
+  for (const char* cluster : {"arm", "x86"}) {
+    for (const std::string& app : AppNames()) {
+      for (double ds : GridSizesGb()) {
+        for (const std::string& tuner : ComparedTunerNames()) {
+          EXPECT_EQ(keys.count(CellSpec{tuner, app, cluster, ds}.Key()), 1u)
+              << tuner << " " << app << " " << cluster << " " << ds;
+        }
+      }
+    }
+  }
+
+  // Placeholder results, one distinct value per cell: nothing is tuned.
+  std::vector<CellResult> results(specs.size());
+  for (size_t i = 0; i < results.size(); ++i) {
+    results[i].evaluations = static_cast<int>(i);
+  }
+  const GridResults grid(specs, results);
+  for (size_t i = 0; i < specs.size(); ++i) {
+    const CellSpec& s = specs[i];
+    EXPECT_EQ(grid.At(s.tuner, s.app, s.cluster, s.datasize_gb).evaluations,
+              static_cast<int>(i));
+  }
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(grid.At("LOCAT", "TPC-DS", "x86", 250.0), "not in the grid");
+  EXPECT_DEATH(grid.At("Random", "Scan", "arm", 100.0), "not in the grid");
+  EXPECT_DEATH(grid.At("LOCAT-AP", "TPC-DS", "arm", 100.0), "not in the grid");
+  EXPECT_DEATH(GridResults({specs[0], specs[0]}, {CellResult{}, CellResult{}}),
+               "listed twice");
 }
 
 TEST(WarmSequenceTest, AdaptsAcrossDataSizes) {

@@ -596,15 +596,6 @@ TEST(KernDispatch, NamesAndAvailability) {
   EXPECT_STREQ(BackendName(Backend::kScalar), "scalar");
   EXPECT_STREQ(BackendName(Backend::kAvx2), "avx2");
   EXPECT_STREQ(BackendName(Backend::kNeon), "neon");
-  const Backend entry = ActiveBackend();
-  EXPECT_TRUE(SetBackendByName("off").ok());
-  EXPECT_EQ(ActiveBackend(), Backend::kScalar);
-  EXPECT_TRUE(SetBackendByName("scalar").ok());
-  EXPECT_EQ(ActiveBackend(), Backend::kScalar);
-  EXPECT_TRUE(SetBackendByName("native").ok());
-  EXPECT_EQ(ActiveBackend(), BestBackend());
-  EXPECT_FALSE(SetBackendByName("avx512").ok());
-  SetBackend(entry);
 }
 
 // End-to-end determinism contract: a full LOCAT tuning run must be

@@ -56,13 +56,6 @@ TEST(AcquisitionTest, ProbabilityOfImprovementProperties) {
   EXPECT_DOUBLE_EQ(math::ProbabilityOfImprovement(5.0, 0.0, 4.0), 0.0);
 }
 
-TEST(AcquisitionTest, UcbTradesOffMeanAndUncertainty) {
-  EXPECT_GT(math::NegativeLowerConfidenceBound(5.0, 2.0, 2.0),
-            math::NegativeLowerConfidenceBound(5.0, 1.0, 2.0));
-  EXPECT_GT(math::NegativeLowerConfidenceBound(4.0, 1.0, 2.0),
-            math::NegativeLowerConfidenceBound(5.0, 1.0, 2.0));
-}
-
 TEST(AcquisitionTest, EiMcmcSupportsAllKinds) {
   Rng rng(19);
   Matrix x(8, 1);
@@ -71,9 +64,8 @@ TEST(AcquisitionTest, EiMcmcSupportsAllKinds) {
     x(static_cast<size_t>(i), 0) = i / 8.0;
     y[static_cast<size_t>(i)] = std::cos(3.0 * i / 8.0);
   }
-  for (AcquisitionKind kind :
-       {AcquisitionKind::kExpectedImprovement,
-        AcquisitionKind::kProbabilityOfImprovement, AcquisitionKind::kUcb}) {
+  for (AcquisitionKind kind : {AcquisitionKind::kExpectedImprovement,
+                               AcquisitionKind::kProbabilityOfImprovement}) {
     EiMcmc::Options opts;
     opts.acquisition = kind;
     opts.num_hyper_samples = 3;
