@@ -79,14 +79,24 @@ Status EiMcmc::Fit(const math::Matrix& x, const math::Vector& y, Rng* rng) {
   };
 
   // Continue the chain when its last state fits this input dimension and
-  // has a finite density on the new data (the check is a memo hit for the
-  // first sweep's evaluation, so it costs no factorization). A continued
-  // chain runs no re-burn and draws half an ensemble of new samples.
+  // has a finite density on the new data; that evaluation is the first
+  // sweep's starting density. A continued chain runs no re-burn and draws
+  // half an ensemble of new samples.
+  SliceSampler::Stats& sampler_stats = last_fit_stats_.sampler;
+  auto start_density = [&](const math::Vector& start) {
+    ++sampler_stats.density_evals;
+    return log_posterior(start);
+  };
   const size_t k = static_cast<size_t>(std::max(0, options_.num_hyper_samples));
-  const bool continued =
-      !chain_.empty() && chain_.back().size() == dim + 2 &&
-      std::isfinite(log_posterior(chain_.back()));
-  if (!continued) chain_.clear();
+  double start_log_f = -std::numeric_limits<double>::infinity();
+  if (!chain_.empty() && chain_.back().size() == dim + 2) {
+    start_log_f = start_density(chain_.back());
+  }
+  const bool continued = std::isfinite(start_log_f);
+  if (!continued) {
+    chain_.clear();
+    start_log_f = start_density(GpHyperparams::Default(dim).Flatten());
+  }
   const int burn = continued ? 0 : std::max(0, options_.burn_in);
   const int draws = static_cast<int>(continued ? (k + 1) / 2 : k);
   last_fit_stats_.continued = continued;
@@ -99,7 +109,8 @@ Status EiMcmc::Fit(const math::Matrix& x, const math::Vector& y, Rng* rng) {
   };
   std::vector<math::Vector> samples = sampler.Sample(
       continued ? chain_.back() : GpHyperparams::Default(dim).Flatten(),
-      draws, burn, options_.thin, rng, &last_fit_stats_.sampler, on_sample);
+      start_log_f, draws, burn, options_.thin, rng, &sampler_stats,
+      on_sample);
 
   // The chain keeps its last k states: the newest carried ones, then the
   // fresh samples.

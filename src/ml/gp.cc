@@ -211,22 +211,6 @@ double GpKernelCache::LogMarginalLikelihood(const GpHyperparams& hp) {
   if (hp.log_lengthscales.size() != x_.cols() || x_.rows() == 0) {
     return -std::numeric_limits<double>::infinity();
   }
-  // The slice sampler re-evaluates the density at the state it just
-  // accepted (once per coordinate, at the end of each sweep); answer those
-  // repeats from the memo instead of refactoring.
-  if (memo_.has_value()) {
-    const math::Vector flat = hp.Flatten();
-    if (flat.size() == memo_key_.size()) {
-      bool match = true;
-      for (size_t i = 0; i < flat.size(); ++i) {
-        if (memo_key_[i] != flat[i]) {
-          match = false;
-          break;
-        }
-      }
-      if (match) return memo_->log_marginal_likelihood;
-    }
-  }
   if (RefreshLanes(KernelWeights(hp))) {
     UnitKernel(lanes_.data(), unit_kernel_.size(), unit_kernel_.data());
   }

@@ -35,7 +35,7 @@ double SliceSampler::SampleCoordinate(math::Vector* state, size_t coord,
     const double log_f1 = eval_at(x1);
     if (log_f1 > log_y) {
       if (stats != nullptr) ++stats->accepted;
-      return x1;  // state already holds x1.
+      return log_f1;  // state already holds x1.
     }
     if (stats != nullptr) ++stats->shrinks;
     if (x1 < x0) {
@@ -44,38 +44,34 @@ double SliceSampler::SampleCoordinate(math::Vector* state, size_t coord,
       hi = x1;
     }
   }
-  // Pathological density; keep the original value.
+  // Pathological density; keep the original value. Evaluating there again
+  // makes x0 the last state the density saw (see SampleCallback).
   if (stats != nullptr) ++stats->stuck;
-  (*state)[coord] = x0;
-  return x0;
+  return eval_at(x0);
 }
 
-math::Vector SliceSampler::Sweep(const math::Vector& state, Rng* rng,
-                                 Stats* stats) const {
-  math::Vector current = state;
-  double log_f = log_density_(current);
-  if (stats != nullptr) ++stats->density_evals;
-  if (!std::isfinite(log_f)) {
-    // Caller gave an infeasible start; return unchanged.
-    return current;
+void SliceSampler::Sweep(math::Vector* state, double* log_f, Rng* rng,
+                         Stats* stats) const {
+  // An infeasible start never moves.
+  if (!std::isfinite(*log_f)) return;
+  for (size_t coord = 0; coord < state->size(); ++coord) {
+    *log_f = SampleCoordinate(state, coord, *log_f, rng, stats);
   }
-  for (size_t coord = 0; coord < current.size(); ++coord) {
-    SampleCoordinate(&current, coord, log_f, rng, stats);
-    log_f = log_density_(current);
-    if (stats != nullptr) ++stats->density_evals;
-  }
-  return current;
 }
 
 std::vector<math::Vector> SliceSampler::Sample(
-    const math::Vector& initial, int n_samples, int burn_in, int thin,
-    Rng* rng, Stats* stats, const SampleCallback& on_sample) const {
+    const math::Vector& initial, double initial_log_density, int n_samples,
+    int burn_in, int thin, Rng* rng, Stats* stats,
+    const SampleCallback& on_sample) const {
   std::vector<math::Vector> samples;
   samples.reserve(static_cast<size_t>(n_samples));
   math::Vector state = initial;
-  for (int i = 0; i < burn_in; ++i) state = Sweep(state, rng, stats);
+  double log_f = initial_log_density;
+  for (int i = 0; i < burn_in; ++i) Sweep(&state, &log_f, rng, stats);
   for (int s = 0; s < n_samples; ++s) {
-    for (int t = 0; t < std::max(1, thin); ++t) state = Sweep(state, rng, stats);
+    for (int t = 0; t < std::max(1, thin); ++t) {
+      Sweep(&state, &log_f, rng, stats);
+    }
     samples.push_back(state);
     if (on_sample) on_sample(s, state);
   }

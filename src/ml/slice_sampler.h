@@ -34,7 +34,10 @@ class SliceSampler {
   /// observational: collecting them draws no random numbers and changes
   /// no sampling decision.
   struct Stats {
-    int64_t density_evals = 0;  // log-density evaluations
+    /// Log-density evaluations: each bracket end, step-out, shrink and
+    /// accepted proposal, and the re-evaluation of a stuck coordinate's
+    /// kept value. A state's density is carried forward, never recomputed.
+    int64_t density_evals = 0;
     int64_t step_outs = 0;      // bracket expansions
     int64_t accepted = 0;       // coordinate proposals accepted
     int64_t shrinks = 0;        // coordinate proposals rejected (shrunk)
@@ -53,12 +56,6 @@ class SliceSampler {
   SliceSampler(LogDensity log_density, Options options)
       : log_density_(std::move(log_density)), options_(options) {}
 
-  /// Performs one full sweep (each coordinate updated once, in order) from
-  /// `state` and returns the new state. `state` must have finite density.
-  /// `stats` (optional) accumulates work counters.
-  math::Vector Sweep(const math::Vector& state, Rng* rng,
-                     Stats* stats = nullptr) const;
-
   /// Invoked right after each retained sample with (sample_index, state).
   /// The density has just been evaluated at exactly `state` (the final
   /// evaluation of the sweep that produced it), which lets density
@@ -66,17 +63,26 @@ class SliceSampler {
   /// caller. Must not mutate sampler state or draw random numbers.
   using SampleCallback = std::function<void(int, const math::Vector&)>;
 
-  /// Runs `burn_in` sweeps then collects `n_samples` states, taking one
-  /// sample every `thin` sweeps. `stats` (optional) accumulates work
+  /// Runs `burn_in` sweeps from `initial`, whose log density the caller
+  /// has evaluated as `initial_log_density`, then collects `n_samples`
+  /// states, taking one sample every `thin` sweeps. A start without a
+  /// finite density never moves. `stats` (optional) accumulates work
   /// counters over the whole call; `on_sample` (optional) observes each
   /// retained sample as it is produced.
-  std::vector<math::Vector> Sample(const math::Vector& initial, int n_samples,
+  std::vector<math::Vector> Sample(const math::Vector& initial,
+                                   double initial_log_density, int n_samples,
                                    int burn_in, int thin, Rng* rng,
                                    Stats* stats = nullptr,
                                    const SampleCallback& on_sample = {}) const;
 
  private:
-  /// Slice-samples a single coordinate, returning its new value.
+  /// One sweep: each coordinate of `state` updated once, in order.
+  /// `log_f` holds the density at `state` on entry and on return.
+  void Sweep(math::Vector* state, double* log_f, Rng* rng,
+             Stats* stats) const;
+
+  /// Slice-samples coordinate `coord` of `state` (log density `log_f0`),
+  /// leaving the new value in `state` and returning its log density.
   double SampleCoordinate(math::Vector* state, size_t coord, double log_f0,
                           Rng* rng, Stats* stats) const;
 

@@ -249,7 +249,8 @@ TEST(SliceSamplerTest, SamplesStandardNormal) {
   auto log_density = [](const Vector& x) { return -0.5 * x[0] * x[0]; };
   SliceSampler sampler(log_density, SliceSampler::Options());
   Rng rng(31);
-  auto samples = sampler.Sample(Vector{0.3}, 3000, 50, 1, &rng);
+  auto samples = sampler.Sample(Vector{0.3}, log_density(Vector{0.3}), 3000,
+                                50, 1, &rng);
   std::vector<double> values;
   values.reserve(samples.size());
   for (const auto& s : samples) values.push_back(s[0]);
@@ -265,7 +266,9 @@ TEST(SliceSamplerTest, SamplesShiftedBivariate) {
   };
   SliceSampler sampler(log_density, SliceSampler::Options());
   Rng rng(37);
-  auto samples = sampler.Sample(Vector{0.0, 0.0}, 2500, 80, 1, &rng);
+  auto samples = sampler.Sample(Vector{0.0, 0.0},
+                                log_density(Vector{0.0, 0.0}), 2500, 80, 1,
+                                &rng);
   std::vector<double> xs, ys;
   for (const auto& s : samples) {
     xs.push_back(s[0]);
@@ -274,6 +277,44 @@ TEST(SliceSamplerTest, SamplesShiftedBivariate) {
   EXPECT_NEAR(math::Mean(xs), 2.0, 0.15);
   EXPECT_NEAR(math::Mean(ys), -1.0, 0.15);
   EXPECT_NEAR(math::StdDev(ys), 0.5, 0.1);
+}
+
+TEST(SliceSamplerTest, CountsEachDensityCallOnce) {
+  // Every call the sampler makes is a real evaluation: two bracket ends per
+  // coordinate, one per step-out, shrink and accepted move, and none at a
+  // state whose density it already has. The start's density comes from
+  // the caller.
+  int64_t calls = 0;
+  Vector last;
+  auto log_density = [&calls, &last](const Vector& x) {
+    ++calls;
+    last = x;
+    const double a = x[0] - 1.0;
+    return -0.5 * (a * a + 4.0 * x[1] * x[1]);
+  };
+  SliceSampler sampler(log_density, SliceSampler::Options());
+  const Vector start{0.5, 0.5};
+  const double start_log_f = log_density(start);
+  calls = 0;
+  Rng rng(43);
+  SliceSampler::Stats stats;
+  const int burn_in = 3, n_samples = 20, thin = 2;
+  // The SampleCallback contract: the last call was at the sample itself.
+  int harvested = 0;
+  const auto samples = sampler.Sample(
+      start, start_log_f, n_samples, burn_in, thin, &rng, &stats,
+      [&](int, const Vector& state) {
+        EXPECT_EQ(last.data(), state.data());
+        ++harvested;
+      });
+  ASSERT_EQ(samples.size(), static_cast<size_t>(n_samples));
+  EXPECT_EQ(harvested, n_samples);
+  const int64_t sweeps = burn_in + n_samples * thin;
+  EXPECT_EQ(stats.stuck, 0);
+  EXPECT_EQ(stats.accepted, sweeps * 2);
+  EXPECT_EQ(calls, stats.density_evals);
+  EXPECT_EQ(stats.density_evals,
+            2 * sweeps * 2 + stats.step_outs + stats.shrinks + stats.accepted);
 }
 
 // --------------------------------------------------------------- EiMcmc
