@@ -10,10 +10,10 @@ namespace locat::core {
 
 namespace {
 
-// A single-size history gets a full EI-MCMC refit only once it has grown
-// by this many percent since the last one; the rows in between are
-// absorbed by rank-1 appends. Each BO step adds one row, so at
-// paper-sized histories (30-90 rows) this runs the sampler every 3-9
+// A history gets a full EI-MCMC refit once it has grown by this many
+// percent since the last one (or gained a data size); the rows in
+// between are absorbed by rank-1 appends. Each BO step adds one row, so
+// at paper-sized histories (30-90 rows) this runs the sampler every 3-9
 // steps instead of every step.
 constexpr size_t kFullRefitGrowthPercent = 10;
 
@@ -35,8 +35,11 @@ void Dagp::AddObservation(const math::Vector& encoded_conf,
   assert(seconds > 0.0);
   x_.push_back(Assemble(encoded_conf, datasize_gb));
   y_.push_back(std::log(seconds));
-  const size_t ds = encoded_conf.size();  // the data-size column
-  if (x_.back()[ds] != x_.front()[ds]) mixed_datasizes_ = true;
+  const double ds = x_.back()[encoded_conf.size()];
+  if (std::find(datasizes_.begin(), datasizes_.end(), ds) ==
+      datasizes_.end()) {
+    datasizes_.push_back(ds);
+  }
 }
 
 void Dagp::SetObservability(obs::Tracer* tracer,
@@ -54,7 +57,7 @@ void Dagp::SetObservability(obs::Tracer* tracer,
     appends_counter_ = metrics->GetCounter(
         "locat_dagp_appends_total",
         "Observations absorbed by rank-1 ensemble appends between full "
-        "refits of a single-size history");
+        "refits");
     sparse_refits_counter_ = metrics->GetCounter(
         "locat_dagp_sparse_refits_total",
         "Full refits of a history longer than the fit cap, performed on "
@@ -127,12 +130,13 @@ Status Dagp::Refit(Rng* rng) {
     return Status::FailedPrecondition("DAGP needs >= 2 observations");
   }
   // Absorb the new rows into the fitted ensemble instead of re-sampling
-  // the hyperparameters while a single-size history is within
-  // kFullRefitGrowthPercent of its last full fit. A failed append (a near-singular extension in every
-  // member) falls through to a full refit, which rebuilds the model from
-  // the history.
+  // the hyperparameters while the history is within
+  // kFullRefitGrowthPercent of its last full fit and holds only data
+  // sizes that fit saw. A failed append (a near-singular extension in
+  // every member) falls through to a full refit, which rebuilds the model
+  // from the history.
   const bool append =
-      model_.fitted() && fitted_n_ <= n && !mixed_datasizes_ &&
+      model_.fitted() && datasizes_.size() == last_full_fit_sizes_ &&
       100 * n < (100 + kFullRefitGrowthPercent) * last_full_fit_n_;
   if (append && AppendRows()) return Status::OK();
 
@@ -154,6 +158,7 @@ Status Dagp::Refit(Rng* rng) {
   if (status.ok()) {
     fitted_n_ = n;
     last_full_fit_n_ = n;
+    last_full_fit_sizes_ = datasizes_.size();
     last_refit_kind_ = subset ? RefitKind::kSparse : RefitKind::kFull;
     if (subset && sparse_refits_counter_ != nullptr) {
       sparse_refits_counter_->Increment();

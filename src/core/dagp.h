@@ -53,17 +53,23 @@ class Dagp {
 
   /// Refits the surrogate on the current observations (>= 2).
   ///
-  /// While all observations share one data size, a full EI-MCMC refit
-  /// runs only once the history has grown by 10% since the last full
-  /// fit; the rows in between are absorbed by O(n^2) rank-1 appends onto
-  /// the frozen ensemble (no RNG consumed). A history that spans several
-  /// data sizes gets a full refit every call, since it is still learning
-  /// the data-size lengthscale. A full refit fits the whole history up to
-  /// kMaxFitRows rows and a greedy max-min subset above that; it
-  /// continues the EI-MCMC chain of the previous one and replaces the
-  /// older half of the hyperparameter ensemble, refitting the newer half
-  /// on the current rows (see ml::EiMcmc::Fit).
+  /// A full EI-MCMC refit runs when there is no fitted ensemble, when the
+  /// history has grown by 10% since the last full fit, or when it holds a
+  /// data size that fit did not see (the data-size lengthscale has
+  /// something new to learn). Otherwise the new rows are absorbed by
+  /// O(n^2) rank-1 appends onto the frozen ensemble (no RNG consumed). A
+  /// full refit fits the whole history up to kMaxFitRows rows and a
+  /// greedy max-min subset above that; it continues the EI-MCMC chain of
+  /// the previous one and replaces the older half of the hyperparameter
+  /// ensemble, refitting the newer half on the current rows (see
+  /// ml::EiMcmc::Fit).
   Status Refit(Rng* rng);
+
+  /// Frees the fitted ensemble (its per-member n x n factors) and keeps
+  /// the history and the EI-MCMC chain, so the next Refit is a full refit
+  /// that continues the chain. For a surrogate that sits idle between
+  /// refits.
+  void DropEnsemble() { model_.DropEnsemble(); }
 
   /// The candidate the acquisition picks among the rows of
   /// `encoded_confs` at one data size (ml::EiMcmc::PickCandidate: the
@@ -136,7 +142,8 @@ class Dagp {
   ml::EiMcmc model_;
   size_t fitted_n_ = 0;       // history size the model has incorporated
   size_t last_full_fit_n_ = 0;  // history size at the last full MCMC fit
-  bool mixed_datasizes_ = false;  // some row's data size differs from row 0's
+  std::vector<double> datasizes_;  // distinct normalized data sizes seen
+  size_t last_full_fit_sizes_ = 0;  // datasizes_.size() at that fit
   RefitKind last_refit_kind_ = RefitKind::kNone;
   obs::Tracer* tracer_ = nullptr;
   obs::Counter* refits_counter_ = nullptr;

@@ -919,6 +919,10 @@ TuningResult LocatTuner::Tune(TuningSession* session, double datasize_gb) {
        {"best_seconds", result.best_observed_seconds},
        {"datasize_gb", datasize_gb},
        {"failed_evals", result.failed_evaluations}});
+  // Nothing reads the ensemble before the next tune: an idle tuner keeps
+  // the history and the chain, not ~10 n x n factors. The next tune's
+  // first refit is a full one that continues the chain.
+  dagp_.DropEnsemble();
   return result;
 }
 

@@ -35,6 +35,9 @@ namespace locat::core {
 /// Warm start (later Tune calls with a different data size): the DAGP
 /// already models t = f(conf, ds), so only warm_iterations RQA runs at the
 /// new size are needed — the paper's online data-size adaptation.
+/// Between tunes the tuner keeps the history and the EI-MCMC chain but
+/// frees the fitted ensemble; a warm start's first refit rebuilds it,
+/// continuing the chain.
 class LocatTuner : public Tuner {
  public:
   struct Options {

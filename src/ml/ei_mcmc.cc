@@ -88,14 +88,17 @@ Status EiMcmc::Fit(const math::Matrix& x, const math::Vector& y, Rng* rng) {
     return log_posterior(start);
   };
   const size_t k = static_cast<size_t>(std::max(0, options_.num_hyper_samples));
+  math::Vector start;
   double start_log_f = -std::numeric_limits<double>::infinity();
   if (!chain_.empty() && chain_.back().size() == dim + 2) {
-    start_log_f = start_density(chain_.back());
+    start = chain_.back();
+    start_log_f = start_density(start);
   }
   const bool continued = std::isfinite(start_log_f);
   if (!continued) {
     chain_.clear();
-    start_log_f = start_density(GpHyperparams::Default(dim).Flatten());
+    start = GpHyperparams::Default(dim).Flatten();
+    start_log_f = start_density(start);
   }
   const int burn = continued ? 0 : std::max(0, options_.burn_in);
   const int draws = static_cast<int>(continued ? (k + 1) / 2 : k);
@@ -107,10 +110,9 @@ Status EiMcmc::Fit(const math::Matrix& x, const math::Vector& y, Rng* rng) {
   auto on_sample = [&](int /*index*/, const math::Vector& state) {
     harvested.push_back(cache.TakeMemoized(state));
   };
-  std::vector<math::Vector> samples = sampler.Sample(
-      continued ? chain_.back() : GpHyperparams::Default(dim).Flatten(),
-      start_log_f, draws, burn, options_.thin, rng, &sampler_stats,
-      on_sample);
+  std::vector<math::Vector> samples =
+      sampler.Sample(start, start_log_f, draws, burn, options_.thin, rng,
+                     &sampler_stats, on_sample);
 
   // The chain keeps its last k states: the newest carried ones, then the
   // fresh samples.

@@ -152,6 +152,11 @@ class EiMcmc {
   double best_observed() const { return best_observed_; }
 
   bool fitted() const { return !ensemble_.empty(); }
+
+  /// Frees the ensemble and keeps the chain: the model reads unfitted, and
+  /// the next Fit continues the chain (best_observed() and
+  /// last_fit_stats() keep their values until then).
+  void DropEnsemble() { ensemble_.clear(); }
   const std::vector<GaussianProcess>& ensemble() const { return ensemble_; }
 
   /// Stats of the most recent Fit() (zeroed before any fit).

@@ -1,9 +1,9 @@
 // Tests of the persistent EI-MCMC chain: the sweep schedule of cold and
 // continued fits, the ensemble as the chain's last states, the events
-// that force a cold restart, DAGP's growth schedule of full refits and
-// rank-1 appends, truthful per-refit telemetry, and tune-quality
-// regression checks. Thread-count bit-identity of a continued chain in a
-// whole tune is checked in bo_hotpath_test.cc.
+// that force a cold restart, DAGP's schedule of full refits (growth or a
+// new data size) and rank-1 appends, truthful per-refit telemetry, and
+// tune-quality regression checks. Thread-count bit-identity of a
+// continued chain in a whole tune is checked in bo_hotpath_test.cc.
 #include <bit>
 #include <chrono>
 #include <cmath>
@@ -253,6 +253,34 @@ void FeedAt(core::Dagp* dagp, size_t count, size_t dim, double datasize_gb,
   }
 }
 
+/// Expects every member of `dagp`'s ensemble to predict like a
+/// from-scratch fit on the whole `history` at the member's frozen
+/// hyperparameters: the appends skip the MCMC, not the math.
+void ExpectMembersMatchRefits(const core::Dagp& dagp, const History& history,
+                              size_t dim) {
+  Matrix all(history.x.size(), dim + 1);
+  for (size_t i = 0; i < history.x.size(); ++i) all.SetRow(i, history.x[i]);
+  const Vector ylog(history.y);
+  Matrix probes(10, dim + 1);
+  Rng probe_rng(23);
+  for (size_t t = 0; t < probes.rows(); ++t) {
+    for (size_t j = 0; j < dim; ++j) probes(t, j) = probe_rng.NextDouble();
+    probes(t, dim) = 0.1 + 0.2 * static_cast<double>(t % 2);
+  }
+  for (const auto& member : dagp.model().ensemble()) {
+    ml::GaussianProcess reference;
+    ASSERT_TRUE(reference.Fit(all, ylog, member.hyperparams()).ok());
+    const auto a = member.PredictBatch(probes);
+    const auto b = reference.PredictBatch(probes);
+    for (size_t t = 0; t < probes.rows(); ++t) {
+      EXPECT_NEAR(a.mean[t], b.mean[t],
+                  1e-8 * std::max(1.0, std::abs(b.mean[t])));
+      EXPECT_NEAR(a.variance[t], b.variance[t],
+                  1e-8 * std::max(1.0, std::abs(b.variance[t])));
+    }
+  }
+}
+
 TEST(EiMcmcChainTest, DagpSingleSizeHistoryAppendsUntilTenPercentGrowth) {
   core::Dagp dagp(SmallOptions());
   History history;
@@ -268,29 +296,7 @@ TEST(EiMcmcChainTest, DagpSingleSizeHistoryAppendsUntilTenPercentGrowth) {
     EXPECT_EQ(dagp.last_refit_kind(), core::Dagp::RefitKind::kAppend);
     EXPECT_EQ(dagp.model_observations(), n);
   }
-  // Every member equals a from-scratch fit on the whole history at its
-  // frozen hyperparameters: the appends skip the MCMC, not the math.
-  Matrix all(history.x.size(), 4);
-  for (size_t i = 0; i < history.x.size(); ++i) all.SetRow(i, history.x[i]);
-  const Vector ylog(history.y);
-  Matrix probes(10, 4);
-  Rng probe_rng(23);
-  for (size_t t = 0; t < probes.rows(); ++t) {
-    for (size_t j = 0; j < 3; ++j) probes(t, j) = probe_rng.NextDouble();
-    probes(t, 3) = 0.1;
-  }
-  for (const auto& member : dagp.model().ensemble()) {
-    ml::GaussianProcess reference;
-    ASSERT_TRUE(reference.Fit(all, ylog, member.hyperparams()).ok());
-    const auto a = member.PredictBatch(probes);
-    const auto b = reference.PredictBatch(probes);
-    for (size_t t = 0; t < probes.rows(); ++t) {
-      EXPECT_NEAR(a.mean[t], b.mean[t],
-                  1e-8 * std::max(1.0, std::abs(b.mean[t])));
-      EXPECT_NEAR(a.variance[t], b.variance[t],
-                  1e-8 * std::max(1.0, std::abs(b.variance[t])));
-    }
-  }
+  ExpectMembersMatchRefits(dagp, history, 3);
 
   // n = 33 reaches 1.1 x 30: a full refit that continues the chain and
   // draws ceil(3 / 2) fresh samples, thin 2.
@@ -302,34 +308,55 @@ TEST(EiMcmcChainTest, DagpSingleSizeHistoryAppendsUntilTenPercentGrowth) {
   EXPECT_EQ(dagp.model_observations(), 33u);
 }
 
-TEST(EiMcmcChainTest, DagpMixedSizeHistoryRefitsFullEveryTime) {
+TEST(EiMcmcChainTest, DagpRefitsOnGrowthOrNewDataSize) {
   core::Dagp dagp(SmallOptions());
   History history;
   Rng data(24), rng(25);
-  FeedAt(&dagp, 29, 3, 100.0, &data, &history);
+  FeedAt(&dagp, 39, 3, 100.0, &data, &history);
   FeedAt(&dagp, 1, 3, 300.0, &data, &history);
   ASSERT_TRUE(dagp.Refit(&rng).ok());
-  EXPECT_EQ(dagp.last_refit_kind(), core::Dagp::RefitKind::kFull);
-  for (int step = 0; step < 3; ++step) {
-    FeedAt(&dagp, 1, 3, 100.0, &data, &history);
-    ASSERT_TRUE(dagp.Refit(&rng).ok());
-    EXPECT_EQ(dagp.last_refit_kind(), core::Dagp::RefitKind::kFull)
-        << "n = " << dagp.num_observations();
-    EXPECT_TRUE(dagp.last_fit_stats().continued);
-  }
+  ASSERT_EQ(dagp.last_refit_kind(), core::Dagp::RefitKind::kFull);
 
-  // A fresh Dagp (the tuner's IICP rebuild) forgets the second data size
-  // along with the chain: the next refit is a cold full fit, and a
-  // single-size history appends again.
-  dagp = core::Dagp(SmallOptions());
-  FeedAt(&dagp, 30, 3, 300.0, &data, &history);
+  // n = 41 and 42, at sizes the fit saw and below 1.1 x 40: appends.
+  for (double gb : {100.0, 300.0}) {
+    FeedAt(&dagp, 1, 3, gb, &data, &history);
+    ASSERT_TRUE(dagp.Refit(&rng).ok());
+    EXPECT_EQ(dagp.last_refit_kind(), core::Dagp::RefitKind::kAppend);
+    EXPECT_EQ(dagp.model_observations(), history.y.size());
+  }
+  ExpectMembersMatchRefits(dagp, history, 3);
+
+  // n = 43 is still below 1.1 x 40, but a third data size: a full refit
+  // that continues the chain.
+  FeedAt(&dagp, 1, 3, 500.0, &data, &history);
   ASSERT_TRUE(dagp.Refit(&rng).ok());
   EXPECT_EQ(dagp.last_refit_kind(), core::Dagp::RefitKind::kFull);
-  EXPECT_FALSE(dagp.last_fit_stats().continued);
-  EXPECT_EQ(dagp.last_fit_stats().sweeps, 5 + 3 * 2);
+  EXPECT_TRUE(dagp.last_fit_stats().continued);
+  EXPECT_EQ(dagp.last_fit_stats().sweeps, 2 * 2);
+
+  // That fit saw all three sizes: n = 44-47 append, and n = 48 reaches
+  // 1.1 x 43.
+  for (int step = 0; step < 4; ++step) {
+    FeedAt(&dagp, 1, 3, step % 2 == 0 ? 500.0 : 100.0, &data, &history);
+    ASSERT_TRUE(dagp.Refit(&rng).ok());
+    EXPECT_EQ(dagp.last_refit_kind(), core::Dagp::RefitKind::kAppend)
+        << "n = " << dagp.num_observations();
+  }
   FeedAt(&dagp, 1, 3, 300.0, &data, &history);
   ASSERT_TRUE(dagp.Refit(&rng).ok());
-  EXPECT_EQ(dagp.last_refit_kind(), core::Dagp::RefitKind::kAppend);
+  EXPECT_EQ(dagp.last_refit_kind(), core::Dagp::RefitKind::kFull);
+  EXPECT_TRUE(dagp.last_fit_stats().continued);
+  EXPECT_EQ(dagp.model_observations(), 48u);
+
+  // A dropped ensemble keeps the history and the chain: the next refit is
+  // a full one that continues it, even with no new row.
+  dagp.DropEnsemble();
+  EXPECT_FALSE(dagp.fitted());
+  EXPECT_EQ(dagp.model_observations(), 0u);
+  ASSERT_TRUE(dagp.Refit(&rng).ok());
+  EXPECT_EQ(dagp.last_refit_kind(), core::Dagp::RefitKind::kFull);
+  EXPECT_TRUE(dagp.last_fit_stats().continued);
+  EXPECT_EQ(dagp.model_observations(), 48u);
 }
 
 core::LocatTuner::Options SmallTuneOptions(uint64_t seed) {
@@ -388,6 +415,49 @@ TEST(EiMcmcChainTest, IicpRebuildRestartsChainCold) {
   }
   EXPECT_GT(refits_before, 0);
   EXPECT_GT(refits_after, 1);
+}
+
+TEST(EiMcmcChainTest, WarmTuneContinuesChainAfterDroppedEnsemble) {
+  // A tune frees its ensemble on return, so every later tune begins with
+  // a full refit, where a kept ensemble would have absorbed the rows
+  // since its last full fit by appends (the first refit of a warm start
+  // precedes any row at the new size). That refit must continue the
+  // chain, not restart it.
+  const auto app = workloads::HiBenchAggregation();
+  sparksim::ClusterSimulator sim(sparksim::X86Cluster(), 92);
+  core::TuningSession session(&sim, app);
+  core::LocatTuner tuner(SmallTuneOptions(12));
+  obs::Tracer tracer;
+  obs::ObsContext ctx;
+  ctx.tracer = &tracer;
+  tuner.SetObservability(ctx);
+  for (double gb : {100.0, 200.0, 200.0}) tuner.Tune(&session, gb);
+
+  // Spans are recorded at close, so a "tune" span ends each tune and the
+  // next refit or append is the following tune's first.
+  const std::regex continued_re("\"continued\":([01])");
+  int tunes_done = 0;
+  bool first_of_tune = false;
+  int checked = 0;
+  for (const obs::TraceEvent& ev : tracer.snapshot()) {
+    if (ev.name == "tune") {
+      ++tunes_done;
+      first_of_tune = true;
+      continue;
+    }
+    if (tunes_done == 0 || !first_of_tune ||
+        ev.name.rfind("dagp/", 0) != 0) {
+      continue;
+    }
+    first_of_tune = false;
+    ASSERT_EQ(ev.name, "dagp/refit") << "tune " << tunes_done + 1;
+    std::smatch c;
+    ASSERT_TRUE(std::regex_search(ev.args, c, continued_re)) << ev.args;
+    EXPECT_EQ(c[1], "1") << "tune " << tunes_done + 1;
+    ++checked;
+  }
+  EXPECT_EQ(tunes_done, 3);
+  EXPECT_EQ(checked, 2);
 }
 
 /// Sums the per-event refit cost of a tune.
