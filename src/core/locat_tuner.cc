@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <string_view>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "math/kern/kern.h"
@@ -23,6 +24,39 @@ constexpr double kCensorMargin = 2.0;
 /// the optimization cost).
 constexpr int kMaxRetries = 2;
 constexpr double kBackoffSeconds[kMaxRetries] = {30.0, 60.0};
+
+/// The rows of a matrix with bitwise-equal copies folded: `rows` holds
+/// each distinct row once, in first-appearance order, and `of[i]` is the
+/// index in `rows` of input row i.
+struct DistinctRows {
+  math::Matrix rows;
+  std::vector<size_t> of;
+};
+
+DistinctRows FoldRepeats(const math::Matrix& units) {
+  const size_t cols = units.cols();
+  DistinctRows out;
+  out.rows = math::Matrix(units.rows(), cols);
+  out.of.resize(units.rows());
+  // Keys view the bytes of `units`; equality is memcmp, so the hash only
+  // places buckets.
+  std::unordered_map<std::string_view, size_t> first;
+  first.reserve(units.rows());
+  size_t distinct = 0;
+  for (size_t i = 0; i < units.rows(); ++i) {
+    const double* row = units.RowData(i);
+    const std::string_view bytes(reinterpret_cast<const char*>(row),
+                                 cols * sizeof(double));
+    const auto [it, fresh] = first.emplace(bytes, distinct);
+    if (fresh) {
+      std::copy(row, row + cols, out.rows.RowData(distinct));
+      ++distinct;
+    }
+    out.of[i] = it->second;
+  }
+  out.rows.ResizeRows(distinct);
+  return out;
+}
 
 }  // namespace
 
@@ -243,7 +277,7 @@ LocatTuner::Proposal LocatTuner::ProposeNext(TuningSession* session,
   // Anchor the local candidate families on the *posterior-mean* incumbent
   // rather than the raw noisy minimum: a single lucky observation would
   // otherwise drag the whole local search to a mediocre region. Scored as
-  // one batched prediction over the history.
+  // one batched prediction over the history's distinct units.
   math::Vector best_unit = space.ToUnit(best_conf_);
   if (dagp_.fitted() && !observations_.empty()) {
     // Transferred prior units compete for the anchor too: the donor's
@@ -261,8 +295,15 @@ LocatTuner::Proposal LocatTuner::ProposeNext(TuningSession* session,
                           ? observations_[i].unit
                           : priors_[i - observations_.size()].unit);
     }
+    // A repeated run's unit scores the same as its first copy, which the
+    // strict '<' scan meets first, so scanning the distinct units in
+    // first-appearance order finds the same row. Encoding and prediction
+    // are per row, so each distinct unit has the bits it has in the full
+    // batch.
+    const DistinctRows distinct = FoldRepeats(units);
     const std::vector<Dagp::Prediction> preds = dagp_.PredictBatch(
-        EncodeRows(units), std::vector<double>(rows, datasize_gb));
+        EncodeRows(distinct.rows),
+        std::vector<double>(distinct.rows.rows(), datasize_gb));
     double best_score = 0.0;
     size_t best_row = 0;
     for (size_t i = 0; i < preds.size(); ++i) {
@@ -272,7 +313,7 @@ LocatTuner::Proposal LocatTuner::ProposeNext(TuningSession* session,
         best_row = i;
       }
     }
-    best_unit = units.Row(best_row);
+    best_unit = distinct.rows.Row(best_row);
   }
 
   // After IICP only the CPS-selected parameters are tuned; the rest stay
@@ -837,7 +878,8 @@ TuningResult LocatTuner::Tune(TuningSession* session, double datasize_gb) {
   Proposal ranking;
   const Proposal* unreported = &ranking;
   if (have_model) {
-    // One batched posterior-mean pass over this data size's history.
+    // One batched posterior-mean pass over this data size's distinct
+    // units, fanned out to every run.
     const auto acq_start = std::chrono::steady_clock::now();
     std::vector<size_t> indices;
     for (size_t i = 0; i < observations_.size(); ++i) {
@@ -850,10 +892,12 @@ TuningResult LocatTuner::Tune(TuningSession* session, double datasize_gb) {
       for (size_t k = 0; k < indices.size(); ++k) {
         units.SetRow(k, observations_[indices[k]].unit);
       }
+      const DistinctRows distinct = FoldRepeats(units);
       const std::vector<Dagp::Prediction> preds = dagp_.PredictBatch(
-          EncodeRows(units), std::vector<double>(indices.size(), datasize_gb));
-      for (size_t k = 0; k < preds.size(); ++k) {
-        ranked.push_back({preds[k].seconds, indices[k]});
+          EncodeRows(distinct.rows),
+          std::vector<double>(distinct.rows.rows(), datasize_gb));
+      for (size_t k = 0; k < indices.size(); ++k) {
+        ranked.push_back({preds[distinct.of[k]].seconds, indices[k]});
       }
     }
     ranking.acq_seconds = std::chrono::duration<double>(

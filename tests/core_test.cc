@@ -126,6 +126,40 @@ TEST(IicpTest, EncodeDimensionMatchesLatent) {
   }
 }
 
+TEST(IicpTest, EncodeRowsIsRowIndependent) {
+  // The tuner encodes only the distinct units of its history and fans the
+  // results out, which is exact only if a row's encoding depends on that
+  // row alone: not on its position, its neighbours or the batch size.
+  Rng rng(11);
+  const size_t n = 20;
+  Matrix confs(n, sparksim::kNumParams);
+  std::vector<double> times(n);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t d = 0; d < confs.cols(); ++d) confs(i, d) = rng.NextDouble();
+    times[i] = rng.Uniform(50, 500);
+  }
+  auto result = Iicp::Run(confs, times);
+  ASSERT_TRUE(result.ok());
+  const Matrix base = result->EncodeRows(confs);
+  // 150 rows (three 64-row blocks, the last partial) drawn with
+  // repetition from `confs` in a shuffled order.
+  const size_t m = 150;
+  Matrix mixed(m, confs.cols());
+  std::vector<size_t> src(m);
+  for (size_t r = 0; r < m; ++r) {
+    src[r] = static_cast<size_t>(rng.UniformInt(0, n - 1));
+    mixed.SetRow(r, confs.Row(src[r]));
+  }
+  const Matrix encoded = result->EncodeRows(mixed);
+  for (size_t r = 0; r < m; ++r) {
+    for (size_t j = 0; j < base.cols(); ++j) {
+      ASSERT_EQ(std::bit_cast<uint64_t>(encoded(r, j)),
+                std::bit_cast<uint64_t>(base(src[r], j)))
+          << "row " << r << " component " << j;
+    }
+  }
+}
+
 TEST(IicpTest, NeverReturnsEmptySelection) {
   Rng rng(13);
   const int n = 20;
