@@ -911,11 +911,21 @@ TuningResult LocatTuner::Tune(TuningSession* session, double datasize_gb) {
     }
   }
   std::sort(ranked.begin(), ranked.end());
-  // Re-measure the top candidates in ranked order.
-  const size_t n_rerun = std::min<size_t>(ranked.size(), 3);
+  // Re-measure the top three distinct configurations in ranked order. The
+  // runs of one configuration rank side by side (served configurations
+  // are reported many times), and re-running one of them again would
+  // spend the confirmation budget on a candidate already in the list.
+  std::vector<const math::Vector*> remeasured;
   double champion = 0.0;
-  for (size_t r = 0; r < n_rerun; ++r) {
+  for (size_t r = 0; r < ranked.size() && remeasured.size() < 3; ++r) {
     const auto& obs = observations_[ranked[r].second];
+    if (std::any_of(remeasured.begin(), remeasured.end(),
+                    [&obs](const math::Vector* unit) {
+                      return unit->data() == obs.unit.data();
+                    })) {
+      continue;
+    }
+    remeasured.push_back(&obs.unit);
     const sparksim::SparkConf conf = space.Repair(space.FromUnit(obs.unit));
     const double before = session->optimization_seconds();
     const StatusOr<EvalRecord> rec_or =
