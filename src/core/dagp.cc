@@ -31,15 +31,25 @@ math::Vector Dagp::Assemble(const math::Vector& encoded_conf,
 }
 
 void Dagp::AddObservation(const math::Vector& encoded_conf,
-                          double datasize_gb, double seconds) {
+                          double datasize_gb, double seconds,
+                          std::span<const double> key) {
   assert(seconds > 0.0);
-  x_.push_back(Assemble(encoded_conf, datasize_gb));
-  y_.push_back(std::log(seconds));
-  const double ds = x_.back()[encoded_conf.size()];
-  if (std::find(datasizes_.begin(), datasizes_.end(), ds) ==
-      datasizes_.end()) {
-    datasizes_.push_back(ds);
+  if (key.empty()) key = encoded_conf.data();
+  std::string bytes(reinterpret_cast<const char*>(key.data()),
+                    key.size_bytes());
+  bytes.append(reinterpret_cast<const char*>(&datasize_gb), sizeof(double));
+  const auto [it, fresh] = row_index_.emplace(std::move(bytes), x_.size());
+  if (fresh) {
+    x_.push_back(Assemble(encoded_conf, datasize_gb));
+    model_row_.push_back(kNotFitted);
+    const double ds = x_.back()[encoded_conf.size()];
+    if (std::find(datasizes_.begin(), datasizes_.end(), ds) ==
+        datasizes_.end()) {
+      datasizes_.push_back(ds);
+    }
   }
+  row_of_.push_back(it->second);
+  y_.push_back(std::log(seconds));
 }
 
 void Dagp::SetObservability(obs::Tracer* tracer,
@@ -74,20 +84,38 @@ void Dagp::SetObservability(obs::Tracer* tracer,
 Status Dagp::FullRefit(const std::vector<size_t>* idx, Rng* rng) {
   obs::ScopedSpan span(tracer_, "dagp/refit", "model");
   const size_t dim = x_.front().size();
-  const size_t rows = idx != nullptr ? idx->size() : y_.size();
+  const size_t rows = idx != nullptr ? idx->size() : x_.size();
+  std::vector<size_t> fit_row(x_.size(), kNotFitted);
   math::Matrix x(rows, dim);
-  math::Vector y(rows);
-  for (size_t i = 0; i < rows; ++i) {
-    const size_t r = idx != nullptr ? (*idx)[i] : i;
-    x.SetRow(i, x_[r]);
-    y[i] = y_[r];
+  for (size_t k = 0; k < rows; ++k) {
+    const size_t r = idx != nullptr ? (*idx)[k] : k;
+    fit_row[r] = k;
+    x.SetRow(k, x_[r]);
   }
-  // model_ persists across refits so its EI-MCMC chain continues; Clear()
-  // (a new encoding) resets it to a cold start.
-  const Status status = model_.Fit(x, y, rng);
+  // The whole history keeps its run order; a subset takes its rows in
+  // `idx` order, each row's runs in history order.
+  math::Vector y(y_);
+  std::vector<size_t> run_row = row_of_;
+  if (idx != nullptr) {
+    std::vector<std::vector<size_t>> runs_of(x_.size());
+    for (size_t i = 0; i < y_.size(); ++i) runs_of[row_of_[i]].push_back(i);
+    y.data().clear();
+    run_row.clear();
+    for (size_t k = 0; k < rows; ++k) {
+      for (size_t i : runs_of[(*idx)[k]]) {
+        y.data().push_back(y_[i]);
+        run_row.push_back(k);
+      }
+    }
+  }
+  // model_ persists across refits so its EI-MCMC chain continues; a new
+  // encoding (a new Dagp) starts it cold.
+  const Status status = model_.Fit(x, y, rng, run_row);
   if (status.ok()) {
+    model_row_ = std::move(fit_row);
     const ml::EiMcmc::FitStats& stats = model_.last_fit_stats();
-    span.Arg("n", static_cast<double>(rows));
+    span.Arg("n", static_cast<double>(y.size()));
+    span.Arg("rows", static_cast<double>(rows));
     span.Arg("dim", static_cast<double>(dim));
     span.Arg("ensemble", stats.ensemble_size);
     span.Arg("density_evals",
@@ -112,11 +140,19 @@ bool Dagp::AppendRows() {
   const size_t n = y_.size();
   const size_t appended = n - fitted_n_;
   for (size_t i = fitted_n_; i < n; ++i) {
-    if (!model_.AppendObservation(x_[i], y_[i]).ok()) return false;
+    const size_t r = row_of_[i];
+    if (model_row_[r] != kNotFitted) {
+      if (!model_.AppendRepeat(model_row_[r], y_[i]).ok()) return false;
+    } else {
+      if (!model_.AppendObservation(x_[r], y_[i]).ok()) return false;
+      model_row_[r] = model_.ensemble().front().num_points() - 1;
+    }
   }
   fitted_n_ = n;
   last_refit_kind_ = RefitKind::kAppend;
   span.Arg("n", static_cast<double>(n));
+  span.Arg("rows",
+           static_cast<double>(model_.ensemble().front().num_points()));
   span.Arg("appended", static_cast<double>(appended));
   if (appends_counter_ != nullptr && appended > 0) {
     appends_counter_->Increment(static_cast<double>(appended));
@@ -140,19 +176,22 @@ Status Dagp::Refit(Rng* rng) {
       100 * n < (100 + kFullRefitGrowthPercent) * last_full_fit_n_;
   if (append && AppendRows()) return Status::OK();
 
-  // Past the cap, fit a greedy max-min subset seeded at the incumbent, so
-  // the best observation is always in the active set and the rest spread
-  // over the design space. O(m^3) regardless of history length.
-  const bool subset = n > kMaxFitRows;
+  // Past the cap, fit a greedy max-min subset of rows seeded at the
+  // incumbent's, so the best observation is always in the active set and
+  // the rest spread over the design space. O(m^3) regardless of history
+  // length.
+  const size_t rows = x_.size();
+  const bool subset = rows > kMaxFitRows;
   std::vector<size_t> idx;
   if (subset) {
-    size_t seed = 0;
+    size_t best = 0;
     for (size_t i = 1; i < n; ++i) {
-      if (y_[i] < y_[seed]) seed = i;
+      if (y_[i] < y_[best]) best = i;
     }
-    math::Matrix all(n, x_.front().size());
-    for (size_t i = 0; i < n; ++i) all.SetRow(i, x_[i]);
-    idx = ml::GreedyMaxMinSubset(all, kMaxFitRows - kMaxFitRows / 6, seed);
+    math::Matrix all(rows, x_.front().size());
+    for (size_t r = 0; r < rows; ++r) all.SetRow(r, x_[r]);
+    idx = ml::GreedyMaxMinSubset(all, kMaxFitRows - kMaxFitRows / 6,
+                                 row_of_[best]);
   }
   const Status status = FullRefit(subset ? &idx : nullptr, rng);
   if (status.ok()) {

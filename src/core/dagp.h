@@ -2,6 +2,9 @@
 #define LOCAT_CORE_DAGP_H_
 
 #include <cstddef>
+#include <span>
+#include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
@@ -26,6 +29,12 @@ namespace locat::core {
 /// Hyperparameters are marginalized with EI-MCMC, so the data-size
 /// dimension gets its own learned lengthscale: observations at 100 GB
 /// inform predictions at 300 GB exactly to the extent the data supports.
+///
+/// The history is kept as runs plus a run -> row map: runs whose key and
+/// data size are bitwise equal (repeated runs of one configuration) share
+/// one GP row, so a refit factors the distinct rows only, with the
+/// posterior of one row per run (ml::GpRowTargets). The refit schedule
+/// counts runs.
 class Dagp {
  public:
   /// How the most recent successful Refit() updated the model — exposed
@@ -37,19 +46,22 @@ class Dagp {
     kSparse = 3,  // full EI-MCMC refit on a greedy max-min subset
   };
 
-  /// Largest history a full refit fits whole. A longer history is fitted
-  /// on a greedy max-min subset of kMaxFitRows - kMaxFitRows / 6 rows
-  /// (200) seeded at the incumbent, so a refit never costs more than the
-  /// largest whole-history fit.
+  /// Most GP rows a full refit fits whole. A history with more rows is
+  /// fitted on a greedy max-min subset of kMaxFitRows - kMaxFitRows / 6
+  /// rows (200, with all their runs) seeded at the incumbent's row, so a
+  /// refit never costs more than the largest whole-history fit.
   static constexpr size_t kMaxFitRows = 240;
 
   explicit Dagp(ml::EiMcmc::Options options = ml::EiMcmc::Options())
       : options_(options), model_(options_) {}
 
-  /// Adds one observation (encoded conf, data size, measured seconds).
-  /// All observations must share the encoding dimension.
+  /// Adds one run (encoded conf, data size, measured seconds). All runs
+  /// must share the encoding dimension. `key` names the configuration
+  /// (the encoded conf when empty): a run whose key and data size are
+  /// bitwise equal to an earlier run's joins that run's row, any other
+  /// run opens a new row, even when its encoded conf collides with one.
   void AddObservation(const math::Vector& encoded_conf, double datasize_gb,
-                      double seconds);
+                      double seconds, std::span<const double> key = {});
 
   /// Refits the surrogate on the current observations (>= 2).
   ///
@@ -93,7 +105,10 @@ class Dagp {
       const math::Matrix& encoded_confs,
       const std::vector<double>& datasizes_gb) const;
 
+  /// Runs in the history.
   int num_observations() const { return static_cast<int>(y_.size()); }
+  /// GP rows in the history: its distinct (key, data size) pairs.
+  size_t num_rows() const { return x_.size(); }
   bool fitted() const { return model_.fitted(); }
 
   /// Wires tracing/metrics sinks (either may be null). Purely
@@ -112,11 +127,11 @@ class Dagp {
   /// numerical-contract tests).
   const ml::EiMcmc& model() const { return model_; }
 
-  /// Observations the fitted model currently incorporates (the subset
-  /// size plus the rows appended since after a subset refit,
-  /// num_observations() otherwise).
+  /// Runs the fitted model currently incorporates (the subset's runs plus
+  /// the runs appended since after a subset refit, num_observations()
+  /// otherwise).
   size_t model_observations() const {
-    return model_.fitted() ? model_.ensemble().front().num_points() : 0;
+    return model_.fitted() ? model_.ensemble().front().num_runs() : 0;
   }
 
  private:
@@ -127,21 +142,30 @@ class Dagp {
   static math::Matrix AssembleRows(const math::Matrix& encoded_confs,
                                    const std::vector<double>& datasizes_gb);
 
-  /// Full EI-MCMC refit on rows `idx` of the history (all rows when
-  /// `idx` is null).
+  /// Full EI-MCMC refit on rows `idx` of the history and all their runs
+  /// (every row when `idx` is null).
   Status FullRefit(const std::vector<size_t>* idx, Rng* rng);
 
-  /// Absorbs rows [fitted_n_, n) by rank-1 appends. False (the model
-  /// possibly partly extended) when every member failed an append; the
-  /// caller then refits from the history.
+  /// Absorbs runs [fitted_n_, n): a run of a row the model holds by an
+  /// O(G^3) repeat append, any other by a rank-1 append of a new row.
+  /// False (the model possibly partly extended) when every member failed
+  /// an append; the caller then refits from the history.
   bool AppendRows();
 
+  static constexpr size_t kNotFitted = static_cast<size_t>(-1);
+
   ml::EiMcmc::Options options_;
-  std::vector<math::Vector> x_;  // encoded conf + normalized ds
-  std::vector<double> y_;        // log(seconds)
+  std::vector<math::Vector> x_;  // per row: encoded conf + normalized ds
+  std::vector<double> y_;        // per run: log(seconds)
+  std::vector<size_t> row_of_;   // per run: its row in x_
+  /// Row of each (key, data size), keyed by their bytes.
+  std::unordered_map<std::string, size_t> row_index_;
+  /// Per row of x_: its row in the fitted model, kNotFitted when the
+  /// model does not hold it.
+  std::vector<size_t> model_row_;
   ml::EiMcmc model_;
-  size_t fitted_n_ = 0;       // history size the model has incorporated
-  size_t last_full_fit_n_ = 0;  // history size at the last full MCMC fit
+  size_t fitted_n_ = 0;       // runs the model has incorporated
+  size_t last_full_fit_n_ = 0;  // runs at the last full MCMC fit
   std::vector<double> datasizes_;  // distinct normalized data sizes seen
   size_t last_full_fit_sizes_ = 0;  // datasizes_.size() at that fit
   RefitKind last_refit_kind_ = RefitKind::kNone;

@@ -236,7 +236,8 @@ void LocatTuner::Record(Observation obs,
                         const sparksim::SparkConf* incumbent_conf) {
   const double objective = obs.objective_seconds;
   const bool failed = obs.failed;
-  dagp_.AddObservation(EncodeUnit(obs.unit), obs.datasize_gb, objective);
+  dagp_.AddObservation(EncodeUnit(obs.unit), obs.datasize_gb, objective,
+                       obs.unit.data());
   observations_.push_back(std::move(obs));
   if (failed) {
     ++failed_evals_;
@@ -541,7 +542,7 @@ void LocatTuner::RunQcsaAndIicp(TuningSession* session) {
       }
     }
     dagp_.AddObservation(EncodeUnit(obs.unit), obs.datasize_gb,
-                         obs.objective_seconds);
+                         obs.objective_seconds, obs.unit.data());
   }
   if (rqa_ratio_count > 0) rqa_share_ = rqa_ratio_sum / rqa_ratio_count;
 
@@ -602,7 +603,7 @@ void LocatTuner::RunQcsaAndIicp(TuningSession* session) {
       const double factor = std::exp(log_ratios[log_ratios.size() / 2]);
       for (const auto& p : priors_) {
         dagp_.AddObservation(EncodeUnit(p.unit), p.datasize_gb,
-                             p.objective_seconds * factor);
+                             p.objective_seconds * factor, p.unit.data());
       }
       // The donors' claimed optima — at the data size most comparable to
       // this cold start — are worth real runs (the probes after the

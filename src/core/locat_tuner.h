@@ -179,6 +179,9 @@ class LocatTuner : public Tuner {
   /// Query indices the RQA executes (all queries before QCSA or when it
   /// fails).
   const std::vector<int>& rqa_indices() const { return rqa_; }
+  /// The surrogate: every recorded run, keyed by its unit configuration
+  /// and data size (repeated runs share a GP row).
+  const Dagp& dagp() const { return dagp_; }
 
  private:
   struct Observation {

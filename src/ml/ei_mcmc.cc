@@ -39,9 +39,12 @@ double LogPrior(const GpHyperparams& hp) {
 
 }  // namespace
 
-Status EiMcmc::Fit(const math::Matrix& x, const math::Vector& y, Rng* rng) {
-  if (x.rows() < 2 || x.rows() != y.size()) {
-    return Status::InvalidArgument("EiMcmc::Fit needs >= 2 matching samples");
+Status EiMcmc::Fit(const math::Matrix& x, const math::Vector& y, Rng* rng,
+                   std::span<const size_t> row_of) {
+  if (y.size() < 2 || x.rows() == 0 ||
+      !ValidRowMap(row_of, y.size(), x.rows())) {
+    return Status::InvalidArgument(
+        "EiMcmc::Fit needs >= 2 runs and a run on every row");
   }
   // A NaN or inf would poison every density evaluation and leave an
   // ensemble whose acquisition values are all NaN.
@@ -68,7 +71,7 @@ Status EiMcmc::Fit(const math::Matrix& x, const math::Vector& y, Rng* rng) {
   // at exactly the retained state, so the callback harvests that
   // factorization and the ensemble member adopts it instead of
   // refactoring.
-  GpKernelCache cache(x, y);
+  GpKernelCache cache(x, y, row_of);
   auto log_posterior = [&](const math::Vector& flat) {
     const GpHyperparams hp = GpHyperparams::Unflatten(flat);
     const double lml = cache.LogMarginalLikelihood(hp);
@@ -145,7 +148,7 @@ Status EiMcmc::Fit(const math::Matrix& x, const math::Vector& y, Rng* rng) {
     // Fall back to the default hyperparameters so callers always get a
     // usable surrogate.
     GaussianProcess gp;
-    LOCAT_RETURN_IF_ERROR(gp.Fit(x, y, GpHyperparams::Default(dim)));
+    LOCAT_RETURN_IF_ERROR(gp.Fit(x, y, GpHyperparams::Default(dim), row_of));
     ensemble_.push_back(std::move(gp));
     last_fit_stats_.used_fallback = true;
   }
@@ -170,12 +173,30 @@ Status EiMcmc::AppendObservation(const math::Vector& x, double y) {
                    [](double v) { return std::isfinite(v); })) {
     return Status::InvalidArgument("AppendObservation needs a finite sample");
   }
+  return AppendToMembers(
+      y, [&x, y](GaussianProcess* gp) { return gp->AppendFit(x, y); });
+}
+
+Status EiMcmc::AppendRepeat(size_t row, double y) {
+  if (ensemble_.empty()) {
+    return Status::FailedPrecondition("AppendRepeat requires a fitted model");
+  }
+  if (row >= ensemble_.front().num_points() || !std::isfinite(y)) {
+    return Status::InvalidArgument(
+        "AppendRepeat needs a fitted row and a finite run");
+  }
+  return AppendToMembers(
+      y, [row, y](GaussianProcess* gp) { return gp->AppendRepeat(row, y); });
+}
+
+Status EiMcmc::AppendToMembers(
+    double y, const std::function<Status(GaussianProcess*)>& append) {
   // Members extend independently (each owns its factor), one slot per
   // member — the surviving set and its order are thread-count invariant.
   const size_t members = ensemble_.size();
   std::vector<char> ok(members, 0);
   common::ThreadPool::Global()->ParallelForEach(members, [&](size_t k) {
-    ok[k] = ensemble_[k].AppendFit(x, y).ok() ? 1 : 0;
+    ok[k] = append(&ensemble_[k]).ok() ? 1 : 0;
   });
   size_t failed = 0;
   for (size_t k = 0; k < members; ++k) {

@@ -2,6 +2,7 @@
 #define LOCAT_ML_EI_MCMC_H_
 
 #include <cstddef>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -70,10 +71,14 @@ class EiMcmc {
 
   explicit EiMcmc(Options options = Options()) : options_(options) {}
 
-  /// Fits the hyperparameter-marginalized model to (x, y). `x` is n x d
-  /// with n >= 2 and every entry of `x` and `y` finite (InvalidArgument
-  /// otherwise, the model left as it was). Deterministic given `rng`'s
-  /// state and the chain.
+  /// Fits the hyperparameter-marginalized model to (x, y). `y` holds
+  /// n >= 2 runs and `x` (G x d) the distinct inputs they ran at: run i
+  /// at row `row_of[i]`, one row per run when `row_of` is empty. Repeated
+  /// runs of one input share a GP row (GpRowTargets), so every density
+  /// evaluation factors G x G. Every entry of `x` and `y` must be finite
+  /// and `row_of` valid (ValidRowMap; InvalidArgument otherwise, the
+  /// model left as it was). Deterministic given `rng`'s state and the
+  /// chain.
   ///
   /// Cold start (no chain yet, the input dimension changed, or the chain's
   /// last state has no finite density on the new data): the chain starts
@@ -87,10 +92,11 @@ class EiMcmc {
   /// out of the ensemble. Half the ensemble is a fixed rule, not an
   /// option: drawing 2 samples per refit found measurably worse
   /// configurations (DESIGN.md, "Persistent EI-MCMC chains").
-  Status Fit(const math::Matrix& x, const math::Vector& y, Rng* rng);
+  Status Fit(const math::Matrix& x, const math::Vector& y, Rng* rng,
+             std::span<const size_t> row_of = {});
 
-  /// Extends a fitted model by one finite observation (InvalidArgument
-  /// otherwise) in O(n^2) per ensemble
+  /// Extends a fitted model by one finite run at a new input, as a new
+  /// row (InvalidArgument otherwise), in O(G^2) per ensemble
   /// member (rank-1 bordered Cholesky append; hyperparameters stay frozen
   /// at the last Fit's posterior samples, no RNG consumed). Members whose
   /// factor cannot be extended even through the jitter fallback are
@@ -98,6 +104,13 @@ class EiMcmc {
   /// member fails, the pre-append model is kept intact and an error is
   /// returned so the caller can fall back to a full refit.
   Status AppendObservation(const math::Vector& x, double y);
+
+  /// Extends a fitted model by one more finite run of the input of row
+  /// `row` (InvalidArgument otherwise): each member moves that row's
+  /// count and mean and refactors its G x G kernel at its frozen
+  /// hyperparameters (GaussianProcess::AppendRepeat), with the dropping
+  /// and failure rules of AppendObservation.
+  Status AppendRepeat(size_t row, double y);
 
   /// Acquisition values (by default Expected Improvement for
   /// minimization) for all rows of `xs`, each averaged over the posterior
@@ -167,6 +180,12 @@ class EiMcmc {
   /// members, in member order.
   std::vector<GaussianProcess::BatchPrediction> MemberPredictions(
       const math::Matrix& xs, size_t members) const;
+
+  /// Runs `append` on every member (concurrently) and keeps the members
+  /// it succeeded on, in order; an error, with the model unchanged, when
+  /// it failed on all of them. `y` is the appended run.
+  Status AppendToMembers(double y,
+                         const std::function<Status(GaussianProcess*)>& append);
 
   /// One member's acquisition value at a predictive mean and variance.
   double MemberValue(double mean, double variance) const;

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "math/kern/kern.h"
@@ -45,12 +46,25 @@ double ReferenceArdSqExp(const math::Vector& a, const math::Vector& b,
   return std::exp(hp.log_signal_variance) * std::exp(-0.5 * s);
 }
 
-math::Matrix BuildKernelMatrix(const math::Matrix& x, const GpHyperparams& hp) {
+/// The kernel diagonal of each row: (signal + noise / m) + 1e-10 / m, the
+/// noise and the 1e-10 floor of m runs averaged. With m = 1 this is
+/// (signal + noise) + 1e-10 exactly.
+void KernelDiagonal(double sv, double noise, const std::vector<double>& count,
+                    std::vector<double>* diag) {
+  diag->resize(count.size());
+  for (size_t g = 0; g < count.size(); ++g) {
+    (*diag)[g] = (sv + noise / count[g]) + 1e-10 / count[g];
+  }
+}
+
+math::Matrix BuildKernelMatrix(const math::Matrix& x, const GpHyperparams& hp,
+                               const std::vector<double>& count) {
   const size_t n = x.rows();
   const size_t d = x.cols();
   const math::Vector w = KernelWeights(hp);
   const double sv = std::exp(hp.log_signal_variance);
-  const double diag = sv + std::exp(hp.log_noise_variance) + 1e-10;
+  std::vector<double> diag;
+  KernelDiagonal(sv, std::exp(hp.log_noise_variance), count, &diag);
   math::Matrix k(n, n);
   // Strict lower triangle row-batched: weighted squared distances straight
   // into row i, one vectorized exp pass over the row, then mirror.
@@ -61,7 +75,7 @@ math::Matrix BuildKernelMatrix(const math::Matrix& x, const GpHyperparams& hp) {
                                             row);
     math::kern::ExpScaled(row, i, -0.5, sv);
     for (size_t j = 0; j < i; ++j) k(j, i) = row[j];
-    row[i] = diag;
+    row[i] = diag[i];
   }
   return k;
 }
@@ -73,6 +87,57 @@ void Standardize(const math::Vector& y, math::Vector* ys, double* mean,
   if (*std < 1e-12) *std = 1.0;  // Constant targets: predict the mean.
   *ys = math::Vector(y.size());
   for (size_t i = 0; i < y.size(); ++i) (*ys)[i] = (y[i] - *mean) / *std;
+}
+
+/// `row_of` itself, or one row per run when it is empty.
+std::vector<size_t> RowMap(std::span<const size_t> row_of, size_t runs) {
+  std::vector<size_t> out(row_of.begin(), row_of.end());
+  if (out.empty()) {
+    out.resize(runs);
+    for (size_t i = 0; i < runs; ++i) out[i] = i;
+  }
+  return out;
+}
+
+/// Folds the standardized runs `ys` onto `rows` rows. A row's sum starts
+/// from its first run, so a one-run row's mean is that run's bits.
+GpRowTargets FoldRuns(const math::Vector& ys, const std::vector<size_t>& row_of,
+                      size_t rows) {
+  GpRowTargets t;
+  t.runs = ys.size();
+  t.mean = math::Vector(rows);
+  t.count.assign(rows, 0.0);
+  for (size_t i = 0; i < ys.size(); ++i) {
+    const size_t g = row_of[i];
+    t.mean[g] = t.count[g] == 0.0 ? ys[i] : t.mean[g] + ys[i];
+    t.count[g] += 1.0;
+  }
+  for (size_t g = 0; g < rows; ++g) {
+    t.mean[g] = t.mean[g] / t.count[g];
+    t.sum_log_count += std::log(t.count[g]);
+  }
+  for (size_t i = 0; i < ys.size(); ++i) {
+    const double r = ys[i] - t.mean[row_of[i]];
+    t.within_ss += r * r;
+  }
+  return t;
+}
+
+/// The log marginal likelihood of the runs from the row fit's factor and
+/// weights: the row likelihood, plus the within-row correction when some
+/// row holds more than one run (GpRowTargets).
+double RunLogLikelihood(const math::Cholesky& chol, const math::Vector& alpha,
+                        const GpRowTargets& t, double noise) {
+  const size_t rows = t.mean.size();
+  double lml = -0.5 * t.mean.Dot(alpha) - 0.5 * chol.LogDeterminant() -
+               static_cast<double>(rows) * kHalfLog2Pi;
+  if (t.runs > rows) {
+    const double s2 = noise + 1e-10;
+    const double extra = static_cast<double>(t.runs - rows);
+    lml += -0.5 * (t.within_ss / s2 + t.sum_log_count + extra * std::log(s2)) -
+           extra * kHalfLog2Pi;
+  }
+  return lml;
 }
 
 /// Lane t of the pair exponents: S_t[p] = fma chain over the coordinates
@@ -98,20 +163,31 @@ void UnitKernel(const double* lanes, size_t npairs, double* e) {
 }
 
 /// Writes signal * e into the strict lower triangle of `k` (pair
-/// p = i*(i-1)/2 + j, so row i reads e contiguously) and `diag` onto the
-/// diagonal; the upper triangle is left as it is.
-void FillLowerKernel(const double* e, double sv, double diag,
+/// p = i*(i-1)/2 + j, so row i reads e contiguously) and `diag[i]` onto
+/// the diagonal; the upper triangle is left as it is.
+void FillLowerKernel(const double* e, double sv, const double* diag,
                      math::Matrix* k) {
   const double* ei = e;
   for (size_t i = 0; i < k->rows(); ++i) {
     double* row = k->RowData(i);
     for (size_t j = 0; j < i; ++j) row[j] = sv * ei[j];
-    row[i] = diag;
+    row[i] = diag[i];
     ei += i;
   }
 }
 
 }  // namespace
+
+bool ValidRowMap(std::span<const size_t> row_of, size_t runs, size_t rows) {
+  if (row_of.empty()) return runs == rows;
+  if (row_of.size() != runs) return false;
+  std::vector<char> seen(rows, 0);
+  for (size_t g : row_of) {
+    if (g >= rows) return false;
+    seen[g] = 1;
+  }
+  return std::all_of(seen.begin(), seen.end(), [](char c) { return c != 0; });
+}
 
 GpHyperparams GpHyperparams::Default(size_t input_dim) {
   GpHyperparams hp;
@@ -141,9 +217,13 @@ GpHyperparams GpHyperparams::Unflatten(const math::Vector& flat) {
   return hp;
 }
 
-GpKernelCache::GpKernelCache(const math::Matrix& x, const math::Vector& y)
-    : x_(x), y_raw_(y) {
-  Standardize(y, &ys_, &y_mean_, &y_std_);
+GpKernelCache::GpKernelCache(const math::Matrix& x, const math::Vector& y,
+                             std::span<const size_t> row_of)
+    : x_(x), y_raw_(y), row_of_(RowMap(row_of, y.size())) {
+  assert(ValidRowMap(row_of, y.size(), x.rows()));
+  math::Vector ys;
+  Standardize(y, &ys, &y_mean_, &y_std_);
+  targets_ = FoldRuns(ys, row_of_, x_.rows());
   const size_t n = x_.rows();
   const size_t d = x_.cols();
   const size_t npairs = n * (n - 1) / 2;
@@ -166,7 +246,8 @@ math::Matrix GpKernelCache::BuildKernel(const GpHyperparams& hp) const {
   const size_t npairs = n * (n - 1) / 2;
   const math::Vector w = KernelWeights(hp);
   const double sv = std::exp(hp.log_signal_variance);
-  const double diag = sv + std::exp(hp.log_noise_variance) + 1e-10;
+  std::vector<double> diag;
+  KernelDiagonal(sv, std::exp(hp.log_noise_variance), targets_.count, &diag);
   std::vector<double> lanes(4 * npairs);
   for (size_t t = 0; t < 4; ++t) {
     ComputeLane(pair_sqdiff_.data(), npairs, d, w.data().data(), t,
@@ -175,7 +256,7 @@ math::Matrix GpKernelCache::BuildKernel(const GpHyperparams& hp) const {
   std::vector<double> e(npairs);
   UnitKernel(lanes.data(), npairs, e.data());
   math::Matrix k(n, n);
-  FillLowerKernel(e.data(), sv, diag, &k);
+  FillLowerKernel(e.data(), sv, diag.data(), &k);
   for (size_t i = 0; i < n; ++i) {
     for (size_t j = 0; j < i; ++j) k(j, i) = k(i, j);
   }
@@ -216,18 +297,17 @@ double GpKernelCache::LogMarginalLikelihood(const GpHyperparams& hp) {
   }
   const size_t n_pts = x_.rows();
   const double sv = std::exp(hp.log_signal_variance);
-  const double diag = sv + std::exp(hp.log_noise_variance) + 1e-10;
+  const double noise = std::exp(hp.log_noise_variance);
+  KernelDiagonal(sv, noise, targets_.count, &diag_);
   math::Matrix l(n_pts, n_pts);
-  FillLowerKernel(unit_kernel_.data(), sv, diag, &l);
+  FillLowerKernel(unit_kernel_.data(), sv, diag_.data(), &l);
   auto chol = math::Cholesky::FactorLowerInPlace(std::move(l));
   // A non-SPD pivot consumed the buffer; the jitter retries start over
   // from a rebuilt kernel (the same bits).
   if (!chol.ok()) chol = math::Cholesky::FactorWithJitter(BuildKernel(hp));
   if (!chol.ok()) return -std::numeric_limits<double>::infinity();
-  math::Vector alpha = chol->Solve(ys_);
-  const double n = static_cast<double>(n_pts);
-  const double lml = -0.5 * ys_.Dot(alpha) - 0.5 * chol->LogDeterminant() -
-                     n * kHalfLog2Pi;
+  math::Vector alpha = chol->Solve(targets_.mean);
+  const double lml = RunLogLikelihood(*chol, alpha, targets_, noise);
   memo_.emplace(
       Factorization{std::move(chol).value(), std::move(alpha), lml});
   memo_key_ = hp.Flatten();
@@ -248,29 +328,27 @@ std::optional<GpKernelCache::Factorization> GpKernelCache::TakeMemoized(
 }
 
 Status GaussianProcess::Fit(const math::Matrix& x, const math::Vector& y,
-                            const GpHyperparams& hp) {
-  if (x.rows() == 0 || x.rows() != y.size()) {
-    return Status::InvalidArgument("GP fit requires matching non-empty x, y");
+                            const GpHyperparams& hp,
+                            std::span<const size_t> row_of) {
+  if (x.rows() == 0 || !ValidRowMap(row_of, y.size(), x.rows())) {
+    return Status::InvalidArgument(
+        "GP fit requires non-empty x and a run of y on every row");
   }
   if (hp.log_lengthscales.size() != x.cols()) {
     return Status::InvalidArgument("lengthscale dimension mismatch");
   }
+  std::vector<size_t> rows = RowMap(row_of, y.size());
+  std::vector<double> count(x.rows(), 0.0);
+  for (size_t g : rows) count[g] += 1.0;
+  auto chol = math::Cholesky::FactorWithJitter(BuildKernelMatrix(x, hp, count));
+  if (!chol.ok()) return chol.status();
   x_ = x;
   y_raw_ = y;
+  row_of_ = std::move(rows);
+  count_ = std::move(count);
   hp_ = hp;
-
-  math::Vector ys;
-  Standardize(y, &ys, &y_mean_, &y_std_);
-
-  math::Matrix k = BuildKernelMatrix(x_, hp_);
-  auto chol = math::Cholesky::FactorWithJitter(k);
-  if (!chol.ok()) return chol.status();
   chol_ = std::move(chol).value();
-  alpha_ = chol_->Solve(ys);
-
-  const double n = static_cast<double>(x_.rows());
-  log_marginal_likelihood_ = -0.5 * ys.Dot(alpha_) -
-                             0.5 * chol_->LogDeterminant() - n * kHalfLog2Pi;
+  SolveTargets();
   FinishFit();
   return Status::OK();
 }
@@ -282,6 +360,8 @@ Status GaussianProcess::Fit(const GpKernelCache& cache,
   }
   x_ = cache.x();
   y_raw_ = cache.raw_y();
+  row_of_ = cache.row_of();
+  count_ = cache.targets().count;
   hp_ = hp;
   y_mean_ = cache.y_mean();
   y_std_ = cache.y_std();
@@ -290,11 +370,10 @@ Status GaussianProcess::Fit(const GpKernelCache& cache,
   auto chol = math::Cholesky::FactorWithJitter(k);
   if (!chol.ok()) return chol.status();
   chol_ = std::move(chol).value();
-  alpha_ = chol_->Solve(cache.standardized_y());
-
-  const double n = static_cast<double>(x_.rows());
-  log_marginal_likelihood_ = -0.5 * cache.standardized_y().Dot(alpha_) -
-                             0.5 * chol_->LogDeterminant() - n * kHalfLog2Pi;
+  alpha_ = chol_->Solve(cache.row_targets());
+  log_marginal_likelihood_ =
+      RunLogLikelihood(*chol_, alpha_, cache.targets(),
+                       std::exp(hp.log_noise_variance));
   FinishFit();
   return Status::OK();
 }
@@ -307,6 +386,8 @@ Status GaussianProcess::AdoptFit(const GpKernelCache& cache,
   }
   x_ = cache.x();
   y_raw_ = cache.raw_y();
+  row_of_ = cache.row_of();
+  count_ = cache.targets().count;
   hp_ = hp;
   y_mean_ = cache.y_mean();
   y_std_ = cache.y_std();
@@ -336,8 +417,12 @@ Status GaussianProcess::AppendFit(const math::Vector& x_new, double y_new) {
                                           inv_sq_lengthscales_.data().data(),
                                           cross.data().data());
   math::kern::ExpScaled(cross.data().data(), n, -0.5, signal_variance_);
-  const double diag =
-      signal_variance_ + std::exp(hp_.log_noise_variance) + 1e-10;
+  // The new row holds one run.
+  std::vector<double> count_ext = count_;
+  count_ext.push_back(1.0);
+  std::vector<double> diag;
+  KernelDiagonal(signal_variance_, std::exp(hp_.log_noise_variance),
+                 {1.0}, &diag);
 
   // Stage the extended inputs; nothing is committed until the factor
   // extension succeeded.
@@ -347,30 +432,51 @@ Status GaussianProcess::AppendFit(const math::Vector& x_new, double y_new) {
 
   // AppendRow stages into fresh storage and leaves the factor untouched on
   // failure, so attempting in place is rollback-safe.
-  if (!chol_->AppendRow(cross, diag).ok()) {
+  if (!chol_->AppendRow(cross, diag[0]).ok()) {
     // Schur completion went non-positive: the extension needs more
     // regularization than the stored jitter. Full O(n^3) fallback with the
     // escalating-jitter path on the extended kernel.
-    auto refactored =
-        math::Cholesky::FactorWithJitter(BuildKernelMatrix(x_ext, hp_));
+    auto refactored = math::Cholesky::FactorWithJitter(
+        BuildKernelMatrix(x_ext, hp_, count_ext));
     if (!refactored.ok()) return refactored.status();
     chol_ = std::move(refactored).value();
   }
 
-  math::Vector y_ext(n + 1);
-  for (size_t i = 0; i < n; ++i) y_ext[i] = y_raw_[i];
-  y_ext[n] = y_new;
-
   x_ = std::move(x_ext);
-  y_raw_ = std::move(y_ext);
+  count_ = std::move(count_ext);
+  y_raw_.data().push_back(y_new);
+  row_of_.push_back(n);
+  SolveTargets();
+  return Status::OK();
+}
 
+Status GaussianProcess::AppendRepeat(size_t row, double y_new) {
+  if (!fitted_) {
+    return Status::FailedPrecondition("AppendRepeat requires a fitted GP");
+  }
+  if (row >= x_.rows()) {
+    return Status::InvalidArgument("AppendRepeat row out of range");
+  }
+  std::vector<double> count_ext = count_;
+  count_ext[row] += 1.0;
+  auto refactored = math::Cholesky::FactorWithJitter(
+      BuildKernelMatrix(x_, hp_, count_ext));
+  if (!refactored.ok()) return refactored.status();
+  chol_ = std::move(refactored).value();
+  count_ = std::move(count_ext);
+  y_raw_.data().push_back(y_new);
+  row_of_.push_back(row);
+  SolveTargets();
+  return Status::OK();
+}
+
+void GaussianProcess::SolveTargets() {
   math::Vector ys;
   Standardize(y_raw_, &ys, &y_mean_, &y_std_);
-  alpha_ = chol_->Solve(ys);
-  log_marginal_likelihood_ = -0.5 * ys.Dot(alpha_) -
-                             0.5 * chol_->LogDeterminant() -
-                             static_cast<double>(n + 1) * kHalfLog2Pi;
-  return Status::OK();
+  const GpRowTargets targets = FoldRuns(ys, row_of_, x_.rows());
+  alpha_ = chol_->Solve(targets.mean);
+  log_marginal_likelihood_ = RunLogLikelihood(
+      *chol_, alpha_, targets, std::exp(hp_.log_noise_variance));
 }
 
 void GaussianProcess::FinishFit() {

@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/status.h"
@@ -30,6 +31,29 @@ struct GpHyperparams {
   static GpHyperparams Unflatten(const math::Vector& flat);
 };
 
+/// The training targets of a GP folded onto its rows. Runs whose inputs
+/// are bitwise equal share one row: the row's target is the mean of its
+/// m standardized runs and its noise term is noise / m, and the log
+/// marginal likelihood adds the exact within-row correction
+///   -1/2 (SS / s^2 + sum_g log m_g + (n - G) log s^2) - (n - G) log(2 pi) / 2
+/// with s^2 = noise + 1e-10, SS the within-row sum of squares, n runs and
+/// G rows (the replicate identity of Binois, Gramacy & Ludkovski 2018).
+/// The posterior equals the one of the fit with one row per run. With
+/// every m = 1 the targets are the standardized runs themselves and the
+/// correction is not added, so the likelihood keeps its bits.
+struct GpRowTargets {
+  math::Vector mean;           // per row: mean of its standardized runs
+  std::vector<double> count;   // per row: its number of runs m_g
+  double within_ss = 0.0;      // SS: sum over runs of (ys_i - mean_row)^2
+  double sum_log_count = 0.0;  // sum over rows of log m_g
+  size_t runs = 0;             // n
+};
+
+/// True when `row_of` maps `runs` runs onto `rows` rows with every row
+/// holding at least one run; an empty `row_of` is one row per run and
+/// needs runs == rows.
+bool ValidRowMap(std::span<const size_t> row_of, size_t runs, size_t rows);
+
 /// Precomputed kernel structure for repeated hyperparameter evaluations on
 /// one fixed (x, y) dataset — the MCMC hot path.
 ///
@@ -55,36 +79,48 @@ struct GpHyperparams {
 /// place; that is `ExpScaled(-1/2, signal)`'s separate multiply, so every
 /// entry, the factor and the likelihood keep their bits.
 ///
-/// The cache also standardizes the targets once and memoizes the
-/// factorization of the most recent successful likelihood evaluation.
+/// The rows of `x` are distinct GP inputs and `y` holds runs: `row_of`
+/// names each run's row (GpRowTargets), one row per run when it is
+/// empty. The cache standardizes the runs and folds them onto the rows
+/// once, and memoizes the factorization of the most recent successful
+/// likelihood evaluation.
 /// The slice sampler's final density evaluation of each sweep lands
 /// exactly on the retained sample, so `TakeMemoized` lets the caller
 /// build that sample's GP ensemble member without refactoring (O(n^3)
 /// saved per retained sample).
 class GpKernelCache {
  public:
-  /// Precomputes pair structure for `x` (n x d) and standardizes `y`.
-  GpKernelCache(const math::Matrix& x, const math::Vector& y);
+  /// Precomputes pair structure for the rows of `x` (G x d), standardizes
+  /// the runs `y` and folds them onto the rows through `row_of`, which
+  /// must satisfy ValidRowMap(row_of, y.size(), G).
+  GpKernelCache(const math::Matrix& x, const math::Vector& y,
+                std::span<const size_t> row_of = {});
 
+  /// Rows G.
   size_t num_points() const { return x_.rows(); }
   size_t input_dim() const { return x_.cols(); }
   const math::Matrix& x() const { return x_; }
-  /// Targets standardized to zero mean / unit variance.
-  const math::Vector& standardized_y() const { return ys_; }
-  /// Targets in their original units (what the constructor received).
+  /// Per-row means of the standardized runs (the standardized runs
+  /// themselves when every row holds one run).
+  const math::Vector& row_targets() const { return targets_.mean; }
+  const GpRowTargets& targets() const { return targets_; }
+  /// Runs in their original units (what the constructor received).
   const math::Vector& raw_y() const { return y_raw_; }
+  /// The row of each run.
+  const std::vector<size_t>& row_of() const { return row_of_; }
   double y_mean() const { return y_mean_; }
   double y_std() const { return y_std_; }
 
-  /// Kernel matrix K(hp) with the noise + 1e-10 diagonal already added,
-  /// with the bits `LogMarginalLikelihood` factors. Const and thread-safe:
-  /// it computes every lane on local buffers.
+  /// Kernel matrix K(hp) with each row's (signal + noise / m) +
+  /// 1e-10 / m diagonal already added, with the bits
+  /// `LogMarginalLikelihood` factors. Const and thread-safe: it computes
+  /// every lane on local buffers.
   math::Matrix BuildKernel(const GpHyperparams& hp) const;
 
   /// The reusable result of one likelihood evaluation.
   struct Factorization {
     math::Cholesky chol;
-    math::Vector alpha;  // (K + noise I)^-1 y_standardized
+    math::Vector alpha;  // (K + noise M^-1)^-1 row_targets
     double log_marginal_likelihood = 0.0;
   };
 
@@ -108,8 +144,9 @@ class GpKernelCache {
   bool RefreshLanes(const math::Vector& w);
 
   math::Matrix x_;
-  math::Vector ys_;
   math::Vector y_raw_;
+  std::vector<size_t> row_of_;
+  GpRowTargets targets_;
   double y_mean_ = 0.0;
   double y_std_ = 1.0;
   // Coordinate-major squared differences: pair_sqdiff_[k * npairs + p] is
@@ -125,6 +162,7 @@ class GpKernelCache {
   std::vector<double> lanes_;
   std::vector<double> lane_w_;
   std::vector<double> unit_kernel_;
+  std::vector<double> diag_;  // scratch: the kernel diagonal per row
 
   std::optional<Factorization> memo_;
   math::Vector memo_key_;
@@ -138,15 +176,18 @@ class GpKernelCache {
 /// in equation (7) of the paper.
 ///
 /// Targets are standardized internally (zero mean, unit variance); all
-/// public predictions are in the original units.
+/// public predictions are in the original units. Repeated runs of one
+/// input share a row (GpRowTargets): the fit factors G x G, not n x n.
 class GaussianProcess {
  public:
   GaussianProcess() = default;
 
-  /// Fits the GP to (x, y) with fixed hyperparameters. `x` is n x d, `y`
-  /// has n entries, n >= 1. Factors the kernel matrix once (O(n^3)).
+  /// Fits the GP to (x, y) with fixed hyperparameters. `x` holds the G >= 1
+  /// distinct inputs (G x d) and `y` the runs, run i at row `row_of[i]`
+  /// (one row per run when `row_of` is empty; InvalidArgument unless
+  /// ValidRowMap holds). Factors the G x G kernel matrix once (O(G^3)).
   Status Fit(const math::Matrix& x, const math::Vector& y,
-             const GpHyperparams& hp);
+             const GpHyperparams& hp, std::span<const size_t> row_of = {});
 
   /// Fits against a prebuilt kernel cache (same result as the (x, y)
   /// overload on the cache's data, but reuses the cached pair structure
@@ -160,7 +201,8 @@ class GaussianProcess {
   Status AdoptFit(const GpKernelCache& cache, const GpHyperparams& hp,
                   GpKernelCache::Factorization factorization);
 
-  /// Adds one observation to an already-fitted GP in O(n^2) via a rank-1
+  /// Adds one run at a new input, as a new row, to an already-fitted GP
+  /// in O(G^2) via a rank-1
   /// bordered Cholesky append (hyperparameters stay fixed): one cross
   /// kernel row, one triangular solve, a scalar Schur completion, then a
   /// restandardization of the full target history and one O(n^2) re-solve
@@ -173,6 +215,13 @@ class GaussianProcess {
   /// falls back to a full jittered refactorization of the extended
   /// kernel. On any error the GP is left unchanged.
   Status AppendFit(const math::Vector& x_new, double y_new);
+
+  /// Adds one more run of the input of row `row` (hyperparameters stay
+  /// fixed): the row's count and mean move, so its diagonal entry does,
+  /// and the G x G kernel is rebuilt and refactored (O(G^3)) with the
+  /// (x, y) `Fit`'s kernel. The result has the bits of that `Fit` on the
+  /// extended runs. On any error the GP is left unchanged.
+  Status AppendRepeat(size_t row, double y_new);
 
   struct Prediction {
     double mean = 0.0;
@@ -207,7 +256,10 @@ class GaussianProcess {
   double LogMarginalLikelihood() const { return log_marginal_likelihood_; }
 
   bool fitted() const { return fitted_; }
+  /// Rows G: the distinct inputs.
   size_t num_points() const { return x_.rows(); }
+  /// Runs n: the targets folded onto the rows.
+  size_t num_runs() const { return y_raw_.size(); }
   size_t input_dim() const { return x_.cols(); }
   const GpHyperparams& hyperparams() const { return hp_; }
 
@@ -225,9 +277,15 @@ class GaussianProcess {
   /// Derives the cached kernel weights from hp_ and flips fitted_.
   void FinishFit();
 
+  /// Restandardizes y_raw_, folds it onto the rows and solves for alpha_
+  /// and the likelihood under the current factor.
+  void SolveTargets();
+
   bool fitted_ = false;
   math::Matrix x_;
-  math::Vector y_raw_;  // original-unit targets; AppendFit restandardizes
+  math::Vector y_raw_;  // original-unit runs; the appends restandardize
+  std::vector<size_t> row_of_;  // the row of each run
+  std::vector<double> count_;   // runs per row
   GpHyperparams hp_;
   // exp(-2 * log_lengthscale_d) per dimension and exp(log_signal_variance),
   // derived once at Fit so predictions never re-exponentiate.
@@ -236,7 +294,7 @@ class GaussianProcess {
   double y_mean_ = 0.0;
   double y_std_ = 1.0;
   std::optional<math::Cholesky> chol_;
-  math::Vector alpha_;  // (K + noise I)^-1 y_standardized
+  math::Vector alpha_;  // (K + noise M^-1)^-1 row targets
   double log_marginal_likelihood_ = 0.0;
 };
 

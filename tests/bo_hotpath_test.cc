@@ -23,6 +23,7 @@
 #include "math/cholesky.h"
 #include "math/kern/kern.h"
 #include "math/matrix.h"
+#include "math/stats.h"
 #include "ml/ei_mcmc.h"
 #include "ml/gp.h"
 #include "ml/sparse_gp.h"
@@ -199,7 +200,7 @@ GaussianProcess::BatchPrediction UnfusedPredict(const GaussianProcess& gp,
   const Matrix& l = gp.factor();
   auto chol = math::Cholesky::FactorWithJitter(cache.BuildKernel(hp));
   EXPECT_TRUE(chol.ok());
-  const Vector alpha = chol->Solve(cache.standardized_y());
+  const Vector alpha = chol->Solve(cache.row_targets());
   GaussianProcess::BatchPrediction out;
   out.mean = Vector(xs.rows());
   out.variance = Vector(xs.rows());
@@ -539,7 +540,7 @@ WalkPaths ExpectWalkMatchesRowMajorReference(const Matrix& x,
       default:
         break;  // same state again
     }
-    const auto ref = RowMajorMatVecDensity(x, cache.standardized_y(), hp);
+    const auto ref = RowMajorMatVecDensity(x, cache.row_targets(), hp);
     const double lml = cache.LogMarginalLikelihood(hp);
     SCOPED_TRACE(::testing::Message() << "n=" << n << " d=" << d
                                       << " step=" << step);
@@ -1118,6 +1119,257 @@ TEST(AppendFitTest, EiMcmcAppendMatchesPerMemberAppendAndThreadCounts) {
                   1e-10 * std::max(1.0, std::abs(m.variance[t])));
     }
   }
+}
+
+// ------------------------------------------------ repeated runs, one row
+
+/// A history of `rows` distinct inputs (d dims) whose row g was run m_g
+/// times, m_g drawn from `counts`, with the runs of all rows shuffled
+/// together; `expanded` repeats each run's input, one row per run.
+struct RepeatedHistory {
+  Matrix x;         // G x d distinct inputs
+  Vector y;         // n runs
+  std::vector<size_t> row_of;
+  Matrix expanded;  // n x d
+};
+
+RepeatedHistory MakeRepeatedHistory(size_t rows, size_t d,
+                                    const std::vector<size_t>& counts,
+                                    uint64_t seed) {
+  Rng rng(seed);
+  RepeatedHistory h;
+  h.x = RandomCandidates(rows, d, &rng);
+  for (size_t g = 0; g < rows; ++g) {
+    const size_t m = counts[static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(counts.size()) - 1))];
+    h.row_of.insert(h.row_of.end(), m, g);
+  }
+  for (size_t i = h.row_of.size(); i > 1; --i) {
+    std::swap(h.row_of[i - 1], h.row_of[static_cast<size_t>(rng.UniformInt(
+                                   0, static_cast<int64_t>(i) - 1))]);
+  }
+  const size_t n = h.row_of.size();
+  h.y = Vector(n);
+  h.expanded = Matrix(n, d);
+  for (size_t i = 0; i < n; ++i) {
+    const size_t g = h.row_of[i];
+    h.expanded.SetRow(i, h.x.Row(g));
+    double s = 0.0;
+    for (size_t j = 0; j < d; ++j) {
+      s += std::sin(3.0 * h.x(g, j) + static_cast<double>(j));
+    }
+    h.y[i] = s + 0.1 * rng.NextGaussian();
+  }
+  return h;
+}
+
+void ExpectRelNear(double a, double b, double rel, const std::string& what) {
+  EXPECT_LE(std::abs(a - b), rel * std::abs(b)) << what << ": " << a
+                                                 << " vs " << b;
+}
+
+TEST(RepeatedRunsTest, GroupedFitMatchesExpandedFit) {
+  const size_t d = 4;
+  uint64_t seed = 600;
+  for (const std::vector<size_t>& counts :
+       std::vector<std::vector<size_t>>{{1}, {2}, {10}, {1, 2, 10}}) {
+    const RepeatedHistory h = MakeRepeatedHistory(9, d, counts, seed++);
+    SCOPED_TRACE("max m " + std::to_string(counts.back()) + ", n " +
+                 std::to_string(h.y.size()));
+    for (double log_noise : {-4.0, -1.5}) {
+      GpHyperparams hp = MakeHyperparams(d);
+      hp.log_noise_variance = log_noise;
+      GpKernelCache cache(h.x, h.y, h.row_of);
+      const double expanded_lml =
+          testutil::ReferenceLogMarginalLikelihood(h.expanded, h.y, hp);
+      ExpectRelNear(cache.LogMarginalLikelihood(hp), expanded_lml, 1e-10,
+                    "cache LML");
+
+      GaussianProcess grouped;
+      ASSERT_TRUE(grouped.Fit(h.x, h.y, hp, h.row_of).ok());
+      GaussianProcess full;
+      ASSERT_TRUE(full.Fit(h.expanded, h.y, hp).ok());
+      ASSERT_EQ(grouped.num_points(), h.x.rows());
+      ASSERT_EQ(grouped.num_runs(), h.y.size());
+      ExpectRelNear(grouped.LogMarginalLikelihood(),
+                    full.LogMarginalLikelihood(), 1e-10, "fit LML");
+
+      // Queries away from and on the training inputs.
+      Rng rng(seed);
+      Matrix qs = RandomCandidates(30, d, &rng);
+      qs.ResizeRows(30 + h.x.rows());
+      for (size_t g = 0; g < h.x.rows(); ++g) qs.SetRow(30 + g, h.x.Row(g));
+      const auto a = grouped.PredictBatch(qs);
+      const auto b = full.PredictBatch(qs);
+      for (size_t t = 0; t < qs.rows(); ++t) {
+        ExpectRelNear(a.mean[t], b.mean[t], 1e-10,
+                      "mean " + std::to_string(t));
+        ExpectRelNear(a.variance[t], b.variance[t], 1e-10,
+                      "variance " + std::to_string(t));
+      }
+    }
+  }
+}
+
+TEST(RepeatedRunsTest, NoRepeatsKeepTheParentBits) {
+  // One run per row, spelled as an explicit row map: the likelihood, the
+  // weights and the predictions have the bits of the one-row-per-run
+  // formula (the parent's), because m = 1 divides by one and the
+  // within-row correction is not added.
+  for (size_t n : {2u, 17u, 48u}) {
+    const size_t d = 5;
+    Matrix x;
+    Vector y;
+    MakeDataset(n, d, &x, &y);
+    std::vector<size_t> identity(n);
+    for (size_t i = 0; i < n; ++i) identity[i] = i;
+    const GpHyperparams hp = MakeHyperparams(d);
+    GpKernelCache cache(x, y, identity);
+    const double lml = cache.LogMarginalLikelihood(hp);
+    std::optional<GpKernelCache::Factorization> fact =
+        cache.TakeMemoized(hp.Flatten());
+    ASSERT_TRUE(fact.has_value());
+
+    const double mean = math::Mean(y.data());
+    const double sd = math::StdDev(y.data());
+    Vector ys(n);
+    for (size_t i = 0; i < n; ++i) ys[i] = (y[i] - mean) / sd;
+    const auto ref = RowMajorMatVecDensity(x, ys, hp);
+    ASSERT_TRUE(ref.has_value());
+    EXPECT_TRUE(SameBits(lml, ref->log_marginal_likelihood)) << "n " << n;
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_TRUE(SameBits(fact->alpha[i], ref->alpha[i])) << "alpha " << i;
+    }
+
+    GaussianProcess grouped;
+    ASSERT_TRUE(grouped.AdoptFit(cache, hp, std::move(*fact)).ok());
+    GaussianProcess parent;
+    ASSERT_TRUE(parent.AdoptFit(cache, hp, std::move(*ref)).ok());
+    GaussianProcess direct;
+    ASSERT_TRUE(direct.Fit(x, y, hp, identity).ok());
+    GaussianProcess plain;
+    ASSERT_TRUE(plain.Fit(x, y, hp).ok());
+    EXPECT_TRUE(SameBits(direct.LogMarginalLikelihood(),
+                         plain.LogMarginalLikelihood()));
+    Rng rng(n);
+    const Matrix qs = RandomCandidates(70, d, &rng);
+    const auto a = grouped.PredictBatch(qs);
+    const auto b = parent.PredictBatch(qs);
+    const auto c = direct.PredictBatch(qs);
+    const auto e = plain.PredictBatch(qs);
+    for (size_t t = 0; t < qs.rows(); ++t) {
+      EXPECT_TRUE(SameBits(a.mean[t], b.mean[t])) << t;
+      EXPECT_TRUE(SameBits(a.variance[t], b.variance[t])) << t;
+      EXPECT_TRUE(SameBits(c.mean[t], e.mean[t])) << t;
+      EXPECT_TRUE(SameBits(c.variance[t], e.variance[t])) << t;
+    }
+  }
+}
+
+TEST(RepeatedRunsTest, AppendedRepeatMatchesRefitAtFrozenHyperparams) {
+  const size_t d = 3;
+  const RepeatedHistory h = MakeRepeatedHistory(7, d, {1, 2, 10}, 640);
+  const GpHyperparams hp = MakeHyperparams(d);
+  GaussianProcess gp;
+  ASSERT_TRUE(gp.Fit(h.x, h.y, hp, h.row_of).ok());
+  Vector y_ext = h.y;
+  std::vector<size_t> row_of_ext = h.row_of;
+  for (size_t row : {0u, 4u, 4u, 6u}) {
+    const double y_new = 0.3 * static_cast<double>(row) - 0.2;
+    ASSERT_TRUE(gp.AppendRepeat(row, y_new).ok());
+    y_ext.data().push_back(y_new);
+    row_of_ext.push_back(row);
+  }
+  EXPECT_EQ(gp.AppendRepeat(7, 1.0).code(), StatusCode::kInvalidArgument);
+  ASSERT_EQ(gp.num_points(), h.x.rows());
+  ASSERT_EQ(gp.num_runs(), y_ext.size());
+
+  GaussianProcess refit;
+  ASSERT_TRUE(refit.Fit(h.x, y_ext, hp, row_of_ext).ok());
+  EXPECT_TRUE(SameBits(gp.LogMarginalLikelihood(),
+                       refit.LogMarginalLikelihood()));
+  Rng rng(641);
+  const Matrix qs = RandomCandidates(20, d, &rng);
+  const auto a = gp.PredictBatch(qs);
+  const auto b = refit.PredictBatch(qs);
+  for (size_t t = 0; t < qs.rows(); ++t) {
+    EXPECT_TRUE(SameBits(a.mean[t], b.mean[t])) << t;
+    EXPECT_TRUE(SameBits(a.variance[t], b.variance[t])) << t;
+  }
+
+  // Through the ensemble: every member refits at its own frozen
+  // hyperparameters, and a new input still takes the bordered append.
+  ml::EiMcmc::Options opts;
+  opts.num_hyper_samples = 4;
+  opts.burn_in = 4;
+  ml::EiMcmc model(opts);
+  Rng fit_rng(642);
+  ASSERT_TRUE(model.Fit(h.x, h.y, &fit_rng, h.row_of).ok());
+  ASSERT_TRUE(model.AppendRepeat(2, -1.5).ok());
+  EXPECT_EQ(model.best_observed(), std::min(math::Min(h.y.data()), -1.5));
+  const Vector x_new = RandomCandidates(1, d, &rng).Row(0);
+  ASSERT_TRUE(model.AppendObservation(x_new, 0.4).ok());
+  EXPECT_EQ(model.AppendRepeat(h.x.rows() + 1, 1.0).code(),
+            StatusCode::kInvalidArgument);
+  std::vector<size_t> member_rows = h.row_of;
+  member_rows.push_back(2);
+  Vector member_y = h.y;
+  member_y.data().push_back(-1.5);
+  for (const GaussianProcess& member : model.ensemble()) {
+    ASSERT_EQ(member.num_points(), h.x.rows() + 1);
+    ASSERT_EQ(member.num_runs(), h.y.size() + 2);
+    GaussianProcess manual;
+    ASSERT_TRUE(
+        manual.Fit(h.x, member_y, member.hyperparams(), member_rows).ok());
+    ASSERT_TRUE(manual.AppendFit(x_new, 0.4).ok());
+    const auto m = manual.PredictBatch(qs);
+    const auto p = member.PredictBatch(qs);
+    for (size_t t = 0; t < qs.rows(); ++t) {
+      EXPECT_TRUE(SameBits(p.mean[t], m.mean[t])) << t;
+      EXPECT_TRUE(SameBits(p.variance[t], m.variance[t])) << t;
+    }
+  }
+}
+
+TEST(RepeatedRunsTest, OneRowForEveryRunIsFinite) {
+  // G = 1: every run is the same configuration. Noisy and identical runs
+  // both give a finite likelihood and a usable model.
+  const size_t d = 3;
+  Matrix x(1, d, 0.4);
+  for (bool identical : {false, true}) {
+    Rng rng(650);
+    Vector y(10);
+    for (size_t i = 0; i < y.size(); ++i) {
+      y[i] = identical ? 3.0 : 3.0 + 0.1 * rng.NextGaussian();
+    }
+    const std::vector<size_t> row_of(y.size(), 0);
+    GpKernelCache cache(x, y, row_of);
+    EXPECT_TRUE(std::isfinite(cache.LogMarginalLikelihood(MakeHyperparams(d))))
+        << identical;
+    ml::EiMcmc model;
+    ASSERT_TRUE(model.Fit(x, y, &rng, row_of).ok()) << identical;
+    for (const GaussianProcess& member : model.ensemble()) {
+      EXPECT_TRUE(std::isfinite(member.LogMarginalLikelihood()));
+    }
+    const ml::EiMcmc::Pick pick = model.PickCandidate(RandomPool(20, d, 651));
+    ASSERT_NE(pick.row, ml::EiMcmc::kNoRow);
+    EXPECT_TRUE(std::isfinite(pick.mean));
+    EXPECT_TRUE(std::isfinite(pick.variance));
+    ASSERT_TRUE(model.AppendRepeat(0, 3.05).ok());
+  }
+  // A row map that leaves a row without runs, or names a missing row, is
+  // rejected.
+  ml::EiMcmc model;
+  Rng rng(652);
+  Matrix two(2, d, 0.5);
+  EXPECT_EQ(model.Fit(two, Vector{1.0, 2.0}, &rng, std::vector<size_t>{0, 0})
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(model.Fit(x, Vector{1.0, 2.0}, &rng, std::vector<size_t>{0, 1})
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(model.Fit(x, Vector{1.0}, &rng, std::vector<size_t>{0}).code(),
+            StatusCode::kInvalidArgument);
 }
 
 // Synthetic single-data-size DAGP observation stream. Returns the lowest

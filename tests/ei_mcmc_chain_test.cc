@@ -460,6 +460,47 @@ TEST(EiMcmcChainTest, WarmTuneContinuesChainAfterDroppedEnsemble) {
   EXPECT_EQ(checked, 2);
 }
 
+TEST(EiMcmcChainTest, RepeatedExternalRunsShareOneDagpRow) {
+  // Ten production runs of one served configuration are ten runs of one
+  // GP row; the next tune's full refit factors the rows, not the runs.
+  const auto app = workloads::HiBenchAggregation();
+  sparksim::ClusterSimulator sim(sparksim::X86Cluster(), 93);
+  core::TuningSession session(&sim, app);
+  core::LocatTuner tuner(SmallTuneOptions(13));
+  const core::TuningResult cold = tuner.Tune(&session, 100.0);
+  const core::Dagp& dagp = tuner.dagp();
+  const int runs = dagp.num_observations();
+  const size_t rows = dagp.num_rows();
+  EXPECT_EQ(rows, static_cast<size_t>(runs));  // the tune never repeats
+  for (int k = 0; k < 10; ++k) {
+    tuner.ObserveExternalRun(session.space(), cold.best_conf, 300.0,
+                             400.0 + k);
+  }
+  EXPECT_EQ(dagp.num_observations(), runs + 10);
+  EXPECT_EQ(dagp.num_rows(), rows + 1);
+
+  obs::Tracer tracer;
+  obs::ObsContext ctx;
+  ctx.tracer = &tracer;
+  tuner.SetObservability(ctx);
+  tuner.Tune(&session, 300.0);
+  const std::regex n_re("\"n\":([0-9]+)");
+  const std::regex rows_re("\"rows\":([0-9]+)");
+  int refits = 0;
+  for (const obs::TraceEvent& ev : tracer.snapshot()) {
+    if (ev.name != "dagp/refit" && ev.name != "dagp/append") continue;
+    std::smatch n;
+    std::smatch r;
+    ASSERT_TRUE(std::regex_search(ev.args, n, n_re)) << ev.args;
+    ASSERT_TRUE(std::regex_search(ev.args, r, rows_re)) << ev.args;
+    // Every refit of this tune holds the ten repeats in one row.
+    EXPECT_EQ(std::stoi(n[1]) - std::stoi(r[1]), 9)
+        << ev.name << " " << ev.args;
+    if (ev.name == "dagp/refit") ++refits;
+  }
+  EXPECT_GT(refits, 0);
+}
+
 /// Sums the per-event refit cost of a tune.
 class FitCostObserver : public obs::Sink {
  public:
