@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstring>
 
 #include "ml/sparse_gp.h"
 
@@ -35,11 +36,22 @@ void Dagp::AddObservation(const math::Vector& encoded_conf,
                           std::span<const double> key) {
   assert(seconds > 0.0);
   if (key.empty()) key = encoded_conf.data();
-  std::string bytes(reinterpret_cast<const char*>(key.data()),
-                    key.size_bytes());
-  bytes.append(reinterpret_cast<const char*>(&datasize_gb), sizeof(double));
-  const auto [it, fresh] = row_index_.emplace(std::move(bytes), x_.size());
-  if (fresh) {
+  // Row r's key is row_keys_[r * width, (r + 1) * width): the key, then
+  // the data size. A linear scan over G rows is cheap next to any refit.
+  const size_t width = key.size() + 1;
+  assert(row_keys_.size() == x_.size() * width);
+  size_t row = 0;
+  while (row < x_.size()) {
+    const double* k = row_keys_.data() + row * width;
+    if (std::memcmp(k + key.size(), &datasize_gb, sizeof(double)) == 0 &&
+        std::memcmp(k, key.data(), key.size_bytes()) == 0) {
+      break;
+    }
+    ++row;
+  }
+  if (row == x_.size()) {
+    row_keys_.insert(row_keys_.end(), key.begin(), key.end());
+    row_keys_.push_back(datasize_gb);
     x_.push_back(Assemble(encoded_conf, datasize_gb));
     model_row_.push_back(kNotFitted);
     const double ds = x_.back()[encoded_conf.size()];
@@ -48,7 +60,7 @@ void Dagp::AddObservation(const math::Vector& encoded_conf,
       datasizes_.push_back(ds);
     }
   }
-  row_of_.push_back(it->second);
+  row_of_.push_back(row);
   y_.push_back(std::log(seconds));
 }
 
@@ -94,13 +106,14 @@ Status Dagp::FullRefit(const std::vector<size_t>* idx, Rng* rng) {
   }
   // The whole history keeps its run order; a subset takes its rows in
   // `idx` order, each row's runs in history order.
-  math::Vector y(y_);
-  std::vector<size_t> run_row = row_of_;
-  if (idx != nullptr) {
+  math::Vector y;
+  std::vector<size_t> run_row;
+  if (idx == nullptr) {
+    y = math::Vector(y_);
+    run_row = row_of_;
+  } else {
     std::vector<std::vector<size_t>> runs_of(x_.size());
     for (size_t i = 0; i < y_.size(); ++i) runs_of[row_of_[i]].push_back(i);
-    y.data().clear();
-    run_row.clear();
     for (size_t k = 0; k < rows; ++k) {
       for (size_t i : runs_of[(*idx)[k]]) {
         y.data().push_back(y_[i]);
@@ -135,7 +148,8 @@ Status Dagp::FullRefit(const std::vector<size_t>* idx, Rng* rng) {
 }
 
 bool Dagp::AppendRows() {
-  // O(n^2) per row, hyperparameters frozen, no RNG consumed.
+  // O(G^2) per new row and O(G^3) per repeated run, hyperparameters
+  // frozen, no RNG consumed.
   obs::ScopedSpan span(tracer_, "dagp/append", "model");
   const size_t n = y_.size();
   const size_t appended = n - fitted_n_;
@@ -165,7 +179,7 @@ Status Dagp::Refit(Rng* rng) {
   if (n < 2) {
     return Status::FailedPrecondition("DAGP needs >= 2 observations");
   }
-  // Absorb the new rows into the fitted ensemble instead of re-sampling
+  // Absorb the new runs into the fitted ensemble instead of re-sampling
   // the hyperparameters while the history is within
   // kFullRefitGrowthPercent of its last full fit and holds only data
   // sizes that fit saw. A failed append (a near-singular extension in

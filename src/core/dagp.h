@@ -3,8 +3,6 @@
 
 #include <cstddef>
 #include <span>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
@@ -56,10 +54,11 @@ class Dagp {
       : options_(options), model_(options_) {}
 
   /// Adds one run (encoded conf, data size, measured seconds). All runs
-  /// must share the encoding dimension. `key` names the configuration
-  /// (the encoded conf when empty): a run whose key and data size are
-  /// bitwise equal to an earlier run's joins that run's row, any other
-  /// run opens a new row, even when its encoded conf collides with one.
+  /// must share the encoding dimension, and all keys one length. `key`
+  /// names the configuration (the encoded conf when empty): a run whose
+  /// key and data size are bitwise equal to an earlier run's joins that
+  /// run's row, any other run opens a new row, even when its encoded conf
+  /// collides with one.
   void AddObservation(const math::Vector& encoded_conf, double datasize_gb,
                       double seconds, std::span<const double> key = {});
 
@@ -158,8 +157,8 @@ class Dagp {
   std::vector<math::Vector> x_;  // per row: encoded conf + normalized ds
   std::vector<double> y_;        // per run: log(seconds)
   std::vector<size_t> row_of_;   // per run: its row in x_
-  /// Row of each (key, data size), keyed by their bytes.
-  std::unordered_map<std::string, size_t> row_index_;
+  /// Per row: its key, then its data size (see AddObservation).
+  std::vector<double> row_keys_;
   /// Per row of x_: its row in the fitted model, kNotFitted when the
   /// model does not hold it.
   std::vector<size_t> model_row_;

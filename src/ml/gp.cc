@@ -46,15 +46,27 @@ double ReferenceArdSqExp(const math::Vector& a, const math::Vector& b,
   return std::exp(hp.log_signal_variance) * std::exp(-0.5 * s);
 }
 
-/// The kernel diagonal of each row: (signal + noise / m) + 1e-10 / m, the
-/// noise and the 1e-10 floor of m runs averaged. With m = 1 this is
-/// (signal + noise) + 1e-10 exactly.
+/// The kernel diagonal of a row of m runs: (signal + noise / m) +
+/// 1e-10 / m, the noise and the 1e-10 floor averaged over the runs. With
+/// m = 1 this is (signal + noise) + 1e-10 exactly.
+double RowDiagonal(double sv, double noise, double m) {
+  return (sv + noise / m) + 1e-10 / m;
+}
+
 void KernelDiagonal(double sv, double noise, const std::vector<double>& count,
                     std::vector<double>* diag) {
   diag->resize(count.size());
   for (size_t g = 0; g < count.size(); ++g) {
-    (*diag)[g] = (sv + noise / count[g]) + 1e-10 / count[g];
+    (*diag)[g] = RowDiagonal(sv, noise, count[g]);
   }
+}
+
+/// Runs per row.
+std::vector<double> RowCounts(const std::vector<size_t>& row_of,
+                              size_t rows) {
+  std::vector<double> count(rows, 0.0);
+  for (size_t g : row_of) count[g] += 1.0;
+  return count;
 }
 
 math::Matrix BuildKernelMatrix(const math::Matrix& x, const GpHyperparams& hp,
@@ -338,14 +350,12 @@ Status GaussianProcess::Fit(const math::Matrix& x, const math::Vector& y,
     return Status::InvalidArgument("lengthscale dimension mismatch");
   }
   std::vector<size_t> rows = RowMap(row_of, y.size());
-  std::vector<double> count(x.rows(), 0.0);
-  for (size_t g : rows) count[g] += 1.0;
-  auto chol = math::Cholesky::FactorWithJitter(BuildKernelMatrix(x, hp, count));
+  auto chol = math::Cholesky::FactorWithJitter(
+      BuildKernelMatrix(x, hp, RowCounts(rows, x.rows())));
   if (!chol.ok()) return chol.status();
   x_ = x;
   y_raw_ = y;
   row_of_ = std::move(rows);
-  count_ = std::move(count);
   hp_ = hp;
   chol_ = std::move(chol).value();
   SolveTargets();
@@ -361,7 +371,6 @@ Status GaussianProcess::Fit(const GpKernelCache& cache,
   x_ = cache.x();
   y_raw_ = cache.raw_y();
   row_of_ = cache.row_of();
-  count_ = cache.targets().count;
   hp_ = hp;
   y_mean_ = cache.y_mean();
   y_std_ = cache.y_std();
@@ -370,7 +379,7 @@ Status GaussianProcess::Fit(const GpKernelCache& cache,
   auto chol = math::Cholesky::FactorWithJitter(k);
   if (!chol.ok()) return chol.status();
   chol_ = std::move(chol).value();
-  alpha_ = chol_->Solve(cache.row_targets());
+  alpha_ = chol_->Solve(cache.targets().mean);
   log_marginal_likelihood_ =
       RunLogLikelihood(*chol_, alpha_, cache.targets(),
                        std::exp(hp.log_noise_variance));
@@ -387,7 +396,6 @@ Status GaussianProcess::AdoptFit(const GpKernelCache& cache,
   x_ = cache.x();
   y_raw_ = cache.raw_y();
   row_of_ = cache.row_of();
-  count_ = cache.targets().count;
   hp_ = hp;
   y_mean_ = cache.y_mean();
   y_std_ = cache.y_std();
@@ -418,11 +426,8 @@ Status GaussianProcess::AppendFit(const math::Vector& x_new, double y_new) {
                                           cross.data().data());
   math::kern::ExpScaled(cross.data().data(), n, -0.5, signal_variance_);
   // The new row holds one run.
-  std::vector<double> count_ext = count_;
-  count_ext.push_back(1.0);
-  std::vector<double> diag;
-  KernelDiagonal(signal_variance_, std::exp(hp_.log_noise_variance),
-                 {1.0}, &diag);
+  const double diag =
+      RowDiagonal(signal_variance_, std::exp(hp_.log_noise_variance), 1.0);
 
   // Stage the extended inputs; nothing is committed until the factor
   // extension succeeded.
@@ -432,18 +437,19 @@ Status GaussianProcess::AppendFit(const math::Vector& x_new, double y_new) {
 
   // AppendRow stages into fresh storage and leaves the factor untouched on
   // failure, so attempting in place is rollback-safe.
-  if (!chol_->AppendRow(cross, diag[0]).ok()) {
+  if (!chol_->AppendRow(cross, diag).ok()) {
     // Schur completion went non-positive: the extension needs more
     // regularization than the stored jitter. Full O(n^3) fallback with the
     // escalating-jitter path on the extended kernel.
+    std::vector<double> count = RowCounts(row_of_, n + 1);
+    count[n] = 1.0;
     auto refactored = math::Cholesky::FactorWithJitter(
-        BuildKernelMatrix(x_ext, hp_, count_ext));
+        BuildKernelMatrix(x_ext, hp_, count));
     if (!refactored.ok()) return refactored.status();
     chol_ = std::move(refactored).value();
   }
 
   x_ = std::move(x_ext);
-  count_ = std::move(count_ext);
   y_raw_.data().push_back(y_new);
   row_of_.push_back(n);
   SolveTargets();
@@ -457,13 +463,12 @@ Status GaussianProcess::AppendRepeat(size_t row, double y_new) {
   if (row >= x_.rows()) {
     return Status::InvalidArgument("AppendRepeat row out of range");
   }
-  std::vector<double> count_ext = count_;
-  count_ext[row] += 1.0;
+  std::vector<double> count = RowCounts(row_of_, x_.rows());
+  count[row] += 1.0;
   auto refactored = math::Cholesky::FactorWithJitter(
-      BuildKernelMatrix(x_, hp_, count_ext));
+      BuildKernelMatrix(x_, hp_, count));
   if (!refactored.ok()) return refactored.status();
   chol_ = std::move(refactored).value();
-  count_ = std::move(count_ext);
   y_raw_.data().push_back(y_new);
   row_of_.push_back(row);
   SolveTargets();

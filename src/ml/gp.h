@@ -100,9 +100,8 @@ class GpKernelCache {
   size_t num_points() const { return x_.rows(); }
   size_t input_dim() const { return x_.cols(); }
   const math::Matrix& x() const { return x_; }
-  /// Per-row means of the standardized runs (the standardized runs
-  /// themselves when every row holds one run).
-  const math::Vector& row_targets() const { return targets_.mean; }
+  /// The standardized runs folded onto the rows (with one run per row,
+  /// `targets().mean` is the standardized runs themselves).
   const GpRowTargets& targets() const { return targets_; }
   /// Runs in their original units (what the constructor received).
   const math::Vector& raw_y() const { return y_raw_; }
@@ -120,7 +119,7 @@ class GpKernelCache {
   /// The reusable result of one likelihood evaluation.
   struct Factorization {
     math::Cholesky chol;
-    math::Vector alpha;  // (K + noise M^-1)^-1 row_targets
+    math::Vector alpha;  // (K + noise M^-1)^-1 targets().mean
     double log_marginal_likelihood = 0.0;
   };
 
@@ -285,7 +284,6 @@ class GaussianProcess {
   math::Matrix x_;
   math::Vector y_raw_;  // original-unit runs; the appends restandardize
   std::vector<size_t> row_of_;  // the row of each run
-  std::vector<double> count_;   // runs per row
   GpHyperparams hp_;
   // exp(-2 * log_lengthscale_d) per dimension and exp(log_signal_variance),
   // derived once at Fit so predictions never re-exponentiate.

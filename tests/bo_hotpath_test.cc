@@ -200,7 +200,7 @@ GaussianProcess::BatchPrediction UnfusedPredict(const GaussianProcess& gp,
   const Matrix& l = gp.factor();
   auto chol = math::Cholesky::FactorWithJitter(cache.BuildKernel(hp));
   EXPECT_TRUE(chol.ok());
-  const Vector alpha = chol->Solve(cache.row_targets());
+  const Vector alpha = chol->Solve(cache.targets().mean);
   GaussianProcess::BatchPrediction out;
   out.mean = Vector(xs.rows());
   out.variance = Vector(xs.rows());
@@ -540,7 +540,7 @@ WalkPaths ExpectWalkMatchesRowMajorReference(const Matrix& x,
       default:
         break;  // same state again
     }
-    const auto ref = RowMajorMatVecDensity(x, cache.row_targets(), hp);
+    const auto ref = RowMajorMatVecDensity(x, cache.targets().mean, hp);
     const double lml = cache.LogMarginalLikelihood(hp);
     SCOPED_TRACE(::testing::Message() << "n=" << n << " d=" << d
                                       << " step=" << step);
