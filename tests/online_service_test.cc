@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "core/online_service.h"
 #include "sparksim/simulator.h"
@@ -243,6 +246,67 @@ TEST(OnlineServiceTest, PublishedPlanTracksMutations) {
   ASSERT_TRUE(reuse.has_value());
   EXPECT_TRUE(*reuse == conf);
   EXPECT_FALSE(service.PublishedReuse(400.0).has_value());
+}
+
+/// Per-seed means of the log noise-free cost ratio (served configuration
+/// over the default, at the round's size) of a service that, each round,
+/// serves one RecommendedConf and reports ten production runs of it, over
+/// rounds at 100, 100, 300 and 300 GB (`locat serve` budgets, TPC-H on
+/// x86, tuner seeds 1-5). The second 100 GB round reuses the first
+/// round's configuration; the 300 GB round warm re-tunes on a history
+/// holding twenty repeated runs of it.
+std::vector<double> ServedLogCostRatios() {
+  const auto app = workloads::TpcH();
+  sparksim::SimParams noise_free;
+  noise_free.noise_sigma = 0.0;
+  sparksim::ClusterSimulator judge(sparksim::X86Cluster(), 1, noise_free);
+  const sparksim::ConfigSpace space(judge.cluster());
+  const sparksim::SparkConf defaults = space.Repair(space.DefaultConf());
+  std::vector<double> per_seed;
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    sparksim::ClusterSimulator sim(sparksim::X86Cluster(), 700 + seed);
+    TuningSession session(&sim, app);
+    OnlineTuningService::Options opts = TinyOptions();
+    opts.tuner.seed = seed;
+    OnlineTuningService service(&session, opts);
+    double log_sum = 0.0;
+    int rounds = 0;
+    for (double ds : {100.0, 100.0, 300.0, 300.0}) {
+      const auto conf = service.RecommendedConf(ds);
+      EXPECT_TRUE(conf.ok());
+      if (!conf.ok()) continue;
+      for (int k = 0; k < 10; ++k) {
+        const sparksim::AppRunResult run = sim.RunApp(app, *conf, ds);
+        const Status reported =
+            run.failed ? service.ReportFailedRun(ds, *conf, run.total_seconds)
+                       : service.ReportRun(ds, *conf, run.total_seconds);
+        EXPECT_TRUE(reported.ok());
+      }
+      log_sum += std::log(judge.RunApp(app, *conf, ds).total_seconds /
+                          judge.RunApp(app, defaults, ds).total_seconds);
+      ++rounds;
+    }
+    per_seed.push_back(log_sum / rounds);
+  }
+  return per_seed;
+}
+
+TEST(OnlineServiceTest, ServedQualityHoldsWithRepeatedReports) {
+  // The bound is the value measured before repeated runs shared a DAGP
+  // row (0.1088) times its seed-to-seed spread (exp of the sample
+  // standard deviation of the per-seed log ratios, 0.2858), so a change
+  // to how reported runs enter the surrogate must not serve worse
+  // configurations.
+  const std::vector<double> logs = ServedLogCostRatios();
+  double mean = 0.0;
+  for (double l : logs) mean += l / static_cast<double>(logs.size());
+  double ss = 0.0;
+  for (double l : logs) ss += (l - mean) * (l - mean);
+  const double geo_mean = std::exp(mean);
+  RecordProperty("geo_mean", std::to_string(geo_mean));
+  RecordProperty("seed_sd",
+                 std::to_string(std::sqrt(ss / (logs.size() - 1))));
+  EXPECT_LE(geo_mean, 0.1088 * std::exp(0.2858)) << "geo mean " << geo_mean;
 }
 
 }  // namespace
