@@ -62,21 +62,22 @@ class Dagp {
   void AddObservation(const math::Vector& encoded_conf, double datasize_gb,
                       double seconds, std::span<const double> key = {});
 
-  /// Refits the surrogate on the current observations (>= 2).
+  /// Refits the surrogate on the current runs (>= 2).
   ///
   /// A full EI-MCMC refit runs when there is no fitted ensemble, when the
-  /// history has grown by 10% since the last full fit, or when it holds a
-  /// data size that fit did not see (the data-size lengthscale has
-  /// something new to learn). Otherwise the new rows are absorbed by
-  /// O(n^2) rank-1 appends onto the frozen ensemble (no RNG consumed). A
-  /// full refit fits the whole history up to kMaxFitRows rows and a
-  /// greedy max-min subset above that; it continues the EI-MCMC chain of
-  /// the previous one and replaces the older half of the hyperparameter
-  /// ensemble, refitting the newer half on the current rows (see
-  /// ml::EiMcmc::Fit).
+  /// history has grown by 10% of its runs since the last full fit, or
+  /// when it holds a data size that fit did not see (the data-size
+  /// lengthscale has something new to learn). Otherwise the new runs are
+  /// absorbed onto the frozen ensemble (no RNG consumed): a run at a new
+  /// row by an O(G^2) rank-1 append, a repeated run by an O(G^3) refactor
+  /// at its row's new count. A full refit fits the whole history up to
+  /// kMaxFitRows rows and a greedy max-min subset above that; it
+  /// continues the EI-MCMC chain of the previous one and replaces the
+  /// older half of the hyperparameter ensemble, refitting the newer half
+  /// on the current rows (see ml::EiMcmc::Fit).
   Status Refit(Rng* rng);
 
-  /// Frees the fitted ensemble (its per-member n x n factors) and keeps
+  /// Frees the fitted ensemble (its per-member G x G factors) and keeps
   /// the history and the EI-MCMC chain, so the next Refit is a full refit
   /// that continues the chain. For a surrogate that sits idle between
   /// refits.
