@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstring>
 
 #include "ml/sparse_gp.h"
 
@@ -35,16 +34,16 @@ void Dagp::AddObservation(const math::Vector& encoded_conf,
                           double datasize_gb, double seconds,
                           std::span<const double> key) {
   assert(seconds > 0.0);
-  if (key.empty()) key = encoded_conf.data();
   // Row r's key is row_keys_[r * width, (r + 1) * width): the key, then
   // the data size. A linear scan over G rows is cheap next to any refit.
   const size_t width = key.size() + 1;
   assert(row_keys_.size() == x_.size() * width);
+  const std::span<const double> ds(&datasize_gb, 1);
   size_t row = 0;
   while (row < x_.size()) {
     const double* k = row_keys_.data() + row * width;
-    if (std::memcmp(k + key.size(), &datasize_gb, sizeof(double)) == 0 &&
-        std::memcmp(k, key.data(), key.size_bytes()) == 0) {
+    if (ValueBytes({k + key.size(), 1}) == ValueBytes(ds) &&
+        ValueBytes({k, key.size()}) == ValueBytes(key)) {
       break;
     }
     ++row;
@@ -148,19 +147,19 @@ Status Dagp::FullRefit(const std::vector<size_t>* idx, Rng* rng) {
 }
 
 bool Dagp::AppendRows() {
-  // O(G^2) per new row and O(G^3) per repeated run, hyperparameters
-  // frozen, no RNG consumed.
+  // O(G^2) per new row, hyperparameters frozen, no RNG consumed.
   obs::ScopedSpan span(tracer_, "dagp/append", "model");
   const size_t n = y_.size();
   const size_t appended = n - fitted_n_;
   for (size_t i = fitted_n_; i < n; ++i) {
     const size_t r = row_of_[i];
-    if (model_row_[r] != kNotFitted) {
-      if (!model_.AppendRepeat(model_row_[r], y_[i]).ok()) return false;
-    } else {
-      if (!model_.AppendObservation(x_[r], y_[i]).ok()) return false;
-      model_row_[r] = model_.ensemble().front().num_points() - 1;
-    }
+    // A repeat moves a fitted row's count and mean, which a bordered
+    // append cannot express. The tuner's repeats are production runs
+    // reported between tunes, and the ensemble is dropped between tunes,
+    // so a full refit absorbs them anyway.
+    if (model_row_[r] != kNotFitted) return false;
+    if (!model_.AppendObservation(x_[r], y_[i]).ok()) return false;
+    model_row_[r] = model_.ensemble().front().num_points() - 1;
   }
   fitted_n_ = n;
   last_refit_kind_ = RefitKind::kAppend;

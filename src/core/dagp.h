@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.h"
@@ -13,6 +14,14 @@
 #include "obs/trace.h"
 
 namespace locat::core {
+
+/// The bytes of `values`. Two configurations are one (their runs are
+/// repeats) when these compare equal: bitwise, so 0.0 and -0.0 differ and
+/// a NaN matches itself. The DAGP's rows and the tuner's folds of its
+/// history share this one test.
+inline std::string_view ValueBytes(std::span<const double> values) {
+  return {reinterpret_cast<const char*>(values.data()), values.size_bytes()};
+}
 
 /// Datasize-Aware Gaussian Process (Section 3.4): the BO surrogate that
 /// models execution time as a function of the (encoded) configuration AND
@@ -55,12 +64,11 @@ class Dagp {
 
   /// Adds one run (encoded conf, data size, measured seconds). All runs
   /// must share the encoding dimension, and all keys one length. `key`
-  /// names the configuration (the encoded conf when empty): a run whose
-  /// key and data size are bitwise equal to an earlier run's joins that
-  /// run's row, any other run opens a new row, even when its encoded conf
-  /// collides with one.
+  /// names the configuration: a run whose key and data size have the
+  /// ValueBytes of an earlier run's joins that run's row, any other run
+  /// opens a new row, even when its encoded conf collides with one.
   void AddObservation(const math::Vector& encoded_conf, double datasize_gb,
-                      double seconds, std::span<const double> key = {});
+                      double seconds, std::span<const double> key);
 
   /// Refits the surrogate on the current runs (>= 2).
   ///
@@ -68,9 +76,10 @@ class Dagp {
   /// history has grown by 10% of its runs since the last full fit, or
   /// when it holds a data size that fit did not see (the data-size
   /// lengthscale has something new to learn). Otherwise the new runs are
-  /// absorbed onto the frozen ensemble (no RNG consumed): a run at a new
-  /// row by an O(G^2) rank-1 append, a repeated run by an O(G^3) refactor
-  /// at its row's new count. A full refit fits the whole history up to
+  /// absorbed onto the frozen ensemble by O(G^2) rank-1 appends of new
+  /// rows (no RNG consumed); a run that repeats a row the model holds
+  /// moves that row's count and mean, and takes a full refit instead.
+  /// A full refit fits the whole history up to
   /// kMaxFitRows rows and a greedy max-min subset above that; it
   /// continues the EI-MCMC chain of the previous one and replaces the
   /// older half of the hyperparameter ensemble, refitting the newer half
@@ -146,10 +155,10 @@ class Dagp {
   /// (every row when `idx` is null).
   Status FullRefit(const std::vector<size_t>* idx, Rng* rng);
 
-  /// Absorbs runs [fitted_n_, n): a run of a row the model holds by an
-  /// O(G^3) repeat append, any other by a rank-1 append of a new row.
-  /// False (the model possibly partly extended) when every member failed
-  /// an append; the caller then refits from the history.
+  /// Absorbs runs [fitted_n_, n), each by a rank-1 append of a new row.
+  /// False (the model possibly partly extended) when a run repeats a row
+  /// the model holds or every member failed an append; the caller then
+  /// refits from the history.
   bool AppendRows();
 
   static constexpr size_t kNotFitted = static_cast<size_t>(-1);

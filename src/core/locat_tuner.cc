@@ -38,16 +38,14 @@ DistinctRows FoldRepeats(const math::Matrix& units) {
   DistinctRows out;
   out.rows = math::Matrix(units.rows(), cols);
   out.of.resize(units.rows());
-  // Keys view the bytes of `units`; equality is memcmp, so the hash only
-  // places buckets.
+  // Keys view the ValueBytes of `units`' rows; the hash only places
+  // buckets.
   std::unordered_map<std::string_view, size_t> first;
   first.reserve(units.rows());
   size_t distinct = 0;
   for (size_t i = 0; i < units.rows(); ++i) {
     const double* row = units.RowData(i);
-    const std::string_view bytes(reinterpret_cast<const char*>(row),
-                                 cols * sizeof(double));
-    const auto [it, fresh] = first.emplace(bytes, distinct);
+    const auto [it, fresh] = first.emplace(ValueBytes({row, cols}), distinct);
     if (fresh) {
       std::copy(row, row + cols, out.rows.RowData(distinct));
       ++distinct;
@@ -916,17 +914,16 @@ TuningResult LocatTuner::Tune(TuningSession* session, double datasize_gb) {
   // runs of one configuration rank side by side (served configurations
   // are reported many times), and re-running one of them again would
   // spend the confirmation budget on a candidate already in the list.
-  std::vector<const math::Vector*> remeasured;
+  std::vector<std::string_view> remeasured;
   double champion = 0.0;
   for (size_t r = 0; r < ranked.size() && remeasured.size() < 3; ++r) {
     const auto& obs = observations_[ranked[r].second];
-    if (std::any_of(remeasured.begin(), remeasured.end(),
-                    [&obs](const math::Vector* unit) {
-                      return unit->data() == obs.unit.data();
-                    })) {
+    const std::string_view unit = ValueBytes(obs.unit.data());
+    if (std::find(remeasured.begin(), remeasured.end(), unit) !=
+        remeasured.end()) {
       continue;
     }
-    remeasured.push_back(&obs.unit);
+    remeasured.push_back(unit);
     const sparksim::SparkConf conf = space.Repair(space.FromUnit(obs.unit));
     const double before = session->optimization_seconds();
     const StatusOr<EvalRecord> rec_or =

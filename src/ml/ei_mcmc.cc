@@ -173,30 +173,12 @@ Status EiMcmc::AppendObservation(const math::Vector& x, double y) {
                    [](double v) { return std::isfinite(v); })) {
     return Status::InvalidArgument("AppendObservation needs a finite sample");
   }
-  return AppendToMembers(
-      y, [&x, y](GaussianProcess* gp) { return gp->AppendFit(x, y); });
-}
-
-Status EiMcmc::AppendRepeat(size_t row, double y) {
-  if (ensemble_.empty()) {
-    return Status::FailedPrecondition("AppendRepeat requires a fitted model");
-  }
-  if (row >= ensemble_.front().num_points() || !std::isfinite(y)) {
-    return Status::InvalidArgument(
-        "AppendRepeat needs a fitted row and a finite run");
-  }
-  return AppendToMembers(
-      y, [row, y](GaussianProcess* gp) { return gp->AppendRepeat(row, y); });
-}
-
-Status EiMcmc::AppendToMembers(
-    double y, const std::function<Status(GaussianProcess*)>& append) {
   // Members extend independently (each owns its factor), one slot per
   // member — the surviving set and its order are thread-count invariant.
   const size_t members = ensemble_.size();
   std::vector<char> ok(members, 0);
   common::ThreadPool::Global()->ParallelForEach(members, [&](size_t k) {
-    ok[k] = append(&ensemble_[k]).ok() ? 1 : 0;
+    ok[k] = ensemble_[k].AppendFit(x, y).ok() ? 1 : 0;
   });
   size_t failed = 0;
   for (size_t k = 0; k < members; ++k) {

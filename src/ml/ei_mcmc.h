@@ -2,7 +2,6 @@
 #define LOCAT_ML_EI_MCMC_H_
 
 #include <cstddef>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -105,13 +104,6 @@ class EiMcmc {
   /// returned so the caller can fall back to a full refit.
   Status AppendObservation(const math::Vector& x, double y);
 
-  /// Extends a fitted model by one more finite run of the input of row
-  /// `row` (InvalidArgument otherwise): each member moves that row's
-  /// count and mean and refactors its G x G kernel at its frozen
-  /// hyperparameters (GaussianProcess::AppendRepeat), with the dropping
-  /// and failure rules of AppendObservation.
-  Status AppendRepeat(size_t row, double y);
-
   /// Acquisition values (by default Expected Improvement for
   /// minimization) for all rows of `xs`, each averaged over the posterior
   /// GP ensemble. Each ensemble member runs one batched prediction
@@ -180,12 +172,6 @@ class EiMcmc {
   /// members, in member order.
   std::vector<GaussianProcess::BatchPrediction> MemberPredictions(
       const math::Matrix& xs, size_t members) const;
-
-  /// Runs `append` on every member (concurrently) and keeps the members
-  /// it succeeded on, in order; an error, with the model unchanged, when
-  /// it failed on all of them. `y` is the appended run.
-  Status AppendToMembers(double y,
-                         const std::function<Status(GaussianProcess*)>& append);
 
   /// One member's acquisition value at a predictive mean and variance.
   double MemberValue(double mean, double variance) const;

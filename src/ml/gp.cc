@@ -456,25 +456,6 @@ Status GaussianProcess::AppendFit(const math::Vector& x_new, double y_new) {
   return Status::OK();
 }
 
-Status GaussianProcess::AppendRepeat(size_t row, double y_new) {
-  if (!fitted_) {
-    return Status::FailedPrecondition("AppendRepeat requires a fitted GP");
-  }
-  if (row >= x_.rows()) {
-    return Status::InvalidArgument("AppendRepeat row out of range");
-  }
-  std::vector<double> count = RowCounts(row_of_, x_.rows());
-  count[row] += 1.0;
-  auto refactored = math::Cholesky::FactorWithJitter(
-      BuildKernelMatrix(x_, hp_, count));
-  if (!refactored.ok()) return refactored.status();
-  chol_ = std::move(refactored).value();
-  y_raw_.data().push_back(y_new);
-  row_of_.push_back(row);
-  SolveTargets();
-  return Status::OK();
-}
-
 void GaussianProcess::SolveTargets() {
   math::Vector ys;
   Standardize(y_raw_, &ys, &y_mean_, &y_std_);

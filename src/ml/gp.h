@@ -215,13 +215,6 @@ class GaussianProcess {
   /// kernel. On any error the GP is left unchanged.
   Status AppendFit(const math::Vector& x_new, double y_new);
 
-  /// Adds one more run of the input of row `row` (hyperparameters stay
-  /// fixed): the row's count and mean move, so its diagonal entry does,
-  /// and the G x G kernel is rebuilt and refactored (O(G^3)) with the
-  /// (x, y) `Fit`'s kernel. The result has the bits of that `Fit` on the
-  /// extended runs. On any error the GP is left unchanged.
-  Status AppendRepeat(size_t row, double y_new);
-
   struct Prediction {
     double mean = 0.0;
     double variance = 0.0;
@@ -282,7 +275,7 @@ class GaussianProcess {
 
   bool fitted_ = false;
   math::Matrix x_;
-  math::Vector y_raw_;  // original-unit runs; the appends restandardize
+  math::Vector y_raw_;  // original-unit runs; AppendFit restandardizes
   std::vector<size_t> row_of_;  // the row of each run
   GpHyperparams hp_;
   // exp(-2 * log_lengthscale_d) per dimension and exp(log_signal_variance),

@@ -1266,67 +1266,65 @@ TEST(RepeatedRunsTest, NoRepeatsKeepTheParentBits) {
   }
 }
 
-TEST(RepeatedRunsTest, AppendedRepeatMatchesRefitAtFrozenHyperparams) {
+TEST(RepeatedRunsTest, AppendedRowOntoGroupedFitMatchesRefit) {
+  // A new input appended onto a fit whose rows hold repeated runs keeps
+  // the other rows' counts: it matches a refit of the extended runs at
+  // the same hyperparameters.
   const size_t d = 3;
   const RepeatedHistory h = MakeRepeatedHistory(7, d, {1, 2, 10}, 640);
   const GpHyperparams hp = MakeHyperparams(d);
   GaussianProcess gp;
   ASSERT_TRUE(gp.Fit(h.x, h.y, hp, h.row_of).ok());
+  Rng rng(641);
+  const Vector x_new = RandomCandidates(1, d, &rng).Row(0);
+  ASSERT_TRUE(gp.AppendFit(x_new, 0.4).ok());
+  const size_t g = h.x.rows();
+  Matrix x_ext(g + 1, d);
+  for (size_t r = 0; r < g; ++r) x_ext.SetRow(r, h.x.Row(r));
+  x_ext.SetRow(g, x_new);
   Vector y_ext = h.y;
+  y_ext.data().push_back(0.4);
   std::vector<size_t> row_of_ext = h.row_of;
-  for (size_t row : {0u, 4u, 4u, 6u}) {
-    const double y_new = 0.3 * static_cast<double>(row) - 0.2;
-    ASSERT_TRUE(gp.AppendRepeat(row, y_new).ok());
-    y_ext.data().push_back(y_new);
-    row_of_ext.push_back(row);
-  }
-  EXPECT_EQ(gp.AppendRepeat(7, 1.0).code(), StatusCode::kInvalidArgument);
-  ASSERT_EQ(gp.num_points(), h.x.rows());
+  row_of_ext.push_back(g);
+  ASSERT_EQ(gp.num_points(), g + 1);
   ASSERT_EQ(gp.num_runs(), y_ext.size());
 
   GaussianProcess refit;
-  ASSERT_TRUE(refit.Fit(h.x, y_ext, hp, row_of_ext).ok());
-  EXPECT_TRUE(SameBits(gp.LogMarginalLikelihood(),
-                       refit.LogMarginalLikelihood()));
-  Rng rng(641);
+  ASSERT_TRUE(refit.Fit(x_ext, y_ext, hp, row_of_ext).ok());
+  ExpectRelNear(gp.LogMarginalLikelihood(), refit.LogMarginalLikelihood(),
+                1e-10, "LML");
   const Matrix qs = RandomCandidates(20, d, &rng);
   const auto a = gp.PredictBatch(qs);
   const auto b = refit.PredictBatch(qs);
   for (size_t t = 0; t < qs.rows(); ++t) {
-    EXPECT_TRUE(SameBits(a.mean[t], b.mean[t])) << t;
-    EXPECT_TRUE(SameBits(a.variance[t], b.variance[t])) << t;
+    EXPECT_NEAR(a.mean[t], b.mean[t],
+                1e-10 * std::max(1.0, std::abs(b.mean[t])));
+    EXPECT_NEAR(a.variance[t], b.variance[t],
+                1e-10 * std::max(1.0, std::abs(b.variance[t])));
   }
 
-  // Through the ensemble: every member refits at its own frozen
-  // hyperparameters, and a new input still takes the bordered append.
+  // Through the ensemble: every member appends at its own frozen
+  // hyperparameters.
   ml::EiMcmc::Options opts;
   opts.num_hyper_samples = 4;
   opts.burn_in = 4;
   ml::EiMcmc model(opts);
   Rng fit_rng(642);
   ASSERT_TRUE(model.Fit(h.x, h.y, &fit_rng, h.row_of).ok());
-  ASSERT_TRUE(model.AppendRepeat(2, -1.5).ok());
-  EXPECT_EQ(model.best_observed(), std::min(math::Min(h.y.data()), -1.5));
-  const Vector x_new = RandomCandidates(1, d, &rng).Row(0);
   ASSERT_TRUE(model.AppendObservation(x_new, 0.4).ok());
-  EXPECT_EQ(model.AppendRepeat(h.x.rows() + 1, 1.0).code(),
-            StatusCode::kInvalidArgument);
-  std::vector<size_t> member_rows = h.row_of;
-  member_rows.push_back(2);
-  Vector member_y = h.y;
-  member_y.data().push_back(-1.5);
   for (const GaussianProcess& member : model.ensemble()) {
-    ASSERT_EQ(member.num_points(), h.x.rows() + 1);
-    ASSERT_EQ(member.num_runs(), h.y.size() + 2);
+    ASSERT_EQ(member.num_points(), g + 1);
+    ASSERT_EQ(member.num_runs(), y_ext.size());
     GaussianProcess manual;
-    ASSERT_TRUE(
-        manual.Fit(h.x, member_y, member.hyperparams(), member_rows).ok());
+    ASSERT_TRUE(manual.Fit(h.x, h.y, member.hyperparams(), h.row_of).ok());
     ASSERT_TRUE(manual.AppendFit(x_new, 0.4).ok());
     const auto m = manual.PredictBatch(qs);
     const auto p = member.PredictBatch(qs);
     for (size_t t = 0; t < qs.rows(); ++t) {
-      EXPECT_TRUE(SameBits(p.mean[t], m.mean[t])) << t;
-      EXPECT_TRUE(SameBits(p.variance[t], m.variance[t])) << t;
+      EXPECT_NEAR(p.mean[t], m.mean[t],
+                  1e-10 * std::max(1.0, std::abs(m.mean[t])));
+      EXPECT_NEAR(p.variance[t], m.variance[t],
+                  1e-10 * std::max(1.0, std::abs(m.variance[t])));
     }
   }
 }
@@ -1355,7 +1353,6 @@ TEST(RepeatedRunsTest, OneRowForEveryRunIsFinite) {
     ASSERT_NE(pick.row, ml::EiMcmc::kNoRow);
     EXPECT_TRUE(std::isfinite(pick.mean));
     EXPECT_TRUE(std::isfinite(pick.variance));
-    ASSERT_TRUE(model.AppendRepeat(0, 3.05).ok());
   }
   // A row map that leaves a row without runs, or names a missing row, is
   // rejected.
@@ -1386,10 +1383,39 @@ double FeedObservations(core::Dagp* dagp, size_t count, size_t dim,
       s += std::sin(2.5 * conf[j] + static_cast<double>(j));
     }
     const double seconds = 60.0 + 25.0 * s * s + 2.0 * rng.NextDouble();
-    dagp->AddObservation(conf, 100.0, seconds);
+    dagp->AddObservation(conf, 100.0, seconds, conf.data());
     best = std::min(best, seconds);
   }
   return best;
+}
+
+TEST(RepeatedRunsTest, DagpRefitsFullyOnARepeatOfAFittedRow) {
+  // A new configuration between full refits is a rank-1 append; a run
+  // that repeats a fitted row moves that row's count and mean, so it
+  // takes a full refit, which holds it in its row. A different key stays
+  // its own row even when its encoded conf collides with one.
+  ml::EiMcmc::Options opts;
+  opts.num_hyper_samples = 4;
+  opts.burn_in = 4;
+  core::Dagp dagp(opts);
+  FeedObservations(&dagp, 30, 3, 660);
+  Rng rng(661);
+  ASSERT_TRUE(dagp.Refit(&rng).ok());
+  ASSERT_EQ(dagp.last_refit_kind(), core::Dagp::RefitKind::kFull);
+  const Vector conf{0.1, 0.2, 0.3};
+  dagp.AddObservation(conf, 100.0, 70.0, conf.data());
+  ASSERT_TRUE(dagp.Refit(&rng).ok());
+  EXPECT_EQ(dagp.last_refit_kind(), core::Dagp::RefitKind::kAppend);
+  dagp.AddObservation(conf, 100.0, 72.0, conf.data());
+  ASSERT_TRUE(dagp.Refit(&rng).ok());
+  EXPECT_EQ(dagp.last_refit_kind(), core::Dagp::RefitKind::kFull);
+  EXPECT_EQ(dagp.num_rows(), 31u);
+  EXPECT_EQ(dagp.model().ensemble().front().num_points(), 31u);
+  EXPECT_EQ(dagp.model_observations(), 32u);
+
+  const Vector other_key{0.1, 0.2, 0.4};
+  dagp.AddObservation(conf, 100.0, 75.0, other_key.data());
+  EXPECT_EQ(dagp.num_rows(), 32u);
 }
 
 TEST(SparseGpTest, GreedyMaxMinSelectionProperties) {
@@ -1564,7 +1590,7 @@ TEST(BoHotPathTest, LongHorizonTuneCompletes) {
     for (size_t i = 0; i < count; ++i) {
       Vector c(d);
       for (size_t j = 0; j < d; ++j) c[j] = rng.NextDouble();
-      dagp.AddObservation(c, ds, objective(c));
+      dagp.AddObservation(c, ds, objective(c), c.data());
     }
   };
 
@@ -1584,7 +1610,7 @@ TEST(BoHotPathTest, LongHorizonTuneCompletes) {
     ASSERT_NE(pick.row, ml::EiMcmc::kNoRow);
     ASSERT_TRUE(std::isfinite(pick.value));
     const Vector chosen = cands.Row(pick.row);
-    dagp.AddObservation(chosen, ds, objective(chosen));
+    dagp.AddObservation(chosen, ds, objective(chosen), chosen.data());
     add_random(15);
     ASSERT_TRUE(dagp.Refit(&rng).ok());
     const size_t n = static_cast<size_t>(dagp.num_observations());

@@ -189,7 +189,7 @@ TEST(DagpTest, LearnsDatasizeTrend) {
     Vector conf(3);
     for (size_t j = 0; j < 3; ++j) conf[j] = rng.NextDouble();
     const double ds = 100.0 + (i % 5) * 100.0;
-    dagp.AddObservation(conf, ds, 10.0 * ds / 1000.0 * 100.0);
+    dagp.AddObservation(conf, ds, 10.0 * ds / 1000.0 * 100.0, conf.data());
   }
   ASSERT_TRUE(dagp.Refit(&rng).ok());
   const Matrix probes(2, 3, 0.5);
@@ -200,9 +200,10 @@ TEST(DagpTest, LearnsDatasizeTrend) {
 TEST(DagpTest, EiNonNegativeAndBestTracksMinimum) {
   Rng rng(19);
   Dagp dagp;
-  dagp.AddObservation(Vector{0.2}, 100.0, 120.0);
-  dagp.AddObservation(Vector{0.8}, 100.0, 60.0);
-  dagp.AddObservation(Vector{0.5}, 100.0, 90.0);
+  const Vector confs[] = {Vector{0.2}, Vector{0.8}, Vector{0.5}};
+  dagp.AddObservation(confs[0], 100.0, 120.0, confs[0].data());
+  dagp.AddObservation(confs[1], 100.0, 60.0, confs[1].data());
+  dagp.AddObservation(confs[2], 100.0, 90.0, confs[2].data());
   ASSERT_TRUE(dagp.Refit(&rng).ok());
   EXPECT_DOUBLE_EQ(std::exp(dagp.model().best_observed()), 60.0);
   const ml::EiMcmc::Pick pick = dagp.PickCandidate(Matrix{{0.9}}, 100.0);

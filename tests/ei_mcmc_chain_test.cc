@@ -201,7 +201,7 @@ void Feed(core::Dagp* dagp, size_t count, size_t dim, Rng* rng) {
       s += std::sin(2.5 * conf[j] + static_cast<double>(j));
     }
     dagp->AddObservation(conf, 100.0 + 20.0 * rng->NextDouble(),
-                         60.0 + 25.0 * s * s);
+                         60.0 + 25.0 * s * s, conf.data());
   }
 }
 
@@ -247,7 +247,7 @@ void FeedAt(core::Dagp* dagp, size_t count, size_t dim, double datasize_gb,
     }
     row[dim] = datasize_gb / 1000.0;
     const double seconds = 60.0 + 25.0 * s * s + 2.0 * rng->NextDouble();
-    dagp->AddObservation(conf, datasize_gb, seconds);
+    dagp->AddObservation(conf, datasize_gb, seconds, conf.data());
     history->x.push_back(row);
     history->y.push_back(std::log(seconds));
   }
