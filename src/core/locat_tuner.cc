@@ -345,13 +345,19 @@ LocatTuner::Proposal LocatTuner::ProposeNext(TuningSession* session,
   // could never pick it. Survivors are the leading rows of `pool`.
   //
   // The near-duplicate scan measures each candidate against this data
-  // size's observations at once, stored coordinate-major. With unit
-  // weights each distance has the bits of SquaredDistance(obs, cand):
-  // (c - o)^2 == (o - c)^2 exactly and 1 * d == d.
+  // size's distinct observed units at once, stored coordinate-major (a
+  // repeated run's unit gives its first copy's distance, so the any_of
+  // below decides the same). With unit weights each distance has the
+  // bits of SquaredDistance(obs, cand): (c - o)^2 == (o - c)^2 exactly
+  // and 1 * d == d.
   const size_t dim = static_cast<size_t>(sparksim::kNumParams);
   std::vector<const math::Vector*> same_size;
+  std::unordered_set<std::string_view> seen_units;
   for (const auto& obs : observations_) {
-    if (obs.datasize_gb == datasize_gb) same_size.push_back(&obs.unit);
+    if (obs.datasize_gb == datasize_gb &&
+        seen_units.insert(ValueBytes(obs.unit.data())).second) {
+      same_size.push_back(&obs.unit);
+    }
   }
   const size_t n_obs = same_size.size();
   std::vector<double> obs_cols(dim * n_obs);

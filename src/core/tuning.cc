@@ -1,6 +1,8 @@
 #include "core/tuning.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <utility>
 
 namespace locat::core {
@@ -14,6 +16,14 @@ TuningSession::TuningSession(sparksim::ClusterSimulator* simulator,
   for (size_t i = 0; i < all_queries_.size(); ++i) {
     all_queries_[i] = static_cast<int>(i);
   }
+}
+
+const sparksim::AppSizeTerms& TuningSession::SizedFor(double datasize_gb) {
+  if (std::bit_cast<uint64_t>(size_terms_.datasize_gb()) !=
+      std::bit_cast<uint64_t>(datasize_gb)) {
+    size_terms_ = simulator_->DeriveSizeTerms(app_, datasize_gb);
+  }
+  return size_terms_;
 }
 
 StatusOr<EvalRecord> TuningSession::Evaluate(const sparksim::SparkConf& conf,
@@ -57,7 +67,8 @@ StatusOr<EvalRecord> TuningSession::EvaluateSubset(
     const std::vector<int>& query_indices) {
   obs::ScopedSpan span(obs_.tracer, "session/evaluate", "session");
   StatusOr<sparksim::AppRunResult> run_or =
-      simulator_->RunAppSubset(app_, query_indices, conf, datasize_gb);
+      simulator_->RunAppSubset(app_, SizedFor(datasize_gb), query_indices,
+                               conf);
   if (!run_or.ok()) return run_or.status();
   const sparksim::AppRunResult& run = *run_or;
   span.Arg("queries", static_cast<double>(query_indices.size()));
@@ -111,7 +122,7 @@ void TuningSession::ChargePenaltySeconds(double seconds) {
 
 sparksim::AppRunResult TuningSession::MeasureFinal(
     const sparksim::SparkConf& conf, double datasize_gb) {
-  return simulator_->RunApp(app_, conf, datasize_gb);
+  return simulator_->RunApp(app_, SizedFor(datasize_gb), conf);
 }
 
 double CensoredObjective(double worst_seen_seconds, double partial_seconds,

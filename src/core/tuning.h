@@ -91,10 +91,18 @@ class TuningSession {
   const obs::ObsContext& obs() const { return obs_; }
 
  private:
+  const sparksim::AppSizeTerms& SizedFor(double datasize_gb);
+
   sparksim::ClusterSimulator* simulator_;
   sparksim::SparkSqlApp app_;
   sparksim::ConfigSpace space_;
   std::vector<int> all_queries_;  // 0..num_queries-1, what Evaluate runs
+  /// The app's (query, data size) cost-model terms on simulator_, for the
+  /// data size of the last run; SizedFor rebuilds them when a run's size
+  /// has other bits (the empty terms a session starts with are for size
+  /// 0, which no valid run has). The session owns its app and is bound
+  /// to one simulator, so the terms can never belong to another app.
+  sparksim::AppSizeTerms size_terms_;
   std::vector<EvalRecord> history_;
   std::vector<int> restriction_;
   double optimization_seconds_ = 0.0;

@@ -78,6 +78,9 @@ ClusterSimulator::ConfTerms ClusterSimulator::DeriveConfTerms(
   // execution and storage.
   t.pool_gb = std::max(0.1, (t.heap_gb - 0.3) * conf.Get(kMemoryFraction));
   t.offheap_per_task_gb = offheap_gb / t.cores_per_executor;
+  // storageFraction protects cached blocks from eviction, shrinking what
+  // shuffles can use; each query holds its storage_need share of this.
+  t.storage_unit_gb = t.pool_gb * conf.Get(kMemoryStorageFraction);
 
   // Cores sharing one JVM heap contend on allocation and locks beyond a
   // few cores per executor.
@@ -106,65 +109,163 @@ ClusterSimulator::ConfTerms ClusterSimulator::DeriveConfTerms(
   t.user_thrash = 1.0 + 3.0 * t.user_pressure;
 
   t.codegen_max_fields = conf.GetInt(kSqlCodegenMaxFields);
+
+  // In-memory columnar cache for the re-scanned portion.
+  t.columnar_pruning = conf.GetBool(kSqlInMemoryColumnarPruning);
+  double cache_cpu = 2.0;  // core-s/GB reading cached columnar batches
+  if (!conf.GetBool(kSqlInMemoryColumnarCompressed)) cache_cpu *= 0.9;
+  const double batch = conf.Get(kSqlInMemoryColumnarBatchSize);
+  cache_cpu *= 1.0 + 0.05 * (10000.0 / std::max(2500.0, batch) - 1.0);
+  t.columnar_cache_cpu = cache_cpu;
+  // A slice of map-side work runs at RDD parallelism
+  // (spark.default.parallelism) rather than at split granularity.
+  t.rdd_tasks = std::max(8.0, conf.Get(kDefaultParallelism));
+
+  t.broadcast_threshold = conf.Get(kSqlAutoBroadcastJoinThreshold);
+  t.broadcast_compress = conf.GetBool(kBroadcastCompress);
+  t.broadcast_block_mb = std::max(1.0, conf.Get(kBroadcastBlockSize));
+
+  t.partitions = std::max(8.0, conf.Get(kSqlShufflePartitions));
+  const double kryo_max = std::max(16.0, conf.Get(kKryoBufferMax));
+  const double kryo_buf = std::max(16.0, conf.Get(kKryoBuffer));
+  t.kryo_factor = 1.0 + 0.08 * std::max(0.0, 64.0 / kryo_max - 0.5) +
+                  0.04 * std::max(0.0, 64.0 / kryo_buf - 0.5);
+  t.prefer_smj = conf.GetBool(kSqlPreferSortMergeJoin);
+  t.bypass_sort =
+      t.partitions <= conf.Get(kShuffleSortBypassMergeThreshold);
+  t.radix_sort = conf.GetBool(kSqlSortEnableRadixSort);
+  t.agg_two_level = conf.GetBool(kSqlCodegenAggTwoLevel);
+  t.retain_group_columns = conf.GetBool(kSqlRetainGroupColumns);
+  // Larger in-memory cartesian buffers avoid re-computation.
+  const double cartesian_threshold =
+      std::max(512.0, conf.Get(kSqlCartesianProductThreshold));
+  t.cartesian_factor = 1.0 + 0.3 * (4096.0 / cartesian_threshold - 0.5);
+  t.shuffle_compress = conf.GetBool(kShuffleCompress);
+  const double zbuf = std::max(8.0, conf.Get(kZstdBufferSize));
+  t.zstd_buffer_factor = 1.0 + 0.05 * (32.0 / zbuf - 0.33);
+  // Small shuffle-file write buffers force extra flushes.
+  const double file_buffer = std::max(8.0, conf.Get(kShuffleFileBuffer));
+  t.file_buffer_factor = 32.0 / file_buffer;
+  const double conn_factor =
+      std::min(1.0, 0.7 + 0.06 * conf.Get(kShuffleIoNumConnections));
+  t.fetch_denom = cluster_.network_gbps * conn_factor;
+  t.inflight_factor =
+      0.9 + 0.1 * (48.0 / std::max(12.0, conf.Get(kReducerMaxSizeInFlight)));
+  t.spill_compress = conf.GetBool(kShuffleSpillCompress);
+  t.disk_bw = cluster_.disk_gbps * cluster_.worker_nodes;
+
+  // OOM cliff: network buffers and JVM internals live in the overhead
+  // allocation; it must scale with the heap and the fetch concurrency or
+  // Yarn kills the container mid-stage.
+  const double overhead_need =
+      0.07 * t.heap_gb + 0.3 +
+      0.004 * conf.Get(kReducerMaxSizeInFlight) * t.cores_per_executor;
+  const double overhead_adequacy =
+      std::min(1.0, t.overhead_gb / overhead_need);
+  t.oom_threshold = params_.oom_threshold * (0.45 + 0.55 * overhead_adequacy);
+  // Containers with skimpy overhead get killed by Yarn under shuffle
+  // load even when heap execution memory is plentiful (netty buffers
+  // live in the overhead region): stages retry.
+  const double kill_risk = std::max(0.0, 1.0 - overhead_adequacy);
+  t.kill_multiplier = 1.0 + 1.2 * kill_risk * kill_risk;
+  t.kill_oom = kill_risk > 0.5;
+
+  t.rdd_compress = conf.GetBool(kRddCompress);
+  // Off-heap allocations bypass the garbage collector entirely.
+  if (t.offheap_per_task_gb > 0.0) {
+    const double offheap_total = t.offheap_per_task_gb * t.cores_per_executor;
+    t.offheap_gc_factor =
+        1.0 - 0.5 * offheap_total / (offheap_total + t.pool_gb);
+  }
+  t.gc_executors = std::max(1, t.executors);
+  t.full_gc_heap_gb = std::max(0.4, t.pool_gb * 0.8);
+  t.user_gc_heap_gb = std::max(0.5, t.heap_gb);
+
+  const double slots = t.slots;
+  t.shuffle_waves = std::ceil(conf.Get(kSqlShufflePartitions) / slots);
+  t.revive_s_per_wave = 0.03 * (conf.Get(kSchedulerReviveInterval) - 1.0);
+  t.locality_s = 0.12 * conf.Get(kLocalityWait);
+  // Tiny effect: memory-mapping threshold for local block reads.
+  t.mmap_s = 0.02 * (10.0 - conf.Get(kStorageMemoryMapThreshold)) / 10.0;
   return t;
 }
 
-QueryMetrics ClusterSimulator::SimulateQuery(const QueryProfile& query,
-                                             const SparkConf& conf,
-                                             const ConfTerms& terms,
-                                             double datasize_gb) const {
+AppSizeTerms::Query ClusterSimulator::DeriveQuerySizeTerms(
+    const QueryProfile& query, double datasize_gb) const {
+  AppSizeTerms::Query s;
+  s.scanned_gb = datasize_gb * query.input_frac;
+  s.scan_tasks = std::max(1.0, std::ceil(s.scanned_gb / params_.split_gb));
+  s.scan_overhead_s = s.scan_tasks * params_.task_overhead_s;
+  s.io_floor_s = s.scanned_gb / (cluster_.disk_gbps * cluster_.worker_nodes);
+  // How much the query caches sets how much of the storage unit it holds.
+  s.storage_need = 0.25 + 0.65 * std::min(1.0, query.rescan_frac * 4.0);
+  s.rescan_gb = s.scanned_gb * query.rescan_frac;
+  s.scan_alloc_gb = s.scanned_gb * 0.35;
+  s.codegen_fields = CodegenFields(query.name);
+  if (query.num_shuffle_stages > 0 && query.shuffle_ratio > 0.0) {
+    s.shuffle_gb = s.scanned_gb * query.shuffle_ratio *
+                   std::pow(datasize_gb / 100.0, query.ds_exponent);
+    s.broadcast_shuffle_gb = s.shuffle_gb * (1.0 - query.broadcast_avoid_frac);
+    if (query.broadcastable_mb > 0.0) {
+      s.bcast_mb = query.broadcastable_mb * std::sqrt(datasize_gb / 100.0);
+    }
+  }
+  return s;
+}
+
+AppSizeTerms ClusterSimulator::DeriveSizeTerms(const SparkSqlApp& app,
+                                               double datasize_gb) const {
+  AppSizeTerms sized;
+  sized.datasize_gb_ = datasize_gb;
+  sized.queries_.reserve(app.queries.size());
+  for (const QueryProfile& query : app.queries) {
+    sized.queries_.push_back(DeriveQuerySizeTerms(query, datasize_gb));
+  }
+  return sized;
+}
+
+QueryMetrics ClusterSimulator::SimulateQuery(
+    const QueryProfile& query, const ConfTerms& terms,
+    const AppSizeTerms::Query& sized) const {
   QueryMetrics m;
   m.name = query.name;
 
-  // storageFraction protects cached blocks from eviction, shrinking what
-  // shuffles can use; how much the query caches sets how much it holds.
-  const double storage_need =
-      0.25 + 0.65 * std::min(1.0, query.rescan_frac * 4.0);
-  const double storage_pool_gb =
-      terms.pool_gb * conf.Get(kMemoryStorageFraction) * storage_need;
+  const double storage_pool_gb = terms.storage_unit_gb * sized.storage_need;
   const double exec_avail = std::max(0.05, terms.pool_gb - storage_pool_gb);
   const double exec_mem_per_task_gb = exec_avail / terms.cores_per_executor;
 
   const double speed = terms.speed;
   const double slots = terms.slots;
-  const double disk_bw = cluster_.disk_gbps * cluster_.worker_nodes;
-  const double scanned_gb = datasize_gb * query.input_frac;
+  const double disk_bw = terms.disk_bw;
+  const double scanned_gb = sized.scanned_gb;
 
   // ---------------------------------------------------------------- scan
-  const double scan_tasks =
-      std::max(1.0, std::ceil(scanned_gb / params_.split_gb));
+  const double scan_tasks = sized.scan_tasks;
   double scan_cpu_per_gb = query.cpu_per_gb;
 
   // Whole-stage codegen falls back to interpreted mode when the plan has
   // more fields than sql.codegen.maxFields.
-  if (CodegenFields(query.name) > terms.codegen_max_fields) {
+  if (sized.codegen_fields > terms.codegen_max_fields) {
     scan_cpu_per_gb *= 1.12;
   }
 
   // In-memory columnar cache for the re-scanned portion.
   double rescan_cost = 0.0;
   if (query.rescan_frac > 0.0) {
-    double rescan_gb = scanned_gb * query.rescan_frac;
-    if (conf.GetBool(kSqlInMemoryColumnarPruning)) rescan_gb *= 0.7;
-    double cache_cpu = 2.0;  // core-s/GB reading cached columnar batches
-    if (!conf.GetBool(kSqlInMemoryColumnarCompressed)) cache_cpu *= 0.9;
-    const double batch = conf.Get(kSqlInMemoryColumnarBatchSize);
-    cache_cpu *= 1.0 + 0.05 * (10000.0 / std::max(2500.0, batch) - 1.0);
-    rescan_cost = rescan_gb * cache_cpu;
+    double rescan_gb = sized.rescan_gb;
+    if (terms.columnar_pruning) rescan_gb *= 0.7;
+    rescan_cost = rescan_gb * terms.columnar_cache_cpu;
   }
 
   double scan_core_seconds = scanned_gb * scan_cpu_per_gb + rescan_cost;
-  // A slice of map-side work runs at RDD parallelism
-  // (spark.default.parallelism) rather than at split granularity.
-  const double rdd_tasks = std::max(8.0, conf.Get(kDefaultParallelism));
   const double rdd_share = 0.2;
   const double scan_cpu_time =
       WaveTime(scan_core_seconds * (1.0 - rdd_share), scan_tasks, slots, speed,
                1.1) +
-      WaveTime(scan_core_seconds * rdd_share, rdd_tasks, slots, speed, 1.1);
-  const double io_floor = scanned_gb / disk_bw;
-  m.scan_seconds = std::max(scan_cpu_time, io_floor) +
-                   scan_tasks * params_.task_overhead_s;
+      WaveTime(scan_core_seconds * rdd_share, terms.rdd_tasks, slots, speed,
+               1.1);
+  m.scan_seconds = std::max(scan_cpu_time, sized.io_floor_s) +
+                   sized.scan_overhead_s;
 
   // ------------------------------------------------------------- shuffle
   double shuffle_time = 0.0;
@@ -172,92 +273,67 @@ QueryMetrics ClusterSimulator::SimulateQuery(const QueryProfile& query,
   double oom_multiplier = 1.0;
   double shuffle_gb = 0.0;
   if (query.num_shuffle_stages > 0 && query.shuffle_ratio > 0.0) {
-    shuffle_gb = scanned_gb * query.shuffle_ratio *
-                 std::pow(datasize_gb / 100.0, query.ds_exponent);
+    shuffle_gb = sized.shuffle_gb;
 
     // Broadcast join: a small enough dimension table removes part of the
     // shuffle entirely.
     double broadcast_time = 0.0;
     if (query.broadcastable_mb > 0.0) {
-      const double bcast_mb =
-          query.broadcastable_mb * std::sqrt(datasize_gb / 100.0);
-      if (bcast_mb * 1024.0 <= conf.Get(kSqlAutoBroadcastJoinThreshold)) {
-        shuffle_gb *= 1.0 - query.broadcast_avoid_frac;
+      const double bcast_mb = sized.bcast_mb;
+      if (bcast_mb * 1024.0 <= terms.broadcast_threshold) {
+        shuffle_gb = sized.broadcast_shuffle_gb;
         double bcast_gb = bcast_mb / 1024.0;
         double bcast_cpu = 0.0;
-        if (conf.GetBool(kBroadcastCompress)) {
+        if (terms.broadcast_compress) {
           bcast_cpu = bcast_gb * params_.compression_cpu_l1;
           bcast_gb *= params_.compression_ratio_l1;
         }
-        const double block_mb = std::max(1.0, conf.Get(kBroadcastBlockSize));
-        const double piece_overhead =
-            (bcast_mb / block_mb) * 0.002;  // torrent piece bookkeeping
+        const double piece_overhead = (bcast_mb / terms.broadcast_block_mb) *
+                                      0.002;  // torrent piece bookkeeping
         broadcast_time = bcast_gb * terms.executors / cluster_.network_gbps /
                              cluster_.worker_nodes +
                          bcast_cpu / speed + piece_overhead;
       }
     }
 
-    const double partitions =
-        std::max(8.0, conf.Get(kSqlShufflePartitions));
+    const double partitions = terms.partitions;
     const double stages = std::max(1, query.num_shuffle_stages);
 
     // ---- map side: serialize (+sort) (+compress) and write.
     double map_cpu = shuffle_gb * 1.2;  // serialization baseline
-    const double kryo_max = std::max(16.0, conf.Get(kKryoBufferMax));
-    const double kryo_buf = std::max(16.0, conf.Get(kKryoBuffer));
-    map_cpu *= 1.0 + 0.08 * std::max(0.0, 64.0 / kryo_max - 0.5) +
-               0.04 * std::max(0.0, 64.0 / kryo_buf - 0.5);
+    map_cpu *= terms.kryo_factor;
 
-    const bool prefer_smj = conf.GetBool(kSqlPreferSortMergeJoin);
-    const bool bypass_sort =
-        partitions <= conf.Get(kShuffleSortBypassMergeThreshold);
     double mem_demand_factor = query.mem_per_task_factor;
-    if (query.category == QueryCategory::kJoin && !prefer_smj) {
+    if (query.category == QueryCategory::kJoin && !terms.prefer_smj) {
       // Shuffled hash join: no sort, but the hash table lives in memory.
       mem_demand_factor *= 1.6;
-    } else if (!bypass_sort) {
+    } else if (!terms.bypass_sort) {
       double sort_cpu = params_.map_sort_cpu;
-      if (query.category == QueryCategory::kAggregation &&
-          conf.GetBool(kSqlSortEnableRadixSort)) {
+      if (query.category == QueryCategory::kAggregation && terms.radix_sort) {
         sort_cpu *= 0.8;
       }
       map_cpu += shuffle_gb * sort_cpu;
     }
     if (query.category == QueryCategory::kAggregation) {
-      if (conf.GetBool(kSqlCodegenAggTwoLevel)) map_cpu *= 0.88;
-      if (conf.GetBool(kSqlRetainGroupColumns)) map_cpu *= 1.02;
+      if (terms.agg_two_level) map_cpu *= 0.88;
+      if (terms.retain_group_columns) map_cpu *= 1.02;
     }
-    if (query.has_cartesian) {
-      // Larger in-memory cartesian buffers avoid re-computation.
-      map_cpu *= 1.0 + 0.3 * (4096.0 /
-                              std::max(512.0,
-                                       conf.Get(kSqlCartesianProductThreshold)) -
-                              0.5);
-    }
+    if (query.has_cartesian) map_cpu *= terms.cartesian_factor;
 
     // Compression of map output.
     double wire_gb = shuffle_gb;
-    if (conf.GetBool(kShuffleCompress)) {
-      const double zbuf = std::max(8.0, conf.Get(kZstdBufferSize));
-      map_cpu +=
-          shuffle_gb * terms.comp_cpu * (1.0 + 0.05 * (32.0 / zbuf - 0.33));
+    if (terms.shuffle_compress) {
+      map_cpu += shuffle_gb * terms.comp_cpu * terms.zstd_buffer_factor;
       wire_gb = shuffle_gb * terms.comp_ratio;
     }
-    // Small shuffle-file write buffers force extra flushes.
-    const double file_buffer = std::max(8.0, conf.Get(kShuffleFileBuffer));
-    map_cpu += shuffle_gb * 0.35 * (32.0 / file_buffer);
+    map_cpu += shuffle_gb * 0.35 * terms.file_buffer_factor;
 
     const double map_time =
         WaveTime(map_cpu, scan_tasks, slots, speed, 1.15) + wire_gb / disk_bw;
 
     // ---- network fetch.
-    const double conn_factor =
-        std::min(1.0, 0.7 + 0.06 * conf.Get(kShuffleIoNumConnections));
-    const double inflight_factor =
-        0.9 + 0.1 * (48.0 / std::max(12.0, conf.Get(kReducerMaxSizeInFlight)));
     const double net_time =
-        wire_gb / (cluster_.network_gbps * conn_factor) * inflight_factor;
+        wire_gb / terms.fetch_denom * terms.inflight_factor;
 
     // ---- reduce side: decompress, (spill), aggregate/join.
     const double partition_gb = shuffle_gb / partitions;
@@ -265,7 +341,7 @@ QueryMetrics ClusterSimulator::SimulateQuery(const QueryProfile& query,
     const double avail_gb = exec_mem_per_task_gb + terms.offheap_per_task_gb;
 
     double reduce_cpu = shuffle_gb * query.shuffle_cpu_per_gb;
-    if (conf.GetBool(kShuffleCompress)) {
+    if (terms.shuffle_compress) {
       reduce_cpu += shuffle_gb * params_.decompression_cpu;
     }
 
@@ -278,7 +354,7 @@ QueryMetrics ClusterSimulator::SimulateQuery(const QueryProfile& query,
           1.0 + std::log2(std::max(1.0, demand_gb / avail_gb));
       spill_gb = shuffle_gb * spill_ratio * (1.0 + merge_passes);
       double spill_disk_gb = spill_gb;
-      if (conf.GetBool(kShuffleSpillCompress)) {
+      if (terms.spill_compress) {
         reduce_cpu += spill_gb * terms.comp_cpu * 0.8;
         spill_disk_gb *= terms.comp_ratio;
       }
@@ -288,23 +364,10 @@ QueryMetrics ClusterSimulator::SimulateQuery(const QueryProfile& query,
 
     // OOM cliff: when per-task demand far exceeds what the executor can
     // give, tasks die, stages retry, Yarn may kill containers
-    // (aggravated by a skimpy memoryOverhead).
-    // Network buffers and JVM internals live in the overhead allocation;
-    // it must scale with the heap and the fetch concurrency or Yarn kills
-    // the container mid-stage.
-    const double overhead_need =
-        0.07 * terms.heap_gb + 0.3 +
-        0.004 * conf.Get(kReducerMaxSizeInFlight) * terms.cores_per_executor;
-    const double overhead_adequacy =
-        std::min(1.0, terms.overhead_gb / overhead_need);
-    const double eff_threshold =
-        params_.oom_threshold * (0.45 + 0.55 * overhead_adequacy);
-    // Containers with skimpy overhead get killed by Yarn under shuffle
-    // load even when heap execution memory is plentiful (netty buffers
-    // live in the overhead region): stages retry.
-    const double kill_risk = std::max(0.0, 1.0 - overhead_adequacy);
-    oom_multiplier = 1.0 + 1.2 * kill_risk * kill_risk;
-    if (kill_risk > 0.5) m.oom = true;
+    // (aggravated by a skimpy memoryOverhead, see DeriveConfTerms).
+    const double eff_threshold = terms.oom_threshold;
+    oom_multiplier = terms.kill_multiplier;
+    if (terms.kill_oom) m.oom = true;
     const double pressure_ratio = demand_gb / std::max(1e-3, avail_gb);
     m.oom_severity = pressure_ratio / eff_threshold;
     if (pressure_ratio > eff_threshold) {
@@ -340,20 +403,15 @@ QueryMetrics ClusterSimulator::SimulateQuery(const QueryProfile& query,
   m.shuffle_seconds = shuffle_time;
 
   // ------------------------------------------------------------------ GC
-  double alloc_gb = scanned_gb * 0.35 + shuffle_gb * 1.2 + spill_gb * 0.5;
-  if (conf.GetBool(kRddCompress)) alloc_gb *= 0.92;
+  double alloc_gb = sized.scan_alloc_gb + shuffle_gb * 1.2 + spill_gb * 0.5;
+  if (terms.rdd_compress) alloc_gb *= 0.92;
   const double pool = terms.pool_gb;
   // Off-heap allocations bypass the garbage collector entirely.
-  if (terms.offheap_per_task_gb > 0.0) {
-    const double offheap_total =
-        terms.offheap_per_task_gb * terms.cores_per_executor;
-    alloc_gb *= 1.0 - 0.5 * offheap_total / (offheap_total + pool);
-  }
-  const double alloc_per_exec = alloc_gb / std::max(1, terms.executors);
+  if (terms.offheap_per_task_gb > 0.0) alloc_gb *= terms.offheap_gc_factor;
+  const double alloc_per_exec = alloc_gb / terms.gc_executors;
   const double concurrent_demand =
       terms.cores_per_executor *
-      std::min(query.mem_per_task_factor * shuffle_gb /
-                   std::max(8.0, conf.Get(kSqlShufflePartitions)),
+      std::min(query.mem_per_task_factor * shuffle_gb / terms.partitions,
                exec_mem_per_task_gb * 1.5);
   const double occupancy = std::min(1.5, concurrent_demand / pool +
                                              query.rescan_frac * 0.3 + 0.15);
@@ -361,9 +419,8 @@ QueryMetrics ClusterSimulator::SimulateQuery(const QueryProfile& query,
       1.0 + params_.gc_pressure_coeff *
                 std::pow(std::max(0.0, occupancy - 0.6), 2.0);
   const double full_gc_count =
-      std::ceil(alloc_per_exec / std::max(0.4, pool * 0.8)) +
-      terms.user_pressure * 6.0 * alloc_per_exec /
-          std::max(0.5, terms.heap_gb);
+      std::ceil(alloc_per_exec / terms.full_gc_heap_gb) +
+      terms.user_pressure * 6.0 * alloc_per_exec / terms.user_gc_heap_gb;
   m.gc_seconds =
       alloc_per_exec * params_.gc_base_s_per_gb * thrash * terms.user_thrash +
       full_gc_count * terms.gc_pause_s * std::min(1.0, alloc_per_exec / pool);
@@ -371,15 +428,11 @@ QueryMetrics ClusterSimulator::SimulateQuery(const QueryProfile& query,
   // -------------------------------------------------------------- totals
   const double total_waves =
       std::ceil(scan_tasks / slots) +
-      (query.num_shuffle_stages > 0
-           ? std::ceil(conf.Get(kSqlShufflePartitions) / slots)
-           : 0.0);
+      (query.num_shuffle_stages > 0 ? terms.shuffle_waves : 0.0);
   double latency = params_.query_latency_s;
-  latency += 0.03 * (conf.Get(kSchedulerReviveInterval) - 1.0) * total_waves;
-  latency += 0.12 * conf.Get(kLocalityWait) *
-             (1.0 + query.num_shuffle_stages) * 0.3;
-  // Tiny effect: memory-mapping threshold for local block reads.
-  latency += 0.02 * (10.0 - conf.Get(kStorageMemoryMapThreshold)) / 10.0;
+  latency += terms.revive_s_per_wave * total_waves;
+  latency += terms.locality_s * (1.0 + query.num_shuffle_stages) * 0.3;
+  latency += terms.mmap_s;
 
   m.exec_seconds =
       m.scan_seconds + m.shuffle_seconds + m.gc_seconds + latency;
@@ -405,21 +458,21 @@ QueryMetrics ClusterSimulator::RunQuery(const QueryProfile& query,
   const double noise = params_.noise_sigma > 0.0
                            ? noise_rng_.LognormalNoise(params_.noise_sigma)
                            : 1.0;
-  QueryMetrics m =
-      SimulateQuery(query, conf, DeriveConfTerms(conf), datasize_gb);
+  QueryMetrics m = SimulateQuery(query, DeriveConfTerms(conf),
+                                 DeriveQuerySizeTerms(query, datasize_gb));
   ApplyNoise(&m, noise);
   return m;
 }
 
-AppRunResult ClusterSimulator::RunApp(const SparkSqlApp& app,
-                                      const SparkConf& conf,
-                                      double datasize_gb) {
+const std::vector<int>& ClusterSimulator::AllQueries(const SparkSqlApp& app) {
   scratch_all_.resize(app.queries.size());
   for (size_t i = 0; i < scratch_all_.size(); ++i) {
     scratch_all_[i] = static_cast<int>(i);
   }
-  StatusOr<AppRunResult> result =
-      RunAppSubset(app, scratch_all_, conf, datasize_gb);
+  return scratch_all_;
+}
+
+AppRunResult ClusterSimulator::OrFailedRun(StatusOr<AppRunResult> result) {
   if (!result.ok()) {
     AppRunResult bad;
     bad.failed = true;
@@ -429,11 +482,41 @@ AppRunResult ClusterSimulator::RunApp(const SparkSqlApp& app,
   return std::move(*result);
 }
 
+AppRunResult ClusterSimulator::RunApp(const SparkSqlApp& app,
+                                      const SparkConf& conf,
+                                      double datasize_gb) {
+  return OrFailedRun(
+      RunQueries(app, nullptr, AllQueries(app), conf, datasize_gb));
+}
+
+AppRunResult ClusterSimulator::RunApp(const SparkSqlApp& app,
+                                      const AppSizeTerms& sized,
+                                      const SparkConf& conf) {
+  return OrFailedRun(
+      RunQueries(app, &sized, AllQueries(app), conf, sized.datasize_gb_));
+}
+
 StatusOr<AppRunResult> ClusterSimulator::RunAppSubset(
     const SparkSqlApp& app, const std::vector<int>& query_indices,
     const SparkConf& conf, double datasize_gb) {
+  return RunQueries(app, nullptr, query_indices, conf, datasize_gb);
+}
+
+StatusOr<AppRunResult> ClusterSimulator::RunAppSubset(
+    const SparkSqlApp& app, const AppSizeTerms& sized,
+    const std::vector<int>& query_indices, const SparkConf& conf) {
+  return RunQueries(app, &sized, query_indices, conf, sized.datasize_gb_);
+}
+
+StatusOr<AppRunResult> ClusterSimulator::RunQueries(
+    const SparkSqlApp& app, const AppSizeTerms* sized,
+    const std::vector<int>& query_indices, const SparkConf& conf,
+    double datasize_gb) {
   if (!std::isfinite(datasize_gb) || datasize_gb <= 0.0) {
     return Status::InvalidArgument("datasize_gb must be finite and > 0");
+  }
+  if (sized != nullptr && sized->queries_.size() != app.queries.size()) {
+    return Status::InvalidArgument("size terms derived for another app");
   }
   for (int idx : query_indices) {
     if (idx < 0 || idx >= app.num_queries()) {
@@ -455,7 +538,7 @@ StatusOr<AppRunResult> ClusterSimulator::RunAppSubset(
   }
 
   // The noise-free cost model, query by query, each scaled by its own
-  // noise draw.
+  // noise draw. A one-shot run derives each query's size terms inline.
   const ConfTerms terms = DeriveConfTerms(conf);
   scratch_metrics_.resize(n);
   for (size_t i = 0; i < n; ++i) {
@@ -463,9 +546,13 @@ StatusOr<AppRunResult> ClusterSimulator::RunAppSubset(
     const double noise = params_.noise_sigma > 0.0
                              ? noise_rng_.LognormalNoise(params_.noise_sigma)
                              : 1.0;
+    const size_t q = static_cast<size_t>(query_indices[i]);
+    const QueryProfile& query = app.queries[q];
     scratch_metrics_[i] =
-        SimulateQuery(app.queries[static_cast<size_t>(query_indices[i])],
-                      conf, terms, datasize_gb);
+        sized != nullptr
+            ? SimulateQuery(query, terms, sized->queries_[q])
+            : SimulateQuery(query, terms,
+                            DeriveQuerySizeTerms(query, datasize_gb));
     ApplyNoise(&scratch_metrics_[i], noise);
   }
 
@@ -512,11 +599,11 @@ StatusOr<AppRunResult> ClusterSimulator::RunAppSubset(
 AppRunResult ClusterSimulator::FinishAppRun(const SparkSqlApp& app,
                                             const SparkConf& conf,
                                             double datasize_gb,
-                                            QueryMetrics* metrics,
+                                            const QueryMetrics* metrics,
                                             size_t count,
                                             obs::ScopedSpan* app_span) {
   AppRunResult result;
-  result.per_query.reserve(count);
+  result.per_query.assign(metrics, metrics + count);
 
   // Driver pressure: many tasks + a small driver heap slow down
   // scheduling for the whole application.
@@ -534,8 +621,7 @@ AppRunResult ClusterSimulator::FinishAppRun(const SparkSqlApp& app,
   cursor += SimLaneNs(submit);
 
   result.total_seconds = submit;
-  for (size_t i = 0; i < count; ++i) {
-    QueryMetrics qm = std::move(metrics[i]);
+  for (const QueryMetrics& qm : result.per_query) {
     result.total_seconds += qm.exec_seconds;
     result.gc_seconds += qm.gc_seconds;
     result.shuffle_gb += qm.shuffle_gb;
@@ -552,7 +638,7 @@ AppRunResult ClusterSimulator::FinishAppRun(const SparkSqlApp& app,
       args += NumArg("spill_gb", qm.spill_gb);
       args += ',';
       args += NumArg("oom", qm.oom ? 1.0 : 0.0);
-      tracer_->RecordComplete(qm.name, "sim", cursor,
+      tracer_->RecordComplete(std::string(qm.name), "sim", cursor,
                               SimLaneNs(qm.exec_seconds), obs::kSimulatedPid, 0,
                               std::move(args));
       uint64_t stage_cursor = cursor;
@@ -572,7 +658,6 @@ AppRunResult ClusterSimulator::FinishAppRun(const SparkSqlApp& app,
       }
     }
     cursor += SimLaneNs(qm.exec_seconds);
-    result.per_query.push_back(std::move(qm));
   }
 
   if (tracer_ != nullptr) {

@@ -2,6 +2,7 @@
 #define LOCAT_SPARKSIM_SIMULATOR_H_
 
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.h"
@@ -78,9 +79,11 @@ struct SimParams {
   SimParams() {}
 };
 
-/// Per-query outcome of one simulated run.
+/// Per-query outcome of one simulated run. Trivially copyable.
 struct QueryMetrics {
-  std::string name;
+  /// View of the query's name in the profile (or app) that was run: valid
+  /// only while that profile lives.
+  std::string_view name;
   double exec_seconds = 0.0;     // wall-clock, includes gc_seconds
   double gc_seconds = 0.0;       // JVM GC time attributed to this query
   double scan_seconds = 0.0;     // narrow-stage time
@@ -113,6 +116,37 @@ struct AppRunResult {
   int retries = 0;           // fetch-failure stage retries, whole run
   int lost_executors = 0;    // executors lost to the injected loss event
   std::string fail_reason;   // empty when !failed
+};
+
+/// The terms of one app's cost model that depend on the query and the
+/// data size but not on the configuration: scanned GB, scan tasks, the
+/// I/O floor, the storage need, the codegen field count, the shuffle
+/// volume with its pow(ds/100, ds_exponent) and the broadcast side with
+/// its sqrt. Derived by ClusterSimulator::DeriveSizeTerms for one app at
+/// one data size; valid only with that simulator and that app. A caller
+/// that runs one app many times at one size (TuningSession) derives them
+/// once and passes them to every run.
+class AppSizeTerms {
+ public:
+  double datasize_gb() const { return datasize_gb_; }
+
+ private:
+  friend class ClusterSimulator;
+  struct Query {
+    double scanned_gb = 0.0;
+    double scan_tasks = 1.0;
+    double scan_overhead_s = 0.0;  // scan_tasks * task_overhead_s
+    double io_floor_s = 0.0;
+    double storage_need = 0.0;     // share of the storage pool held
+    double rescan_gb = 0.0;        // re-scanned bytes before pruning
+    double scan_alloc_gb = 0.0;    // GC allocation of the scan
+    int codegen_fields = 0;
+    double shuffle_gb = 0.0;       // before a broadcast join
+    double broadcast_shuffle_gb = 0.0;  // after one
+    double bcast_mb = 0.0;
+  };
+  double datasize_gb_ = 0.0;
+  std::vector<Query> queries_;
 };
 
 /// Counters of the removed batch evaluation API; always zero.
@@ -150,16 +184,34 @@ class ClusterSimulator {
   /// rather than a Status, so measurement-style callers keep working.
   AppRunResult RunApp(const SparkSqlApp& app, const SparkConf& conf,
                       double datasize_gb);
+  /// The same at `sized.datasize_gb()`, with `sized` from
+  /// DeriveSizeTerms(app, ...) on this simulator.
+  AppRunResult RunApp(const SparkSqlApp& app, const AppSizeTerms& sized,
+                      const SparkConf& conf);
 
   /// Runs only the listed query indices (the RQA path of QCSA).
   /// Errors: InvalidArgument for a non-finite or non-positive datasize,
   /// OutOfRange for a query index outside the app. A fault-injected app
   /// kill is NOT an error — it returns ok() with result.failed set, so
   /// callers can bill the partial runtime and impute a censored cost.
+  /// Each query's name in the result views `app`.
   StatusOr<AppRunResult> RunAppSubset(const SparkSqlApp& app,
                                       const std::vector<int>& query_indices,
                                       const SparkConf& conf,
                                       double datasize_gb);
+  /// The same at `sized.datasize_gb()`, with `sized` from
+  /// DeriveSizeTerms(app, ...) on this simulator; InvalidArgument when
+  /// `sized` holds another number of queries than `app`. Same bits as
+  /// the call above.
+  StatusOr<AppRunResult> RunAppSubset(const SparkSqlApp& app,
+                                      const AppSizeTerms& sized,
+                                      const std::vector<int>& query_indices,
+                                      const SparkConf& conf);
+
+  /// The (query, data size) terms of every query of `app` on this
+  /// simulator. Pure: draws no randomness and counts no run.
+  AppSizeTerms DeriveSizeTerms(const SparkSqlApp& app,
+                               double datasize_gb) const;
 
   /// Always zero: configurations are evaluated one RunAppSubset at a
   /// time, so there is no batch to count. The accessor stays until
@@ -201,9 +253,12 @@ class ClusterSimulator {
  private:
   /// Cost-model terms that depend only on the configuration (given this
   /// simulator's cluster and params), not on the query or the data size.
-  /// Derived once per RunAppSubset / RunQuery call and shared by every
-  /// query of the run; each keeps the exact expression SimulateQuery
-  /// used to compute per query, so the outputs keep their bits.
+  /// The model has three tiers: these terms once per run, the
+  /// AppSizeTerms once per (app, data size), and SimulateQuery per query
+  /// with only the arithmetic that needs both. Every hoisted term keeps
+  /// the expression and operand order it had inside SimulateQuery
+  /// (simulator.cc builds with -ffp-contract=off), so the outputs keep
+  /// their bits.
   struct ConfTerms {
     int executors = 1;        // actually launched (Yarn may grant fewer)
     int cores_per_executor = 1;
@@ -212,6 +267,7 @@ class ClusterSimulator {
     double overhead_gb = 0.0;
     double offheap_per_task_gb = 0.0;
     double pool_gb = 0.1;     // unified (execution + storage) memory
+    double storage_unit_gb = 0.0;  // pool_gb * storageFraction
     double speed = 1.0;       // per-core speed after heap contention
     double comp_ratio = 1.0;  // zstd output/input bytes at the level
     double comp_cpu = 0.0;    // zstd core-seconds per GB at the level
@@ -219,15 +275,71 @@ class ClusterSimulator {
     double user_pressure = 0.0;  // user-memory shortfall ratio
     double user_thrash = 1.0;    // GC multiplier from that shortfall
     int codegen_max_fields = 0;
+    // Scan stage.
+    bool columnar_pruning = false;
+    double columnar_cache_cpu = 0.0;  // core-s per cached GB re-read
+    double rdd_tasks = 8.0;
+    // Broadcast join.
+    double broadcast_threshold = 0.0;
+    bool broadcast_compress = false;
+    double broadcast_block_mb = 1.0;
+    // Shuffle stages.
+    double partitions = 8.0;
+    double kryo_factor = 1.0;
+    bool prefer_smj = false;
+    bool bypass_sort = false;
+    bool radix_sort = false;
+    bool agg_two_level = false;
+    bool retain_group_columns = false;
+    double cartesian_factor = 1.0;
+    bool shuffle_compress = false;
+    double zstd_buffer_factor = 1.0;
+    double file_buffer_factor = 1.0;  // 32 KB / shuffle.file.buffer
+    double fetch_denom = 1.0;         // network GB/s x connection factor
+    double inflight_factor = 1.0;
+    bool spill_compress = false;
+    double disk_bw = 1.0;             // cluster disk GB/s
+    // OOM cliff from the overhead allocation.
+    double oom_threshold = 1.0;       // after overhead adequacy
+    double kill_multiplier = 1.0;     // stage retries from the kill risk
+    bool kill_oom = false;            // kill risk > 0.5
+    // GC.
+    bool rdd_compress = false;
+    double offheap_gc_factor = 1.0;   // allocation share left on heap
+    double gc_executors = 1.0;        // max(1, executors)
+    double full_gc_heap_gb = 0.4;     // max(0.4, pool_gb * 0.8)
+    double user_gc_heap_gb = 0.5;     // max(0.5, heap_gb)
+    // Latency.
+    double shuffle_waves = 0.0;       // ceil(partitions setting / slots)
+    double revive_s_per_wave = 0.0;
+    double locality_s = 0.0;          // per (1 + shuffle stages), x 0.3
+    double mmap_s = 0.0;
   };
 
   ConfTerms DeriveConfTerms(const SparkConf& conf) const;
 
-  /// The per-query half of the cost model: pure and noise-free, const,
-  /// draws no randomness. `terms` is DeriveConfTerms(conf).
-  QueryMetrics SimulateQuery(const QueryProfile& query, const SparkConf& conf,
-                             const ConfTerms& terms,
-                             double datasize_gb) const;
+  /// One query's size terms, as DeriveSizeTerms stores them.
+  AppSizeTerms::Query DeriveQuerySizeTerms(const QueryProfile& query,
+                                           double datasize_gb) const;
+
+  /// The per-query tier of the cost model: pure and noise-free, const,
+  /// draws no randomness. `terms` is DeriveConfTerms(conf) and `sized`
+  /// DeriveQuerySizeTerms(query, datasize_gb).
+  QueryMetrics SimulateQuery(const QueryProfile& query, const ConfTerms& terms,
+                             const AppSizeTerms::Query& sized) const;
+
+  /// Both RunAppSubset overloads: `sized` is null for a one-shot run,
+  /// which derives each query's size terms inline.
+  StatusOr<AppRunResult> RunQueries(const SparkSqlApp& app,
+                                    const AppSizeTerms* sized,
+                                    const std::vector<int>& query_indices,
+                                    const SparkConf& conf, double datasize_gb);
+
+  /// RunApp's tail: a run that errored becomes a failed result.
+  static AppRunResult OrFailedRun(StatusOr<AppRunResult> result);
+
+  /// 0..n-1 for `app`, in scratch_all_.
+  const std::vector<int>& AllQueries(const SparkSqlApp& app);
 
   /// Scales the noise-free metrics' times by one drawn lognormal factor.
   static void ApplyNoise(QueryMetrics* m, double noise);
@@ -236,7 +348,7 @@ class ClusterSimulator {
   /// already applied) into one AppRunResult and emits the simulated-time
   /// lane. `app_span` receives the wall-span summary args.
   AppRunResult FinishAppRun(const SparkSqlApp& app, const SparkConf& conf,
-                            double datasize_gb, QueryMetrics* metrics,
+                            double datasize_gb, const QueryMetrics* metrics,
                             size_t count, obs::ScopedSpan* app_span);
 
   ClusterSpec cluster_;

@@ -220,7 +220,7 @@ int CmdSimulate(const std::string& app_name, const std::string& cluster,
   });
   std::printf("  slowest queries:");
   for (size_t i = 0; i < order.size() && i < 5; ++i) {
-    std::printf(" %s(%.0fs)", run.per_query[order[i]].name.c_str(),
+    std::printf(" %s(%.0fs)", app.queries[order[i]].name.c_str(),
                 run.per_query[order[i]].exec_seconds);
   }
   std::printf("\n");

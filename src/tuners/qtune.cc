@@ -50,8 +50,10 @@ core::TuningResult QtuneTuner::Tune(core::TuningSession* session,
 
   // Level assignment per free parameter, starting mid-range.
   std::vector<int> level(free_dims_.size(), kLevelsPerParam / 2);
+  const math::Vector base_unit =
+      space.ToUnit(space.Repair(space.DefaultConf()));
   auto conf_from_levels = [&]() {
-    math::Vector unit = space.ToUnit(space.Repair(space.DefaultConf()));
+    math::Vector unit = base_unit;
     for (size_t j = 0; j < free_dims_.size(); ++j) {
       unit[static_cast<size_t>(free_dims_[j])] =
           (static_cast<double>(level[j]) + 0.5) / kLevelsPerParam;
@@ -102,13 +104,14 @@ core::TuningResult QtuneTuner::Tune(core::TuningSession* session,
     for (size_t j = 0; j < level.size(); ++j) {
       level[j] = static_cast<int>(rng_.UniformInt(0, kLevelsPerParam - 1));
     }
-    double prev_seconds = charged_evaluate(conf_from_levels());
+    const sparksim::SparkConf start_conf = conf_from_levels();
+    double prev_seconds = charged_evaluate(start_conf);
     if (prev_seconds < 0.0) break;  // session error — deterministic
     if (reference_seconds <= 0.0) reference_seconds = prev_seconds;
     if (!last_failed && (result.best_observed_seconds <= 0.0 ||
                          prev_seconds < result.best_observed_seconds)) {
       result.best_observed_seconds = prev_seconds;
-      result.best_conf = conf_from_levels();
+      result.best_conf = start_conf;
     }
     result.trajectory.push_back(result.best_observed_seconds);
 
@@ -133,7 +136,8 @@ core::TuningResult QtuneTuner::Tune(core::TuningSession* session,
       const int direction = (action % 2 == 0) ? 1 : -1;
       level[pidx] = std::clamp(level[pidx] + direction, 0, kLevelsPerParam - 1);
 
-      const double now_seconds = charged_evaluate(conf_from_levels());
+      const sparksim::SparkConf conf = conf_from_levels();
+      const double now_seconds = charged_evaluate(conf);
       if (now_seconds < 0.0) break;  // session error — deterministic
       const double reward = std::log(prev_seconds / now_seconds);
 
@@ -154,7 +158,7 @@ core::TuningResult QtuneTuner::Tune(core::TuningSession* session,
       if (!last_failed && (result.best_observed_seconds <= 0.0 ||
                            now_seconds < result.best_observed_seconds)) {
         result.best_observed_seconds = now_seconds;
-        result.best_conf = conf_from_levels();
+        result.best_conf = conf;
       }
       result.trajectory.push_back(result.best_observed_seconds);
     }

@@ -6,6 +6,7 @@
 #include <optional>
 #include <regex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -255,6 +256,71 @@ TEST(TuningSessionTest, QueryRestrictionAppliesToEvaluate) {
   const EvalRecord full = *session.Evaluate(conf, 100.0);
   EXPECT_EQ(full.per_query_seconds.size(), 22u);
   EXPECT_TRUE(full.full_app);
+}
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+// A session derives its app's (query, data size) cost-model terms once
+// and rebuilds them when a run's data size changes. One simulator serves
+// a session per app at interleaved sizes, so stale terms (from the
+// previous size or the previous app) would show as different bits from
+// a twin simulator, same seed, that runs every call one-shot.
+TEST(TuningSessionSizeTermsTest, MatchOneShotRunsAtInterleavedSizes) {
+  for (const sparksim::ClusterSpec& cluster :
+       {sparksim::X86Cluster(), sparksim::ArmCluster()}) {
+    sparksim::ClusterSimulator sim(cluster, 17);
+    sparksim::ClusterSimulator twin(cluster, 17);
+    const sparksim::ConfigSpace space(cluster);
+    Rng rng(5);
+    for (const sparksim::SparkSqlApp& app : workloads::AllBenchmarks()) {
+      TuningSession session(&sim, app);
+      std::vector<int> all(app.queries.size());
+      for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<int>(i);
+      const std::vector<int> subset = {app.num_queries() - 1, 0};
+      for (const double ds : {100.0, 300.0, 100.0, 1000.0}) {
+        const sparksim::SparkConf conf = space.RandomValid(&rng);
+        const EvalRecord full = *session.Evaluate(conf, ds);
+        const EvalRecord part = *session.EvaluateSubset(conf, ds, subset);
+        const sparksim::AppRunResult judged = session.MeasureFinal(conf, ds);
+        const auto want_full = twin.RunAppSubset(app, all, conf, ds);
+        const auto want_part = twin.RunAppSubset(app, subset, conf, ds);
+        const auto want_judged = twin.RunAppSubset(app, all, conf, ds);
+        ASSERT_TRUE(want_full.ok() && want_part.ok() && want_judged.ok());
+        for (const auto& [rec, want] :
+             {std::pair{&full, &*want_full}, std::pair{&part, &*want_part}}) {
+          EXPECT_EQ(Bits(rec->app_seconds), Bits(want->total_seconds))
+              << app.name << " @ " << ds;
+          EXPECT_EQ(Bits(rec->gc_seconds), Bits(want->gc_seconds));
+          ASSERT_EQ(rec->per_query_seconds.size(), want->per_query.size());
+          for (size_t q = 0; q < want->per_query.size(); ++q) {
+            EXPECT_EQ(Bits(rec->per_query_seconds[q]),
+                      Bits(want->per_query[q].exec_seconds));
+          }
+        }
+        ASSERT_EQ(judged.per_query.size(), want_judged->per_query.size());
+        EXPECT_EQ(Bits(judged.total_seconds), Bits(want_judged->total_seconds));
+        for (size_t q = 0; q < judged.per_query.size(); ++q) {
+          const sparksim::QueryMetrics& a = judged.per_query[q];
+          const sparksim::QueryMetrics& b = want_judged->per_query[q];
+          EXPECT_EQ(a.name, b.name);
+          for (const auto& [x, y] :
+               {std::pair{a.exec_seconds, b.exec_seconds},
+                std::pair{a.gc_seconds, b.gc_seconds},
+                std::pair{a.scan_seconds, b.scan_seconds},
+                std::pair{a.shuffle_seconds, b.shuffle_seconds},
+                std::pair{a.shuffle_gb, b.shuffle_gb},
+                std::pair{a.spill_gb, b.spill_gb},
+                std::pair{a.scan_tasks, b.scan_tasks},
+                std::pair{a.task_waves, b.task_waves},
+                std::pair{a.oom_severity, b.oom_severity}}) {
+            EXPECT_EQ(Bits(x), Bits(y)) << app.name << " q" << q << " @ " << ds;
+          }
+          EXPECT_EQ(a.oom, b.oom);
+        }
+      }
+    }
+    EXPECT_EQ(sim.runs_performed(), twin.runs_performed());
+  }
 }
 
 // ------------------------------------------------------------ LocatTuner

@@ -222,6 +222,37 @@ TEST(QueryProfileTest, SubsetAndIndexOf) {
   EXPECT_EQ(rqa->per_query[0].name, "heavy");
 }
 
+// Per-query names view the app's queries in query_indices order, on the
+// one-shot path and on the size-term path alike.
+TEST(QueryProfileTest, SubsetNamesFollowQueryIndices) {
+  SparkSqlApp app;
+  app.name = "test";
+  app.queries = {ScanOnlyQuery(), ShuffleHeavyQuery()};
+  ClusterSimulator sim(X86Cluster(), 1);
+  ConfigSpace space(sim.cluster());
+  const SparkConf conf = space.Repair(space.DefaultConf());
+  const std::vector<int> order = {1, 0, 1};
+  const AppSizeTerms sized = sim.DeriveSizeTerms(app, 100.0);
+  for (const StatusOr<AppRunResult>& run :
+       {sim.RunAppSubset(app, order, conf, 100.0),
+        sim.RunAppSubset(app, sized, order, conf)}) {
+    ASSERT_TRUE(run.ok());
+    ASSERT_EQ(run->per_query.size(), order.size());
+    for (size_t i = 0; i < order.size(); ++i) {
+      EXPECT_EQ(run->per_query[i].name,
+                app.queries[static_cast<size_t>(order[i])].name);
+      EXPECT_EQ(run->per_query[i].name.data(),
+                app.queries[static_cast<size_t>(order[i])].name.data());
+    }
+  }
+  // Size terms of another app are refused, not read out of bounds.
+  SparkSqlApp one = app;
+  one.queries.pop_back();
+  const StatusOr<AppRunResult> wrong = sim.RunAppSubset(
+      app, sim.DeriveSizeTerms(one, 100.0), std::vector<int>{0}, conf);
+  EXPECT_EQ(wrong.status().code(), StatusCode::kInvalidArgument);
+}
+
 // ------------------------------------------------------------ Simulator
 
 TEST(SimulatorTest, DeterministicForSameSeed) {
