@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <functional>
+#include <type_traits>
 #include <utility>
 
 namespace locat::sparksim {
@@ -40,6 +41,20 @@ std::string NumArg(const char* key, double value) {
   std::snprintf(buf, sizeof(buf), "\"%s\":%.9g", key, value);
   return buf;
 }
+
+// RunApp's tail: a run that errored becomes a failed result.
+AppRunResult OrFailedRun(StatusOr<AppRunResult> result) {
+  if (!result.ok()) {
+    AppRunResult bad;
+    bad.failed = true;
+    bad.fail_reason = result.status().ToString();
+    return bad;
+  }
+  return std::move(*result);
+}
+
+// The scratch -> result copy in FinishAppRun is a plain assign.
+static_assert(std::is_trivially_copyable_v<QueryMetrics>);
 
 }  // namespace
 
@@ -472,28 +487,16 @@ const std::vector<int>& ClusterSimulator::AllQueries(const SparkSqlApp& app) {
   return scratch_all_;
 }
 
-AppRunResult ClusterSimulator::OrFailedRun(StatusOr<AppRunResult> result) {
-  if (!result.ok()) {
-    AppRunResult bad;
-    bad.failed = true;
-    bad.fail_reason = result.status().ToString();
-    return bad;
-  }
-  return std::move(*result);
-}
-
 AppRunResult ClusterSimulator::RunApp(const SparkSqlApp& app,
                                       const SparkConf& conf,
                                       double datasize_gb) {
-  return OrFailedRun(
-      RunQueries(app, nullptr, AllQueries(app), conf, datasize_gb));
+  return OrFailedRun(RunAppSubset(app, AllQueries(app), conf, datasize_gb));
 }
 
 AppRunResult ClusterSimulator::RunApp(const SparkSqlApp& app,
                                       const AppSizeTerms& sized,
                                       const SparkConf& conf) {
-  return OrFailedRun(
-      RunQueries(app, &sized, AllQueries(app), conf, sized.datasize_gb_));
+  return OrFailedRun(RunAppSubset(app, sized, AllQueries(app), conf));
 }
 
 StatusOr<AppRunResult> ClusterSimulator::RunAppSubset(

@@ -335,9 +335,6 @@ class ClusterSimulator {
                                     const std::vector<int>& query_indices,
                                     const SparkConf& conf, double datasize_gb);
 
-  /// RunApp's tail: a run that errored becomes a failed result.
-  static AppRunResult OrFailedRun(StatusOr<AppRunResult> result);
-
   /// 0..n-1 for `app`, in scratch_all_.
   const std::vector<int>& AllQueries(const SparkSqlApp& app);
 
