@@ -60,7 +60,10 @@ static_assert(std::is_trivially_copyable_v<QueryMetrics>);
 
 ClusterSimulator::ClusterSimulator(const ClusterSpec& cluster, uint64_t seed,
                                    SimParams params)
-    : cluster_(cluster), params_(params), noise_rng_(seed) {}
+    : cluster_(cluster),
+      params_(params),
+      disk_bw_(cluster_.disk_gbps * cluster_.worker_nodes),
+      noise_rng_(seed) {}
 
 void ClusterSimulator::set_faults(const FaultSpec& spec) {
   faults_ = spec;
@@ -167,7 +170,6 @@ ClusterSimulator::ConfTerms ClusterSimulator::DeriveConfTerms(
   t.inflight_factor =
       0.9 + 0.1 * (48.0 / std::max(12.0, conf.Get(kReducerMaxSizeInFlight)));
   t.spill_compress = conf.GetBool(kShuffleSpillCompress);
-  t.disk_bw = cluster_.disk_gbps * cluster_.worker_nodes;
 
   // OOM cliff: network buffers and JVM internals live in the overhead
   // allocation; it must scale with the heap and the fetch concurrency or
@@ -211,7 +213,7 @@ AppSizeTerms::Query ClusterSimulator::DeriveQuerySizeTerms(
   s.scanned_gb = datasize_gb * query.input_frac;
   s.scan_tasks = std::max(1.0, std::ceil(s.scanned_gb / params_.split_gb));
   s.scan_overhead_s = s.scan_tasks * params_.task_overhead_s;
-  s.io_floor_s = s.scanned_gb / (cluster_.disk_gbps * cluster_.worker_nodes);
+  s.io_floor_s = s.scanned_gb / disk_bw_;
   // How much the query caches sets how much of the storage unit it holds.
   s.storage_need = 0.25 + 0.65 * std::min(1.0, query.rescan_frac * 4.0);
   s.rescan_gb = s.scanned_gb * query.rescan_frac;
@@ -228,14 +230,21 @@ AppSizeTerms::Query ClusterSimulator::DeriveQuerySizeTerms(
   return s;
 }
 
+void ClusterSimulator::FillSizeTerms(const SparkSqlApp& app,
+                                     double datasize_gb,
+                                     AppSizeTerms* sized) const {
+  sized->simulator_ = this;
+  sized->datasize_gb_ = datasize_gb;
+  sized->queries_.clear();
+  for (const QueryProfile& query : app.queries) {
+    sized->queries_.push_back(DeriveQuerySizeTerms(query, datasize_gb));
+  }
+}
+
 AppSizeTerms ClusterSimulator::DeriveSizeTerms(const SparkSqlApp& app,
                                                double datasize_gb) const {
   AppSizeTerms sized;
-  sized.datasize_gb_ = datasize_gb;
-  sized.queries_.reserve(app.queries.size());
-  for (const QueryProfile& query : app.queries) {
-    sized.queries_.push_back(DeriveQuerySizeTerms(query, datasize_gb));
-  }
+  FillSizeTerms(app, datasize_gb, &sized);
   return sized;
 }
 
@@ -251,7 +260,7 @@ QueryMetrics ClusterSimulator::SimulateQuery(
 
   const double speed = terms.speed;
   const double slots = terms.slots;
-  const double disk_bw = terms.disk_bw;
+  const double disk_bw = disk_bw_;
   const double scanned_gb = sized.scanned_gb;
 
   // ---------------------------------------------------------------- scan
@@ -502,23 +511,21 @@ AppRunResult ClusterSimulator::RunApp(const SparkSqlApp& app,
 StatusOr<AppRunResult> ClusterSimulator::RunAppSubset(
     const SparkSqlApp& app, const std::vector<int>& query_indices,
     const SparkConf& conf, double datasize_gb) {
-  return RunQueries(app, nullptr, query_indices, conf, datasize_gb);
+  FillSizeTerms(app, datasize_gb, &scratch_sized_);
+  return RunAppSubset(app, scratch_sized_, query_indices, conf);
 }
 
 StatusOr<AppRunResult> ClusterSimulator::RunAppSubset(
     const SparkSqlApp& app, const AppSizeTerms& sized,
     const std::vector<int>& query_indices, const SparkConf& conf) {
-  return RunQueries(app, &sized, query_indices, conf, sized.datasize_gb_);
-}
-
-StatusOr<AppRunResult> ClusterSimulator::RunQueries(
-    const SparkSqlApp& app, const AppSizeTerms* sized,
-    const std::vector<int>& query_indices, const SparkConf& conf,
-    double datasize_gb) {
+  const double datasize_gb = sized.datasize_gb_;
   if (!std::isfinite(datasize_gb) || datasize_gb <= 0.0) {
     return Status::InvalidArgument("datasize_gb must be finite and > 0");
   }
-  if (sized != nullptr && sized->queries_.size() != app.queries.size()) {
+  if (sized.simulator_ != this) {
+    return Status::InvalidArgument("size terms derived by another simulator");
+  }
+  if (sized.queries_.size() != app.queries.size()) {
     return Status::InvalidArgument("size terms derived for another app");
   }
   for (int idx : query_indices) {
@@ -541,7 +548,7 @@ StatusOr<AppRunResult> ClusterSimulator::RunQueries(
   }
 
   // The noise-free cost model, query by query, each scaled by its own
-  // noise draw. A one-shot run derives each query's size terms inline.
+  // noise draw.
   const ConfTerms terms = DeriveConfTerms(conf);
   scratch_metrics_.resize(n);
   for (size_t i = 0; i < n; ++i) {
@@ -550,12 +557,8 @@ StatusOr<AppRunResult> ClusterSimulator::RunQueries(
                              ? noise_rng_.LognormalNoise(params_.noise_sigma)
                              : 1.0;
     const size_t q = static_cast<size_t>(query_indices[i]);
-    const QueryProfile& query = app.queries[q];
     scratch_metrics_[i] =
-        sized != nullptr
-            ? SimulateQuery(query, terms, sized->queries_[q])
-            : SimulateQuery(query, terms,
-                            DeriveQuerySizeTerms(query, datasize_gb));
+        SimulateQuery(app.queries[q], terms, sized.queries_[q]);
     ApplyNoise(&scratch_metrics_[i], noise);
   }
 

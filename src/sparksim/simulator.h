@@ -118,14 +118,18 @@ struct AppRunResult {
   std::string fail_reason;   // empty when !failed
 };
 
+class ClusterSimulator;
+
 /// The terms of one app's cost model that depend on the query and the
 /// data size but not on the configuration: scanned GB, scan tasks, the
 /// I/O floor, the storage need, the codegen field count, the shuffle
 /// volume with its pow(ds/100, ds_exponent) and the broadcast side with
 /// its sqrt. Derived by ClusterSimulator::DeriveSizeTerms for one app at
-/// one data size; valid only with that simulator and that app. A caller
-/// that runs one app many times at one size (TuningSession) derives them
-/// once and passes them to every run.
+/// one data size. A run refuses terms derived by another simulator or
+/// for another number of queries; that they were derived for the same
+/// app is the caller's to keep. A caller that runs one app many times at
+/// one size (TuningSession) derives them once and passes them to every
+/// run.
 class AppSizeTerms {
  public:
   double datasize_gb() const { return datasize_gb_; }
@@ -145,6 +149,7 @@ class AppSizeTerms {
     double broadcast_shuffle_gb = 0.0;  // after one
     double bcast_mb = 0.0;
   };
+  const ClusterSimulator* simulator_ = nullptr;  // that derived them
   double datasize_gb_ = 0.0;
   std::vector<Query> queries_;
 };
@@ -201,8 +206,9 @@ class ClusterSimulator {
                                       double datasize_gb);
   /// The same at `sized.datasize_gb()`, with `sized` from
   /// DeriveSizeTerms(app, ...) on this simulator; InvalidArgument when
-  /// `sized` holds another number of queries than `app`. Same bits as
-  /// the call above.
+  /// another simulator derived `sized` or it holds another number of
+  /// queries than `app`. Same bits as the call above, which derives the
+  /// terms into scratch and makes this call.
   StatusOr<AppRunResult> RunAppSubset(const SparkSqlApp& app,
                                       const AppSizeTerms& sized,
                                       const std::vector<int>& query_indices,
@@ -298,7 +304,6 @@ class ClusterSimulator {
     double fetch_denom = 1.0;         // network GB/s x connection factor
     double inflight_factor = 1.0;
     bool spill_compress = false;
-    double disk_bw = 1.0;             // cluster disk GB/s
     // OOM cliff from the overhead allocation.
     double oom_threshold = 1.0;       // after overhead adequacy
     double kill_multiplier = 1.0;     // stage retries from the kill risk
@@ -321,19 +326,15 @@ class ClusterSimulator {
   /// One query's size terms, as DeriveSizeTerms stores them.
   AppSizeTerms::Query DeriveQuerySizeTerms(const QueryProfile& query,
                                            double datasize_gb) const;
+  /// DeriveSizeTerms into `sized`, reusing its storage.
+  void FillSizeTerms(const SparkSqlApp& app, double datasize_gb,
+                     AppSizeTerms* sized) const;
 
   /// The per-query tier of the cost model: pure and noise-free, const,
   /// draws no randomness. `terms` is DeriveConfTerms(conf) and `sized`
   /// DeriveQuerySizeTerms(query, datasize_gb).
   QueryMetrics SimulateQuery(const QueryProfile& query, const ConfTerms& terms,
                              const AppSizeTerms::Query& sized) const;
-
-  /// Both RunAppSubset overloads: `sized` is null for a one-shot run,
-  /// which derives each query's size terms inline.
-  StatusOr<AppRunResult> RunQueries(const SparkSqlApp& app,
-                                    const AppSizeTerms* sized,
-                                    const std::vector<int>& query_indices,
-                                    const SparkConf& conf, double datasize_gb);
 
   /// 0..n-1 for `app`, in scratch_all_.
   const std::vector<int>& AllQueries(const SparkSqlApp& app);
@@ -350,6 +351,7 @@ class ClusterSimulator {
 
   ClusterSpec cluster_;
   SimParams params_;
+  double disk_bw_;  // cluster disk GB/s: disk_gbps * worker_nodes
   Rng noise_rng_;
   int64_t runs_performed_ = 0;
   obs::Tracer* tracer_ = nullptr;
@@ -364,6 +366,7 @@ class ClusterSimulator {
   /// requires that).
   std::vector<QueryMetrics> scratch_metrics_;
   std::vector<int> scratch_all_;
+  AppSizeTerms scratch_sized_;  // a one-shot run's size terms
   std::vector<double> scratch_fault_draws_;
   /// Virtual-time cursor of the simulated lane (ns of trace time); app
   /// runs are appended back-to-back so the exported timeline reads as one

@@ -245,12 +245,17 @@ TEST(QueryProfileTest, SubsetNamesFollowQueryIndices) {
                 app.queries[static_cast<size_t>(order[i])].name.data());
     }
   }
-  // Size terms of another app are refused, not read out of bounds.
+  // Size terms for another number of queries, or derived by another
+  // simulator, are refused, not read out of bounds.
   SparkSqlApp one = app;
   one.queries.pop_back();
   const StatusOr<AppRunResult> wrong = sim.RunAppSubset(
       app, sim.DeriveSizeTerms(one, 100.0), std::vector<int>{0}, conf);
   EXPECT_EQ(wrong.status().code(), StatusCode::kInvalidArgument);
+  ClusterSimulator other(ArmCluster(), 1);
+  const StatusOr<AppRunResult> foreign = sim.RunAppSubset(
+      app, other.DeriveSizeTerms(app, 100.0), std::vector<int>{0}, conf);
+  EXPECT_EQ(foreign.status().code(), StatusCode::kInvalidArgument);
 }
 
 // ------------------------------------------------------------ Simulator
