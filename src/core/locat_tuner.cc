@@ -219,7 +219,12 @@ void LocatTuner::EvaluateAndRecord(
       // Full-app runs happen before QCSA only; RunQcsaAndIicp converts
       // their objective to the RQA scale through per_query.
       objective = rec_or->app_seconds;
-      if (full_app) obs.per_query = rec_or->per_query_seconds;
+      if (full_app) {
+        obs.per_query.reserve(rec_or->per_query.size());
+        for (const auto& q : rec_or->per_query) {
+          obs.per_query.push_back(q.exec_seconds);
+        }
+      }
     }
     obs.objective_seconds = objective;
     const bool failed = obs.failed;

@@ -70,7 +70,7 @@ StatusOr<EvalRecord> TuningSession::EvaluateSubset(
       simulator_->RunAppSubset(app_, SizedFor(datasize_gb), query_indices,
                                conf);
   if (!run_or.ok()) return run_or.status();
-  const sparksim::AppRunResult& run = *run_or;
+  sparksim::AppRunResult& run = *run_or;
   span.Arg("queries", static_cast<double>(query_indices.size()));
   span.Arg("datasize_gb", datasize_gb);
   span.Arg("simulated_seconds", run.total_seconds);
@@ -88,28 +88,12 @@ StatusOr<EvalRecord> TuningSession::EvaluateSubset(
     eval_seconds_hist_->Observe(run.total_seconds);
   }
 
-  EvalRecord rec;
-  rec.conf = conf;
-  rec.unit = space_.ToUnit(conf);
-  rec.datasize_gb = datasize_gb;
-  rec.app_seconds = run.total_seconds;
-  rec.full_app =
-      static_cast<int>(query_indices.size()) == app_.num_queries();
-  rec.query_indices = query_indices;
-  rec.per_query_seconds.reserve(run.per_query.size());
-  for (const auto& q : run.per_query) {
-    rec.per_query_seconds.push_back(q.exec_seconds);
-  }
-  rec.gc_seconds = run.gc_seconds;
-  rec.any_oom = run.any_oom;
-  rec.failed = run.failed;
-  rec.fail_reason = run.fail_reason;
-  rec.retries = run.retries;
-  rec.lost_executors = run.lost_executors;
-
   optimization_seconds_ += run.total_seconds;
-  history_.push_back(std::move(rec));
-  return history_.back();
+  ++evaluations_;
+  return EvalRecord{
+      run.total_seconds,
+      static_cast<int>(query_indices.size()) == app_.num_queries(),
+      run.failed, std::move(run.fail_reason), std::move(run.per_query)};
 }
 
 void TuningSession::ChargePenaltySeconds(double seconds) {

@@ -12,31 +12,28 @@
 
 namespace locat::core {
 
-/// One configuration evaluation retained by a TuningSession.
+/// What a charged evaluation returns: the run's per-query metrics, moved
+/// out of the simulator's result, plus the objective. The session keeps
+/// no copy (DESIGN.md "What a charged evaluation returns").
 struct EvalRecord {
-  sparksim::SparkConf conf;
-  math::Vector unit;            // conf in unit-cube coordinates
-  double datasize_gb = 0.0;
   double app_seconds = 0.0;     // objective actually measured (full or RQA)
   bool full_app = true;         // false when only a query subset ran
-  std::vector<double> per_query_seconds;  // indices into the *full* app
-  std::vector<int> query_indices;         // which queries ran
-  double gc_seconds = 0.0;
-  bool any_oom = false;
   /// Fault-injection outcome: a failed record's app_seconds is the
   /// *partial* time up to the kill (still charged to the meter — a dead
-  /// run is not free) and per_query_seconds covers only what ran.
+  /// run is not free) and per_query covers only what ran.
   bool failed = false;
   std::string fail_reason;
-  int retries = 0;
-  int lost_executors = 0;
+  /// One entry per query that ran, in the order of the run's query list;
+  /// names view into the session's app.
+  std::vector<sparksim::QueryMetrics> per_query;
 };
 
 /// Accounting wrapper every tuner evaluates configurations through.
 ///
 /// It runs configurations on the simulator, charges their *simulated*
 /// wall-clock to the optimization-time meter (this is the "optimization
-/// time" every figure reports), and keeps the evaluation history.
+/// time" every figure reports), and counts the evaluations. It keeps no
+/// per-evaluation state: what a run measured goes back to the caller.
 class TuningSession {
  public:
   TuningSession(sparksim::ClusterSimulator* simulator,
@@ -46,7 +43,6 @@ class TuningSession {
   /// Errors (bad datasize, bad indices) come back as a Status; a
   /// fault-injected app kill is ok() with record.failed set — the partial
   /// runtime is still charged, and tuners impute a censored cost.
-  /// Records are returned by value because history_ may reallocate.
   StatusOr<EvalRecord> Evaluate(const sparksim::SparkConf& conf,
                                 double datasize_gb);
 
@@ -67,8 +63,7 @@ class TuningSession {
 
   /// Simulated seconds spent on all charged evaluations so far.
   double optimization_seconds() const { return optimization_seconds_; }
-  int evaluations() const { return static_cast<int>(history_.size()); }
-  const std::vector<EvalRecord>& history() const { return history_; }
+  int evaluations() const { return evaluations_; }
 
   /// Charges extra simulated seconds to the optimization-time meter
   /// without an evaluation — retry backoff after a failed run is billed
@@ -103,9 +98,9 @@ class TuningSession {
   /// 0, which no valid run has). The session owns its app and is bound
   /// to one simulator, so the terms can never belong to another app.
   sparksim::AppSizeTerms size_terms_;
-  std::vector<EvalRecord> history_;
   std::vector<int> restriction_;
   double optimization_seconds_ = 0.0;
+  int evaluations_ = 0;
   obs::ObsContext obs_;
   obs::Counter* evals_counter_ = nullptr;
   obs::Counter* opt_seconds_counter_ = nullptr;

@@ -1,6 +1,7 @@
 #ifndef LOCAT_SPARKSIM_CONFIG_H_
 #define LOCAT_SPARKSIM_CONFIG_H_
 
+#include <array>
 #include <string>
 #include <vector>
 
@@ -74,10 +75,11 @@ const std::vector<ParamSpec>& ParamCatalog();
 
 /// A concrete assignment of all 38 parameters (equation (1)'s `conf`).
 /// Values are stored as doubles; booleans are 0/1; integer parameters hold
-/// integral values.
+/// integral values. Fixed-size and trivially copyable: a copy allocates
+/// nothing.
 class SparkConf {
  public:
-  SparkConf() : values_(kNumParams, 0.0) {}
+  using Values = std::array<double, kNumParams>;
 
   double Get(ParamId id) const { return values_[static_cast<size_t>(id)]; }
   int GetInt(ParamId id) const { return static_cast<int>(Get(id) + 0.5); }
@@ -86,8 +88,8 @@ class SparkConf {
     values_[static_cast<size_t>(id)] = value;
   }
 
-  const std::vector<double>& values() const { return values_; }
-  std::vector<double>& values() { return values_; }
+  const Values& values() const { return values_; }
+  Values& values() { return values_; }
 
   bool operator==(const SparkConf& other) const {
     return values_ == other.values_;
@@ -96,7 +98,7 @@ class SparkConf {
   std::string ToString() const;
 
  private:
-  std::vector<double> values_;
+  Values values_{};
 };
 
 /// The tunable configuration space for one cluster: Table 2 ranges plus

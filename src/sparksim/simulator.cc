@@ -53,8 +53,10 @@ AppRunResult OrFailedRun(StatusOr<AppRunResult> result) {
   return std::move(*result);
 }
 
-// The scratch -> result copy in FinishAppRun is a plain assign.
+// The scratch -> result copy in FinishAppRun is a plain assign, and a
+// conf copy (Repair, FromUnit, a tuner's best_conf) allocates nothing.
 static_assert(std::is_trivially_copyable_v<QueryMetrics>);
+static_assert(std::is_trivially_copyable_v<SparkConf>);
 
 }  // namespace
 

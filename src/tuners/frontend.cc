@@ -46,8 +46,9 @@ core::TuningResult QcsaIicpFrontend::Tune(core::TuningSession* session,
     double sample_best = 0.0;
     for (int i = 0; i < n_samples; ++i) {
       const double before = session->optimization_seconds();
+      const sparksim::SparkConf conf = space.RandomValid(&rng_);
       const StatusOr<core::EvalRecord> rec_or =
-          session->Evaluate(space.RandomValid(&rng_), datasize_gb);
+          session->Evaluate(conf, datasize_gb);
       if (!rec_or.ok()) continue;
       const core::EvalRecord& rec = *rec_or;
       const double eval_seconds = session->optimization_seconds() - before;
@@ -56,10 +57,10 @@ core::TuningResult QcsaIicpFrontend::Tune(core::TuningSession* session,
         // feed QCSA's aligned columns — drop it from the analyses.
         ++sample_failures;
       } else {
-        units.push_back(rec.unit);
+        units.push_back(space.ToUnit(conf));
         seconds.push_back(rec.app_seconds);
-        for (size_t q = 0; q < rec.per_query_seconds.size(); ++q) {
-          per_query[q].push_back(rec.per_query_seconds[q]);
+        for (size_t q = 0; q < rec.per_query.size(); ++q) {
+          per_query[q].push_back(rec.per_query[q].exec_seconds);
         }
         if (sample_best <= 0.0 || rec.app_seconds < sample_best) {
           sample_best = rec.app_seconds;

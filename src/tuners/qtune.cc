@@ -50,10 +50,10 @@ core::TuningResult QtuneTuner::Tune(core::TuningSession* session,
 
   // Level assignment per free parameter, starting mid-range.
   std::vector<int> level(free_dims_.size(), kLevelsPerParam / 2);
-  const math::Vector base_unit =
-      space.ToUnit(space.Repair(space.DefaultConf()));
+  // One unit buffer per tune: the free coordinates are rewritten on every
+  // step, the others keep the repaired defaults.
+  math::Vector unit = space.ToUnit(space.Repair(space.DefaultConf()));
   auto conf_from_levels = [&]() {
-    math::Vector unit = base_unit;
     for (size_t j = 0; j < free_dims_.size(); ++j) {
       unit[static_cast<size_t>(free_dims_[j])] =
           (static_cast<double>(level[j]) + 0.5) / kLevelsPerParam;

@@ -22,7 +22,9 @@ core::TuningResult RandomSearchTuner::Tune(core::TuningSession* session,
   const double meter_start = session->optimization_seconds();
   const int evals_start = session->evaluations();
   const sparksim::ConfigSpace& space = session->space();
-  const math::Vector base_unit = space.ToUnit(space.Repair(space.DefaultConf()));
+  // One unit buffer per tune: the free coordinates are redrawn on every
+  // step, the others keep the repaired defaults.
+  math::Vector unit = space.ToUnit(space.Repair(space.DefaultConf()));
 
   core::TuningResult result;
   result.tuner_name = name();
@@ -30,7 +32,6 @@ core::TuningResult RandomSearchTuner::Tune(core::TuningSession* session,
   tune_span.Arg("tuner", result.tuner_name);
   double worst_seconds = 0.0;  // censored-cost anchor (successes only)
   for (int i = 0; i < options_.evaluations; ++i) {
-    math::Vector unit = base_unit;
     for (int d : free_dims_) {
       unit[static_cast<size_t>(d)] = rng_.NextDouble();
     }

@@ -250,11 +250,11 @@ TEST(TuningSessionTest, QueryRestrictionAppliesToEvaluate) {
   session.RestrictToQueries({0, 1, 2});
   EXPECT_TRUE(session.restricted());
   const EvalRecord rec = *session.Evaluate(conf, 100.0);
-  EXPECT_EQ(rec.per_query_seconds.size(), 3u);
+  EXPECT_EQ(rec.per_query.size(), 3u);
   EXPECT_FALSE(rec.full_app);
   session.ClearQueryRestriction();
   const EvalRecord full = *session.Evaluate(conf, 100.0);
-  EXPECT_EQ(full.per_query_seconds.size(), 22u);
+  EXPECT_EQ(full.per_query.size(), 22u);
   EXPECT_TRUE(full.full_app);
 }
 
@@ -290,12 +290,17 @@ TEST(TuningSessionSizeTermsTest, MatchOneShotRunsAtInterleavedSizes) {
              {std::pair{&full, &*want_full}, std::pair{&part, &*want_part}}) {
           EXPECT_EQ(Bits(rec->app_seconds), Bits(want->total_seconds))
               << app.name << " @ " << ds;
-          EXPECT_EQ(Bits(rec->gc_seconds), Bits(want->gc_seconds));
-          ASSERT_EQ(rec->per_query_seconds.size(), want->per_query.size());
+          ASSERT_EQ(rec->per_query.size(), want->per_query.size());
+          double gc_seconds = 0.0;  // summed in run order, as the run is
           for (size_t q = 0; q < want->per_query.size(); ++q) {
-            EXPECT_EQ(Bits(rec->per_query_seconds[q]),
+            EXPECT_EQ(rec->per_query[q].name, want->per_query[q].name);
+            EXPECT_EQ(Bits(rec->per_query[q].exec_seconds),
                       Bits(want->per_query[q].exec_seconds));
+            EXPECT_EQ(Bits(rec->per_query[q].gc_seconds),
+                      Bits(want->per_query[q].gc_seconds));
+            gc_seconds += rec->per_query[q].gc_seconds;
           }
+          EXPECT_EQ(Bits(gc_seconds), Bits(want->gc_seconds));
         }
         ASSERT_EQ(judged.per_query.size(), want_judged->per_query.size());
         EXPECT_EQ(Bits(judged.total_seconds), Bits(want_judged->total_seconds));

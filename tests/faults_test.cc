@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -10,6 +12,8 @@
 #include "common/thread_pool.h"
 #include "core/locat_tuner.h"
 #include "core/tuning.h"
+#include "ml/lhs.h"
+#include "obs/trace.h"
 #include "sparksim/cluster.h"
 #include "sparksim/config.h"
 #include "sparksim/faults.h"
@@ -324,8 +328,12 @@ TEST(FailureAwareTuningTest, RetryBudgetChargesBackoffToTheMeter) {
 
 TEST(FailureAwareTuningTest, FirstAttemptsRunBeforeRetries) {
   // Every LHS start point runs once before any of them is retried: with a
-  // kill-certain plan the history opens with the three distinct start
-  // points, then each one's two retries back to back, in the same order.
+  // kill-certain plan the session opens with the three distinct start
+  // points h0 h1 h2, then each one's two retries back to back, in the
+  // same order. Every run draws noise and faults from the simulator's
+  // streams, so a twin simulator that replays the start points in that
+  // order must reproduce the simulated seconds of the first nine
+  // "session/evaluate" spans.
   const auto app = workloads::HiBenchScan();
   ClusterSimulator sim(X86Cluster(), 16);
   sim.set_faults(KillCertainSpec(6));
@@ -333,16 +341,44 @@ TEST(FailureAwareTuningTest, FirstAttemptsRunBeforeRetries) {
   core::LocatTuner::Options opts = TinyTunerOptions();
   opts.lhs_init = 3;
   core::LocatTuner tuner(opts);
+  obs::Tracer tracer;
+  obs::ObsContext ctx;
+  ctx.tracer = &tracer;
+  session.SetObservability(ctx);
   tuner.Tune(&session, 100.0);
-  const std::vector<core::EvalRecord>& h = session.history();
-  ASSERT_GE(h.size(), 9u);
-  EXPECT_FALSE(h[0].conf == h[1].conf);
-  EXPECT_FALSE(h[0].conf == h[2].conf);
-  EXPECT_FALSE(h[1].conf == h[2].conf);
-  // h0 h1 h2, then h0 h0 h1 h1 h2 h2.
-  for (size_t k = 0; k < 3; ++k) {
-    EXPECT_TRUE(h[3 + 2 * k].conf == h[k].conf) << "first retry of " << k;
-    EXPECT_TRUE(h[4 + 2 * k].conf == h[k].conf) << "second retry of " << k;
+  std::vector<std::string> got;  // the spans' simulated_seconds, in order
+  const std::string key = "\"simulated_seconds\":";
+  for (const obs::TraceEvent& ev : tracer.snapshot()) {
+    if (ev.name != "session/evaluate") continue;
+    const size_t at = ev.args.find(key);
+    ASSERT_NE(at, std::string::npos) << ev.args;
+    const size_t from = at + key.size();
+    got.push_back(ev.args.substr(from, ev.args.find(',', from) - from));
+  }
+  ASSERT_GE(got.size(), 9u);
+
+  // The tuner's start points: its first draws are the LHS design.
+  Rng rng(opts.seed);
+  const math::Matrix lhs =
+      ml::LatinHypercube(opts.lhs_init, kNumParams, &rng);
+  std::vector<SparkConf> h;
+  for (size_t i = 0; i < 3; ++i) {
+    h.push_back(session.space().Repair(session.space().FromUnit(lhs.Row(i))));
+  }
+  EXPECT_FALSE(h[0] == h[1]);
+  EXPECT_FALSE(h[0] == h[2]);
+  EXPECT_FALSE(h[1] == h[2]);
+
+  ClusterSimulator twin(X86Cluster(), 16);
+  twin.set_faults(KillCertainSpec(6));
+  const size_t order[] = {0, 1, 2, 0, 0, 1, 1, 2, 2};
+  for (size_t k = 0; k < 9; ++k) {
+    const AppRunResult run = twin.RunApp(app, h[order[k]], 100.0);
+    EXPECT_TRUE(run.failed) << "attempt " << k;
+    // The span prints its value with %.9g; format the twin's the same way.
+    char want[32];
+    std::snprintf(want, sizeof(want), "%.9g", run.total_seconds);
+    EXPECT_EQ(got[k], want) << "attempt " << k << " (h" << order[k] << ")";
   }
 }
 
