@@ -71,9 +71,13 @@ void BM_GpPredict(benchmark::State& state) {
 }
 BENCHMARK(BM_GpPredict);
 
+// Args: GP rows n and input dimension d. {5, 39} and {19, 10} are
+// serve-sized refits (the pre-IICP space on a handful of rows, a reduced
+// space at the serve path's largest n), where an evaluation's fixed costs
+// outweigh its Cholesky; {30, 10} and {60, 10} are cold-tune sized.
 void BM_EiMcmcRefit(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
-  const size_t d = 10;
+  const size_t d = static_cast<size_t>(state.range(1));
   math::Matrix x = RandomMatrix(n, d, 6);
   math::Vector y(n);
   Rng data_rng(7);
@@ -87,7 +91,11 @@ void BM_EiMcmcRefit(benchmark::State& state) {
     benchmark::DoNotOptimize(model.Fit(x, y, &rng).ok());
   }
 }
-BENCHMARK(BM_EiMcmcRefit)->Arg(30)->Arg(60);
+BENCHMARK(BM_EiMcmcRefit)
+    ->Args({5, 39})
+    ->Args({19, 10})
+    ->Args({30, 10})
+    ->Args({60, 10});
 
 void BM_KpcaFitProject(benchmark::State& state) {
   math::Matrix x = RandomMatrix(30, 25, 9);

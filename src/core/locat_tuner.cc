@@ -1,8 +1,11 @@
 #include "core/locat_tuner.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
+#include <cstring>
+#include <functional>
 #include <string_view>
 #include <unordered_map>
 #include <unordered_set>
@@ -376,12 +379,30 @@ LocatTuner::Proposal LocatTuner::ProposeNext(TuningSession* session,
 
   math::Matrix pool(static_cast<size_t>(options_.candidates), dim);
   size_t pool_size = 0;
-  // The bytes of every accepted row (views into `pool`, whose accepted
-  // rows never move). Equality is memcmp, so the hash's
-  // implementation-defined values only place buckets and never decide
-  // which copy survives (the first, in generation order).
-  std::unordered_set<std::string_view> unique_rows;
-  unique_rows.reserve(static_cast<size_t>(options_.candidates));
+  // The accepted rows of `pool` (which never move), by row index, in one
+  // open-addressing table with linear probing at most half full.
+  // Equality is memcmp, so the hash's implementation-defined values only
+  // place buckets and never decide which copy survives (the first, in
+  // generation order).
+  constexpr size_t kEmptySlot = static_cast<size_t>(-1);
+  std::vector<size_t> row_slots(
+      std::bit_ceil(2 * static_cast<size_t>(options_.candidates) + 1),
+      kEmptySlot);
+  const size_t slot_mask = row_slots.size() - 1;
+  const size_t row_bytes = dim * sizeof(double);
+  // Accepts row `r` of the pool unless a bitwise-equal row was accepted.
+  const auto accept_row = [&](size_t r) {
+    const double* row = pool.RowData(r);
+    for (size_t b = std::hash<std::string_view>()(ValueBytes({row, dim}));;
+         ++b) {
+      size_t& slot = row_slots[b & slot_mask];
+      if (slot == kEmptySlot) {
+        slot = r;
+        return true;
+      }
+      if (std::memcmp(pool.RowData(slot), row, row_bytes) == 0) return false;
+    }
+  };
   math::Vector unit = best_unit;
   sparksim::SparkConf conf;
   for (int c = 0; c < options_.candidates; ++c) {
@@ -423,9 +444,7 @@ LocatTuner::Proposal LocatTuner::ProposeNext(TuningSession* session,
                     [](double d2) { return d2 < kNearDuplicateSq; })) {
       continue;
     }
-    const std::string_view bytes(reinterpret_cast<const char*>(row),
-                                 dim * sizeof(double));
-    if (unique_rows.insert(bytes).second) ++pool_size;
+    if (accept_row(pool_size)) ++pool_size;
   }
   pool.ResizeRows(pool_size);
 

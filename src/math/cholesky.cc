@@ -19,22 +19,14 @@ StatusOr<Cholesky> Cholesky::Factor(const Matrix& a) {
     double* dst = l.RowData(i);
     for (size_t j = 0; j <= i; ++j) dst[j] = src[j];
   }
-  return FactorLowerInPlace(std::move(l));
-}
-
-StatusOr<Cholesky> Cholesky::FactorLowerInPlace(Matrix a) {
-  if (a.rows() != a.cols()) {
-    return Status::InvalidArgument("Cholesky requires a square matrix");
-  }
-  const size_t n = a.rows();
   const ptrdiff_t pivot =
-      n == 0 ? -1 : kern::CholeskyFactorInPlace(a.RowData(0), n);
+      n == 0 ? -1 : kern::CholeskyFactorInPlace(l.RowData(0), n);
   if (pivot >= 0) {
     return Status::FailedPrecondition(
         "matrix is not positive definite (pivot " + std::to_string(pivot) +
         ")");
   }
-  return Cholesky(std::move(a), /*jitter=*/0.0);
+  return Cholesky(std::move(l), /*jitter=*/0.0);
 }
 
 StatusOr<Cholesky> Cholesky::FactorWithJitter(const Matrix& a,
@@ -64,34 +56,11 @@ StatusOr<Cholesky> Cholesky::FactorWithJitter(const Matrix& a,
 }
 
 Vector Cholesky::Solve(const Vector& b) const {
-  Vector y = SolveLower(b);
-  const size_t n = l_.rows();
-  // Backward substitution: L^T x = y.
-  Vector x(n);
-  for (size_t ii = n; ii-- > 0;) {
-    double s = y[ii];
-    for (size_t j = ii + 1; j < n; ++j) s -= l_(j, ii) * x[j];
-    x[ii] = s / l_(ii, ii);
-  }
+  assert(b.size() == l_.rows());
+  Vector x = b;
+  ForwardSubstituteInPlace(l_, x.data().data());
+  BackSubstituteInPlace(l_, x.data().data());
   return x;
-}
-
-Vector Cholesky::SolveLower(const Vector& b) const {
-  const size_t n = l_.rows();
-  assert(b.size() == n);
-  Vector y(n);
-  const double* yd = y.data().data();
-  for (size_t i = 0; i < n; ++i) {
-    const double s = b[i] - kern::Dot(l_.RowData(i), yd, i);
-    y[i] = s / l_(i, i);
-  }
-  return y;
-}
-
-double Cholesky::LogDeterminant() const {
-  double s = 0.0;
-  for (size_t i = 0; i < l_.rows(); ++i) s += std::log(l_(i, i));
-  return 2.0 * s;
 }
 
 Status Cholesky::AppendRow(const Vector& cross, double diag) {
@@ -121,6 +90,31 @@ Status Cholesky::AppendRow(const Vector& cross, double diag) {
   row[n] = std::sqrt(d);
   l_ = std::move(grown);
   return Status::OK();
+}
+
+void ForwardSubstituteInPlace(const Matrix& l, double* y) {
+  // y[i] is read before it is overwritten and entries j < i are already
+  // solved, so the solve runs in place.
+  for (size_t i = 0; i < l.rows(); ++i) {
+    const double s = y[i] - kern::Dot(l.RowData(i), y, i);
+    y[i] = s / l(i, i);
+  }
+}
+
+void BackSubstituteInPlace(const Matrix& l, double* x) {
+  // L^T x' = x from the last row up; entries j > i are already solved.
+  const size_t n = l.rows();
+  for (size_t i = n; i-- > 0;) {
+    double s = x[i];
+    for (size_t j = i + 1; j < n; ++j) s -= l(j, i) * x[j];
+    x[i] = s / l(i, i);
+  }
+}
+
+double FactorLogDeterminant(const Matrix& l) {
+  double s = 0.0;
+  for (size_t i = 0; i < l.rows(); ++i) s += std::log(l(i, i));
+  return 2.0 * s;
 }
 
 }  // namespace locat::math

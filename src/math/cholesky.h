@@ -1,18 +1,22 @@
 #ifndef LOCAT_MATH_CHOLESKY_H_
 #define LOCAT_MATH_CHOLESKY_H_
 
+#include <utility>
+
 #include "common/status.h"
 #include "math/matrix.h"
 
 namespace locat::math {
 
 /// Cholesky factorization `A = L L^T` of a symmetric positive-definite
-/// matrix, plus the vector solves needed by Gaussian-process regression.
+/// matrix, plus the vector solve needed by Gaussian-process regression.
 ///
 /// A GP fit factors its kernel matrix once and calls `Solve` once for the
 /// weights alpha; `AppendRow` grows the factor when one observation is
 /// added. Batch prediction does not solve per candidate: it reads `L()`
 /// and runs one `kern::SolveLowerMatrixInPlace` per block of candidates.
+/// The free functions below the class run a single forward or backward
+/// substitution or the log-determinant on any factor.
 class Cholesky {
  public:
   /// Factors `a` (must be square, symmetric, positive definite). Returns
@@ -20,12 +24,13 @@ class Cholesky {
   /// typically retry after adding diagonal jitter.
   static StatusOr<Cholesky> Factor(const Matrix& a);
 
-  /// Factors the lower triangle of `a` in place and keeps the storage as
-  /// L: the upper triangle must already be zero (it is neither read nor
-  /// written). `Factor` copies into such a matrix and calls this, so a
-  /// caller that builds its matrix straight into a zeroed lower triangle
-  /// gets the same bits without the copy. Same errors as `Factor`.
-  static StatusOr<Cholesky> FactorLowerInPlace(Matrix a);
+  /// Wraps a lower factor computed elsewhere: `l` holds L in its lower
+  /// triangle and zeros above, as `kern::CholeskyFactorInPlace` leaves a
+  /// zeroed-upper buffer, and `jitter` the diagonal jitter it was
+  /// factored with.
+  static Cholesky FromFactor(Matrix l, double jitter) {
+    return Cholesky(std::move(l), jitter);
+  }
 
   /// Like `Factor` but retries with growing diagonal jitter
   /// (`initial_jitter * 10^k`, k = 0..max_attempts-1). Returns the factor of
@@ -36,14 +41,6 @@ class Cholesky {
 
   /// Solves `A x = b` via forward+backward substitution.
   Vector Solve(const Vector& b) const;
-
-  /// Solves `L y = b` (forward substitution only). `alpha = L^-T L^-1 b`
-  /// style GP computations use this for the predictive variance.
-  Vector SolveLower(const Vector& b) const;
-
-  /// log(det(A)) = 2 * sum(log(L_ii)); needed for the GP log marginal
-  /// likelihood.
-  double LogDeterminant() const;
 
   /// Grows the factor by one row/column in O(n^2): after the call this is
   /// the factor of [[A + jI, cross], [cross^T, diag + j]] where A + jI is
@@ -69,6 +66,18 @@ class Cholesky {
   Matrix l_;
   double jitter_ = 0.0;
 };
+
+/// The substitution loops `Cholesky::Solve` runs and the log-determinant,
+/// on a factor held in any n x n matrix `l` (only its lower triangle is
+/// read), so a caller that factors into a buffer of its own runs the same
+/// floating-point sequence without a `Cholesky` object.
+/// Forward substitution: overwrites y (n entries) with L^-1 y.
+void ForwardSubstituteInPlace(const Matrix& l, double* y);
+/// Backward substitution: overwrites x (n entries) with L^-T x.
+void BackSubstituteInPlace(const Matrix& l, double* x);
+/// log(det(L L^T)) = 2 * sum(log(L_ii)), the GP log marginal
+/// likelihood's determinant term.
+double FactorLogDeterminant(const Matrix& l);
 
 }  // namespace locat::math
 

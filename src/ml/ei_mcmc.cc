@@ -23,16 +23,19 @@ constexpr double kSignalLogMean = 0.0;
 constexpr double kNoiseLogMean = -4.6;
 constexpr double kPriorLogStd = 1.0;
 
-double LogPrior(const GpHyperparams& hp) {
+/// The prior of flattened hyperparameters (GpHyperparams::Flatten's
+/// layout: d log lengthscales, log signal, log noise).
+double LogPrior(std::span<const double> flat) {
   const double inv_var = 1.0 / (kPriorLogStd * kPriorLogStd);
+  const size_t d = flat.size() - 2;
   double lp = 0.0;
-  for (size_t i = 0; i < hp.log_lengthscales.size(); ++i) {
-    const double d = hp.log_lengthscales[i] - kLengthscaleLogMean;
-    lp -= 0.5 * d * d * inv_var;
+  for (size_t i = 0; i < d; ++i) {
+    const double dl = flat[i] - kLengthscaleLogMean;
+    lp -= 0.5 * dl * dl * inv_var;
   }
-  const double ds = hp.log_signal_variance - kSignalLogMean;
+  const double ds = flat[d] - kSignalLogMean;
   lp -= 0.5 * ds * ds * inv_var;
-  const double dn = hp.log_noise_variance - kNoiseLogMean;
+  const double dn = flat[d + 1] - kNoiseLogMean;
   lp -= 0.5 * dn * dn * inv_var;
   return lp;
 }
@@ -65,20 +68,20 @@ Status EiMcmc::Fit(const math::Matrix& x, const math::Vector& y, Rng* rng,
   // The previous ensemble is not needed while sampling; free it first.
   ensemble_.clear();
 
-  // Kernel-cached density: pair squared-distances precomputed once, one
-  // exp per pair per proposal, and the factorization of every density
-  // evaluation memoized. The sampler's last evaluation of each sweep is
-  // at exactly the retained state, so the callback harvests that
-  // factorization and the ensemble member adopts it instead of
+  // Kernel-cached density on the flat state, allocation-free once warm:
+  // pair squared-distances precomputed once, one exp per moved
+  // lengthscale and one per pair per proposal, and the factorization of
+  // the last evaluation memoized. The sampler's last evaluation of each
+  // sweep is at exactly the retained state, so the callback harvests
+  // that factorization and the ensemble member adopts it instead of
   // refactoring.
   GpKernelCache cache(x, y, row_of);
   auto log_posterior = [&](const math::Vector& flat) {
-    const GpHyperparams hp = GpHyperparams::Unflatten(flat);
-    const double lml = cache.LogMarginalLikelihood(hp);
+    const double lml = cache.LogMarginalLikelihood(flat.data());
     if (!std::isfinite(lml)) {
       return -std::numeric_limits<double>::infinity();
     }
-    return lml + LogPrior(hp);
+    return lml + LogPrior(flat.data());
   };
 
   // Continue the chain when its last state fits this input dimension and
@@ -111,7 +114,7 @@ Status EiMcmc::Fit(const math::Matrix& x, const math::Vector& y, Rng* rng,
   SliceSampler sampler(log_posterior, sopts);
   std::vector<std::optional<GpKernelCache::Factorization>> harvested;
   auto on_sample = [&](int /*index*/, const math::Vector& state) {
-    harvested.push_back(cache.TakeMemoized(state));
+    harvested.push_back(cache.TakeMemoized(state.data()));
   };
   std::vector<math::Vector> samples =
       sampler.Sample(start, start_log_f, draws, burn, options_.thin, rng,
@@ -132,7 +135,7 @@ Status EiMcmc::Fit(const math::Matrix& x, const math::Vector& y, Rng* rng,
   std::vector<std::optional<GaussianProcess>> slots(chain_.size());
   common::ThreadPool::Global()->ParallelForEach(
       chain_.size(), [&](size_t i) {
-        const GpHyperparams hp = GpHyperparams::Unflatten(chain_[i]);
+        const GpHyperparams hp = GpHyperparams::Unflatten(chain_[i].data());
         GaussianProcess gp;
         const Status s =
             i >= carried && harvested[i - carried].has_value()

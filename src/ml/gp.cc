@@ -138,10 +138,11 @@ GpRowTargets FoldRuns(const math::Vector& ys, const std::vector<size_t>& row_of,
 /// The log marginal likelihood of the runs from the row fit's factor and
 /// weights: the row likelihood, plus the within-row correction when some
 /// row holds more than one run (GpRowTargets).
-double RunLogLikelihood(const math::Cholesky& chol, const math::Vector& alpha,
+double RunLogLikelihood(const math::Matrix& factor, const double* alpha,
                         const GpRowTargets& t, double noise) {
   const size_t rows = t.mean.size();
-  double lml = -0.5 * t.mean.Dot(alpha) - 0.5 * chol.LogDeterminant() -
+  double lml = -0.5 * math::kern::Dot(t.mean.data().data(), alpha, rows) -
+               0.5 * math::FactorLogDeterminant(factor) -
                static_cast<double>(rows) * kHalfLog2Pi;
   if (t.runs > rows) {
     const double s2 = noise + 1e-10;
@@ -219,7 +220,7 @@ math::Vector GpHyperparams::Flatten() const {
   return flat;
 }
 
-GpHyperparams GpHyperparams::Unflatten(const math::Vector& flat) {
+GpHyperparams GpHyperparams::Unflatten(std::span<const double> flat) {
   GpHyperparams hp;
   const size_t d = flat.size() - 2;
   hp.log_lengthscales = math::Vector(d);
@@ -231,7 +232,10 @@ GpHyperparams GpHyperparams::Unflatten(const math::Vector& flat) {
 
 GpKernelCache::GpKernelCache(const math::Matrix& x, const math::Vector& y,
                              std::span<const size_t> row_of)
-    : x_(x), y_raw_(y), row_of_(RowMap(row_of, y.size())) {
+    : x_(x),
+      y_raw_(y),
+      row_of_(RowMap(row_of, y.size())),
+      factor_(x.rows(), x.rows()) {
   assert(ValidRowMap(row_of, y.size(), x.rows()));
   math::Vector ys;
   Standardize(y, &ys, &y_mean_, &y_std_);
@@ -275,68 +279,86 @@ math::Matrix GpKernelCache::BuildKernel(const GpHyperparams& hp) const {
   return k;
 }
 
-bool GpKernelCache::RefreshLanes(const math::Vector& w) {
+bool GpKernelCache::RefreshLanes(std::span<const double> log_lengthscales) {
   const size_t n = x_.rows();
   const size_t d = x_.cols();
   const size_t npairs = n * (n - 1) / 2;
-  const bool cold = lane_w_.size() != d || lanes_.size() != 4 * npairs;
+  const bool cold = weights_.size() != d || lanes_.size() != 4 * npairs;
   if (cold) {
+    log_l_.resize(d);
+    weights_.resize(d);
     lanes_.assign(4 * npairs, 0.0);
     unit_kernel_.resize(npairs);
   }
-  bool changed = cold;
-  for (size_t t = 0; t < 4; ++t) {
-    bool stale = cold;
-    for (size_t k = t; k < d && !stale; k += 4) {
-      stale = std::bit_cast<uint64_t>(w[k]) !=
-              std::bit_cast<uint64_t>(lane_w_[k]);
+  // A lane is stale when one of its coordinates' weight bits changed; a
+  // coordinate whose log lengthscale kept its bits keeps its weight.
+  bool stale[4] = {cold, cold, cold, cold};
+  for (size_t k = 0; k < d; ++k) {
+    const double v = log_lengthscales[k];
+    if (!cold &&
+        std::bit_cast<uint64_t>(v) == std::bit_cast<uint64_t>(log_l_[k])) {
+      continue;
     }
-    if (!stale) continue;
-    ComputeLane(pair_sqdiff_.data(), npairs, d, w.data().data(), t,
+    const double w = std::exp(-2.0 * v);  // KernelWeights' expression
+    stale[k % 4] = stale[k % 4] || std::bit_cast<uint64_t>(w) !=
+                                       std::bit_cast<uint64_t>(weights_[k]);
+    log_l_[k] = v;
+    weights_[k] = w;
+  }
+  bool changed = false;
+  for (size_t t = 0; t < 4; ++t) {
+    if (!stale[t]) continue;
+    ComputeLane(pair_sqdiff_.data(), npairs, d, weights_.data(), t,
                 lanes_.data() + t * npairs);
     changed = true;
   }
-  lane_w_ = w.data();
   return changed;
 }
 
-double GpKernelCache::LogMarginalLikelihood(const GpHyperparams& hp) {
-  if (hp.log_lengthscales.size() != x_.cols() || x_.rows() == 0) {
-    return -std::numeric_limits<double>::infinity();
-  }
-  if (RefreshLanes(KernelWeights(hp))) {
+double GpKernelCache::LogMarginalLikelihood(std::span<const double> flat) {
+  constexpr double kFailed = -std::numeric_limits<double>::infinity();
+  memo_valid_ = false;
+  const size_t n = x_.rows();
+  const size_t d = x_.cols();
+  if (flat.size() != d + 2 || n == 0) return kFailed;
+  if (RefreshLanes(flat.first(d))) {
     UnitKernel(lanes_.data(), unit_kernel_.size(), unit_kernel_.data());
   }
-  const size_t n_pts = x_.rows();
-  const double sv = std::exp(hp.log_signal_variance);
-  const double noise = std::exp(hp.log_noise_variance);
+  const double sv = std::exp(flat[d]);
+  const double noise = std::exp(flat[d + 1]);
   KernelDiagonal(sv, noise, targets_.count, &diag_);
-  math::Matrix l(n_pts, n_pts);
-  FillLowerKernel(unit_kernel_.data(), sv, diag_.data(), &l);
-  auto chol = math::Cholesky::FactorLowerInPlace(std::move(l));
-  // A non-SPD pivot consumed the buffer; the jitter retries start over
-  // from a rebuilt kernel (the same bits).
-  if (!chol.ok()) chol = math::Cholesky::FactorWithJitter(BuildKernel(hp));
-  if (!chol.ok()) return -std::numeric_limits<double>::infinity();
-  math::Vector alpha = chol->Solve(targets_.mean);
-  const double lml = RunLogLikelihood(*chol, alpha, targets_, noise);
-  memo_.emplace(
-      Factorization{std::move(chol).value(), std::move(alpha), lml});
-  memo_key_ = hp.Flatten();
-  return lml;
+  // Every call rewrites the whole lower triangle and nothing writes the
+  // upper one, so the buffer is the zeroed-upper matrix Cholesky::Factor
+  // builds.
+  FillLowerKernel(unit_kernel_.data(), sv, diag_.data(), &factor_);
+  jitter_ = 0.0;
+  if (math::kern::CholeskyFactorInPlace(factor_.RowData(0), n) >= 0) {
+    // A non-SPD pivot consumed the buffer; the jitter retries start over
+    // from a rebuilt kernel (the same bits).
+    auto chol = math::Cholesky::FactorWithJitter(
+        BuildKernel(GpHyperparams::Unflatten(flat)));
+    if (!chol.ok()) return kFailed;
+    factor_ = chol->L();
+    jitter_ = chol->jitter();
+  }
+  alpha_.assign(targets_.mean.data().begin(), targets_.mean.data().end());
+  math::ForwardSubstituteInPlace(factor_, alpha_.data());
+  math::BackSubstituteInPlace(factor_, alpha_.data());
+  lml_ = RunLogLikelihood(factor_, alpha_.data(), targets_, noise);
+  memo_key_.assign(flat.begin(), flat.end());
+  memo_valid_ = true;
+  return lml_;
 }
 
 std::optional<GpKernelCache::Factorization> GpKernelCache::TakeMemoized(
-    const math::Vector& flat) {
-  if (!memo_.has_value() || memo_key_.size() != flat.size()) {
+    std::span<const double> flat) {
+  if (!memo_valid_ || !std::equal(flat.begin(), flat.end(), memo_key_.begin(),
+                                  memo_key_.end())) {
     return std::nullopt;
   }
-  for (size_t i = 0; i < flat.size(); ++i) {
-    if (memo_key_[i] != flat[i]) return std::nullopt;
-  }
-  std::optional<Factorization> out = std::move(memo_);
-  memo_.reset();
-  return out;
+  memo_valid_ = false;
+  return Factorization{math::Cholesky::FromFactor(factor_, jitter_),
+                       math::Vector(alpha_), lml_};
 }
 
 Status GaussianProcess::Fit(const math::Matrix& x, const math::Vector& y,
@@ -381,7 +403,7 @@ Status GaussianProcess::Fit(const GpKernelCache& cache,
   chol_ = std::move(chol).value();
   alpha_ = chol_->Solve(cache.targets().mean);
   log_marginal_likelihood_ =
-      RunLogLikelihood(*chol_, alpha_, cache.targets(),
+      RunLogLikelihood(chol_->L(), alpha_.data().data(), cache.targets(),
                        std::exp(hp.log_noise_variance));
   FinishFit();
   return Status::OK();
@@ -461,8 +483,9 @@ void GaussianProcess::SolveTargets() {
   Standardize(y_raw_, &ys, &y_mean_, &y_std_);
   const GpRowTargets targets = FoldRuns(ys, row_of_, x_.rows());
   alpha_ = chol_->Solve(targets.mean);
-  log_marginal_likelihood_ = RunLogLikelihood(
-      *chol_, alpha_, targets, std::exp(hp_.log_noise_variance));
+  log_marginal_likelihood_ =
+      RunLogLikelihood(chol_->L(), alpha_.data().data(), targets,
+                       std::exp(hp_.log_noise_variance));
 }
 
 void GaussianProcess::FinishFit() {
@@ -482,7 +505,8 @@ GaussianProcess::Prediction GaussianProcess::PredictReference(
 
   Prediction pred;
   pred.mean = y_mean_ + y_std_ * kstar.Dot(alpha_);
-  const math::Vector v = chol_->SolveLower(kstar);
+  math::Vector v = kstar;
+  math::ForwardSubstituteInPlace(chol_->L(), v.data().data());
   double var = ReferenceArdSqExp(x, x, hp_) - v.Dot(v);
   if (var < 0.0) var = 0.0;
   pred.variance = var * y_std_ * y_std_;

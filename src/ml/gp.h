@@ -28,7 +28,7 @@ struct GpHyperparams {
   /// Flattens to a vector (lengthscales..., signal, noise) for samplers.
   math::Vector Flatten() const;
   /// Inverse of Flatten(); `flat.size()` must be `input_dim + 2`.
-  static GpHyperparams Unflatten(const math::Vector& flat);
+  static GpHyperparams Unflatten(std::span<const double> flat);
 };
 
 /// The training targets of a GP folded onto its rows. Runs whose inputs
@@ -70,24 +70,30 @@ bool ValidRowMap(std::span<const size_t> row_of, size_t runs, size_t rows);
 /// +0, and the lanes combine as (S_0 + S_2) + (S_1 + S_3) — the order a
 /// row-major `kern` mat-vec of the pair rows against w uses, so the
 /// exponents are the ones a plain mat-vec gives. `LogMarginalLikelihood`
-/// keeps the lanes, the weights that produced them and the unscaled
-/// exp(-exponent / 2) across calls. The sampler moves one coordinate at a
-/// time, so a lengthscale proposal recomputes one lane (about d/4
-/// coordinates) and a signal or noise proposal recomputes none. The
-/// kernel is then written as signal * exp into the lower triangle of one
-/// zeroed matrix that `math::Cholesky::FactorLowerInPlace` factors in
-/// place; that is `ExpScaled(-1/2, signal)`'s separate multiply, so every
-/// entry, the factor and the likelihood keep their bits.
+/// keeps the weights, the log lengthscales they came from, the lanes and
+/// the unscaled exp(-exponent / 2) across calls. The sampler moves one
+/// coordinate at a time, so a lengthscale proposal takes one exp for its
+/// weight and recomputes one lane (about d/4 coordinates), and a signal or
+/// noise proposal takes none of either.
+///
+/// A warm evaluation allocates nothing. The cache owns one n x n factor
+/// buffer whose upper triangle stays zero: the kernel is written as
+/// signal * exp into its lower triangle (`ExpScaled(-1/2, signal)`'s
+/// separate multiply) and factored there by `kern::CholeskyFactorInPlace`,
+/// and alpha is solved into a vector the cache owns by the substitution
+/// loops `math::Cholesky::Solve` runs, so every entry, the factor and the
+/// likelihood keep the bits of a fresh `Cholesky::Factor`. A kernel that
+/// is not positive definite falls back to `BuildKernel` and
+/// `Cholesky::FactorWithJitter`.
 ///
 /// The rows of `x` are distinct GP inputs and `y` holds runs: `row_of`
 /// names each run's row (GpRowTargets), one row per run when it is
 /// empty. The cache standardizes the runs and folds them onto the rows
-/// once, and memoizes the factorization of the most recent successful
-/// likelihood evaluation.
-/// The slice sampler's final density evaluation of each sweep lands
-/// exactly on the retained sample, so `TakeMemoized` lets the caller
-/// build that sample's GP ensemble member without refactoring (O(n^3)
-/// saved per retained sample).
+/// once. The memo is the last call's factorization (a failed call clears
+/// it). The slice sampler's final density evaluation of each sweep lands
+/// exactly on the retained sample, so `TakeMemoized` copies that sample's
+/// factor and alpha out for its GP ensemble member instead of refactoring
+/// (O(n^3) saved per retained sample).
 class GpKernelCache {
  public:
   /// Precomputes pair structure for the rows of `x` (G x d), standardizes
@@ -123,24 +129,27 @@ class GpKernelCache {
     double log_marginal_likelihood = 0.0;
   };
 
-  /// Log marginal likelihood of the cached data under `hp`, through the
-  /// jittered factorization `GaussianProcess::Fit` uses.
-  /// Returns -inf when the kernel cannot be factored even with jitter.
-  /// Updates the lane state and memoizes the factorization of the last
-  /// successful call; NOT thread-safe because of those writes.
-  double LogMarginalLikelihood(const GpHyperparams& hp);
+  /// Log marginal likelihood of the cached data under the flattened
+  /// hyperparameters `flat` (GpHyperparams::Flatten's layout: d log
+  /// lengthscales, log signal, log noise), through the jittered
+  /// factorization `GaussianProcess::Fit` uses. Returns -inf when `flat`
+  /// has another size or the kernel cannot be factored even with jitter.
+  /// Updates the weights, lanes and factor buffer and memoizes the
+  /// result; NOT thread-safe because of those writes.
+  double LogMarginalLikelihood(std::span<const double> flat);
 
-  /// Moves out the memoized factorization iff it was produced for exactly
-  /// the hyperparameters `flat` (element-wise equality on the flattened
-  /// vector). Returns nullopt on a miss and leaves the memo in place; a
-  /// hit consumes it, so a second take of the same key misses.
-  std::optional<Factorization> TakeMemoized(const math::Vector& flat);
+  /// A copy of the memoized factorization iff the last call succeeded at
+  /// exactly `flat` (element-wise equality). Returns nullopt on a miss
+  /// and leaves the memo in place; a hit consumes it, so a second take of
+  /// the same key misses.
+  std::optional<Factorization> TakeMemoized(std::span<const double> flat);
 
  private:
-  /// Brings `lanes_` up to the weights `w`, recomputing only the lanes
-  /// holding a coordinate whose weight bits changed. Returns true when
-  /// some lane was recomputed.
-  bool RefreshLanes(const math::Vector& w);
+  /// Brings `weights_` up to `log_lengthscales`, one exp per coordinate
+  /// whose bits changed, and `lanes_` up to the weights, recomputing only
+  /// the lanes holding a coordinate whose weight bits changed. Returns
+  /// true when some lane was recomputed.
+  bool RefreshLanes(std::span<const double> log_lengthscales);
 
   math::Matrix x_;
   math::Vector y_raw_;
@@ -154,17 +163,24 @@ class GpKernelCache {
   // and row i's pairs are contiguous in p.
   std::vector<double> pair_sqdiff_;
 
-  // Lane state of LogMarginalLikelihood, kept across calls (empty until
-  // the first call): lanes_[t * npairs + p] = S_t[p], lane_w_ the weights
-  // the lanes were built from, and unit_kernel_[p] the unscaled
+  // State of LogMarginalLikelihood, kept across calls (empty until the
+  // first call): log_l_[k] and weights_[k] = exp(-2 * log_l_[k]) the
+  // lengthscale coordinates the lanes were built from,
+  // lanes_[t * npairs + p] = S_t[p], and unit_kernel_[p] the unscaled
   // exp(-((S_0 + S_2) + (S_1 + S_3)) / 2).
+  std::vector<double> log_l_;
+  std::vector<double> weights_;
   std::vector<double> lanes_;
-  std::vector<double> lane_w_;
   std::vector<double> unit_kernel_;
   std::vector<double> diag_;  // scratch: the kernel diagonal per row
-
-  std::optional<Factorization> memo_;
-  math::Vector memo_key_;
+  // The last call's factor (upper triangle zero), its jitter and alpha;
+  // the memo when memo_valid_, under the key memo_key_.
+  math::Matrix factor_;
+  double jitter_ = 0.0;
+  std::vector<double> alpha_;
+  double lml_ = 0.0;
+  std::vector<double> memo_key_;
+  bool memo_valid_ = false;
 };
 
 /// Gaussian-process regression with an ARD squared-exponential kernel.

@@ -29,7 +29,7 @@ core::TuningResult QcsaIicpFrontend::Tune(core::TuningSession* session,
                                           double datasize_gb) {
   const double meter_start = session->optimization_seconds();
   const int evals_start = session->evaluations();
-  sparksim::ConfigSpace space = session->space();
+  const sparksim::ConfigSpace& space = session->space();
 
   // --- Sample collection: max(N_QCSA, N_IICP) random full-app runs.
   const int n_samples =

@@ -99,7 +99,8 @@ TEST(SolveLowerMatrixTest, MatchesPerColumnSolveLower) {
     for (size_t c = 0; c < m; ++c) {
       Vector col(n);
       for (size_t i = 0; i < n; ++i) col[i] = b(i, c);
-      const Vector ref = chol->SolveLower(col);
+      Vector ref = col;
+      math::ForwardSubstituteInPlace(chol->L(), ref.data().data());
       // Solved alone, the column takes the Axpy tail path; inside the
       // block it rode a 32- or 16-column group or the tail. Same bits.
       Vector alone = col;
@@ -339,7 +340,7 @@ TEST(GpKernelCacheTest, LogMarginalLikelihoodMatchesReference) {
     GpHyperparams hp = MakeHyperparams(8);
     hp.log_signal_variance += 0.11 * t;
     hp.log_noise_variance -= 0.2 * t;
-    const double cached = cache.LogMarginalLikelihood(hp);
+    const double cached = cache.LogMarginalLikelihood(hp.Flatten().data());
     const double ref =
         testutil::ReferenceLogMarginalLikelihood(x, y, hp);
     EXPECT_NEAR(cached, ref, 1e-8 * std::abs(ref)) << "variant " << t;
@@ -373,9 +374,9 @@ TEST(GpKernelCacheTest, AdoptFitEquivalentToFreshFit) {
   const GpHyperparams hp = MakeHyperparams(5);
   GpKernelCache cache(x, y);
   // A likelihood evaluation memoizes the factorization for exactly hp...
-  const double lml = cache.LogMarginalLikelihood(hp);
+  const double lml = cache.LogMarginalLikelihood(hp.Flatten().data());
   ASSERT_TRUE(std::isfinite(lml));
-  auto fact = cache.TakeMemoized(hp.Flatten());
+  auto fact = cache.TakeMemoized(hp.Flatten().data());
   ASSERT_TRUE(fact.has_value());
   EXPECT_DOUBLE_EQ(fact->log_marginal_likelihood, lml);
 
@@ -401,14 +402,14 @@ TEST(GpKernelCacheTest, TakeMemoizedMissesOnDifferentHyperparams) {
   MakeDataset(12, 3, &x, &y);
   GpKernelCache cache(x, y);
   const GpHyperparams hp = MakeHyperparams(3);
-  cache.LogMarginalLikelihood(hp);
+  cache.LogMarginalLikelihood(hp.Flatten().data());
   GpHyperparams other = hp;
   other.log_noise_variance += 1e-9;
-  EXPECT_FALSE(cache.TakeMemoized(other.Flatten()).has_value());
+  EXPECT_FALSE(cache.TakeMemoized(other.Flatten().data()).has_value());
   // The miss must not have consumed the memo.
-  EXPECT_TRUE(cache.TakeMemoized(hp.Flatten()).has_value());
+  EXPECT_TRUE(cache.TakeMemoized(hp.Flatten().data()).has_value());
   // ...but a hit does: a second take misses.
-  EXPECT_FALSE(cache.TakeMemoized(hp.Flatten()).has_value());
+  EXPECT_FALSE(cache.TakeMemoized(hp.Flatten().data()).has_value());
 }
 
 TEST(GpKernelCacheTest, DegenerateKernelStillFactorsWithJitter) {
@@ -424,7 +425,7 @@ TEST(GpKernelCacheTest, DegenerateKernelStillFactorsWithJitter) {
   GpHyperparams hp = GpHyperparams::Default(2);
   hp.log_noise_variance = -40.0;
   GpKernelCache cache(x, y);
-  const double cached = cache.LogMarginalLikelihood(hp);
+  const double cached = cache.LogMarginalLikelihood(hp.Flatten().data());
   const double ref = testutil::ReferenceLogMarginalLikelihood(x, y, hp);
   EXPECT_TRUE(std::isfinite(cached));
   EXPECT_TRUE(std::isfinite(ref));
@@ -468,7 +469,8 @@ std::optional<GpKernelCache::Factorization> RowMajorMatVecDensity(
   auto chol = math::Cholesky::FactorWithJitter(k);
   if (!chol.ok()) return std::nullopt;
   Vector alpha = chol->Solve(ys);
-  const double lml = -0.5 * ys.Dot(alpha) - 0.5 * chol->LogDeterminant() -
+  const double lml = -0.5 * ys.Dot(alpha) -
+                     0.5 * math::FactorLogDeterminant(chol->L()) -
                      static_cast<double>(n) * 0.9189385332046727;
   return GpKernelCache::Factorization{std::move(chol).value(),
                                       std::move(alpha), lml};
@@ -485,12 +487,53 @@ struct WalkPaths {
   int failed = 0;
 };
 
+/// Evaluates `cache` at `hp`, then checks the density, the memoized
+/// factor (all n x n entries, so also its zero upper triangle) and alpha
+/// against `RowMajorMatVecDensity`, bit for bit. Counts the path the
+/// reference took into `paths`.
+void ExpectStateMatchesRowMajorReference(GpKernelCache* cache,
+                                         const Matrix& x,
+                                         const GpHyperparams& hp,
+                                         WalkPaths* paths) {
+  const size_t n = x.rows();
+  const auto ref = RowMajorMatVecDensity(x, cache->targets().mean, hp);
+  const double lml = cache->LogMarginalLikelihood(hp.Flatten().data());
+  auto got = cache->TakeMemoized(hp.Flatten().data());
+  if (!ref.has_value()) {
+    ++paths->failed;
+    EXPECT_EQ(lml, -std::numeric_limits<double>::infinity());
+    EXPECT_FALSE(got.has_value());
+    return;
+  }
+  if (ref->chol.jitter() > 0.0) ++paths->jittered;
+  EXPECT_PRED2(SameBits, lml, ref->log_marginal_likelihood);
+  if (!got.has_value()) {
+    ADD_FAILURE() << "no memoized factorization";
+    return;
+  }
+  EXPECT_PRED2(SameBits, got->chol.jitter(), ref->chol.jitter());
+  const Matrix& l = got->chol.L();
+  const Matrix& rl = ref->chol.L();
+  size_t factor_diffs = 0;
+  size_t upper_nonzero = 0;
+  size_t alpha_diffs = 0;
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < n; ++j) {
+      factor_diffs += !SameBits(l(i, j), rl(i, j));
+      upper_nonzero += j > i && !SameBits(l(i, j), 0.0);
+    }
+    alpha_diffs += !SameBits(got->alpha[i], ref->alpha[i]);
+  }
+  EXPECT_EQ(factor_diffs, 0u);
+  EXPECT_EQ(upper_nonzero, 0u);
+  EXPECT_EQ(alpha_diffs, 0u);
+}
+
 /// Walks one cache through `steps` proposals shaped like the slice
 /// sampler's: one lengthscale, signal only, noise only, or every
-/// coordinate at once, then repeats the state (no lane changes). At each
-/// step the density, the factor and alpha must carry the bits of
-/// `RowMajorMatVecDensity`. `extreme` draws some lengthscales whose
-/// weights underflow to 0 or overflow to inf.
+/// coordinate at once, then repeats the state (no lane changes). Every
+/// step must match `ExpectStateMatchesRowMajorReference`. `extreme` draws
+/// some lengthscales whose weights underflow to 0 or overflow to inf.
 WalkPaths ExpectWalkMatchesRowMajorReference(const Matrix& x,
                                              const Vector& y, uint64_t seed,
                                              int steps, bool extreme) {
@@ -540,36 +583,9 @@ WalkPaths ExpectWalkMatchesRowMajorReference(const Matrix& x,
       default:
         break;  // same state again
     }
-    const auto ref = RowMajorMatVecDensity(x, cache.targets().mean, hp);
-    const double lml = cache.LogMarginalLikelihood(hp);
     SCOPED_TRACE(::testing::Message() << "n=" << n << " d=" << d
                                       << " step=" << step);
-    auto got = cache.TakeMemoized(hp.Flatten());
-    if (!ref.has_value()) {
-      ++paths.failed;
-      EXPECT_EQ(lml, -std::numeric_limits<double>::infinity());
-      EXPECT_FALSE(got.has_value());
-      continue;
-    }
-    if (ref->chol.jitter() > 0.0) ++paths.jittered;
-    EXPECT_PRED2(SameBits, lml, ref->log_marginal_likelihood);
-    if (!got.has_value()) {
-      ADD_FAILURE() << "no memoized factorization";
-      continue;
-    }
-    EXPECT_PRED2(SameBits, got->chol.jitter(), ref->chol.jitter());
-    const Matrix& l = got->chol.L();
-    const Matrix& rl = ref->chol.L();
-    size_t factor_diffs = 0;
-    size_t alpha_diffs = 0;
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = 0; j < n; ++j) {
-        factor_diffs += !SameBits(l(i, j), rl(i, j));
-      }
-      alpha_diffs += !SameBits(got->alpha[i], ref->alpha[i]);
-    }
-    EXPECT_EQ(factor_diffs, 0u);
-    EXPECT_EQ(alpha_diffs, 0u);
+    ExpectStateMatchesRowMajorReference(&cache, x, hp, &paths);
   }
   return paths;
 }
@@ -596,6 +612,44 @@ TEST(GpKernelCacheTest, IncrementalDensityMatchesParentFormulaBitForBit) {
       ExpectWalkMatchesRowMajorReference(x, y, 101, 40, /*extreme=*/false);
   EXPECT_GT(dup.jittered, 0);
 
+  // A jitter-fallback evaluation and a failing one, each followed by
+  // ordinary single-coordinate moves on the same cache: the reused factor
+  // buffer, weights and lanes carry nothing over from either.
+  {
+    GpKernelCache cache(x, y);
+    GpHyperparams hp = MakeHyperparams(5);
+    enum Path { kPlain, kJittered, kFailed };
+    const auto expect_path = [&](Path want, const char* what) {
+      SCOPED_TRACE(what);
+      WalkPaths paths;
+      ExpectStateMatchesRowMajorReference(&cache, x, hp, &paths);
+      EXPECT_EQ(paths.jittered, want == kJittered ? 1 : 0);
+      EXPECT_EQ(paths.failed, want == kFailed ? 1 : 0);
+    };
+    expect_path(kPlain, "start");
+    hp.log_signal_variance = 20.0;
+    hp.log_noise_variance = -40.0;
+    expect_path(kJittered, "singular kernel");
+    hp.log_noise_variance = -3.5;
+    expect_path(kPlain, "noise after jitter");
+    hp.log_signal_variance = 0.3;
+    expect_path(kPlain, "signal after jitter");
+    hp.log_lengthscales[2] = -0.4;
+    expect_path(kPlain, "lengthscale after jitter");
+    // Weight exp(800) = inf against the repeated rows' 0 squared
+    // difference: NaN exponents, no factor even with jitter.
+    hp.log_lengthscales[0] = -400.0;
+    expect_path(kFailed, "NaN kernel");
+    hp.log_lengthscales[0] = -0.9;
+    expect_path(kPlain, "lengthscale after failure");
+    hp.log_signal_variance = -0.2;
+    expect_path(kPlain, "signal after failure");
+    hp.log_noise_variance = -5.0;
+    expect_path(kPlain, "noise after failure");
+    hp.log_lengthscales[4] = 0.2;
+    expect_path(kPlain, "other lane after failure");
+  }
+
   // Constant targets standardize to all zeros.
   MakeDataset(33, 8, &x, &y);
   for (size_t i = 0; i < y.size(); ++i) y[i] = 2.5;
@@ -611,6 +665,34 @@ TEST(GpKernelCacheTest, IncrementalDensityMatchesParentFormulaBitForBit) {
         x, y, 100 + d, 60, /*extreme=*/true);
     EXPECT_GT(paths.failed, 0) << "d=" << d;
   }
+}
+
+// The memo is the last call's factorization: a take after a success hits
+// once, and a failure in between clears it.
+TEST(GpKernelCacheTest, TakeMemoizedMissesAfterAFailedEvaluation) {
+  Matrix x;
+  Vector y;
+  MakeDataset(12, 3, &x, &y);
+  x.SetRow(11, x.Row(0));  // a repeated row: 0 squared differences
+  GpKernelCache cache(x, y);
+  const GpHyperparams hp = MakeHyperparams(3);
+  GpHyperparams failing = hp;
+  failing.log_lengthscales[1] = -400.0;  // inf * 0 = NaN exponents
+  const Vector key = hp.Flatten();
+
+  ASSERT_TRUE(std::isfinite(cache.LogMarginalLikelihood(key.data())));
+  EXPECT_TRUE(cache.TakeMemoized(key.data()).has_value());
+  EXPECT_FALSE(cache.TakeMemoized(key.data()).has_value());
+
+  ASSERT_TRUE(std::isfinite(cache.LogMarginalLikelihood(key.data())));
+  EXPECT_EQ(cache.LogMarginalLikelihood(failing.Flatten().data()),
+            -std::numeric_limits<double>::infinity());
+  EXPECT_FALSE(cache.TakeMemoized(key.data()).has_value());
+  EXPECT_FALSE(cache.TakeMemoized(failing.Flatten().data()).has_value());
+
+  // A success after the failure memoizes again.
+  ASSERT_TRUE(std::isfinite(cache.LogMarginalLikelihood(key.data())));
+  EXPECT_TRUE(cache.TakeMemoized(key.data()).has_value());
 }
 
 // ------------------------------------------------------------- EiMcmc
@@ -1182,8 +1264,8 @@ TEST(RepeatedRunsTest, GroupedFitMatchesExpandedFit) {
       GpKernelCache cache(h.x, h.y, h.row_of);
       const double expanded_lml =
           testutil::ReferenceLogMarginalLikelihood(h.expanded, h.y, hp);
-      ExpectRelNear(cache.LogMarginalLikelihood(hp), expanded_lml, 1e-10,
-                    "cache LML");
+      ExpectRelNear(cache.LogMarginalLikelihood(hp.Flatten().data()),
+                    expanded_lml, 1e-10, "cache LML");
 
       GaussianProcess grouped;
       ASSERT_TRUE(grouped.Fit(h.x, h.y, hp, h.row_of).ok());
@@ -1225,9 +1307,9 @@ TEST(RepeatedRunsTest, NoRepeatsKeepTheParentBits) {
     for (size_t i = 0; i < n; ++i) identity[i] = i;
     const GpHyperparams hp = MakeHyperparams(d);
     GpKernelCache cache(x, y, identity);
-    const double lml = cache.LogMarginalLikelihood(hp);
+    const double lml = cache.LogMarginalLikelihood(hp.Flatten().data());
     std::optional<GpKernelCache::Factorization> fact =
-        cache.TakeMemoized(hp.Flatten());
+        cache.TakeMemoized(hp.Flatten().data());
     ASSERT_TRUE(fact.has_value());
 
     const double mean = math::Mean(y.data());
@@ -1342,7 +1424,8 @@ TEST(RepeatedRunsTest, OneRowForEveryRunIsFinite) {
     }
     const std::vector<size_t> row_of(y.size(), 0);
     GpKernelCache cache(x, y, row_of);
-    EXPECT_TRUE(std::isfinite(cache.LogMarginalLikelihood(MakeHyperparams(d))))
+    EXPECT_TRUE(std::isfinite(
+        cache.LogMarginalLikelihood(MakeHyperparams(d).Flatten().data())))
         << identical;
     ml::EiMcmc model;
     ASSERT_TRUE(model.Fit(x, y, &rng, row_of).ok()) << identical;

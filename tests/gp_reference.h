@@ -56,7 +56,7 @@ inline double ReferenceLogMarginalLikelihood(const math::Matrix& x,
   auto chol = math::Cholesky::FactorWithJitter(k);
   if (!chol.ok()) return -std::numeric_limits<double>::infinity();
   const math::Vector alpha = chol->Solve(ys);
-  return -0.5 * ys.Dot(alpha) - 0.5 * chol->LogDeterminant() -
+  return -0.5 * ys.Dot(alpha) - 0.5 * math::FactorLogDeterminant(chol->L()) -
          static_cast<double>(n) * kHalfLog2Pi;
 }
 

@@ -116,7 +116,7 @@ TEST(CholeskyTest, LogDeterminant) {
   Matrix a{{4, 0}, {0, 9}};
   auto chol = Cholesky::Factor(a);
   ASSERT_TRUE(chol.ok());
-  EXPECT_NEAR(chol->LogDeterminant(), std::log(36.0), 1e-12);
+  EXPECT_NEAR(FactorLogDeterminant(chol->L()), std::log(36.0), 1e-12);
 }
 
 TEST(EigenTest, DiagonalMatrix) {

@@ -237,7 +237,7 @@ TEST(GpHyperparamsTest, FlattenRoundTrip) {
   hp.log_lengthscales[1] = -2.0;
   hp.log_signal_variance = 0.7;
   hp.log_noise_variance = -5.5;
-  GpHyperparams back = GpHyperparams::Unflatten(hp.Flatten());
+  GpHyperparams back = GpHyperparams::Unflatten(hp.Flatten().data());
   EXPECT_DOUBLE_EQ(back.log_lengthscales[1], -2.0);
   EXPECT_DOUBLE_EQ(back.log_signal_variance, 0.7);
   EXPECT_DOUBLE_EQ(back.log_noise_variance, -5.5);
