@@ -62,8 +62,6 @@ Status EiMcmc::Fit(const math::Matrix& x, const math::Vector& y, Rng* rng,
   best_observed_ = math::Min(y.data());
 
   const size_t dim = x.cols();
-  SliceSampler::Options sopts;
-  sopts.width = 0.8;
 
   // The previous ensemble is not needed while sampling; free it first.
   ensemble_.clear();
@@ -111,7 +109,7 @@ Status EiMcmc::Fit(const math::Matrix& x, const math::Vector& y, Rng* rng,
   last_fit_stats_.continued = continued;
   last_fit_stats_.sweeps = burn + draws * std::max(1, options_.thin);
 
-  SliceSampler sampler(log_posterior, sopts);
+  SliceSampler sampler(log_posterior);
   std::vector<std::optional<GpKernelCache::Factorization>> harvested;
   auto on_sample = [&](int /*index*/, const math::Vector& state) {
     harvested.push_back(cache.TakeMemoized(state.data()));

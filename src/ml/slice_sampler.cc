@@ -12,25 +12,17 @@ double SliceSampler::SampleCoordinate(math::Vector* state, size_t coord,
   // Slice level: log(u) + log f(x0), u ~ U(0,1).
   const double log_y = log_f0 + std::log(1.0 - rng->NextDouble());
 
-  // Step out to find the bracket [lo, hi].
-  double lo = x0 - options_.width * rng->NextDouble();
-  double hi = lo + options_.width;
+  // Shrink-only bracket: width kWidth placed uniformly around x0.
+  double lo = x0 - kWidth * rng->NextDouble();
+  double hi = lo + kWidth;
   auto eval_at = [&](double v) {
     (*state)[coord] = v;
     if (stats != nullptr) ++stats->density_evals;
     return log_density_(*state);
   };
-  for (int i = 0; i < options_.max_step_out && eval_at(lo) > log_y; ++i) {
-    lo -= options_.width;
-    if (stats != nullptr) ++stats->step_outs;
-  }
-  for (int i = 0; i < options_.max_step_out && eval_at(hi) > log_y; ++i) {
-    hi += options_.width;
-    if (stats != nullptr) ++stats->step_outs;
-  }
 
   // Shrink until a point inside the slice is found.
-  for (int i = 0; i < options_.max_shrink; ++i) {
+  for (int i = 0; i < kMaxShrink; ++i) {
     const double x1 = lo + (hi - lo) * rng->NextDouble();
     const double log_f1 = eval_at(x1);
     if (log_f1 > log_y) {

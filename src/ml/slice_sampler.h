@@ -12,36 +12,37 @@ namespace locat::ml {
 /// unnormalized log density. Used to marginalize GP hyperparameters in the
 /// EI-MCMC acquisition (Snoek, Larochelle & Adams 2012).
 ///
-/// Slice sampling needs no step-size tuning beyond an initial bracket
-/// width, which is exactly why EI-MCMC "avoids external tuning of GP's
-/// hyperparameters" (Section 3.4 of the paper).
+/// Each coordinate update is shrink-only: it draws the slice level,
+/// places a bracket of constant width kWidth uniformly around the current
+/// value and shrinks it until a point inside the slice is drawn. Nothing
+/// is evaluated at the bracket ends and nothing steps out; Neal (2003,
+/// Section 4.1) shows the update leaves the target invariant for any
+/// width. Slice sampling needs no step-size tuning, which is exactly why
+/// EI-MCMC "avoids external tuning of GP's hyperparameters" (Section 3.4
+/// of the paper).
 class SliceSampler {
  public:
   using LogDensity = std::function<double(const math::Vector&)>;
 
-  struct Options {
-    /// Initial bracket width per coordinate.
-    double width = 1.0;
-    /// Maximum number of stepping-out expansions per side.
-    int max_step_out = 8;
-    /// Maximum shrink iterations before giving up and keeping the current
-    /// coordinate value (guards against pathological densities).
-    int max_shrink = 64;
-  };
+  /// Bracket width per coordinate: about three standard deviations of
+  /// EI-MCMC's log-hyperparameter prior (sd 1).
+  static constexpr double kWidth = 3.2;
+  /// Shrink iterations before giving up and keeping the current
+  /// coordinate value (guards against pathological densities).
+  static constexpr int kMaxShrink = 64;
 
   /// Work counters accumulated across a Sample() call — the telemetry the
   /// BO loop reports as "MCMC hyperparameter acceptance stats". Purely
   /// observational: collecting them draws no random numbers and changes
   /// no sampling decision.
   struct Stats {
-    /// Log-density evaluations: each bracket end, step-out, shrink and
-    /// accepted proposal, and the re-evaluation of a stuck coordinate's
-    /// kept value. A state's density is carried forward, never recomputed.
+    /// Log-density evaluations: one per shrink and accepted proposal, and
+    /// the re-evaluation of a stuck coordinate's kept value. A state's
+    /// density is carried forward, never recomputed.
     int64_t density_evals = 0;
-    int64_t step_outs = 0;      // bracket expansions
     int64_t accepted = 0;       // coordinate proposals accepted
     int64_t shrinks = 0;        // coordinate proposals rejected (shrunk)
-    int64_t stuck = 0;          // coordinates kept after max_shrink
+    int64_t stuck = 0;          // coordinates kept after kMaxShrink
 
     /// Fraction of shrink-loop proposals that landed inside the slice.
     double acceptance_rate() const {
@@ -53,8 +54,8 @@ class SliceSampler {
     }
   };
 
-  SliceSampler(LogDensity log_density, Options options)
-      : log_density_(std::move(log_density)), options_(options) {}
+  explicit SliceSampler(LogDensity log_density)
+      : log_density_(std::move(log_density)) {}
 
   /// Invoked right after each retained sample with (sample_index, state).
   /// The density has just been evaluated at exactly `state` (the final
@@ -87,7 +88,6 @@ class SliceSampler {
                           Rng* rng, Stats* stats) const;
 
   LogDensity log_density_;
-  Options options_;
 };
 
 }  // namespace locat::ml

@@ -78,6 +78,21 @@ TEST(EiMcmcChainTest, ColdFitRunsFullBurnIn) {
   EXPECT_EQ(stats.ensemble_size, opts.num_hyper_samples);
 }
 
+TEST(EiMcmcChainTest, ColdFitSpendsFewEvaluationsPerCoordinateUpdate) {
+  // Shrink-only brackets evaluate nothing at the bracket ends and never
+  // step out. On this fixture they spend 1.7 evaluations per coordinate
+  // update; evaluating both ends and stepping out at width 0.8 spent 6.9.
+  // Counts are deterministic, so this is a fixed budget.
+  ml::EiMcmc model;
+  Rng rng(5);
+  const size_t d = 10;
+  const auto stats = FitRows(&model, 30, d, &rng);
+  ASSERT_FALSE(stats.continued);
+  const double updates = static_cast<double>(stats.sweeps) * (d + 2);
+  EXPECT_EQ(stats.sampler.stuck, 0);
+  EXPECT_LE(static_cast<double>(stats.sampler.density_evals), 2.5 * updates);
+}
+
 TEST(EiMcmcChainTest, ContinuedFitDrawsHalfAnEnsembleWithoutReburn) {
   const ml::EiMcmc::Options opts = SmallOptions();
   // ceil(K / 2) fresh samples, thin sweeps apart, whatever the row delta.

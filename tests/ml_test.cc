@@ -247,7 +247,7 @@ TEST(GpHyperparamsTest, FlattenRoundTrip) {
 
 TEST(SliceSamplerTest, SamplesStandardNormal) {
   auto log_density = [](const Vector& x) { return -0.5 * x[0] * x[0]; };
-  SliceSampler sampler(log_density, SliceSampler::Options());
+  SliceSampler sampler(log_density);
   Rng rng(31);
   auto samples = sampler.Sample(Vector{0.3}, log_density(Vector{0.3}), 3000,
                                 50, 1, &rng);
@@ -264,7 +264,7 @@ TEST(SliceSamplerTest, SamplesShiftedBivariate) {
     const double b = x[1] + 1.0;
     return -0.5 * (a * a + b * b / 0.25);
   };
-  SliceSampler sampler(log_density, SliceSampler::Options());
+  SliceSampler sampler(log_density);
   Rng rng(37);
   auto samples = sampler.Sample(Vector{0.0, 0.0},
                                 log_density(Vector{0.0, 0.0}), 2500, 80, 1,
@@ -280,10 +280,9 @@ TEST(SliceSamplerTest, SamplesShiftedBivariate) {
 }
 
 TEST(SliceSamplerTest, CountsEachDensityCallOnce) {
-  // Every call the sampler makes is a real evaluation: two bracket ends per
-  // coordinate, one per step-out, shrink and accepted move, and none at a
-  // state whose density it already has. The start's density comes from
-  // the caller.
+  // Every call the sampler makes is a real evaluation: one per shrink and
+  // accepted move, none at the bracket ends and none at a state whose
+  // density it already has. The start's density comes from the caller.
   int64_t calls = 0;
   Vector last;
   auto log_density = [&calls, &last](const Vector& x) {
@@ -292,7 +291,7 @@ TEST(SliceSamplerTest, CountsEachDensityCallOnce) {
     const double a = x[0] - 1.0;
     return -0.5 * (a * a + 4.0 * x[1] * x[1]);
   };
-  SliceSampler sampler(log_density, SliceSampler::Options());
+  SliceSampler sampler(log_density);
   const Vector start{0.5, 0.5};
   const double start_log_f = log_density(start);
   calls = 0;
@@ -313,8 +312,31 @@ TEST(SliceSamplerTest, CountsEachDensityCallOnce) {
   EXPECT_EQ(stats.stuck, 0);
   EXPECT_EQ(stats.accepted, sweeps * 2);
   EXPECT_EQ(calls, stats.density_evals);
-  EXPECT_EQ(stats.density_evals,
-            2 * sweeps * 2 + stats.step_outs + stats.shrinks + stats.accepted);
+  EXPECT_EQ(stats.density_evals, stats.accepted + stats.shrinks + stats.stuck);
+}
+
+TEST(SliceSamplerTest, RecoversNarrowAndPriorScaleGaussians) {
+  // The fixed bracket is about three prior standard deviations wide: a
+  // posterior 20x narrower than the prior is reached by shrinking, one at
+  // the prior's scale without stepping out.
+  for (const double sd : {0.05, 1.0}) {
+    SCOPED_TRACE(sd);
+    const double mean = -1.2;
+    auto log_density = [mean, sd](const Vector& x) {
+      const double z = (x[0] - mean) / sd;
+      return -0.5 * z * z;
+    };
+    SliceSampler sampler(log_density);
+    Rng rng(47);
+    const Vector start{0.0};
+    auto samples = sampler.Sample(start, log_density(start), 4000, 50, 1,
+                                  &rng);
+    std::vector<double> values;
+    values.reserve(samples.size());
+    for (const auto& s : samples) values.push_back(s[0]);
+    EXPECT_NEAR(math::Mean(values), mean, 0.1 * sd);
+    EXPECT_NEAR(math::StdDev(values), sd, 0.1 * sd);
+  }
 }
 
 // --------------------------------------------------------------- EiMcmc
