@@ -13,8 +13,6 @@ uint64_t SplitMix64(uint64_t* x) {
   return z ^ (z >> 31);
 }
 
-uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
@@ -26,35 +24,8 @@ Rng::Rng(uint64_t seed) {
   }
 }
 
-uint64_t Rng::NextUint64() {
-  const uint64_t result = Rotl(state_[1] * 5, 7) * 9;
-  const uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = Rotl(state_[3], 45);
-  return result;
-}
-
-double Rng::NextDouble() {
-  // 53 high bits -> uniform in [0, 1).
-  return static_cast<double>(NextUint64() >> 11) * 0x1.0p-53;
-}
-
 double Rng::Uniform(double lo, double hi) {
   return lo + (hi - lo) * NextDouble();
-}
-
-int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
-  if (lo >= hi) return lo;
-  const uint64_t range = static_cast<uint64_t>(hi - lo) + 1;
-  // Rejection sampling to avoid modulo bias.
-  const uint64_t limit = range * (UINT64_MAX / range);
-  uint64_t v = NextUint64();
-  while (v >= limit) v = NextUint64();
-  return lo + static_cast<int64_t>(v % range);
 }
 
 double Rng::NextGaussian() {
@@ -78,12 +49,6 @@ double Rng::Gaussian(double mean, double stddev) {
 
 double Rng::LognormalNoise(double sigma) {
   return std::exp(Gaussian(-0.5 * sigma * sigma, sigma));
-}
-
-bool Rng::Bernoulli(double p) {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return NextDouble() < p;
 }
 
 std::vector<int> Rng::Permutation(int n) {

@@ -1,16 +1,12 @@
 #include "core/locat_tuner.h"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <cmath>
-#include <cstring>
-#include <functional>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 
-#include "math/kern/kern.h"
+#include "core/candidate_screen.h"
 #include "ml/lhs.h"
 
 namespace locat::core {
@@ -326,8 +322,15 @@ LocatTuner::Proposal LocatTuner::ProposeNext(TuningSession* session,
   // After IICP only the CPS-selected parameters are tuned; the rest stay
   // pinned to the incumbent's values (Section 3.3: "only tune the
   // important parameters").
-  const std::vector<int>* tuned_dims = nullptr;
-  if (iicp_) tuned_dims = &iicp_->selected_params();
+  static const std::vector<int> kAllDims = [] {
+    std::vector<int> dims(sparksim::kNumParams);
+    for (int i = 0; i < sparksim::kNumParams; ++i) {
+      dims[static_cast<size_t>(i)] = i;
+    }
+    return dims;
+  }();
+  const std::vector<int>& tuned_dims =
+      iicp_ ? iicp_->selected_params() : kAllDims;
 
   // Three candidate families, mirroring standard BO practice:
   //   - global: uniform over the tuned dimensions (exploration);
@@ -335,116 +338,85 @@ LocatTuner::Proposal LocatTuner::ProposeNext(TuningSession* session,
   //     incumbent (basin descent);
   //   - line: move a single tuned dimension to a fresh value (cliff
   //     parameters like memoryOverhead respond to coordinate moves).
-  std::vector<int> identity_dims;
-  if (tuned_dims == nullptr) {
-    identity_dims.resize(sparksim::kNumParams);
-    for (int i = 0; i < sparksim::kNumParams; ++i) {
-      identity_dims[static_cast<size_t>(i)] = i;
-    }
-    tuned_dims = &identity_dims;
-  }
   const bool have_incumbent = best_objective_ > 0.0;
 
   // Generate the whole pool first (sequentially — candidate generation is
   // where the RNG stream lives), then encode and score every survivor in
-  // one batch. Near-duplicates of observations are dropped *before*
-  // scoring, and so are bit-identical copies of an earlier pool member: a
-  // copy's EI has the first copy's bits, so the strict-'>' scan below
-  // could never pick it. Survivors are the leading rows of `pool`.
+  // one batch. Each candidate is round-tripped through the configuration
+  // space so it is a *valid* configuration (Section 5.12 constraints),
+  // written straight into the next pool row. Near-duplicates of this data
+  // size's observations are dropped before scoring (re-running an
+  // evaluated configuration wastes a cluster run and starves QCSA/IICP of
+  // sample diversity), and so are bit-identical copies of an earlier pool
+  // member: a copy's EI has the first copy's bits, so the strict-'>' scan
+  // below could never pick it. Survivors are the leading rows of `pool`;
+  // a dropped row is overwritten by the next candidate.
   //
-  // The near-duplicate scan measures each candidate against this data
-  // size's distinct observed units at once, stored coordinate-major (a
-  // repeated run's unit gives its first copy's distance, so the any_of
-  // below decides the same). With unit weights each distance has the
-  // bits of SquaredDistance(obs, cand): (c - o)^2 == (o - c)^2 exactly
-  // and 1 * d == d.
-  const size_t dim = static_cast<size_t>(sparksim::kNumParams);
-  std::vector<const math::Vector*> same_size;
-  std::unordered_set<std::string_view> seen_units;
+  // A candidate is the anchor (`best_unit`) with some tuned coordinates
+  // moved, so the anchor's round trip (`base`) is computed once, and a
+  // candidate recomputes only the coordinates it moved, plus the coupled
+  // resource parameters when it moved one of them (DESIGN.md "Candidate
+  // generation"). `moved` marks the coordinates whose round trip differs
+  // from `base`, which is all the near-duplicate screen needs to know.
+  constexpr size_t dim = static_cast<size_t>(sparksim::kNumParams);
+  const double* anchor = best_unit.data().data();
+  double base[dim];
+  space.ToUnit(space.Repair(space.FromUnit(best_unit)), base);
+  NearDuplicateScreen screen(base, dim, observations_.size());
   for (const auto& obs : observations_) {
-    if (obs.datasize_gb == datasize_gb &&
-        seen_units.insert(ValueBytes(obs.unit.data())).second) {
-      same_size.push_back(&obs.unit);
+    if (obs.datasize_gb == datasize_gb) {
+      screen.AddObservation(obs.unit.data().data());
     }
   }
-  const size_t n_obs = same_size.size();
-  std::vector<double> obs_cols(dim * n_obs);
-  for (size_t o = 0; o < n_obs; ++o) {
-    for (size_t k = 0; k < dim; ++k) {
-      obs_cols[k * n_obs + o] = (*same_size[o])[k];
-    }
-  }
-  const std::vector<double> ones(dim, 1.0);
-  std::vector<double> obs_d2(n_obs);
-
-  math::Matrix pool(static_cast<size_t>(options_.candidates), dim);
+  const size_t candidates = static_cast<size_t>(options_.candidates);
+  math::Matrix pool(candidates, dim);
+  RowSet pool_rows(candidates, dim);
+  // The candidate's unit at the coupled parameters, the only entries
+  // RoundTripCoupled reads; reset to the anchor's after each use.
+  double unit[dim];
+  std::copy(anchor, anchor + dim, unit);
   size_t pool_size = 0;
-  // The accepted rows of `pool` (which never move), by row index, in one
-  // open-addressing table with linear probing at most half full.
-  // Equality is memcmp, so the hash's implementation-defined values only
-  // place buckets and never decide which copy survives (the first, in
-  // generation order).
-  constexpr size_t kEmptySlot = static_cast<size_t>(-1);
-  std::vector<size_t> row_slots(
-      std::bit_ceil(2 * static_cast<size_t>(options_.candidates) + 1),
-      kEmptySlot);
-  const size_t slot_mask = row_slots.size() - 1;
-  const size_t row_bytes = dim * sizeof(double);
-  // Accepts row `r` of the pool unless a bitwise-equal row was accepted.
-  const auto accept_row = [&](size_t r) {
-    const double* row = pool.RowData(r);
-    for (size_t b = std::hash<std::string_view>()(ValueBytes({row, dim}));;
-         ++b) {
-      size_t& slot = row_slots[b & slot_mask];
-      if (slot == kEmptySlot) {
-        slot = r;
-        return true;
+  for (size_t c = 0; c < candidates; ++c) {
+    double* row = pool.RowData(pool_size);
+    std::copy(base, base + dim, row);
+    uint64_t moved = 0;
+    bool coupled = false;
+    const auto move = [&](int d, double u) {
+      if (sparksim::ConfigSpace::Coupled(d)) {
+        unit[d] = u;
+        coupled = true;
+        return;
       }
-      if (std::memcmp(pool.RowData(slot), row, row_bytes) == 0) return false;
-    }
-  };
-  math::Vector unit = best_unit;
-  sparksim::SparkConf conf;
-  for (int c = 0; c < options_.candidates; ++c) {
-    unit = best_unit;
-    int family = have_incumbent ? c % 3 : 1;
+      row[d] = space.RoundTripCoord(d, u);
+      moved |= static_cast<uint64_t>(row[d] != base[d]) << d;
+    };
+    int family = have_incumbent ? static_cast<int>(c % 3) : 1;
     // Late in the reduced phase, stop proposing global jumps: anneal to
     // local refinement around the incumbent.
     if (exploit_only_ && family == 1) family = (c % 2 == 0) ? 0 : 2;
     if (family == 0) {
-      for (int d : *tuned_dims) {
-        const size_t i = static_cast<size_t>(d);
+      for (int d : tuned_dims) {
         if (rng_.Bernoulli(0.3)) {
-          unit[i] = std::clamp(best_unit[i] + rng_.Gaussian(0.0, 0.08), 0.0,
-                               1.0);
+          move(d,
+               std::clamp(anchor[d] + rng_.Gaussian(0.0, 0.08), 0.0, 1.0));
         }
       }
     } else if (family == 1) {
-      for (int d : *tuned_dims) {
-        unit[static_cast<size_t>(d)] = rng_.NextDouble();
-      }
+      for (int d : tuned_dims) move(d, rng_.NextDouble());
     } else {
-      const int d = (*tuned_dims)[static_cast<size_t>(rng_.UniformInt(
-          0, static_cast<int64_t>(tuned_dims->size()) - 1))];
-      unit[static_cast<size_t>(d)] = rng_.NextDouble();
+      const int d = tuned_dims[static_cast<size_t>(rng_.UniformInt(
+          0, static_cast<int64_t>(tuned_dims.size()) - 1))];
+      move(d, rng_.NextDouble());
     }
-    // Round-trip through the configuration space so the candidate is a
-    // *valid* configuration (Section 5.12 constraints), written straight
-    // into the next pool row.
-    space.FromUnit(unit.data().data(), &conf);
-    space.RepairInPlace(&conf);
-    double* row = pool.RowData(pool_size);
-    space.ToUnit(conf, row);
-    // Skip near-duplicates of past observations: re-running an evaluated
-    // configuration wastes a cluster run and starves QCSA/IICP of sample
-    // diversity. A dropped row is overwritten by the next candidate.
-    math::kern::WeightedSquaredDistanceCols(obs_cols.data(), n_obs, dim, row,
-                                            ones.data(), obs_d2.data());
-    if (std::any_of(obs_d2.begin(), obs_d2.end(),
-                    [](double d2) { return d2 < kNearDuplicateSq; })) {
-      continue;
+    if (coupled) {
+      space.RoundTripCoupled(unit, row);
+      for (const sparksim::ParamId d : sparksim::ConfigSpace::kCoupledParams) {
+        moved |= static_cast<uint64_t>(row[d] != base[d]) << d;
+        unit[d] = anchor[d];
+      }
     }
-    if (accept_row(pool_size)) ++pool_size;
+    if (screen.Near(row, moved)) continue;
+    if (pool_rows.Insert(pool.RowData(0), pool_size)) ++pool_size;
   }
   pool.ResizeRows(pool_size);
 
@@ -453,7 +425,10 @@ LocatTuner::Proposal LocatTuner::ProposeNext(TuningSession* session,
   // "Screened acquisition").
   Proposal best;
   ml::EiMcmc::Pick pick;
-  if (pool_size > 0) pick = dagp_.PickCandidate(EncodeRows(pool), datasize_gb);
+  if (pool_size > 0) {
+    pick = iicp_ ? dagp_.PickCandidate(iicp_->EncodeRows(pool), datasize_gb)
+                 : dagp_.PickCandidate(pool, datasize_gb);
+  }
   if (pick.row == ml::EiMcmc::kNoRow || pick.value < 0.0) {
     // Nothing to pick (every candidate was a duplicate, or no value was
     // a number >= 0): fall back to a fresh random point.

@@ -68,13 +68,6 @@ class LocatTuner : public Tuner {
 
   explicit LocatTuner(Options options = Options());
 
-  /// A candidate whose squared unit-space distance to an observation at
-  /// the same data size is below this is a near-duplicate and is never
-  /// scored. It is the smallest double whose sqrt is >= 0.05, one ulp
-  /// below 0.05 * 0.05, so `d2 < kNearDuplicateSq` decides exactly as
-  /// `sqrt(d2) < 0.05` without taking the root.
-  static constexpr double kNearDuplicateSq = 0x1.47ae147ae147bp-9;
-
   std::string name() const override;
   TuningResult Tune(TuningSession* session, double datasize_gb) override;
   void SetObservability(const obs::ObsContext& obs) override;

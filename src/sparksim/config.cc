@@ -134,13 +134,13 @@ std::string SparkConf::ToString() const {
 
 ConfigSpace::ConfigSpace(const ClusterSpec& cluster)
     : cluster_(cluster), specs_(ParamCatalog()) {
-  lo_.resize(kNumParams);
-  hi_.resize(kNumParams);
   const bool use_a = cluster.range_column == RangeColumn::kRangeA;
-  for (int i = 0; i < kNumParams; ++i) {
-    const auto& s = specs_[static_cast<size_t>(i)];
-    lo_[static_cast<size_t>(i)] = use_a ? s.lo_a : s.lo_b;
-    hi_[static_cast<size_t>(i)] = use_a ? s.hi_a : s.hi_b;
+  for (size_t i = 0; i < kNumParams; ++i) {
+    const auto& s = specs_[i];
+    lo_[i] = use_a ? s.lo_a : s.lo_b;
+    hi_[i] = use_a ? s.hi_a : s.hi_b;
+    range_[i] = hi_[i] - lo_[i];
+    kind_[i] = s.kind;
   }
 }
 
@@ -172,16 +172,7 @@ SparkConf ConfigSpace::FromUnit(const math::Vector& unit) const {
 
 void ConfigSpace::FromUnit(const double* unit, SparkConf* out) const {
   for (int i = 0; i < kNumParams; ++i) {
-    const auto& s = specs_[static_cast<size_t>(i)];
-    const double u = std::clamp(unit[static_cast<size_t>(i)], 0.0, 1.0);
-    double v = lo_[static_cast<size_t>(i)] +
-               u * (hi_[static_cast<size_t>(i)] - lo_[static_cast<size_t>(i)]);
-    if (s.kind == ParamKind::kInt) {
-      v = std::round(v);
-    } else if (s.kind == ParamKind::kBool) {
-      v = u >= 0.5 ? 1.0 : 0.0;
-    }
-    out->Set(static_cast<ParamId>(i), v);
+    out->Set(static_cast<ParamId>(i), FromUnitCoord(i, unit[i]));
   }
 }
 
@@ -193,13 +184,18 @@ math::Vector ConfigSpace::ToUnit(const SparkConf& conf) const {
 
 void ConfigSpace::ToUnit(const SparkConf& conf, double* out) const {
   for (int i = 0; i < kNumParams; ++i) {
-    const double lo = lo_[static_cast<size_t>(i)];
-    const double hi = hi_[static_cast<size_t>(i)];
-    const double range = hi - lo;
-    out[i] = range <= 0.0
-                 ? 0.0
-                 : std::clamp((conf.Get(static_cast<ParamId>(i)) - lo) / range,
-                              0.0, 1.0);
+    out[i] = ToUnitCoord(i, conf.Get(static_cast<ParamId>(i)));
+  }
+}
+
+void ConfigSpace::RoundTripCoupled(const double* unit, double* out) const {
+  double values[kNumParams];  // only the coupled entries are written
+  for (const ParamId id : kCoupledParams) {
+    values[id] = RepairCoord(id, FromUnitCoord(id, unit[id]));
+  }
+  RepairResources(values);
+  for (const ParamId id : kCoupledParams) {
+    out[id] = ToUnitCoord(id, values[id]);
   }
 }
 
@@ -245,26 +241,22 @@ SparkConf ConfigSpace::Repair(const SparkConf& input) const {
   return conf;
 }
 
-void ConfigSpace::RepairInPlace(SparkConf* out) const {
-  SparkConf& conf = *out;
-  // Clamp everything into its Table 2 range first.
+void ConfigSpace::RepairInPlace(SparkConf* conf) const {
+  // Every parameter into its Table 2 range first.
   for (int i = 0; i < kNumParams; ++i) {
-    const auto& s = specs_[static_cast<size_t>(i)];
-    double v = std::clamp(conf.Get(static_cast<ParamId>(i)),
-                          lo_[static_cast<size_t>(i)],
-                          hi_[static_cast<size_t>(i)]);
-    if (s.kind == ParamKind::kInt) v = std::round(v);
-    if (s.kind == ParamKind::kBool) v = v >= 0.5 ? 1.0 : 0.0;
-    conf.Set(static_cast<ParamId>(i), v);
+    const ParamId id = static_cast<ParamId>(i);
+    conf->Set(id, RepairCoord(i, conf->Get(id)));
   }
+  RepairResources(conf->values().data());
+}
 
+void ConfigSpace::RepairResources(double* v) const {
   // Container caps.
-  conf.Set(kExecutorCores,
-           std::min<double>(conf.Get(kExecutorCores),
-                            cluster_.container_max_cores));
-  double heap = conf.Get(kExecutorMemory);
-  double overhead_gb = conf.Get(kExecutorMemoryOverhead) / 1024.0;
-  double offheap_gb = conf.Get(kMemoryOffHeapSize) / 1024.0;
+  v[kExecutorCores] =
+      std::min<double>(v[kExecutorCores], cluster_.container_max_cores);
+  double heap = v[kExecutorMemory];
+  double overhead_gb = v[kExecutorMemoryOverhead] / 1024.0;
+  double offheap_gb = v[kMemoryOffHeapSize] / 1024.0;
   double per_exec = heap + overhead_gb + offheap_gb;
   if (per_exec > cluster_.container_max_memory_gb) {
     // Shrink overhead and off-heap first (they have 0 lower bounds), then
@@ -280,26 +272,25 @@ void ConfigSpace::RepairInPlace(SparkConf* out) const {
     if (excess > 0.0) {
       heap = std::max(lo_[kExecutorMemory], heap - excess);
     }
-    conf.Set(kExecutorMemory, std::floor(heap));
-    conf.Set(kExecutorMemoryOverhead, std::floor(overhead_gb * 1024.0));
-    conf.Set(kMemoryOffHeapSize, std::floor(offheap_gb * 1024.0));
-    per_exec = conf.Get(kExecutorMemory) +
-               conf.Get(kExecutorMemoryOverhead) / 1024.0 +
-               conf.Get(kMemoryOffHeapSize) / 1024.0;
+    v[kExecutorMemory] = std::floor(heap);
+    v[kExecutorMemoryOverhead] = std::floor(overhead_gb * 1024.0);
+    v[kMemoryOffHeapSize] = std::floor(offheap_gb * 1024.0);
+    per_exec = v[kExecutorMemory] + v[kExecutorMemoryOverhead] / 1024.0 +
+               v[kMemoryOffHeapSize] / 1024.0;
   }
 
   // Cluster totals: shrink per-executor resources first so the instance
   // count can stay within its Table 2 range, then reduce the instance
   // count until both constraints hold.
   const double lo_instances = std::max(1.0, lo_[kExecutorInstances]);
-  double cores = std::max(1.0, conf.Get(kExecutorCores));
+  double cores = std::max(1.0, v[kExecutorCores]);
   const double cores_cap = std::floor(
       static_cast<double>(cluster_.total_cores()) / lo_instances);
   if (cores > cores_cap && cores_cap >= lo_[kExecutorCores]) {
     cores = cores_cap;
-    conf.Set(kExecutorCores, cores);
+    v[kExecutorCores] = cores;
   }
-  double instances = conf.Get(kExecutorInstances);
+  double instances = v[kExecutorInstances];
   const double max_by_mem =
       per_exec > 0.0 ? std::floor(cluster_.total_memory_gb() / per_exec)
                      : instances;
@@ -311,7 +302,7 @@ void ConfigSpace::RepairInPlace(SparkConf* out) const {
   if (instances >= lo_[kExecutorInstances]) {
     instances = std::max(instances, lo_[kExecutorInstances]);
   }
-  conf.Set(kExecutorInstances, std::round(instances));
+  v[kExecutorInstances] = RoundHalfAway(instances);
 }
 
 SparkConf ConfigSpace::RandomValid(Rng* rng) const {

@@ -1,7 +1,11 @@
 #ifndef LOCAT_SPARKSIM_CONFIG_H_
 #define LOCAT_SPARKSIM_CONFIG_H_
 
+#include <algorithm>
 #include <array>
+#include <cassert>
+#include <cmath>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -101,6 +105,19 @@ class SparkConf {
   Values values_{};
 };
 
+/// std::round, bit for bit: halves away from zero, the sign of a zero
+/// result kept, |v| >= 2^52, infinities and NaN passed through. std::trunc
+/// is inline on baseline x86-64 where std::round is a libm call, and
+/// |v| - trunc(|v|) is exact, so the halfway test sees the true fraction;
+/// the result takes v's sign, as std::round's always does. The test is a
+/// select, not a branch: whether a fraction reaches one half is a coin
+/// flip on the candidate-generation path.
+inline double RoundHalfAway(double v) {
+  const double a = std::fabs(v);
+  const double t = std::trunc(a);
+  return std::copysign(t + (a - t >= 0.5 ? 1.0 : 0.0), v);
+}
+
 /// The tunable configuration space for one cluster: Table 2 ranges plus
 /// the Section 5.12 validity rules (container caps, memory-sum and
 /// cluster-capacity constraints).
@@ -114,6 +131,30 @@ class ConfigSpace {
   const ParamSpec& spec(int index) const { return specs_[static_cast<size_t>(index)]; }
   double lo(int index) const { return lo_[static_cast<size_t>(index)]; }
   double hi(int index) const { return hi_[static_cast<size_t>(index)]; }
+
+  /// The resource parameters Repair couples: cores, instances, memory,
+  /// memoryOverhead and offHeap.size. A change to one of them can move
+  /// the others; every other parameter round-trips on its own.
+  static constexpr std::array<ParamId, 5> kCoupledParams = {
+      kExecutorCores, kExecutorInstances, kExecutorMemory,
+      kExecutorMemoryOverhead, kMemoryOffHeapSize};
+  static bool Coupled(int index) { return (kCoupledMask >> index) & 1; }
+
+  // FromUnit, Repair and ToUnit apply the private per-coordinate rules
+  // (Repair then RepairResources); they are the only copy of the rules,
+  // and the two round trips below compose the same calls.
+
+  /// ToUnit(Repair(FromUnit(unit)))[index] from unit[index] alone, for a
+  /// parameter that is not Coupled.
+  double RoundTripCoord(int index, double u) const {
+    assert(!Coupled(index));
+    return ByKind(index, [&]<ParamKind K>() {
+      return ToUnitCoord(index, RepairAs<K>(index, FromUnitAs<K>(index, u)));
+    });
+  }
+  /// Writes ToUnit(Repair(FromUnit(unit)))[i] for the five kCoupledParams
+  /// into out[i]; reads only those entries of `unit`, writes no others.
+  void RoundTripCoupled(const double* unit, double* out) const;
 
   /// Index of a parameter by its Spark property name; -1 if unknown.
   int IndexOf(const std::string& name) const;
@@ -152,10 +193,72 @@ class ConfigSpace {
   math::Vector RandomValidUnit(Rng* rng) const;
 
  private:
+  static constexpr uint64_t kCoupledMask = [] {
+    uint64_t mask = 0;
+    for (const ParamId id : kCoupledParams) mask |= uint64_t{1} << id;
+    return mask;
+  }();
+
+  /// Coordinate `index` of FromUnit: `u` clamped to [0, 1] and mapped
+  /// linearly onto the range, integers rounded, booleans thresholded.
+  double FromUnitCoord(int index, double u) const {
+    return ByKind(index,
+                  [&]<ParamKind K>() { return FromUnitAs<K>(index, u); });
+  }
+  /// Coordinate `index` of Repair's first pass, before the coupled
+  /// resource rules: clamped into the range, integers rounded, booleans
+  /// thresholded.
+  double RepairCoord(int index, double v) const {
+    return ByKind(index, [&]<ParamKind K>() { return RepairAs<K>(index, v); });
+  }
+  /// Coordinate `index` of ToUnit.
+  double ToUnitCoord(int index, double v) const {
+    const size_t i = static_cast<size_t>(index);
+    return range_[i] <= 0.0 ? 0.0
+                            : std::clamp((v - lo_[i]) / range_[i], 0.0, 1.0);
+  }
+  /// f.template operator()<K>() for the kind K of parameter `index`: the
+  /// per-kind rules below then branch on the kind once.
+  template <class F>
+  double ByKind(int index, F f) const {
+    switch (kind_[static_cast<size_t>(index)]) {
+      case ParamKind::kInt:
+        return f.template operator()<ParamKind::kInt>();
+      case ParamKind::kBool:
+        return f.template operator()<ParamKind::kBool>();
+      default:
+        return f.template operator()<ParamKind::kReal>();
+    }
+  }
+  template <ParamKind K>
+  double FromUnitAs(int index, double u) const {
+    const size_t i = static_cast<size_t>(index);
+    u = std::clamp(u, 0.0, 1.0);
+    if constexpr (K == ParamKind::kBool) return u >= 0.5 ? 1.0 : 0.0;
+    const double v = lo_[i] + u * range_[i];
+    if constexpr (K == ParamKind::kInt) return RoundHalfAway(v);
+    return v;
+  }
+  template <ParamKind K>
+  double RepairAs(int index, double v) const {
+    const size_t i = static_cast<size_t>(index);
+    v = std::clamp(v, lo_[i], hi_[i]);
+    if constexpr (K == ParamKind::kInt) return RoundHalfAway(v);
+    if constexpr (K == ParamKind::kBool) return v >= 0.5 ? 1.0 : 0.0;
+    return v;
+  }
+
+  /// Repair's coupled rules: container caps and cluster totals over the
+  /// kCoupledParams entries of `values` (indexed by ParamId), the only
+  /// entries they read or write.
+  void RepairResources(double* values) const;
+
   ClusterSpec cluster_;
   std::vector<ParamSpec> specs_;
-  std::vector<double> lo_;
-  std::vector<double> hi_;
+  std::array<double, kNumParams> lo_{};
+  std::array<double, kNumParams> hi_{};
+  std::array<double, kNumParams> range_{};  // hi_ - lo_
+  std::array<ParamKind, kNumParams> kind_{};
 };
 
 }  // namespace locat::sparksim

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "core/candidate_screen.h"
 #include "core/dagp.h"
 #include "core/iicp.h"
 #include "core/locat_tuner.h"
@@ -349,7 +350,7 @@ LocatTuner::Options TinyLocatOptions() {
 // the two tests agree on every value around the boundary. The naive
 // 0.05 * 0.05 is one ulp higher and would drop the kept pair.
 TEST(LocatTunerTest, NearDuplicateThresholdMatchesSqrtTest) {
-  const double t = LocatTuner::kNearDuplicateSq;
+  const double t = kNearDuplicateSq;
   EXPECT_FALSE(std::sqrt(t) < 0.05);
   EXPECT_TRUE(std::sqrt(std::nextafter(t, 0.0)) < 0.05);
   EXPECT_LT(t, 0.05 * 0.05);
