@@ -42,7 +42,6 @@ NearDuplicateScreen::NearDuplicateScreen(const double* base, size_t dim,
     : dim_(dim),
       max_observations_(max_observations),
       base_(base, base + dim),
-      ones_(dim, 1.0),
       rows_(dim * max_observations),
       cols_(dim * max_observations),
       distinct_(max_observations, dim),
@@ -112,11 +111,12 @@ bool NearDuplicateScreen::Near(const double* row, uint64_t moved) {
     }
     open = kept;
   }
-  // No witness: the full distance decides.
+  // No witness: the full distance decides. With unit weights the cols
+  // kernel folds fma(1 * d, d, acc), and 1 * d == d, so SquaredDistance
+  // has its bits.
   for (size_t j = 0; j < open; ++j) {
     const double* obs = rows_.data() + open_[j] * dim_;
-    if (math::kern::WeightedSquaredDistance(row, obs, ones_.data(), dim_) <
-        kNearDuplicateSq) {
+    if (math::kern::SquaredDistance(row, obs, dim_) < kNearDuplicateSq) {
       return true;
     }
   }

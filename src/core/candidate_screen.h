@@ -59,7 +59,6 @@ class NearDuplicateScreen {
   /// Adds an observed unit (`dim` entries) unless a bitwise-equal one is
   /// in: a repeat's distance has its first copy's bits.
   void AddObservation(const double* unit);
-  size_t num_observations() const { return far_.size(); }
 
   /// True when some observation's squared distance to `row` is below
   /// kNearDuplicateSq. `moved` has bit k set for every coordinate k
@@ -72,7 +71,6 @@ class NearDuplicateScreen {
   size_t dim_;
   size_t max_observations_;
   std::vector<double> base_;
-  std::vector<double> ones_;
   /// Observation o's unit at rows_[o * dim_], its coordinate k at
   /// cols_[k * max_observations_ + o].
   std::vector<double> rows_;
